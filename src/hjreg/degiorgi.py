@@ -28,10 +28,9 @@ from numpy.typing import NDArray
 
 from .grid import (
     Cylinder,
-    EmptyCylinderError,
     GridSpec,
     ScalarField,
-    ball_volume,
+    Window,
     discrete_gradient_norm_p,
     field_from_values,
     level_set_measure,
@@ -45,8 +44,6 @@ __all__ = [
     "EnergyLadder",
     "RecurrenceFit",
     "LemmaVerdict",
-    "ABoundsReport",
-    "SliceDichotomy",
     "cutoff_time",
     "truncate",
     "truncated_energy",
@@ -56,12 +53,8 @@ __all__ = [
     "fast_convergence_threshold",
     "delta_constant",
     "lemma_one_check",
-    "a_priori_bounds_check",
     "lemma_two_check",
-    "isoperimetric_scan",
 ]
-
-_EPS = 1e-9
 
 
 def cutoff_time(level: int) -> float:
@@ -78,37 +71,11 @@ def truncate(f: ScalarField, level: int) -> ScalarField:
     )
 
 
-def _require_cover(spec: GridSpec, t_lo: float, t_hi: float, radius: float) -> None:
-    if spec.t_start > t_lo + _EPS or spec.t_end < t_hi - _EPS:
-        raise ValueError(
-            f"grid time range [{spec.t_start}, {spec.t_end}] does not cover "
-            f"[{t_lo}, {t_hi}]"
-        )
-    pad = 2.0 * spec.cell_width
-    if spec.half_width < radius + pad:
-        raise ValueError(
-            f"box half-width {spec.half_width} leaves less than two cells of "
-            f"padding around the radius-{radius} ball"
-        )
-
-
-def _unit_ball(radius: float = 1.0, t_lo: float = -2.0, t_hi: float = 2.0,
-               dimension: int = 2) -> Cylinder:
-    return Cylinder(t_lo=t_lo, t_hi=t_hi, center=(0.0,) * dimension, radius=radius)
-
-
-def _time_weights_in(spec: GridSpec, t_lo: float, t_hi: float) -> NDArray[np.float64]:
-    # Same ownership convention as grid.level_set_measure.
-    times = spec.times()
-    half = 0.5 * spec.dt
-    own_lo = np.maximum(times - half, spec.t_start)
-    own_hi = np.minimum(times + half, spec.t_end)
-    return np.maximum(np.minimum(own_hi, t_hi) - np.maximum(own_lo, t_lo), 0.0)
-
-
-def _ball_mask(spec: GridSpec, radius: float) -> NDArray[np.bool_]:
-    centers = spec.centers()
-    return np.einsum("...i,...i->...", centers, centers) < radius**2
+def _unit_window(spec: GridSpec, t_lo: float, t_hi: float) -> Window:
+    """Window of ``[t_lo, t_hi] x B(0, 1)``; the grid must cover it."""
+    cyl = Cylinder(t_lo=t_lo, t_hi=t_hi, center=(0.0,) * spec.dimension, radius=1.0)
+    Window.require_cover(spec, cyl)
+    return Window(spec, cyl)
 
 
 def truncated_energy(
@@ -117,24 +84,16 @@ def truncated_energy(
     """Energy of the level-``k`` truncation on ``[1 - 2^-k, 2] x B(1)``."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    spec = f.spec
-    t_lo = cutoff_time(level)
-    _require_cover(spec, t_lo, 2.0, 1.0)
+    win = _unit_window(f.spec, cutoff_time(level), 2.0)
     trunc = truncate(f, level)
-    mask = _ball_mask(spec, 1.0)
-    vol = spec.cell_volume
-    ball = _unit_ball(dimension=spec.dimension)
-
-    times = spec.times()
-    in_window = np.nonzero((times >= t_lo - _EPS) & (times <= 2.0 + _EPS))[0]
+    vol = f.spec.cell_volume
     sup_term = max(
-        float(trunc.values[i][mask].sum()) * vol for i in in_window
+        float(trunc.values[i][win.mask].sum()) * vol for i in win.slices
     )
-    weights = _time_weights_in(spec, t_lo, 2.0)
     grad_term = 0.0
-    for i in np.nonzero(weights > 0.0)[0]:
-        grad_term += weights[i] * discrete_gradient_norm_p(
-            trunc, int(i), env.p, ball=ball
+    for i in win.weighted_slices():
+        grad_term += win.weights[i] * discrete_gradient_norm_p(
+            trunc, int(i), env.p, ball=win.cylinder
         )
     return sup_term + grad_term
 
@@ -310,22 +269,11 @@ def lemma_one_check(
     defaults to the largest one-cell jump of ``f`` in the conclusion window.
     """
     spec = f.spec
-    _require_cover(spec, 0.0, 2.0, 1.0)
-    mask = _ball_mask(spec, 1.0)
-    weights = _time_weights_in(spec, 0.0, 2.0)
-    plus = np.maximum(f.values, 0.0)
-    plus_mass = float(
-        sum(
-            weights[i] * plus[i][mask].sum() * spec.cell_volume
-            for i in np.nonzero(weights > 0.0)[0]
-        )
-    )
-    concl_cyl = _unit_ball(t_lo=1.0, t_hi=2.0, dimension=spec.dimension)
-    times = spec.times()
-    concl_idx = np.nonzero((times >= 1.0 - _EPS) & (times <= 2.0 + _EPS))[0]
-    sup_late = max(float(f.values[i][mask].max()) for i in concl_idx)
+    plus_mass = _unit_window(spec, 0.0, 2.0).integral(np.maximum(f.values, 0.0))
+    late = _unit_window(spec, 1.0, 2.0)
+    sup_late = late.max(f.values)
     tol = (
-        one_cell_oscillation(f, concl_cyl)
+        one_cell_oscillation(f, late.cylinder)
         if conclusion_tol is None
         else conclusion_tol
     )
@@ -339,79 +287,6 @@ def lemma_one_check(
         conclusion_thresholds={"late_sup": 1.0},
         conclusion_satisfied=sup_late <= 1.0 + tol,
         tolerances={"late_sup": tol},
-        cell_width=spec.cell_width,
-    )
-
-
-@dataclass(frozen=True)
-class ABoundsReport:
-    """A-priori gradient and time-variation control for bounded subsolutions."""
-
-    gradient_value: float
-    gradient_bound: float
-    tv_value: float
-    tv_bound: float
-    cell_width: float
-
-    @property
-    def gradient_ok(self) -> bool:
-        return self.gradient_value <= self.gradient_bound
-
-    @property
-    def tv_ok(self) -> bool:
-        return self.tv_value <= self.tv_bound
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gradient_value": self.gradient_value,
-            "gradient_bound": self.gradient_bound,
-            "gradient_ok": self.gradient_ok,
-            "tv_value": self.tv_value,
-            "tv_bound": self.tv_bound,
-            "tv_ok": self.tv_ok,
-            "cell_width": self.cell_width,
-        }
-
-
-def a_priori_bounds_check(
-    f: ScalarField, env: CoercivityEnvelope, slack: float = 0.0
-) -> ABoundsReport:
-    """Check the energy and time-variation bounds on ``[-2, 2] x B(1)``.
-
-    The gradient estimate integrates ``|grad f_+|^p`` and compares against
-    ``lam * (int f_+(-2) + 4 lam |B(1)|)``; the time-variation proxy sums
-    ``int_B |f_+(t_{i+1}) - f_+(t_i)|`` and compares against
-    ``4 |B(1)| (1 + lam) + slack``.
-    """
-    spec = f.spec
-    _require_cover(spec, -2.0, 2.0, 1.0)
-    mask = _ball_mask(spec, 1.0)
-    vol = spec.cell_volume
-    plus = np.maximum(f.values, 0.0)
-    plus_field = field_from_values(spec, plus)
-    ball = _unit_ball(dimension=spec.dimension)
-    weights = _time_weights_in(spec, -2.0, 2.0)
-    grad_value = float(
-        sum(
-            weights[i] * discrete_gradient_norm_p(plus_field, int(i), env.p, ball=ball)
-            for i in np.nonzero(weights > 0.0)[0]
-        )
-    )
-    vol_ball = ball_volume(spec.dimension, 1.0)
-    initial_mass = float(plus[0][mask].sum() * vol)
-    grad_bound = env.lam * (initial_mass + 4.0 * env.lam * vol_ball) + slack
-
-    times = spec.times()
-    idx = np.nonzero((times >= -2.0 - _EPS) & (times <= 2.0 + _EPS))[0]
-    tv_value = 0.0
-    for a, b in zip(idx[:-1], idx[1:]):
-        tv_value += float(np.abs(plus[b][mask] - plus[a][mask]).sum() * vol)
-    tv_bound = 4.0 * vol_ball * (1.0 + env.lam) + slack
-    return ABoundsReport(
-        gradient_value=grad_value,
-        gradient_bound=grad_bound,
-        tv_value=tv_value,
-        tv_bound=tv_bound,
         cell_width=spec.cell_width,
     )
 
@@ -437,28 +312,20 @@ def lemma_two_check(
     refutation.
     """
     spec = f.spec
-    _require_cover(spec, -2.0, 2.0, 1.0)
+    win = _unit_window(spec, -2.0, 2.0)
     if env.p >= spec.dimension:
         raise ValueError(
             f"the machinery needs p < N, got p={env.p}, N={spec.dimension}"
         )
-    cyl = _unit_ball(dimension=spec.dimension)
-    mask = _ball_mask(spec, 1.0)
-    times = spec.times()
-    idx = np.nonzero((times >= -2.0 - _EPS) & (times <= 2.0 + _EPS))[0]
-    sup_all = max(float(f.values[i][mask].max()) for i in idx)
+    cyl = win.cylinder
+    sup_all = win.max(f.values)
     bound_tol = one_cell_oscillation(f, cyl)
     preconditions = {"bounded_by_two": sup_all <= 2.0 + bound_tol}
     diagnostics: dict = {"sup": sup_all}
     if check_subsolution:
-        tol = (
-            10.0 * (spec.cell_width + spec.dt)
-            if residual_tol is None
-            else residual_tol
-        )
+        tol = spec.residual_tol if residual_tol is None else residual_tol
         rep = residual_subsolution(f, env)
-        interior = rep.values[:, mask]
-        worst = float(interior.max())
+        worst = float(rep.values[:, win.mask].max())
         preconditions["subsolution"] = worst <= tol
         diagnostics["subsolution_residual"] = worst
         diagnostics["subsolution_tol"] = tol
@@ -467,13 +334,8 @@ def lemma_two_check(
     zero_mass = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
     middle_mass = level_set_measure(f, cyl, lo=0.0, hi=1.0)
 
-    weights = _time_weights_in(spec, 0.0, 2.0)
-    above = np.maximum(f.values - 1.0, 0.0)
-    above_mass = float(
-        sum(
-            weights[i] * above[i][mask].sum() * spec.cell_volume
-            for i in np.nonzero(weights > 0.0)[0]
-        )
+    above_mass = _unit_window(spec, 0.0, 2.0).integral(
+        np.maximum(f.values - 1.0, 0.0)
     )
     return LemmaVerdict(
         name="measure-to-mass-improvement",
@@ -488,44 +350,3 @@ def lemma_two_check(
         cell_width=spec.cell_width,
         diagnostics=diagnostics,
     )
-
-
-@dataclass(frozen=True)
-class SliceDichotomy:
-    t: float
-    middle_measure: float
-    klass: str
-
-
-def isoperimetric_scan(
-    f: ScalarField,
-    t_lo: float,
-    t_hi: float,
-    lo: float = 0.0,
-    hi: float = 1.0,
-) -> list[SliceDichotomy]:
-    """Classify each slice in the window as below/above/mixed inside ``B(1)``.
-
-    A slice is *mixed* when the spatial measure of ``{lo < f < hi}`` in the
-    unit ball reaches one cell volume; otherwise it is pure and labeled by
-    whichever side (``{f <= lo}`` or ``{f >= hi}``) holds more cells.
-    """
-    spec = f.spec
-    mask = _ball_mask(spec, 1.0)
-    if not np.any(mask):
-        raise EmptyCylinderError("unit ball selects no cells on this grid")
-    times = spec.times()
-    idx = np.nonzero((times >= t_lo - _EPS) & (times <= t_hi + _EPS))[0]
-    vol = spec.cell_volume
-    out: list[SliceDichotomy] = []
-    for i in idx:
-        vals = f.values[i][mask]
-        middle = float(np.count_nonzero((vals > lo) & (vals < hi)) * vol)
-        if middle >= vol:
-            klass = "mixed"
-        else:
-            n_below = int(np.count_nonzero(vals <= lo))
-            n_above = int(np.count_nonzero(vals >= hi))
-            klass = "below" if n_below >= n_above else "above"
-        out.append(SliceDichotomy(t=float(times[i]), middle_measure=middle, klass=klass))
-    return out

@@ -14,6 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -28,7 +29,7 @@ from .degiorgi import (
     lemma_two_check,
     recurrence_fit,
 )
-from .grid import GridSpec, field_from_values, save_snapshot
+from .grid import Cylinder, GridSpec, Window, field_from_values, save_snapshot
 from .hamiltonians import (
     CoercivityEnvelope,
     HamiltonianSpec,
@@ -104,6 +105,17 @@ def _require(section: dict, key: str, where: str):
         raise ConfigError(f"{where} needs {key!r}") from None
 
 
+@contextmanager
+def _section(where: str):
+    """Report a value that fails to coerce or validate as a ``ConfigError``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
 @dataclass(frozen=True)
 class InitialDataSpec:
     name: str = "zero"
@@ -143,6 +155,22 @@ class ChainSettings:
         return out
 
 
+def _check_zoom_settings(where: str, opts) -> None:
+    """Ranges shared by the cascade and theorem sections."""
+    if opts.mode not in ("interpolate", "resolve"):
+        raise ConfigError(f"unknown {where} mode {opts.mode!r}")
+    if opts.levels < 0:
+        raise ConfigError(f"{where} needs levels >= 0, got {opts.levels}")
+    if opts.working_cells < 4:
+        raise ConfigError(
+            f"{where} needs working_cells >= 4, got {opts.working_cells}"
+        )
+    if opts.working_slices < 1:
+        raise ConfigError(
+            f"{where} needs working_slices >= 1, got {opts.working_slices}"
+        )
+
+
 @dataclass(frozen=True)
 class CascadeSettings:
     levels: int = 4
@@ -151,6 +179,9 @@ class CascadeSettings:
     base_point: tuple[float, ...] | None = None
     working_cells: int = 40
     working_slices: int = 64
+
+    def __post_init__(self) -> None:
+        _check_zoom_settings("cascade", self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,6 +202,13 @@ class TheoremSettings:
     mode: str = "interpolate"
     working_cells: int = 40
     working_slices: int = 64
+
+    def __post_init__(self) -> None:
+        _check_zoom_settings("theorem", self)
+        if self.points_per_axis < 1:
+            raise ConfigError(
+                f"theorem needs points_per_axis >= 1, got {self.points_per_axis}"
+            )
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,6 +305,11 @@ class ExperimentConfig:
             "config",
         )
         scenario = str(_require(data, "scenario", "config"))
+        # The label names the run directory under the output root.
+        if scenario in ("", ".", "..") or Path(scenario).name != scenario:
+            raise ConfigError(
+                f"scenario {scenario!r} must be a single path component"
+            )
 
         grid_cfg = _require(data, "grid", "config")
         _reject_unknown(
@@ -277,10 +320,8 @@ class ExperimentConfig:
         for key in ("dimension", "half_width", "cells_per_axis",
                     "t_start", "t_end", "dt"):
             _require(grid_cfg, key, "grid")
-        try:
+        with _section("grid"):
             grid = GridSpec.from_json_dict(grid_cfg)
-        except ValueError as err:
-            raise ConfigError(f"grid: {err}") from None
 
         ham_cfg = _require(data, "hamiltonian", "config")
         _reject_unknown(
@@ -290,23 +331,19 @@ class ExperimentConfig:
         )
         _require(ham_cfg, "kind", "hamiltonian")
         _require(ham_cfg, "p", "hamiltonian")
-        try:
+        with _section("hamiltonian"):
             hamiltonian = HamiltonianSpec.from_config(ham_cfg)
-        except (KeyError, ValueError) as err:
-            raise ConfigError(f"hamiltonian: {err}") from None
 
         env_cfg = data.get("envelope")
         if env_cfg is None:
             envelope = hamiltonian.declared_envelope()
         else:
             _reject_unknown(env_cfg, {"lambda", "p"}, "envelope")
-            try:
+            with _section("envelope"):
                 envelope = CoercivityEnvelope(
                     lam=float(_require(env_cfg, "lambda", "envelope")),
                     p=float(env_cfg.get("p", hamiltonian.p)),
                 )
-            except ValueError as err:
-                raise ConfigError(f"envelope: {err}") from None
         if envelope.p != hamiltonian.p:
             raise ConfigError(
                 f"envelope exponent {envelope.p} does not match the "
@@ -315,31 +352,30 @@ class ExperimentConfig:
 
         init_cfg = data.get("initial_data", {})
         _reject_unknown(init_cfg, {"name", "parameters", "seed"}, "initial_data")
-        initial = InitialDataSpec(
-            name=str(init_cfg.get("name", "zero")),
-            parameters=dict(init_cfg.get("parameters", {})),
-            seed=int(init_cfg.get("seed", 0)),
-        )
-        try:
+        with _section("initial_data"):
+            initial = InitialDataSpec(
+                name=str(init_cfg.get("name", "zero")),
+                parameters=dict(init_cfg.get("parameters", {})),
+                seed=int(init_cfg.get("seed", 0)),
+            )
             validate_descriptor(initial.name, initial.parameters)
-        except ValueError as err:
-            raise ConfigError(f"initial_data: {err}") from None
 
         chain_cfg = data.get("chain", {})
         _reject_unknown(chain_cfg, {"alpha", "mode", "candidates"}, "chain")
-        chain_mode = str(chain_cfg.get("mode", "fixed"))
-        if chain_cfg.get("alpha") is not None:
-            chain_alpha = float(chain_cfg["alpha"])
-        else:
-            chain_alpha = 1.0 if chain_mode == "fixed" else None
-        chain = ChainSettings(
-            alpha=chain_alpha,
-            mode=chain_mode,
-            candidates=tuple(
-                sorted((float(a) for a in chain_cfg.get(
-                    "candidates", ChainSettings().candidates)), reverse=True)
-            ),
-        )
+        with _section("chain"):
+            chain_mode = str(chain_cfg.get("mode", "fixed"))
+            if chain_cfg.get("alpha") is not None:
+                chain_alpha = float(chain_cfg["alpha"])
+            else:
+                chain_alpha = 1.0 if chain_mode == "fixed" else None
+            chain = ChainSettings(
+                alpha=chain_alpha,
+                mode=chain_mode,
+                candidates=tuple(
+                    sorted((float(a) for a in chain_cfg.get(
+                        "candidates", ChainSettings().candidates)), reverse=True)
+                ),
+            )
 
         checks_raw = data.get("checks", [])
         for name in checks_raw:
@@ -351,7 +387,8 @@ class ExperimentConfig:
 
         tol_cfg = data.get("tolerances", {})
         _reject_unknown(tol_cfg, {"delta", "conclusion", "residual"}, "tolerances")
-        tolerances = {k: float(v) for k, v in tol_cfg.items()}
+        with _section("tolerances"):
+            tolerances = {k: float(v) for k, v in tol_cfg.items()}
 
         solve_cfg_raw = data.get("solve", {})
         _reject_unknown(
@@ -359,7 +396,7 @@ class ExperimentConfig:
             {"cfl_safety", "sigma_mode", "sigma_bound", "max_steps"},
             "solve",
         )
-        try:
+        with _section("solve"):
             solve_cfg = SolveConfig(
                 cfl_safety=float(solve_cfg_raw.get("cfl_safety", 0.5)),
                 sigma_mode=str(solve_cfg_raw.get("sigma_mode", "adaptive")),
@@ -368,8 +405,6 @@ class ExperimentConfig:
                 max_steps=(None if solve_cfg_raw.get("max_steps") is None
                            else int(solve_cfg_raw["max_steps"])),
             )
-        except ValueError as err:
-            raise ConfigError(f"solve: {err}") from None
 
         casc_cfg = data.get("cascade", {})
         _reject_unknown(
@@ -378,18 +413,17 @@ class ExperimentConfig:
              "working_cells", "working_slices"},
             "cascade",
         )
-        cascade = CascadeSettings(
-            levels=int(casc_cfg.get("levels", 4)),
-            mode=str(casc_cfg.get("mode", "interpolate")),
-            base_time=(None if casc_cfg.get("base_time") is None
-                       else float(casc_cfg["base_time"])),
-            base_point=(None if casc_cfg.get("base_point") is None
-                        else tuple(float(c) for c in casc_cfg["base_point"])),
-            working_cells=int(casc_cfg.get("working_cells", 40)),
-            working_slices=int(casc_cfg.get("working_slices", 64)),
-        )
-        if cascade.mode not in ("interpolate", "resolve"):
-            raise ConfigError(f"unknown cascade mode {cascade.mode!r}")
+        with _section("cascade"):
+            cascade = CascadeSettings(
+                levels=int(casc_cfg.get("levels", 4)),
+                mode=str(casc_cfg.get("mode", "interpolate")),
+                base_time=(None if casc_cfg.get("base_time") is None
+                           else float(casc_cfg["base_time"])),
+                base_point=(None if casc_cfg.get("base_point") is None
+                            else tuple(float(c) for c in casc_cfg["base_point"])),
+                working_cells=int(casc_cfg.get("working_cells", 40)),
+                working_slices=int(casc_cfg.get("working_slices", 64)),
+            )
 
         thm_cfg = data.get("theorem", {})
         _reject_unknown(
@@ -398,17 +432,16 @@ class ExperimentConfig:
              "working_cells", "working_slices"},
             "theorem",
         )
-        theorem = TheoremSettings(
-            delta_time=(None if thm_cfg.get("delta_time") is None
-                        else float(thm_cfg["delta_time"])),
-            points_per_axis=int(thm_cfg.get("points_per_axis", 3)),
-            levels=int(thm_cfg.get("levels", 4)),
-            mode=str(thm_cfg.get("mode", "interpolate")),
-            working_cells=int(thm_cfg.get("working_cells", 40)),
-            working_slices=int(thm_cfg.get("working_slices", 64)),
-        )
-        if theorem.mode not in ("interpolate", "resolve"):
-            raise ConfigError(f"unknown theorem mode {theorem.mode!r}")
+        with _section("theorem"):
+            theorem = TheoremSettings(
+                delta_time=(None if thm_cfg.get("delta_time") is None
+                            else float(thm_cfg["delta_time"])),
+                points_per_axis=int(thm_cfg.get("points_per_axis", 3)),
+                levels=int(thm_cfg.get("levels", 4)),
+                mode=str(thm_cfg.get("mode", "interpolate")),
+                working_cells=int(thm_cfg.get("working_cells", 40)),
+                working_slices=int(thm_cfg.get("working_slices", 64)),
+            )
 
         oracle = None
         if "oracle" in data:
@@ -418,14 +451,15 @@ class ExperimentConfig:
                 {"refinements", "max_error", "min_order", "window", "time"},
                 "oracle",
             )
-            oracle = OracleSettings(
-                refinements=int(o_cfg.get("refinements", 1)),
-                max_error=float(o_cfg.get("max_error", 0.02)),
-                min_order=float(o_cfg.get("min_order", 0.4)),
-                window=float(o_cfg.get("window", 0.5)),
-                time=(None if o_cfg.get("time") is None
-                      else float(o_cfg["time"])),
-            )
+            with _section("oracle"):
+                oracle = OracleSettings(
+                    refinements=int(o_cfg.get("refinements", 1)),
+                    max_error=float(o_cfg.get("max_error", 0.02)),
+                    min_order=float(o_cfg.get("min_order", 0.4)),
+                    window=float(o_cfg.get("window", 0.5)),
+                    time=(None if o_cfg.get("time") is None
+                          else float(o_cfg["time"])),
+                )
             if oracle.refinements < 1:
                 raise ConfigError("oracle needs refinements >= 1")
             if not 0.0 < oracle.window <= 1.0:
@@ -440,10 +474,13 @@ class ExperimentConfig:
         if "sweep" in data:
             s_cfg = data["sweep"]
             _reject_unknown(s_cfg, {"parameter", "values"}, "sweep")
-            sweep = SweepSettings(
-                parameter=str(_require(s_cfg, "parameter", "sweep")),
-                values=tuple(float(v) for v in _require(s_cfg, "values", "sweep")),
-            )
+            with _section("sweep"):
+                sweep = SweepSettings(
+                    parameter=str(_require(s_cfg, "parameter", "sweep")),
+                    values=tuple(
+                        float(v) for v in _require(s_cfg, "values", "sweep")
+                    ),
+                )
             if sweep.parameter not in _SWEEPABLE:
                 raise ConfigError(
                     f"cannot sweep {sweep.parameter!r}; "
@@ -487,16 +524,12 @@ def _check_gates(cfg: ExperimentConfig) -> None:
         if window is None:
             continue
         t_lo, t_hi, radius = window
-        if grid.t_start > t_lo + 1e-9 or grid.t_end < t_hi - 1e-9:
-            raise ConfigError(
-                f"check {name!r} needs the time range [{t_lo}, {t_hi}]; "
-                f"grid has [{grid.t_start}, {grid.t_end}]"
+        try:
+            Window.require_cover(
+                grid, Cylinder(t_lo, t_hi, (0.0,) * grid.dimension, radius)
             )
-        if grid.half_width < radius + 2.0 * grid.cell_width:
-            raise ConfigError(
-                f"check {name!r} needs two cells of padding around the "
-                f"radius-{radius} ball; box half-width is {grid.half_width}"
-            )
+        except ValueError as err:
+            raise ConfigError(f"check {name!r}: {err}") from None
     if "theorem" in cfg.checks and cfg.theorem.delta_time is not None:
         if not grid.t_start < cfg.theorem.delta_time <= grid.t_end:
             raise ConfigError(
@@ -1107,10 +1140,11 @@ def _with_overrides(
     if seed is not None:
         cfg = replace(cfg, initial_data=replace(cfg.initial_data, seed=int(seed)))
     if resolution is not None:
-        cells = int(resolution)
-        scale = cfg.grid.cells_per_axis / cells
-        dt = snap_dt(cfg.grid.t_start, cfg.grid.t_end, cfg.grid.dt * scale)
-        cfg = replace(cfg, grid=replace(cfg.grid, cells_per_axis=cells, dt=dt))
+        with _section(f"resolution {resolution}"):
+            cells = int(resolution)
+            scale = cfg.grid.cells_per_axis / cells
+            dt = snap_dt(cfg.grid.t_start, cfg.grid.t_end, cfg.grid.dt * scale)
+            cfg = replace(cfg, grid=replace(cfg.grid, cells_per_axis=cells, dt=dt))
     return cfg
 
 

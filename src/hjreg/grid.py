@@ -13,6 +13,7 @@ to ``[t_start, t_end]``; a slice contributes the overlap of that interval
 with the requested time window.  With this weighting the measure of a full
 cylinder is exact in time whenever the window endpoints lie on the lattice,
 so the only discretization error left is the spatial ball boundary layer.
+Every check selects its cells through one :class:`Window`.
 """
 
 from __future__ import annotations
@@ -31,20 +32,22 @@ __all__ = [
     "GridSpec",
     "Cylinder",
     "ScalarField",
+    "Window",
     "EmptyCylinderError",
     "ball_volume",
     "make_field",
     "field_from_values",
-    "cylinder_measure",
     "level_set_measure",
     "discrete_gradient_norm_p",
-    "oscillation",
     "one_cell_oscillation",
     "save_snapshot",
     "load_snapshot",
 ]
 
 _REL_TOL = 1e-6
+# Absolute slack on time comparisons against a window: a slice belongs to
+# ``[t_lo, t_hi]`` and a grid covers it up to this much lattice round-off.
+_TIME_TOL = 1e-9
 
 
 class EmptyCylinderError(ValueError):
@@ -130,6 +133,11 @@ class GridSpec:
     @property
     def spatial_shape(self) -> tuple[int, ...]:
         return (self.cells_per_axis,) * self.dimension
+
+    @property
+    def residual_tol(self) -> float:
+        """Default slack of one-sided residual checks: ``10 (cell width + dt)``."""
+        return 10.0 * (self.cell_width + self.dt)
 
     def to_json_dict(self) -> dict:
         return {
@@ -238,11 +246,6 @@ def make_field(
     return ScalarField(spec=spec, values=out)
 
 
-def cylinder_measure(cyl: Cylinder, dimension: int) -> float:
-    """Exact product measure ``(t_hi - t_lo) * |B(radius)|`` in N dimensions."""
-    return cyl.duration * ball_volume(dimension, cyl.radius)
-
-
 def _ball_mask(spec: GridSpec, cyl: Cylinder) -> NDArray[np.bool_]:
     if len(cyl.center) != spec.dimension:
         raise ValueError(
@@ -254,31 +257,83 @@ def _ball_mask(spec: GridSpec, cyl: Cylinder) -> NDArray[np.bool_]:
     return np.einsum("...i,...i->...", delta, delta) < cyl.radius**2
 
 
-def _time_weights(spec: GridSpec, t_lo: float, t_hi: float) -> NDArray[np.float64]:
-    """Overlap of each slice's owned interval with ``[t_lo, t_hi]``.
+class Window:
+    """The lattice cells a cylinder owns on a grid.
 
-    Slice ``i`` owns ``[t_i - dt/2, t_i + dt/2]`` clipped to the grid hull.
+    Attributes:
+        spec: the grid.
+        cylinder: the cylinder ``[t_lo, t_hi] x B(center, radius)``.
+        slices: indices of the slices whose times lie in ``[t_lo, t_hi]``.
+        weights: per-slice time weights, shape ``(n_slices,)``: the overlap
+            of each slice's owned interval with ``[t_lo, t_hi]`` (see the
+            module docstring); they sum to ``t_hi - t_lo`` when the grid
+            spans the window.
+        mask: spatial cells whose centers lie strictly inside the ball.
+
+    Raises:
+        EmptyCylinderError: when the cylinder holds no slice or no cell.
+        ValueError: when the center's length differs from the dimension.
     """
-    times = spec.times()
-    half = 0.5 * spec.dt
-    own_lo = np.maximum(times - half, spec.t_start)
-    own_hi = np.minimum(times + half, spec.t_end)
-    overlap = np.minimum(own_hi, t_hi) - np.maximum(own_lo, t_lo)
-    return np.maximum(overlap, 0.0)
 
+    def __init__(self, spec: GridSpec, cylinder: Cylinder) -> None:
+        self.spec = spec
+        self.cylinder = cylinder
+        times = spec.times()
+        self.slices = np.nonzero(
+            (times >= cylinder.t_lo - _TIME_TOL) & (times <= cylinder.t_hi + _TIME_TOL)
+        )[0]
+        half = 0.5 * spec.dt
+        own_lo = np.maximum(times - half, spec.t_start)
+        own_hi = np.minimum(times + half, spec.t_end)
+        overlap = np.minimum(own_hi, cylinder.t_hi) - np.maximum(own_lo, cylinder.t_lo)
+        self.weights = np.maximum(overlap, 0.0)
+        self.mask = _ball_mask(spec, cylinder)
+        if self.slices.size == 0 or not np.any(self.mask):
+            raise EmptyCylinderError(
+                f"cylinder [{cylinder.t_lo}, {cylinder.t_hi}] x "
+                f"B({cylinder.center}, {cylinder.radius}) selects no lattice cells"
+            )
 
-def _select_cells(
-    f: ScalarField, cyl: Cylinder
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Time weights and spatial mask for a cylinder; errors when empty."""
-    weights = _time_weights(f.spec, cyl.t_lo, cyl.t_hi)
-    mask = _ball_mask(f.spec, cyl)
-    if not np.any(weights > 0.0) or not np.any(mask):
-        raise EmptyCylinderError(
-            f"cylinder [{cyl.t_lo}, {cyl.t_hi}] x B({cyl.center}, {cyl.radius}) "
-            "selects no lattice cells"
+    @staticmethod
+    def require_cover(spec: GridSpec, cylinder: Cylinder) -> None:
+        """The coverage rule for checks: the grid spans ``[t_lo, t_hi]`` and
+        leaves at least two cells of padding between the ball and the box
+        edge.  A ``ValueError`` names whichever part fails.
+        """
+        if (spec.t_start > cylinder.t_lo + _TIME_TOL
+                or spec.t_end < cylinder.t_hi - _TIME_TOL):
+            raise ValueError(
+                f"grid time range [{spec.t_start}, {spec.t_end}] does not cover "
+                f"[{cylinder.t_lo}, {cylinder.t_hi}]"
+            )
+        reach = max(abs(c) for c in cylinder.center) + cylinder.radius
+        if spec.half_width < reach + 2.0 * spec.cell_width:
+            raise ValueError(
+                f"box half-width {spec.half_width} leaves less than two cells of "
+                f"padding around the radius-{cylinder.radius} ball"
+            )
+
+    def weighted_slices(self) -> NDArray[np.intp]:
+        """Indices of the slices with a positive time weight."""
+        return np.nonzero(self.weights > 0.0)[0]
+
+    def max(self, values: NDArray[np.float64]) -> float:
+        """Largest of ``values`` (one entry per slice and cell) in the window."""
+        return max(float(values[i][self.mask].max()) for i in self.slices)
+
+    def min(self, values: NDArray[np.float64]) -> float:
+        """Smallest of ``values`` (one entry per slice and cell) in the window."""
+        return min(float(values[i][self.mask].min()) for i in self.slices)
+
+    def integral(self, values: NDArray[np.float64]) -> float:
+        """Time-weighted cell-counting integral of ``values`` over the cylinder."""
+        vol = self.spec.cell_volume
+        return float(
+            sum(
+                self.weights[i] * values[i][self.mask].sum() * vol
+                for i in self.weighted_slices()
+            )
         )
-    return weights, mask
 
 
 def level_set_measure(
@@ -298,14 +353,13 @@ def level_set_measure(
     predicate; raises :class:`EmptyCylinderError` when the cylinder selects
     no cells at all.
     """
-    weights, mask = _select_cells(f, cyl)
+    win = Window(f.spec, cyl)
     vol = f.spec.cell_volume
-    live = np.nonzero(weights > 0.0)[0]
     total = 0.0
-    for i in live:
-        vals = f.values[i][mask]
+    for i in win.weighted_slices():
+        vals = f.values[i][win.mask]
         inside = (vals > lo) & ((vals <= hi) if closed_upper else (vals < hi))
-        total += weights[i] * vol * int(np.count_nonzero(inside))
+        total += win.weights[i] * vol * int(np.count_nonzero(inside))
     return float(total)
 
 
@@ -347,37 +401,6 @@ def _gradient_sq(
     return total
 
 
-def oscillation(f: ScalarField, cyl: Cylinder) -> float:
-    """``max - min`` of the field over cells whose centers lie in the cylinder.
-
-    A slice belongs to the window when its time lies in ``[t_lo, t_hi]`` up
-    to a small lattice-relative tolerance.
-    """
-    idx, mask = _window_cells(f, cyl)
-    lo = math.inf
-    hi = -math.inf
-    for i in idx:
-        vals = f.values[i][mask]
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-    return hi - lo
-
-
-def _window_cells(
-    f: ScalarField, cyl: Cylinder
-) -> tuple[NDArray[np.intp], NDArray[np.bool_]]:
-    eps = f.spec.dt * 1e-6
-    times = f.spec.times()
-    idx = np.nonzero((times >= cyl.t_lo - eps) & (times <= cyl.t_hi + eps))[0]
-    mask = _ball_mask(f.spec, cyl)
-    if idx.size == 0 or not np.any(mask):
-        raise EmptyCylinderError(
-            f"cylinder [{cyl.t_lo}, {cyl.t_hi}] x B({cyl.center}, {cyl.radius}) "
-            "selects no lattice cells"
-        )
-    return idx, mask
-
-
 def one_cell_oscillation(f: ScalarField, cyl: Cylinder | None = None) -> float:
     """Largest single-cell jump of the field (space or time axis).
 
@@ -389,8 +412,9 @@ def one_cell_oscillation(f: ScalarField, cyl: Cylinder | None = None) -> float:
         jumps = [np.abs(np.diff(region, axis=a)).max(initial=0.0)
                  for a in range(region.ndim)]
         return float(max(jumps))
-    idx, mask = _window_cells(f, cyl)
-    sub = f.values[idx.min(): idx.max() + 1]
+    win = Window(f.spec, cyl)
+    mask = win.mask
+    sub = f.values[win.slices[0]: win.slices[-1] + 1]
     jump = 0.0
     if sub.shape[0] > 1:
         dt_jump = np.abs(np.diff(sub, axis=0))
@@ -433,23 +457,40 @@ def save_snapshot(f: ScalarField, base_path: str | Path) -> tuple[Path, Path]:
 
 
 def load_snapshot(base_path: str | Path) -> ScalarField:
-    """Inverse of :func:`save_snapshot` (row order is trusted, coords checked)."""
+    """Inverse of :func:`save_snapshot`.
+
+    Every row's ``t`` and ``x`` columns must equal the grid's slice time and
+    cell center in :func:`save_snapshot`'s row order; the 17-digit columns
+    make that an exact comparison.
+
+    Raises:
+        ValueError: on a bad header, a wrong row count, or the first row
+            whose coordinates differ from the grid's.
+    """
     base = Path(base_path)
     with open(base.with_suffix(".json")) as fh:
         spec = GridSpec.from_json_dict(json.load(fh))
-    expected_rows = spec.n_slices * spec.cells_per_axis**spec.dimension
-    values = np.empty(expected_rows, dtype=np.float64)
     with open(base.with_suffix(".csv"), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header[0] != "t" or header[-1] != "u" or len(header) != spec.dimension + 2:
             raise ValueError(f"unexpected snapshot header {header}")
-        n = 0
-        for row in reader:
-            values[n] = float(row[-1])
-            n += 1
-    if n != expected_rows:
-        raise ValueError(f"snapshot has {n} rows, grid expects {expected_rows}")
+        rows = [[float(v) for v in row] for row in reader]
+    centers = spec.centers().reshape(-1, spec.dimension)
+    expected_rows = spec.n_slices * len(centers)
+    if len(rows) != expected_rows:
+        raise ValueError(f"snapshot has {len(rows)} rows, grid expects {expected_rows}")
+    data = np.array(rows, dtype=np.float64)
+    coords = np.column_stack(
+        [np.repeat(spec.times(), len(centers)), np.tile(centers, (spec.n_slices, 1))]
+    )
+    mismatch = np.nonzero(np.any(data[:, :-1] != coords, axis=1))[0]
+    if mismatch.size:
+        n = int(mismatch[0])
+        raise ValueError(
+            f"snapshot row {n + 1} has coordinates {data[n, :-1].tolist()}, "
+            f"grid expects {coords[n].tolist()}"
+        )
     return ScalarField(
-        spec=spec, values=values.reshape(spec.n_slices, *spec.spatial_shape)
+        spec=spec, values=data[:, -1].reshape(spec.n_slices, *spec.spatial_shape)
     )

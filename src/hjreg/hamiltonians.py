@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -229,14 +229,6 @@ class HamiltonianSpec:
                 values=tuple(float(v) for v in tab["values"]),
             )
         return cls(**kwargs)
-
-
-class HamiltonianLike(Protocol):
-    p: float
-
-    def eval(self, t, x, grad): ...
-
-    def dissipation_bound(self, pnorm: float) -> float: ...
 
 
 @dataclass(frozen=True)

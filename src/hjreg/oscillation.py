@@ -32,6 +32,7 @@ from .grid import (
     Cylinder,
     GridSpec,
     ScalarField,
+    Window,
     ball_volume,
     field_from_values,
     level_set_measure,
@@ -521,11 +522,7 @@ def comparison_check(
             "comparison needs ordering at the starting time"
         )
     if check_supersolution:
-        tol = (
-            10.0 * (spec.cell_width + spec.dt)
-            if residual_tol is None
-            else residual_tol
-        )
+        tol = spec.residual_tol if residual_tol is None else residual_tol
         rep = residual_supersolution(
             f, chain.envelope, a_coef=chain.supersolution_coefficient
         )
@@ -549,38 +546,6 @@ def comparison_check(
         worst_cells=worst,
         cell_width=spec.cell_width,
     )
-
-
-def _covering_check(spec: GridSpec, radius: float) -> None:
-    if spec.t_start > -2.0 + _EPS or spec.t_end < 2.0 - _EPS:
-        raise ValueError(
-            f"grid time range [{spec.t_start}, {spec.t_end}] does not cover [-2, 2]"
-        )
-    needed = radius + 2.0 * spec.cell_width
-    if spec.half_width < needed:
-        raise ValueError(
-            f"grid half width {spec.half_width} cannot resolve B({radius}); "
-            f"need at least {needed}"
-        )
-
-
-def _ball_mask(spec: GridSpec, radius: float) -> NDArray[np.bool_]:
-    centers = spec.centers()
-    return np.sum(centers**2, axis=-1) < radius * radius
-
-
-def _window_max(f: ScalarField, t_lo: float, t_hi: float, radius: float) -> float:
-    times = f.spec.times()
-    idx = np.nonzero((times >= t_lo - _EPS) & (times <= t_hi + _EPS))[0]
-    mask = _ball_mask(f.spec, radius)
-    return max(float(f.values[i][mask].max()) for i in idx)
-
-
-def _window_min(f: ScalarField, t_lo: float, t_hi: float, radius: float) -> float:
-    times = f.spec.times()
-    idx = np.nonzero((times >= t_lo - _EPS) & (times <= t_hi + _EPS))[0]
-    mask = _ball_mask(f.spec, radius)
-    return min(float(f.values[i][mask].min()) for i in idx)
 
 
 def _witness_level(
@@ -624,28 +589,26 @@ def oscillation_above_check(
     whose middle layer has measure at most the threshold, if one exists.
     """
     spec = f.spec
-    _covering_check(spec, 1.0)
-    cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0,) * spec.dimension, radius=1.0)
-    late = Cylinder(t_lo=1.0, t_hi=2.0, center=(0.0,) * spec.dimension, radius=1.0)
+    origin = (0.0,) * spec.dimension
+    cyl = Cylinder(-2.0, 2.0, origin, 1.0)
+    Window.require_cover(spec, cyl)
+    win = Window(spec, cyl)
+    late = Window(spec, Cylinder(1.0, 2.0, origin, 1.0))
 
-    sup_all = _window_max(f, -2.0, 2.0, 1.0)
+    sup_all = win.max(f.values)
     bound_tol = one_cell_oscillation(f, cyl)
     preconditions = {"bounded_by_two": sup_all <= 2.0 + bound_tol}
     diagnostics: dict = {"sup": sup_all}
     tolerances = {"bounded_by_two": bound_tol}
     if check_residual:
-        tol = (
-            10.0 * (spec.cell_width + spec.dt)
-            if residual_tol is None
-            else residual_tol
-        )
+        tol = spec.residual_tol if residual_tol is None else residual_tol
         rep = residual_subsolution(
             f,
             chain.envelope,
             a_coef=chain.subsolution_coefficient,
             b_const=chain.subsolution_offset,
         )
-        worst = float(rep.values[:, _ball_mask(spec, 1.0)].max())
+        worst = float(rep.values[:, win.mask].max())
         preconditions["subsolution"] = worst <= tol
         diagnostics["subsolution_residual"] = worst
         tolerances["residual"] = tol
@@ -654,9 +617,11 @@ def oscillation_above_check(
     nonpos_mass = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
 
     concl_tol = (
-        one_cell_oscillation(f, late) if conclusion_tol is None else conclusion_tol
+        one_cell_oscillation(f, late.cylinder)
+        if conclusion_tol is None
+        else conclusion_tol
     )
-    late_sup = _window_max(f, 1.0, 2.0, 1.0)
+    late_sup = late.max(f.values)
     tolerances["conclusion"] = concl_tol
 
     witness, middle_measures = _witness_level(f, chain, cyl)
@@ -701,20 +666,18 @@ def oscillation_below_check(
     ``[-2, -1] x B(1)``.
     """
     spec = f.spec
-    _covering_check(spec, 1.0)
-    cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0,) * spec.dimension, radius=1.0)
-    late = Cylinder(t_lo=1.0, t_hi=2.0, center=(0.0,) * spec.dimension, radius=0.5)
+    origin = (0.0,) * spec.dimension
+    cyl = Cylinder(-2.0, 2.0, origin, 1.0)
+    Window.require_cover(spec, cyl)
+    win = Window(spec, cyl)
+    late = Window(spec, Cylinder(1.0, 2.0, origin, 0.5))
 
     bound_tol = one_cell_oscillation(f, cyl)
     preconditions: dict[str, bool] = {}
     diagnostics: dict = {}
     tolerances = {"lower_bound": bound_tol}
     if check_residual:
-        tol = (
-            10.0 * (spec.cell_width + spec.dt)
-            if residual_tol is None
-            else residual_tol
-        )
+        tol = spec.residual_tol if residual_tol is None else residual_tol
         lower = residual_supersolution(
             f, chain.envelope, a_coef=chain.supersolution_coefficient
         )
@@ -725,14 +688,14 @@ def oscillation_below_check(
             b_const=chain.subsolution_offset,
         )
         worst_lower = float(lower.values.min())
-        worst_upper = float(upper.values[:, _ball_mask(spec, 1.0)].max())
+        worst_upper = float(upper.values[:, win.mask].max())
         preconditions["supersolution"] = worst_lower >= -tol
         preconditions["subsolution"] = worst_upper <= tol
         diagnostics["supersolution_residual"] = worst_lower
         diagnostics["subsolution_residual"] = worst_upper
         tolerances["residual"] = tol
 
-    inf_all = _window_min(f, -2.0, 2.0, 1.0)
+    inf_all = win.min(f.values)
     total = level_set_measure(f, cyl)
     negative_mass = level_set_measure(f, cyl, hi=0.0)
     nonneg_mass = total - negative_mass
@@ -744,9 +707,11 @@ def oscillation_below_check(
     tolerances["envelope"] = envelope_tol
 
     concl_tol = (
-        one_cell_oscillation(f, late) if conclusion_tol is None else conclusion_tol
+        one_cell_oscillation(f, late.cylinder)
+        if conclusion_tol is None
+        else conclusion_tol
     )
-    late_min = _window_min(f, 1.0, 2.0, 0.5)
+    late_min = late.min(f.values)
     tolerances["conclusion"] = concl_tol
 
     reflected = oscillation_above_check(

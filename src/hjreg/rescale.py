@@ -23,13 +23,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.typing import NDArray
 from scipy.interpolate import RegularGridInterpolator
 
 from .grid import (
     Cylinder,
     GridSpec,
     ScalarField,
+    Window,
     field_from_values,
     one_cell_oscillation,
 )
@@ -58,7 +58,6 @@ __all__ = [
     "base_point_window",
     "gauge_to_window",
     "holder_estimate",
-    "initial_rescale",
     "records_to_csv",
     "resample",
     "select_recenter",
@@ -67,8 +66,6 @@ __all__ = [
     "zoom_cascade",
     "zoom_step",
 ]
-
-_EPS = 1e-9
 
 # Absolute floor for bound checks: the affine zoom map costs a couple of
 # roundings, so fields sitting exactly on a certified bound can overshoot
@@ -218,76 +215,9 @@ def resample(
     return field_from_values(out_spec, value_scale * sampled + value_shift)
 
 
-def initial_rescale(
-    f: ScalarField,
-    chain: ConstantChain,
-    out_spec: GridSpec | None = None,
-) -> ScalarField:
-    """First-stage zoom ``u1(t, x) = f(scale^a_exp * t, scale * x)``.
-
-    The default target grid is the literal blow-up of the source: same cell
-    and slice counts on ``[-4 / scale^a_exp, 0] x (box / scale)``, where
-    every output node pulls back onto a source node and the resample is
-    exact.  Passing ``out_spec`` instead samples the same map on a working
-    grid (typically ``[-4, 0]`` with a box just over the unit ball), which
-    is what the cascade consumes.
-    """
-    spec = f.spec
-    if chain.dimension != spec.dimension:
-        raise ValueError(
-            f"chain is for dimension {chain.dimension}, field has {spec.dimension}"
-        )
-    if abs(spec.t_start + 4.0) > _EPS or abs(spec.t_end) > _EPS:
-        raise ValueError(
-            f"first-stage zoom expects the time window [-4, 0], "
-            f"got [{spec.t_start}, {spec.t_end}]"
-        )
-    if spec.half_width < 1.0 + 2.0 * spec.cell_width:
-        raise ValueError(
-            f"box half width {spec.half_width} cannot contain the unit ball "
-            f"with padding"
-        )
-    eps = chain.prezoom_scale
-    time_factor = eps**chain.prezoom_time_exponent
-    if out_spec is None:
-        out_spec = replace(
-            spec,
-            half_width=spec.half_width / eps,
-            t_start=spec.t_start / time_factor,
-            t_end=0.0,
-            dt=spec.dt / time_factor,
-        )
-    return resample(
-        f, out_spec, time_scale=time_factor, space_scale=eps
-    )
-
-
-def _ball_mask(spec: GridSpec, radius: float) -> NDArray[np.bool_]:
-    centers = spec.centers()
-    return np.sum(centers**2, axis=-1) < radius * radius
-
-
-def _window(
-    f: ScalarField, t_lo: float, t_hi: float, radius: float
-) -> tuple[NDArray[np.intp], NDArray[np.bool_]]:
-    times = f.spec.times()
-    idx = np.nonzero((times >= t_lo - _EPS) & (times <= t_hi + _EPS))[0]
-    mask = _ball_mask(f.spec, radius)
-    if idx.size == 0 or not np.any(mask):
-        raise ValueError(
-            f"window [{t_lo}, {t_hi}] x B({radius}) selects no cells on a grid "
-            f"with cell width {f.spec.cell_width}"
-        )
-    return idx, mask
-
-
-def _window_extrema(
-    f: ScalarField, t_lo: float, t_hi: float, radius: float
-) -> tuple[float, float]:
-    idx, mask = _window(f, t_lo, t_hi, radius)
-    lo = min(float(f.values[i][mask].min()) for i in idx)
-    hi = max(float(f.values[i][mask].max()) for i in idx)
-    return lo, hi
+def _window_extrema(f: ScalarField, cyl: Cylinder) -> tuple[float, float]:
+    win = Window(f.spec, cyl)
+    return win.min(f.values), win.max(f.values)
 
 
 def select_recenter(
@@ -303,17 +233,12 @@ def select_recenter(
     ``2 - shrink_below/2`` the error carries both improvement verdicts for
     the window, evaluated on the time-relabeled field.
     """
-    lo, hi = _window_extrema(f, -1.0, 0.0, 0.5)
+    window = Cylinder(-1.0, 0.0, (0.0,) * f.spec.dimension, 0.5)
+    lo, hi = _window_extrema(f, window)
     half_shrink = 0.5 * chain.shrink_below
     d = min(half_shrink, max(-half_shrink, 0.5 * (lo + hi)))
     achieved = max(hi - d, d - lo)
-    tol = (
-        one_cell_oscillation(
-            f, Cylinder(-1.0, 0.0, (0.0,) * f.spec.dimension, 0.5)
-        )
-        if tolerance is None
-        else tolerance
-    )
+    tol = one_cell_oscillation(f, window) if tolerance is None else tolerance
     tol = max(tol, _TOL_FLOOR)
     if achieved > 2.0 - half_shrink + tol:
         verdicts: dict = {}
@@ -388,7 +313,8 @@ def zoom_step(
     )
     t_lo = max(spec.t_start, -1.0 / a)
     r_check = min(0.5 / b, spec.half_width * math.sqrt(spec.dimension))
-    idx, mask = _window(out, t_lo, 0.0, r_check)
+    win = Window(spec, Cylinder(t_lo, 0.0, (0.0,) * spec.dimension, r_check))
+    idx, mask = win.slices, win.mask
     sup = max(float(np.abs(out.values[i][mask]).max()) for i in idx)
     if sup > 2.0 + tol:
         flat = [
@@ -522,10 +448,9 @@ def zoom_cascade(
     center = (0.0,) * spec.dimension
     for m in range(levels + 1):
         try:
-            lo, hi = _window_extrema(u, -1.0, 0.0, 0.5)
-            window_tol = one_cell_oscillation(
-                u, Cylinder(-1.0, 0.0, center, 0.5)
-            )
+            window = Cylinder(-1.0, 0.0, center, 0.5)
+            lo, hi = _window_extrema(u, window)
+            window_tol = one_cell_oscillation(u, window)
             d, _ = select_recenter(u, chain, tolerance=window_tol)
             factor = theta**m
             osc = factor * (hi - lo)
@@ -626,10 +551,8 @@ def gauge_to_window(
     inequalities at the doubled constant) and reports the value factor
     that caps the result at 2.  Returns ``(field, gauged, cap_factor)``.
     """
-    spec = field.spec
-    residual_tol = 10.0 * (spec.cell_width + spec.dt)
     raw = residual_supersolution(field, env)
-    gauged = bool(raw.min_value < -residual_tol)
+    gauged = bool(raw.min_value < -field.spec.residual_tol)
     out = gauge_shift(field, env) if gauged else field
     sup = float(np.abs(out.values).max())
     gamma = 1.0 if sup <= 2.0 else 2.0 / sup

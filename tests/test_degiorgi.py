@@ -8,12 +8,10 @@ import pytest
 from hjreg.degiorgi import (
     EnergyLadder,
     LadderEntry,
-    a_priori_bounds_check,
     cutoff_time,
     delta_constant,
     energy_ladder,
     fast_convergence_threshold,
-    isoperimetric_scan,
     lemma_one_check,
     lemma_two_check,
     recurrence_fit,
@@ -215,35 +213,6 @@ class TestLemmaOne:
         assert loose.conclusion_satisfied
 
 
-class TestAPrioriBounds:
-    def test_nonpositive_constant(self, box2, env_unit):
-        report = a_priori_bounds_check(const_field(box2, -1.0), env_unit)
-        assert report.gradient_value == 0.0
-        assert report.tv_value == 0.0
-        assert report.gradient_ok and report.tv_ok
-
-    def test_negative_constant_invariance(self, box2, env_unit):
-        a = a_priori_bounds_check(const_field(box2, -1.0), env_unit)
-        b = a_priori_bounds_check(const_field(box2, -7.0), env_unit)
-        assert a.gradient_value == b.gradient_value
-        assert a.tv_value == b.tv_value
-
-    def test_linear_drift(self, box2, env_unit):
-        f = make_field(box2, lambda t, x: env_unit.lam * t)
-        report = a_priori_bounds_check(f, env_unit)
-        assert report.gradient_value == 0.0
-        assert report.tv_value == pytest.approx(
-            2.0 * env_unit.lam * lattice_disk_area(box2), rel=1e-9
-        )
-        assert report.tv_ok
-
-    def test_slack_widens_bounds(self, box2, env_unit):
-        base = a_priori_bounds_check(const_field(box2, -1.0), env_unit)
-        wide = a_priori_bounds_check(const_field(box2, -1.0), env_unit, slack=1.0)
-        assert wide.gradient_bound == pytest.approx(base.gradient_bound + 1.0)
-        assert wide.tv_bound == pytest.approx(base.tv_bound + 1.0)
-
-
 class TestLemmaTwo:
     def test_negative_constant_passes(self, box2, env_unit):
         verdict = lemma_two_check(const_field(box2, -1.0), env_unit,
@@ -274,34 +243,3 @@ class TestLemmaTwo:
                                   residual_tol=0.4)
         assert verdict.preconditions["bounded_by_two"]
         assert not verdict.preconditions["subsolution"]
-
-
-@pytest.fixture(scope="module")
-def fine():
-    return GridSpec(dimension=2, half_width=1.25, cells_per_axis=80,
-                    t_start=0.0, t_end=0.25, dt=0.025)
-
-
-class TestIsoperimetricScan:
-    def test_negative_constant_is_below(self, fine, env_unit):
-        slices = isoperimetric_scan(const_field(fine, -1.0), 0.0, 0.25)
-        assert len(slices) > 0
-        assert all(s.klass == "below" for s in slices)
-        assert all(s.middle_measure == 0.0 for s in slices)
-
-    def test_large_constant_is_above(self, fine):
-        slices = isoperimetric_scan(const_field(fine, 2.0), 0.0, 0.25)
-        assert all(s.klass == "above" for s in slices)
-
-    def test_tilted_plane_is_mixed_with_band_area(self, fine):
-        f = make_field(fine, lambda t, x: x[..., 0] + 0.5)
-        slices = isoperimetric_scan(f, 0.0, 0.25)
-        band = math.sqrt(3.0) / 2.0 + math.pi / 3.0
-        assert all(s.klass == "mixed" for s in slices)
-        for s in slices:
-            assert s.middle_measure == pytest.approx(band, abs=6 * fine.cell_width)
-
-    def test_times_are_increasing(self, fine):
-        slices = isoperimetric_scan(const_field(fine, -1.0), 0.0, 0.25)
-        times = [s.t for s in slices]
-        assert times == sorted(times)

@@ -452,6 +452,37 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["../../escape", "nested/label", "..", ".", ""])
+    def test_scenario_label_cannot_leave_the_output_root(self, tmp_path, capsys, label):
+        path = write_config(tmp_path, minimal_dict(scenario=label))
+        out = tmp_path / "a" / "b"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert "single path component" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "overrides, args",
+        [
+            ({}, ["--resolution", "0"]),
+            ({}, ["--resolution", "2"]),
+            ({"chain": {"alpha": "big"}}, []),
+            ({"cascade": {"levels": -1}}, []),
+            ({"theorem": {"working_slices": 0}}, []),
+        ],
+        ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
+             "working-slices-zero"],
+    )
+    def test_configuration_faults_exit_two(self, tmp_path, capsys, overrides, args):
+        path = write_config(tmp_path, minimal_dict(**overrides))
+        code = main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out"), *args])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_solver_abort_exit_three(self, tmp_path, capsys):
         code = main(["run", "--config", "solver-abort-fixture", "--out",
                      str(tmp_path)])

@@ -1,23 +1,24 @@
-"""Lattice primitives: sampling, measures, gradients, oscillation, snapshots."""
+"""Lattice primitives: sampling, windows, measures, gradients, oscillation, snapshots."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjreg.grid import (
     Cylinder,
     EmptyCylinderError,
     GridSpec,
+    Window,
     ball_volume,
-    cylinder_measure,
     discrete_gradient_norm_p,
     field_from_values,
     level_set_measure,
     load_snapshot,
     make_field,
     one_cell_oscillation,
-    oscillation,
     save_snapshot,
 )
 
@@ -111,18 +112,6 @@ class TestMakeField:
 
 
 class TestMeasures:
-    def test_cylinder_measure_disk(self):
-        cyl = Cylinder(t_lo=0.0, t_hi=1.0, center=(0.0, 0.0), radius=2.0)
-        assert cylinder_measure(cyl, 2) == pytest.approx(4.0 * math.pi, rel=1e-12)
-
-    def test_cylinder_measure_three_dim(self):
-        cyl = Cylinder(t_lo=0.0, t_hi=1.0, center=(0.0, 0.0, 0.0), radius=1.0)
-        assert cylinder_measure(cyl, 3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
-
-    def test_cylinder_measure_interval(self):
-        cyl = Cylinder(t_lo=0.0, t_hi=2.0, center=(0.0,), radius=2.0)
-        assert cylinder_measure(cyl, 1) == pytest.approx(8.0, rel=1e-12)
-
     def test_ball_volume_disk(self):
         assert ball_volume(2, 1.0) == pytest.approx(math.pi, rel=1e-12)
 
@@ -182,9 +171,100 @@ class TestMeasures:
         f = const_field(box2, 0.0)
         cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=radius)
         counted = level_set_measure(f, cyl)
-        exact = cylinder_measure(cyl, box2.dimension)
+        exact = cyl.duration * ball_volume(box2.dimension, radius)
         rel = abs(counted - exact) / exact
         assert rel <= 2 * box2.dimension * box2.cell_width / radius
+
+
+class TestWindow:
+    def test_slice_at_t_hi_is_selected_and_the_next_is_not(self, box2):
+        win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0))
+        times = box2.times()
+        # Slice 100 sits at t_hi up to round-off; slice 101 is one step past it.
+        assert times[100] == pytest.approx(0.5, abs=1e-12)
+        np.testing.assert_array_equal(win.slices, np.arange(40, 101))
+
+    @pytest.mark.parametrize(
+        "t_lo, t_hi", [(-2.0, 2.0), (-1.0, 0.5), (0.0, 2.0), (1.0, 1.025)]
+    )
+    def test_weights_sum_to_the_duration_on_lattice_endpoints(self, box2, t_lo, t_hi):
+        cyl = Cylinder(t_lo=t_lo, t_hi=t_hi, center=(0.0, 0.0), radius=1.0)
+        win = Window(box2, cyl)
+        assert win.weights.shape == (box2.n_slices,)
+        assert win.weights.sum() == pytest.approx(t_hi - t_lo, rel=1e-12)
+
+    def test_mask_is_the_open_ball_around_the_center(self, box2):
+        cyl = Cylinder(t_lo=-1.0, t_hi=1.0, center=(0.3, -0.2), radius=0.6)
+        win = Window(box2, cyl)
+        dist = np.linalg.norm(box2.centers() - np.array([0.3, -0.2]), axis=-1)
+        np.testing.assert_array_equal(win.mask, dist < 0.6)
+
+    def test_window_between_two_slices_is_empty(self, box2):
+        cyl = Cylinder(t_lo=0.01, t_hi=0.02, center=(0.0, 0.0), radius=1.0)
+        with pytest.raises(EmptyCylinderError):
+            Window(box2, cyl)
+
+    def test_center_must_match_the_dimension(self, box2):
+        cyl = Cylinder(t_lo=-1.0, t_hi=1.0, center=(0.0,), radius=1.0)
+        with pytest.raises(ValueError, match="dimension"):
+            Window(box2, cyl)
+
+    def test_cover_needs_the_time_range(self, box2):
+        cyl = Cylinder(t_lo=-3.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
+        with pytest.raises(ValueError, match="time range .* does not cover"):
+            Window.require_cover(box2, cyl)
+
+    def test_cover_needs_two_cells_of_padding(self, box2):
+        # half-width 1.25 with cell width 0.125 leaves exactly two cells
+        # around the unit ball, and not around a slightly larger one.
+        ok = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
+        Window.require_cover(box2, ok)
+        wide = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.01)
+        with pytest.raises(ValueError, match="padding"):
+            Window.require_cover(box2, wide)
+        shifted = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.1, 0.0), radius=1.0)
+        with pytest.raises(ValueError, match="padding"):
+            Window.require_cover(box2, shifted)
+
+    def test_extrema_and_integral(self, box2):
+        f = time_field(box2)
+        win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0))
+        assert win.min(f.values) == -1.0
+        assert win.max(f.values) == pytest.approx(0.5, abs=1e-12)
+        ones = np.ones((box2.n_slices, *box2.spatial_shape))
+        area = np.count_nonzero(win.mask) * box2.cell_volume
+        assert win.integral(ones) == pytest.approx(1.5 * area, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dt=st.sampled_from([0.5, 0.25, 0.1, 0.025, 1.0 / 3.0]),
+    start=st.integers(min_value=-40, max_value=40),
+    n_steps=st.integers(min_value=1, max_value=40),
+    lo=st.integers(min_value=-6, max_value=46),
+    length=st.integers(min_value=1, max_value=50),
+)
+def test_window_matches_integer_reference(dt, start, n_steps, lo, length):
+    """Selection and weights equal a reference built from slice indices."""
+    t_start = start * dt
+    spec = GridSpec(dimension=1, half_width=1.0, cells_per_axis=4,
+                    t_start=t_start, t_end=t_start + n_steps * dt, dt=dt)
+    hi = lo + length
+    cyl = Cylinder(t_lo=t_start + lo * dt, t_hi=t_start + hi * dt,
+                   center=(0.0,), radius=0.5)
+    index = np.arange(spec.n_slices)
+    selected = index[(index >= lo) & (index <= hi)]
+    # Slice i owns [i - 1/2, i + 1/2] clipped to [0, n_steps], in steps.
+    own_lo = np.maximum(index - 0.5, 0.0)
+    own_hi = np.minimum(index + 0.5, float(n_steps))
+    steps = np.maximum(np.minimum(own_hi, hi) - np.maximum(own_lo, lo), 0.0)
+    if selected.size == 0:
+        with pytest.raises(EmptyCylinderError):
+            Window(spec, cyl)
+        return
+    win = Window(spec, cyl)
+    np.testing.assert_array_equal(win.slices, selected)
+    np.testing.assert_allclose(win.weights, dt * steps, rtol=0.0, atol=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +303,11 @@ class TestGradient:
         f = const_field(box2, 0.0)
         with pytest.raises(ValueError, match="positive"):
             discrete_gradient_norm_p(f, 0, 0.0)
+
+
+def oscillation(f, cyl):
+    win = Window(f.spec, cyl)
+    return win.max(f.values) - win.min(f.values)
 
 
 class TestOscillation:
@@ -264,3 +349,14 @@ class TestSnapshots:
         back = load_snapshot(tmp_path / "state")
         assert back.spec == f.spec
         np.testing.assert_array_equal(back.values, f.values)
+
+    def test_tampered_coordinates_are_rejected(self, box2, rng, tmp_path):
+        f = noise_field(box2, rng)
+        csv_path, _ = save_snapshot(f, tmp_path / "state")
+        lines = csv_path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[1] = repr(float(row[1]) + box2.cell_width)
+        lines[3] = ",".join(row)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="row 3 has coordinates"):
+            load_snapshot(tmp_path / "state")

@@ -1,4 +1,4 @@
-"""Zoom cascade: first-stage blow-up, recentering, zooms, and the regularity scan."""
+"""Zoom cascade: resampling, recentering, zooms, and the regularity scan."""
 
 import math
 
@@ -14,7 +14,6 @@ from hjreg.rescale import (
     base_point_window,
     gauge_to_window,
     holder_estimate,
-    initial_rescale,
     records_to_csv,
     resample,
     select_recenter,
@@ -54,60 +53,6 @@ class TestResample:
         edge = window.half_width - window.cell_width / 2.0
         expected = np.clip(2.0 * window.centers()[..., 0], -edge, edge)
         np.testing.assert_allclose(out.values[0], expected, rtol=1e-12, atol=1e-15)
-
-
-class TestInitialRescale:
-    def test_constant_survives(self, window, chain_unit):
-        out = initial_rescale(const_field(window, 0.7), chain_unit)
-        np.testing.assert_allclose(out.values, 0.7, rtol=0, atol=1e-12)
-
-    def test_default_target_is_the_exact_blow_up(self, window, chain_unit):
-        out = initial_rescale(coordinate_field(window), chain_unit)
-        eps = chain_unit.prezoom_scale
-        assert out.spec.half_width == window.half_width / eps
-        assert out.spec.t_start == pytest.approx(-4.0 / eps, rel=1e-12)
-        assert out.spec.t_end == 0.0
-        # Every output node pulls back onto a source node, so the linear
-        # profile resamples without interpolation error.
-        expected = eps * out.spec.centers()[..., 0]
-        np.testing.assert_allclose(out.values[0], expected, rtol=1e-12)
-
-    def test_time_axis_stretches(self, window, chain_unit):
-        f = make_field(window, lambda t, x: t + 0.0 * x[..., 0])
-        out = initial_rescale(f, chain_unit)
-        # Values at output time T come from source time T * 2^-14.
-        scale = chain_unit.prezoom_scale ** chain_unit.prezoom_time_exponent
-        times = out.spec.times()
-        np.testing.assert_allclose(out.values[:, 0, 0], scale * times,
-                                   rtol=1e-9, atol=1e-12)
-
-    def test_working_grid_target(self, window, chain_unit):
-        out = initial_rescale(coordinate_field(window), chain_unit,
-                              out_spec=window)
-        eps = chain_unit.prezoom_scale
-        # Queries land between source nodes here, so allow interpolation
-        # round-off.
-        np.testing.assert_allclose(out.values[0],
-                                   eps * window.centers()[..., 0],
-                                   rtol=1e-9, atol=1e-16)
-
-    def test_requires_canonical_time_window(self, chain_unit):
-        off = GridSpec(dimension=2, half_width=1.25, cells_per_axis=24,
-                       t_start=0.0, t_end=4.0, dt=0.125)
-        with pytest.raises(ValueError, match="time window"):
-            initial_rescale(const_field(off, 0.0), chain_unit)
-
-    def test_requires_room_around_unit_ball(self, chain_unit):
-        thin = GridSpec(dimension=2, half_width=1.0, cells_per_axis=24,
-                        t_start=-4.0, t_end=0.0, dt=0.125)
-        with pytest.raises(ValueError, match="half width"):
-            initial_rescale(const_field(thin, 0.0), chain_unit)
-
-    def test_dimension_mismatch(self, window, chain_unit):
-        line = GridSpec(dimension=1, half_width=1.25, cells_per_axis=24,
-                        t_start=-4.0, t_end=0.0, dt=0.125)
-        with pytest.raises(ValueError, match="dimension"):
-            initial_rescale(const_field(line, 0.0), chain_unit)
 
 
 class TestSelectRecenter:
