@@ -31,10 +31,12 @@ from .grid import (
     GridSpec,
     ScalarField,
     Window,
-    discrete_gradient_norm_p,
     field_from_values,
+    gradient_norm_p_rows,
+    in_slice_order,
     level_set_measure,
     one_cell_oscillation,
+    per_slice,
 )
 from .hamiltonians import CoercivityEnvelope
 from .solver import residual_subsolution
@@ -84,17 +86,20 @@ def truncated_energy(
     """Energy of the level-``k`` truncation on ``[1 - 2^-k, 2] x B(1)``."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    win = _unit_window(f.spec, cutoff_time(level), 2.0)
-    trunc = truncate(f, level)
+    cutoff = cutoff_time(level)
+    win = _unit_window(f.spec, cutoff, 2.0)
     vol = f.spec.cell_volume
     sup_term = max(
-        float(trunc.values[i][win.mask].sum()) * vol for i in win.slices
+        float((np.maximum(block - cutoff, 0.0).sum(axis=1) * vol).max())
+        for block in win.rows(f.values)
     )
-    grad_term = 0.0
-    for i in win.weighted_slices():
-        grad_term += win.weights[i] * discrete_gradient_norm_p(
-            trunc, int(i), env.p, ball=win.cylinder
-        )
+    cells = np.flatnonzero(win.mask)
+    grads = []
+    for lo, hi in win.blocks(weighted=True):
+        trunc = f.values[lo:hi] - cutoff
+        np.maximum(trunc, 0.0, out=trunc)
+        grads.append(gradient_norm_p_rows(trunc, f.spec, env.p, cells))
+    grad_term = in_slice_order(win.weights[win.weighted_slices()] * per_slice(grads))
     return sup_term + grad_term
 
 

@@ -93,6 +93,10 @@ class ConfigError(ValueError):
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"{where} must be a JSON object, got {type(section).__name__}"
+        )
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
@@ -389,6 +393,9 @@ class ExperimentConfig:
         _reject_unknown(tol_cfg, {"delta", "conclusion", "residual"}, "tolerances")
         with _section("tolerances"):
             tolerances = {k: float(v) for k, v in tol_cfg.items()}
+            for key, value in tolerances.items():
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise ValueError(f"{key} must be finite and >= 0, got {value}")
 
         solve_cfg_raw = data.get("solve", {})
         _reject_unknown(

@@ -14,6 +14,16 @@ with the requested time window.  With this weighting the measure of a full
 cylinder is exact in time whenever the window endpoints lie on the lattice,
 so the only discretization error left is the spatial ball boundary layer.
 Every check selects its cells through one :class:`Window`.
+
+Reductions along time run on blocks of consecutive slices, each a
+``(slices, cells)`` array of about ``_BLOCK_CELLS`` cells; the block size is
+set by the cell count, not the slice count, so one block stays cache-sized
+at every resolution.  The batched reductions give the same bits as a loop
+over slices: maxima and minima are exact in any order, a per-slice sum is a
+row sum of a C-contiguous block (numpy sums each row as it sums the slice
+on its own), and per-slice terms are accumulated in slice order with
+``np.cumsum``, never with ``np.sum``, whose pairwise order would change
+the last digits.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -39,6 +49,10 @@ __all__ = [
     "field_from_values",
     "level_set_measure",
     "discrete_gradient_norm_p",
+    "gradient_norm_p_rows",
+    "in_slice_order",
+    "per_slice",
+    "slice_blocks",
     "one_cell_oscillation",
     "save_snapshot",
     "load_snapshot",
@@ -48,6 +62,8 @@ _REL_TOL = 1e-6
 # Absolute slack on time comparisons against a window: a slice belongs to
 # ``[t_lo, t_hi]`` and a grid covers it up to this much lattice round-off.
 _TIME_TOL = 1e-9
+# Cells per block of slices in the batched reductions along time.
+_BLOCK_CELLS = 1 << 17
 
 
 class EmptyCylinderError(ValueError):
@@ -317,23 +333,61 @@ class Window:
         """Indices of the slices with a positive time weight."""
         return np.nonzero(self.weights > 0.0)[0]
 
+    def blocks(self, weighted: bool = False) -> Iterator[tuple[int, int]]:
+        """``(lo, hi)`` ranges of about ``_BLOCK_CELLS`` cells covering the
+        window's :attr:`slices`, or its :meth:`weighted_slices` when
+        ``weighted``; both are runs of consecutive slices."""
+        index = self.weighted_slices() if weighted else self.slices
+        if index.size:
+            yield from slice_blocks(int(index[0]), int(index[-1]) + 1, self.mask.size)
+
+    def rows(
+        self, values: NDArray[np.float64], weighted: bool = False
+    ) -> Iterator[NDArray[np.float64]]:
+        """The ball's cells of ``values`` (one entry per slice and cell) over
+        each of :meth:`blocks`, as C-contiguous ``(slices, cells)`` arrays."""
+        flat = values.reshape(values.shape[0], -1)
+        cells = np.flatnonzero(self.mask)
+        for lo, hi in self.blocks(weighted):
+            yield np.take(flat[lo:hi], cells, axis=1)
+
     def max(self, values: NDArray[np.float64]) -> float:
         """Largest of ``values`` (one entry per slice and cell) in the window."""
-        return max(float(values[i][self.mask].max()) for i in self.slices)
+        return max(float(block.max()) for block in self.rows(values))
 
     def min(self, values: NDArray[np.float64]) -> float:
         """Smallest of ``values`` (one entry per slice and cell) in the window."""
-        return min(float(values[i][self.mask].min()) for i in self.slices)
+        return min(float(block.min()) for block in self.rows(values))
 
     def integral(self, values: NDArray[np.float64]) -> float:
         """Time-weighted cell-counting integral of ``values`` over the cylinder."""
-        vol = self.spec.cell_volume
-        return float(
-            sum(
-                self.weights[i] * values[i][self.mask].sum() * vol
-                for i in self.weighted_slices()
-            )
-        )
+        sums = per_slice([b.sum(axis=1) for b in self.rows(values, weighted=True)])
+        weights = self.weights[self.weighted_slices()]
+        return in_slice_order((weights * sums) * self.spec.cell_volume)
+
+    def measure(self, counts: list[NDArray[np.intp]]) -> float:
+        """Cell-counting measure from per-slice cell counts, one array per
+        block of ``rows(..., weighted=True)``."""
+        weights = self.weights[self.weighted_slices()]
+        return in_slice_order((weights * self.spec.cell_volume) * per_slice(counts))
+
+
+def slice_blocks(start: int, stop: int, cells: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ``(lo, hi)`` ranges covering ``[start, stop)``, each about
+    ``_BLOCK_CELLS`` cells for slices of ``cells`` cells."""
+    step = max(1, _BLOCK_CELLS // cells)
+    for lo in range(start, stop, step):
+        yield lo, min(lo + step, stop)
+
+
+def per_slice(parts: list[NDArray]) -> NDArray:
+    """Per-slice results of consecutive blocks, joined in slice order."""
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def in_slice_order(terms: NDArray[np.float64]) -> float:
+    """``0.0 + terms[0] + terms[1] + ...``, accumulated left to right."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def level_set_measure(
@@ -354,13 +408,13 @@ def level_set_measure(
     no cells at all.
     """
     win = Window(f.spec, cyl)
-    vol = f.spec.cell_volume
-    total = 0.0
-    for i in win.weighted_slices():
-        vals = f.values[i][win.mask]
-        inside = (vals > lo) & ((vals <= hi) if closed_upper else (vals < hi))
-        total += win.weights[i] * vol * int(np.count_nonzero(inside))
-    return float(total)
+    counts = [
+        np.count_nonzero(
+            (vals > lo) & ((vals <= hi) if closed_upper else (vals < hi)), axis=1
+        )
+        for vals in win.rows(f.values, weighted=True)
+    ]
+    return win.measure(counts)
 
 
 def discrete_gradient_norm_p(
@@ -377,55 +431,76 @@ def discrete_gradient_norm_p(
     """
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
-    grad_sq = _gradient_sq(f.values[slice_index], f.spec)
+    cells = None
     if ball is not None:
         mask = _ball_mask(f.spec, ball)
         if not np.any(mask):
             raise EmptyCylinderError(
                 f"ball B({ball.center}, {ball.radius}) selects no cells"
             )
-        grad_sq = grad_sq[mask]
-    return float(np.sum(grad_sq ** (p / 2.0)) * f.spec.cell_volume)
+        cells = np.flatnonzero(mask)
+    return float(gradient_norm_p_rows(f.values[slice_index][None], f.spec, p, cells)[0])
 
 
-def _gradient_sq(
-    slice_values: NDArray[np.float64], spec: GridSpec
+def gradient_norm_p_rows(
+    values: NDArray[np.float64],
+    spec: GridSpec,
+    p: float,
+    cells: NDArray[np.intp] | None = None,
 ) -> NDArray[np.float64]:
+    """:func:`discrete_gradient_norm_p` of every slice of a block of slices
+    (shape ``(slices, *spatial_shape)``), over the flat cell indices
+    ``cells`` or the whole box."""
     h = spec.cell_width
-    total = np.zeros_like(slice_values)
-    for axis in range(spec.dimension):
-        d = np.diff(slice_values, axis=axis) / h
-        last = np.take(d, [-1], axis=axis)
-        d = np.concatenate([d, last], axis=axis)
-        total += d * d
-    return total
+    grad_sq = np.zeros_like(values)
+    for axis in range(1, spec.dimension + 1):
+        d = np.diff(values, axis=axis)
+        d /= h
+        d = np.concatenate([d, np.take(d, [-1], axis=axis)], axis=axis)
+        d *= d
+        grad_sq += d
+        del d  # keeps at most three block-sized arrays alive
+    grad_sq = grad_sq.reshape(values.shape[0], -1)
+    if cells is not None:
+        grad_sq = np.take(grad_sq, cells, axis=1)
+    grad_sq **= p / 2.0
+    return grad_sq.sum(axis=1) * spec.cell_volume
 
 
 def one_cell_oscillation(f: ScalarField, cyl: Cylinder | None = None) -> float:
     """Largest single-cell jump of the field (space or time axis).
 
     This is the natural resolution floor for sup-norm conclusions: a bound
-    checked at cell centers can be off by at most one neighbor jump.
+    checked at cell centers can be off by at most one neighbor jump.  With
+    a cylinder, only jumps between two cells of its window count.
     """
+    spec = f.spec
     if cyl is None:
-        region = f.values
-        jumps = [np.abs(np.diff(region, axis=a)).max(initial=0.0)
-                 for a in range(region.ndim)]
-        return float(max(jumps))
-    win = Window(f.spec, cyl)
-    mask = win.mask
-    sub = f.values[win.slices[0]: win.slices[-1] + 1]
+        start, stop = 0, spec.n_slices
+        mask = np.ones(spec.spatial_shape, dtype=bool)
+    else:
+        win = Window(spec, cyl)
+        start, stop = int(win.slices[0]), int(win.slices[-1]) + 1
+        mask = win.mask
+    cells = np.flatnonzero(mask)
+    # Flat indices of the neighbor pairs (lower, upper) inside the mask.
+    index = np.arange(mask.size).reshape(mask.shape)
+    axes = range(spec.dimension)
+    lower = np.concatenate([np.delete(index, -1, axis=a).ravel() for a in axes])
+    upper = np.concatenate([np.delete(index, 0, axis=a).ravel() for a in axes])
+    both = mask.ravel()[lower] & mask.ravel()[upper]
+    lower, upper = lower[both], upper[both]
+    flat = f.values.reshape(spec.n_slices, -1)
     jump = 0.0
-    if sub.shape[0] > 1:
-        dt_jump = np.abs(np.diff(sub, axis=0))
-        jump = max(jump, float(dt_jump[:, mask].max(initial=0.0)))
-    for axis in range(1, sub.ndim):
-        d = np.abs(np.diff(sub, axis=axis))
-        lo_mask = np.take(mask, np.arange(mask.shape[axis - 1] - 1), axis=axis - 1)
-        hi_mask = np.take(mask, np.arange(1, mask.shape[axis - 1]), axis=axis - 1)
-        pair_mask = lo_mask & hi_mask
-        if np.any(pair_mask):
-            jump = max(jump, float(d[:, pair_mask].max(initial=0.0)))
+    for lo, hi in slice_blocks(start, stop, mask.size):
+        # One slice of overlap with the next block for the time jumps.
+        rows = np.take(flat[lo:min(hi + 1, stop)], cells, axis=1)
+        if rows.shape[0] > 1:
+            jump = max(jump, float(np.abs(np.diff(rows, axis=0)).max()))
+        if lower.size:
+            block = flat[lo:hi]
+            pairs = np.take(block, upper, axis=1) - np.take(block, lower, axis=1)
+            jump = max(jump, float(np.abs(pairs).max()))
     return jump
 
 

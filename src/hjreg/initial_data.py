@@ -170,7 +170,9 @@ def catalog_summary() -> dict[str, str]:
 
 
 def validate_descriptor(name: str, parameters: dict | None) -> None:
-    """Reject unknown catalog names or parameter keys with a message naming them."""
+    """Reject unknown catalog names, unknown parameter keys, and parameter
+    values (or list elements, such as a ``center``) that are not finite
+    numbers, with a message naming them."""
     entry = _CATALOG.get(name)
     if entry is None:
         raise ValueError(
@@ -181,6 +183,16 @@ def validate_descriptor(name: str, parameters: dict | None) -> None:
             raise ValueError(
                 f"unknown parameter {key!r} for initial data {name!r}; "
                 f"accepted: {', '.join(sorted(entry.parameters)) or 'none'}"
+            )
+        value = parameters[key]
+        try:
+            finite = bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"parameter {key!r} of initial data {name!r} must be a "
+                f"finite number, got {value!r}"
             )
 
 

@@ -549,7 +549,7 @@ def comparison_check(
 
 
 def _witness_level(
-    f: ScalarField, chain: ConstantChain, cyl: Cylinder
+    f: ScalarField, chain: ConstantChain, win: Window
 ) -> tuple[int | None, list[float]]:
     """Smallest ladder level whose middle layer is thin, plus all measures.
 
@@ -559,14 +559,25 @@ def _witness_level(
     the threshold; on a finite lattice the witness can still be missing
     when the counted measure overshoots, in which case ``None`` is
     returned rather than a guess.
+
+    Level ``k``'s layer is counted as the band
+    ``0 < f - (2 - 2^(1-k)) < 2^-k`` of ``f`` itself: scaling by ``2^k``
+    is exact, so this matches ``{0 < dyadic_ladder(f, k) < 1}`` bit for bit
+    without building the ladder.
     """
-    measures: list[float] = []
-    witness: int | None = None
-    for k in range(1, chain.ladder_depth + 1):
-        mass = level_set_measure(dyadic_ladder(f, k), cyl, lo=0.0, hi=1.0)
-        measures.append(mass)
-        if witness is None and mass <= chain.middle_threshold:
-            witness = k
+    levels = range(1, chain.ladder_depth + 1)
+    counts: list[list] = [[] for _ in levels]
+    for vals in win.rows(f.values, weighted=True):
+        for k, per_level in zip(levels, counts):
+            band = vals - (2.0 - 2.0 ** (1 - k))
+            per_level.append(
+                np.count_nonzero((band > 0.0) & (band < 2.0**-k), axis=1)
+            )
+    measures = [win.measure(per_level) for per_level in counts]
+    witness = next(
+        (k for k, mass in zip(levels, measures) if mass <= chain.middle_threshold),
+        None,
+    )
     return witness, measures
 
 
@@ -624,7 +635,7 @@ def oscillation_above_check(
     late_sup = late.max(f.values)
     tolerances["conclusion"] = concl_tol
 
-    witness, middle_measures = _witness_level(f, chain, cyl)
+    witness, middle_measures = _witness_level(f, chain, win)
     diagnostics["witness_level"] = witness
     diagnostics["middle_measures"] = middle_measures
 

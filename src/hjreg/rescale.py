@@ -315,7 +315,7 @@ def zoom_step(
     r_check = min(0.5 / b, spec.half_width * math.sqrt(spec.dimension))
     win = Window(spec, Cylinder(t_lo, 0.0, (0.0,) * spec.dimension, r_check))
     idx, mask = win.slices, win.mask
-    sup = max(float(np.abs(out.values[i][mask]).max()) for i in idx)
+    sup = max(float(np.abs(block).max()) for block in win.rows(out.values))
     if sup > 2.0 + tol:
         flat = [
             (float(np.abs(out.values[i][mask]).max()), int(i)) for i in idx

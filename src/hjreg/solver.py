@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridSpec, ScalarField, field_from_values
+from .grid import GridSpec, ScalarField, field_from_values, slice_blocks
 from .hamiltonians import CoercivityEnvelope
 
 __all__ = [
@@ -131,12 +131,42 @@ def _one_sided_differences(
     return fwd, bwd
 
 
-def _central_gradient(u: NDArray[np.float64], spec: GridSpec) -> NDArray[np.float64]:
-    comps = []
-    for axis in range(spec.dimension):
-        fwd, bwd = _one_sided_differences(u, spec, axis)
-        comps.append(0.5 * (fwd + bwd))
-    return np.stack(comps, axis=-1)
+def _cut(axis: int, start: int | None, stop: int | None) -> tuple:
+    """Index that slices ``start:stop`` along ``axis`` and keeps the axes before."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _central_gradient_norm(
+    u: NDArray[np.float64], spec: GridSpec
+) -> NDArray[np.float64]:
+    """``|grad u|`` with the solver's centered gradient ``(D+ + D-) / 2``,
+    over the trailing spatial axes of ``u`` (leading axes hold a block of
+    slices).
+
+    With outflow padding ``D+`` is the forward difference and 0 at the
+    upper edge, ``D-`` the backward difference and 0 at the lower edge, so
+    ``D+ + D-`` is formed from one ``np.diff`` per axis; the components are
+    squared and summed in axis order, as ``np.linalg.norm`` sums them.
+    """
+    lead = u.ndim - spec.dimension
+    sq = None
+    for axis in range(lead, u.ndim):
+        d = np.diff(u, axis=axis)
+        d /= spec.cell_width
+        comp = np.empty_like(u)
+        np.add(d[_cut(axis, 1, None)], d[_cut(axis, None, -1)],
+               out=comp[_cut(axis, 1, -1)])
+        # At each edge the missing one-sided difference is exactly 0.0.
+        comp[_cut(axis, 0, 1)] = d[_cut(axis, 0, 1)] + 0.0
+        comp[_cut(axis, -1, None)] = 0.0 + d[_cut(axis, -1, None)]
+        del d  # keeps at most three block-sized arrays alive
+        comp *= 0.5
+        comp *= comp
+        if sq is None:
+            sq = comp
+        else:
+            sq += comp
+    return np.sqrt(sq, out=sq)
 
 
 def _step_values(
@@ -363,10 +393,19 @@ def _residual(
     if spec.n_slices < 2:
         raise ValueError("need at least two slices for a time difference")
     out = np.empty((spec.n_slices - 1, *spec.spatial_shape))
-    for i in range(spec.n_slices - 1):
-        grad = _central_gradient(f.values[i], spec)
-        pnorm = np.linalg.norm(grad, axis=-1)
-        out[i] = (f.values[i + 1] - f.values[i]) / spec.dt + a_coef * pnorm**p - b_const
+    cells = math.prod(spec.spatial_shape)
+    for lo, hi in slice_blocks(0, spec.n_slices - 1, cells):
+        # (u[i+1] - u[i]) / dt + a |grad u[i]|^p - b, with the block's
+        # temporaries updated in place.
+        u = f.values[lo:hi]
+        grad_term = _central_gradient_norm(u, spec)
+        grad_term **= p
+        grad_term *= a_coef
+        res = out[lo:hi]
+        np.subtract(f.values[lo + 1:hi + 1], u, out=res)
+        res /= spec.dt
+        res += grad_term
+        res -= b_const
     return ResidualReport(
         spec=spec,
         values=out,

@@ -469,9 +469,15 @@ class TestCli:
             ({"chain": {"alpha": "big"}}, []),
             ({"cascade": {"levels": -1}}, []),
             ({"theorem": {"working_slices": 0}}, []),
+            ({"grid": []}, []),
+            ({"initial_data": {"name": "random-trig",
+                               "parameters": {"amplitude": "NaN"}}}, []),
+            ({"tolerances": {"delta": "nan"}}, []),
+            ({"tolerances": {"delta": -1}}, []),
         ],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
-             "working-slices-zero"],
+             "working-slices-zero", "grid-list", "amplitude-nan", "delta-nan",
+             "delta-negative"],
     )
     def test_configuration_faults_exit_two(self, tmp_path, capsys, overrides, args):
         path = write_config(tmp_path, minimal_dict(**overrides))
