@@ -14,6 +14,7 @@ reparametrizations (used by the zoom machinery) wrap any of these.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import ScalarField, field_from_values
+from .grid import ScalarField
 
 __all__ = [
     "CoercivityEnvelope",
@@ -83,10 +84,17 @@ class TabulatedCoefficient:
         if min(self.values) <= 0.0:
             raise ValueError("tabulated coefficients must be positive")
 
-    def lookup(self, t: float, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    @functools.cached_property
+    def _array(self) -> NDArray[np.float64]:
+        """``values`` as a read-only ``(time bins, *cells)`` array, built once."""
         arr = np.asarray(self.values, dtype=np.float64).reshape(
             len(self.t_edges) - 1, *(self.cells_per_axis,) * self.dimension
         )
+        arr.setflags(write=False)
+        return arr
+
+    def lookup(self, t: float, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        arr = self._array
         ti = int(np.clip(np.searchsorted(self.t_edges, t, side="right") - 1,
                          0, len(self.t_edges) - 2))
         width = 2.0 * self.half_width / self.cells_per_axis
@@ -130,9 +138,15 @@ class HamiltonianSpec:
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated kind requires a table")
 
-    def _coefficient_at(
+    @property
+    def static_coefficient(self) -> bool:
+        """Whether ``a(t, x)`` ignores ``t`` (every kind but ``tabulated``)."""
+        return self.kind != "tabulated"
+
+    def coefficient_field(
         self, t: float, x: NDArray[np.float64]
     ) -> NDArray[np.float64] | float:
+        """The coefficient ``a(t, x)`` at the points ``x`` (last axis spatial)."""
         if self.kind == "power-law":
             return 1.0
         if self.kind == "scaled-power-law":
@@ -150,12 +164,18 @@ class HamiltonianSpec:
         t: float,
         x: NDArray[np.float64],
         grad: NDArray[np.float64],
+        coefficient: NDArray[np.float64] | float | None = None,
     ) -> NDArray[np.float64]:
-        """Evaluate on arrays whose last axis indexes the spatial components."""
+        """Evaluate on arrays whose last axis indexes the spatial components.
+
+        ``coefficient``, when given, is ``coefficient_field(t, x)`` computed
+        beforehand, and ``x`` is not read.
+        """
         pnorm = np.linalg.norm(np.atleast_1d(np.asarray(grad, dtype=np.float64)),
                                axis=-1)
-        base = self._coefficient_at(t, np.asarray(x, dtype=np.float64))
-        out = base * pnorm**self.p
+        if coefficient is None:
+            coefficient = self.coefficient_field(t, np.asarray(x, dtype=np.float64))
+        out = coefficient * pnorm**self.p
         if self.kind == "scaled-power-law":
             out = out + self.offset
         return out
@@ -255,13 +275,28 @@ class TransformedHamiltonian:
     def p(self) -> float:
         return self.base.p
 
-    def eval(self, t, x, grad):
+    @property
+    def static_coefficient(self) -> bool:
+        return self.base.static_coefficient
+
+    def _inner_x(self, x) -> NDArray[np.float64]:
         x = np.asarray(x, dtype=np.float64)
         shift = np.asarray(self.x_shift) if self.x_shift else 0.0
+        return shift + self.x_scale * x
+
+    def coefficient_field(self, t, x):
+        """The base coefficient at the mapped time and points."""
+        return self.base.coefficient_field(
+            self.t_shift + self.t_scale * t, self._inner_x(x)
+        )
+
+    def eval(self, t, x, grad, coefficient=None):
+        """``coefficient``, when given, is ``coefficient_field(t, x)``."""
         inner = self.base.eval(
             self.t_shift + self.t_scale * t,
-            shift + self.x_scale * x,
+            self._inner_x(x) if coefficient is None else x,
             self.grad_scale * np.asarray(grad, dtype=np.float64),
+            coefficient,
         )
         return self.out_scale * (inner + self.const)
 
@@ -345,4 +380,4 @@ def gauge_shift(f: ScalarField, env: CoercivityEnvelope, sign: float = 1.0) -> S
     """
     times = f.spec.times()
     shifted = f.values + sign * env.lam * times[(...,) + (None,) * f.spec.dimension]
-    return field_from_values(f.spec, shifted)
+    return ScalarField(f.spec, shifted)

@@ -443,7 +443,9 @@ def time_reverse(f: ScalarField) -> ScalarField:
             f"time interval [{spec.t_start}, {spec.t_end}] is not symmetric "
             "about 0; reflection would leave the lattice"
         )
-    return f.with_values(-f.values[::-1])
+    return ScalarField(
+        spec, np.negative(f.values[::-1], out=np.empty_like(f.values))
+    )
 
 
 def barrier_value(chain: ConstantChain, t: float, x: NDArray | tuple | list) -> float:
@@ -613,13 +615,12 @@ def oscillation_above_check(
     tolerances = {"bounded_by_two": bound_tol}
     if check_residual:
         tol = spec.residual_tol if residual_tol is None else residual_tol
-        rep = residual_subsolution(
+        worst = float(residual_subsolution(
             f,
             chain.envelope,
             a_coef=chain.subsolution_coefficient,
             b_const=chain.subsolution_offset,
-        )
-        worst = float(rep.values[:, win.mask].max())
+        ).values[:, win.mask].max())
         preconditions["subsolution"] = worst <= tol
         diagnostics["subsolution_residual"] = worst
         tolerances["residual"] = tol
@@ -689,17 +690,17 @@ def oscillation_below_check(
     tolerances = {"lower_bound": bound_tol}
     if check_residual:
         tol = spec.residual_tol if residual_tol is None else residual_tol
-        lower = residual_supersolution(
+        # Each report is dropped once its scalar is read: the reflected
+        # check below builds a field-sized copy and a residual of its own.
+        worst_lower = residual_supersolution(
             f, chain.envelope, a_coef=chain.supersolution_coefficient
-        )
-        upper = residual_subsolution(
+        ).min_value
+        worst_upper = float(residual_subsolution(
             f,
             chain.envelope,
             a_coef=chain.subsolution_coefficient,
             b_const=chain.subsolution_offset,
-        )
-        worst_lower = float(lower.values.min())
-        worst_upper = float(upper.values[:, win.mask].max())
+        ).values[:, win.mask].max())
         preconditions["supersolution"] = worst_lower >= -tol
         preconditions["subsolution"] = worst_upper <= tol
         diagnostics["supersolution_residual"] = worst_lower

@@ -551,10 +551,10 @@ def gauge_to_window(
     inequalities at the doubled constant) and reports the value factor
     that caps the result at 2.  Returns ``(field, gauged, cap_factor)``.
     """
-    raw = residual_supersolution(field, env)
-    gauged = bool(raw.min_value < -field.spec.residual_tol)
+    raw_min = residual_supersolution(field, env).min_value
+    gauged = bool(raw_min < -field.spec.residual_tol)
     out = gauge_shift(field, env) if gauged else field
-    sup = float(np.abs(out.values).max())
+    sup = float(max(out.values.max(), -out.values.min()))
     gamma = 1.0 if sup <= 2.0 else 2.0 / sup
     return out, gauged, gamma
 

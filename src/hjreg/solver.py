@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridSpec, ScalarField, field_from_values, slice_blocks
+from .grid import GridSpec, ScalarField, slice_blocks
 from .hamiltonians import CoercivityEnvelope
 
 __all__ = [
@@ -118,19 +118,6 @@ def snap_dt(t_start: float, t_end: float, dt_max: float) -> float:
     return span / math.ceil(span / dt_max)
 
 
-def _one_sided_differences(
-    u: NDArray[np.float64], spec: GridSpec, axis: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    h = spec.cell_width
-    first = np.take(u, [0], axis=axis)
-    last = np.take(u, [-1], axis=axis)
-    padded = np.concatenate([first, u, last], axis=axis)
-    n = u.shape[axis]
-    fwd = (np.take(padded, np.arange(2, n + 2), axis=axis) - u) / h
-    bwd = (u - np.take(padded, np.arange(0, n), axis=axis)) / h
-    return fwd, bwd
-
-
 def _cut(axis: int, start: int | None, stop: int | None) -> tuple:
     """Index that slices ``start:stop`` along ``axis`` and keeps the axes before."""
     return (slice(None),) * axis + (slice(start, stop),)
@@ -169,63 +156,114 @@ def _central_gradient_norm(
     return np.sqrt(sq, out=sq)
 
 
-def _step_values(
-    u: NDArray[np.float64],
-    spec: GridSpec,
-    h,
-    t: float,
-    cfg: SolveConfig,
-    centers: NDArray[np.float64],
-    step_index: int,
-) -> tuple[NDArray[np.float64], float, float]:
-    """One forward-Euler update; returns (next values, cfl margin, max |update|)."""
-    jump_sum = np.zeros_like(u)
-    central = []
-    pnorm_sq = np.zeros_like(u)
-    for axis in range(spec.dimension):
-        fwd, bwd = _one_sided_differences(u, spec, axis)
-        central.append(0.5 * (fwd + bwd))
-        jump_sum += fwd - bwd
-        pnorm_sq += np.maximum(np.abs(fwd), np.abs(bwd)) ** 2
-    grad = np.stack(central, axis=-1)
+class _StepKernel:
+    """Forward-Euler steps on one grid with work buffers allocated once.
 
-    pnorm_max = float(np.sqrt(pnorm_sq.max()))
-    sigma_est = max(h.dissipation_bound(pnorm_max), 0.0)
-    if cfg.sigma_mode == "fixed":
-        sigma_diss = float(cfg.sigma_bound)  # type: ignore[arg-type]
-        if sigma_est > sigma_diss * (1.0 + 1e-9):
+    The one-sided differences are shifted-slice differences written into
+    the buffers; with outflow padding the missing difference at each box
+    edge is exactly 0.0.  A coefficient field that does not depend on time
+    is evaluated once, here, and handed to every ``h.eval``.
+    """
+
+    def __init__(self, spec: GridSpec, h, cfg: SolveConfig):
+        self.spec = spec
+        self.h = h
+        self.cfg = cfg
+        self.centers = spec.centers()
+        shape = spec.spatial_shape
+        self.fwd = np.empty(shape)
+        self.bwd = np.empty(shape)
+        self.diff = np.empty(shape)
+        self.jump = np.empty(shape)
+        self.pnorm_sq = np.empty(shape)
+        self.finite = np.empty(shape, dtype=bool)
+        # (*shape, N) with each component contiguous: the norm over the last
+        # axis then sums the components in axis order, row by row.
+        self.grad = np.moveaxis(np.empty((spec.dimension, *shape)), 0, -1)
+        self.axes = [
+            (_cut(axis, 1, None), _cut(axis, None, -1),
+             _cut(axis, -1, None), _cut(axis, 0, 1), self.grad[..., axis])
+            for axis in range(spec.dimension)
+        ]
+        self.coefficient = (
+            h.coefficient_field(spec.t_start, self.centers)
+            if h.static_coefficient
+            else None
+        )
+
+    def __call__(
+        self,
+        u: NDArray[np.float64],
+        t: float,
+        step_index: int,
+        out: NDArray[np.float64],
+    ) -> tuple[float, float]:
+        """Write the step from ``u`` at time ``t`` into ``out``; returns
+        (cfl margin, max |update|)."""
+        spec, cfg = self.spec, self.cfg
+        fwd, bwd, diff = self.fwd, self.bwd, self.diff
+        jump, pnorm_sq = self.jump, self.pnorm_sq
+        jump.fill(0.0)
+        pnorm_sq.fill(0.0)
+        for upper, lower, last, first, central in self.axes:
+            # D+ = (u[j+1] - u[j]) / h and D- = (u[j] - u[j-1]) / h = D+[j-1]
+            np.subtract(u[upper], u[lower], out=fwd[lower])
+            fwd[last] = 0.0
+            fwd /= spec.cell_width
+            bwd[upper] = fwd[lower]
+            bwd[first] = 0.0
+            np.add(fwd, bwd, out=central)
+            central *= 0.5
+            np.subtract(fwd, bwd, out=diff)
+            jump += diff
+            np.abs(fwd, out=fwd)
+            np.abs(bwd, out=bwd)
+            np.maximum(fwd, bwd, out=fwd)
+            np.square(fwd, out=fwd)
+            pnorm_sq += fwd
+
+        pnorm_max = float(np.sqrt(pnorm_sq.max()))
+        sigma_est = max(self.h.dissipation_bound(pnorm_max), 0.0)
+        if cfg.sigma_mode == "fixed":
+            sigma_diss = float(cfg.sigma_bound)  # type: ignore[arg-type]
+            if sigma_est > sigma_diss * (1.0 + 1e-9):
+                raise SolverError(
+                    f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
+                    f"fixed dissipation bound {sigma_diss:.3g}",
+                    step_index,
+                )
+        else:
+            sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
+
+        width = spec.cell_width
+        ratio_mono = spec.dt * spec.dimension * sigma_diss / width
+        if ratio_mono > 1.0 + 1e-9:
             raise SolverError(
-                f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
-                f"fixed dissipation bound {sigma_diss:.3g}",
+                f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
+                f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
                 step_index,
             )
-    else:
-        sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
+        margin = cfg.cfl_safety - spec.dt * spec.dimension * sigma_est / width
+        if margin < 0.0:
+            raise SolverError(
+                f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
+                f"needs dt <= {cfl_dt(spec, sigma_est, cfg.cfl_safety):.3g} "
+                f"but grid has dt={spec.dt}",
+                step_index,
+            )
 
-    width = spec.cell_width
-    ratio_mono = spec.dt * spec.dimension * sigma_diss / width
-    if ratio_mono > 1.0 + 1e-9:
-        raise SolverError(
-            f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
-            f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
-            step_index,
-        )
-    margin = cfg.cfl_safety - spec.dt * spec.dimension * sigma_est / width
-    if margin < 0.0:
-        raise SolverError(
-            f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
-            f"needs dt <= {cfl_dt(spec, sigma_est, cfg.cfl_safety):.3g} "
-            f"but grid has dt={spec.dt}",
-            step_index,
-        )
-
-    hval = np.asarray(h.eval(t, centers, grad), dtype=np.float64)
-    numerical = hval - 0.5 * sigma_diss * jump_sum
-    update = -spec.dt * numerical
-    u_next = u + update
-    if not np.all(np.isfinite(u_next)):
-        raise SolverError(f"step {step_index}: non-finite values produced", step_index)
-    return u_next, margin, float(np.abs(update).max())
+        hval = self.h.eval(t, self.centers, self.grad, coefficient=self.coefficient)
+        # update = (-dt) * (H - (0.5 sigma) * jump), built in the jump buffer
+        update = jump
+        update *= 0.5 * sigma_diss
+        np.subtract(hval, update, out=update)
+        update *= -spec.dt
+        np.add(u, update, out=out)
+        if not np.isfinite(out, out=self.finite).all():
+            raise SolverError(
+                f"step {step_index}: non-finite values produced", step_index
+            )
+        return margin, float(np.abs(update, out=update).max())
 
 
 def step(
@@ -239,10 +277,9 @@ def step(
     if not 0 <= t_index < spec.n_slices - 1:
         raise ValueError(f"t_index {t_index} out of range for {spec.n_slices} slices")
     t = float(spec.times()[t_index])
-    u_next, _, _ = _step_values(
-        f.values[t_index], spec, h, t, cfg, spec.centers(), t_index
-    )
-    return u_next
+    out = np.empty(spec.spatial_shape)
+    _StepKernel(spec, h, cfg)(f.values[t_index], t, t_index, out)
+    return out
 
 
 def solve(
@@ -255,12 +292,14 @@ def solve(
 
     ``u0`` is either an array on the spatial lattice or a callable applied to
     the cell-center coordinate array (shape ``(*spatial_shape, dimension)``).
+    The returned field wraps the one trajectory array the march fills.
     """
     cfg = cfg or SolveConfig()
-    centers = spec.centers()
+    times = spec.times()
+    kernel = _StepKernel(spec, h, cfg)
     if callable(u0):
         init = np.broadcast_to(
-            np.asarray(u0(centers), dtype=np.float64), spec.spatial_shape
+            np.asarray(u0(kernel.centers), dtype=np.float64), spec.spatial_shape
         )
     else:
         init = np.asarray(u0, dtype=np.float64)
@@ -281,13 +320,10 @@ def solve(
     values[0] = init
     margins = np.empty(n_steps)
     updates = np.empty(n_steps)
-    times = spec.times()
     for i in range(n_steps):
-        values[i + 1], margins[i], updates[i] = _step_values(
-            values[i], spec, h, float(times[i]), cfg, centers, i
-        )
+        margins[i], updates[i] = kernel(values[i], float(times[i]), i, values[i + 1])
     return Trajectory(
-        field=field_from_values(spec, values),
+        field=ScalarField(spec, values),
         cfl_margins=margins,
         max_updates=updates,
     )
@@ -406,6 +442,7 @@ def _residual(
         res /= spec.dt
         res += grad_term
         res -= b_const
+        del grad_term  # not alive while the next block's is built
     return ResidualReport(
         spec=spec,
         values=out,

@@ -60,6 +60,16 @@ class TestEvaluation:
         assert left == pytest.approx(0.5, rel=1e-12)
         assert right == pytest.approx(2.0, rel=1e-12)
 
+    def test_tabulated_array_is_built_once(self):
+        table = TabulatedCoefficient(
+            dimension=1, t_edges=(0.0, 1.0, 2.0), half_width=1.0,
+            cells_per_axis=2, values=(0.5, 2.0, 3.0, 4.0),
+        )
+        first = table._array
+        assert table.lookup(1.5, np.array([[0.5]]))[0] == 4.0
+        assert table._array is first
+        assert first.shape == (2, 2) and not first.flags.writeable
+
     @pytest.mark.parametrize(
         "kind,extra",
         [
@@ -243,6 +253,29 @@ class TestTransformedHamiltonian:
         wrapped = TransformedHamiltonian(base=base, out_scale=3.0, grad_scale=0.5)
         # Base bound at |P| = 1 is p * 0.5 = 1; scaled by |3 * 0.5|.
         assert wrapped.dissipation_bound(1.0) == pytest.approx(1.5, rel=1e-12)
+
+    def test_precomputed_coefficient_gives_the_same_bits(self, rng):
+        base = HamiltonianSpec(kind="rough-coefficient", p=1.5, lam=3.0, eta=0.1)
+        inner = TransformedHamiltonian(base=base, x_scale=0.3, x_shift=(0.2, -0.1))
+        outer = TransformedHamiltonian(base=inner, x_scale=1.7, x_shift=(-0.05, 0.4),
+                                       t_scale=2.0, out_scale=0.5, const=1.0)
+        x = rng.uniform(-1, 1, size=(9, 9, 2))
+        grad = rng.uniform(-2, 2, size=(9, 9, 2))
+        coef = outer.coefficient_field(0.3, x)
+        assert outer.static_coefficient
+        assert outer.eval(0.3, x, grad, coefficient=coef).tobytes() == (
+            outer.eval(0.3, x, grad).tobytes()
+        )
+
+    def test_tabulated_coefficient_depends_on_time(self):
+        table = TabulatedCoefficient(
+            dimension=1, t_edges=(0.0, 1.0), half_width=1.0,
+            cells_per_axis=2, values=(0.5, 2.0),
+        )
+        h = TransformedHamiltonian(
+            base=HamiltonianSpec(kind="tabulated", p=2.0, table=table)
+        )
+        assert not h.static_coefficient
 
     def test_nested_wrap(self):
         base = HamiltonianSpec(kind="power-law", p=2.0)

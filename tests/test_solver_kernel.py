@@ -1,0 +1,342 @@
+"""The solver's step kernel against the gather-and-stack step it replaced.
+
+The reference below is the former per-step code: one-sided differences
+from an edge-padded copy built with ``np.take`` and ``np.concatenate``, the
+centered gradient from ``np.stack``, the Hamiltonian's coefficient looked
+up on every call, and a trajectory copied into its field at the end.
+Every comparison is on the bytes, so signed zeros count too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hjreg.grid import GridSpec, field_from_values
+from hjreg.hamiltonians import (
+    HamiltonianSpec,
+    TabulatedCoefficient,
+    TransformedHamiltonian,
+)
+from hjreg.solver import (
+    SIGMA_INFLATION,
+    SolveConfig,
+    SolverError,
+    cfl_dt,
+    solve,
+    step,
+)
+from hjreg.solver import _SIGMA_FLOOR
+
+_MAX_CELLS = {1: 40, 2: 16, 3: 8}
+
+
+def _one_sided_differences(u, spec, axis):
+    h = spec.cell_width
+    first = np.take(u, [0], axis=axis)
+    last = np.take(u, [-1], axis=axis)
+    padded = np.concatenate([first, u, last], axis=axis)
+    n = u.shape[axis]
+    fwd = (np.take(padded, np.arange(2, n + 2), axis=axis) - u) / h
+    bwd = (u - np.take(padded, np.arange(0, n), axis=axis)) / h
+    return fwd, bwd
+
+
+def _reference_step(u, spec, h, t, cfg, centers, step_index):
+    jump_sum = np.zeros_like(u)
+    central = []
+    pnorm_sq = np.zeros_like(u)
+    for axis in range(spec.dimension):
+        fwd, bwd = _one_sided_differences(u, spec, axis)
+        central.append(0.5 * (fwd + bwd))
+        jump_sum += fwd - bwd
+        pnorm_sq += np.maximum(np.abs(fwd), np.abs(bwd)) ** 2
+    grad = np.stack(central, axis=-1)
+
+    pnorm_max = float(np.sqrt(pnorm_sq.max()))
+    sigma_est = max(h.dissipation_bound(pnorm_max), 0.0)
+    if cfg.sigma_mode == "fixed":
+        sigma_diss = float(cfg.sigma_bound)
+        if sigma_est > sigma_diss * (1.0 + 1e-9):
+            raise SolverError(
+                f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
+                f"fixed dissipation bound {sigma_diss:.3g}",
+                step_index,
+            )
+    else:
+        sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
+
+    width = spec.cell_width
+    ratio_mono = spec.dt * spec.dimension * sigma_diss / width
+    if ratio_mono > 1.0 + 1e-9:
+        raise SolverError(
+            f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
+            f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
+            step_index,
+        )
+    margin = cfg.cfl_safety - spec.dt * spec.dimension * sigma_est / width
+    if margin < 0.0:
+        raise SolverError(
+            f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
+            f"needs dt <= {cfl_dt(spec, sigma_est, cfg.cfl_safety):.3g} "
+            f"but grid has dt={spec.dt}",
+            step_index,
+        )
+
+    hval = np.asarray(h.eval(t, centers, grad), dtype=np.float64)
+    numerical = hval - 0.5 * sigma_diss * jump_sum
+    update = -spec.dt * numerical
+    u_next = u + update
+    if not np.all(np.isfinite(u_next)):
+        raise SolverError(f"step {step_index}: non-finite values produced", step_index)
+    return u_next, margin, float(np.abs(update).max())
+
+
+def _reference_solve(spec, h, init, cfg):
+    if not np.all(np.isfinite(init)):
+        raise SolverError("initial data contains non-finite values", 0)
+    n_steps = spec.n_steps
+    if cfg.max_steps is not None and n_steps > cfg.max_steps:
+        raise SolverError(
+            f"grid needs {n_steps} steps, exceeding max_steps={cfg.max_steps}", 0
+        )
+    centers = spec.centers()
+    values = np.empty((spec.n_slices, *spec.spatial_shape))
+    values[0] = init
+    margins = np.empty(n_steps)
+    updates = np.empty(n_steps)
+    times = spec.times()
+    for i in range(n_steps):
+        values[i + 1], margins[i], updates[i] = _reference_step(
+            values[i], spec, h, float(times[i]), cfg, centers, i
+        )
+    return field_from_values(spec, values).values, margins, updates
+
+
+def _outcome(fn):
+    """``("ok", result)`` or ``("abort", message, step_index)``."""
+    try:
+        return ("ok", fn())
+    except SolverError as err:
+        return ("abort", str(err), err.step_index)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_outcome(got, want):
+    assert got[0] == want[0], (got[1:] if got[0] == "abort" else want[1:])
+    if want[0] == "abort":
+        assert got[1:] == want[1:]
+        return
+    assert len(got[1]) == len(want[1])
+    for a, b in zip(got[1], want[1]):
+        assert _same(a, b)
+
+
+@st.composite
+def base_hamiltonians(draw, dim):
+    kind = draw(st.sampled_from(
+        ["power-law", "scaled-power-law", "rough-coefficient", "tabulated"]
+    ))
+    p = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    if kind == "power-law":
+        return HamiltonianSpec(kind=kind, p=p)
+    if kind == "scaled-power-law":
+        return HamiltonianSpec(kind=kind, p=p,
+                               coefficient=draw(st.floats(0.25, 4.0)),
+                               offset=draw(st.floats(-2.0, 2.0)))
+    if kind == "rough-coefficient":
+        return HamiltonianSpec(kind=kind, p=p, lam=draw(st.floats(1.0, 4.0)),
+                               eta=draw(st.floats(0.05, 0.6)))
+    bins = draw(st.integers(1, 3))
+    per_axis = draw(st.integers(1, 3))
+    edges = sorted(draw(st.lists(st.floats(-0.05, 0.1), min_size=bins + 1,
+                                 max_size=bins + 1, unique=True)))
+    values = draw(st.lists(st.floats(0.25, 4.0), min_size=bins * per_axis**dim,
+                           max_size=bins * per_axis**dim))
+    table = TabulatedCoefficient(dimension=dim, t_edges=tuple(edges),
+                                 half_width=draw(st.floats(0.5, 1.5)),
+                                 cells_per_axis=per_axis, values=tuple(values))
+    return HamiltonianSpec(kind=kind, p=p, table=table)
+
+
+@st.composite
+def hamiltonians(draw, dim):
+    """A catalog Hamiltonian under zero to two affine reparametrizations."""
+    h = draw(base_hamiltonians(dim))
+    for _ in range(draw(st.integers(0, 2))):
+        shift = draw(st.one_of(
+            st.just(()),
+            st.tuples(*[st.floats(-0.5, 0.5)] * dim),
+        ))
+        h = TransformedHamiltonian(
+            base=h,
+            out_scale=draw(st.floats(0.25, 2.0)),
+            t_scale=draw(st.floats(0.25, 4.0)),
+            x_scale=draw(st.floats(0.25, 2.0)),
+            grad_scale=draw(st.floats(0.25, 2.0)),
+            t_shift=draw(st.floats(-0.05, 0.05)),
+            x_shift=shift,
+            const=draw(st.floats(-1.0, 1.0)),
+        )
+    return h
+
+
+@st.composite
+def problems(draw):
+    """Grid, Hamiltonian, random initial data and a solve configuration.
+
+    The time step is a random fraction of the CFL step planned from the
+    initial steepness, so some draws abort on CFL, monotonicity or (in
+    fixed mode) the dissipation bound, at step 0 or later.
+    """
+    dim = draw(st.sampled_from([1, 2, 3]))
+    cells = draw(st.integers(4, _MAX_CELLS[dim]))
+    h = draw(hamiltonians(dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (cells,) * dim
+    init = draw(st.floats(0.0, 2.0)) * rng.uniform(-1.0, 1.0, shape)
+    width = 2.0 / cells
+    steep = max(
+        (float(np.abs(np.diff(init, axis=a)).max()) for a in range(dim)),
+        default=0.0,
+    ) / width
+    sigma = max(h.dissipation_bound(steep * math.sqrt(dim)), 1e-3)
+    safety = draw(st.floats(0.25, 1.0))
+    dt = draw(st.floats(0.05, 2.0)) * cfl_dt(
+        GridSpec(dim, 1.0, cells, 0.0, 1.0, 1.0), sigma * SIGMA_INFLATION, safety
+    )
+    n_steps = draw(st.integers(1, 12))
+    spec = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=cells,
+                    t_start=0.0, t_end=n_steps * dt, dt=dt)
+    if draw(st.booleans()):
+        cfg = SolveConfig(cfl_safety=safety)
+    else:
+        cfg = SolveConfig(cfl_safety=safety, sigma_mode="fixed",
+                          sigma_bound=draw(st.floats(0.5, 3.0)) * sigma)
+    return spec, h, init, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_solve_matches_reference(problem):
+    spec, h, init, cfg = problem
+
+    def kernel():
+        traj = solve(spec, h, init, cfg)
+        return traj.field.values, traj.cfl_margins, traj.max_updates
+
+    _assert_same_outcome(_outcome(kernel),
+                         _outcome(lambda: _reference_solve(spec, h, init, cfg)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(), st.integers(0, 2**32 - 1), st.data())
+def test_step_matches_reference(problem, seed, data):
+    spec, h, init, cfg = problem
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1.0, 1.0, (spec.n_slices, *spec.spatial_shape))
+    values *= float(np.abs(init).max())
+    f = field_from_values(spec, values)
+    i = data.draw(st.integers(0, spec.n_steps - 1))
+    t = float(spec.times()[i])
+    got = _outcome(lambda: (step(f, h, i, cfg),))
+    want = _outcome(lambda: (_reference_step(
+        f.values[i], spec, h, t, cfg, spec.centers(), i)[0],))
+    _assert_same_outcome(got, want)
+
+
+_LINE = GridSpec(dimension=1, half_width=2.0, cells_per_axis=64,
+                 t_start=0.0, t_end=0.5, dt=0.5 / 112.0)
+_QUADRATIC = HamiltonianSpec(kind="power-law", p=2.0)
+_CONE = 4.0 * np.abs(_LINE.axis_centers())
+_NAN_START = np.where(np.arange(64) == 0, np.nan, 0.0)
+# The inner value 1e308 + 1e308 overflows while the dissipation stays 0.
+_OVERFLOW = TransformedHamiltonian(
+    base=HamiltonianSpec(kind="power-law", p=2.0), out_scale=1e308, const=1e308
+)
+
+ABORTS = [
+    ("initial data contains non-finite values", 0,
+     _LINE, _QUADRATIC, _NAN_START, SolveConfig()),
+    ("exceeding max_steps=3", 0,
+     _LINE, _QUADRATIC, np.zeros(64), SolveConfig(max_steps=3)),
+    ("fixed dissipation bound", 0,
+     _LINE, _QUADRATIC, _CONE, SolveConfig(sigma_mode="fixed", sigma_bound=0.5)),
+    ("breaks monotonicity", 0,
+     GridSpec(dimension=1, half_width=2.0, cells_per_axis=64,
+              t_start=0.0, t_end=0.5, dt=0.5 / 32.0),
+     _QUADRATIC, _CONE, SolveConfig()),
+    ("CFL violation", 0, _LINE, _QUADRATIC, _CONE, SolveConfig()),
+    ("step 0: non-finite values produced", 0,
+     _LINE, _OVERFLOW, np.zeros(64), SolveConfig()),
+    # a steepening rough-coefficient front crosses the fixed bound late
+    ("step 2: sampled", 2,
+     GridSpec(dimension=1, half_width=1.0, cells_per_axis=32,
+              t_start=0.0, t_end=0.05, dt=0.001),
+     HamiltonianSpec(kind="rough-coefficient", p=2.0, lam=3.0, eta=0.1),
+     np.cos(2.0 * np.linspace(-1.0, 1.0, 32)),
+     SolveConfig(sigma_mode="fixed", sigma_bound=14.0)),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("match,index,spec,h,init,cfg", ABORTS,
+                         ids=[a[0] for a in ABORTS])
+def test_abort_paths_keep_message_and_step(match, index, spec, h, init, cfg):
+    want = _outcome(lambda: _reference_solve(spec, h, init, cfg))
+    assert want[0] == "abort" and want[2] == index
+    with pytest.raises(SolverError, match=match) as exc:
+        solve(spec, h, init, cfg)
+    assert (str(exc.value), exc.value.step_index) == want[1:]
+
+
+def test_step_abort_carries_the_slice_index():
+    values = np.tile(_CONE, (_LINE.n_slices, 1))
+    f = field_from_values(_LINE, values)
+    with pytest.raises(SolverError, match="step 5: CFL violation") as exc:
+        step(f, _QUADRATIC, 5, SolveConfig())
+    assert exc.value.step_index == 5
+
+
+def test_static_coefficient_is_built_once(monkeypatch):
+    h = TransformedHamiltonian(
+        base=HamiltonianSpec(kind="rough-coefficient", p=1.5, lam=2.0, eta=0.2),
+        x_shift=(0.1, -0.2), x_scale=0.5,
+    )
+    calls = []
+    original = HamiltonianSpec.coefficient_field
+
+    def counted(self, t, x):
+        calls.append(t)
+        return original(self, t, x)
+
+    monkeypatch.setattr(HamiltonianSpec, "coefficient_field", counted)
+    spec = GridSpec(dimension=2, half_width=1.0, cells_per_axis=8,
+                    t_start=0.0, t_end=0.05, dt=0.005)
+    solve(spec, h, lambda x: np.sin(x[..., 0]))
+    assert len(calls) == 1
+
+
+def test_tabulated_coefficient_is_looked_up_every_step(monkeypatch):
+    table = TabulatedCoefficient(dimension=1, t_edges=(0.0, 0.02, 0.05),
+                                 half_width=1.0, cells_per_axis=2,
+                                 values=(1.0, 2.0, 3.0, 4.0))
+    h = HamiltonianSpec(kind="tabulated", p=1.5, table=table)
+    times = []
+    original = TabulatedCoefficient.lookup
+
+    def counted(self, t, x):
+        times.append(t)
+        return original(self, t, x)
+
+    monkeypatch.setattr(TabulatedCoefficient, "lookup", counted)
+    spec = GridSpec(dimension=1, half_width=1.0, cells_per_axis=8,
+                    t_start=0.0, t_end=0.05, dt=0.005)
+    solve(spec, h, lambda x: np.sin(x[..., 0]))
+    np.testing.assert_array_equal(times, spec.times()[:-1])

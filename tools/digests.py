@@ -1,9 +1,14 @@
-"""Print one digest line per reference run: name, exit code, report digest.
+"""Print two digest lines per reference run: the report and the trajectories.
 
-The digest is the first 16 hex digits of the sha256 of
+The report digest is the first 16 hex digits of the sha256 of
 ``json.dumps(report minus "timings", sort_keys=True)``, so two checkouts
 whose runs print the same lines wrote the same reports up to wall-clock
-numbers.  The runs:
+numbers.  The trajectory digest, on the ``traj`` line below it, is the
+first 16 hex digits of the sha256 over every ``solve`` the run made, in
+call order: the shape, values, ``cfl_margins`` and ``max_updates`` of each
+returned trajectory, and the exception name and ``step_index`` of each
+aborted one (zoom re-solves retry on aborts).  Reports and snapshots read
+only part of a trajectory; this line pins all of it.  The runs:
 
 - ``run`` of every bundled scenario;
 - ``run`` of ``rough-eta-sweep`` at ``--resolution 96``;
@@ -36,6 +41,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+import numpy as np  # noqa: E402
+
+import hjreg.solver  # noqa: E402
 from hjreg.cli import main as hjreg_main  # noqa: E402
 from hjreg.experiment import bundled_scenarios  # noqa: E402
 
@@ -48,6 +56,44 @@ def digest(report_path: Path) -> str:
     report.pop("timings", None)
     text = json.dumps(report, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TrajectoryDigest:
+    """Hashes every trajectory ``hjreg.solver.solve`` returns.
+
+    ``install`` rebinds ``solve`` in every loaded hjreg module that holds
+    it; ``reset`` starts a new digest.
+    """
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.hash = hashlib.sha256()
+        self.solves = 0
+
+    def install(self) -> None:
+        original = hjreg.solver.solve
+
+        def solve(*args, **kwargs):
+            self.solves += 1
+            try:
+                traj = original(*args, **kwargs)
+            except Exception as err:
+                step = getattr(err, "step_index", None)
+                self.hash.update(f"abort {type(err).__name__} {step}".encode())
+                raise
+            self.hash.update(repr(traj.field.values.shape).encode())
+            for arr in (traj.field.values, traj.cfl_margins, traj.max_updates):
+                self.hash.update(np.ascontiguousarray(arr).tobytes())
+            return traj
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hjreg") and getattr(mod, "solve", None) is original:
+                mod.solve = solve
+
+    def line(self) -> str:
+        return f"solves={self.solves}  {self.hash.hexdigest()[:16]}"
 
 
 def _scenario_config(name: str) -> dict:
@@ -114,11 +160,15 @@ def main(argv: list[str] | None = None) -> int:
     root = Path(args.out).resolve()
     os.environ.pop("HJREG_WORKERS", None)
     os.environ["HJREG_OUT_DIR"] = str(root / "ensemble")
+    trajectories = TrajectoryDigest()
+    trajectories.install()
     for name, hjreg_argv, report in _runs(root):
         report.unlink(missing_ok=True)
+        trajectories.reset()
         code = _call(hjreg_argv)
         value = digest(report) if report.exists() else "no-report"
         print(f"{name}  exit={code}  {value}", flush=True)
+        print(f"traj {name}  {trajectories.line()}", flush=True)
     return 0
 
 
