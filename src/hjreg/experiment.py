@@ -13,9 +13,12 @@ import json
 import math
 import os
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -30,12 +33,7 @@ from .degiorgi import (
     recurrence_fit,
 )
 from .grid import Cylinder, GridSpec, Window, field_from_values, save_snapshot
-from .hamiltonians import (
-    CoercivityEnvelope,
-    HamiltonianSpec,
-    TransformedHamiltonian,
-    coercivity_check,
-)
+from .hamiltonians import CoercivityEnvelope, HamiltonianSpec, coercivity_check
 from .initial_data import make_initial_function, validate_descriptor
 from .oscillation import (
     ChainConstructionError,
@@ -45,13 +43,10 @@ from .oscillation import (
     oscillation_below_check,
 )
 from .rescale import (
-    CascadeError,
-    base_point_window,
-    gauge_to_window,
+    _base_point_cascades,
     holder_estimate,
     records_to_csv,
     theorem_check,
-    zoom_cascade,
 )
 from .solver import SolveConfig, SolverError, hopf_lax, snap_dt, solve
 
@@ -78,6 +73,7 @@ CHECK_NAMES = ("lemma1", "lemma2", "osc_above", "osc_below", "cascade", "theorem
 _D_REFERENCE = 10.0
 
 _SWEEPABLE = {"eta": "eta", "coefficient": "coefficient", "lambda": "lam"}
+_TOLERANCES = ("delta", "conclusion", "residual")
 
 # Checks whose lattice windows are fixed by the statements they test.
 _WINDOWS = {
@@ -92,23 +88,6 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(
-            f"{where} must be a JSON object, got {type(section).__name__}"
-        )
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def _require(section: dict, key: str, where: str):
-    try:
-        return section[key]
-    except KeyError:
-        raise ConfigError(f"{where} needs {key!r}") from None
-
-
 @contextmanager
 def _section(where: str):
     """Report a value that fails to coerce or validate as a ``ConfigError``."""
@@ -116,8 +95,99 @@ def _section(where: str):
         yield
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as err:
         raise ConfigError(f"{where}: {err}") from None
+
+
+# Attributes written under another JSON key.
+_KEYS = {"lam": "lambda"}
+# Resolved field annotations per settings class.
+_hints = cache(typing.get_type_hints)
+
+
+def _coerce(value, hint, key: str, where: str):
+    """``value`` read as the annotation ``hint`` of the field at ``key``.
+
+    ``int`` must be integral, ``float`` finite, ``X | None`` also takes
+    ``null``, ``tuple[X, ...]`` a JSON array, ``dict`` a JSON object, and a
+    settings dataclass its own section; booleans are not numbers.
+    """
+    if typing.get_origin(hint) is types.UnionType:
+        if value is None:
+            return None
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return _from_json(hint, value, key if where == "config" else f"{where}.{key}")
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"{key} must be a JSON array, got {type(value).__name__}")
+        item = typing.get_args(hint)[0]
+        return tuple(
+            _coerce(v, item, f"{key}[{i}]", where) for i, v in enumerate(value)
+        )
+    if hint is dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"{key} must be a JSON object, got {type(value).__name__}")
+        return dict(value)
+    if hint is str:
+        if not isinstance(value, str):
+            raise TypeError(f"{key} must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    if hint is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
+def _from_json(cls, section, where: str, **given):
+    """Build the settings dataclass ``cls`` from its JSON ``section``.
+
+    Unknown keys are rejected by name, fields without a default are
+    required, and the rest fall back to the dataclass defaults; each value
+    is read by its annotation (see ``_coerce``).  ``given`` holds fields the
+    caller has built already: their keys are accepted but not read.  Every
+    failure is a ``ConfigError`` that names ``where``.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"{where} must be a JSON object, got {type(section).__name__}"
+        )
+    hints = _hints(cls)
+    by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    for key in section:
+        if key not in by_key:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    kwargs = dict(given)
+    with _section(where):
+        for key, f in by_key.items():
+            if f.name in given:
+                continue
+            if key in section:
+                kwargs[f.name] = _coerce(section[key], hints[f.name], key, where)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} needs {key!r}")
+        return cls(**kwargs)
+
+
+def _to_json(obj) -> dict:
+    """The JSON section of a settings dataclass: tuples become lists and
+    nested settings their own sections."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[_KEYS.get(f.name, f.name)] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,9 +196,9 @@ class InitialDataSpec:
     parameters: dict = field(default_factory=dict)
     seed: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "parameters": dict(self.parameters),
-                "seed": self.seed}
+    def __post_init__(self) -> None:
+        _at_least("initial_data", self, seed=0)
+        validate_descriptor(self.name, self.parameters)
 
 
 @dataclass(frozen=True)
@@ -147,8 +217,14 @@ class ChainSettings:
                 raise ConfigError(
                     f"fixed chain mode needs alpha > 0, got {self.alpha}"
                 )
-        elif not self.candidates or any(a <= 0.0 for a in self.candidates):
-            raise ConfigError("empirical chain mode needs positive candidates")
+        else:
+            if not self.candidates or any(a <= 0.0 for a in self.candidates):
+                raise ConfigError("empirical chain mode needs positive candidates")
+            # the search picks its own threshold
+            object.__setattr__(self, "alpha", None)
+        object.__setattr__(
+            self, "candidates", tuple(sorted(self.candidates, reverse=True))
+        )
 
     def to_json_dict(self) -> dict:
         out: dict = {"mode": self.mode}
@@ -159,20 +235,19 @@ class ChainSettings:
         return out
 
 
-def _check_zoom_settings(where: str, opts) -> None:
+def _at_least(where: str, opts, **lows) -> None:
+    """Reject any named field of ``opts`` below its lower bound."""
+    for name, low in lows.items():
+        value = getattr(opts, name)
+        if value < low:
+            raise ConfigError(f"{where} needs {name} >= {low}, got {value}")
+
+
+def _check_zoom_settings(where: str, opts, **lows) -> None:
     """Ranges shared by the cascade and theorem sections."""
     if opts.mode not in ("interpolate", "resolve"):
         raise ConfigError(f"unknown {where} mode {opts.mode!r}")
-    if opts.levels < 0:
-        raise ConfigError(f"{where} needs levels >= 0, got {opts.levels}")
-    if opts.working_cells < 4:
-        raise ConfigError(
-            f"{where} needs working_cells >= 4, got {opts.working_cells}"
-        )
-    if opts.working_slices < 1:
-        raise ConfigError(
-            f"{where} needs working_slices >= 1, got {opts.working_slices}"
-        )
+    _at_least(where, opts, levels=0, working_cells=4, working_slices=1, **lows)
 
 
 @dataclass(frozen=True)
@@ -187,16 +262,6 @@ class CascadeSettings:
     def __post_init__(self) -> None:
         _check_zoom_settings("cascade", self)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "mode": self.mode,
-            "base_time": self.base_time,
-            "base_point": None if self.base_point is None else list(self.base_point),
-            "working_cells": self.working_cells,
-            "working_slices": self.working_slices,
-        }
-
 
 @dataclass(frozen=True)
 class TheoremSettings:
@@ -208,21 +273,7 @@ class TheoremSettings:
     working_slices: int = 64
 
     def __post_init__(self) -> None:
-        _check_zoom_settings("theorem", self)
-        if self.points_per_axis < 1:
-            raise ConfigError(
-                f"theorem needs points_per_axis >= 1, got {self.points_per_axis}"
-            )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_time": self.delta_time,
-            "points_per_axis": self.points_per_axis,
-            "levels": self.levels,
-            "mode": self.mode,
-            "working_cells": self.working_cells,
-            "working_slices": self.working_slices,
-        }
+        _check_zoom_settings("theorem", self, points_per_axis=1)
 
 
 @dataclass(frozen=True)
@@ -233,14 +284,12 @@ class OracleSettings:
     window: float = 0.5
     time: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "refinements": self.refinements,
-            "max_error": self.max_error,
-            "min_order": self.min_order,
-            "window": self.window,
-            "time": self.time,
-        }
+    def __post_init__(self) -> None:
+        _at_least("oracle", self, refinements=1)
+        if not 0.0 < self.window <= 1.0:
+            raise ConfigError("oracle window must lie in (0, 1]")
+        if self.max_error <= 0.0:
+            raise ConfigError(f"oracle needs max_error > 0, got {self.max_error}")
 
 
 @dataclass(frozen=True)
@@ -248,16 +297,25 @@ class SweepSettings:
     parameter: str
     values: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"parameter": self.parameter, "values": list(self.values)}
+    def __post_init__(self) -> None:
+        if self.parameter not in _SWEEPABLE:
+            raise ConfigError(
+                f"cannot sweep {self.parameter!r}; "
+                f"sweepable: {', '.join(sorted(_SWEEPABLE))}"
+            )
+        if not self.values:
+            raise ConfigError("sweep needs at least one value")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated scenario.  ``envelope`` defaults to the Hamiltonian's
+    declared one."""
+
     scenario: str
     grid: GridSpec
     hamiltonian: HamiltonianSpec
-    envelope: CoercivityEnvelope
+    envelope: CoercivityEnvelope | None = None
     initial_data: InitialDataSpec = InitialDataSpec()
     chain: ChainSettings = ChainSettings()
     checks: tuple[str, ...] = ()
@@ -270,257 +328,75 @@ class ExperimentConfig:
     sweep: SweepSettings | None = None
     description: str = ""
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "description": self.description,
-            "grid": self.grid.to_json_dict(),
-            "hamiltonian": self.hamiltonian.to_config(),
-            "envelope": {"lambda": self.envelope.lam, "p": self.envelope.p},
-            "initial_data": self.initial_data.to_json_dict(),
-            "chain": self.chain.to_json_dict(),
-            "checks": list(self.checks),
-            "output_dir": self.output_dir,
-            "tolerances": dict(self.tolerances),
-            "solve": {
-                "cfl_safety": self.solve.cfl_safety,
-                "sigma_mode": self.solve.sigma_mode,
-                "sigma_bound": self.solve.sigma_bound,
-                "max_steps": self.solve.max_steps,
-            },
-            "cascade": self.cascade.to_json_dict(),
-            "theorem": self.theorem.to_json_dict(),
-        }
-        if self.oracle is not None:
-            out["oracle"] = self.oracle.to_json_dict()
-        if self.sweep is not None:
-            out["sweep"] = self.sweep.to_json_dict()
-        return out
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ExperimentConfig":
-        _reject_unknown(
-            data,
-            {
-                "scenario", "description", "grid", "hamiltonian", "envelope",
-                "initial_data", "chain", "checks", "output_dir", "tolerances",
-                "solve", "cascade", "theorem", "oracle", "sweep",
-            },
-            "config",
-        )
-        scenario = str(_require(data, "scenario", "config"))
+    def __post_init__(self) -> None:
         # The label names the run directory under the output root.
-        if scenario in ("", ".", "..") or Path(scenario).name != scenario:
-            raise ConfigError(
-                f"scenario {scenario!r} must be a single path component"
-            )
-
-        grid_cfg = _require(data, "grid", "config")
-        _reject_unknown(
-            grid_cfg,
-            {"dimension", "half_width", "cells_per_axis", "t_start", "t_end", "dt"},
-            "grid",
-        )
-        for key in ("dimension", "half_width", "cells_per_axis",
-                    "t_start", "t_end", "dt"):
-            _require(grid_cfg, key, "grid")
-        with _section("grid"):
-            grid = GridSpec.from_json_dict(grid_cfg)
-
-        ham_cfg = _require(data, "hamiltonian", "config")
-        _reject_unknown(
-            ham_cfg,
-            {"kind", "p", "coefficient", "offset", "lambda", "eta", "table"},
-            "hamiltonian",
-        )
-        _require(ham_cfg, "kind", "hamiltonian")
-        _require(ham_cfg, "p", "hamiltonian")
-        with _section("hamiltonian"):
-            hamiltonian = HamiltonianSpec.from_config(ham_cfg)
-
-        env_cfg = data.get("envelope")
-        if env_cfg is None:
-            envelope = hamiltonian.declared_envelope()
-        else:
-            _reject_unknown(env_cfg, {"lambda", "p"}, "envelope")
-            with _section("envelope"):
-                envelope = CoercivityEnvelope(
-                    lam=float(_require(env_cfg, "lambda", "envelope")),
-                    p=float(env_cfg.get("p", hamiltonian.p)),
-                )
-        if envelope.p != hamiltonian.p:
-            raise ConfigError(
-                f"envelope exponent {envelope.p} does not match the "
-                f"hamiltonian's {hamiltonian.p}"
-            )
-
-        init_cfg = data.get("initial_data", {})
-        _reject_unknown(init_cfg, {"name", "parameters", "seed"}, "initial_data")
-        with _section("initial_data"):
-            initial = InitialDataSpec(
-                name=str(init_cfg.get("name", "zero")),
-                parameters=dict(init_cfg.get("parameters", {})),
-                seed=int(init_cfg.get("seed", 0)),
-            )
-            validate_descriptor(initial.name, initial.parameters)
-
-        chain_cfg = data.get("chain", {})
-        _reject_unknown(chain_cfg, {"alpha", "mode", "candidates"}, "chain")
-        with _section("chain"):
-            chain_mode = str(chain_cfg.get("mode", "fixed"))
-            if chain_cfg.get("alpha") is not None:
-                chain_alpha = float(chain_cfg["alpha"])
-            else:
-                chain_alpha = 1.0 if chain_mode == "fixed" else None
-            chain = ChainSettings(
-                alpha=chain_alpha,
-                mode=chain_mode,
-                candidates=tuple(
-                    sorted((float(a) for a in chain_cfg.get(
-                        "candidates", ChainSettings().candidates)), reverse=True)
-                ),
-            )
-
-        checks_raw = data.get("checks", [])
-        for name in checks_raw:
+        label = self.scenario
+        if label in ("", ".", "..") or Path(label).name != label:
+            raise ConfigError(f"scenario {label!r} must be a single path component")
+        for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ConfigError(
                     f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}"
                 )
-        checks = tuple(checks_raw)
-
-        tol_cfg = data.get("tolerances", {})
-        _reject_unknown(tol_cfg, {"delta", "conclusion", "residual"}, "tolerances")
+        tolerances = {}
         with _section("tolerances"):
-            tolerances = {k: float(v) for k, v in tol_cfg.items()}
-            for key, value in tolerances.items():
-                if not (math.isfinite(value) and value >= 0.0):
-                    raise ValueError(f"{key} must be finite and >= 0, got {value}")
-
-        solve_cfg_raw = data.get("solve", {})
-        _reject_unknown(
-            solve_cfg_raw,
-            {"cfl_safety", "sigma_mode", "sigma_bound", "max_steps"},
-            "solve",
-        )
-        with _section("solve"):
-            solve_cfg = SolveConfig(
-                cfl_safety=float(solve_cfg_raw.get("cfl_safety", 0.5)),
-                sigma_mode=str(solve_cfg_raw.get("sigma_mode", "adaptive")),
-                sigma_bound=(None if solve_cfg_raw.get("sigma_bound") is None
-                             else float(solve_cfg_raw["sigma_bound"])),
-                max_steps=(None if solve_cfg_raw.get("max_steps") is None
-                           else int(solve_cfg_raw["max_steps"])),
+            for key, value in self.tolerances.items():
+                if key not in _TOLERANCES:
+                    raise ConfigError(f"unknown key {key!r} in tolerances")
+                tolerances[key] = _coerce(value, float, key, "tolerances")
+                if tolerances[key] < 0.0:
+                    raise ValueError(f"{key} must be >= 0, got {value}")
+        object.__setattr__(self, "tolerances", tolerances)
+        if self.envelope is None:
+            object.__setattr__(
+                self, "envelope", self.hamiltonian.declared_envelope()
             )
 
-        casc_cfg = data.get("cascade", {})
-        _reject_unknown(
-            casc_cfg,
-            {"levels", "mode", "base_time", "base_point",
-             "working_cells", "working_slices"},
-            "cascade",
-        )
-        with _section("cascade"):
-            cascade = CascadeSettings(
-                levels=int(casc_cfg.get("levels", 4)),
-                mode=str(casc_cfg.get("mode", "interpolate")),
-                base_time=(None if casc_cfg.get("base_time") is None
-                           else float(casc_cfg["base_time"])),
-                base_point=(None if casc_cfg.get("base_point") is None
-                            else tuple(float(c) for c in casc_cfg["base_point"])),
-                working_cells=int(casc_cfg.get("working_cells", 40)),
-                working_slices=int(casc_cfg.get("working_slices", 64)),
-            )
+    def to_json_dict(self) -> dict:
+        out = _to_json(self)
+        # these two write only the keys their kind or mode reads
+        out.update(hamiltonian=self.hamiltonian.to_config(),
+                   chain=self.chain.to_json_dict())
+        for key in ("oracle", "sweep"):
+            if out[key] is None:
+                del out[key]
+        return out
 
-        thm_cfg = data.get("theorem", {})
-        _reject_unknown(
-            thm_cfg,
-            {"delta_time", "points_per_axis", "levels", "mode",
-             "working_cells", "working_slices"},
-            "theorem",
-        )
-        with _section("theorem"):
-            theorem = TheoremSettings(
-                delta_time=(None if thm_cfg.get("delta_time") is None
-                            else float(thm_cfg["delta_time"])),
-                points_per_axis=int(thm_cfg.get("points_per_axis", 3)),
-                levels=int(thm_cfg.get("levels", 4)),
-                mode=str(thm_cfg.get("mode", "interpolate")),
-                working_cells=int(thm_cfg.get("working_cells", 40)),
-                working_slices=int(thm_cfg.get("working_slices", 64)),
-            )
-
-        oracle = None
-        if "oracle" in data:
-            o_cfg = data["oracle"]
-            _reject_unknown(
-                o_cfg,
-                {"refinements", "max_error", "min_order", "window", "time"},
-                "oracle",
-            )
-            with _section("oracle"):
-                oracle = OracleSettings(
-                    refinements=int(o_cfg.get("refinements", 1)),
-                    max_error=float(o_cfg.get("max_error", 0.02)),
-                    min_order=float(o_cfg.get("min_order", 0.4)),
-                    window=float(o_cfg.get("window", 0.5)),
-                    time=(None if o_cfg.get("time") is None
-                          else float(o_cfg["time"])),
-                )
-            if oracle.refinements < 1:
-                raise ConfigError("oracle needs refinements >= 1")
-            if not 0.0 < oracle.window <= 1.0:
-                raise ConfigError("oracle window must lie in (0, 1]")
-            if hamiltonian.kind != "power-law":
-                raise ConfigError(
-                    "the inf-convolution oracle is exact only for the plain "
-                    f"power law, not {hamiltonian.kind!r}"
-                )
-
-        sweep = None
-        if "sweep" in data:
-            s_cfg = data["sweep"]
-            _reject_unknown(s_cfg, {"parameter", "values"}, "sweep")
-            with _section("sweep"):
-                sweep = SweepSettings(
-                    parameter=str(_require(s_cfg, "parameter", "sweep")),
-                    values=tuple(
-                        float(v) for v in _require(s_cfg, "values", "sweep")
-                    ),
-                )
-            if sweep.parameter not in _SWEEPABLE:
-                raise ConfigError(
-                    f"cannot sweep {sweep.parameter!r}; "
-                    f"sweepable: {', '.join(sorted(_SWEEPABLE))}"
-                )
-            if not sweep.values:
-                raise ConfigError("sweep needs at least one value")
-
-        cfg = ExperimentConfig(
-            scenario=scenario,
-            grid=grid,
-            hamiltonian=hamiltonian,
-            envelope=envelope,
-            initial_data=initial,
-            chain=chain,
-            checks=checks,
-            output_dir=(None if data.get("output_dir") is None
-                        else str(data["output_dir"])),
-            tolerances=tolerances,
-            solve=solve_cfg,
-            cascade=cascade,
-            theorem=theorem,
-            oracle=oracle,
-            sweep=sweep,
-            description=str(data.get("description", "")),
-        )
+    @staticmethod
+    def from_json_dict(data: dict) -> "ExperimentConfig":
+        """Read and gate a config; the envelope's ``p`` defaults to the
+        Hamiltonian's."""
+        cfg = _from_json(ExperimentConfig, data, "config", envelope=None)
+        section = data.get("envelope")
+        if section is not None:
+            if isinstance(section, dict):
+                section = {"p": cfg.hamiltonian.p, **section}
+            envelope = _from_json(CoercivityEnvelope, section, "envelope")
+            cfg = replace(cfg, envelope=envelope)
         _check_gates(cfg)
         return cfg
+
+
+def _sweep_variants(cfg: ExperimentConfig) -> list[tuple[str, HamiltonianSpec]]:
+    """``(label, hamiltonian)`` per solve: one per sweep value, or the
+    config's own Hamiltonian with an empty label."""
+    if cfg.sweep is None:
+        return [("", cfg.hamiltonian)]
+    attr = _SWEEPABLE[cfg.sweep.parameter]
+    return [
+        (f"[{cfg.sweep.parameter}={v:g}]", replace(cfg.hamiltonian, **{attr: v}))
+        for v in cfg.sweep.values
+    ]
 
 
 def _check_gates(cfg: ExperimentConfig) -> None:
     """Cross-section rules that make a config runnable, not just well-formed."""
     grid = cfg.grid
+    if cfg.envelope.p != cfg.hamiltonian.p:
+        raise ConfigError(
+            f"envelope exponent {cfg.envelope.p} does not match the "
+            f"hamiltonian's {cfg.hamiltonian.p}"
+        )
     if cfg.checks and cfg.envelope.p >= grid.dimension:
         raise ConfigError(
             f"the truncation machinery needs p < N; got p={cfg.envelope.p}, "
@@ -537,18 +413,17 @@ def _check_gates(cfg: ExperimentConfig) -> None:
             )
         except ValueError as err:
             raise ConfigError(f"check {name!r}: {err}") from None
-    if "theorem" in cfg.checks and cfg.theorem.delta_time is not None:
-        if not grid.t_start < cfg.theorem.delta_time <= grid.t_end:
-            raise ConfigError(
-                f"theorem delta_time {cfg.theorem.delta_time} outside "
-                f"({grid.t_start}, {grid.t_end}]"
-            )
+    times = {
+        "theorem delta_time":
+            cfg.theorem.delta_time if "theorem" in cfg.checks else None,
+        "cascade base_time":
+            cfg.cascade.base_time if "cascade" in cfg.checks else None,
+        "oracle time": None if cfg.oracle is None else cfg.oracle.time,
+    }
+    for name, t in times.items():
+        if t is not None and not grid.t_start < t <= grid.t_end:
+            raise ConfigError(f"{name} {t} outside ({grid.t_start}, {grid.t_end}]")
     if "cascade" in cfg.checks:
-        t0 = cfg.cascade.base_time
-        if t0 is not None and not grid.t_start < t0 <= grid.t_end:
-            raise ConfigError(
-                f"cascade base_time {t0} outside ({grid.t_start}, {grid.t_end}]"
-            )
         x0 = cfg.cascade.base_point
         if x0 is not None:
             if len(x0) != grid.dimension:
@@ -559,11 +434,19 @@ def _check_gates(cfg: ExperimentConfig) -> None:
                 raise ConfigError(
                     "cascade base_point sits within two cells of the boundary"
                 )
-    if cfg.sweep is not None and cfg.sweep.parameter == "eta":
-        if cfg.hamiltonian.kind != "rough-coefficient":
+    if cfg.oracle is not None:
+        if cfg.hamiltonian.kind != "power-law":
+            raise ConfigError(
+                "the inf-convolution oracle is exact only for the plain "
+                f"power law, not {cfg.hamiltonian.kind!r}"
+            )
+    if cfg.sweep is not None:
+        if cfg.sweep.parameter == "eta" and cfg.hamiltonian.kind != "rough-coefficient":
             raise ConfigError(
                 "sweeping 'eta' needs a rough-coefficient hamiltonian"
             )
+        with _section("sweep"):
+            _sweep_variants(cfg)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -709,12 +592,7 @@ class EnsembleReport:
             out["timings"] = dict(self.timings)
         return _json_safe(out)
 
-    def stable_bytes(self) -> bytes:
-        return json.dumps(
-            self.to_json_dict(include_timings=False),
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
+    stable_bytes = RunReport.stable_bytes
 
 
 def _default_delta(cfg: ExperimentConfig) -> float:
@@ -796,34 +674,13 @@ def _check_cascade(
 ) -> tuple[str, dict]:
     opts = cfg.cascade
     spec = traj.spec
-    u, gauged, gamma = gauge_to_window(traj.field, cfg.envelope)
-    h_eff = None
-    if opts.mode == "resolve":
-        h_eff = (
-            TransformedHamiltonian(base=hamiltonian, const=-cfg.envelope.lam)
-            if gauged
-            else hamiltonian
-        )
-    working = GridSpec(
-        dimension=spec.dimension,
-        half_width=1.25,
-        cells_per_axis=opts.working_cells,
-        t_start=-4.0,
-        t_end=0.0,
-        dt=4.0 / opts.working_slices,
-    )
     t0 = spec.t_end if opts.base_time is None else opts.base_time
     x0 = opts.base_point or (0.0,) * spec.dimension
-    w, h_w, tau, rho = base_point_window(u, chain, t0, x0, gamma, working, h_eff)
-    aborted = None
-    try:
-        records = zoom_cascade(
-            w, chain, opts.levels, mode=opts.mode,
-            hamiltonian=h_w, solve_config=cfg.solve,
-        )
-    except CascadeError as err:
-        records = err.records
-        aborted = str(err)
+    gauged, gamma, [(tau, rho, records, aborted)] = _base_point_cascades(
+        traj.field, chain, cfg.envelope, [(t0, x0)], opts.levels, opts.mode,
+        hamiltonian if opts.mode == "resolve" else None,
+        opts.working_cells, opts.working_slices, cfg.solve,
+    )
     estimate = holder_estimate(records, chain)
     payload = {
         "base_time": t0,
@@ -1058,17 +915,7 @@ def _execute(
         error_info = {"stage": "initial_data", "message": str(err)}
         return finish("error")
 
-    if cfg.sweep is not None:
-        attr = _SWEEPABLE[cfg.sweep.parameter]
-        variants = [
-            (f"[{cfg.sweep.parameter}={v:g}]",
-             replace(cfg.hamiltonian, **{attr: v}))
-            for v in cfg.sweep.values
-        ]
-    else:
-        variants = [("", cfg.hamiltonian)]
-
-    for label, hamiltonian in variants:
+    for label, hamiltonian in _sweep_variants(cfg):
         if cfg.sweep is not None:
             t0 = time.perf_counter()
             status, payload = _coercivity_outcome(cfg, hamiltonian)
@@ -1111,6 +958,8 @@ def _execute(
 
         if cfg.sweep is None and run_dir is not None:
             _write_snapshots(traj, run_dir, artifacts)
+        # free this variant's trajectory before the next one solves
+        del traj
 
     if cfg.oracle is not None:
         t0 = time.perf_counter()
@@ -1145,7 +994,8 @@ def _with_overrides(
     cfg: ExperimentConfig, seed: int | None, resolution: int | None
 ) -> ExperimentConfig:
     if seed is not None:
-        cfg = replace(cfg, initial_data=replace(cfg.initial_data, seed=int(seed)))
+        with _section(f"seed {seed}"):
+            cfg = replace(cfg, initial_data=replace(cfg.initial_data, seed=int(seed)))
     if resolution is not None:
         with _section(f"resolution {resolution}"):
             cells = int(resolution)
@@ -1228,6 +1078,8 @@ def ensemble(
     """
     if count < 1:
         raise ConfigError(f"ensemble needs count >= 1, got {count}")
+    if seed < 0:
+        raise ConfigError(f"ensemble needs seed >= 0, got {seed}")
     if workers is None:
         workers = int(os.environ.get("HJREG_WORKERS", "1"))
     begin = time.perf_counter()

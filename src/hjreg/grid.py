@@ -86,6 +86,8 @@ class GridSpec:
         t_end: last slice time (> t_start).
         dt: time step; must divide ``t_end - t_start`` to within a 1e-6
             relative tolerance.
+
+    The lattice must hold fewer than ``2**60`` values in all.
     """
 
     dimension: int
@@ -116,6 +118,12 @@ class GridSpec:
             raise ValueError(
                 f"dt={self.dt} does not divide the time span {span} "
                 f"(fractional step count {steps})"
+            )
+        # numpy indexes bytes with int64, so 2**60 float64 values cannot exist
+        if math.log2(self.n_slices) + self.dimension * math.log2(self.cells_per_axis) >= 60:
+            raise ValueError(
+                f"{self.n_slices} slices of {self.cells_per_axis}^{self.dimension} "
+                "cells are too many values to allocate"
             )
 
     @property

@@ -229,27 +229,6 @@ class HamiltonianSpec:
             }
         return out
 
-    @classmethod
-    def from_config(cls, data: dict) -> "HamiltonianSpec":
-        kind = data["kind"]
-        kwargs: dict = {"kind": kind, "p": float(data["p"])}
-        if kind == "scaled-power-law":
-            kwargs["coefficient"] = float(data.get("coefficient", 1.0))
-            kwargs["offset"] = float(data.get("offset", 0.0))
-        if kind == "rough-coefficient":
-            kwargs["lam"] = float(data["lambda"])
-            kwargs["eta"] = float(data["eta"])
-        if kind == "tabulated":
-            tab = data["table"]
-            kwargs["table"] = TabulatedCoefficient(
-                dimension=int(tab["dimension"]),
-                t_edges=tuple(float(v) for v in tab["t_edges"]),
-                half_width=float(tab["half_width"]),
-                cells_per_axis=int(tab["cells_per_axis"]),
-                values=tuple(float(v) for v in tab["values"]),
-            )
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
 class TransformedHamiltonian:

@@ -195,11 +195,6 @@ def resample(
         if space_shift is None
         else np.asarray(space_shift, dtype=float)
     )
-    centers = spec.axis_centers()
-    src_axes = [spec.times()] + [centers] * spec.dimension
-    interp = RegularGridInterpolator(
-        tuple(src_axes), f.values, method="linear", bounds_error=False
-    )
     t_out = out_spec.times()
     n_cells = int(np.prod(out_spec.spatial_shape))
     x_query = shift + space_scale * out_spec.centers().reshape(n_cells, -1)
@@ -208,11 +203,26 @@ def resample(
         block = slice(i * n_cells, (i + 1) * n_cells)
         queries[block, 0] = time_shift + time_scale * t
         queries[block, 1:] = x_query
-    lo = np.array([spec.times()[0]] + [centers[0]] * spec.dimension)
-    hi = np.array([spec.times()[-1]] + [centers[-1]] * spec.dimension)
-    np.clip(queries, lo, hi, out=queries)
-    sampled = interp(queries).reshape(out_spec.n_slices, *out_spec.spatial_shape)
+    sampled = _clamped_sample(f, queries).reshape(
+        out_spec.n_slices, *out_spec.spatial_shape
+    )
     return field_from_values(out_spec, value_scale * sampled + value_shift)
+
+
+def _clamped_sample(f: ScalarField, queries: np.ndarray) -> np.ndarray:
+    """Multilinear values of ``f`` at the ``(t, *x)`` rows of ``queries``,
+    which are first clamped in place to the cell-center hull."""
+    spec = f.spec
+    times = spec.times()
+    centers = spec.axis_centers()
+    interp = RegularGridInterpolator(
+        (times,) + (centers,) * spec.dimension, f.values, method="linear",
+        bounds_error=False,
+    )
+    lo = np.array([times[0]] + [centers[0]] * spec.dimension)
+    hi = np.array([times[-1]] + [centers[-1]] * spec.dimension)
+    np.clip(queries, lo, hi, out=queries)
+    return interp(queries)
 
 
 def _window_extrema(f: ScalarField, cyl: Cylinder) -> tuple[float, float]:
@@ -280,6 +290,19 @@ def _check_envelope(f: ScalarField, chain: ConstantChain, tolerance: float) -> N
         )
 
 
+def _zoom_constants(
+    f: ScalarField, chain: ConstantChain, tolerance: float | None
+) -> tuple[float, float, float, float]:
+    """Check ``f`` against its growth envelope and return the zoom's
+    tolerance, time and space ratios and value scale."""
+    tol = max(
+        one_cell_oscillation(f) if tolerance is None else tolerance, _TOL_FLOOR
+    )
+    _check_envelope(f, chain, tol)
+    a = chain.zoom_ratio**chain.zoom_time_exponent
+    return tol, a, chain.zoom_ratio, 4.0 / (4.0 - chain.shrink_below)
+
+
 def zoom_step(
     f: ScalarField,
     d: float,
@@ -296,13 +319,7 @@ def zoom_step(
     Both checks raise ``EnvelopeViolation`` with a witness cell.
     """
     spec = f.spec
-    tol = max(
-        one_cell_oscillation(f) if tolerance is None else tolerance, _TOL_FLOOR
-    )
-    _check_envelope(f, chain, tol)
-    a = chain.zoom_ratio**chain.zoom_time_exponent
-    b = chain.zoom_ratio
-    scale = 4.0 / (4.0 - chain.shrink_below)
+    tol, a, b, scale = _zoom_constants(f, chain, tolerance)
     out = resample(
         f,
         spec,
@@ -356,13 +373,7 @@ def _zoom_resolve(
     factor-4 margin and halved on any solver abort.
     """
     spec = f.spec
-    tol = max(
-        one_cell_oscillation(f) if tolerance is None else tolerance, _TOL_FLOOR
-    )
-    _check_envelope(f, chain, tol)
-    a = chain.zoom_ratio**chain.zoom_time_exponent
-    b = chain.zoom_ratio
-    scale = 4.0 / (4.0 - chain.shrink_below)
+    tol, a, b, scale = _zoom_constants(f, chain, tolerance)
     transformed = TransformedHamiltonian(
         base=hamiltonian,
         out_scale=scale * a,
@@ -370,19 +381,11 @@ def _zoom_resolve(
         x_scale=b,
         grad_scale=1.0 / (scale * b),
     )
-    centers = spec.axis_centers()
-    src_axes = [spec.times()] + [centers] * spec.dimension
-    interp = RegularGridInterpolator(
-        tuple(src_axes), f.values, method="linear", bounds_error=False
-    )
     x_out = spec.centers().reshape(-1, spec.dimension)
     queries = np.empty((x_out.shape[0], 1 + spec.dimension))
     queries[:, 0] = -4.0 * a
     queries[:, 1:] = b * x_out
-    lo = np.array([spec.times()[0]] + [centers[0]] * spec.dimension)
-    hi = np.array([spec.times()[-1]] + [centers[-1]] * spec.dimension)
-    np.clip(queries, lo, hi, out=queries)
-    init = scale * (interp(queries).reshape(spec.spatial_shape) - d)
+    init = scale * (_clamped_sample(f, queries).reshape(spec.spatial_shape) - d)
 
     h = spec.cell_width
     steepness = 0.0
@@ -620,6 +623,66 @@ def base_point_window(
     return w, h_w, tau, rho
 
 
+def _base_point_cascades(
+    field: ScalarField,
+    chain: ConstantChain,
+    env: CoercivityEnvelope,
+    points,
+    levels: int,
+    mode: str,
+    hamiltonian,
+    working_cells: int,
+    working_slices: int,
+    solve_config: SolveConfig | None,
+) -> tuple[bool, float, list[tuple]]:
+    """Gauge ``field`` once, then window and cascade it at each ``(t0, x0)``.
+
+    The chain must be built for the field's dimension at twice the
+    envelope constant.  ``hamiltonian``, when given, is the one ``field``
+    solves; the gauge constant is added to it.  Each window lives on the
+    working grid ``[-4, 0] x box(1.25)``.  Returns ``(gauged, gamma, runs)``
+    with one ``(tau, rho, records, aborted)`` per point, where ``aborted``
+    is the message of a cascade that stopped early (its completed records
+    are kept), else ``None``.
+    """
+    spec = field.spec
+    if chain.dimension != spec.dimension:
+        raise ValueError(
+            f"chain is for dimension {chain.dimension}, field has {spec.dimension}"
+        )
+    if abs(chain.lam - 2.0 * env.lam) > 1e-9 * chain.lam:
+        raise ValueError(
+            f"chain was built at lam={chain.lam}; the gauge bookkeeping needs "
+            f"exactly twice the envelope constant {env.lam}"
+        )
+    u, gauged, gamma = gauge_to_window(field, env)
+    if hamiltonian is not None and gauged:
+        hamiltonian = TransformedHamiltonian(base=hamiltonian, const=-env.lam)
+    working = GridSpec(
+        dimension=spec.dimension,
+        half_width=1.25,
+        cells_per_axis=working_cells,
+        t_start=-4.0,
+        t_end=0.0,
+        dt=4.0 / working_slices,
+    )
+    runs = []
+    for t0, x0 in points:
+        w, h_w, tau, rho = base_point_window(
+            u, chain, t0, x0, gamma, working, hamiltonian
+        )
+        try:
+            records = zoom_cascade(
+                w, chain, levels, mode=mode, hamiltonian=h_w,
+                solve_config=solve_config,
+            )
+            aborted = None
+        except CascadeError as err:
+            records, aborted = err.records, str(err)
+        runs.append((tau, rho, records, aborted))
+    return gauged, gamma, runs
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """Holder behavior of a trajectory across a lattice of base points.
@@ -683,15 +746,6 @@ def theorem_check(
     if isinstance(field, Trajectory):
         field = field.field
     spec = field.spec
-    if chain.dimension != spec.dimension:
-        raise ValueError(
-            f"chain is for dimension {chain.dimension}, field has {spec.dimension}"
-        )
-    if abs(chain.lam - 2.0 * env.lam) > 1e-9 * chain.lam:
-        raise ValueError(
-            f"chain was built at lam={chain.lam}; the gauge bookkeeping needs "
-            f"exactly twice the envelope constant {env.lam}"
-        )
     if not spec.t_start < delta_time <= spec.t_end:
         raise ValueError(
             f"delta_time {delta_time} outside the field's time window "
@@ -700,76 +754,45 @@ def theorem_check(
     if points_per_axis < 1:
         raise ValueError("need at least one base point per axis")
 
-    u, gauged, gamma = gauge_to_window(field, env)
-    h_eff = None
-    if hamiltonian is not None:
-        h_eff = (
-            TransformedHamiltonian(base=hamiltonian, const=-env.lam)
-            if gauged
-            else hamiltonian
-        )
-    working = GridSpec(
-        dimension=spec.dimension,
-        half_width=1.25,
-        cells_per_axis=working_cells,
-        t_start=-4.0,
-        t_end=0.0,
-        dt=4.0 / working_slices,
-    )
-
     t_points = np.linspace(delta_time, spec.t_end, points_per_axis)
     axis_pts = np.linspace(
         -0.5 * spec.half_width, 0.5 * spec.half_width, points_per_axis
     )
     grids = np.meshgrid(*([axis_pts] * spec.dimension), indexing="ij")
     x_points = np.stack([g.ravel() for g in grids], axis=-1)
+    points = [(float(t0), x0) for t0 in t_points for x0 in x_points]
+    gauged, gamma, runs = _base_point_cascades(
+        field, chain, env, points, levels, mode, hamiltonian,
+        working_cells, working_slices, solve_config,
+    )
 
     entries: list[dict] = []
     all_pairs: list[tuple[float, float]] = []
-    estimates: list[HolderEstimate] = []
-    n_degenerate = 0
+    finite: list[float] = []
     n_unsatisfied = 0
-    for t0 in t_points:
-        for x0 in x_points:
-            w, h_point, tau, rho = base_point_window(
-                u, chain, float(t0), x0, gamma, working, h_eff
+    for (t0, x0), (tau, rho, records, _) in zip(points, runs):
+        est = holder_estimate(records, chain)
+        if not est.degenerate:
+            finite.append(est.alpha_est)
+            all_pairs.extend(
+                (r.window.radius, r.osc_measured)
+                for r in records
+                if r.osc_measured > max(r.tolerance, _TOL_FLOOR)
             )
-            try:
-                records = zoom_cascade(
-                    w,
-                    chain,
-                    levels,
-                    mode=mode,
-                    hamiltonian=h_point,
-                    solve_config=solve_config,
-                )
-            except CascadeError as err:
-                records = err.records
-            est = holder_estimate(records, chain)
-            estimates.append(est)
-            if est.degenerate:
-                n_degenerate += 1
-            else:
-                all_pairs.extend(
-                    (r.window.radius, r.osc_measured)
-                    for r in records
-                    if r.osc_measured > max(r.tolerance, _TOL_FLOOR)
-                )
-            n_bad = sum(1 for r in records if not r.satisfied)
-            n_unsatisfied += n_bad
-            entries.append(
-                {
-                    "t0": float(t0),
-                    "x0": [float(c) for c in x0],
-                    "gamma": gamma,
-                    "tau": tau,
-                    "rho": rho,
-                    "n_records": len(records),
-                    "n_unsatisfied": n_bad,
-                    **est.to_json_dict(),
-                }
-            )
-    finite = [e.alpha_est for e in estimates if not e.degenerate]
+        n_bad = sum(1 for r in records if not r.satisfied)
+        n_unsatisfied += n_bad
+        entries.append(
+            {
+                "t0": t0,
+                "x0": [float(c) for c in x0],
+                "gamma": gamma,
+                "tau": tau,
+                "rho": rho,
+                "n_records": len(records),
+                "n_unsatisfied": n_bad,
+                **est.to_json_dict(),
+            }
+        )
     alpha_min = min(finite) if finite else math.inf
     if finite and all_pairs:
         max_quotient = max(osc / radius**alpha_min for radius, osc in all_pairs)
@@ -782,6 +805,6 @@ def theorem_check(
         entries=tuple(entries),
         alpha_min=alpha_min,
         max_quotient=max_quotient,
-        n_degenerate=n_degenerate,
+        n_degenerate=len(entries) - len(finite),
         n_unsatisfied=n_unsatisfied,
     )

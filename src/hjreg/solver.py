@@ -69,9 +69,9 @@ class SolveConfig:
             ``sigma_bound`` unconditionally, which keeps the numerical
             Hamiltonian identical across runs (needed for pairwise
             comparison experiments).
-        sigma_bound: a-priori bound on ``|dH/dP|``; required in fixed mode,
-            used only for planning in adaptive mode.
-        max_steps: optional hard cap on the number of steps.
+        sigma_bound: a-priori bound on ``|dH/dP|``, positive; required in
+            fixed mode and not read in adaptive mode.
+        max_steps: optional hard cap (>= 1) on the number of steps.
     """
 
     cfl_safety: float = 0.5
@@ -84,8 +84,12 @@ class SolveConfig:
             raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
         if self.sigma_mode not in ("adaptive", "fixed"):
             raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if self.sigma_mode == "fixed" and not self.sigma_bound:
+        if self.sigma_mode == "fixed" and self.sigma_bound is None:
             raise ValueError("fixed sigma_mode requires sigma_bound")
+        if self.sigma_bound is not None and not self.sigma_bound > 0.0:
+            raise ValueError(f"sigma_bound must be positive, got {self.sigma_bound}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjreg.cli import main
 from hjreg.experiment import (
@@ -21,17 +23,21 @@ from hjreg.experiment import (
 )
 
 
+GRID = {
+    "dimension": 2,
+    "half_width": 1.25,
+    "cells_per_axis": 8,
+    "t_start": 0.0,
+    "t_end": 0.5,
+    "dt": 0.125,
+}
+ROUGH = {"kind": "rough-coefficient", "p": 1.5, "lambda": 2.0, "eta": 0.25}
+
+
 def minimal_dict(**overrides):
     data = {
         "scenario": "unit-test",
-        "grid": {
-            "dimension": 2,
-            "half_width": 1.25,
-            "cells_per_axis": 8,
-            "t_start": 0.0,
-            "t_end": 0.5,
-            "dt": 0.125,
-        },
+        "grid": dict(GRID),
         "hamiltonian": {"kind": "power-law", "p": 1.5},
     }
     data.update(overrides)
@@ -84,7 +90,47 @@ class TestConfigParsing:
         )
         cfg = ExperimentConfig.from_json_dict(data)
         again = ExperimentConfig.from_json_dict(cfg.to_json_dict())
+        assert again == cfg
         assert again.to_json_dict() == cfg.to_json_dict()
+
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    def test_bundled_scenario_round_trip(self, name):
+        cfg = parse_config(scenario_path(name))
+        assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    def test_values_are_read_by_their_annotations(self):
+        cfg = ExperimentConfig.from_json_dict(minimal_dict(
+            grid={**GRID, "half_width": 2, "cells_per_axis": 8.0},
+            cascade={"base_point": [0, 1]},
+            tolerances={"delta": 1},
+        ))
+        assert cfg.grid.half_width == 2.0 and type(cfg.grid.half_width) is float
+        assert type(cfg.grid.cells_per_axis) is int
+        assert cfg.cascade.base_point == (0.0, 1.0)
+        assert type(cfg.tolerances["delta"]) is float
+
+    @pytest.mark.parametrize(
+        "section, match",
+        [
+            ({"grid": {**GRID, "cells_per_axis": True}}, "cells_per_axis"),
+            ({"grid": {**GRID, "t_end": float("inf")}}, "t_end must be finite"),
+            ({"grid": {k: v for k, v in GRID.items() if k != "dt"}}, "needs 'dt'"),
+            ({"hamiltonian": {**ROUGH, "table": {"dimension": 1}}},
+             "hamiltonian.table needs"),
+            ({"scenario": 5}, "scenario must be a string"),
+            ({"checks": ["lemma1", 2]}, r"checks\[1\]"),
+            ({"sweep": {"parameter": "eta", "values": ["x"]}}, r"values\[0\]"),
+        ],
+    )
+    def test_coercion_faults_name_the_key(self, section, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_json_dict(minimal_dict(**section))
+
+    def test_empirical_chain_drops_alpha(self):
+        cfg = ExperimentConfig.from_json_dict(
+            minimal_dict(chain={"mode": "empirical", "alpha": 2.0})
+        )
+        assert cfg.chain.alpha is None
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="'foo'"):
@@ -216,6 +262,49 @@ class TestConfigParsing:
 
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.integers(), st.floats(), st.sampled_from(["nan", "inf", "-inf"]),
+        st.text(max_size=8), st.none(), st.booleans(),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def key_paths(node, prefix=()):
+    """Every dict key and list index of a JSON tree, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from key_paths(value, prefix + (key,))
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("name", bundled_scenarios())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_replaced_value_parses_or_is_a_config_error(self, name, data):
+        config = json.loads(scenario_path(name).read_text())
+        path = data.draw(st.sampled_from(sorted(key_paths(config), key=repr)))
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            ExperimentConfig.from_json_dict(config)
+        except ConfigError:
+            pass
 
 
 class TestConfigFiles:
@@ -393,6 +482,33 @@ def tiny_ensemble_config():
     return ExperimentConfig.from_json_dict(tiny_ensemble_dict())
 
 
+    @pytest.mark.parametrize("mode", ["interpolate", "resolve"])
+    def test_cascade_check_matches_the_theorem_entry_at_its_point(
+        self, tmp_path, mode
+    ):
+        zoom = {"levels": 3, "mode": mode, "working_cells": 24,
+                "working_slices": 32}
+        data = checked_dict(
+            initial_data={"name": "random-trig",
+                          "parameters": {"amplitude": 0.5}, "seed": 5},
+            checks=["cascade", "theorem"],
+            cascade={**zoom, "base_time": 1.0, "base_point": [-0.625, -0.625]},
+            theorem={**zoom, "delta_time": 1.0, "points_per_axis": 1},
+        )
+        report = run(ExperimentConfig.from_json_dict(data), out_dir=tmp_path)
+        cascade, theorem = report.checks
+        (entry,) = theorem["entries"]
+        assert entry["t0"] == cascade["base_time"]
+        assert entry["x0"] == cascade["base_point"]
+        for key in ("gamma", "tau", "rho"):
+            assert entry[key] == cascade[key]
+        records = cascade["records"]
+        assert entry["n_records"] == len(records) == 4
+        assert entry["n_unsatisfied"] == sum(not r["satisfied"] for r in records)
+        assert not cascade["estimate"]["degenerate"]
+        assert {k: entry[k] for k in cascade["estimate"]} == cascade["estimate"]
+
+
 class TestEnsemble:
     def test_members_run_in_seed_order(self, tmp_path, tiny_ensemble_config):
         report = ensemble(tiny_ensemble_config, 3, 9, out_dir=tmp_path)
@@ -428,6 +544,10 @@ class TestEnsemble:
     def test_count_must_be_positive(self, tmp_path, tiny_ensemble_config):
         with pytest.raises(ConfigError, match="count"):
             ensemble(tiny_ensemble_config, 0, 1, out_dir=tmp_path)
+
+    def test_seed_must_not_be_negative(self, tmp_path, tiny_ensemble_config):
+        with pytest.raises(ConfigError, match="seed"):
+            ensemble(tiny_ensemble_config, 1, -1, out_dir=tmp_path)
 
 
 class TestCli:
@@ -474,10 +594,37 @@ class TestCli:
                                "parameters": {"amplitude": "NaN"}}}, []),
             ({"tolerances": {"delta": "nan"}}, []),
             ({"tolerances": {"delta": -1}}, []),
+            ({"checks": 5}, []),
+            ({"grid": {**GRID, "t_end": "inf"}}, []),
+            ({"grid": {**GRID, "cells_per_axis": 8.7}}, []),
+            ({"grid": {**GRID, "dimension": 10**9}}, []),
+            ({"grid": {**GRID, "t_end": 1e308}}, []),
+            ({"grid": {**GRID, "half_width": 10**400}}, []),
+            ({"hamiltonian": ROUGH, "sweep": {"parameter": "eta", "values": "12"}},
+             []),
+            ({"hamiltonian": ROUGH, "sweep": {"parameter": "eta", "values": [-1]}},
+             []),
+            ({"oracle": {"min_order": "-inf"}}, []),
+            ({"oracle": {"max_error": "nan"}}, []),
+            ({"oracle": {"time": 99}}, []),
+            ({"chain": {"alpha": "nan"}}, []),
+            ({"envelope": {"lambda": "nan"}}, []),
+            ({"initial_data": {"seed": -1}}, []),
+            ({}, ["--seed", "-1"]),
+            ({"solve": {"max_steps": 0}}, []),
+            ({"solve": {"max_steps": -1}}, []),
+            ({"solve": {"sigma_mode": "fixed", "sigma_bound": -1}}, []),
+            ({"hamiltonian": {"kind": "power-law", "p": "inf"}}, []),
         ],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
              "working-slices-zero", "grid-list", "amplitude-nan", "delta-nan",
-             "delta-negative"],
+             "delta-negative", "checks-int", "t-end-inf", "cells-fractional",
+             "dimension-huge", "steps-overflow", "half-width-overflow",
+             "sweep-values-string", "sweep-eta-negative",
+             "min-order-minus-inf", "max-error-nan", "oracle-time-past-t-end",
+             "alpha-nan", "envelope-lambda-nan", "seed-negative",
+             "seed-override-negative", "max-steps-zero", "max-steps-negative",
+             "sigma-bound-negative", "p-inf"],
     )
     def test_configuration_faults_exit_two(self, tmp_path, capsys, overrides, args):
         path = write_config(tmp_path, minimal_dict(**overrides))

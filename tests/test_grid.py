@@ -62,6 +62,7 @@ class TestGridSpec:
             dict(t_end=-3.0),
             dict(dt=-0.1),
             dict(dt=0.3),
+            dict(dimension=40),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

@@ -12,6 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hjreg import experiment
+from hjreg.experiment import ExperimentConfig, InitialDataSpec, SweepSettings
 from hjreg.grid import _BLOCK_CELLS, GridSpec, make_field
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import time_reverse
@@ -67,3 +69,28 @@ def test_time_reverse_builds_one_array():
     v, peak = _traced_peak(lambda: time_reverse(f))
     assert v.values.flags.c_contiguous
     assert peak <= _TRAJECTORY + _SLACK
+
+
+def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path):
+    live = []
+    original = experiment.solve
+
+    def solve(*args, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "solve", solve)
+    cfg = ExperimentConfig(
+        scenario="sweep-memory",
+        grid=_SPEC,
+        hamiltonian=HamiltonianSpec(kind="rough-coefficient", p=1.5, lam=2.0),
+        envelope=CoercivityEnvelope(lam=2.0, p=1.5),
+        initial_data=InitialDataSpec(name="random-trig",
+                                     parameters={"amplitude": 0.5}),
+        sweep=SweepSettings(parameter="eta", values=(0.25, 0.125)),
+    )
+    report, _ = _traced_peak(lambda: experiment.run(cfg, out_dir=tmp_path))
+    assert report.status == "pass"
+    assert len(live) == 2
+    # the first variant's trajectory is gone when the second one solves
+    assert live[1] - live[0] < _TRAJECTORY / 4

@@ -13,6 +13,8 @@ only part of a trajectory; this line pins all of it.  The runs:
 - ``run`` of every bundled scenario;
 - ``run`` of ``rough-eta-sweep`` at ``--resolution 96``;
 - ``run`` of ``rough-eta-sweep`` with ``theorem.mode = "resolve"``;
+- ``run`` of ``oscillation-improvement`` with only the ``cascade`` check,
+  in ``cascade.mode = "resolve"``;
 - ``ensemble`` of ``small-mass-ensemble`` with checks lemma1, lemma2,
   osc_above and osc_below and ``chain.mode = "empirical"``,
   ``--count 4 --seed 3``.
@@ -137,6 +139,19 @@ def _runs(root: Path) -> list[tuple[str, list[str], Path]]:
         "run rough-eta-sweep theorem.mode=resolve",
         ["run", "--config", str(path), "--out", str(base)],
         base / f"rough-eta-sweep-seed{sweep_seed}" / "report.json",
+    ))
+
+    osc = _scenario_config("oscillation-improvement")
+    osc["checks"] = ["cascade"]
+    osc["cascade"] = {"mode": "resolve"}
+    path = configs / "oscillation-improvement-cascade-resolve.json"
+    path.write_text(json.dumps(osc, indent=2))
+    base = root / "cascade-resolve"
+    out.append((
+        "run oscillation-improvement cascade.mode=resolve",
+        ["run", "--config", str(path), "--out", str(base)],
+        base / f"oscillation-improvement-seed{osc['initial_data']['seed']}"
+        / "report.json",
     ))
 
     ens = _scenario_config("small-mass-ensemble")
