@@ -440,6 +440,18 @@ def _check_gates(cfg: ExperimentConfig) -> None:
                 "the inf-convolution oracle is exact only for the plain "
                 f"power law, not {cfg.hamiltonian.kind!r}"
             )
+        with _section("oracle"):
+            grids = _oracle_grids(cfg)
+        for grid_l in grids:
+            # the one or two axis centers nearest 0, as ``axis_centers`` has them
+            n = grid_l.cells_per_axis
+            mid = np.arange(max(n // 2 - 1, 0), n // 2 + 1)
+            nearest = -grid_l.half_width + grid_l.cell_width * (mid + 0.5)
+            if not np.abs(nearest).min() <= cfg.oracle.window * grid_l.half_width:
+                raise ConfigError(
+                    f"oracle window {cfg.oracle.window} holds no cell center "
+                    f"at {grid_l.cells_per_axis} cells per axis"
+                )
     if cfg.sweep is not None:
         if cfg.sweep.parameter == "eta" and cfg.hamiltonian.kind != "rough-coefficient":
             raise ConfigError(
@@ -736,6 +748,20 @@ def _check_theorem(
     return ("refuted" if refuted else "pass"), report.to_json_dict()
 
 
+def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
+    """The base grid and each refinement, cells and time steps halved."""
+    assert cfg.oracle is not None
+    spec = cfg.grid
+    return [
+        replace(
+            spec,
+            cells_per_axis=spec.cells_per_axis * 2**level,
+            dt=snap_dt(spec.t_start, spec.t_end, spec.dt / 2**level),
+        )
+        for level in range(cfg.oracle.refinements + 1)
+    ]
+
+
 def _oracle_outcome(cfg: ExperimentConfig) -> tuple[str, dict]:
     opts = cfg.oracle
     assert opts is not None
@@ -746,13 +772,7 @@ def _oracle_outcome(cfg: ExperimentConfig) -> tuple[str, dict]:
     resolutions: list[int] = []
     widths: list[float] = []
     errors: list[float] = []
-    for level in range(opts.refinements + 1):
-        factor = 2**level
-        grid_l = replace(
-            spec,
-            cells_per_axis=spec.cells_per_axis * factor,
-            dt=snap_dt(spec.t_start, spec.t_end, spec.dt / factor),
-        )
+    for grid_l in _oracle_grids(cfg):
         traj = solve(grid_l, cfg.hamiltonian, fn, cfg.solve)
         times = grid_l.times()
         ti = int(np.argmin(np.abs(times - t_cmp)))
@@ -761,9 +781,7 @@ def _oracle_outcome(cfg: ExperimentConfig) -> tuple[str, dict]:
         inner = np.max(np.abs(centers), axis=1) <= opts.window * grid_l.half_width
         pts = centers[inner]
         got = traj.field.values[ti].reshape(-1)[inner]
-        want = np.array(
-            [hopf_lax(fn, elapsed, pt, cfg.hamiltonian.p) for pt in pts]
-        )
+        want = hopf_lax(fn, elapsed, pts, cfg.hamiltonian.p)
         resolutions.append(grid_l.cells_per_axis)
         widths.append(grid_l.cell_width)
         errors.append(float(np.abs(got - want).max()))

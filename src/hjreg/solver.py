@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridSpec, ScalarField, slice_blocks
+from .grid import _BLOCK_CELLS, GridSpec, ScalarField, slice_blocks
 from .hamiltonians import CoercivityEnvelope
 
 __all__ = [
@@ -338,74 +338,125 @@ def hopf_lax(
     t: float,
     x: NDArray[np.float64] | float,
     p: float,
-    value_tol: float = 1e-6,
-    search_radius: float | None = None,
-) -> float:
-    """Inf-convolution value for ``H = |P|^p`` at one space-time point.
+) -> float | NDArray[np.float64]:
+    """Inf-convolution value for ``H = |P|^p`` at one point or at many.
 
-    Minimizes ``u0(y) + t * c_p * (|x - y|/t)^(p/(p-1))`` over a lattice of
-    candidates that is recentered and refined around the running minimizer
-    until the value is stable to ``value_tol``.  ``u0`` must accept an array
-    of points with shape ``(M, N)``.
+    ``x`` is one point (a scalar in one dimension, or an ``(N,)`` array),
+    for which the call returns a float, or an ``(M, N)`` array of M points,
+    for which it returns an ``(M,)`` array.  Each value minimizes
+    ``u0(y) + t * c_p * (|x - y|/t)^(p/(p-1))`` over a lattice of candidates
+    around ``x``: the lattice radius doubles until the penalty at the edge
+    exceeds any possible saving, then the lattice is recentered on the
+    running minimizer and halved until the value is stable to 1e-6.  The
+    points run together, a block of about ``grid._BLOCK_CELLS`` candidates
+    at a time, each with its own stopping rule, so a point's value does not
+    depend on the other points.  At ``t = 0`` the call returns ``u0(x)``.
+
+    ``u0`` must accept an array of points with shape ``(M, N)`` and map
+    each row on its own; it is never handed a lone row when ``t > 0``.
     """
     if p <= 1.0:
         raise ValueError(f"exponent must exceed 1, got {p}")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    dim = x_arr.size
+    x_arr = np.asarray(x, dtype=np.float64)
+    if x_arr.ndim > 2:
+        raise ValueError(f"points must have shape (N,) or (M, N), got {x_arr.shape}")
+    pts = np.atleast_2d(x_arr)
     if t == 0.0:
-        return float(np.asarray(u0(x_arr[None, :]))[0])
+        values = np.asarray(u0(pts), dtype=np.float64)
+    else:
+        dim = pts.shape[1]
+        probe, refine = _lattice_sides(dim)
+        chunk = max(1, _BLOCK_CELLS // max(1 + probe**dim, refine**dim))
+        values = np.empty(len(pts))
+        for lo in range(0, len(pts), chunk):
+            values[lo:lo + chunk] = _hopf_lax_block(u0, t, pts[lo:lo + chunk], p)
+    return float(values[0]) if x_arr.ndim < 2 else values
 
+
+# Stability tolerance on an oracle value, and the caps on radius doublings
+# and refinement halvings per point.
+_VALUE_TOL = 1e-6
+_MAX_PROBES = 64
+_MAX_REFINEMENTS = 200
+
+
+def _lattice_sides(dim: int) -> tuple[int, int]:
+    """Points per axis of the radius probe and of the refinement lattice."""
+    return (9, 17) if dim == 1 else (7, 7)
+
+
+def _hopf_lax_block(u0, t: float, x: NDArray[np.float64], p: float) -> NDArray[np.float64]:
+    """Oracle values at the ``(M, N)`` points ``x``, all lattices at once."""
+    m, dim = x.shape
     pp = p / (p - 1.0)
     c_p = (p - 1.0) * p ** (-pp)
+    n_probe, n_side = _lattice_sides(dim)
 
-    def objective(pts: NDArray[np.float64]) -> NDArray[np.float64]:
-        dist = np.linalg.norm(pts - x_arr[None, :], axis=-1)
-        return np.asarray(u0(pts), dtype=np.float64) + t * c_p * (dist / t) ** pp
+    def objective(cand: NDArray[np.float64], at: NDArray[np.float64]) -> NDArray[np.float64]:
+        # cand (m', K, N) candidates for the points at (m', N): values (m', K)
+        dist = np.linalg.norm(cand - at[:, None, :], axis=-1)
+        vals = np.asarray(u0(cand.reshape(-1, dim)), dtype=np.float64)
+        return vals.reshape(dist.shape) + t * c_p * (dist / t) ** pp
 
-    value_here = float(objective(x_arr[None, :])[0])
-    if search_radius is None:
-        radius = max(1.0, float(np.abs(x_arr).max()))
-        for _ in range(64):
-            probe = _lattice(x_arr, radius, 9 if dim == 1 else 7, dim)
-            best_probe = float(objective(probe).min())
-            penalty_at_r = t * c_p * (radius / t) ** pp
-            if penalty_at_r >= value_here - best_probe + 1.0:
-                break
-            radius *= 2.0
-    else:
-        radius = search_radius
-
-    center = x_arr.copy()
-    spacing = radius
-    n_side = 17 if dim == 1 else 7
-    best_val = value_here
-    for _ in range(200):
-        pts = _lattice(center, spacing, n_side, dim)
-        vals = objective(pts)
-        k = int(np.argmin(vals))
-        improved = float(vals[k])
-        new_center = pts[k]
-        done = abs(best_val - improved) < value_tol and spacing < max(
-            value_tol, 1e-9 * max(1.0, radius)
-        )
-        if improved < best_val:
-            best_val = improved
-        center = new_center
-        spacing *= 0.5
-        if done:
+    # Double each point's radius until the penalty at its edge beats any
+    # saving; the value at x itself rides with the first probe.
+    radius = np.maximum(1.0, np.abs(x).max(axis=1))
+    active = np.arange(m)
+    for probe_index in range(_MAX_PROBES):
+        at = x[active]
+        cand = _lattice(at, radius[active], n_probe, dim)
+        if probe_index == 0:
+            vals = objective(np.concatenate([at[:, None, :], cand], axis=1), at)
+            value_here = vals[:, 0]
+            vals = vals[:, 1:]
+        else:
+            vals = objective(cand, at)
+        # the C library's pow on each radius: numpy's vectorized power
+        # rounds some values differently
+        penalty = np.array([t * c_p * (r / t) ** pp for r in radius[active].tolist()])
+        grow = ~(penalty >= value_here[active] - vals.min(axis=1) + 1.0)
+        active = active[grow]
+        if not active.size:
             break
-    return best_val
+        radius[active] *= 2.0
+
+    # Recenter on the running minimizer and halve the lattice until the
+    # value is stable and the spacing small against the search radius.
+    stop = np.maximum(_VALUE_TOL, 1e-9 * np.maximum(1.0, radius))
+    center = x.copy()
+    spacing = radius.copy()
+    best = value_here.copy()
+    active = np.arange(m)
+    for _ in range(_MAX_REFINEMENTS):
+        cand = _lattice(center[active], spacing[active], n_side, dim)
+        vals = objective(cand, x[active])
+        rows = np.arange(active.size)
+        k = np.argmin(vals, axis=1)
+        improved = vals[rows, k]
+        done = (np.abs(best[active] - improved) < _VALUE_TOL) & (
+            spacing[active] < stop[active]
+        )
+        best[active] = np.where(improved < best[active], improved, best[active])
+        center[active] = cand[rows, k]
+        spacing[active] *= 0.5
+        active = active[~done]
+        if not active.size:
+            break
+    return best
 
 
 def _lattice(
-    center: NDArray[np.float64], spacing: float, n_side: int, dim: int
+    center: NDArray[np.float64], spacing: NDArray[np.float64], n_side: int, dim: int
 ) -> NDArray[np.float64]:
-    offs = np.linspace(-spacing, spacing, n_side)
-    grids = np.meshgrid(*([offs] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return center[None, :] + pts
+    """``(M, n_side**dim, N)`` lattice of half-width ``spacing[i]`` around
+    each ``center[i]``, in C order over the axes and in C-contiguous memory
+    (``u0`` sees its rows as one ``(rows, N)`` block, as it would one point's)."""
+    offs = np.linspace(-spacing, spacing, n_side, axis=-1)
+    index = np.indices((n_side,) * dim).reshape(dim, -1).T
+    out = np.empty((len(center), n_side**dim, dim))
+    return np.add(center[:, None, :], offs[:, index], out=out)
 
 
 @dataclass(frozen=True)

@@ -607,6 +607,10 @@ class TestCli:
             ({"oracle": {"min_order": "-inf"}}, []),
             ({"oracle": {"max_error": "nan"}}, []),
             ({"oracle": {"time": 99}}, []),
+            ({"oracle": {"window": 0.001}}, []),
+            ({"grid": {**GRID, "cells_per_axis": 9}, "oracle": {"window": 0.001}},
+             []),
+            ({"oracle": {"refinements": 60}}, []),
             ({"chain": {"alpha": "nan"}}, []),
             ({"envelope": {"lambda": "nan"}}, []),
             ({"initial_data": {"seed": -1}}, []),
@@ -622,6 +626,8 @@ class TestCli:
              "dimension-huge", "steps-overflow", "half-width-overflow",
              "sweep-values-string", "sweep-eta-negative",
              "min-order-minus-inf", "max-error-nan", "oracle-time-past-t-end",
+             "oracle-window-empty", "oracle-window-empty-when-refined",
+             "oracle-refinements-huge",
              "alpha-nan", "envelope-lambda-nan", "seed-negative",
              "seed-override-negative", "max-steps-zero", "max-steps-negative",
              "sigma-bound-negative", "p-inf"],

@@ -18,7 +18,7 @@ from hjreg.grid import _BLOCK_CELLS, GridSpec, make_field
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import time_reverse
 from hjreg.rescale import gauge_to_window
-from hjreg.solver import solve
+from hjreg.solver import hopf_lax, solve
 
 # Long enough in time that a trajectory (12 MB) outweighs the residual's
 # block-sized temporaries (three, 3 MB).
@@ -94,3 +94,21 @@ def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path
     assert len(live) == 2
     # the first variant's trajectory is gone when the second one solves
     assert live[1] - live[0] < _TRAJECTORY / 4
+
+
+def test_batched_oracle_peaks_at_block_sized_temporaries():
+    """The oracle runs its points in chunks of about ``_BLOCK_CELLS``
+    candidates: doubling a 2-D batch (49 candidates a point, each of two
+    coordinates) leaves the peak where it was."""
+    rng = np.random.default_rng(3)
+    peaks = []
+    for m in (3000, 6000):
+        pts = rng.uniform(-1.5, 1.5, (m, 2))
+        values, peak = _traced_peak(
+            lambda: hopf_lax(lambda y: np.linalg.norm(y, axis=-1), 0.5, pts, 2.0)
+        )
+        assert values.shape == (m,)
+        peaks.append(peak)
+    # the 6000-point lattice alone would be 4.5 block-sized arrays
+    assert peaks[1] - peaks[0] <= _SLACK
+    assert peaks[1] <= 12 * _BLOCK_BYTES

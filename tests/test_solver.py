@@ -1,7 +1,13 @@
 """Monotone marching scheme, variational oracle, and residual checks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hjreg.solver
 
 from hjreg.grid import GridSpec, make_field
 from hjreg.hamiltonians import (
@@ -10,7 +16,7 @@ from hjreg.hamiltonians import (
     TransformedHamiltonian,
     gauge_shift,
 )
-from hjreg.initial_data import make_initial_data
+from hjreg.initial_data import make_initial_data, make_initial_function
 from hjreg.solver import (
     SolveConfig,
     SolverError,
@@ -228,6 +234,78 @@ class TestHopfLax:
             hopf_lax(self.cone, 1.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             hopf_lax(self.cone, -1.0, 0.0, 2.0)
+
+    def test_guards_on_a_batch(self):
+        pts = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="exceed 1"):
+            hopf_lax(self.cone, 1.0, pts, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hopf_lax(self.cone, -1.0, pts, 2.0)
+        with pytest.raises(ValueError, match=r"\(M, N\)"):
+            hopf_lax(self.cone, 1.0, np.zeros((2, 3, 1)), 2.0)
+
+    def test_batch_returns_one_value_per_point(self):
+        pts = np.array([[1.0], [3.0], [-1.0]])
+        values = hopf_lax(self.cone, 1.0, pts, 2.0)
+        assert values.shape == (3,)
+        np.testing.assert_allclose(values, [0.25, 2.0, 0.25], atol=1e-6)
+        assert hopf_lax(self.cone, 1.0, np.empty((0, 2)), 2.0).shape == (0,)
+
+
+# Initial data drawn for the oracle property below: the cone and a sine
+# product map each row on its own; random-trig forms ``x @ k``, which BLAS
+# rounds differently for a lone row than for a block of rows in 2-D and 3-D.
+_ORACLE_DATA = {
+    "cone": {"amplitude": 1.0},
+    "sine-product": {"amplitude": 0.4, "frequency": 2.0},
+    "random-trig": {"amplitude": 0.5, "bandwidth": 3, "n_modes": 5},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2, 3]),
+       name=st.sampled_from(sorted(_ORACLE_DATA)),
+       t=st.one_of(st.just(0.0), st.floats(0.02, 3.0)),
+       p=st.floats(1.2, 3.0), block=st.one_of(st.none(), st.integers(1, 2000)))
+def test_batched_oracle_equals_one_point_calls(data, dim, name, t, p, block):
+    """Every batched value has the bytes of its one-point call, whether the
+    points go through in one chunk or in several (``block`` shrinks the
+    chunks, so a few points span several)."""
+    spec = GridSpec(dimension=dim, half_width=1.5, cells_per_axis=8,
+                    t_start=0.0, t_end=1.0, dt=0.1)
+    u0 = make_initial_function(spec, name, _ORACLE_DATA[name],
+                               seed=data.draw(st.integers(0, 2**16)))
+    m = data.draw(st.integers(1, 6 if dim == 3 else 16))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (m, dim))
+    scalar = dim == 1 and data.draw(st.booleans())
+    with mock.patch.object(hjreg.solver, "_BLOCK_CELLS",
+                           block or hjreg.solver._BLOCK_CELLS):
+        batched = hopf_lax(u0, t, pts, p)
+        single = np.array([hopf_lax(u0, t, float(x[0]) if scalar else x, p)
+                           for x in pts])
+    assert batched.shape == (m,)
+    if t == 0.0:
+        # at t = 0 the values are u0 itself, on the array each call was given
+        assert batched.tobytes() == np.asarray(u0(pts), dtype=float).tobytes()
+        assert single.tobytes() == np.concatenate(
+            [u0(x[None, :]) for x in pts]).tobytes()
+        if name == "random-trig" and dim > 1:
+            return
+    assert batched.tobytes() == single.tobytes()
+
+
+def test_batched_oracle_spans_chunks_at_the_block_size():
+    """Enough 3-D points for two chunks of ``grid._BLOCK_CELLS`` candidates."""
+    spec = GridSpec(dimension=3, half_width=1.5, cells_per_axis=8,
+                    t_start=0.0, t_end=1.0, dt=0.1)
+    u0 = make_initial_function(spec, "random-trig", _ORACLE_DATA["random-trig"],
+                               seed=4)
+    per_chunk = hjreg.solver._BLOCK_CELLS // (1 + 7**3)
+    pts = np.random.default_rng(9).uniform(-1.5, 1.5, (per_chunk + 9, 3))
+    batched = hopf_lax(u0, 0.4, pts, 1.5)
+    single = np.array([hopf_lax(u0, 0.4, x, 1.5) for x in pts])
+    assert batched.tobytes() == single.tobytes()
 
 
 class TestResiduals:
