@@ -16,8 +16,10 @@ The exact-solution oracle for space-homogeneous power laws is the inf-convolutio
     u(t, x) = min_y { u0(y) + t * c_p * (|x - y| / t)^(p/(p-1)) },
     c_p = (p - 1) * p^(-p/(p-1)),
 
-evaluated by lattice minimization with local refinement.  It shares no code
-with the marching scheme, so the two sides cross-validate each other.
+evaluated by lattice minimization with local refinement from two starts,
+the point itself and the best point of a dense lattice, for a whole array of
+points at once.  It shares no code with the marching scheme, so the two
+sides cross-validate each other.
 """
 
 from __future__ import annotations
@@ -344,13 +346,18 @@ def hopf_lax(
     ``x`` is one point (a scalar in one dimension, or an ``(N,)`` array),
     for which the call returns a float, or an ``(M, N)`` array of M points,
     for which it returns an ``(M,)`` array.  Each value minimizes
-    ``u0(y) + t * c_p * (|x - y|/t)^(p/(p-1))`` over a lattice of candidates
-    around ``x``: the lattice radius doubles until the penalty at the edge
-    exceeds any possible saving, then the lattice is recentered on the
-    running minimizer and halved until the value is stable to 1e-6.  The
-    points run together, a block of about ``grid._BLOCK_CELLS`` candidates
-    at a time, each with its own stopping rule, so a point's value does not
-    depend on the other points.  At ``t = 0`` the call returns ``u0(x)``.
+    ``u0(y) + t * c_p * (|x - y|/t)^(p/(p-1))`` over lattices of candidates
+    around ``x``.  The search radius doubles until the penalty at its edge
+    exceeds any possible saving.  Then a lattice over that radius is
+    recentered on the running minimizer and halved until the value is
+    stable to 1e-6.  Because that local search can settle in the wrong
+    basin of non-convex data, it runs a second time from the best point of
+    a dense lattice over the radius (257 points in 1-D, 65 per axis in 2-D,
+    17 in 3-D), and the smaller value is kept; a basin narrower than that
+    lattice's spacing can still be missed.  The points run together, a
+    block of about ``grid._BLOCK_CELLS`` candidates at a time, each with
+    its own stopping rule, so a point's value does not depend on the other
+    points.  At ``t = 0`` the call returns ``u0(x)``.
 
     ``u0`` must accept an array of points with shape ``(M, N)`` and map
     each row on its own; it is never handed a lone row when ``t > 0``.
@@ -367,8 +374,8 @@ def hopf_lax(
         values = np.asarray(u0(pts), dtype=np.float64)
     else:
         dim = pts.shape[1]
-        probe, refine = _lattice_sides(dim)
-        chunk = max(1, _BLOCK_CELLS // max(1 + probe**dim, refine**dim))
+        n_probe, n_side, _ = _lattice_sides(dim)
+        chunk = max(1, _BLOCK_CELLS // max(1 + n_probe**dim, n_side**dim))
         values = np.empty(len(pts))
         for lo in range(0, len(pts), chunk):
             values[lo:lo + chunk] = _hopf_lax_block(u0, t, pts[lo:lo + chunk], p)
@@ -382,19 +389,25 @@ _MAX_PROBES = 64
 _MAX_REFINEMENTS = 200
 
 
-def _lattice_sides(dim: int) -> tuple[int, int]:
-    """Points per axis of the radius probe and of the refinement lattice."""
-    return (9, 17) if dim == 1 else (7, 7)
+def _lattice_sides(dim: int) -> tuple[int, int, int]:
+    """Points per axis of the radius probe, of the refinement lattice and of
+    the global lattice: 257 in 1-D, ``2**ceil(12/N) + 1`` in N >= 2
+    dimensions (65 in 2-D, 17 in 3-D: at least 4,096 candidates)."""
+    if dim == 1:
+        return 9, 17, 257
+    return 7, 7, 2 ** -(-12 // dim) + 1
 
 
-def _hopf_lax_block(u0, t: float, x: NDArray[np.float64], p: float) -> NDArray[np.float64]:
+def _hopf_lax_block(
+    u0, t: float, x: NDArray[np.float64], p: float
+) -> NDArray[np.float64]:
     """Oracle values at the ``(M, N)`` points ``x``, all lattices at once."""
     m, dim = x.shape
     pp = p / (p - 1.0)
     c_p = (p - 1.0) * p ** (-pp)
-    n_probe, n_side = _lattice_sides(dim)
+    n_probe, n_side, n_global = _lattice_sides(dim)
 
-    def objective(cand: NDArray[np.float64], at: NDArray[np.float64]) -> NDArray[np.float64]:
+    def objective(cand: NDArray[np.float64], at: NDArray[np.float64]):
         # cand (m', K, N) candidates for the points at (m', N): values (m', K)
         dist = np.linalg.norm(cand - at[:, None, :], axis=-1)
         vals = np.asarray(u0(cand.reshape(-1, dim)), dtype=np.float64)
@@ -421,30 +434,49 @@ def _hopf_lax_block(u0, t: float, x: NDArray[np.float64], p: float) -> NDArray[n
         if not active.size:
             break
         radius[active] *= 2.0
+    del cand, vals  # not alive through the refinements
 
-    # Recenter on the running minimizer and halve the lattice until the
-    # value is stable and the spacing small against the search radius.
-    stop = np.maximum(_VALUE_TOL, 1e-9 * np.maximum(1.0, radius))
-    center = x.copy()
-    spacing = radius.copy()
-    best = value_here.copy()
-    active = np.arange(m)
-    for _ in range(_MAX_REFINEMENTS):
-        cand = _lattice(center[active], spacing[active], n_side, dim)
-        vals = objective(cand, x[active])
-        rows = np.arange(active.size)
+    def refine(center, spacing, best):
+        # Recenter on the running minimizer and halve the lattice until the
+        # value is stable and the spacing small against the search radius.
+        stop = np.maximum(_VALUE_TOL, 1e-9 * np.maximum(1.0, radius))
+        active = np.arange(m)
+        for _ in range(_MAX_REFINEMENTS):
+            cand = _lattice(center[active], spacing[active], n_side, dim)
+            vals = objective(cand, x[active])
+            rows = np.arange(active.size)
+            k = np.argmin(vals, axis=1)
+            improved = vals[rows, k]
+            done = (np.abs(best[active] - improved) < _VALUE_TOL) & (
+                spacing[active] < stop[active]
+            )
+            best[active] = np.where(improved < best[active], improved, best[active])
+            center[active] = cand[rows, k]
+            spacing[active] *= 0.5
+            active = active[~done]
+            if not active.size:
+                break
+        return best
+
+    local = refine(x.copy(), radius.copy(), value_here.copy())
+    # Global start: the local search can settle in the wrong basin of
+    # non-convex data, so refine again from the best point of a dense
+    # lattice over the search radius, one lattice step wide, and keep the
+    # smaller value.  The dense lattices go a block of candidates at a time.
+    start = np.empty_like(x)
+    start_value = np.empty(m)
+    step = max(1, _BLOCK_CELLS // n_global**dim)
+    for lo in range(0, m, step):
+        part = slice(lo, lo + step)
+        cand = _lattice(x[part], radius[part], n_global, dim)
+        vals = objective(cand, x[part])
+        rows = np.arange(len(cand))
         k = np.argmin(vals, axis=1)
-        improved = vals[rows, k]
-        done = (np.abs(best[active] - improved) < _VALUE_TOL) & (
-            spacing[active] < stop[active]
-        )
-        best[active] = np.where(improved < best[active], improved, best[active])
-        center[active] = cand[rows, k]
-        spacing[active] *= 0.5
-        active = active[~done]
-        if not active.size:
-            break
-    return best
+        start[part] = cand[rows, k]
+        start_value[part] = vals[rows, k]
+    del cand, vals
+    found = refine(start, radius * (2.0 / (n_global - 1)), start_value)
+    return np.where(found < local, found, local)
 
 
 def _lattice(

@@ -235,6 +235,24 @@ class TestHopfLax:
         with pytest.raises(ValueError, match="nonnegative"):
             hopf_lax(self.cone, -1.0, 0.0, 2.0)
 
+    def test_two_wells_reach_the_dense_minimum(self):
+        """Non-convex data whose local search alone settles in the wrong
+        basin at some points: every value must reach the minimum over 2.4
+        million candidates in [-6, 6]."""
+        def u0(pts):
+            y = pts[..., 0]
+            return (np.minimum(3 * (y - 1) ** 2, 3 * (y + 1.2) ** 2 - 0.3)
+                    + 0.2 * np.cos(9 * y))
+
+        xs = np.linspace(-2.0, 2.0, 81)
+        ys = np.linspace(-6.0, 6.0, 2_400_001)
+        u_ys = u0(ys[:, None])
+        for t in (0.05, 0.3, 1.0, 3.0):
+            got = hopf_lax(u0, t, xs[:, None], 2.0)
+            dense = np.array([(u_ys + (x - ys) ** 2 / (4.0 * t)).min()
+                              for x in xs])
+            assert np.all(got <= dense + 1e-6), t
+
     def test_guards_on_a_batch(self):
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError, match="exceed 1"):
@@ -296,7 +314,9 @@ def test_batched_oracle_equals_one_point_calls(data, dim, name, t, p, block):
 
 
 def test_batched_oracle_spans_chunks_at_the_block_size():
-    """Enough 3-D points for two chunks of ``grid._BLOCK_CELLS`` candidates."""
+    """Enough 3-D points for two chunks of ``grid._BLOCK_CELLS`` candidates;
+    the points at both ends and on either side of the chunk boundary are
+    checked against one-point calls."""
     spec = GridSpec(dimension=3, half_width=1.5, cells_per_axis=8,
                     t_start=0.0, t_end=1.0, dt=0.1)
     u0 = make_initial_function(spec, "random-trig", _ORACLE_DATA["random-trig"],
@@ -304,8 +324,10 @@ def test_batched_oracle_spans_chunks_at_the_block_size():
     per_chunk = hjreg.solver._BLOCK_CELLS // (1 + 7**3)
     pts = np.random.default_rng(9).uniform(-1.5, 1.5, (per_chunk + 9, 3))
     batched = hopf_lax(u0, 0.4, pts, 1.5)
-    single = np.array([hopf_lax(u0, 0.4, x, 1.5) for x in pts])
-    assert batched.tobytes() == single.tobytes()
+    picked = [0, 1, 2, per_chunk - 3, per_chunk - 2, per_chunk - 1,
+              per_chunk, per_chunk + 1, per_chunk + 2, per_chunk + 8]
+    single = np.array([hopf_lax(u0, 0.4, pts[i], 1.5) for i in picked])
+    assert batched[picked].tobytes() == single.tobytes()
 
 
 class TestResiduals:
