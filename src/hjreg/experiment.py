@@ -781,6 +781,9 @@ def _oracle_outcome(cfg: ExperimentConfig) -> tuple[str, dict]:
         inner = np.max(np.abs(centers), axis=1) <= opts.window * grid_l.half_width
         pts = centers[inner]
         got = traj.field.values[ti].reshape(-1)[inner]
+        # neither the oracle's temporaries nor the next level's solve sit
+        # on top of this trajectory
+        del traj
         want = hopf_lax(fn, elapsed, pts, cfg.hamiltonian.p)
         resolutions.append(grid_l.cells_per_axis)
         widths.append(grid_l.cell_width)

@@ -8,12 +8,18 @@ not counted).
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hjreg import experiment
-from hjreg.experiment import ExperimentConfig, InitialDataSpec, SweepSettings
+from hjreg.experiment import (
+    ExperimentConfig,
+    InitialDataSpec,
+    SweepSettings,
+    parse_config,
+)
 from hjreg.grid import _BLOCK_CELLS, GridSpec, make_field
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import time_reverse
@@ -94,6 +100,19 @@ def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path
     assert len(live) == 2
     # the first variant's trajectory is gone when the second one solves
     assert live[1] - live[0] < _TRAJECTORY / 4
+
+
+def test_oracle_levels_hold_one_trajectory_at_a_time():
+    """Each refinement level's trajectory is dropped before the oracle runs
+    and before the next level solves, so the finest one sets the peak."""
+    cfg = parse_config("hopf-lax-validation")
+    cfg = replace(cfg, oracle=replace(cfg.oracle, refinements=2))
+    finest = experiment._oracle_grids(cfg)[-1]
+    finest_bytes = finest.n_slices * finest.cells_per_axis * 8
+    (status, _), peak = _traced_peak(lambda: experiment._oracle_outcome(cfg))
+    assert status == "pass"
+    # the level before is a quarter of the finest
+    assert peak <= finest_bytes + 2 * _BLOCK_BYTES
 
 
 def test_batched_oracle_peaks_at_block_sized_temporaries():
