@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjreg.solver
-
 from hjreg.grid import GridSpec, make_field
 from hjreg.hamiltonians import (
     CoercivityEnvelope,
@@ -288,7 +287,9 @@ _ORACLE_DATA = {
 def test_batched_oracle_equals_one_point_calls(data, dim, name, t, p, block):
     """Every batched value has the bytes of its one-point call, whether the
     points go through in one chunk or in several (``block`` shrinks the
-    chunks, so a few points span several)."""
+    chunks, so a few points span several).  At t = 0 each call returns u0
+    on the array it was given, which for random-trig data in 2-D and 3-D
+    is the one case where a batch and its rows can differ."""
     spec = GridSpec(dimension=dim, half_width=1.5, cells_per_axis=8,
                     t_start=0.0, t_end=1.0, dt=0.1)
     u0 = make_initial_function(spec, name, _ORACLE_DATA[name],
