@@ -32,7 +32,8 @@ from .degiorgi import (
     lemma_two_check,
     recurrence_fit,
 )
-from .grid import Cylinder, GridSpec, Window, field_from_values, save_snapshot
+from .grid import Cylinder, GridSpec, ScalarField, Window
+from .grid import field_from_values, save_snapshot
 from .hamiltonians import CoercivityEnvelope, HamiltonianSpec, coercivity_check
 from .initial_data import make_initial_function, validate_descriptor
 from .oscillation import (
@@ -680,8 +681,7 @@ def _check_cascade(
     traj,
     chain: ConstantChain,
     hamiltonian: HamiltonianSpec,
-    run_dir: Path | None,
-    artifacts: list[str],
+    outputs: dict,
     label: str,
 ) -> tuple[str, dict]:
     opts = cfg.cascade
@@ -706,11 +706,7 @@ def _check_cascade(
         "estimate": estimate.to_json_dict(),
         "aborted": aborted,
     }
-    if run_dir is not None:
-        out = run_dir / "cascades" / f"base{label}.csv"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(records_to_csv(records))
-        artifacts.append(str(out.relative_to(run_dir)))
+    outputs[f"cascades/base{label}.csv"] = records_to_csv(records)
     if aborted is not None:
         return "error", payload
     if any(not r.satisfied for r in records):
@@ -858,55 +854,56 @@ def _aggregate(statuses: list[str]) -> str:
     return "pass"
 
 
-def _write_snapshots(traj, run_dir: Path, artifacts: list[str]) -> None:
+def _snapshots(traj) -> dict[str, ScalarField]:
+    """The first and last two slices of a trajectory, copied out of it."""
     spec = traj.spec
-    snap_dir = run_dir / "snapshots"
-    snap_dir.mkdir(parents=True, exist_ok=True)
-    first = field_from_values(
-        replace(spec, t_end=spec.t_start + spec.dt), traj.field.values[:2]
-    )
-    last = field_from_values(
-        replace(spec, t_start=spec.t_end - spec.dt), traj.field.values[-2:]
-    )
-    for name, snap in (("first_steps", first), ("last_steps", last)):
-        csv_path, json_path = save_snapshot(snap, snap_dir / name)
-        artifacts.append(str(csv_path.relative_to(run_dir)))
-        artifacts.append(str(json_path.relative_to(run_dir)))
+    first = replace(spec, t_end=spec.t_start + spec.dt)
+    last = replace(spec, t_start=spec.t_end - spec.dt)
+    return {
+        "snapshots/first_steps": field_from_values(first, traj.field.values[:2]),
+        "snapshots/last_steps": field_from_values(last, traj.field.values[-2:]),
+    }
 
 
-def _execute(
-    cfg: ExperimentConfig,
-    run_dir: Path | None,
-    chain_search: tuple[dict, ...] | None = None,
-) -> RunReport:
-    """Solve, check, and report one config; ``run_dir=None`` skips artifacts."""
+def _artifact_names(outputs: dict) -> tuple[str, ...]:
+    """The files ``_write`` makes of ``outputs``, relative to the run directory."""
+    pair = (".csv", ".json")
+    return tuple(path + suffix for path, payload in outputs.items()
+                 for suffix in (pair if isinstance(payload, ScalarField) else ("",)))
+
+
+def _solver_error(stage: str, err: SolverError) -> dict:
+    return {"stage": stage, "message": str(err), "step_index": err.step_index}
+
+
+def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
+    """Solve, check, and report one config without touching the disk.
+
+    Returns the report and the run's outputs: each artifact path, relative
+    to the run directory, mapped to what ``_write`` puts there (a dict as
+    JSON, a text as is, a field as ``save_snapshot``'s ``.csv``/``.json``).
+    """
     timings: dict[str, float] = {}
     checks_out: list[dict] = []
-    artifacts: list[str] = []
+    outputs: dict[str, dict | str | ScalarField] = {}
     statuses: list[str] = []
     error_info = None
     chain = None
     chain_dict = None
 
-    def finish(status: str) -> RunReport:
-        report = RunReport(
+    def finish(status: str) -> tuple[RunReport, dict]:
+        return RunReport(
             version=SCHEMA_VERSION,
             scenario=cfg.scenario,
             status=status,
             config=cfg.to_json_dict(),
             chain=chain_dict,
-            chain_search=chain_search,
+            chain_search=None,
             checks=tuple(checks_out),
-            artifacts=tuple(artifacts),
+            artifacts=_artifact_names(outputs),
             error=error_info,
             timings=timings,
-        )
-        if run_dir is not None:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            with open(run_dir / "report.json", "w") as fh:
-                json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return report
+        ), outputs
 
     begin = time.perf_counter()
     if _needs_chain(cfg):
@@ -921,12 +918,7 @@ def _execute(
             error_info = {"stage": "chain", "message": str(err)}
             return finish("error")
         chain_dict = chain.to_json_dict()
-        if run_dir is not None:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            with open(run_dir / "chain.json", "w") as fh:
-                json.dump(_json_safe(chain_dict), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            artifacts.append("chain.json")
+        outputs["chain.json"] = chain_dict
     timings["chain"] = time.perf_counter() - begin
 
     init = cfg.initial_data
@@ -950,11 +942,7 @@ def _execute(
         try:
             traj = solve(cfg.grid, hamiltonian, fn, cfg.solve)
         except SolverError as err:
-            error_info = {
-                "stage": f"solve{label}",
-                "message": str(err),
-                "step_index": err.step_index,
-            }
+            error_info = _solver_error(f"solve{label}", err)
             timings[f"solve{label}"] = time.perf_counter() - t0
             return finish("error")
         timings[f"solve{label}"] = time.perf_counter() - t0
@@ -964,7 +952,7 @@ def _execute(
             try:
                 if name == "cascade":
                     status, payload = _check_cascade(
-                        cfg, traj, chain, hamiltonian, run_dir, artifacts, label
+                        cfg, traj, chain, hamiltonian, outputs, label
                     )
                 elif name == "theorem":
                     status, payload = _check_theorem(cfg, traj, chain, hamiltonian)
@@ -977,8 +965,8 @@ def _execute(
             statuses.append(status)
             timings[f"{name}{label}"] = time.perf_counter() - t0
 
-        if cfg.sweep is None and run_dir is not None:
-            _write_snapshots(traj, run_dir, artifacts)
+        if cfg.sweep is None:
+            outputs.update(_snapshots(traj))
         # free this variant's trajectory before the next one solves
         del traj
 
@@ -987,11 +975,7 @@ def _execute(
         try:
             status, payload = _oracle_outcome(cfg)
         except SolverError as err:
-            error_info = {
-                "stage": "oracle",
-                "message": str(err),
-                "step_index": err.step_index,
-            }
+            error_info = _solver_error("oracle", err)
             timings["oracle"] = time.perf_counter() - t0
             return finish("error")
         checks_out.append({"check": "oracle", "status": status, **payload})
@@ -1000,6 +984,27 @@ def _execute(
 
     timings["total"] = time.perf_counter() - begin
     return finish(_aggregate(statuses))
+
+
+def _write_json(path: Path, data) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write(run_dir: Path, report: RunReport, outputs: dict) -> None:
+    """Put a computed run on disk: its artifacts, then ``report.json``."""
+    run_dir.mkdir(parents=True, exist_ok=True)
+    for name, payload in outputs.items():
+        path = run_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(payload, ScalarField):
+            save_snapshot(payload, path)
+        elif isinstance(payload, dict):
+            _write_json(path, _json_safe(payload))
+        else:
+            path.write_text(payload)
+    _write_json(run_dir / "report.json", report.to_json_dict())
 
 
 def _base_dir(cfg: ExperimentConfig, out_dir: str | Path | None) -> Path:
@@ -1026,22 +1031,24 @@ def _with_overrides(
     return cfg
 
 
-def _search_alpha(
-    cfg: ExperimentConfig, runner
-) -> tuple[float, tuple[dict, ...]]:
-    """Largest candidate threshold that survives without a refutation."""
+def _search_alpha(cfg: ExperimentConfig, runner, status):
+    """Largest candidate threshold that survives without a refutation.
+
+    The candidates run in descending order, each as a fixed-mode config,
+    until ``status(runner(trial_cfg))`` is not ``"refuted"``; when every
+    candidate is refuted the search takes the smallest.  Either way the
+    chosen candidate is the last trial run, so its outcome is the run
+    itself.  Returns ``(trial_cfg, trials, outcome)`` of that trial, with
+    ``trials`` the ``{"alpha", "status"}`` of every candidate tried.
+    """
     trials: list[dict] = []
-    chosen = cfg.chain.candidates[-1]
     for alpha in cfg.chain.candidates:
-        trial_cfg = replace(
-            cfg, chain=ChainSettings(alpha=alpha, mode="fixed")
-        )
-        status = runner(trial_cfg)
-        trials.append({"alpha": alpha, "status": status})
-        if status != "refuted":
-            chosen = alpha
+        trial_cfg = replace(cfg, chain=ChainSettings(alpha=alpha, mode="fixed"))
+        outcome = runner(trial_cfg)
+        trials.append({"alpha": alpha, "status": status(outcome)})
+        if trials[-1]["status"] != "refuted":
             break
-    return chosen, tuple(trials)
+    return trial_cfg, tuple(trials), outcome
 
 
 def run(
@@ -1053,34 +1060,38 @@ def run(
     """Execute one scenario run under a deterministic run-stamped directory."""
     cfg = _with_overrides(config, seed, resolution)
     run_dir = _base_dir(cfg, out_dir) / f"{cfg.scenario}-seed{cfg.initial_data.seed}"
-    search = None
     if cfg.chain.mode == "empirical":
-        alpha, search = _search_alpha(
-            cfg, lambda trial: _execute(trial, None).status
+        _, search, (report, outputs) = _search_alpha(
+            cfg, _compute, lambda outcome: outcome[0].status
         )
-        cfg = replace(cfg, chain=ChainSettings(alpha=alpha, mode="fixed"))
-    return _execute(cfg, run_dir, chain_search=search)
-
-
-def _member_task(payload: tuple[ExperimentConfig, str | None]) -> RunReport:
-    cfg, member_dir = payload
-    return _execute(cfg, None if member_dir is None else Path(member_dir))
+        report = replace(report, chain_search=search)
+    else:
+        report, outputs = _compute(cfg)
+    _write(run_dir, report, outputs)
+    return report
 
 
 def _run_members(
-    cfg: ExperimentConfig,
-    member_seeds: list[int],
-    member_dirs: list[str | None],
-    workers: int,
-) -> list[RunReport]:
-    jobs = [
-        (replace(cfg, initial_data=replace(cfg.initial_data, seed=s)), d)
-        for s, d in zip(member_seeds, member_dirs)
-    ]
+    cfg: ExperimentConfig, member_seeds: list[int], workers: int
+) -> list[tuple[RunReport, dict]]:
+    """``_compute`` of each member, in member order."""
+    jobs = [replace(cfg, initial_data=replace(cfg.initial_data, seed=s))
+            for s in member_seeds]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_member_task, jobs))
-    return [_member_task(job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            return list(pool.map(_compute, jobs))
+    return [_compute(job) for job in jobs]
+
+
+def _worker_count(workers: int | None) -> int:
+    """The ``workers`` argument, else ``HJREG_WORKERS``, else 1."""
+    where, value = "workers", workers
+    if workers is None:
+        where, value = "HJREG_WORKERS", os.environ.get("HJREG_WORKERS", "1")
+        value = int(value) if value.isdecimal() else value
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+    return value
 
 
 def ensemble(
@@ -1093,16 +1104,17 @@ def ensemble(
     """Run ``count`` seeded draws of the scenario and merge their reports.
 
     Member seeds are spawned from the master seed, members run in a worker
-    pool (``HJREG_WORKERS`` or the ``workers`` argument; serial by
-    default), and reports are merged in member-index order so the output
-    does not depend on scheduling.
+    pool (the ``workers`` argument or ``HJREG_WORKERS``, a positive
+    integer; serial by default), and reports are merged in member-index
+    order so the output does not depend on scheduling.  In empirical chain
+    mode every candidate runs all members, and the chosen trial's members
+    are the ones written.
     """
     if count < 1:
         raise ConfigError(f"ensemble needs count >= 1, got {count}")
     if seed < 0:
         raise ConfigError(f"ensemble needs seed >= 0, got {seed}")
-    if workers is None:
-        workers = int(os.environ.get("HJREG_WORKERS", "1"))
+    workers = _worker_count(workers)
     begin = time.perf_counter()
     children = np.random.SeedSequence(seed).spawn(count)
     member_seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
@@ -1113,25 +1125,24 @@ def ensemble(
     cfg = config
     search = None
     if cfg.chain.mode == "empirical":
+        cfg, search, members = _search_alpha(
+            cfg,
+            lambda trial: _run_members(trial, member_seeds, workers),
+            lambda outcomes: _aggregate([r.status for r, _ in outcomes]),
+        )
+    else:
+        members = _run_members(cfg, member_seeds, workers)
 
-        def trial_status(trial_cfg: ExperimentConfig) -> str:
-            reports = _run_members(
-                trial_cfg, member_seeds, [None] * count, workers
-            )
-            return _aggregate([r.status for r in reports])
+    member_dirs = [run_dir / "members" / f"m{i:03d}" for i in range(count)]
+    for member_dir, (rep, outputs) in zip(member_dirs, members):
+        _write(member_dir, rep, outputs)
+    reports = [rep for rep, _ in members]
 
-        alpha, search = _search_alpha(cfg, trial_status)
-        cfg = replace(cfg, chain=ChainSettings(alpha=alpha, mode="fixed"))
-
-    member_dirs = [str(run_dir / "members" / f"m{i:03d}") for i in range(count)]
-    reports = _run_members(cfg, member_seeds, member_dirs, workers)
-
-    counts = {"pass": 0, "vacuous": 0, "refuted": 0, "error": 0}
-    for rep in reports:
-        counts[rep.status] += 1
+    counts = {s: sum(r.status == s for r in reports)
+              for s in ("pass", "vacuous", "refuted", "error")}
     status = _aggregate([r.status for r in reports])
     artifacts = tuple(
-        str(Path(d).relative_to(run_dir) / "report.json") for d in member_dirs
+        str(d.relative_to(run_dir) / "report.json") for d in member_dirs
     )
     report = EnsembleReport(
         version=SCHEMA_VERSION,
@@ -1147,8 +1158,5 @@ def ensemble(
         artifacts=artifacts,
         timings={"total": time.perf_counter() - begin},
     )
-    run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run_dir / "report.json", report.to_json_dict())
     return report

@@ -2,16 +2,19 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjreg import experiment
 from hjreg.cli import main
 from hjreg.experiment import (
     CHECK_NAMES,
     SCHEMA_VERSION,
+    ChainSettings,
     ConfigError,
     ExperimentConfig,
     RunReport,
@@ -64,6 +67,43 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def output_tree(run_dir):
+    """Every file under ``run_dir`` by relative path: bytes, or for a
+    ``report.json`` the parsed report without ``timings``."""
+    out = {}
+    for path in sorted(run_dir.rglob("*")):
+        if not path.is_file():
+            continue
+        if path.name == "report.json":
+            report = json.loads(path.read_text())
+            report.pop("timings", None)
+            out[path.relative_to(run_dir).as_posix()] = report
+        else:
+            out[path.relative_to(run_dir).as_posix()] = path.read_bytes()
+    return out
+
+
+def count_solves(monkeypatch):
+    """Route ``experiment.solve`` through a counter; returns its call list."""
+    calls = []
+    original = experiment.solve
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "solve", solve)
+    return calls
+
+
+def refuted_empirical_dict():
+    """refuted-fixture in empirical chain mode: lemma1 does not read the
+    chain, so every candidate is refuted."""
+    data = json.loads(scenario_path("refuted-fixture").read_text())
+    data["chain"] = {"mode": "empirical"}
+    return data
 
 
 class TestConfigParsing:
@@ -458,6 +498,70 @@ class TestRun:
         assert report.chain_search == ({"alpha": 4.0, "status": "pass"},)
         assert report.config["chain"] == {"mode": "fixed", "alpha": 4.0}
 
+    def test_empirical_run_solves_the_chosen_trial_once(self, tmp_path,
+                                                        monkeypatch):
+        solves = count_solves(monkeypatch)
+        data = checked_dict(
+            checks=["lemma2"],
+            chain={"mode": "empirical", "candidates": [4.0, 1.0]},
+        )
+        report = run(ExperimentConfig.from_json_dict(data), out_dir=tmp_path)
+        assert report.chain_search == ({"alpha": 4.0, "status": "pass"},)
+        assert len(solves) == 1
+
+    def test_all_refuted_search_keeps_the_last_trial(self, tmp_path, monkeypatch):
+        solves = count_solves(monkeypatch)
+        cfg = ExperimentConfig.from_json_dict(refuted_empirical_dict())
+        report = run(cfg, out_dir=tmp_path)
+        assert report.status == "refuted"
+        assert [t["alpha"] for t in report.chain_search] == list(
+            cfg.chain.candidates)
+        assert all(t["status"] == "refuted" for t in report.chain_search)
+        assert report.config["chain"] == {"mode": "fixed",
+                                          "alpha": min(cfg.chain.candidates)}
+        assert len(solves) == len(cfg.chain.candidates)
+
+    @pytest.mark.parametrize("which", ["first-survivor", "all-refuted"])
+    def test_empirical_run_writes_the_fixed_run_at_its_alpha(self, tmp_path,
+                                                             which):
+        if which == "first-survivor":
+            data = checked_dict(
+                checks=["lemma1", "lemma2", "osc_above", "osc_below"],
+                initial_data={
+                    "name": "random-trig",
+                    "parameters": {"amplitude": 0.0008, "offset": -0.003},
+                },
+                chain={"mode": "empirical", "candidates": [4.0, 1.0]},
+            )
+        else:
+            data = refuted_empirical_dict()
+        searched = run(ExperimentConfig.from_json_dict(data),
+                       out_dir=tmp_path / "searched")
+        data["chain"] = searched.config["chain"]
+        assert data["chain"]["mode"] == "fixed"
+        run(ExperimentConfig.from_json_dict(data), out_dir=tmp_path / "fixed")
+        name = f"{searched.scenario}-seed0"
+        got = output_tree(tmp_path / "searched" / name)
+        want = output_tree(tmp_path / "fixed" / name)
+        assert len(got) >= 5
+        assert set(got) == set(want)
+        got_report, want_report = got.pop("report.json"), want.pop("report.json")
+        # every artifact is byte-identical
+        assert got == want
+        assert got_report.pop("chain_search") == list(searched.chain_search)
+        assert want_report.pop("chain_search") is None
+        assert got_report == want_report
+
+    def test_uncaught_failure_writes_nothing(self, tmp_path, monkeypatch,
+                                             quiet_run_config):
+        def solve(*args, **kwargs):
+            raise MemoryError("no room for the trajectory")
+
+        monkeypatch.setattr(experiment, "solve", solve)
+        with pytest.raises(MemoryError):
+            run(quiet_run_config, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 def tiny_ensemble_dict():
     # dt well under the CFL limit for the random draws' slopes
@@ -529,11 +633,45 @@ class TestEnsemble:
             assert (ens_dir / "members" / f"m{i:03d}" / "report.json").is_file()
 
     def test_parallel_matches_serial(self, tmp_path, tiny_ensemble_config):
-        serial = ensemble(tiny_ensemble_config, 2, 4,
-                          out_dir=tmp_path / "s", workers=1)
-        parallel = ensemble(tiny_ensemble_config, 2, 4,
-                            out_dir=tmp_path / "p", workers=2)
-        assert serial.stable_bytes() == parallel.stable_bytes()
+        empirical = ExperimentConfig.from_json_dict(
+            {**tiny_ensemble_dict(), "chain": {"mode": "empirical"}}
+        )
+        members = "unit-test-ensemble-seed4-n2/members"
+        for mode, cfg in (("fixed", tiny_ensemble_config),
+                          ("empirical", empirical)):
+            serial = ensemble(cfg, 2, 4, out_dir=tmp_path / mode / "s",
+                              workers=1)
+            parallel = ensemble(cfg, 2, 4, out_dir=tmp_path / mode / "p",
+                                workers=2)
+            assert serial.stable_bytes() == parallel.stable_bytes()
+            assert (serial.chain_search is None) is (mode == "fixed")
+            tree = output_tree(tmp_path / mode / "s" / members)
+            # two members, each with its report and two snapshot pairs
+            assert len(tree) == 10
+            assert tree == output_tree(tmp_path / mode / "p" / members)
+
+    def test_empirical_ensemble_solves_each_member_once(self, tmp_path,
+                                                        monkeypatch,
+                                                        quiet_run_config):
+        solves = count_solves(monkeypatch)
+        cfg = replace(quiet_run_config,
+                      chain=ChainSettings(mode="empirical",
+                                          candidates=(4.0, 1.0)))
+        report = ensemble(cfg, 2, 1, out_dir=tmp_path, workers=1)
+        assert report.chain_search == ({"alpha": 4.0, "status": "pass"},)
+        assert len(solves) == 2
+        for i in range(2):
+            member = tmp_path / "unit-test-ensemble-seed1-n2" / "members" / f"m{i:03d}"
+            assert (member / "chain.json").is_file()
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
+    def test_worker_count_must_be_a_positive_integer(
+        self, tmp_path, tiny_ensemble_config, workers
+    ):
+        with pytest.raises(ConfigError, match="workers must be a positive integer"):
+            ensemble(tiny_ensemble_config, 2, 4, out_dir=tmp_path,
+                     workers=workers)
+        assert list(tmp_path.iterdir()) == []
 
     def test_worker_count_env_var(self, tmp_path, monkeypatch,
                                   tiny_ensemble_config):
@@ -582,8 +720,8 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize(
-        "overrides, args",
-        [
+        "overrides, args, workers",
+        [(*case, None) for case in [
             ({}, ["--resolution", "0"]),
             ({}, ["--resolution", "2"]),
             ({"chain": {"alpha": "big"}}, []),
@@ -619,7 +757,7 @@ class TestCli:
             ({"solve": {"max_steps": -1}}, []),
             ({"solve": {"sigma_mode": "fixed", "sigma_bound": -1}}, []),
             ({"hamiltonian": {"kind": "power-law", "p": "inf"}}, []),
-        ],
+        ]] + [({}, [], w) for w in ("abc", "2.5", "0", "-3", "")],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
              "working-slices-zero", "grid-list", "amplitude-nan", "delta-nan",
              "delta-negative", "checks-int", "t-end-inf", "cells-fractional",
@@ -630,12 +768,22 @@ class TestCli:
              "oracle-refinements-huge",
              "alpha-nan", "envelope-lambda-nan", "seed-negative",
              "seed-override-negative", "max-steps-zero", "max-steps-negative",
-             "sigma-bound-negative", "p-inf"],
+             "sigma-bound-negative", "p-inf", "workers-word",
+             "workers-fraction", "workers-zero", "workers-negative",
+             "workers-empty"],
     )
-    def test_configuration_faults_exit_two(self, tmp_path, capsys, overrides, args):
+    def test_configuration_faults_exit_two(self, tmp_path, capsys, monkeypatch,
+                                           overrides, args, workers):
         path = write_config(tmp_path, minimal_dict(**overrides))
-        code = main(["run", "--config", str(path), "--out",
-                     str(tmp_path / "out"), *args])
+        out = tmp_path / "out"
+        if workers is None:
+            argv = ["run", "--config", str(path), "--out", str(out), *args]
+        else:
+            monkeypatch.setenv("HJREG_WORKERS", workers)
+            monkeypatch.setenv("HJREG_OUT_DIR", str(out))
+            argv = ["ensemble", "--config", str(path), "--count", "2",
+                    "--seed", "0", *args]
+        code = main(argv)
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err

@@ -1,20 +1,28 @@
-"""Print two digest lines per reference run: the report and the trajectories.
+"""Print three digest lines per reference run: report, files, trajectories.
 
 The report digest is the first 16 hex digits of the sha256 of
 ``json.dumps(report minus "timings", sort_keys=True)``, so two checkouts
 whose runs print the same lines wrote the same reports up to wall-clock
-numbers.  The trajectory digest, on the ``traj`` line below it, is the
-first 16 hex digits of the sha256 over every ``solve`` the run made, in
-call order: the shape, values, ``cfl_margins`` and ``max_updates`` of each
-returned trajectory, and the exception name and ``step_index`` of each
-aborted one (zoom re-solves retry on aborts).  Reports and snapshots read
-only part of a trajectory; this line pins all of it.  The runs:
+numbers.  The ``files`` line below it counts every file under the run
+directory and gives the first 16 hex digits of the sha256 over them in
+sorted relative-path order, each hashed as its path, its length and its
+bytes; every ``report.json`` (member reports included) is hashed as its
+report digest text, without ``timings``.  The run directory is removed
+before the run, so the line pins exactly what the run wrote.  The
+trajectory digest, on the ``traj`` line below that, is the first 16 hex
+digits of the sha256 over every ``solve`` the run made, in call order: the
+shape, values, ``cfl_margins`` and ``max_updates`` of each returned
+trajectory, and the exception name and ``step_index`` of each aborted one
+(zoom re-solves retry on aborts).  Reports and snapshots read only part
+of a trajectory; this line pins all of it.  The runs:
 
 - ``run`` of every bundled scenario;
 - ``run`` of ``rough-eta-sweep`` at ``--resolution 96``;
 - ``run`` of ``rough-eta-sweep`` with ``theorem.mode = "resolve"``;
 - ``run`` of ``oscillation-improvement`` with only the ``cascade`` check,
   in ``cascade.mode = "resolve"``;
+- ``run`` of ``refuted-fixture`` with ``chain.mode = "empirical"``: every
+  candidate is refuted, so the search ends on the smallest;
 - ``ensemble`` of ``small-mass-ensemble`` with checks lemma1, lemma2,
   osc_above and osc_below and ``chain.mode = "empirical"``,
   ``--count 4 --seed 3``.
@@ -37,6 +45,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -52,12 +61,32 @@ from hjreg.experiment import bundled_scenarios  # noqa: E402
 ENSEMBLE_CHECKS = ["lemma1", "lemma2", "osc_above", "osc_below"]
 
 
-def digest(report_path: Path) -> str:
+def _report_text(report_path: Path) -> str:
     with open(report_path) as fh:
         report = json.load(fh)
     report.pop("timings", None)
-    text = json.dumps(report, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return json.dumps(report, sort_keys=True)
+
+
+def digest(report_path: Path) -> str:
+    return hashlib.sha256(_report_text(report_path).encode()).hexdigest()[:16]
+
+
+def files_digest(run_dir: Path) -> str:
+    """``n=<files>  <hex16>`` over every file under ``run_dir``."""
+    files = sorted(
+        (p.relative_to(run_dir).as_posix(), p)
+        for p in run_dir.rglob("*") if p.is_file()
+    )
+    h = hashlib.sha256()
+    for rel, path in files:
+        if path.name == "report.json":
+            data = _report_text(path).encode()
+        else:
+            data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return f"n={len(files)}  {h.hexdigest()[:16]}"
 
 
 class TrajectoryDigest:
@@ -154,6 +183,17 @@ def _runs(root: Path) -> list[tuple[str, list[str], Path]]:
         / "report.json",
     ))
 
+    refuted = _scenario_config("refuted-fixture")
+    refuted["chain"] = {"mode": "empirical"}
+    path = configs / "refuted-fixture-empirical.json"
+    path.write_text(json.dumps(refuted, indent=2))
+    base = root / "refuted-empirical"
+    out.append((
+        "run refuted-fixture chain.mode=empirical",
+        ["run", "--config", str(path), "--out", str(base)],
+        base / "refuted-fixture-seed0" / "report.json",
+    ))
+
     ens = _scenario_config("small-mass-ensemble")
     ens["checks"] = ENSEMBLE_CHECKS
     ens["chain"]["mode"] = "empirical"
@@ -178,11 +218,12 @@ def main(argv: list[str] | None = None) -> int:
     trajectories = TrajectoryDigest()
     trajectories.install()
     for name, hjreg_argv, report in _runs(root):
-        report.unlink(missing_ok=True)
+        shutil.rmtree(report.parent, ignore_errors=True)
         trajectories.reset()
         code = _call(hjreg_argv)
         value = digest(report) if report.exists() else "no-report"
         print(f"{name}  exit={code}  {value}", flush=True)
+        print(f"files {name}  {files_digest(report.parent)}", flush=True)
         print(f"traj {name}  {trajectories.line()}", flush=True)
     return 0
 
