@@ -1138,8 +1138,9 @@ def ensemble(
         _write(member_dir, rep, outputs)
     reports = [rep for rep, _ in members]
 
-    counts = {s: sum(r.status == s for r in reports)
-              for s in ("pass", "vacuous", "refuted", "error")}
+    counts = {"pass": 0, "vacuous": 0, "refuted": 0, "error": 0}
+    for rep in reports:
+        counts[rep.status] += 1
     status = _aggregate([r.status for r in reports])
     artifacts = tuple(
         str(d.relative_to(run_dir) / "report.json") for d in member_dirs

@@ -488,7 +488,9 @@ class TestRun:
         assert report.config["grid"]["cells_per_axis"] == 4
         assert report.config["grid"]["dt"] == pytest.approx(0.25)
 
-    def test_empirical_alpha_takes_the_first_survivor(self, tmp_path):
+    def test_empirical_alpha_takes_the_first_survivor(self, tmp_path,
+                                                      monkeypatch):
+        solves = count_solves(monkeypatch)
         data = checked_dict(
             checks=["lemma2"],
             chain={"mode": "empirical", "candidates": [4.0, 1.0]},
@@ -497,16 +499,7 @@ class TestRun:
         report = run(cfg, out_dir=tmp_path)
         assert report.chain_search == ({"alpha": 4.0, "status": "pass"},)
         assert report.config["chain"] == {"mode": "fixed", "alpha": 4.0}
-
-    def test_empirical_run_solves_the_chosen_trial_once(self, tmp_path,
-                                                        monkeypatch):
-        solves = count_solves(monkeypatch)
-        data = checked_dict(
-            checks=["lemma2"],
-            chain={"mode": "empirical", "candidates": [4.0, 1.0]},
-        )
-        report = run(ExperimentConfig.from_json_dict(data), out_dir=tmp_path)
-        assert report.chain_search == ({"alpha": 4.0, "status": "pass"},)
+        # the chosen trial is the run: it is not solved again
         assert len(solves) == 1
 
     def test_all_refuted_search_keeps_the_last_trial(self, tmp_path, monkeypatch):
@@ -660,9 +653,9 @@ class TestEnsemble:
         report = ensemble(cfg, 2, 1, out_dir=tmp_path, workers=1)
         assert report.chain_search == ({"alpha": 4.0, "status": "pass"},)
         assert len(solves) == 2
+        members = tmp_path / "unit-test-ensemble-seed1-n2" / "members"
         for i in range(2):
-            member = tmp_path / "unit-test-ensemble-seed1-n2" / "members" / f"m{i:03d}"
-            assert (member / "chain.json").is_file()
+            assert (members / f"m{i:03d}" / "chain.json").is_file()
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
     def test_worker_count_must_be_a_positive_integer(
