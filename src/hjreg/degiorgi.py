@@ -329,8 +329,7 @@ def lemma_two_check(
     diagnostics: dict = {"sup": sup_all}
     if check_subsolution:
         tol = spec.residual_tol if residual_tol is None else residual_tol
-        rep = residual_subsolution(f, env)
-        worst = float(rep.values[:, win.mask].max())
+        worst = residual_subsolution(f, env, ball=win.mask, reduce=True).ball_max
         preconditions["subsolution"] = worst <= tol
         diagnostics["subsolution_residual"] = worst
         diagnostics["subsolution_tol"] = tol

@@ -221,9 +221,6 @@ class ScalarField:
             )
         self.values.setflags(write=False)
 
-    def slice(self, i: int) -> NDArray[np.float64]:
-        return self.values[i]
-
     def with_values(self, values: NDArray[np.float64]) -> "ScalarField":
         return field_from_values(self.spec, values)
 

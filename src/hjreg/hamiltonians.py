@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import ScalarField
+from .grid import GridSpec, ScalarField
 
 __all__ = [
     "CoercivityEnvelope",
@@ -30,6 +30,7 @@ __all__ = [
     "TabulatedCoefficient",
     "TransformedHamiltonian",
     "CoercivityReport",
+    "GaugedField",
     "coercivity_check",
     "gauge_shift",
 ]
@@ -350,6 +351,25 @@ def coercivity_check(
     )
 
 
+@dataclass(frozen=True)
+class GaugedField:
+    """``field`` read with ``rate * t`` added, only on the slices asked for."""
+
+    field: ScalarField
+    rate: float = 0.0
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.field.spec
+
+    def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
+        """Slices ``lo:hi`` plus ``rate * t``; a view of the field at rate 0."""
+        values, times = self.field.values[lo:hi], self.spec.times()[lo:hi]
+        if self.rate == 0.0:
+            return values
+        return values + self.rate * times[(...,) + (None,) * self.spec.dimension]
+
+
 def gauge_shift(f: ScalarField, env: CoercivityEnvelope, sign: float = 1.0) -> ScalarField:
     """Add ``sign * lam * t`` to every slice.
 
@@ -357,6 +377,4 @@ def gauge_shift(f: ScalarField, env: CoercivityEnvelope, sign: float = 1.0) -> S
     field that both stays a subsolution of the flattened upper problem and
     gains the one-sided lower bound; ``sign=-1`` undoes it up to roundoff.
     """
-    times = f.spec.times()
-    shifted = f.values + sign * env.lam * times[(...,) + (None,) * f.spec.dimension]
-    return ScalarField(f.spec, shifted)
+    return ScalarField(f.spec, GaugedField(f, sign * env.lam).rows(0, f.spec.n_slices))

@@ -480,13 +480,12 @@ def barrier_field(chain: ConstantChain, spec: GridSpec) -> ScalarField:
 class ComparisonReport:
     """Pointwise ordering of a field against the comparison barrier.
 
-    ``margin`` is the field minus the barrier on the full grid; a monotone
-    solver started at or above the barrier keeps ``min_margin`` above
+    ``min_margin`` is the least of the field minus the barrier on the full
+    grid; a monotone solver started at or above the barrier keeps it above
     ``-O(cell width)``.  ``worst_cells`` lists up to eight most negative
     cells as ``(slice index, *cell index)``.
     """
 
-    margin: ScalarField
     min_margin: float
     n_violations: int
     worst_cells: tuple[tuple[int, ...], ...]
@@ -525,16 +524,14 @@ def comparison_check(
         )
     if check_supersolution:
         tol = spec.residual_tol if residual_tol is None else residual_tol
-        rep = residual_supersolution(
-            f, chain.envelope, a_coef=chain.supersolution_coefficient
-        )
+        rep = residual_supersolution(f, chain.envelope, reduce=True,
+                                     a_coef=chain.supersolution_coefficient)
         if rep.min_value < -tol:
             raise ValueError(
                 f"lower-inequality residual {rep.min_value} is below -{tol}; "
                 "the field is not a supersolution on this grid"
             )
     margin_values = f.values - psi.values
-    margin = field_from_values(spec, margin_values)
     n_violations = int(np.count_nonzero(margin_values < 0.0))
     flat_order = np.argsort(margin_values, axis=None)[: min(8, n_violations)]
     worst = tuple(
@@ -542,7 +539,6 @@ def comparison_check(
         for k in flat_order
     )
     return ComparisonReport(
-        margin=margin,
         min_margin=float(margin_values.min()),
         n_violations=n_violations,
         worst_cells=worst,
@@ -615,12 +611,10 @@ def oscillation_above_check(
     tolerances = {"bounded_by_two": bound_tol}
     if check_residual:
         tol = spec.residual_tol if residual_tol is None else residual_tol
-        worst = float(residual_subsolution(
-            f,
-            chain.envelope,
-            a_coef=chain.subsolution_coefficient,
-            b_const=chain.subsolution_offset,
-        ).values[:, win.mask].max())
+        worst = residual_subsolution(
+            f, chain.envelope, a_coef=chain.subsolution_coefficient,
+            b_const=chain.subsolution_offset, ball=win.mask, reduce=True,
+        ).ball_max
         preconditions["subsolution"] = worst <= tol
         diagnostics["subsolution_residual"] = worst
         tolerances["residual"] = tol
@@ -690,17 +684,13 @@ def oscillation_below_check(
     tolerances = {"lower_bound": bound_tol}
     if check_residual:
         tol = spec.residual_tol if residual_tol is None else residual_tol
-        # Each report is dropped once its scalar is read: the reflected
-        # check below builds a field-sized copy and a residual of its own.
-        worst_lower = residual_supersolution(
-            f, chain.envelope, a_coef=chain.supersolution_coefficient
-        ).min_value
-        worst_upper = float(residual_subsolution(
-            f,
-            chain.envelope,
-            a_coef=chain.subsolution_coefficient,
-            b_const=chain.subsolution_offset,
-        ).values[:, win.mask].max())
+        # Both inequalities in one pass over the field's |grad u|^p.
+        rep = residual_supersolution(
+            f, chain.envelope, a_coef=chain.supersolution_coefficient,
+            ball=win.mask, reduce=True,
+            upper=(chain.subsolution_coefficient, chain.subsolution_offset),
+        )
+        worst_lower, worst_upper = rep.min_value, rep.upper.ball_max
         preconditions["supersolution"] = worst_lower >= -tol
         preconditions["subsolution"] = worst_upper <= tol
         diagnostics["supersolution_residual"] = worst_lower

@@ -33,7 +33,7 @@ from .grid import (
     field_from_values,
     one_cell_oscillation,
 )
-from .hamiltonians import CoercivityEnvelope, TransformedHamiltonian, gauge_shift
+from .hamiltonians import CoercivityEnvelope, GaugedField, TransformedHamiltonian
 from .oscillation import (
     ConstantChain,
     oscillation_above_check,
@@ -169,7 +169,7 @@ def shift_time(f: ScalarField, offset: float) -> ScalarField:
 
 
 def resample(
-    f: ScalarField,
+    f: ScalarField | GaugedField,
     out_spec: GridSpec,
     time_scale: float = 1.0,
     time_shift: float = 0.0,
@@ -183,7 +183,8 @@ def resample(
     Queries outside the source's cell-center hull clamp to the hull, which
     continues the field constantly past its last center, matching the
     solver's outflow padding.  When the affine map sends output nodes onto
-    source nodes the resample is exact.
+    source nodes the resample is exact.  A :class:`GaugedField` is gauged
+    only on the slices the queries read.
     """
     spec = f.spec
     if spec.dimension != out_spec.dimension:
@@ -198,30 +199,36 @@ def resample(
     t_out = out_spec.times()
     n_cells = int(np.prod(out_spec.spatial_shape))
     x_query = shift + space_scale * out_spec.centers().reshape(n_cells, -1)
-    queries = np.empty((out_spec.n_slices * n_cells, 1 + spec.dimension))
-    for i, t in enumerate(t_out):
-        block = slice(i * n_cells, (i + 1) * n_cells)
-        queries[block, 0] = time_shift + time_scale * t
-        queries[block, 1:] = x_query
-    sampled = _clamped_sample(f, queries).reshape(
+    queries = np.empty((out_spec.n_slices, n_cells, 1 + spec.dimension))
+    queries[..., 0] = (time_shift + time_scale * t_out)[:, None]
+    queries[..., 1:] = x_query
+    sampled = _clamped_sample(f, queries.reshape(-1, 1 + spec.dimension)).reshape(
         out_spec.n_slices, *out_spec.spatial_shape
     )
     return field_from_values(out_spec, value_scale * sampled + value_shift)
 
 
-def _clamped_sample(f: ScalarField, queries: np.ndarray) -> np.ndarray:
+def _clamped_sample(f: ScalarField | GaugedField, queries: np.ndarray) -> np.ndarray:
     """Multilinear values of ``f`` at the ``(t, *x)`` rows of ``queries``,
-    which are first clamped in place to the cell-center hull."""
+    which are first clamped in place to the cell-center hull.  Only the
+    slices the queries fall between, and one more on each side, are read
+    (and gauged); the values are those over all slices, bit for bit."""
+    f = GaugedField(f) if isinstance(f, ScalarField) else f
     spec = f.spec
     times = spec.times()
     centers = spec.axis_centers()
-    interp = RegularGridInterpolator(
-        (times,) + (centers,) * spec.dimension, f.values, method="linear",
-        bounds_error=False,
-    )
     lo = np.array([times[0]] + [centers[0]] * spec.dimension)
     hi = np.array([times[-1]] + [centers[-1]] * spec.dimension)
     np.clip(queries, lo, hi, out=queries)
+    # t lies in [times[k - 1], times[k]); a:b pads those rows by one each side
+    k = np.searchsorted(times, [queries[:, 0].min(), queries[:, 0].max()], "right")
+    a, b = max(int(k[0]) - 2, 0), min(int(k[1]) + 2, len(times))
+    values = f.rows(a, b)
+    values.setflags(write=False)  # as a field's: scipy differs on writeable 2-D
+    interp = RegularGridInterpolator(
+        (times[a:b],) + (centers,) * spec.dimension, values, method="linear",
+        bounds_error=False,
+    )
     return interp(queries)
 
 
@@ -546,24 +553,28 @@ def holder_estimate(
 
 def gauge_to_window(
     field: ScalarField, env: CoercivityEnvelope
-) -> tuple[ScalarField, bool, float]:
+) -> tuple[GaugedField, bool, float]:
     """Prepare a solved field for base-point zooming.
 
-    Adds the ``lam * t`` shift when the raw lower-inequality residual
-    fails (any solution inside the envelope then satisfies both one-sided
+    Gauges it by ``lam * t`` when the raw lower-inequality residual fails
+    (any solution inside the envelope then satisfies both one-sided
     inequalities at the doubled constant) and reports the value factor
-    that caps the result at 2.  Returns ``(field, gauged, cap_factor)``.
+    that caps the gauged field at 2.  Returns ``(gauged_field, gauged,
+    cap_factor)``: ``field`` with rate ``lam`` or 0, never a shifted copy.
     """
-    raw_min = residual_supersolution(field, env).min_value
+    raw_min = residual_supersolution(field, env, reduce=True).min_value
     gauged = bool(raw_min < -field.spec.residual_tol)
-    out = gauge_shift(field, env) if gauged else field
-    sup = float(max(out.values.max(), -out.values.min()))
+    out = GaugedField(field, env.lam if gauged else 0.0)
+    # rounding is monotone: a slice's gauged max (min) is its max (min) gauged
+    u, gauge = field.values.reshape(len(field.values), -1), field.spec.times()
+    gauge *= out.rate
+    sup = float(max((u.max(axis=1) + gauge).max(), -(u.min(axis=1) + gauge).min()))
     gamma = 1.0 if sup <= 2.0 else 2.0 / sup
     return out, gauged, gamma
 
 
 def base_point_window(
-    field: ScalarField,
+    field: ScalarField | GaugedField,
     chain: ConstantChain,
     t0: float,
     x0,
@@ -573,15 +584,15 @@ def base_point_window(
 ):
     """Affine-map a neighborhood of ``(t0, x0)`` onto the cascade window.
 
-    ``field`` must already carry any gauge shift and satisfy
-    ``gamma * |field| <= 2``.  The map composes the cap factor, the
-    normalization ``w(t, x) = gamma * field(t0 + tau t, x0 + rho x)`` with
-    ``(gamma rho)^p = gamma tau <= 1`` (so both one-sided inequalities
-    survive with unchanged constants), and the chain's first-stage zoom
-    into a single resample onto ``working``.  ``hamiltonian``, when given,
-    must be the one ``field`` solves (gauge constant included) and comes
-    back reparametrized to the one the window solves.  Returns
-    ``(window, window_hamiltonian, tau, rho)``.
+    ``field`` must already carry any gauge shift (as a :class:`GaugedField`
+    from ``gauge_to_window``) and satisfy ``gamma * |field| <= 2``.  The
+    map composes the cap factor, the normalization ``w(t, x) = gamma *
+    field(t0 + tau t, x0 + rho x)`` with ``(gamma rho)^p = gamma tau <= 1``
+    (so both one-sided inequalities survive with unchanged constants), and
+    the chain's first-stage zoom into a single resample onto ``working``.
+    ``hamiltonian``, when given, must be the one ``field`` solves (gauge
+    constant included) and comes back reparametrized to the one the window
+    solves.  Returns ``(window, window_hamiltonian, tau, rho)``.
     """
     spec = field.spec
     x0_arr = np.atleast_1d(np.asarray(x0, dtype=np.float64))

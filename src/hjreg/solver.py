@@ -496,46 +496,55 @@ class ResidualReport:
     """Discrete residual of a one-sided Hamilton-Jacobi inequality.
 
     The residual uses the solver's own gradient (centered one-sided average
-    with outflow padding) and a forward time difference, so entry ``i`` of
-    ``values`` lives at slice time ``t_i`` of the input grid and there is one
-    entry fewer than input slices.  Kinked cells of the input can carry O(1)
-    residuals of the harmless sign; mask them out via ``values`` when that
-    matters.
+    with outflow padding) and a forward time difference: row ``i`` of
+    ``values`` lives at slice time ``t_i``, one row fewer than the input's.
+    A row holds every cell's residual or, with ``reduce``, its min, max and
+    max over the ball mask (the whole box without one).  Kinked cells can
+    carry O(1) residuals of the harmless sign; mask them out in the full
+    rows.  ``upper`` is a subsolution residual from the same pass, if any.
     """
 
-    spec: GridSpec
     values: NDArray[np.float64]
     max_positive: float
     min_value: float
+    ball_max: float
+    upper: ResidualReport | None = None
 
 
-def _residual(
-    f: ScalarField, p: float, a_coef: float, b_const: float
-) -> ResidualReport:
+def _residual(f, p: float, terms, ball, reduce: bool) -> ResidualReport:
+    """``(u[i+1] - u[i]) / dt + a |grad u[i]|^p - b`` for each ``(a, b)`` in
+    ``terms`` from one ``|grad u|^p`` per block of slices, reduced per slice."""
     spec = f.spec
     if spec.n_slices < 2:
         raise ValueError("need at least two slices for a time difference")
-    out = np.empty((spec.n_slices - 1, *spec.spatial_shape))
-    cells = math.prod(spec.spatial_shape)
-    for lo, hi in slice_blocks(0, spec.n_slices - 1, cells):
-        # (u[i+1] - u[i]) / dt + a |grad u[i]|^p - b, with the block's
-        # temporaries updated in place.
+    rows, cells = spec.n_slices - 1, math.prod(spec.spatial_shape)
+    in_ball = None if ball is None else np.flatnonzero(ball)
+    tables = [np.empty((rows, 3)) for _ in terms]
+    outs = [None if reduce else np.empty((rows, *spec.spatial_shape)) for _ in terms]
+    for lo, hi in slice_blocks(0, rows, cells):
         u = f.values[lo:hi]
         grad_term = _central_gradient_norm(u, spec)
         grad_term **= p
-        grad_term *= a_coef
-        res = out[lo:hi]
-        np.subtract(f.values[lo + 1:hi + 1], u, out=res)
-        res /= spec.dt
-        res += grad_term
-        res -= b_const
-        del grad_term  # not alive while the next block's is built
-    return ResidualReport(
-        spec=spec,
-        values=out,
-        max_positive=float(max(out.max(), 0.0)),
-        min_value=float(out.min()),
-    )
+        dudt = np.subtract(f.values[lo + 1:hi + 1], u)
+        dudt /= spec.dt
+        for (a_coef, b_const), table, out in zip(terms, tables, outs):
+            res = np.multiply(a_coef, grad_term, out=None if reduce else out[lo:hi])
+            np.add(dudt, res, out=res)
+            res -= b_const
+            flat, part = res.reshape(hi - lo, cells), table[lo:hi]
+            flat.min(axis=1, out=part[:, 0])
+            flat.max(axis=1, out=part[:, 1])
+            part[:, 2] = part[:, 1] if in_ball is None else np.take(
+                flat, in_ball, axis=1).max(axis=1)
+            del res, flat  # not alive while the next one is built
+        del grad_term, dudt
+    report = None  # chained: each term's report holds the next one's as ``upper``
+    for table, out in zip(tables[::-1], outs[::-1]):
+        report = ResidualReport(table if out is None else out,
+                                float(max(table[:, 1].max(), 0.0)),
+                                float(table[:, 0].min()), float(table[:, 2].max()),
+                                upper=report)
+    return report
 
 
 def residual_subsolution(
@@ -543,18 +552,29 @@ def residual_subsolution(
     env: CoercivityEnvelope,
     a_coef: float | None = None,
     b_const: float | None = None,
+    *,
+    ball: NDArray[np.bool_] | None = None,
+    reduce: bool = False,
 ) -> ResidualReport:
-    """Residual of ``du/dt + A |grad u|^p - B <= 0``; defaults A=1/lam, B=lam."""
+    """Residual of ``du/dt + A |grad u|^p - B <= 0``; defaults A=1/lam, B=lam.
+    ``ball`` is a spatial mask; see ``ResidualReport`` for ``reduce``."""
     a = 1.0 / env.lam if a_coef is None else a_coef
     b = env.lam if b_const is None else b_const
-    return _residual(f, env.p, a, b)
+    return _residual(f, env.p, [(a, b)], ball, reduce)
 
 
 def residual_supersolution(
     f: ScalarField,
     env: CoercivityEnvelope,
     a_coef: float | None = None,
+    *,
+    ball: NDArray[np.bool_] | None = None,
+    reduce: bool = False,
+    upper: tuple[float, float] | None = None,
 ) -> ResidualReport:
-    """Residual of ``du/dt + A |grad u|^p >= 0``; defaults A=lam."""
+    """Residual of ``du/dt + A |grad u|^p >= 0``; defaults A=lam.  ``upper``
+    ``= (A', B')`` adds the residual of ``du/dt + A' |grad u|^p - B' <= 0``
+    from the same ``|grad u|^p`` as the report's ``upper``."""
     a = env.lam if a_coef is None else a_coef
-    return _residual(f, env.p, a, 0.0)
+    terms = [(a, 0.0)] if upper is None else [(a, 0.0), upper]
+    return _residual(f, env.p, terms, ball, reduce)

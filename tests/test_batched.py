@@ -7,6 +7,7 @@ is ``==``.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,8 +27,9 @@ from hjreg.grid import (
     level_set_measure,
     one_cell_oscillation,
 )
-from hjreg.hamiltonians import CoercivityEnvelope
+from hjreg.hamiltonians import CoercivityEnvelope, gauge_shift
 from hjreg.oscillation import _witness_level, dyadic_ladder
+from hjreg.rescale import gauge_to_window, resample
 from hjreg.solver import residual_subsolution, residual_supersolution
 
 # Cells per axis of the small and the multi-block draws; with half-width
@@ -140,6 +142,67 @@ def test_residuals_match_the_per_slice_loop(f, p, a, b):
     assert sub.min_value == float(expected.min())
     sup = residual_supersolution(f, env, a_coef=a)
     assert np.array_equal(sup.values, _reference_residual(f, p, a, 0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), f=fields(), p=st.floats(1.1, 2.5), a=st.floats(0.1, 4.0),
+       b=st.floats(0.0, 2.0), a_up=st.floats(0.1, 4.0), b_up=st.floats(0.0, 2.0))
+def test_reduced_residuals_equal_the_array_form(data, f, p, a, b, a_up, b_up):
+    env = CoercivityEnvelope(lam=1.0, p=p)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    ball = np.random.default_rng(seed).random(f.spec.spatial_shape) < 0.3
+    ball.flat[data.draw(st.integers(0, ball.size - 1))] = True
+    full = residual_subsolution(f, env, a_coef=a, b_const=b)
+    reduced = residual_subsolution(f, env, a_coef=a, b_const=b, ball=ball,
+                                   reduce=True)
+    rows = full.values.reshape(len(full.values), -1)
+    assert reduced.values.shape == (f.spec.n_slices - 1, 3)
+    assert np.array_equal(reduced.values[:, 0], rows.min(axis=1))
+    assert np.array_equal(reduced.values[:, 1], rows.max(axis=1))
+    assert reduced.min_value == full.min_value == float(full.values.min())
+    assert reduced.max_positive == full.max_positive
+    assert reduced.ball_max == float(full.values[:, ball].max())
+    # both inequalities from one pass against two array-form calls
+    both = residual_supersolution(f, env, a_coef=a_up, ball=ball, reduce=True,
+                                  upper=(a, b))
+    lower = residual_supersolution(f, env, a_coef=a_up)
+    assert both.min_value == lower.min_value
+    assert both.ball_max == float(lower.values[:, ball].max())
+    assert np.array_equal(both.upper.values, reduced.values)
+    assert both.upper.upper is None
+    upper = residual_subsolution(f, env, a_coef=a_up, b_const=b_up)
+    paired = residual_supersolution(f, env, a_coef=a, upper=(a_up, b_up))
+    assert np.array_equal(paired.upper.values, upper.values)
+    assert np.array_equal(paired.values, residual_supersolution(f, env, a).values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=fields(), lam=st.floats(1.0, 3.0), p=st.floats(1.1, 2.5),
+       shift_t=st.floats(-2.5, 2.5), scale_t=st.floats(0.0, 3.0),
+       scale_x=st.floats(0.1, 2.0), shift_x=st.floats(-0.5, 0.5))
+def test_gauged_rows_equal_the_shifted_field(f, lam, p, shift_t, scale_t,
+                                             scale_x, shift_x):
+    env = CoercivityEnvelope(lam=lam, p=p)
+    out, gauged, gamma = gauge_to_window(f, env)
+    assert gauged == bool(
+        residual_supersolution(f, env).min_value < -f.spec.residual_tol
+    )
+    shifted = gauge_shift(f, env) if gauged else f
+    sup = float(max(shifted.values.max(), -shifted.values.min()))
+    assert gamma == (1.0 if sup <= 2.0 else 2.0 / sup)
+    # a window-shaped resample, reading only the slices its queries bracket
+    dim = f.spec.dimension
+    target = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=5,
+                      t_start=-1.0, t_end=0.0, dt=0.125)
+    affine = dict(time_scale=scale_t, time_shift=shift_t, space_scale=scale_x,
+                  space_shift=(shift_x,) * dim, value_scale=gamma)
+    expected = resample(shifted, target, **affine)
+    assert np.array_equal(resample(out, target, **affine).values, expected.values)
+    if not gauged:
+        assert np.array_equal(
+            resample(gauge_shift(f, env), target, **affine).values,
+            resample(replace(out, rate=lam), target, **affine).values,
+        )
 
 
 @settings(max_examples=40, deadline=None)

@@ -555,6 +555,34 @@ class TestRun:
             run(quiet_run_config, out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode", ["interpolate", "resolve"])
+    def test_cascade_check_matches_the_theorem_entry_at_its_point(
+        self, tmp_path, mode
+    ):
+        zoom = {"levels": 3, "mode": mode, "working_cells": 24,
+                "working_slices": 32}
+        data = checked_dict(
+            initial_data={"name": "random-trig",
+                          "parameters": {"amplitude": 0.5}, "seed": 5},
+            checks=["cascade", "theorem"],
+            cascade={**zoom, "base_time": 1.0, "base_point": [-0.625, -0.625]},
+            theorem={**zoom, "delta_time": 1.0, "points_per_axis": 1},
+        )
+        # the draw is steep enough that dt = 0.05 breaks monotonicity
+        data["grid"]["dt"] = 0.01
+        report = run(ExperimentConfig.from_json_dict(data), out_dir=tmp_path)
+        cascade, theorem = report.checks
+        (entry,) = theorem["entries"]
+        assert entry["t0"] == cascade["base_time"]
+        assert entry["x0"] == cascade["base_point"]
+        for key in ("gamma", "tau", "rho"):
+            assert entry[key] == cascade[key]
+        records = cascade["records"]
+        assert entry["n_records"] == len(records) == 4
+        assert entry["n_unsatisfied"] == sum(not r["satisfied"] for r in records)
+        assert not cascade["estimate"]["degenerate"]
+        assert {k: entry[k] for k in cascade["estimate"]} == cascade["estimate"]
+
 
 def tiny_ensemble_dict():
     # dt well under the CFL limit for the random draws' slopes
@@ -577,33 +605,6 @@ def tiny_ensemble_dict():
 @pytest.fixture()
 def tiny_ensemble_config():
     return ExperimentConfig.from_json_dict(tiny_ensemble_dict())
-
-
-    @pytest.mark.parametrize("mode", ["interpolate", "resolve"])
-    def test_cascade_check_matches_the_theorem_entry_at_its_point(
-        self, tmp_path, mode
-    ):
-        zoom = {"levels": 3, "mode": mode, "working_cells": 24,
-                "working_slices": 32}
-        data = checked_dict(
-            initial_data={"name": "random-trig",
-                          "parameters": {"amplitude": 0.5}, "seed": 5},
-            checks=["cascade", "theorem"],
-            cascade={**zoom, "base_time": 1.0, "base_point": [-0.625, -0.625]},
-            theorem={**zoom, "delta_time": 1.0, "points_per_axis": 1},
-        )
-        report = run(ExperimentConfig.from_json_dict(data), out_dir=tmp_path)
-        cascade, theorem = report.checks
-        (entry,) = theorem["entries"]
-        assert entry["t0"] == cascade["base_time"]
-        assert entry["x0"] == cascade["base_point"]
-        for key in ("gamma", "tau", "rho"):
-            assert entry[key] == cascade[key]
-        records = cascade["records"]
-        assert entry["n_records"] == len(records) == 4
-        assert entry["n_unsatisfied"] == sum(not r["satisfied"] for r in records)
-        assert not cascade["estimate"]["degenerate"]
-        assert {k: entry[k] for k in cascade["estimate"]} == cascade["estimate"]
 
 
 class TestEnsemble:

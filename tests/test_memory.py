@@ -24,10 +24,15 @@ from hjreg.grid import _BLOCK_CELLS, GridSpec, make_field
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import time_reverse
 from hjreg.rescale import gauge_to_window
-from hjreg.solver import hopf_lax, solve
+from hjreg.solver import (
+    hopf_lax,
+    residual_subsolution,
+    residual_supersolution,
+    solve,
+)
 
-# Long enough in time that a trajectory (12 MB) outweighs the residual's
-# block-sized temporaries (three, 3 MB).
+# Long enough in time that a trajectory (12 MB, more than eleven blocks)
+# outweighs the residual's block-sized temporaries (about four, 4 MB).
 _SPEC = GridSpec(dimension=2, half_width=1.5, cells_per_axis=24,
                  t_start=-2.0, t_end=2.0, dt=4.0 / 2600)
 _TRAJECTORY = _SPEC.n_slices * math.prod(_SPEC.spatial_shape) * 8
@@ -56,18 +61,37 @@ def test_solve_holds_one_trajectory_plus_cell_buffers():
 
 
 @pytest.mark.parametrize("gauged", [False, True])
-def test_gauge_to_window_stays_below_three_trajectories(gauged):
+def test_gauge_to_window_peaks_at_block_sized_temporaries(gauged):
     env = CoercivityEnvelope(lam=2.0, p=1.5)
     slope = -5.0 if gauged else 0.0
     f = make_field(_SPEC, lambda t, x: slope * t + 0.1 * np.cos(x[..., 0]))
     (out, was_gauged, gamma), peak = _traced_peak(lambda: gauge_to_window(f, env))
     assert was_gauged is gauged
-    assert (out is f) is not gauged
-    # one new field-sized array at a time: the residual (with its block
-    # temporaries) or the shifted field
-    assert peak <= _TRAJECTORY + 3.5 * _BLOCK_BYTES
-    # with the input field, which is alive throughout and not traced
-    assert _TRAJECTORY + peak < 3 * _TRAJECTORY
+    # the raw field and the rate, never a shifted copy
+    assert out.field is f
+    assert out.rate == (env.lam if gauged else 0.0)
+    # the residual's and the gauged sup's block temporaries, no field-sized
+    # array: a trajectory is more than eleven blocks
+    assert peak <= 5 * _BLOCK_BYTES
+    assert _TRAJECTORY > 11 * _BLOCK_BYTES
+
+
+def test_run_path_residuals_peak_at_block_sized_temporaries():
+    """A reduced residual keeps a per-slice table, not a trajectory, also
+    with the subsolution residual evaluated in the same pass."""
+    env = CoercivityEnvelope(lam=2.0, p=1.5)
+    f = make_field(_SPEC, lambda t, x: t * np.cos(x[..., 0]) + x[..., 1] ** 2)
+    ball = np.linalg.norm(_SPEC.centers(), axis=-1) < 1.0
+    sub, peak = _traced_peak(
+        lambda: residual_subsolution(f, env, ball=ball, reduce=True)
+    )
+    assert sub.values.shape == (_SPEC.n_slices - 1, 3)
+    assert peak <= 5 * _BLOCK_BYTES
+    both, peak = _traced_peak(lambda: residual_supersolution(
+        f, env, ball=ball, reduce=True, upper=(0.5, 2.0)
+    ))
+    assert both.upper.values.shape == (_SPEC.n_slices - 1, 3)
+    assert peak <= 5 * _BLOCK_BYTES
 
 
 def test_time_reverse_builds_one_array():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hjreg.grid import Cylinder, GridSpec, make_field, one_cell_oscillation
-from hjreg.hamiltonians import HamiltonianSpec
+from hjreg.hamiltonians import HamiltonianSpec, gauge_shift
 from hjreg.rescale import (
     CascadeError,
     EnvelopeViolation,
@@ -271,14 +271,22 @@ class TestGaugeToWindow:
         out, gauged, gamma = gauge_to_window(traj.field, POWER_LAW.declared_envelope())
         assert not gauged
         assert gamma == 1.0
-        np.testing.assert_array_equal(out.values, traj.field.values)
+        assert out.field is traj.field
+        assert out.rate == 0.0
+        np.testing.assert_array_equal(out.rows(0, box2.n_slices),
+                                      traj.field.values)
 
     def test_fast_decay_gets_gauged_and_capped(self, box2, env_unit):
         f = make_field(box2, lambda t, x: -3.0 * t)
         out, gauged, gamma = gauge_to_window(f, env_unit)
         assert gauged
         assert gamma == pytest.approx(0.5, rel=1e-9)
-        assert np.abs(gamma * out.values).max() <= 2.0 * (1.0 + 1e-12)
+        # the raw field and the rate, read back as the shifted field
+        assert out.field is f
+        assert out.rate == env_unit.lam
+        values = out.rows(0, box2.n_slices)
+        assert np.array_equal(values, gauge_shift(f, env_unit).values)
+        assert np.abs(gamma * values).max() <= 2.0 * (1.0 + 1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -19,6 +19,8 @@ of a trajectory; this line pins all of it.  The runs:
 - ``run`` of every bundled scenario;
 - ``run`` of ``rough-eta-sweep`` at ``--resolution 96``;
 - ``run`` of ``rough-eta-sweep`` with ``theorem.mode = "resolve"``;
+- ``run`` of ``rough-eta-sweep`` at ``--resolution 96`` with
+  ``theorem.mode = "resolve"`` (the perfbench zoom-sweep run);
 - ``run`` of ``oscillation-improvement`` with only the ``cascade`` check,
   in ``cascade.mode = "resolve"``;
 - ``run`` of ``refuted-fixture`` with ``chain.mode = "empirical"``: every
@@ -167,6 +169,12 @@ def _runs(root: Path) -> list[tuple[str, list[str], Path]]:
     out.append((
         "run rough-eta-sweep theorem.mode=resolve",
         ["run", "--config", str(path), "--out", str(base)],
+        base / f"rough-eta-sweep-seed{sweep_seed}" / "report.json",
+    ))
+    base = root / "resolve-96"
+    out.append((
+        "run rough-eta-sweep --resolution 96 theorem.mode=resolve",
+        ["run", "--config", str(path), "--resolution", "96", "--out", str(base)],
         base / f"rough-eta-sweep-seed{sweep_seed}" / "report.json",
     ))
 
