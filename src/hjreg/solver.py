@@ -25,7 +25,7 @@ sides cross-validate each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -130,34 +130,34 @@ def _cut(axis: int, start: int | None, stop: int | None) -> tuple:
 
 
 def _central_gradient_norm(
-    u: NDArray[np.float64], spec: GridSpec
+    u: NDArray[np.float64], spec: GridSpec, work: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """``|grad u|`` with the solver's centered gradient ``(D+ + D-) / 2``,
     over the trailing spatial axes of ``u`` (leading axes hold a block of
-    slices).
+    slices), built in the three arrays shaped like ``u`` that ``work``
+    stacks; the norm is returned in ``work[2]``.
 
     With outflow padding ``D+`` is the forward difference and 0 at the
     upper edge, ``D-`` the backward difference and 0 at the lower edge, so
-    ``D+ + D-`` is formed from one ``np.diff`` per axis; the components are
+    ``D+ + D-`` is formed from one difference per axis; the components are
     squared and summed in axis order, as ``np.linalg.norm`` sums them.
     """
     lead = u.ndim - spec.dimension
-    sq = None
+    diff, comp, sq = work
     for axis in range(lead, u.ndim):
-        d = np.diff(u, axis=axis)
+        d = diff[_cut(axis, 1, None)]
+        np.subtract(u[_cut(axis, 1, None)], u[_cut(axis, None, -1)], out=d)
         d /= spec.cell_width
-        comp = np.empty_like(u)
         np.add(d[_cut(axis, 1, None)], d[_cut(axis, None, -1)],
                out=comp[_cut(axis, 1, -1)])
         # At each edge the missing one-sided difference is exactly 0.0.
         comp[_cut(axis, 0, 1)] = d[_cut(axis, 0, 1)] + 0.0
         comp[_cut(axis, -1, None)] = 0.0 + d[_cut(axis, -1, None)]
-        del d  # keeps at most three block-sized arrays alive
         comp *= 0.5
-        comp *= comp
-        if sq is None:
-            sq = comp
+        if axis == lead:
+            np.multiply(comp, comp, out=sq)
         else:
+            comp *= comp
             sq += comp
     return np.sqrt(sq, out=sq)
 
@@ -511,7 +511,7 @@ class ResidualReport:
     upper: ResidualReport | None = None
 
 
-def _residual(f, p: float, terms, ball, reduce: bool) -> ResidualReport:
+def _residual(f, p: float, terms, ball, reduce: bool) -> list[ResidualReport]:
     """``(u[i+1] - u[i]) / dt + a |grad u[i]|^p - b`` for each ``(a, b)`` in
     ``terms`` from one ``|grad u|^p`` per block of slices, reduced per slice."""
     spec = f.spec
@@ -521,14 +521,17 @@ def _residual(f, p: float, terms, ball, reduce: bool) -> ResidualReport:
     in_ball = None if ball is None else np.flatnonzero(ball)
     tables = [np.empty((rows, 3)) for _ in terms]
     outs = [None if reduce else np.empty((rows, *spec.spatial_shape)) for _ in terms]
+    lo, hi = next(slice_blocks(0, rows, cells))  # the first block is the largest
+    work = np.empty((3, hi - lo, *spec.spatial_shape))  # for every block in turn
     for lo, hi in slice_blocks(0, rows, cells):
         u = f.values[lo:hi]
-        grad_term = _central_gradient_norm(u, spec)
+        block = work[:, :hi - lo]
+        grad_term = _central_gradient_norm(u, spec, block)
         grad_term **= p
-        dudt = np.subtract(f.values[lo + 1:hi + 1], u)
+        dudt = np.subtract(f.values[lo + 1:hi + 1], u, out=block[0])
         dudt /= spec.dt
         for (a_coef, b_const), table, out in zip(terms, tables, outs):
-            res = np.multiply(a_coef, grad_term, out=None if reduce else out[lo:hi])
+            res = np.multiply(a_coef, grad_term, out=block[1] if reduce else out[lo:hi])
             np.add(dudt, res, out=res)
             res -= b_const
             flat, part = res.reshape(hi - lo, cells), table[lo:hi]
@@ -536,15 +539,10 @@ def _residual(f, p: float, terms, ball, reduce: bool) -> ResidualReport:
             flat.max(axis=1, out=part[:, 1])
             part[:, 2] = part[:, 1] if in_ball is None else np.take(
                 flat, in_ball, axis=1).max(axis=1)
-            del res, flat  # not alive while the next one is built
-        del grad_term, dudt
-    report = None  # chained: each term's report holds the next one's as ``upper``
-    for table, out in zip(tables[::-1], outs[::-1]):
-        report = ResidualReport(table if out is None else out,
-                                float(max(table[:, 1].max(), 0.0)),
-                                float(table[:, 0].min()), float(table[:, 2].max()),
-                                upper=report)
-    return report
+    return [ResidualReport(table if out is None else out,
+                           float(max(table[:, 1].max(), 0.0)),
+                           float(table[:, 0].min()), float(table[:, 2].max()))
+            for table, out in zip(tables, outs)]
 
 
 def residual_subsolution(
@@ -560,7 +558,7 @@ def residual_subsolution(
     ``ball`` is a spatial mask; see ``ResidualReport`` for ``reduce``."""
     a = 1.0 / env.lam if a_coef is None else a_coef
     b = env.lam if b_const is None else b_const
-    return _residual(f, env.p, [(a, b)], ball, reduce)
+    return _residual(f, env.p, [(a, b)], ball, reduce)[0]
 
 
 def residual_supersolution(
@@ -577,4 +575,5 @@ def residual_supersolution(
     from the same ``|grad u|^p`` as the report's ``upper``."""
     a = env.lam if a_coef is None else a_coef
     terms = [(a, 0.0)] if upper is None else [(a, 0.0), upper]
-    return _residual(f, env.p, terms, ball, reduce)
+    lower, *paired = _residual(f, env.p, terms, ball, reduce)
+    return replace(lower, upper=paired[0]) if paired else lower
