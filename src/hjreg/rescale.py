@@ -224,7 +224,7 @@ def _clamped_sample(f: ScalarField | GaugedField, queries: np.ndarray) -> np.nda
     k = np.searchsorted(times, [queries[:, 0].min(), queries[:, 0].max()], "right")
     a, b = max(int(k[0]) - 2, 0), min(int(k[1]) + 2, len(times))
     values = f.rows(a, b)
-    values.setflags(write=False)  # as a field's: scipy differs on writeable 2-D
+    values.setflags(write=False)  # scipy rounds writeable 2-D values another way
     interp = RegularGridInterpolator(
         (times[a:b],) + (centers,) * spec.dimension, values, method="linear",
         bounds_error=False,
