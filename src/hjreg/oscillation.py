@@ -37,6 +37,7 @@ from .grid import (
     field_from_values,
     level_set_measure,
     one_cell_oscillation,
+    slice_blocks,
 )
 from .hamiltonians import CoercivityEnvelope
 from .solver import residual_subsolution, residual_supersolution
@@ -533,7 +534,8 @@ def comparison_check(
             )
     margin_values = f.values - psi.values
     n_violations = int(np.count_nonzero(margin_values < 0.0))
-    flat_order = np.argsort(margin_values, axis=None)[: min(8, n_violations)]
+    flat_order = (np.argsort(margin_values, axis=None)[: min(8, n_violations)]
+                  if n_violations else ())
     worst = tuple(
         tuple(int(i) for i in np.unravel_index(k, margin_values.shape))
         for k in flat_order
@@ -704,7 +706,8 @@ def oscillation_below_check(
 
     radii = np.linalg.norm(spec.centers(), axis=-1)
     envelope = -2.0 - chain.barrier_slope * np.maximum(radii - 1.0, 0.0)
-    envelope_margin = float((f.values - envelope).min())
+    envelope_margin = min(float((f.values[lo:hi] - envelope).min())
+                          for lo, hi in slice_blocks(0, spec.n_slices, envelope.size))
     envelope_tol = one_cell_oscillation(f)
     tolerances["envelope"] = envelope_tol
 

@@ -32,6 +32,7 @@ from .grid import (
     Window,
     field_from_values,
     one_cell_oscillation,
+    slice_blocks,
 )
 from .hamiltonians import CoercivityEnvelope, GaugedField, TransformedHamiltonian
 from .oscillation import (
@@ -559,14 +560,25 @@ def gauge_to_window(
     Gauges it by ``lam * t`` when the raw lower-inequality residual fails
     (any solution inside the envelope then satisfies both one-sided
     inequalities at the doubled constant) and reports the value factor
-    that caps the gauged field at 2.  Returns ``(gauged_field, gauged,
+    that caps the gauged field at 2.  The residual is checked a
+    ``slice_blocks`` block of rows at a time and the check stops at the
+    first block whose minimum is below ``-residual_tol``; a field that
+    never fails is scanned whole.  Returns ``(gauged_field, gauged,
     cap_factor)``: ``field`` with rate ``lam`` or 0, never a shifted copy.
     """
-    raw_min = residual_supersolution(field, env, reduce=True).min_value
-    gauged = bool(raw_min < -field.spec.residual_tol)
+    spec = field.spec
+    u, gauge = field.values.reshape(spec.n_slices, -1), spec.times()
+    # a block's rows lo..hi-1 difference against row hi, so its slab ends there
+    gauged = any(
+        residual_supersolution(
+            ScalarField(replace(spec, t_start=gauge[lo], t_end=gauge[hi]),
+                        field.values[lo:hi + 1]),
+            env, reduce=True,
+        ).min_value < -spec.residual_tol
+        for lo, hi in slice_blocks(0, spec.n_slices - 1, u.shape[1])
+    )
     out = GaugedField(field, env.lam if gauged else 0.0)
     # rounding is monotone: a slice's gauged max (min) is its max (min) gauged
-    u, gauge = field.values.reshape(len(field.values), -1), field.spec.times()
     gauge *= out.rate
     sup = float(max((u.max(axis=1) + gauge).max(), -(u.min(axis=1) + gauge).min()))
     gamma = 1.0 if sup <= 2.0 else 2.0 / sup
@@ -745,7 +757,8 @@ def theorem_check(
     """Estimate interior Holder regularity of a solved field.
 
     The field (typically a solver trajectory on ``[0, T] x box``) is
-    shifted by ``lam * t`` when its raw lower-inequality residual fails,
+    shifted by ``lam * t`` when its raw lower-inequality residual fails
+    on some block of slices (``gauge_to_window`` stops at the first),
     which certifies the one-sided inequalities for any Hamiltonian inside
     the coercivity envelope at the doubled constant; the chain must be
     built at that doubled constant.  Around every base point ``(t0, x0)``

@@ -9,12 +9,14 @@ is ``==``.
 import math
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjreg import rescale
 from hjreg.degiorgi import cutoff_time, truncated_energy
 from hjreg.grid import (
     _BLOCK_CELLS,
@@ -203,6 +205,62 @@ def test_gauged_rows_equal_the_shifted_field(f, lam, p, shift_t, scale_t,
             resample(gauge_shift(f, env), target, **affine).values,
             resample(replace(out, rate=lam), target, **affine).values,
         )
+
+
+@st.composite
+def time_constant_fields(draw):
+    """A field equal on every slice, so its supersolution residual ``lam
+    |grad u|^p`` is >= 0 everywhere, with the slices of one residual block;
+    multi-block slice counts straddle a block boundary."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    several_blocks = draw(st.booleans())
+    lo, hi = (_LARGE_CELLS if several_blocks else _SMALL_CELLS)[dim]
+    cells = draw(st.integers(lo, hi))
+    per_block = max(1, _BLOCK_CELLS // cells**dim)
+    if several_blocks:
+        n_steps = draw(st.integers(1, 3)) * per_block + draw(st.integers(-1, 1))
+    else:
+        n_steps = draw(st.integers(1, 40))
+    spec = GridSpec(dimension=dim, half_width=1.5, cells_per_axis=cells,
+                    t_start=-2.0, t_end=2.0, dt=4.0 / n_steps)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = draw(st.floats(-1.0, 1.0)) + spec.cell_width * rng.uniform(
+        -1.0, 1.0, spec.spatial_shape)
+    return spec, np.repeat(row[None], spec.n_slices, axis=0), per_block
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), lam=st.floats(1.0, 3.0), p=st.floats(1.1, 2.5))
+def test_gauge_stops_at_the_first_failing_block_like_the_full_scan(data, lam, p):
+    spec, values, per_block = data.draw(time_constant_fields())
+    env = CoercivityEnvelope(lam=lam, p=p)
+    rows, tol = spec.n_slices - 1, spec.residual_tol
+    edges = (k * per_block + d for k in range(1, 4) for d in (-1, 0, 1))
+    dip = data.draw(st.sampled_from(
+        [None, 0, rows - 1, *(r for r in edges if 0 <= r < rows)]))
+    if dip is not None:
+        clean = residual_supersolution(field_from_values(spec, values), env)
+        cell = data.draw(st.integers(0, values[0].size - 1))
+        # row ``dip`` drops below -tol - 1 at the cell, whatever its gradient
+        values[dip + 1].flat[cell] -= spec.dt * (clean.max_positive + tol + 1.0)
+    f = field_from_values(spec, values)
+    read = []
+
+    def counted(*args, **kwargs):
+        report = residual_supersolution(*args, **kwargs)
+        read.append(report.values.shape[0])
+        return report
+
+    with mock.patch.object(rescale, "residual_supersolution", counted):
+        out, gauged, gamma = gauge_to_window(f, env)
+    assert gauged == bool(residual_supersolution(f, env).min_value < -tol)
+    assert gauged == (dip is not None)
+    shifted = gauge_shift(f, env) if gauged else f
+    sup = float(max(shifted.values.max(), -shifted.values.min()))
+    assert gamma == (1.0 if sup <= 2.0 else 2.0 / sup)
+    # every row up to the end of the dip's block, or all of a clean field
+    end = rows if dip is None else min((dip // per_block + 1) * per_block, rows)
+    assert sum(read) == end
 
 
 @settings(max_examples=40, deadline=None)

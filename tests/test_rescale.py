@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hjreg.grid import Cylinder, GridSpec, make_field, one_cell_oscillation
+from hjreg import rescale
+from hjreg.grid import _BLOCK_CELLS, Cylinder, GridSpec, make_field, one_cell_oscillation
 from hjreg.hamiltonians import HamiltonianSpec, gauge_shift
 from hjreg.rescale import (
     CascadeError,
@@ -21,7 +22,7 @@ from hjreg.rescale import (
     zoom_cascade,
     zoom_step,
 )
-from hjreg.solver import SolveConfig, solve
+from hjreg.solver import SolveConfig, residual_supersolution, solve
 
 from conftest import const_field, coordinate_field, noise_field
 
@@ -287,6 +288,44 @@ class TestGaugeToWindow:
         values = out.rows(0, box2.n_slices)
         assert np.array_equal(values, gauge_shift(f, env_unit).values)
         assert np.abs(gamma * values).max() <= 2.0 * (1.0 + 1e-12)
+
+    @pytest.fixture()
+    def rows_read(self, monkeypatch):
+        """Rows of every supersolution residual ``gauge_to_window`` takes."""
+        read = []
+
+        def counted(*args, **kwargs):
+            report = residual_supersolution(*args, **kwargs)
+            read.append(report.values.shape[0])
+            return report
+
+        monkeypatch.setattr(rescale, "residual_supersolution", counted)
+        return read
+
+    @pytest.fixture()
+    def blocks4(self):
+        """100 steps of 64^2 cells: four residual blocks, the last of 4 rows."""
+        return GridSpec(dimension=2, half_width=1.5, cells_per_axis=64,
+                        t_start=-2.0, t_end=2.0, dt=0.04)
+
+    def test_failing_last_step_reads_every_row(self, blocks4, env_unit,
+                                               rows_read):
+        last = blocks4.t_end - 0.5 * blocks4.dt
+        f = make_field(blocks4, lambda t, x: 0.1 * np.cos(x[..., 0])
+                       - 3.0 * (t > last))
+        _, gauged, _ = gauge_to_window(f, env_unit)
+        assert gauged
+        assert sum(rows_read) == blocks4.n_slices - 1
+        assert len(rows_read) == 4
+
+    def test_failing_first_step_reads_one_block(self, blocks4, env_unit,
+                                                rows_read):
+        first = blocks4.t_start + 0.5 * blocks4.dt
+        f = make_field(blocks4, lambda t, x: 0.1 * np.cos(x[..., 0])
+                       - 3.0 * (t > first))
+        _, gauged, _ = gauge_to_window(f, env_unit)
+        assert gauged
+        assert rows_read == [_BLOCK_CELLS // 64**2]
 
 
 @pytest.fixture(scope="module")
