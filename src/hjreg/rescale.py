@@ -567,11 +567,11 @@ def gauge_to_window(
     cap_factor)``: ``field`` with rate ``lam`` or 0, never a shifted copy.
     """
     spec = field.spec
-    u, gauge = field.values.reshape(spec.n_slices, -1), spec.times()
+    u, times = field.values.reshape(spec.n_slices, -1), spec.times()
     # a block's rows lo..hi-1 difference against row hi, so its slab ends there
     gauged = any(
         residual_supersolution(
-            ScalarField(replace(spec, t_start=gauge[lo], t_end=gauge[hi]),
+            ScalarField(replace(spec, t_start=times[lo], t_end=times[hi]),
                         field.values[lo:hi + 1]),
             env, reduce=True,
         ).min_value < -spec.residual_tol
@@ -579,7 +579,7 @@ def gauge_to_window(
     )
     out = GaugedField(field, env.lam if gauged else 0.0)
     # rounding is monotone: a slice's gauged max (min) is its max (min) gauged
-    gauge *= out.rate
+    gauge = times * out.rate
     sup = float(max((u.max(axis=1) + gauge).max(), -(u.min(axis=1) + gauge).min()))
     gamma = 1.0 if sup <= 2.0 else 2.0 / sup
     return out, gauged, gamma

@@ -210,7 +210,7 @@ def test_gauged_rows_equal_the_shifted_field(f, lam, p, shift_t, scale_t,
 @st.composite
 def time_constant_fields(draw):
     """A field equal on every slice, so its supersolution residual ``lam
-    |grad u|^p`` is >= 0 everywhere, with the slices of one residual block;
+    |grad u|^p`` is >= 0 everywhere, and the slices in one residual block;
     multi-block slice counts straddle a block boundary."""
     dim = draw(st.sampled_from([1, 2, 3]))
     several_blocks = draw(st.booleans())
