@@ -116,7 +116,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run(
         cfg, out_dir=args.out, seed=args.seed, resolution=args.resolution
     )
-    _print_checks(report.checks)
+    _print_checks(report.to_json_dict()["checks"])
     if report.error is not None:
         stage = report.error.get("stage", "?")
         print(f"  error at {stage}: {report.error.get('message')}")

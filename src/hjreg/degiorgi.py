@@ -20,7 +20,6 @@ suprema over time are maxima over grid slices, with no interpolation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +30,12 @@ from .grid import (
     GridSpec,
     ScalarField,
     Window,
-    field_from_values,
     gradient_norm_p_rows,
     in_slice_order,
     level_set_measure,
     one_cell_oscillation,
     per_slice,
+    to_json,
 )
 from .hamiltonians import CoercivityEnvelope
 from .solver import residual_subsolution
@@ -68,9 +67,7 @@ def cutoff_time(level: int) -> float:
 
 def truncate(f: ScalarField, level: int) -> ScalarField:
     """Positive part above the level-``k`` threshold: ``(f - (1 - 2^-k))_+``."""
-    return field_from_values(
-        f.spec, np.maximum(f.values - cutoff_time(level), 0.0)
-    )
+    return ScalarField(f.spec, np.maximum(f.values - cutoff_time(level), 0.0))
 
 
 def _unit_window(spec: GridSpec, t_lo: float, t_hi: float) -> Window:
@@ -119,16 +116,6 @@ class EnergyLadder:
 
     def energies(self) -> NDArray[np.float64]:
         return np.array([e.energy for e in self.entries])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.env.lam,
-            "p": self.env.p,
-            "entries": [
-                {"level": e.level, "cutoff": e.cutoff, "energy": e.energy}
-                for e in self.entries
-            ],
-        }
 
 
 def energy_ladder(
@@ -245,20 +232,7 @@ class LemmaVerdict:
         return "pass"
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "preconditions": dict(self.preconditions),
-            "hypothesis_values": dict(self.hypothesis_values),
-            "hypothesis_thresholds": dict(self.hypothesis_thresholds),
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "conclusion_values": dict(self.conclusion_values),
-            "conclusion_thresholds": dict(self.conclusion_thresholds),
-            "conclusion_satisfied": self.conclusion_satisfied,
-            "tolerances": dict(self.tolerances),
-            "cell_width": self.cell_width,
-            "diagnostics": dict(self.diagnostics),
-        }
+        return {**to_json(self), "status": self.status}
 
 
 def lemma_one_check(
@@ -301,7 +275,6 @@ def lemma_two_check(
     env: CoercivityEnvelope,
     alpha: float,
     delta: float,
-    check_subsolution: bool = True,
     residual_tol: float | None = None,
 ) -> LemmaVerdict:
     """Mostly-nonpositive fields with a thin middle layer have tiny mass above 1.
@@ -310,11 +283,10 @@ def lemma_two_check(
     and ``|{0 < f < 1}|`` is at most ``alpha``, then the integral of
     ``(f - 1)_+`` over ``[0, 2] x B(1)`` stays below ``delta / 2``.
 
-    Preconditions: ``f <= 2`` on the cylinder, and (unless disabled) the
-    one-sided subsolution residual stays below ``residual_tol`` inside the
-    ball.  The conclusion is only meaningful for genuine subsolutions, so a
-    failed precondition is reported as its own status rather than a
-    refutation.
+    Preconditions: ``f <= 2`` on the cylinder, and the one-sided
+    subsolution residual stays below ``residual_tol`` inside the ball.  The
+    conclusion is only meaningful for genuine subsolutions, so a failed
+    precondition is reported as its own status rather than a refutation.
     """
     spec = f.spec
     win = _unit_window(spec, -2.0, 2.0)
@@ -325,14 +297,14 @@ def lemma_two_check(
     cyl = win.cylinder
     sup_all = win.max(f.values)
     bound_tol = one_cell_oscillation(f, cyl)
-    preconditions = {"bounded_by_two": sup_all <= 2.0 + bound_tol}
-    diagnostics: dict = {"sup": sup_all}
-    if check_subsolution:
-        tol = spec.residual_tol if residual_tol is None else residual_tol
-        worst = residual_subsolution(f, env, ball=win.mask, reduce=True).ball_max
-        preconditions["subsolution"] = worst <= tol
-        diagnostics["subsolution_residual"] = worst
-        diagnostics["subsolution_tol"] = tol
+    tol = spec.residual_tol if residual_tol is None else residual_tol
+    worst = residual_subsolution(f, env, ball=win.mask, reduce=True).ball_max
+    preconditions = {
+        "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
+    }
+    diagnostics = {
+        "sup": sup_all, "subsolution_residual": worst, "subsolution_tol": tol,
+    }
 
     total = level_set_measure(f, cyl)
     zero_mass = level_set_measure(f, cyl, hi=0.0, closed_upper=True)

@@ -32,8 +32,8 @@ from .degiorgi import (
     lemma_two_check,
     recurrence_fit,
 )
-from .grid import Cylinder, GridSpec, ScalarField, Window
-from .grid import field_from_values, save_snapshot
+from .grid import _KEYS, Cylinder, GridSpec, ScalarField, Window
+from .grid import field_from_values, save_snapshot, to_json
 from .hamiltonians import CoercivityEnvelope, HamiltonianSpec, coercivity_check
 from .initial_data import make_initial_function, validate_descriptor
 from .oscillation import (
@@ -100,8 +100,6 @@ def _section(where: str):
         raise ConfigError(f"{where}: {err}") from None
 
 
-# Attributes written under another JSON key.
-_KEYS = {"lam": "lambda"}
 # Resolved field annotations per settings class.
 _hints = cache(typing.get_type_hints)
 
@@ -173,22 +171,6 @@ def _from_json(cls, section, where: str, **given):
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{where} needs {key!r}")
         return cls(**kwargs)
-
-
-def _to_json(obj) -> dict:
-    """The JSON section of a settings dataclass: tuples become lists and
-    nested settings their own sections."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = _to_json(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, dict):
-            value = dict(value)
-        out[_KEYS.get(f.name, f.name)] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -354,7 +336,7 @@ class ExperimentConfig:
             )
 
     def to_json_dict(self) -> dict:
-        out = _to_json(self)
+        out = to_json(self)
         # these two write only the keys their kind or mode reads
         out.update(hamiltonian=self.hamiltonian.to_config(),
                    chain=self.chain.to_json_dict())
@@ -544,20 +526,10 @@ class RunReport:
     timings: dict
 
     def to_json_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "version": self.version,
-            "scenario": self.scenario,
-            "status": self.status,
-            "config": self.config,
-            "chain": self.chain,
-            "chain_search": (None if self.chain_search is None
-                             else list(self.chain_search)),
-            "checks": list(self.checks),
-            "artifacts": list(self.artifacts),
-            "error": self.error,
-        }
-        if include_timings:
-            out["timings"] = dict(self.timings)
+        """Every field, ``timings`` only if ``include_timings``, JSON-safe."""
+        out = to_json(self)
+        if not include_timings:
+            del out["timings"]
         return _json_safe(out)
 
     def stable_bytes(self) -> bytes:
@@ -586,25 +558,7 @@ class EnsembleReport:
     artifacts: tuple[str, ...]
     timings: dict
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        out = {
-            "version": self.version,
-            "scenario": self.scenario,
-            "status": self.status,
-            "config": self.config,
-            "count": self.count,
-            "seed": self.seed,
-            "member_seeds": list(self.member_seeds),
-            "counts": dict(self.counts),
-            "chain_search": (None if self.chain_search is None
-                             else list(self.chain_search)),
-            "members": list(self.members),
-            "artifacts": list(self.artifacts),
-        }
-        if include_timings:
-            out["timings"] = dict(self.timings)
-        return _json_safe(out)
-
+    to_json_dict = RunReport.to_json_dict
     stable_bytes = RunReport.stable_bytes
 
 
@@ -702,8 +656,8 @@ def _check_cascade(
         "tau": tau,
         "rho": rho,
         "mode": opts.mode,
-        "records": [r.to_json_dict() for r in records],
-        "estimate": estimate.to_json_dict(),
+        "records": [to_json(r) for r in records],
+        "estimate": to_json(estimate),
         "aborted": aborted,
     }
     outputs[f"cascades/base{label}.csv"] = records_to_csv(records)
@@ -741,7 +695,7 @@ def _check_theorem(
     refuted = report.n_unsatisfied > 0 or (
         math.isfinite(report.alpha_min) and report.alpha_min < report.alpha_theory
     )
-    return ("refuted" if refuted else "pass"), report.to_json_dict()
+    return ("refuted" if refuted else "pass"), to_json(report)
 
 
 def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -56,6 +56,7 @@ __all__ = [
     "one_cell_oscillation",
     "save_snapshot",
     "load_snapshot",
+    "to_json",
 ]
 
 _REL_TOL = 1e-6
@@ -64,6 +65,25 @@ _REL_TOL = 1e-6
 _TIME_TOL = 1e-9
 # Cells per block of slices in the batched reductions along time.
 _BLOCK_CELLS = 1 << 17
+# Attributes written under another JSON key.
+_KEYS = {"lam": "lambda"}
+
+
+def to_json(obj) -> dict:
+    """The JSON object of a dataclass, one key per field (``lam`` under
+    ``lambda``): tuples become lists, dicts are copied and nested
+    dataclasses become their own objects."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[_KEYS.get(f.name, f.name)] = value
+    return out
 
 
 class EmptyCylinderError(ValueError):
@@ -162,16 +182,6 @@ class GridSpec:
     def residual_tol(self) -> float:
         """Default slack of one-sided residual checks: ``10 (cell width + dt)``."""
         return 10.0 * (self.cell_width + self.dt)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "half_width": self.half_width,
-            "cells_per_axis": self.cells_per_axis,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "dt": self.dt,
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridSpec":
@@ -531,7 +541,7 @@ def save_snapshot(f: ScalarField, base_path: str | Path) -> tuple[Path, Path]:
                     [f"{t:.17g}"] + [f"{c:.17g}" for c in coords] + [f"{v:.17g}"]
                 )
     with open(json_path, "w") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(to_json(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, json_path
 

@@ -2,8 +2,12 @@
 
 Every entry turns ``(spec, parameters, rng)`` into a function of spatial
 points, so the same draw can be sampled on the run grid, on a refined grid,
-or handed to the inf-convolution oracle.  Draws are deterministic given the
-seed and independent of the grid resolution.
+or handed to the inf-convolution oracle.  A draw is fixed by the seed, the
+parameters, the dimension and the box half-width; the cell count and the
+time step do not enter it.  Its values are not bit-identical across array
+shapes: random-trig evaluates ``x @ k``, which numpy rounds differently for
+one point than for many, so a point sampled alone and the same point in a
+batch can differ in the last bits.
 """
 
 from __future__ import annotations

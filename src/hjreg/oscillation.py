@@ -34,10 +34,10 @@ from .grid import (
     ScalarField,
     Window,
     ball_volume,
-    field_from_values,
     level_set_measure,
     one_cell_oscillation,
     slice_blocks,
+    to_json,
 )
 from .hamiltonians import CoercivityEnvelope
 from .solver import residual_subsolution, residual_supersolution
@@ -123,44 +123,10 @@ class ConstantChain:
     def to_json_dict(self) -> dict:
         checks = validate_chain(self)
         return {
-            "dimension": self.dimension,
-            "p": self.p,
-            "lambda": self.lam,
-            "middle_threshold": self.middle_threshold,
-            "ladder_depth": self.ladder_depth,
-            "shrink_above": self.shrink_above,
-            "barrier_height": self.barrier_height,
-            "barrier_slope": self.barrier_slope,
-            "shrink_below": self.shrink_below,
-            "decay_ratio": self.decay_ratio,
-            "prezoom_scale": self.prezoom_scale,
-            "prezoom_time_exponent": self.prezoom_time_exponent,
-            "zoom_ratio": self.zoom_ratio,
-            "zoom_time_exponent": self.zoom_time_exponent,
-            "holder_exponent": self.holder_exponent,
+            **to_json(self),
             "invariants_ok": all(c.ok for c in checks.values()),
             "invariant_slacks": {name: c.slack for name, c in checks.items()},
         }
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "ConstantChain":
-        return ConstantChain(
-            dimension=int(data["dimension"]),
-            p=float(data["p"]),
-            lam=float(data["lambda"]),
-            middle_threshold=float(data["middle_threshold"]),
-            ladder_depth=int(data["ladder_depth"]),
-            shrink_above=float(data["shrink_above"]),
-            barrier_height=float(data["barrier_height"]),
-            barrier_slope=float(data["barrier_slope"]),
-            shrink_below=float(data["shrink_below"]),
-            decay_ratio=float(data["decay_ratio"]),
-            prezoom_scale=float(data["prezoom_scale"]),
-            prezoom_time_exponent=float(data["prezoom_time_exponent"]),
-            zoom_ratio=float(data["zoom_ratio"]),
-            zoom_time_exponent=float(data["zoom_time_exponent"]),
-            holder_exponent=float(data["holder_exponent"]),
-        )
 
 
 def build_constant_chain(
@@ -428,7 +394,7 @@ def dyadic_ladder(f: ScalarField, k: int) -> ScalarField:
     if k < 1:
         raise ValueError(f"ladder level must be >= 1, got {k}")
     shift = 2.0 - 2.0 ** (1 - k)
-    return f.with_values(2.0**k * (f.values - shift))
+    return ScalarField(f.spec, 2.0**k * (f.values - shift))
 
 
 def time_reverse(f: ScalarField) -> ScalarField:
@@ -474,7 +440,7 @@ def barrier_field(chain: ConstantChain, spec: GridSpec) -> ScalarField:
         out[i] = np.minimum(
             plateau, -2.0 - chain.barrier_height / 8.0 * (t + 2.0) + wedge_space
         )
-    return field_from_values(spec, out)
+    return ScalarField(spec, out)
 
 
 @dataclass(frozen=True)
@@ -492,28 +458,18 @@ class ComparisonReport:
     worst_cells: tuple[tuple[int, ...], ...]
     cell_width: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_margin": self.min_margin,
-            "n_violations": self.n_violations,
-            "worst_cells": [list(c) for c in self.worst_cells],
-            "cell_width": self.cell_width,
-        }
-
 
 def comparison_check(
     f: ScalarField,
     chain: ConstantChain,
-    check_supersolution: bool = True,
     residual_tol: float | None = None,
 ) -> ComparisonReport:
     """Margin of a field over the comparison barrier, everywhere on its grid.
 
     Preconditions are raised, not reported: the field must start at or
     above the barrier on its first slice (the ordering the comparison
-    principle propagates), and unless disabled it must satisfy the
-    zoomed-in lower inequality up to ``residual_tol`` (default
-    ``10 (cell width + dt)``).
+    principle propagates), and it must satisfy the zoomed-in lower
+    inequality up to ``residual_tol`` (default ``10 (cell width + dt)``).
     """
     spec = f.spec
     psi = barrier_field(chain, spec)
@@ -523,15 +479,14 @@ def comparison_check(
             f"initial slice dips {-initial_gap} below the barrier; "
             "comparison needs ordering at the starting time"
         )
-    if check_supersolution:
-        tol = spec.residual_tol if residual_tol is None else residual_tol
-        rep = residual_supersolution(f, chain.envelope, reduce=True,
-                                     a_coef=chain.supersolution_coefficient)
-        if rep.min_value < -tol:
-            raise ValueError(
-                f"lower-inequality residual {rep.min_value} is below -{tol}; "
-                "the field is not a supersolution on this grid"
-            )
+    tol = spec.residual_tol if residual_tol is None else residual_tol
+    rep = residual_supersolution(f, chain.envelope, reduce=True,
+                                 a_coef=chain.supersolution_coefficient)
+    if rep.min_value < -tol:
+        raise ValueError(
+            f"lower-inequality residual {rep.min_value} is below -{tol}; "
+            "the field is not a supersolution on this grid"
+        )
     margin_values = f.values - psi.values
     n_violations = int(np.count_nonzero(margin_values < 0.0))
     flat_order = (np.argsort(margin_values, axis=None)[: min(8, n_violations)]
@@ -584,7 +539,6 @@ def _witness_level(
 def oscillation_above_check(
     f: ScalarField,
     chain: ConstantChain,
-    check_residual: bool = True,
     residual_tol: float | None = None,
     conclusion_tol: float | None = None,
 ) -> LemmaVerdict:
@@ -608,18 +562,16 @@ def oscillation_above_check(
 
     sup_all = win.max(f.values)
     bound_tol = one_cell_oscillation(f, cyl)
-    preconditions = {"bounded_by_two": sup_all <= 2.0 + bound_tol}
-    diagnostics: dict = {"sup": sup_all}
-    tolerances = {"bounded_by_two": bound_tol}
-    if check_residual:
-        tol = spec.residual_tol if residual_tol is None else residual_tol
-        worst = residual_subsolution(
-            f, chain.envelope, a_coef=chain.subsolution_coefficient,
-            b_const=chain.subsolution_offset, ball=win.mask, reduce=True,
-        ).ball_max
-        preconditions["subsolution"] = worst <= tol
-        diagnostics["subsolution_residual"] = worst
-        tolerances["residual"] = tol
+    tol = spec.residual_tol if residual_tol is None else residual_tol
+    worst = residual_subsolution(
+        f, chain.envelope, a_coef=chain.subsolution_coefficient,
+        b_const=chain.subsolution_offset, ball=win.mask, reduce=True,
+    ).ball_max
+    preconditions = {
+        "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
+    }
+    diagnostics: dict = {"sup": sup_all, "subsolution_residual": worst}
+    tolerances = {"bounded_by_two": bound_tol, "residual": tol}
 
     total = level_set_measure(f, cyl)
     nonpos_mass = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
@@ -654,7 +606,6 @@ def oscillation_above_check(
 def oscillation_below_check(
     f: ScalarField,
     chain: ConstantChain,
-    check_residual: bool = True,
     residual_tol: float | None = None,
     conclusion_tol: float | None = None,
 ) -> LemmaVerdict:
@@ -681,23 +632,21 @@ def oscillation_below_check(
     late = Window(spec, Cylinder(1.0, 2.0, origin, 0.5))
 
     bound_tol = one_cell_oscillation(f, cyl)
-    preconditions: dict[str, bool] = {}
-    diagnostics: dict = {}
-    tolerances = {"lower_bound": bound_tol}
-    if check_residual:
-        tol = spec.residual_tol if residual_tol is None else residual_tol
-        # Both inequalities in one pass over the field's |grad u|^p.
-        rep = residual_supersolution(
-            f, chain.envelope, a_coef=chain.supersolution_coefficient,
-            ball=win.mask, reduce=True,
-            upper=(chain.subsolution_coefficient, chain.subsolution_offset),
-        )
-        worst_lower, worst_upper = rep.min_value, rep.upper.ball_max
-        preconditions["supersolution"] = worst_lower >= -tol
-        preconditions["subsolution"] = worst_upper <= tol
-        diagnostics["supersolution_residual"] = worst_lower
-        diagnostics["subsolution_residual"] = worst_upper
-        tolerances["residual"] = tol
+    tol = spec.residual_tol if residual_tol is None else residual_tol
+    # Both inequalities in one pass over the field's |grad u|^p.
+    rep = residual_supersolution(
+        f, chain.envelope, a_coef=chain.supersolution_coefficient,
+        ball=win.mask, reduce=True,
+        upper=(chain.subsolution_coefficient, chain.subsolution_offset),
+    )
+    worst_lower, worst_upper = rep.min_value, rep.upper.ball_max
+    preconditions = {
+        "supersolution": worst_lower >= -tol, "subsolution": worst_upper <= tol,
+    }
+    diagnostics: dict = {
+        "supersolution_residual": worst_lower, "subsolution_residual": worst_upper,
+    }
+    tolerances = {"lower_bound": bound_tol, "residual": tol}
 
     inf_all = win.min(f.values)
     total = level_set_measure(f, cyl)
@@ -720,10 +669,7 @@ def oscillation_below_check(
     tolerances["conclusion"] = concl_tol
 
     reflected = oscillation_above_check(
-        time_reverse(f),
-        chain,
-        check_residual=check_residual,
-        residual_tol=residual_tol,
+        time_reverse(f), chain, residual_tol=residual_tol
     )
     diagnostics["reflected_above"] = reflected.to_json_dict()
     diagnostics["early_min"] = -reflected.conclusion_values["late_sup"]

@@ -30,9 +30,9 @@ from .grid import (
     GridSpec,
     ScalarField,
     Window,
-    field_from_values,
     one_cell_oscillation,
     slice_blocks,
+    to_json,
 )
 from .hamiltonians import CoercivityEnvelope, GaugedField, TransformedHamiltonian
 from .oscillation import (
@@ -102,31 +102,21 @@ class CascadeError(RuntimeError):
 class OscillationRecord:
     """Measured versus certified oscillation over one zoom window.
 
-    ``window`` is the level-``m`` cylinder in the coordinates of the first
-    cascade field: time depth ``(zoom_ratio^zoom_time_exponent)^m``,
-    spatial radius ``zoom_ratio^m / 2``.  ``recenter`` is the constant the
-    cascade subtracted to advance past this level.
+    The level-``m`` window ``[-t_depth, 0] x B(0, radius)`` is given in the
+    coordinates of the first cascade field: ``t_depth`` is
+    ``(zoom_ratio^zoom_time_exponent)^m`` and ``radius`` is
+    ``zoom_ratio^m / 2``.  ``recenter`` is the constant the cascade
+    subtracted to advance past this level.
     """
 
     level: int
-    window: Cylinder
+    radius: float
+    t_depth: float
     osc_measured: float
     osc_bound: float
     recenter: float
     satisfied: bool
     tolerance: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "t_depth": -self.window.t_lo,
-            "radius": self.window.radius,
-            "osc_measured": self.osc_measured,
-            "osc_bound": self.osc_bound,
-            "recenter": self.recenter,
-            "satisfied": self.satisfied,
-            "tolerance": self.tolerance,
-        }
 
 
 @dataclass(frozen=True)
@@ -148,17 +138,6 @@ class HolderEstimate:
     points_used: int
     degenerate: bool
     alpha_theory: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha_est": self.alpha_est if math.isfinite(self.alpha_est) else None,
-            "c_est": self.c_est,
-            "fit_residual": self.fit_residual,
-            "scale_range": list(self.scale_range),
-            "points_used": self.points_used,
-            "degenerate": self.degenerate,
-            "alpha_theory": self.alpha_theory,
-        }
 
 
 def shift_time(f: ScalarField, offset: float) -> ScalarField:
@@ -206,7 +185,7 @@ def resample(
     sampled = _clamped_sample(f, queries.reshape(-1, 1 + spec.dimension)).reshape(
         out_spec.n_slices, *out_spec.spatial_shape
     )
-    return field_from_values(out_spec, value_scale * sampled + value_shift)
+    return ScalarField(out_spec, value_scale * sampled + value_shift)
 
 
 def _clamped_sample(f: ScalarField | GaugedField, queries: np.ndarray) -> np.ndarray:
@@ -470,7 +449,8 @@ def zoom_cascade(
             records.append(
                 OscillationRecord(
                     level=m,
-                    window=Cylinder(-(a**m), 0.0, center, 0.5 * chain.zoom_ratio**m),
+                    radius=0.5 * chain.zoom_ratio**m,
+                    t_depth=a**m,
                     osc_measured=osc,
                     osc_bound=bound,
                     recenter=d,
@@ -495,7 +475,7 @@ def records_to_csv(records: list[OscillationRecord]) -> str:
     lines = ["m,radius,t_depth,osc_measured,osc_bound,d_m,satisfied"]
     for r in records:
         lines.append(
-            f"{r.level},{r.window.radius:.17g},{-r.window.t_lo:.17g},"
+            f"{r.level},{r.radius:.17g},{r.t_depth:.17g},"
             f"{r.osc_measured:.17g},{r.osc_bound:.17g},{r.recenter:.17g},"
             f"{str(r.satisfied).lower()}"
         )
@@ -515,7 +495,7 @@ def holder_estimate(
     floor, so interpolation rounding noise never masquerades as decay.
     """
     pairs = [
-        (r.window.radius, r.osc_measured)
+        (r.radius, r.osc_measured)
         for r in records
         if r.osc_measured > max(r.tolerance, _TOL_FLOOR)
     ]
@@ -728,18 +708,6 @@ class TheoremReport:
     n_degenerate: int
     n_unsatisfied: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_time": self.delta_time,
-            "gauged": self.gauged,
-            "alpha_theory": self.alpha_theory,
-            "entries": [dict(e) for e in self.entries],
-            "alpha_min": self.alpha_min if math.isfinite(self.alpha_min) else None,
-            "max_quotient": self.max_quotient,
-            "n_degenerate": self.n_degenerate,
-            "n_unsatisfied": self.n_unsatisfied,
-        }
-
 
 def theorem_check(
     field: ScalarField | Trajectory,
@@ -799,7 +767,7 @@ def theorem_check(
         if not est.degenerate:
             finite.append(est.alpha_est)
             all_pairs.extend(
-                (r.window.radius, r.osc_measured)
+                (r.radius, r.osc_measured)
                 for r in records
                 if r.osc_measured > max(r.tolerance, _TOL_FLOOR)
             )
@@ -814,7 +782,7 @@ def theorem_check(
                 "rho": rho,
                 "n_records": len(records),
                 "n_unsatisfied": n_bad,
-                **est.to_json_dict(),
+                **to_json(est),
             }
         )
     alpha_min = min(finite) if finite else math.inf

@@ -225,8 +225,7 @@ class TestLemmaTwo:
 
     def test_positive_half_is_vacuous(self, box2, env_unit):
         verdict = lemma_two_check(const_field(box2, 0.5), env_unit,
-                                  alpha=1e-6, delta=0.01,
-                                  check_subsolution=False)
+                                  alpha=1e-6, delta=0.01)
         assert not verdict.hypothesis_satisfied
         assert verdict.conclusion_satisfied
 

@@ -1,5 +1,7 @@
 """Scenario configs, run/ensemble reports, and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 from dataclasses import replace
@@ -11,11 +13,13 @@ from hypothesis import strategies as st
 
 from hjreg import experiment
 from hjreg.cli import main
+from hjreg.degiorgi import LemmaVerdict
 from hjreg.experiment import (
     CHECK_NAMES,
     SCHEMA_VERSION,
     ChainSettings,
     ConfigError,
+    EnsembleReport,
     ExperimentConfig,
     RunReport,
     bundled_scenarios,
@@ -24,6 +28,9 @@ from hjreg.experiment import (
     run,
     scenario_path,
 )
+from hjreg.grid import GridSpec, to_json
+from hjreg.oscillation import build_constant_chain
+from hjreg.rescale import HolderEstimate, OscillationRecord, TheoremReport
 
 
 GRID = {
@@ -423,6 +430,87 @@ class TestReportSerialization:
         data = json.loads(report.stable_bytes())
         assert "timings" not in data
         assert data["version"] == SCHEMA_VERSION
+
+
+_CHAIN_KEYS = [
+    "barrier_height", "barrier_slope", "decay_ratio", "dimension",
+    "holder_exponent", "invariant_slacks", "invariants_ok", "ladder_depth",
+    "lambda", "middle_threshold", "p", "prezoom_scale",
+    "prezoom_time_exponent", "shrink_above", "shrink_below", "zoom_ratio",
+    "zoom_time_exponent",
+]
+
+
+def _chain_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["chain", "--N", "2", "--p", "1.5", "--lambda", "1",
+                     "--alpha", "1"]) == 0
+    return json.loads(out.getvalue())
+
+
+# Each key list is copied from the reports and stdout the parent commit wrote.
+@pytest.mark.parametrize("build, keys", [
+    pytest.param(lambda: to_json(HolderEstimate(
+        alpha_est=math.inf, c_est=0.0, fit_residual=0.0, scale_range=(0.0, 0.0),
+        points_used=0, degenerate=True, alpha_theory=1e-6,
+    )), [
+        "alpha_est", "alpha_theory", "c_est", "degenerate", "fit_residual",
+        "points_used", "scale_range",
+    ], id="HolderEstimate"),
+    pytest.param(lambda: to_json(TheoremReport(
+        delta_time=1.0, gauged=False, alpha_theory=1e-6, entries=(),
+        alpha_min=math.inf, max_quotient=0.0, n_degenerate=0, n_unsatisfied=0,
+    )), [
+        "alpha_min", "alpha_theory", "delta_time", "entries", "gauged",
+        "max_quotient", "n_degenerate", "n_unsatisfied",
+    ], id="TheoremReport"),
+    pytest.param(lambda: to_json(OscillationRecord(
+        level=0, radius=0.5, t_depth=1.0, osc_measured=0.0, osc_bound=4.0,
+        recenter=0.0, satisfied=True, tolerance=0.0,
+    )), [
+        "level", "osc_bound", "osc_measured", "radius", "recenter",
+        "satisfied", "t_depth", "tolerance",
+    ], id="OscillationRecord"),
+    pytest.param(lambda: to_json(GridSpec(**GRID)), [
+        "cells_per_axis", "dimension", "dt", "half_width", "t_end", "t_start",
+    ], id="GridSpec"),
+    pytest.param(lambda: to_json(RunReport(
+        version=SCHEMA_VERSION, scenario="s", status="pass", config={},
+        chain=None, chain_search=None, checks=(), artifacts=(), error=None,
+        timings={},
+    )), [
+        "artifacts", "chain", "chain_search", "checks", "config", "error",
+        "scenario", "status", "timings", "version",
+    ], id="RunReport"),
+    pytest.param(lambda: to_json(EnsembleReport(
+        version=SCHEMA_VERSION, scenario="s", status="pass", config={},
+        count=0, seed=0, member_seeds=(), counts={}, chain_search=None,
+        members=(), artifacts=(), timings={},
+    )), [
+        "artifacts", "chain_search", "config", "count", "counts",
+        "member_seeds", "members", "scenario", "seed", "status", "timings",
+        "version",
+    ], id="EnsembleReport"),
+    pytest.param(lambda: LemmaVerdict(
+        name="n", preconditions={}, hypothesis_values={},
+        hypothesis_thresholds={}, hypothesis_satisfied=True,
+        conclusion_values={}, conclusion_thresholds={},
+        conclusion_satisfied=True, tolerances={}, cell_width=0.1,
+    ).to_json_dict(), [
+        "cell_width", "conclusion_satisfied", "conclusion_thresholds",
+        "conclusion_values", "diagnostics", "hypothesis_satisfied",
+        "hypothesis_thresholds", "hypothesis_values", "name", "preconditions",
+        "status", "tolerances",
+    ], id="LemmaVerdict"),
+    pytest.param(
+        lambda: build_constant_chain(2, 1.5, 1.0, 1.0).to_json_dict(),
+        _CHAIN_KEYS, id="ConstantChain",
+    ),
+    pytest.param(_chain_stdout, _CHAIN_KEYS, id="chain-stdout"),
+])
+def test_json_keys_match_the_written_reports(build, keys):
+    assert sorted(build()) == keys
 
 
 @pytest.fixture()

@@ -20,6 +20,7 @@ from hjreg.grid import (
     make_field,
     one_cell_oscillation,
     save_snapshot,
+    to_json,
 )
 
 from conftest import const_field, coordinate_field, noise_field, time_field
@@ -73,7 +74,7 @@ class TestGridSpec:
             GridSpec(**base)
 
     def test_json_round_trip(self, box2):
-        assert GridSpec.from_json_dict(box2.to_json_dict()) == box2
+        assert GridSpec.from_json_dict(to_json(box2)) == box2
 
 
 class TestMakeField:

@@ -22,7 +22,7 @@ from hjreg.experiment import (
 )
 from hjreg.grid import _BLOCK_CELLS, GridSpec, make_field
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
-from hjreg.oscillation import time_reverse
+from hjreg.oscillation import barrier_field, build_constant_chain, time_reverse
 from hjreg.rescale import gauge_to_window
 from hjreg.solver import (
     hopf_lax,
@@ -93,6 +93,14 @@ def test_run_path_residuals_peak_at_block_sized_temporaries():
     ))
     assert both.upper.values.shape == (_SPEC.n_slices - 1, 3)
     assert peak <= 4 * _BLOCK_BYTES
+
+
+def test_barrier_field_builds_one_array():
+    chain = build_constant_chain(2, 1.5, 1.0, 1.0)
+    psi, peak = _traced_peak(lambda: barrier_field(chain, _SPEC))
+    assert psi.values.nbytes == _TRAJECTORY
+    # the filled array is the field's, not copied; the rest is O(cells)
+    assert peak <= _TRAJECTORY + 64 * _CELL_BYTES + _SLACK
 
 
 def test_time_reverse_builds_one_array():

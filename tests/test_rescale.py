@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hjreg import rescale
-from hjreg.grid import _BLOCK_CELLS, Cylinder, GridSpec, make_field, one_cell_oscillation
+from hjreg.grid import _BLOCK_CELLS, GridSpec, make_field, one_cell_oscillation
 from hjreg.hamiltonians import HamiltonianSpec, gauge_shift
 from hjreg.rescale import (
     CascadeError,
@@ -142,10 +142,10 @@ class TestZoomCascade:
                                mode="interpolate")
         a = chain_unit.zoom_ratio ** chain_unit.zoom_time_exponent
         for m, r in enumerate(records):
-            assert r.window.radius == pytest.approx(
+            assert r.radius == pytest.approx(
                 0.5 * chain_unit.zoom_ratio**m, rel=1e-12
             )
-            assert -r.window.t_lo == pytest.approx(a**m, rel=1e-12)
+            assert r.t_depth == pytest.approx(a**m, rel=1e-12)
 
     def test_smooth_field_stays_satisfied(self, window, chain_unit):
         f = make_field(
@@ -213,7 +213,8 @@ def synthetic_records(exponent, chain, n=6, prefactor=1.0):
         records.append(
             OscillationRecord(
                 level=m,
-                window=Cylinder(-(0.5**m), 0.0, (0.0, 0.0), r),
+                radius=r,
+                t_depth=0.5**m,
                 osc_measured=prefactor * r**exponent,
                 osc_bound=4.0,
                 recenter=0.0,
@@ -254,7 +255,8 @@ class TestHolderEstimate:
         noisy = records + [
             OscillationRecord(
                 level=4,
-                window=Cylinder(-0.0625, 0.0, (0.0, 0.0), 0.01),
+                radius=0.01,
+                t_depth=0.0625,
                 osc_measured=1e-9,
                 osc_bound=4.0,
                 recenter=0.0,

@@ -1,4 +1,4 @@
-"""Print three digest lines per reference run: report, files, trajectories.
+"""Print three digest lines per reference run, then one per chain setting.
 
 The report digest is the first 16 hex digits of the sha256 of
 ``json.dumps(report minus "timings", sort_keys=True)``, so two checkouts
@@ -28,6 +28,10 @@ of a trajectory; this line pins all of it.  The runs:
 - ``ensemble`` of ``small-mass-ensemble`` with checks lemma1, lemma2,
   osc_above and osc_below and ``chain.mode = "empirical"``,
   ``--count 4 --seed 3``.
+
+Each ``chain`` line after the runs gives the first 16 hex digits of the
+sha256 of ``hjreg chain`` stdout for one setting of ``CHAIN_SETTINGS``;
+that command writes no file, so these lines pin its JSON.
 
 Every run writes under one fixed root (``runs/digests`` in the repository
 by default, or ``--out``).  The root reaches the runs through ``--out`` and
@@ -61,6 +65,8 @@ from hjreg.cli import main as hjreg_main  # noqa: E402
 from hjreg.experiment import bundled_scenarios  # noqa: E402
 
 ENSEMBLE_CHECKS = ["lemma1", "lemma2", "osc_above", "osc_below"]
+# (N, p, lambda, alpha) of each ``hjreg chain`` line
+CHAIN_SETTINGS = [("2", "1.5", "1", "1"), ("3", "2", "2", "1")]
 
 
 def _report_text(report_path: Path) -> str:
@@ -135,8 +141,8 @@ def _scenario_config(name: str) -> dict:
         return json.load(fh)
 
 
-def _call(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), \
+def _call(argv: list[str], stdout: io.StringIO | None = None) -> int:
+    with contextlib.redirect_stdout(stdout or io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         return hjreg_main(argv)
 
@@ -233,6 +239,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name}  exit={code}  {value}", flush=True)
         print(f"files {name}  {files_digest(report.parent)}", flush=True)
         print(f"traj {name}  {trajectories.line()}", flush=True)
+    for n, p, lam, alpha in CHAIN_SETTINGS:
+        stdout = io.StringIO()
+        code = _call(["chain", "--N", n, "--p", p, "--lambda", lam,
+                      "--alpha", alpha], stdout)
+        value = hashlib.sha256(stdout.getvalue().encode()).hexdigest()[:16]
+        print(f"chain N={n} p={p} lambda={lam} alpha={alpha}  exit={code}  {value}",
+              flush=True)
     return 0
 
 
