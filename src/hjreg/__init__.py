@@ -9,203 +9,9 @@ all of it in declarative scenario configs with deterministic seeding; the
 ``hjreg`` console script exposes runs, ensembles, and chain inspection.
 """
 
-from .degiorgi import (
-    EnergyLadder,
-    LemmaVerdict,
-    RecurrenceFit,
-    cutoff_time,
-    delta_constant,
-    energy_ladder,
-    fast_convergence_threshold,
-    lemma_one_check,
-    lemma_two_check,
-    recurrence_fit,
-    recurrence_orbit,
-    truncate,
-    truncated_energy,
-)
-from .experiment import (
-    CHECK_NAMES,
-    SCHEMA_VERSION,
-    ConfigError,
-    EnsembleReport,
-    ExperimentConfig,
-    RunReport,
-    bundled_scenarios,
-    ensemble,
-    parse_config,
-    run,
-    scenario_path,
-)
-from .grid import (
-    Cylinder,
-    EmptyCylinderError,
-    GridSpec,
-    ScalarField,
-    Window,
-    ball_volume,
-    discrete_gradient_norm_p,
-    field_from_values,
-    level_set_measure,
-    load_snapshot,
-    make_field,
-    one_cell_oscillation,
-    save_snapshot,
-    to_json,
-)
-from .hamiltonians import (
-    CoercivityEnvelope,
-    CoercivityReport,
-    HamiltonianSpec,
-    TabulatedCoefficient,
-    TransformedHamiltonian,
-    coercivity_check,
-    gauge_shift,
-)
-from .initial_data import (
-    catalog_names,
-    catalog_summary,
-    make_initial_data,
-    make_initial_function,
-    validate_descriptor,
-)
-from .oscillation import (
-    ChainConstructionError,
-    ComparisonReport,
-    ConstantChain,
-    InvariantCheck,
-    barrier_field,
-    barrier_value,
-    build_constant_chain,
-    comparison_check,
-    dyadic_ladder,
-    oscillation_above_check,
-    oscillation_below_check,
-    time_reverse,
-    validate_chain,
-)
-from .rescale import (
-    CascadeError,
-    EnvelopeViolation,
-    HolderEstimate,
-    OscillationRecord,
-    RecenterError,
-    TheoremReport,
-    base_point_window,
-    gauge_to_window,
-    holder_estimate,
-    records_to_csv,
-    resample,
-    select_recenter,
-    theorem_check,
-    zoom_cascade,
-    zoom_step,
-)
-from .solver import (
-    ResidualReport,
-    SolveConfig,
-    SolverError,
-    Trajectory,
-    cfl_dt,
-    hopf_lax,
-    residual_subsolution,
-    residual_supersolution,
-    snap_dt,
-    solve,
-    step,
-)
+from .grid import GridSpec
+from .hamiltonians import HamiltonianSpec
+from .initial_data import make_initial_function
+from .solver import SolverError, hopf_lax, snap_dt, solve
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CHECK_NAMES",
-    "CascadeError",
-    "ChainConstructionError",
-    "CoercivityEnvelope",
-    "CoercivityReport",
-    "ComparisonReport",
-    "ConfigError",
-    "ConstantChain",
-    "Cylinder",
-    "EmptyCylinderError",
-    "EnergyLadder",
-    "EnsembleReport",
-    "EnvelopeViolation",
-    "ExperimentConfig",
-    "GridSpec",
-    "HamiltonianSpec",
-    "HolderEstimate",
-    "InvariantCheck",
-    "LemmaVerdict",
-    "OscillationRecord",
-    "RecenterError",
-    "RecurrenceFit",
-    "ResidualReport",
-    "RunReport",
-    "SCHEMA_VERSION",
-    "ScalarField",
-    "SolveConfig",
-    "SolverError",
-    "TabulatedCoefficient",
-    "TheoremReport",
-    "Trajectory",
-    "TransformedHamiltonian",
-    "Window",
-    "__version__",
-    "ball_volume",
-    "barrier_field",
-    "barrier_value",
-    "base_point_window",
-    "build_constant_chain",
-    "bundled_scenarios",
-    "catalog_names",
-    "catalog_summary",
-    "cfl_dt",
-    "coercivity_check",
-    "comparison_check",
-    "cutoff_time",
-    "delta_constant",
-    "discrete_gradient_norm_p",
-    "dyadic_ladder",
-    "energy_ladder",
-    "ensemble",
-    "fast_convergence_threshold",
-    "field_from_values",
-    "gauge_shift",
-    "gauge_to_window",
-    "holder_estimate",
-    "hopf_lax",
-    "lemma_one_check",
-    "lemma_two_check",
-    "level_set_measure",
-    "load_snapshot",
-    "make_field",
-    "make_initial_data",
-    "make_initial_function",
-    "one_cell_oscillation",
-    "oscillation_above_check",
-    "oscillation_below_check",
-    "parse_config",
-    "records_to_csv",
-    "recurrence_fit",
-    "recurrence_orbit",
-    "resample",
-    "residual_subsolution",
-    "residual_supersolution",
-    "run",
-    "save_snapshot",
-    "scenario_path",
-    "select_recenter",
-    "snap_dt",
-    "solve",
-    "step",
-    "theorem_check",
-    "time_reverse",
-    "to_json",
-    "truncate",
-    "truncated_energy",
-    "validate_chain",
-    "validate_descriptor",
-    "zoom_cascade",
-    "zoom_step",
-]

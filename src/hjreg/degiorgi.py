@@ -298,7 +298,7 @@ def lemma_two_check(
     sup_all = win.max(f.values)
     bound_tol = one_cell_oscillation(f, cyl)
     tol = spec.residual_tol if residual_tol is None else residual_tol
-    worst = residual_subsolution(f, env, ball=win.mask, reduce=True).ball_max
+    worst = residual_subsolution(f, env, ball=win.mask).ball_max
     preconditions = {
         "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
     }

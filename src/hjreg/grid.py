@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,7 +45,6 @@ __all__ = [
     "Window",
     "EmptyCylinderError",
     "ball_volume",
-    "make_field",
     "field_from_values",
     "level_set_measure",
     "discrete_gradient_norm_p",
@@ -211,10 +210,6 @@ class Cylinder:
             raise ValueError(f"radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    @property
-    def duration(self) -> float:
-        return self.t_hi - self.t_lo
-
 
 @dataclass(frozen=True)
 class ScalarField:
@@ -231,9 +226,6 @@ class ScalarField:
             )
         self.values.setflags(write=False)
 
-    def with_values(self, values: NDArray[np.float64]) -> "ScalarField":
-        return field_from_values(self.spec, values)
-
 
 def ball_volume(dimension: int, radius: float) -> float:
     """Volume of the N-ball: ``pi^(N/2) r^N / Gamma(N/2 + 1)``."""
@@ -247,34 +239,6 @@ def ball_volume(dimension: int, radius: float) -> float:
 def field_from_values(spec: GridSpec, values: NDArray[np.float64]) -> ScalarField:
     arr = np.array(values, dtype=np.float64, copy=True)
     return ScalarField(spec=spec, values=arr)
-
-
-def make_field(
-    spec: GridSpec,
-    initializer: Callable[[float, NDArray[np.float64]], NDArray[np.float64] | float],
-) -> ScalarField:
-    """Sample ``initializer(t, x)`` at every slice time and cell center.
-
-    The initializer receives the slice time as a float and the cell-center
-    coordinates as an array of shape ``(*spatial_shape, dimension)``; it may
-    return a broadcastable array or a scalar.
-
-    Raises:
-        ValueError: if any produced sample is NaN or infinite; the message
-            names the first offending ``(t, x)``.
-    """
-    centers = spec.centers()
-    out = np.empty((spec.n_slices, *spec.spatial_shape), dtype=np.float64)
-    for i, t in enumerate(spec.times()):
-        sample = np.asarray(initializer(float(t), centers), dtype=np.float64)
-        out[i] = np.broadcast_to(sample, spec.spatial_shape)
-        if not np.all(np.isfinite(out[i])):
-            bad = np.argwhere(~np.isfinite(out[i]))[0]
-            x_bad = centers[tuple(bad)]
-            raise ValueError(
-                f"initializer returned a non-finite value at t={t}, x={tuple(x_bad)}"
-            )
-    return ScalarField(spec=spec, values=out)
 
 
 def _ball_mask(spec: GridSpec, cyl: Cylinder) -> NDArray[np.bool_]:

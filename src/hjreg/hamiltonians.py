@@ -32,7 +32,6 @@ __all__ = [
     "CoercivityReport",
     "GaugedField",
     "coercivity_check",
-    "gauge_shift",
 ]
 
 KINDS = ("power-law", "scaled-power-law", "rough-coefficient", "tabulated")
@@ -369,12 +368,3 @@ class GaugedField:
             return values
         return values + self.rate * times[(...,) + (None,) * self.spec.dimension]
 
-
-def gauge_shift(f: ScalarField, env: CoercivityEnvelope, sign: float = 1.0) -> ScalarField:
-    """Add ``sign * lam * t`` to every slice.
-
-    With ``sign=+1`` this turns any solution of the pinched equation into a
-    field that both stays a subsolution of the flattened upper problem and
-    gains the one-sided lower bound; ``sign=-1`` undoes it up to roundoff.
-    """
-    return ScalarField(f.spec, GaugedField(f, sign * env.lam).rows(0, f.spec.n_slices))

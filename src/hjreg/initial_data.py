@@ -24,7 +24,6 @@ from .oscillation import build_constant_chain
 __all__ = [
     "catalog_names",
     "catalog_summary",
-    "make_initial_data",
     "make_initial_function",
     "validate_descriptor",
 ]
@@ -211,13 +210,3 @@ def make_initial_function(
     rng = np.random.default_rng(seed)
     return _CATALOG[name].make(spec, dict(parameters or {}), rng)
 
-
-def make_initial_data(
-    spec: GridSpec,
-    name: str,
-    parameters: dict | None = None,
-    seed: int = 0,
-) -> NDArray[np.float64]:
-    """Sample the named draw on the grid's cell centers."""
-    fn = make_initial_function(spec, name, parameters, seed)
-    return np.asarray(fn(spec.centers()), dtype=np.float64)

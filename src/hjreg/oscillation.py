@@ -336,9 +336,13 @@ def validate_chain(
         ),
     )
 
-    rate = (p - 1.0) / (p - chain.zoom_time_exponent)
+    # Once zoom_time_exponent rounds to p the rate is undefined, and the
+    # identity cannot be checked: it fails.
+    deficit = p - chain.zoom_time_exponent
+    rate = (p - 1.0) / deficit if deficit > 0.0 else math.inf
     ratio_recomputed = chain.decay_ratio**rate
-    ratio_slack = _equality_slack(chain.zoom_ratio, ratio_recomputed, coupled_tol)
+    ratio_slack = (_equality_slack(chain.zoom_ratio, ratio_recomputed, coupled_tol)
+                   if deficit > 0.0 else -math.inf)
     out["zoom_ratio"] = InvariantCheck(
         ok=ratio_slack >= 0.0,
         slack=ratio_slack,
@@ -480,7 +484,7 @@ def comparison_check(
             "comparison needs ordering at the starting time"
         )
     tol = spec.residual_tol if residual_tol is None else residual_tol
-    rep = residual_supersolution(f, chain.envelope, reduce=True,
+    rep = residual_supersolution(f, chain.envelope,
                                  a_coef=chain.supersolution_coefficient)
     if rep.min_value < -tol:
         raise ValueError(
@@ -565,7 +569,7 @@ def oscillation_above_check(
     tol = spec.residual_tol if residual_tol is None else residual_tol
     worst = residual_subsolution(
         f, chain.envelope, a_coef=chain.subsolution_coefficient,
-        b_const=chain.subsolution_offset, ball=win.mask, reduce=True,
+        b_const=chain.subsolution_offset, ball=win.mask,
     ).ball_max
     preconditions = {
         "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
@@ -636,7 +640,7 @@ def oscillation_below_check(
     # Both inequalities in one pass over the field's |grad u|^p.
     rep = residual_supersolution(
         f, chain.envelope, a_coef=chain.supersolution_coefficient,
-        ball=win.mask, reduce=True,
+        ball=win.mask,
         upper=(chain.subsolution_coefficient, chain.subsolution_offset),
     )
     worst_lower, worst_upper = rep.min_value, rep.upper.ball_max

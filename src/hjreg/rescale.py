@@ -550,11 +550,9 @@ def gauge_to_window(
     u, times = field.values.reshape(spec.n_slices, -1), spec.times()
     # a block's rows lo..hi-1 difference against row hi, so its slab ends there
     gauged = any(
-        residual_supersolution(
-            ScalarField(replace(spec, t_start=times[lo], t_end=times[hi]),
-                        field.values[lo:hi + 1]),
-            env, reduce=True,
-        ).min_value < -spec.residual_tol
+        residual_supersolution(ScalarField(
+            replace(spec, t_start=times[lo], t_end=times[hi]), field.values[lo:hi + 1]
+        ), env).min_value < -spec.residual_tol
         for lo, hi in slice_blocks(0, spec.n_slices - 1, u.shape[1])
     )
     out = GaugedField(field, env.lam if gauged else 0.0)

@@ -40,7 +40,6 @@ __all__ = [
     "SolverError",
     "cfl_dt",
     "snap_dt",
-    "step",
     "solve",
     "hopf_lax",
     "ResidualReport",
@@ -272,22 +271,6 @@ class _StepKernel:
         return margin, float(np.abs(update, out=update).max())
 
 
-def step(
-    f: ScalarField,
-    h,
-    t_index: int,
-    cfg: SolveConfig,
-) -> NDArray[np.float64]:
-    """Advance slice ``t_index`` of a field by one step; returns the new slice."""
-    spec = f.spec
-    if not 0 <= t_index < spec.n_slices - 1:
-        raise ValueError(f"t_index {t_index} out of range for {spec.n_slices} slices")
-    t = float(spec.times()[t_index])
-    out = np.empty(spec.spatial_shape)
-    _StepKernel(spec, h, cfg)(f.values[t_index], t, t_index, out)
-    return out
-
-
 def solve(
     spec: GridSpec,
     h,
@@ -496,12 +479,11 @@ class ResidualReport:
     """Discrete residual of a one-sided Hamilton-Jacobi inequality.
 
     The residual uses the solver's own gradient (centered one-sided average
-    with outflow padding) and a forward time difference: row ``i`` of
-    ``values`` lives at slice time ``t_i``, one row fewer than the input's.
-    A row holds every cell's residual or, with ``reduce``, its min, max and
-    max over the ball mask (the whole box without one).  Kinked cells can
-    carry O(1) residuals of the harmless sign; mask them out in the full
-    rows.  ``upper`` is a subsolution residual from the same pass, if any.
+    with outflow padding) and a forward time difference.  ``values`` is a
+    ``(n_slices - 1, 3)`` table: row ``i`` holds the min and the max of the
+    residual at slice time ``t_i`` over all cells, and its max over the
+    ball mask (the whole box without one).  ``upper`` is a subsolution
+    residual from the same pass, if any.
     """
 
     values: NDArray[np.float64]
@@ -511,16 +493,16 @@ class ResidualReport:
     upper: ResidualReport | None = None
 
 
-def _residual(f, p: float, terms, ball, reduce: bool) -> list[ResidualReport]:
+def _residual(f, p: float, terms, ball) -> list[ResidualReport]:
     """``(u[i+1] - u[i]) / dt + a |grad u[i]|^p - b`` for each ``(a, b)`` in
-    ``terms`` from one ``|grad u|^p`` per block of slices, reduced per slice."""
+    ``terms`` from one ``|grad u|^p`` per block of slices, reduced per slice
+    into a ``ResidualReport`` table; no slices x cells array is kept."""
     spec = f.spec
     if spec.n_slices < 2:
         raise ValueError("need at least two slices for a time difference")
     rows, cells = spec.n_slices - 1, math.prod(spec.spatial_shape)
     in_ball = None if ball is None else np.flatnonzero(ball)
     tables = [np.empty((rows, 3)) for _ in terms]
-    outs = [None if reduce else np.empty((rows, *spec.spatial_shape)) for _ in terms]
     lo, hi = next(slice_blocks(0, rows, cells))  # the first block is the largest
     work = np.empty((3, hi - lo, *spec.spatial_shape))  # for every block in turn
     for lo, hi in slice_blocks(0, rows, cells):
@@ -530,8 +512,8 @@ def _residual(f, p: float, terms, ball, reduce: bool) -> list[ResidualReport]:
         grad_term **= p
         dudt = np.subtract(f.values[lo + 1:hi + 1], u, out=block[0])
         dudt /= spec.dt
-        for (a_coef, b_const), table, out in zip(terms, tables, outs):
-            res = np.multiply(a_coef, grad_term, out=block[1] if reduce else out[lo:hi])
+        for (a_coef, b_const), table in zip(terms, tables):
+            res = np.multiply(a_coef, grad_term, out=block[1])
             np.add(dudt, res, out=res)
             res -= b_const
             flat, part = res.reshape(hi - lo, cells), table[lo:hi]
@@ -539,10 +521,9 @@ def _residual(f, p: float, terms, ball, reduce: bool) -> list[ResidualReport]:
             flat.max(axis=1, out=part[:, 1])
             part[:, 2] = part[:, 1] if in_ball is None else np.take(
                 flat, in_ball, axis=1).max(axis=1)
-    return [ResidualReport(table if out is None else out,
-                           float(max(table[:, 1].max(), 0.0)),
+    return [ResidualReport(table, float(max(table[:, 1].max(), 0.0)),
                            float(table[:, 0].min()), float(table[:, 2].max()))
-            for table, out in zip(tables, outs)]
+            for table in tables]
 
 
 def residual_subsolution(
@@ -552,13 +533,12 @@ def residual_subsolution(
     b_const: float | None = None,
     *,
     ball: NDArray[np.bool_] | None = None,
-    reduce: bool = False,
 ) -> ResidualReport:
     """Residual of ``du/dt + A |grad u|^p - B <= 0``; defaults A=1/lam, B=lam.
-    ``ball`` is a spatial mask; see ``ResidualReport`` for ``reduce``."""
+    ``ball`` is a spatial mask for the table's third column."""
     a = 1.0 / env.lam if a_coef is None else a_coef
     b = env.lam if b_const is None else b_const
-    return _residual(f, env.p, [(a, b)], ball, reduce)[0]
+    return _residual(f, env.p, [(a, b)], ball)[0]
 
 
 def residual_supersolution(
@@ -567,7 +547,6 @@ def residual_supersolution(
     a_coef: float | None = None,
     *,
     ball: NDArray[np.bool_] | None = None,
-    reduce: bool = False,
     upper: tuple[float, float] | None = None,
 ) -> ResidualReport:
     """Residual of ``du/dt + A |grad u|^p >= 0``; defaults A=lam.  ``upper``
@@ -575,5 +554,5 @@ def residual_supersolution(
     from the same ``|grad u|^p`` as the report's ``upper``."""
     a = env.lam if a_coef is None else a_coef
     terms = [(a, 0.0)] if upper is None else [(a, 0.0), upper]
-    lower, *paired = _residual(f, env.p, terms, ball, reduce)
+    lower, *paired = _residual(f, env.p, terms, ball)
     return replace(lower, upper=paired[0]) if paired else lower

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from hjreg.grid import GridSpec, make_field
+from hjreg.grid import GridSpec
 from hjreg.hamiltonians import CoercivityEnvelope
 from hjreg.oscillation import build_constant_chain
+
+from reference import make_field
 
 
 @pytest.fixture(scope="session")

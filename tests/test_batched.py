@@ -1,7 +1,8 @@
 """The batched check kernels against per-slice references, bit for bit.
 
 Each reference below is the straightforward loop over time slices that the
-batched kernel replaces.  Grids are drawn both smaller than one block of
+batched kernel replaces; the residual's is the whole-field formula in
+``reference.py``.  Grids are drawn both smaller than one block of
 ``grid._BLOCK_CELLS`` cells and spanning several blocks; every comparison
 is ``==``.
 """
@@ -29,10 +30,13 @@ from hjreg.grid import (
     level_set_measure,
     one_cell_oscillation,
 )
-from hjreg.hamiltonians import CoercivityEnvelope, gauge_shift
+from hjreg.hamiltonians import CoercivityEnvelope
 from hjreg.oscillation import _witness_level, dyadic_ladder
 from hjreg.rescale import gauge_to_window, resample
 from hjreg.solver import residual_subsolution, residual_supersolution
+
+import reference
+from reference import gauge_shift
 
 # Cells per axis of the small and the multi-block draws; with half-width
 # 1.5 and at least 12 cells the unit ball keeps two cells of padding.
@@ -67,27 +71,6 @@ def cylinders(draw, dim):
     t_hi = draw(st.floats(t_lo + 0.05, 2.5))
     center = tuple(draw(st.floats(-0.4, 0.4)) for _ in range(dim))
     return Cylinder(t_lo, t_hi, center, draw(st.floats(0.2, 1.0)))
-
-
-def _reference_residual(f, p, a, b):
-    spec = f.spec
-    h = spec.cell_width
-    out = np.empty((spec.n_slices - 1, *spec.spatial_shape))
-    for i in range(spec.n_slices - 1):
-        u = f.values[i]
-        comps = []
-        for axis in range(spec.dimension):
-            n = u.shape[axis]
-            padded = np.concatenate(
-                [np.take(u, [0], axis=axis), u, np.take(u, [-1], axis=axis)],
-                axis=axis,
-            )
-            fwd = (np.take(padded, np.arange(2, n + 2), axis=axis) - u) / h
-            bwd = (u - np.take(padded, np.arange(0, n), axis=axis)) / h
-            comps.append(0.5 * (fwd + bwd))
-        pnorm = np.linalg.norm(np.stack(comps, axis=-1), axis=-1)
-        out[i] = (f.values[i + 1] - f.values[i]) / spec.dt + a * pnorm**p - b
-    return out
 
 
 def _reference_level_set(f, cyl, lo, hi, closed_upper):
@@ -138,12 +121,13 @@ def _reference_one_cell(f, cyl):
 def test_residuals_match_the_per_slice_loop(f, p, a, b):
     env = CoercivityEnvelope(lam=1.0, p=p)
     sub = residual_subsolution(f, env, a_coef=a, b_const=b)
-    expected = _reference_residual(f, p, a, b)
-    assert np.array_equal(sub.values, expected)
+    expected = reference.residual(f, p, a, b)
+    assert np.array_equal(sub.values, reference.table(expected))
     assert sub.max_positive == float(max(expected.max(), 0.0))
     assert sub.min_value == float(expected.min())
     sup = residual_supersolution(f, env, a_coef=a)
-    assert np.array_equal(sup.values, _reference_residual(f, p, a, 0.0))
+    assert np.array_equal(sup.values,
+                          reference.table(reference.residual(f, p, a, 0.0)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -154,28 +138,26 @@ def test_reduced_residuals_equal_the_array_form(data, f, p, a, b, a_up, b_up):
     seed = data.draw(st.integers(0, 2**32 - 1))
     ball = np.random.default_rng(seed).random(f.spec.spatial_shape) < 0.3
     ball.flat[data.draw(st.integers(0, ball.size - 1))] = True
-    full = residual_subsolution(f, env, a_coef=a, b_const=b)
-    reduced = residual_subsolution(f, env, a_coef=a, b_const=b, ball=ball,
-                                   reduce=True)
-    rows = full.values.reshape(len(full.values), -1)
+    full = reference.residual(f, p, a, b)
+    reduced = residual_subsolution(f, env, a_coef=a, b_const=b, ball=ball)
     assert reduced.values.shape == (f.spec.n_slices - 1, 3)
-    assert np.array_equal(reduced.values[:, 0], rows.min(axis=1))
-    assert np.array_equal(reduced.values[:, 1], rows.max(axis=1))
-    assert reduced.min_value == full.min_value == float(full.values.min())
-    assert reduced.max_positive == full.max_positive
-    assert reduced.ball_max == float(full.values[:, ball].max())
-    # both inequalities from one pass against two array-form calls
-    both = residual_supersolution(f, env, a_coef=a_up, ball=ball, reduce=True,
-                                  upper=(a, b))
-    lower = residual_supersolution(f, env, a_coef=a_up)
-    assert both.min_value == lower.min_value
-    assert both.ball_max == float(lower.values[:, ball].max())
+    assert np.array_equal(reduced.values, reference.table(full, ball))
+    assert reduced.min_value == float(full.min())
+    assert reduced.max_positive == float(max(full.max(), 0.0))
+    assert reduced.ball_max == float(full[:, ball].max())
+    # both inequalities from one pass against two whole-field residuals
+    both = residual_supersolution(f, env, a_coef=a_up, ball=ball, upper=(a, b))
+    lower = reference.residual(f, p, a_up, 0.0)
+    assert np.array_equal(both.values, reference.table(lower, ball))
+    assert both.min_value == float(lower.min())
+    assert both.ball_max == float(lower[:, ball].max())
     assert np.array_equal(both.upper.values, reduced.values)
     assert both.upper.upper is None
-    upper = residual_subsolution(f, env, a_coef=a_up, b_const=b_up)
+    upper = reference.residual(f, p, a_up, b_up)
     paired = residual_supersolution(f, env, a_coef=a, upper=(a_up, b_up))
-    assert np.array_equal(paired.upper.values, upper.values)
-    assert np.array_equal(paired.values, residual_supersolution(f, env, a).values)
+    assert np.array_equal(paired.upper.values, reference.table(upper))
+    assert np.array_equal(paired.values,
+                          reference.table(reference.residual(f, p, a, 0.0)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,7 +169,7 @@ def test_gauged_rows_equal_the_shifted_field(f, lam, p, shift_t, scale_t,
     env = CoercivityEnvelope(lam=lam, p=p)
     out, gauged, gamma = gauge_to_window(f, env)
     assert gauged == bool(
-        residual_supersolution(f, env).min_value < -f.spec.residual_tol
+        reference.residual(f, p, lam, 0.0).min() < -f.spec.residual_tol
     )
     shifted = gauge_shift(f, env) if gauged else f
     sup = float(max(shifted.values.max(), -shifted.values.min()))

@@ -19,10 +19,11 @@ from hjreg.degiorgi import (
     truncate,
     truncated_energy,
 )
-from hjreg.grid import Cylinder, GridSpec, level_set_measure, make_field
+from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope
 
 from conftest import const_field, coordinate_field, time_field
+from reference import make_field
 
 
 def lattice_disk_area(spec):
@@ -53,7 +54,7 @@ class TestTruncation:
 
     def test_truncate_monotone_in_level(self, box2, rng):
         values = rng.uniform(-1.0, 2.0, (box2.n_slices, *box2.spatial_shape))
-        f = const_field(box2, 0.0).with_values(values)
+        f = field_from_values(box2, values)
         lower = truncate(f, 3).values
         higher = truncate(f, 2).values
         assert np.all(lower <= higher)
@@ -94,7 +95,7 @@ class TestEnergyLadder:
 
     def test_nonincreasing_in_level(self, box2, env_unit, rng):
         values = np.abs(rng.standard_normal((box2.n_slices, *box2.spatial_shape)))
-        f = const_field(box2, 0.0).with_values(values)
+        f = field_from_values(box2, values)
         energies = energy_ladder(f, 6, env_unit).energies()
         assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
 

@@ -901,6 +901,35 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    # Settings whose small alpha rounds decay_ratio to 1.0 and
+    # zoom_time_exponent to p, so the zoom_ratio identity is undefined.
+    @pytest.mark.parametrize("alpha", ["0.25", "0.1"])
+    @pytest.mark.parametrize("n, p, lam", [
+        ("2", "1.5", "1"), ("3", "2", "2"), ("3", "1.5", "1"), ("3", "2", "1"),
+    ])
+    def test_chain_whose_zoom_exponent_rounds_to_p_exits_two(
+            self, capsys, n, p, lam, alpha):
+        code = main(["chain", "--N", n, "--p", p, "--lambda", lam,
+                     "--alpha", alpha])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: chain re-verification failed" in err
+        assert "zoom_ratio: slack=-inf" in err
+        assert "Traceback" not in err
+
+    def test_run_with_an_unbuildable_chain_reports_the_chain_stage(
+            self, tmp_path, capsys):
+        data = json.loads(scenario_path("oscillation-improvement").read_text())
+        data["chain"] = {"mode": "fixed", "alpha": 0.25}
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)])
+        assert code == 3
+        assert "error at chain" in capsys.readouterr().out
+        report = json.loads(next(out.glob("*/report.json")).read_text())
+        assert report["error"]["stage"] == "chain"
+        assert "zoom_ratio" in report["error"]["message"]
+
     def test_list_scenarios(self, capsys):
         code = main(["list-scenarios"])
         assert code == 0

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from hjreg.experiment import ExperimentConfig
-from hjreg.grid import GridSpec, make_field
+from hjreg.grid import GridSpec, ScalarField
 from hjreg.hamiltonians import (
     CoercivityEnvelope,
+    GaugedField,
     HamiltonianSpec,
     TabulatedCoefficient,
     TransformedHamiltonian,
     coercivity_check,
-    gauge_shift,
 )
 
 from conftest import const_field, coordinate_field, noise_field
+from reference import make_field
 
 
 def sample_cloud(dimension, rng, n_points=16, n_grads=12):
@@ -197,6 +198,11 @@ class TestCoercivityCheck:
 def short_spec():
     return GridSpec(dimension=1, half_width=1.0, cells_per_axis=8,
                     t_start=0.0, t_end=1.0, dt=0.25)
+
+
+def gauge_shift(f, env, sign=1.0):
+    """``f`` read whole through ``GaugedField`` at rate ``sign * lam``."""
+    return ScalarField(f.spec, GaugedField(f, sign * env.lam).rows(0, f.spec.n_slices))
 
 
 class TestGaugeShift:

@@ -7,7 +7,6 @@ from hjreg.grid import GridSpec
 from hjreg.initial_data import (
     catalog_names,
     catalog_summary,
-    make_initial_data,
     make_initial_function,
     validate_descriptor,
 )
@@ -58,18 +57,18 @@ class TestValidateDescriptor:
 
 class TestSimpleShapes:
     def test_zero(self, plane):
-        vals = make_initial_data(plane, "zero")
+        vals = make_initial_function(plane, "zero")(plane.centers())
         assert vals.shape == plane.spatial_shape
         assert np.all(vals == 0.0)
 
     def test_constant(self, plane):
-        vals = make_initial_data(plane, "constant", {"value": -3.0})
+        vals = make_initial_function(plane, "constant", {"value": -3.0})(plane.centers())
         assert np.all(vals == -3.0)
-        assert np.all(make_initial_data(plane, "constant") == 1.0)
+        assert np.all(make_initial_function(plane, "constant")(plane.centers()) == 1.0)
 
     def test_cone_is_the_shifted_distance_function(self, plane):
         params = {"amplitude": 2.0, "center": [0.5, 0.0], "offset": 1.0}
-        vals = make_initial_data(plane, "cone", params)
+        vals = make_initial_function(plane, "cone", params)(plane.centers())
         centers = plane.centers()
         expected = 2.0 * np.linalg.norm(
             centers - np.array([0.5, 0.0]), axis=-1) + 1.0
@@ -101,13 +100,13 @@ class TestSimpleShapes:
 
 class TestRandomTrig:
     def test_same_seed_reproduces_the_draw(self, plane):
-        a = make_initial_data(plane, "random-trig", seed=7)
-        b = make_initial_data(plane, "random-trig", seed=7)
+        a = make_initial_function(plane, "random-trig", seed=7)(plane.centers())
+        b = make_initial_function(plane, "random-trig", seed=7)(plane.centers())
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self, plane):
-        a = make_initial_data(plane, "random-trig", seed=7)
-        b = make_initial_data(plane, "random-trig", seed=8)
+        a = make_initial_function(plane, "random-trig", seed=7)(plane.centers())
+        b = make_initial_function(plane, "random-trig", seed=8)(plane.centers())
         assert np.abs(a - b).max() > 1e-6
 
     def test_sup_bound(self, plane):
@@ -143,7 +142,7 @@ class TestBarrierSlice:
 
     def test_matches_the_comparison_barrier(self, plane, chain_unit):
         params = {"p": 1.5, "lambda": 1.0, "alpha": 1.0, "time": -1.0}
-        vals = make_initial_data(plane, "barrier-slice", params)
+        vals = make_initial_function(plane, "barrier-slice", params)(plane.centers())
         centers = plane.centers().reshape(-1, 2)
         expected = np.array(
             [barrier_value(chain_unit, -1.0, x) for x in centers]
@@ -151,11 +150,10 @@ class TestBarrierSlice:
         np.testing.assert_allclose(vals, expected, rtol=1e-15)
 
     def test_default_time_is_the_window_start(self, plane, chain_unit):
-        vals = make_initial_data(plane, "barrier-slice",
-                                 {"p": 1.5, "lambda": 1.0})
-        x_edge = np.array([1.0, 0.0])
         fn = make_initial_function(plane, "barrier-slice",
                                    {"p": 1.5, "lambda": 1.0})
+        vals = fn(plane.centers())
+        x_edge = np.array([1.0, 0.0])
         assert float(fn(x_edge[None])[0]) == pytest.approx(-2.0, abs=1e-15)
         assert vals.max() == pytest.approx(-2.0 + chain_unit.barrier_height,
                                            rel=1e-12)

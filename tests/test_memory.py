@@ -20,7 +20,7 @@ from hjreg.experiment import (
     SweepSettings,
     parse_config,
 )
-from hjreg.grid import _BLOCK_CELLS, GridSpec, make_field
+from hjreg.grid import _BLOCK_CELLS, GridSpec
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import barrier_field, build_constant_chain, time_reverse
 from hjreg.rescale import gauge_to_window
@@ -30,6 +30,8 @@ from hjreg.solver import (
     residual_supersolution,
     solve,
 )
+
+from reference import make_field
 
 # Long enough in time that a trajectory (12 MB, more than eleven blocks)
 # outweighs the residual's block-sized work arrays (three, 3 MB).
@@ -77,19 +79,19 @@ def test_gauge_to_window_peaks_at_block_sized_temporaries(gauged):
 
 
 def test_run_path_residuals_peak_at_block_sized_temporaries():
-    """A reduced residual keeps a per-slice table, not a trajectory, also
+    """A residual keeps a per-slice table, not a trajectory, also
     with the subsolution residual evaluated in the same pass: its three
     work arrays and the ball's cells of one block are the peak."""
     env = CoercivityEnvelope(lam=2.0, p=1.5)
     f = make_field(_SPEC, lambda t, x: t * np.cos(x[..., 0]) + x[..., 1] ** 2)
     ball = np.linalg.norm(_SPEC.centers(), axis=-1) < 1.0
     sub, peak = _traced_peak(
-        lambda: residual_subsolution(f, env, ball=ball, reduce=True)
+        lambda: residual_subsolution(f, env, ball=ball)
     )
     assert sub.values.shape == (_SPEC.n_slices - 1, 3)
     assert peak <= 4 * _BLOCK_BYTES
     both, peak = _traced_peak(lambda: residual_supersolution(
-        f, env, ball=ball, reduce=True, upper=(0.5, 2.0)
+        f, env, ball=ball, upper=(0.5, 2.0)
     ))
     assert both.upper.values.shape == (_SPEC.n_slices - 1, 3)
     assert peak <= 4 * _BLOCK_BYTES

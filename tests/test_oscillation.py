@@ -1,9 +1,11 @@
 """Constant chain, dyadic ladder, barrier, and the one-sided oscillation checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hjreg.grid import Cylinder, GridSpec, level_set_measure, make_field
+from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     ChainConstructionError,
@@ -20,6 +22,7 @@ from hjreg.oscillation import (
 from hjreg.solver import solve
 
 from conftest import const_field, noise_field, time_field
+from reference import make_field
 
 
 class TestChainConstruction:
@@ -69,6 +72,15 @@ class TestChainConstruction:
         with pytest.raises((ChainConstructionError, ValueError)):
             build_constant_chain(*args)
 
+    def test_zoom_exponent_at_p_fails_the_ratio_identity(self, chain_unit):
+        chain = replace(chain_unit, zoom_time_exponent=chain_unit.p)
+        checks = validate_chain(chain)
+        assert not checks["zoom_ratio"].ok
+        assert checks["zoom_ratio"].slack == -np.inf
+        assert not checks["zoom_exponent"].ok
+        with pytest.raises(ChainConstructionError, match="zoom_ratio: slack=-inf"):
+            build_constant_chain(2, 1.5, 1.0, 0.25)
+
 
 class TestDyadicLadder:
     def test_ceiling_is_fixed(self, box2):
@@ -91,7 +103,7 @@ class TestDyadicLadder:
 
     def test_preserves_ceiling(self, box2, rng):
         f = noise_field(box2, rng)
-        capped = f.with_values(np.minimum(f.values, 2.0))
+        capped = field_from_values(f.spec, np.minimum(f.values, 2.0))
         for k in (1, 2, 5):
             assert dyadic_ladder(capped, k).values.max() <= 2.0
 
@@ -181,7 +193,7 @@ class TestComparisonCheck:
 
     def test_initial_ordering_violation_is_an_error(self, chain_unit, box2):
         f = barrier_field(chain_unit, box2)
-        dipped = f.with_values(f.values - 1e-3)
+        dipped = field_from_values(f.spec, f.values - 1e-3)
         with pytest.raises(ValueError, match="initial"):
             comparison_check(dipped, chain_unit)
 

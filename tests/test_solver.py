@@ -1,5 +1,10 @@
 """Monotone marching scheme, variational oracle, and residual checks."""
 
+import importlib.util
+import math
+import re
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,14 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjreg.solver
-from hjreg.grid import GridSpec, make_field
+from hjreg.grid import GridSpec
 from hjreg.hamiltonians import (
     CoercivityEnvelope,
     HamiltonianSpec,
     TransformedHamiltonian,
-    gauge_shift,
 )
-from hjreg.initial_data import make_initial_data, make_initial_function
+from hjreg.initial_data import make_initial_function
 from hjreg.solver import (
     SolveConfig,
     SolverError,
@@ -25,10 +29,12 @@ from hjreg.solver import (
     residual_supersolution,
     snap_dt,
     solve,
-    step,
 )
 
+import reference
 from conftest import const_field, coordinate_field, time_field
+from reference import gauge_shift, make_field
+from test_solver_kernel import kernel_step
 
 QUADRATIC = HamiltonianSpec(kind="power-law", p=2.0)
 
@@ -80,19 +86,19 @@ class TestStepPlanning:
 class TestStep:
     def test_constant_data_is_stationary(self, line):
         f = const_field(line, 3.0)
-        out = step(f, QUADRATIC, 0, SolveConfig())
+        out = kernel_step(f, QUADRATIC, 0, SolveConfig())
         np.testing.assert_array_equal(out, f.values[0])
 
     def test_offset_hamiltonian_drifts_constant_data(self, line):
         h = HamiltonianSpec(kind="scaled-power-law", p=2.0, coefficient=1.0,
                             offset=-2.0)
         f = const_field(line, 0.0)
-        out = step(f, h, 0, SolveConfig())
+        out = kernel_step(f, h, 0, SolveConfig())
         np.testing.assert_allclose(out, 2.0 * line.dt, rtol=1e-12)
 
     def test_cone_recedes_at_unit_rate_off_the_kink(self, line):
         f = make_field(line, lambda t, x: np.abs(x[..., 0]))
-        out = step(f, QUADRATIC, 0, SolveConfig())
+        out = kernel_step(f, QUADRATIC, 0, SolveConfig())
         centers = line.axis_centers()
         smooth = np.abs(centers) > 2 * line.cell_width
         smooth[:2] = smooth[-2:] = False
@@ -103,14 +109,9 @@ class TestStep:
     def test_gauge_invariance_of_update(self, line):
         f = make_field(line, lambda t, x: 0.2 * np.sin(2.0 * x[..., 0]))
         shifted_h = TransformedHamiltonian(base=QUADRATIC, const=-1.0)
-        plain = step(f, QUADRATIC, 0, SolveConfig())
-        shifted = step(f, shifted_h, 0, SolveConfig())
+        plain = kernel_step(f, QUADRATIC, 0, SolveConfig())
+        shifted = kernel_step(f, shifted_h, 0, SolveConfig())
         np.testing.assert_allclose(shifted, plain + line.dt, rtol=0, atol=1e-14)
-
-    def test_index_range_guard(self, line):
-        f = const_field(line, 0.0)
-        with pytest.raises(ValueError, match="out of range"):
-            step(f, QUADRATIC, line.n_slices - 1, SolveConfig())
 
 
 class TestSolve:
@@ -142,9 +143,9 @@ class TestSolve:
         assert err <= 0.11
 
     def test_stability_bound(self, box2, rng):
-        u0 = make_initial_data(box2, "random-trig",
-                               {"amplitude": 0.3, "bandwidth": 2, "n_modes": 5},
-                               seed=11)
+        u0 = make_initial_function(box2, "random-trig",
+                                   {"amplitude": 0.3, "bandwidth": 2, "n_modes": 5},
+                                   seed=11)(box2.centers())
         h = HamiltonianSpec(kind="power-law", p=1.5)
         spec = GridSpec(dimension=2, half_width=1.25, cells_per_axis=20,
                         t_start=0.0, t_end=1.0, dt=0.0025)
@@ -197,9 +198,9 @@ class TestDiscreteComparison:
                         t_start=0.0, t_end=0.25, dt=0.003125)
         h = HamiltonianSpec(kind="power-law", p=1.5)
         rng = np.random.default_rng(seed)
-        lower = make_initial_data(
+        lower = make_initial_function(
             spec, "random-trig",
-            {"amplitude": 0.2, "bandwidth": 2, "n_modes": 4}, seed=seed)
+            {"amplitude": 0.2, "bandwidth": 2, "n_modes": 4}, seed=seed)(spec.centers())
         bump = 0.1 * (1.0 + np.cos(np.pi * rng.uniform(0, 1)
                                    * spec.centers()[..., 0]))
         cfg = SolveConfig(sigma_mode="fixed", sigma_bound=8.0)
@@ -332,17 +333,25 @@ def test_batched_oracle_spans_chunks_at_the_block_size():
 
 
 class TestResiduals:
+    """Each report's table against the whole-field residual of the same
+    inequality, with ``==``."""
+
     def test_report_has_one_fewer_entry_than_slices(self, line):
         env = CoercivityEnvelope(lam=1.0, p=2.0)
         f = const_field(line, 0.0)
         report = residual_subsolution(f, env)
-        assert report.values.shape == (line.n_slices - 1, *line.spatial_shape)
+        assert report.values.shape == (line.n_slices - 1, 3)
+        full = reference.residual(f, 2.0, 1.0, 1.0)
+        assert full.shape == (line.n_slices - 1, *line.spatial_shape)
+        assert np.array_equal(report.values, reference.table(full))
 
     def test_solved_field_has_small_subsolution_residual(self, line):
         env = CoercivityEnvelope(lam=1.0, p=2.0)
         f = make_field(line, lambda t, x: 0.1 * np.sin(2.0 * x[..., 0]))
         traj = solve(line, QUADRATIC, f.values[0])
         report = residual_subsolution(traj.field, env, a_coef=1.0, b_const=0.0)
+        full = reference.residual(traj.field, 2.0, 1.0, 0.0)
+        assert np.array_equal(report.values, reference.table(full))
         tol = 10.0 * (line.cell_width + line.dt)
         assert report.max_positive <= tol
 
@@ -350,7 +359,9 @@ class TestResiduals:
         env = CoercivityEnvelope(lam=2.0, p=1.5)
         f = make_field(box2, lambda t, x: env.lam * t)
         report = residual_subsolution(f, env)
-        assert np.abs(report.values).max() <= 1e-10
+        full = reference.residual(f, 1.5, 1.0 / env.lam, env.lam)
+        assert np.array_equal(report.values, reference.table(full))
+        assert np.abs(full).max() <= 1e-10
 
     def test_gauge_shifted_solution_is_supersolution(self, line):
         env = CoercivityEnvelope(lam=1.0, p=2.0)
@@ -358,21 +369,76 @@ class TestResiduals:
                      lambda x: 0.1 * np.sin(2.0 * x[..., 0]))
         lifted = gauge_shift(traj.field, env)
         report = residual_supersolution(lifted, env)
+        full = reference.residual(lifted, 2.0, env.lam, 0.0)
+        assert np.array_equal(report.values, reference.table(full))
         assert report.min_value >= -10.0 * (line.cell_width + line.dt)
 
     def test_time_ramp_supersolution_margin(self, box2):
         env = CoercivityEnvelope(lam=1.0, p=1.5)
         report = residual_supersolution(time_field(box2), env)
+        full = reference.residual(time_field(box2), 1.5, env.lam, 0.0)
+        assert np.array_equal(report.values, reference.table(full))
         assert report.min_value == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_field_residual_vanishes(self, box2):
         env = CoercivityEnvelope(lam=1.0, p=1.5)
-        report = residual_supersolution(const_field(box2, -3.0), env)
-        assert np.abs(report.values).max() == 0.0
+        f = const_field(box2, -3.0)
+        report = residual_supersolution(f, env)
+        full = reference.residual(f, 1.5, env.lam, 0.0)
+        assert np.array_equal(report.values, reference.table(full))
+        assert np.abs(full).max() == 0.0
 
     def test_custom_coefficients(self, line):
         env = CoercivityEnvelope(lam=1.0, p=2.0)
         f = coordinate_field(line)
         report = residual_subsolution(f, env, a_coef=2.0, b_const=0.5)
-        interior = report.values[:, 2:-2]
+        full = reference.residual(f, 2.0, 2.0, 0.5)
+        assert np.array_equal(report.values, reference.table(full))
+        interior = full[:, 2:-2]
         np.testing.assert_allclose(interior, 1.5, rtol=1e-12)
+
+
+def test_traced_residuals_count_their_table_rows(line):
+    """The benchmark's tracer counts ``solver.residual.slices`` from
+    ``ResidualReport.values``: one per table row, one row per time step."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("traced_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    import hjreg.cli  # noqa: F401  (loads every module the tracer rebinds)
+
+    modules = [m for n, m in sys.modules.items()
+               if n == "hjreg" or n.startswith("hjreg.")]
+    saved = {m: dict(vars(m)) for m in modules}
+    methods = []
+    for module, target in spans.TARGETS:
+        if "." in target:
+            cls, attr = target.split(".")
+            owner = getattr(sys.modules[f"hjreg.{module}"], cls)
+            methods.append((owner, attr, owner.__dict__[attr]))
+    env = CoercivityEnvelope(lam=1.0, p=2.0)
+    f = coordinate_field(line)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        sub = hjreg.solver.residual_subsolution(f, env)
+        sup = hjreg.solver.residual_supersolution(f, env, upper=(1.0, 0.5))
+    finally:
+        for module, attrs in saved.items():
+            vars(module).update(attrs)
+        for owner, attr, original in methods:
+            setattr(owner, attr, original)
+    assert sub.values.shape[0] == sup.values.shape[0] == line.n_steps
+    assert spans.summarize(tracer)["solver.residual.slices"] == 2 * line.n_steps
+    assert hjreg.solver.residual_subsolution is residual_subsolution
+
+
+def test_readme_library_example_runs():
+    """README's python block, run as written against the package root."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(blocks[0], namespace)
+    assert namespace["final"].shape == namespace["spec"].spatial_shape
+    assert math.isfinite(namespace["error"])
