@@ -15,7 +15,6 @@ import os
 import time
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache
@@ -442,6 +441,11 @@ def _check_gates(cfg: ExperimentConfig) -> None:
             )
         with _section("sweep"):
             _sweep_variants(cfg)
+    if cfg.chain.mode == "fixed" and _needs_chain(cfg):
+        try:
+            _build_chain(cfg)
+        except (ValueError, ChainConstructionError) as err:
+            raise ConfigError(f"chain alpha {cfg.chain.alpha}: {err}") from None
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -569,6 +573,12 @@ def _default_delta(cfg: ExperimentConfig) -> float:
         _D_REFERENCE, cfg.envelope.p / cfg.grid.dimension
     )
     return delta_constant(eps0, cfg.envelope.lam)
+
+
+def _build_chain(cfg: ExperimentConfig) -> ConstantChain:
+    """The constant chain at the config's fixed ``alpha``."""
+    env, alpha = cfg.envelope, float(cfg.chain.alpha)  # type: ignore[arg-type]
+    return build_constant_chain(cfg.grid.dimension, env.p, 2.0 * env.lam, alpha)
 
 
 def _needs_chain(cfg: ExperimentConfig) -> bool:
@@ -862,12 +872,7 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     begin = time.perf_counter()
     if _needs_chain(cfg):
         try:
-            chain = build_constant_chain(
-                cfg.grid.dimension,
-                cfg.envelope.p,
-                2.0 * cfg.envelope.lam,
-                float(cfg.chain.alpha),  # type: ignore[arg-type]
-            )
+            chain = _build_chain(cfg)
         except (ValueError, ChainConstructionError) as err:
             error_info = {"stage": "chain", "message": str(err)}
             return finish("error")
@@ -1032,6 +1037,7 @@ def _run_members(
     jobs = [replace(cfg, initial_data=replace(cfg.initial_data, seed=s))
             for s in member_seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             return list(pool.map(_compute, jobs))
     return [_compute(job) for job in jobs]

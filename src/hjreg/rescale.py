@@ -19,11 +19,11 @@ initial time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .grid import (
     Cylinder,
@@ -171,45 +171,37 @@ def resample(
         raise ValueError(
             f"dimension mismatch: source {spec.dimension}, target {out_spec.dimension}"
         )
-    shift = (
-        np.zeros(spec.dimension)
-        if space_shift is None
-        else np.asarray(space_shift, dtype=float)
-    )
-    t_out = out_spec.times()
-    n_cells = int(np.prod(out_spec.spatial_shape))
-    x_query = shift + space_scale * out_spec.centers().reshape(n_cells, -1)
-    queries = np.empty((out_spec.n_slices, n_cells, 1 + spec.dimension))
-    queries[..., 0] = (time_shift + time_scale * t_out)[:, None]
-    queries[..., 1:] = x_query
-    sampled = _clamped_sample(f, queries.reshape(-1, 1 + spec.dimension)).reshape(
-        out_spec.n_slices, *out_spec.spatial_shape
-    )
-    return ScalarField(out_spec, value_scale * sampled + value_shift)
+    shift = (0.0,) * spec.dimension if space_shift is None else space_shift
+    axes = [time_shift + time_scale * out_spec.times()]
+    axes += [s + space_scale * out_spec.axis_centers() for s in shift]
+    return ScalarField(out_spec, value_scale * _clamped_sample(f, axes) + value_shift)
 
 
-def _clamped_sample(f: ScalarField | GaugedField, queries: np.ndarray) -> np.ndarray:
-    """Multilinear values of ``f`` at the ``(t, *x)`` rows of ``queries``,
-    which are first clamped in place to the cell-center hull.  Only the
-    slices the queries fall between, and one more on each side, are read
-    (and gauged); the values are those over all slices, bit for bit."""
+def _clamped_sample(f: ScalarField | GaugedField, axes: list) -> np.ndarray:
+    """Multilinear values of ``f`` on the tensor grid of ``axes``: one 1-D
+    query array per axis, time first, each clamped to the cell-center hull.
+    Only the slices the time queries fall between, and one more on each
+    side, are read (and gauged).  Each value rounds as scipy's per-point
+    ``RegularGridInterpolator`` rounds it: corners summed from 0 in
+    ``itertools.product`` order, each weight multiplied from 1 in axis order."""
     f = GaugedField(f) if isinstance(f, ScalarField) else f
-    spec = f.spec
-    times = spec.times()
-    centers = spec.axis_centers()
-    lo = np.array([times[0]] + [centers[0]] * spec.dimension)
-    hi = np.array([times[-1]] + [centers[-1]] * spec.dimension)
-    np.clip(queries, lo, hi, out=queries)
+    grids = [f.spec.times()] + [f.spec.axis_centers()] * f.spec.dimension
+    queries = [np.clip(q, g[0], g[-1]) for g, q in zip(grids, axes)]
     # t lies in [times[k - 1], times[k]); a:b pads those rows by one each side
-    k = np.searchsorted(times, [queries[:, 0].min(), queries[:, 0].max()], "right")
-    a, b = max(int(k[0]) - 2, 0), min(int(k[1]) + 2, len(times))
-    values = f.rows(a, b)
-    values.setflags(write=False)  # scipy rounds writeable 2-D values another way
-    interp = RegularGridInterpolator(
-        (times[a:b],) + (centers,) * spec.dimension, values, method="linear",
-        bounds_error=False,
-    )
-    return interp(queries)
+    k = np.searchsorted(grids[0], [queries[0].min(), queries[0].max()], "right")
+    a, b = max(int(k[0]) - 2, 0), min(int(k[1]) + 2, len(grids[0]))
+    grids[0], values, ends = grids[0][a:b], f.rows(a, b), []
+    for axis, (g, q) in enumerate(zip(grids, queries)):
+        i = np.clip(np.searchsorted(g, q, "right") - 1, 0, len(g) - 2)
+        w = (q - g[i]) / (g[i + 1] - g[i])
+        w = w.reshape([-1 if j == axis else 1 for j in range(len(grids))])
+        ends.append(((i, 1 - w), (i + 1, w)))
+    out = np.zeros(tuple(len(q) for q in queries))
+    for corner in itertools.product(*ends):
+        term = values[np.ix_(*(i for i, _ in corner))]
+        term *= math.prod(w for _, w in corner)
+        out += term
+    return out
 
 
 def _window_extrema(f: ScalarField, cyl: Cylinder) -> tuple[float, float]:
@@ -368,11 +360,8 @@ def _zoom_resolve(
         x_scale=b,
         grad_scale=1.0 / (scale * b),
     )
-    x_out = spec.centers().reshape(-1, spec.dimension)
-    queries = np.empty((x_out.shape[0], 1 + spec.dimension))
-    queries[:, 0] = -4.0 * a
-    queries[:, 1:] = b * x_out
-    init = scale * (_clamped_sample(f, queries).reshape(spec.spatial_shape) - d)
+    axes = [np.array([-4.0 * a])] + [b * spec.axis_centers()] * spec.dimension
+    init = scale * (_clamped_sample(f, axes)[0] - d)
 
     h = spec.cell_width
     steepness = 0.0

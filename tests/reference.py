@@ -5,6 +5,8 @@ package computes the same quantities a block of slices at a time and keeps
 only what its checks read; the tests compare the two with ``==``.
 """
 
+import itertools
+
 import numpy as np
 
 from hjreg.grid import ScalarField
@@ -66,3 +68,41 @@ def table(full, ball=None):
     rows = full.reshape(len(full), -1)
     inside = rows if ball is None else full[:, ball]
     return np.stack([rows.min(axis=1), rows.max(axis=1), inside.max(axis=1)], axis=1)
+
+
+def multilinear(grids, values, point):
+    """Multilinear value of ``values`` on the tensor grid ``grids`` at one
+    point, first clamped coordinate by coordinate to the grid's hull.
+
+    Each coordinate falls in the cell ``[g[i], g[i + 1])`` (the last cell
+    is closed), at weight ``w = (q - g[i]) / (g[i + 1] - g[i])``.  The
+    corners are summed in ``itertools.product`` order over ``(i, 1 - w)``
+    then ``(i + 1, w)`` per axis, each weight multiplied from 1 in axis
+    order and the sum started from 0: the operand order of scipy's
+    ``RegularGridInterpolator`` in its general linear path.
+    """
+    ends = []
+    for g, q in zip(grids, point):
+        q = min(max(q, g[0]), g[-1])
+        i = 0
+        while i < len(g) - 2 and g[i + 1] <= q:
+            i += 1
+        w = (q - g[i]) / (g[i + 1] - g[i])
+        ends.append(((i, 1.0 - w), (i + 1, w)))
+    total = 0.0
+    for corner in itertools.product(*ends):
+        weight = 1.0
+        for _, w in corner:
+            weight = weight * w
+        total = total + values[tuple(i for i, _ in corner)] * weight
+    return total
+
+
+def sample(f, points, rate=0.0):
+    """``f + rate * t`` at each ``(t, *x)`` row of ``points``, one point at
+    a time over every slice of the field."""
+    spec = f.spec
+    times = spec.times()
+    values = f.values + rate * times[(...,) + (None,) * spec.dimension]
+    grids = [times] + [spec.axis_centers()] * spec.dimension
+    return np.array([multilinear(grids, values, row) for row in points])

@@ -4,13 +4,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hjreg
 from hjreg import experiment
 from hjreg.cli import main
 from hjreg.degiorgi import LemmaVerdict
@@ -924,11 +929,25 @@ class TestCli:
         out = tmp_path / "out"
         code = main(["run", "--config", str(write_config(tmp_path, data)),
                      "--out", str(out)])
-        assert code == 3
-        assert "error at chain" in capsys.readouterr().out
-        report = json.loads(next(out.glob("*/report.json")).read_text())
-        assert report["error"]["stage"] == "chain"
-        assert "zoom_ratio" in report["error"]["message"]
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "config error: chain alpha 0.25" in err
+        assert "zoom_ratio" in err
+        assert not out.exists()
+
+    def test_cli_import_leaves_scipy_and_the_process_pool_unloaded(self):
+        # serial runs never start a pool, and no module needs scipy
+        code = (
+            "import sys, hjreg.cli\n"
+            "from hjreg.experiment import parse_config\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+            " or m == 'concurrent.futures.process'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hjreg.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_list_scenarios(self, capsys):
         code = main(["list-scenarios"])

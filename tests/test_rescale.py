@@ -7,7 +7,7 @@ import pytest
 
 from hjreg import rescale
 from hjreg.grid import _BLOCK_CELLS, GridSpec, field_from_values, one_cell_oscillation
-from hjreg.hamiltonians import HamiltonianSpec
+from hjreg.hamiltonians import GaugedField, HamiltonianSpec
 from hjreg.rescale import (
     CascadeError,
     EnvelopeViolation,
@@ -25,7 +25,7 @@ from hjreg.rescale import (
 from hjreg.solver import SolveConfig, residual_supersolution, solve
 
 from conftest import const_field, coordinate_field, noise_field
-from reference import gauge_shift, make_field
+from reference import gauge_shift, make_field, sample
 
 POWER_LAW = HamiltonianSpec(kind="power-law", p=1.5)
 
@@ -55,6 +55,90 @@ class TestResample:
         edge = window.half_width - window.cell_width / 2.0
         expected = np.clip(2.0 * window.centers()[..., 0], -edge, edge)
         np.testing.assert_allclose(out.values[0], expected, rtol=1e-12, atol=1e-15)
+
+
+def signed_field(rng, dimension):
+    """Noise on a random grid, with about a fifth of its values ``-0.0``."""
+    spec = GridSpec(dimension=dimension, half_width=float(rng.uniform(0.5, 2.0)),
+                    cells_per_axis=int(rng.integers(4, 7)), t_start=-1.0,
+                    t_end=1.0, dt=float(rng.choice([0.25, 0.5])))
+    values = rng.standard_normal((spec.n_slices, *spec.spatial_shape))
+    values[rng.random(values.shape) < 0.2] = -0.0
+    return field_from_values(spec, values)
+
+
+def edge_queries(rng, grid, inside):
+    """``inside`` uniform draws in the hull, two nodes, both hull ends and
+    one point past each end."""
+    lo, hi = grid[0], grid[-1]
+    past = [lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo)]
+    return np.concatenate([rng.uniform(lo, hi, inside), rng.choice(grid, 2),
+                           [lo, hi], past])
+
+
+def tensor_points(axes):
+    """Every point of the tensor grid ``axes`` as ``(t, *x)`` rows, in C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+class TestSampler:
+    """The tensor-product sampler against the per-point oracle, by ``==``."""
+
+    @pytest.mark.parametrize("rate", [0.0, 1.75])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_tensor_grid_matches_the_oracle(self, rng, dimension, rate):
+        f = signed_field(rng, dimension)
+        grids = [f.spec.times()] + [f.spec.axis_centers()] * dimension
+        axes = [edge_queries(rng, g, 4 - dimension) for g in grids]
+        got = rescale._clamped_sample(GaugedField(f, rate), axes)
+        assert got.shape == tuple(len(q) for q in axes)
+        assert np.array_equal(got.ravel(), sample(f, tensor_points(axes), rate))
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_single_time_query_matches_the_oracle(self, rng, dimension):
+        # the zoom re-solve's shape: one pulled-back time, scaled centers
+        f = signed_field(rng, dimension)
+        t = float(rng.uniform(f.spec.t_start, f.spec.t_end))
+        axes = [np.array([t])] + [1.5 * f.spec.axis_centers()] * dimension
+        got = rescale._clamped_sample(f, axes)
+        assert np.array_equal(got.ravel(), sample(f, tensor_points(axes)))
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_resample_matches_the_oracle(self, rng, dimension):
+        f = signed_field(rng, dimension)
+        target = GridSpec(dimension=dimension, half_width=1.0, cells_per_axis=4,
+                          t_start=-0.5, t_end=0.5, dt=0.25)
+        shift = tuple(float(c) for c in rng.uniform(-0.5, 0.5, dimension))
+        out = resample(GaugedField(f, -0.5), target, time_scale=1.5,
+                       time_shift=-0.2, space_scale=1.3, space_shift=shift,
+                       value_scale=0.75, value_shift=-0.1)
+        times = -0.2 + 1.5 * target.times()
+        cells = (np.asarray(shift) + 1.3 * target.centers()).reshape(-1, dimension)
+        points = np.array([(t, *x) for t in times for x in cells])
+        expected = 0.75 * sample(f, points, -0.5) + -0.1
+        assert np.array_equal(out.values.ravel(), expected)
+
+    def test_node_aligned_maps_are_exact(self, rng):
+        # centers are odd eighths and times whole eighths, so t -> 2t and
+        # x -> 3x + shift land on nodes, or past the hull and clamp to one
+        spec = GridSpec(dimension=2, half_width=1.0, cells_per_axis=8,
+                        t_start=-4.0, t_end=0.0, dt=0.125)
+        f = noise_field(spec, rng)
+        out = resample(f, spec, time_scale=2.0, space_scale=3.0,
+                       space_shift=(0.25, -0.5))
+
+        def nodes(queries, grid):
+            q = np.clip(queries, grid[0], grid[-1])
+            idx = np.searchsorted(grid, q)
+            assert np.array_equal(grid[idx], q)
+            return idx
+
+        centers = spec.axis_centers()
+        rows = nodes(2.0 * spec.times(), spec.times())
+        xs = nodes(0.25 + 3.0 * centers, centers)
+        ys = nodes(-0.5 + 3.0 * centers, centers)
+        assert np.array_equal(out.values, f.values[np.ix_(rows, xs, ys)])
 
 
 class TestSelectRecenter:
