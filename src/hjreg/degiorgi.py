@@ -46,7 +46,6 @@ __all__ = [
     "RecurrenceFit",
     "LemmaVerdict",
     "cutoff_time",
-    "truncate",
     "truncated_energy",
     "energy_ladder",
     "recurrence_fit",
@@ -63,11 +62,6 @@ def cutoff_time(level: int) -> float:
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     return 1.0 - 2.0 ** (-level)
-
-
-def truncate(f: ScalarField, level: int) -> ScalarField:
-    """Positive part above the level-``k`` threshold: ``(f - (1 - 2^-k))_+``."""
-    return ScalarField(f.spec, np.maximum(f.values - cutoff_time(level), 0.0))
 
 
 def _unit_window(spec: GridSpec, t_lo: float, t_hi: float) -> Window:

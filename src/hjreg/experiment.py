@@ -13,11 +13,7 @@ import json
 import math
 import os
 import time
-import types
-import typing
-from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import cache
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -31,10 +27,10 @@ from .degiorgi import (
     lemma_two_check,
     recurrence_fit,
 )
-from .grid import _KEYS, Cylinder, GridSpec, ScalarField, Window
-from .grid import field_from_values, save_snapshot, to_json
+from .grid import ConfigError, Cylinder, GridSpec, ScalarField, Window
+from .grid import config_errors, field_from_values, from_json, save_snapshot, to_json
 from .hamiltonians import CoercivityEnvelope, HamiltonianSpec, coercivity_check
-from .initial_data import make_initial_function, validate_descriptor
+from .initial_data import make_initial_function, read_parameters
 from .oscillation import (
     ChainConstructionError,
     ConstantChain,
@@ -73,7 +69,6 @@ CHECK_NAMES = ("lemma1", "lemma2", "osc_above", "osc_below", "cascade", "theorem
 _D_REFERENCE = 10.0
 
 _SWEEPABLE = {"eta": "eta", "coefficient": "coefficient", "lambda": "lam"}
-_TOLERANCES = ("delta", "conclusion", "residual")
 
 # Checks whose lattice windows are fixed by the statements they test.
 _WINDOWS = {
@@ -84,94 +79,6 @@ _WINDOWS = {
 }
 
 
-class ConfigError(ValueError):
-    """Configuration rejected; the message names the offending key."""
-
-
-@contextmanager
-def _section(where: str):
-    """Report a value that fails to coerce or validate as a ``ConfigError``."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, ArithmeticError) as err:
-        raise ConfigError(f"{where}: {err}") from None
-
-
-# Resolved field annotations per settings class.
-_hints = cache(typing.get_type_hints)
-
-
-def _coerce(value, hint, key: str, where: str):
-    """``value`` read as the annotation ``hint`` of the field at ``key``.
-
-    ``int`` must be integral, ``float`` finite, ``X | None`` also takes
-    ``null``, ``tuple[X, ...]`` a JSON array, ``dict`` a JSON object, and a
-    settings dataclass its own section; booleans are not numbers.
-    """
-    if typing.get_origin(hint) is types.UnionType:
-        if value is None:
-            return None
-        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
-    if is_dataclass(hint):
-        return _from_json(hint, value, key if where == "config" else f"{where}.{key}")
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise TypeError(f"{key} must be a JSON array, got {type(value).__name__}")
-        item = typing.get_args(hint)[0]
-        return tuple(
-            _coerce(v, item, f"{key}[{i}]", where) for i, v in enumerate(value)
-        )
-    if hint is dict:
-        if not isinstance(value, dict):
-            raise TypeError(f"{key} must be a JSON object, got {type(value).__name__}")
-        return dict(value)
-    if hint is str:
-        if not isinstance(value, str):
-            raise TypeError(f"{key} must be a string, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    if hint is int:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return float(value)
-
-
-def _from_json(cls, section, where: str, **given):
-    """Build the settings dataclass ``cls`` from its JSON ``section``.
-
-    Unknown keys are rejected by name, fields without a default are
-    required, and the rest fall back to the dataclass defaults; each value
-    is read by its annotation (see ``_coerce``).  ``given`` holds fields the
-    caller has built already: their keys are accepted but not read.  Every
-    failure is a ``ConfigError`` that names ``where``.
-    """
-    if not isinstance(section, dict):
-        raise ConfigError(
-            f"{where} must be a JSON object, got {type(section).__name__}"
-        )
-    hints = _hints(cls)
-    by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
-    for key in section:
-        if key not in by_key:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-    kwargs = dict(given)
-    with _section(where):
-        for key, f in by_key.items():
-            if f.name in given:
-                continue
-            if key in section:
-                kwargs[f.name] = _coerce(section[key], hints[f.name], key, where)
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{where} needs {key!r}")
-        return cls(**kwargs)
-
-
 @dataclass(frozen=True)
 class InitialDataSpec:
     name: str = "zero"
@@ -180,7 +87,6 @@ class InitialDataSpec:
 
     def __post_init__(self) -> None:
         _at_least("initial_data", self, seed=0)
-        validate_descriptor(self.name, self.parameters)
 
 
 @dataclass(frozen=True)
@@ -290,6 +196,20 @@ class SweepSettings:
 
 
 @dataclass(frozen=True)
+class _Tolerances:
+    """The ``tolerances`` keys; a key not given leaves its check's default."""
+
+    delta: float = 0.0
+    conclusion: float = 0.0
+    residual: float = 0.0
+
+    def __post_init__(self) -> None:
+        for key, value in to_json(self).items():
+            if value < 0.0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A validated scenario.  ``envelope`` defaults to the Hamiltonian's
     declared one."""
@@ -320,15 +240,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}"
                 )
-        tolerances = {}
-        with _section("tolerances"):
-            for key, value in self.tolerances.items():
-                if key not in _TOLERANCES:
-                    raise ConfigError(f"unknown key {key!r} in tolerances")
-                tolerances[key] = _coerce(value, float, key, "tolerances")
-                if tolerances[key] < 0.0:
-                    raise ValueError(f"{key} must be >= 0, got {value}")
-        object.__setattr__(self, "tolerances", tolerances)
+        read = from_json(_Tolerances, self.tolerances, "tolerances")
+        object.__setattr__(
+            self, "tolerances", {key: getattr(read, key) for key in self.tolerances}
+        )
+        # the parameters are checked here, where the grid is known
+        init = self.initial_data
+        read_parameters(self.grid, init.name, init.parameters)
         if self.envelope is None:
             object.__setattr__(
                 self, "envelope", self.hamiltonian.declared_envelope()
@@ -348,12 +266,12 @@ class ExperimentConfig:
     def from_json_dict(data: dict) -> "ExperimentConfig":
         """Read and gate a config; the envelope's ``p`` defaults to the
         Hamiltonian's."""
-        cfg = _from_json(ExperimentConfig, data, "config", envelope=None)
+        cfg = from_json(ExperimentConfig, data, "config", envelope=None)
         section = data.get("envelope")
         if section is not None:
             if isinstance(section, dict):
                 section = {"p": cfg.hamiltonian.p, **section}
-            envelope = _from_json(CoercivityEnvelope, section, "envelope")
+            envelope = from_json(CoercivityEnvelope, section, "envelope")
             cfg = replace(cfg, envelope=envelope)
         _check_gates(cfg)
         return cfg
@@ -422,7 +340,7 @@ def _check_gates(cfg: ExperimentConfig) -> None:
                 "the inf-convolution oracle is exact only for the plain "
                 f"power law, not {cfg.hamiltonian.kind!r}"
             )
-        with _section("oracle"):
+        with config_errors("oracle"):
             grids = _oracle_grids(cfg)
         for grid_l in grids:
             # the one or two axis centers nearest 0, as ``axis_centers`` has them
@@ -439,7 +357,7 @@ def _check_gates(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 "sweeping 'eta' needs a rough-coefficient hamiltonian"
             )
-        with _section("sweep"):
+        with config_errors("sweep"):
             _sweep_variants(cfg)
     if cfg.chain.mode == "fixed" and _needs_chain(cfg):
         try:
@@ -881,11 +799,7 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     timings["chain"] = time.perf_counter() - begin
 
     init = cfg.initial_data
-    try:
-        fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
-    except (ValueError, ChainConstructionError) as err:
-        error_info = {"stage": "initial_data", "message": str(err)}
-        return finish("error")
+    fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
 
     for label, hamiltonian in _sweep_variants(cfg):
         if cfg.sweep is not None:
@@ -979,10 +893,10 @@ def _with_overrides(
     cfg: ExperimentConfig, seed: int | None, resolution: int | None
 ) -> ExperimentConfig:
     if seed is not None:
-        with _section(f"seed {seed}"):
+        with config_errors(f"seed {seed}"):
             cfg = replace(cfg, initial_data=replace(cfg.initial_data, seed=int(seed)))
     if resolution is not None:
-        with _section(f"resolution {resolution}"):
+        with config_errors(f"resolution {resolution}"):
             cells = int(resolution)
             scale = cfg.grid.cells_per_axis / cells
             dt = snap_dt(cfg.grid.t_start, cfg.grid.t_end, cfg.grid.dt * scale)

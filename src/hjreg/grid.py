@@ -24,6 +24,12 @@ row sum of a C-contiguous block (numpy sums each row as it sums the slice
 on its own), and per-slice terms are accumulated in slice order with
 ``np.cumsum``, never with ``np.sum``, whose pairwise order would change
 the last digits.
+
+JSON crosses the package boundary through one pair of functions, here
+because a grid is the first thing both a config and a snapshot hold:
+:func:`to_json` writes a dataclass one key per field, and
+:func:`from_json` reads one back by its field annotations, raising a
+:class:`ConfigError` that names the key on any misfit.
 """
 
 from __future__ import annotations
@@ -31,7 +37,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+import types
+import typing
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterator
 
@@ -39,6 +49,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
+    "ConfigError",
     "GridSpec",
     "Cylinder",
     "ScalarField",
@@ -55,6 +66,8 @@ __all__ = [
     "one_cell_oscillation",
     "save_snapshot",
     "load_snapshot",
+    "config_errors",
+    "from_json",
     "to_json",
 ]
 
@@ -64,7 +77,7 @@ _REL_TOL = 1e-6
 _TIME_TOL = 1e-9
 # Cells per block of slices in the batched reductions along time.
 _BLOCK_CELLS = 1 << 17
-# Attributes written under another JSON key.
+# Attributes written and read under another JSON key.
 _KEYS = {"lam": "lambda"}
 
 
@@ -83,6 +96,93 @@ def to_json(obj) -> dict:
             value = dict(value)
         out[_KEYS.get(f.name, f.name)] = value
     return out
+
+
+class ConfigError(ValueError):
+    """Configuration rejected; the message names the offending key."""
+
+
+@contextmanager
+def config_errors(where: str):
+    """Report a value that fails to coerce or validate as a ``ConfigError``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
+# Resolved field annotations per dataclass.
+_hints = cache(typing.get_type_hints)
+
+
+def _coerce(value, hint, key: str, where: str):
+    """``value`` read as the annotation ``hint`` of the field at ``key``.
+
+    ``int`` must be integral, ``float`` finite, ``X | None`` also takes
+    ``null``, ``tuple[X, ...]`` a JSON array, ``dict`` a JSON object, and a
+    dataclass its own object; booleans are not numbers.
+    """
+    if typing.get_origin(hint) is types.UnionType:
+        if value is None:
+            return None
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return from_json(hint, value, key if where == "config" else f"{where}.{key}")
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"{key} must be a JSON array, got {type(value).__name__}")
+        item = typing.get_args(hint)[0]
+        return tuple(
+            _coerce(v, item, f"{key}[{i}]", where) for i, v in enumerate(value)
+        )
+    if hint is dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"{key} must be a JSON object, got {type(value).__name__}")
+        return dict(value)
+    if hint is str:
+        if not isinstance(value, str):
+            raise TypeError(f"{key} must be a string, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    if hint is int:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
+def from_json(cls, data, where: str, **given):
+    """The dataclass ``cls`` read from its JSON object ``data``; the
+    inverse of :func:`to_json`.
+
+    Unknown keys are rejected by name, fields without a default are
+    required, and the rest fall back to the dataclass defaults; each value
+    is read by its annotation (see ``_coerce``).  ``given`` holds fields the
+    caller has built already: their keys are accepted but not read.  Every
+    failure is a ``ConfigError`` that names ``where``.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
+    hints = _hints(cls)
+    by_key = {_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    for key in data:
+        if key not in by_key:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    kwargs = dict(given)
+    with config_errors(where):
+        for key, f in by_key.items():
+            if f.name in given:
+                continue
+            if key in data:
+                kwargs[f.name] = _coerce(data[key], hints[f.name], key, where)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where} needs {key!r}")
+        return cls(**kwargs)
 
 
 class EmptyCylinderError(ValueError):
@@ -181,17 +281,6 @@ class GridSpec:
     def residual_tol(self) -> float:
         """Default slack of one-sided residual checks: ``10 (cell width + dt)``."""
         return 10.0 * (self.cell_width + self.dt)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GridSpec":
-        return cls(
-            dimension=int(data["dimension"]),
-            half_width=float(data["half_width"]),
-            cells_per_axis=int(data["cells_per_axis"]),
-            t_start=float(data["t_start"]),
-            t_end=float(data["t_end"]),
-            dt=float(data["dt"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -518,12 +607,13 @@ def load_snapshot(base_path: str | Path) -> ScalarField:
     make that an exact comparison.
 
     Raises:
-        ValueError: on a bad header, a wrong row count, or the first row
-            whose coordinates differ from the grid's.
+        ValueError: on a descriptor that does not read as a grid (a
+            ``ConfigError``), a bad header, a wrong row count, or the first
+            row whose coordinates differ from the grid's.
     """
     base = Path(base_path)
     with open(base.with_suffix(".json")) as fh:
-        spec = GridSpec.from_json_dict(json.load(fh))
+        spec = from_json(GridSpec, json.load(fh), str(fh.name))
     with open(base.with_suffix(".csv"), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

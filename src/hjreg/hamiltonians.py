@@ -293,14 +293,6 @@ class CoercivityReport:
     n_samples: int
     violations: tuple[dict, ...]
 
-    @property
-    def margin(self) -> float:
-        return min(self.min_lower_slack, self.min_upper_slack)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def coercivity_check(
     h: HamiltonianSpec | TransformedHamiltonian,

@@ -47,8 +47,8 @@ __all__ = [
     "ComparisonReport",
     "ConstantChain",
     "InvariantCheck",
+    "barrier",
     "barrier_field",
-    "barrier_value",
     "build_constant_chain",
     "comparison_check",
     "dyadic_ladder",
@@ -419,31 +419,27 @@ def time_reverse(f: ScalarField) -> ScalarField:
     )
 
 
-def barrier_value(chain: ConstantChain, t: float, x: NDArray | tuple | list) -> float:
-    """Comparison barrier: ``min(plateau, wedge)`` with the plateau at
+def barrier(
+    chain: ConstantChain, t: float, radii: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Comparison barrier at time ``t`` and distances ``radii`` from the
+    origin: ``min(plateau, wedge)`` with the plateau at
     ``-2 + barrier_height`` and the wedge dropping linearly in time from -2
     at rate ``barrier_height / 8`` while rising toward the ball center with
     spatial slope ``barrier_slope``."""
-    radius = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    plateau = -2.0 + chain.barrier_height
-    wedge = (
-        -2.0
-        - chain.barrier_height / 8.0 * (t + 2.0)
-        + chain.barrier_slope * (1.0 - radius)
+    return np.minimum(
+        -2.0 + chain.barrier_height,
+        -2.0 - chain.barrier_height / 8.0 * (t + 2.0)
+        + chain.barrier_slope * (1.0 - radii),
     )
-    return min(plateau, wedge)
 
 
 def barrier_field(chain: ConstantChain, spec: GridSpec) -> ScalarField:
     """Sample the comparison barrier at every cell center of the grid."""
     radii = np.linalg.norm(spec.centers(), axis=-1)
-    wedge_space = chain.barrier_slope * (1.0 - radii)
-    plateau = -2.0 + chain.barrier_height
     out = np.empty((spec.n_slices, *spec.spatial_shape))
     for i, t in enumerate(spec.times()):
-        out[i] = np.minimum(
-            plateau, -2.0 - chain.barrier_height / 8.0 * (t + 2.0) + wedge_space
-        )
+        out[i] = barrier(chain, t, radii)
     return ScalarField(spec, out)
 
 

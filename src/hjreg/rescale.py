@@ -35,11 +35,7 @@ from .grid import (
     to_json,
 )
 from .hamiltonians import CoercivityEnvelope, GaugedField, TransformedHamiltonian
-from .oscillation import (
-    ConstantChain,
-    oscillation_above_check,
-    oscillation_below_check,
-)
+from .oscillation import ConstantChain
 from .solver import (
     SolveConfig,
     SolverError,
@@ -62,7 +58,6 @@ __all__ = [
     "records_to_csv",
     "resample",
     "select_recenter",
-    "shift_time",
     "theorem_check",
     "zoom_cascade",
     "zoom_step",
@@ -75,11 +70,7 @@ _TOL_FLOOR = 1e-12
 
 
 class RecenterError(RuntimeError):
-    """No admissible recentering constant; carries diagnostic verdicts."""
-
-    def __init__(self, message: str, verdicts: dict | None = None) -> None:
-        super().__init__(message)
-        self.verdicts = verdicts or {}
+    """No admissible recentering constant."""
 
 
 class EnvelopeViolation(RuntimeError):
@@ -138,14 +129,6 @@ class HolderEstimate:
     points_used: int
     degenerate: bool
     alpha_theory: float
-
-
-def shift_time(f: ScalarField, offset: float) -> ScalarField:
-    """Relabel the time axis by a constant; values are shared, not copied."""
-    spec = replace(
-        f.spec, t_start=f.spec.t_start + offset, t_end=f.spec.t_end + offset
-    )
-    return ScalarField(spec=spec, values=f.values)
 
 
 def resample(
@@ -218,9 +201,8 @@ def select_recenter(
     clamped to ``[-shrink_below/2, shrink_below/2]``, and returns it with
     the achieved sup of ``|f - d|``.  The improved-oscillation property
     guarantees an admissible ``d`` whenever one of the two one-sided
-    improvements applies; if the achieved bound still exceeds
-    ``2 - shrink_below/2`` the error carries both improvement verdicts for
-    the window, evaluated on the time-relabeled field.
+    improvements applies; a :class:`RecenterError` reports an achieved
+    bound above ``2 - shrink_below/2`` (plus the tolerance).
     """
     window = Cylinder(-1.0, 0.0, (0.0,) * f.spec.dimension, 0.5)
     lo, hi = _window_extrema(f, window)
@@ -230,19 +212,9 @@ def select_recenter(
     tol = one_cell_oscillation(f, window) if tolerance is None else tolerance
     tol = max(tol, _TOL_FLOOR)
     if achieved > 2.0 - half_shrink + tol:
-        verdicts: dict = {}
-        try:
-            centered = shift_time(f, -2.0 - f.spec.t_start)
-            verdicts = {
-                "above": oscillation_above_check(centered, chain).to_json_dict(),
-                "below": oscillation_below_check(centered, chain).to_json_dict(),
-            }
-        except ValueError:
-            pass
         raise RecenterError(
             f"window range [{lo}, {hi}] admits no recentering: best bound "
-            f"{achieved} exceeds {2.0 - half_shrink} (tolerance {tol})",
-            verdicts,
+            f"{achieved} exceeds {2.0 - half_shrink} (tolerance {tol})"
         )
     return d, achieved
 

@@ -16,7 +16,6 @@ from hjreg.degiorgi import (
     lemma_two_check,
     recurrence_fit,
     recurrence_orbit,
-    truncate,
     truncated_energy,
 )
 from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
@@ -41,23 +40,6 @@ class TestTruncation:
         assert cutoff_time(2) == 0.75
         with pytest.raises(ValueError):
             cutoff_time(-1)
-
-    def test_truncate_constant(self, box2):
-        f = const_field(box2, 0.9)
-        assert np.all(truncate(f, 1).values == pytest.approx(0.4, abs=1e-15))
-        assert np.all(truncate(f, 2).values == pytest.approx(0.15, abs=1e-15))
-
-    def test_truncate_below_threshold_vanishes(self, box2):
-        f = const_field(box2, 0.5)
-        assert np.all(truncate(f, 1).values == 0.0)
-        assert np.all(truncate(f, 3).values == 0.0)
-
-    def test_truncate_monotone_in_level(self, box2, rng):
-        values = rng.uniform(-1.0, 2.0, (box2.n_slices, *box2.spatial_shape))
-        f = field_from_values(box2, values)
-        lower = truncate(f, 3).values
-        higher = truncate(f, 2).values
-        assert np.all(lower <= higher)
 
 
 class TestTruncatedEnergy:

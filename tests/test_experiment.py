@@ -7,7 +7,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjreg
-from hjreg import experiment
+from hjreg import experiment, initial_data
 from hjreg.cli import main
 from hjreg.degiorgi import LemmaVerdict
 from hjreg.experiment import (
@@ -34,6 +34,7 @@ from hjreg.experiment import (
     scenario_path,
 )
 from hjreg.grid import GridSpec, to_json
+from hjreg.initial_data import catalog_names
 from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import HolderEstimate, OscillationRecord, TheoremReport
 
@@ -342,6 +343,14 @@ def key_paths(node, prefix=()):
         yield from key_paths(value, prefix + (key,))
 
 
+def parameter_keys(name):
+    """The JSON keys of a catalog generator's parameters, as ``to_json``
+    writes them."""
+    cls = initial_data._CATALOG[name]
+    required = {f.name: 1.5 for f in fields(cls) if f.default is MISSING}
+    return sorted(to_json(cls(**required)))
+
+
 class TestConfigFuzz:
     @pytest.mark.parametrize("name", bundled_scenarios())
     @settings(max_examples=60, deadline=None)
@@ -353,6 +362,18 @@ class TestConfigFuzz:
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = data.draw(JSON_VALUES)
+        try:
+            ExperimentConfig.from_json_dict(config)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("name", catalog_names())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_initial_data_parameters_parse_or_are_a_config_error(self, name, data):
+        keys = st.sampled_from(parameter_keys(name) + ["unknown"])
+        parameters = data.draw(st.dictionaries(keys, JSON_VALUES, max_size=4))
+        config = minimal_dict(initial_data={"name": name, "parameters": parameters})
         try:
             ExperimentConfig.from_json_dict(config)
         except ConfigError:
@@ -844,6 +865,22 @@ class TestCli:
             ({"solve": {"max_steps": -1}}, []),
             ({"solve": {"sigma_mode": "fixed", "sigma_bound": -1}}, []),
             ({"hamiltonian": {"kind": "power-law", "p": "inf"}}, []),
+            ({"initial_data": {"name": "random-trig",
+                               "parameters": {"amplitude": [1, 2]}}}, []),
+            ({"initial_data": {"name": "random-trig",
+                               "parameters": {"bandwidth": 0}}}, []),
+            ({"initial_data": {"name": "cone", "parameters": {"center": [0.0]}}},
+             []),
+            ({"initial_data": {"name": "barrier-slice",
+                               "parameters": {"lambda": 1.0}}}, []),
+            ({"initial_data": {"name": "barrier-slice",
+                               "parameters": {"p": 3, "lambda": 1.0}}}, []),
+            ({"initial_data": {"name": "random-trig",
+                               "parameters": {"n_modes": 1.5}}}, []),
+            ({"initial_data": {"name": "random-trig",
+                               "parameters": {"n_modes": True}}}, []),
+            ({"initial_data": {"name": "constant", "parameters": {"value": "1"}}},
+             []),
         ]] + [({}, [], w) for w in ("abc", "2.5", "0", "-3", "")],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
              "working-slices-zero", "grid-list", "amplitude-nan", "delta-nan",
@@ -855,7 +892,10 @@ class TestCli:
              "oracle-refinements-huge",
              "alpha-nan", "envelope-lambda-nan", "seed-negative",
              "seed-override-negative", "max-steps-zero", "max-steps-negative",
-             "sigma-bound-negative", "p-inf", "workers-word",
+             "sigma-bound-negative", "p-inf", "amplitude-list",
+             "bandwidth-zero", "cone-center-short", "barrier-slice-no-p",
+             "barrier-slice-p-above-n", "n-modes-fractional", "n-modes-bool",
+             "constant-value-string", "workers-word",
              "workers-fraction", "workers-zero", "workers-negative",
              "workers-empty"],
     )

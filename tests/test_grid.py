@@ -15,6 +15,7 @@ from hjreg.grid import (
     ball_volume,
     discrete_gradient_norm_p,
     field_from_values,
+    from_json,
     level_set_measure,
     load_snapshot,
     one_cell_oscillation,
@@ -74,7 +75,7 @@ class TestGridSpec:
             GridSpec(**base)
 
     def test_json_round_trip(self, box2):
-        assert GridSpec.from_json_dict(to_json(box2)) == box2
+        assert from_json(GridSpec, to_json(box2), "grid") == box2
 
 
 class TestMakeField:

@@ -153,7 +153,6 @@ class TestDeclaredEnvelope:
     def test_each_kind_sits_inside_declared_envelope(self, h, rng):
         points, grads = sample_cloud(2, rng)
         report = coercivity_check(h, h.declared_envelope(), [0.0, 0.7], points, grads)
-        assert report.ok
         assert report.violations == ()
 
 
@@ -163,7 +162,8 @@ class TestCoercivityCheck:
         env = CoercivityEnvelope(lam=1.0, p=1.5)
         points, grads = sample_cloud(2, rng)
         report = coercivity_check(h, env, [0.0], points, grads)
-        assert report.margin == pytest.approx(1.0, rel=1e-12)
+        margin = min(report.min_lower_slack, report.min_upper_slack)
+        assert margin == pytest.approx(1.0, rel=1e-12)
 
     def test_oversized_coefficient_violates_upper_bound(self):
         h = HamiltonianSpec(kind="scaled-power-law", p=1.5, coefficient=3.0)
@@ -171,7 +171,7 @@ class TestCoercivityCheck:
         grads = np.array([[2.0, 0.0]])
         points = np.zeros((1, 2))
         report = coercivity_check(h, env, [0.0], points, grads)
-        assert not report.ok
+        assert report.violations
         assert report.n_samples == 1
         # Upper bound 2 * 2^1.5 + 2 sits below the value 3 * 2^1.5.
         assert report.min_upper_slack == pytest.approx(2.0 - 2.0**1.5, rel=1e-12)
@@ -183,7 +183,7 @@ class TestCoercivityCheck:
         points, grads = sample_cloud(2, rng)
         report = coercivity_check(h, env, [0.0, 1.0], points, grads,
                                   max_reported=4)
-        assert not report.ok
+        assert report.violations
         assert len(report.violations) == 4
 
     def test_sample_count_spans_product_cloud(self, rng):

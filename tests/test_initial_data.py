@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from hjreg.grid import GridSpec
-from hjreg.initial_data import (
-    catalog_names,
-    catalog_summary,
-    make_initial_function,
-    validate_descriptor,
-)
-from hjreg.oscillation import barrier_value
+from hjreg.grid import ConfigError, GridSpec
+from hjreg.initial_data import catalog_names, make_initial_function
+from hjreg.oscillation import barrier
 
 
 @pytest.fixture(scope="module")
@@ -27,29 +22,30 @@ class TestCatalog:
                          "random-trig", "barrier-slice"):
             assert expected in names
 
-    def test_every_entry_has_a_summary(self):
-        summary = catalog_summary()
-        assert set(summary) == set(catalog_names())
-        assert all(text.strip() for text in summary.values())
-
 
 class TestValidateDescriptor:
-    def test_unknown_name_is_named_in_the_error(self):
-        with pytest.raises(ValueError, match="not-a-generator"):
-            validate_descriptor("not-a-generator", None)
+    """The name and parameters are checked before anything is drawn."""
 
-    def test_unknown_parameter_is_named(self):
-        with pytest.raises(ValueError, match="slope"):
-            validate_descriptor("cone", {"slope": 2.0})
+    def test_unknown_name_is_named_in_the_error(self, plane):
+        with pytest.raises(ConfigError, match="not-a-generator"):
+            make_initial_function(plane, "not-a-generator")
 
-    def test_zero_accepts_no_parameters(self):
-        validate_descriptor("zero", None)
-        validate_descriptor("zero", {})
-        with pytest.raises(ValueError, match="amplitude"):
-            validate_descriptor("zero", {"amplitude": 1.0})
+    def test_unknown_parameter_is_named(self, plane):
+        with pytest.raises(ConfigError, match="slope"):
+            make_initial_function(plane, "cone", {"slope": 2.0})
+        # the grid's dimension is not a parameter, though the cone reads it
+        with pytest.raises(ConfigError, match="dimension"):
+            make_initial_function(plane, "cone", {"dimension": 2})
 
-    def test_known_parameters_pass(self):
-        validate_descriptor(
+    def test_zero_accepts_no_parameters(self, plane):
+        make_initial_function(plane, "zero", None)
+        make_initial_function(plane, "zero", {})
+        with pytest.raises(ConfigError, match="amplitude"):
+            make_initial_function(plane, "zero", {"amplitude": 1.0})
+
+    def test_known_parameters_pass(self, plane):
+        make_initial_function(
+            plane,
             "random-trig",
             {"amplitude": 1.0, "offset": 0.0, "bandwidth": 2, "n_modes": 4},
         )
@@ -143,11 +139,9 @@ class TestBarrierSlice:
     def test_matches_the_comparison_barrier(self, plane, chain_unit):
         params = {"p": 1.5, "lambda": 1.0, "alpha": 1.0, "time": -1.0}
         vals = make_initial_function(plane, "barrier-slice", params)(plane.centers())
-        centers = plane.centers().reshape(-1, 2)
-        expected = np.array(
-            [barrier_value(chain_unit, -1.0, x) for x in centers]
-        ).reshape(plane.spatial_shape)
-        np.testing.assert_allclose(vals, expected, rtol=1e-15)
+        radii = np.linalg.norm(plane.centers(), axis=-1)
+        expected = barrier(chain_unit, -1.0, radii)
+        np.testing.assert_array_equal(vals, expected)
 
     def test_default_time_is_the_window_start(self, plane, chain_unit):
         fn = make_initial_function(plane, "barrier-slice",

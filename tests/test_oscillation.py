@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     ChainConstructionError,
+    barrier,
     barrier_field,
-    barrier_value,
     build_constant_chain,
     comparison_check,
     dyadic_ladder,
@@ -133,15 +135,31 @@ class TestTimeReverse:
         np.testing.assert_array_equal(time_reverse(time_reverse(f)).values,
                                       f.values)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), steps=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_involution_is_bit_exact(self, data, dim, steps, seed):
+        # at most 16^2 cells: up to 16 per axis in 1-D and 2-D, 6 in 3-D
+        cells = data.draw(st.integers(4, min(16, int(256 ** (1 / dim)))))
+        spec = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=cells,
+                        t_start=-1.0, t_end=1.0, dt=2.0 / steps)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((spec.n_slices, *spec.spatial_shape))
+        values[rng.uniform(size=values.shape) < 0.1] = 0.0
+        values *= rng.choice([-1.0, 1.0], size=values.shape)  # signed zeros
+        f = field_from_values(spec, values)
+        twice = time_reverse(time_reverse(f)).values
+        assert twice.tobytes() == f.values.tobytes()
+
 
 class TestBarrier:
     def test_corner_values(self, chain_unit):
         c = chain_unit
-        assert barrier_value(c, -2.0, (1.0, 0.0)) == pytest.approx(-2.0, rel=1e-15)
-        assert barrier_value(c, 2.0, (1.0, 0.0)) == pytest.approx(
+        assert barrier(c, -2.0, 1.0) == pytest.approx(-2.0, rel=1e-15)
+        assert barrier(c, 2.0, 1.0) == pytest.approx(
             -2.0 - c.barrier_height / 2.0, rel=1e-15
         )
-        assert barrier_value(c, -2.0, (0.0, 0.0)) == pytest.approx(
+        assert barrier(c, -2.0, 0.0) == pytest.approx(
             -2.0 + c.barrier_height, rel=1e-15
         )
 
@@ -149,9 +167,9 @@ class TestBarrier:
         c = chain_unit
         rate = c.barrier_height / 8.0
         for _ in range(20):
-            x = rng.uniform(-1.0, 1.0, size=2)
+            r = np.linalg.norm(rng.uniform(-1.0, 1.0, size=2))
             t1, t2 = rng.uniform(-2.0, 2.0, size=2)
-            gap = abs(barrier_value(c, t1, x) - barrier_value(c, t2, x))
+            gap = abs(barrier(c, t1, r) - barrier(c, t2, r))
             # The drop is exactly linear in t, so leave rounding headroom.
             assert gap <= rate * abs(t1 - t2) * (1.0 + 1e-6) + 1e-18
 
@@ -160,7 +178,8 @@ class TestBarrier:
         for _ in range(20):
             t = rng.uniform(-2.0, 2.0)
             x, y = rng.uniform(-1.0, 1.0, size=(2, 2))
-            gap = abs(barrier_value(c, t, x) - barrier_value(c, t, y))
+            gap = abs(barrier(c, t, np.linalg.norm(x))
+                      - barrier(c, t, np.linalg.norm(y)))
             dist = float(np.linalg.norm(x - y))
             assert gap <= c.barrier_slope * dist * (1.0 + 1e-9) + 1e-18
 
@@ -170,7 +189,7 @@ class TestBarrier:
         times = box2.times()
         for i, j, k in [(0, 0, 0), (80, 10, 10), (160, 19, 3)]:
             assert f.values[i, j, k] == pytest.approx(
-                barrier_value(chain_unit, float(times[i]), centers[j, k]),
+                barrier(chain_unit, float(times[i]), np.linalg.norm(centers[j, k])),
                 rel=1e-15,
             )
 

@@ -191,7 +191,59 @@ class TestSolve:
         assert exc.value.step_index == 0
 
 
+@st.composite
+def ordered_data(draw):
+    """A grid of at most 16^2 cells and 40 steps, a power law, and data
+    ``lower <= upper`` on it, solved at a fixed dissipation twice the
+    largest ``|dH/dP|`` the data's one-sided differences reach, with the
+    time step at half the monotone limit."""
+    dim = draw(st.integers(1, 2))
+    cells = draw(st.integers(4, 16))
+    steps = draw(st.integers(1, 40))
+    h = HamiltonianSpec(kind="power-law", p=draw(st.floats(1.1, 2.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (cells,) * dim
+    lower = rng.uniform(-1.0, 1.0, shape)
+    upper = lower + np.maximum(rng.uniform(-0.5, 1.0, shape), 0.0)
+    width = 2.0 / cells
+    slope = max(float(np.abs(np.diff(u, axis=a)).max())
+                for u in (lower, upper) for a in range(dim)) / width
+    sigma = 2.0 * max(h.dissipation_bound(math.sqrt(dim) * slope), 1.0)
+    dt = 0.5 * width / (dim * sigma)
+    spec = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=cells,
+                    t_start=0.0, t_end=steps * dt, dt=dt)
+    return spec, h, SolveConfig(sigma_mode="fixed", sigma_bound=sigma), lower, upper
+
+
+def rounding_slack(spec, *data):
+    """Per-slice bound on the rounding a solve adds: each step rounds by a
+    few ulps of the data's scale (the scheme keeps values inside the data's
+    range), and a monotone step does not amplify earlier errors, so slice
+    ``i`` is off by at most ``8 i eps (1 + sup |data|)``."""
+    scale = 1.0 + max(float(np.abs(d).max()) for d in data)
+    steps = np.arange(spec.n_slices).reshape(-1, *[1] * spec.dimension)
+    return 8.0 * steps * np.finfo(float).eps * scale
+
+
 class TestDiscreteComparison:
+    @settings(max_examples=100, deadline=None)
+    @given(problem=ordered_data())
+    def test_ordered_data_stay_ordered_slice_by_slice(self, problem):
+        spec, h, cfg, lower, upper = problem
+        a = solve(spec, h, lower, cfg).field.values
+        b = solve(spec, h, upper, cfg).field.values
+        assert np.all(a <= b + rounding_slack(spec, lower, upper))
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=ordered_data(), c=st.floats(-4.0, 4.0))
+    def test_adding_a_constant_shifts_every_slice(self, problem, c):
+        spec, h, cfg, u0, _ = problem
+        base = solve(spec, h, u0, cfg).field.values
+        shifted = solve(spec, h, u0 + c, cfg).field.values
+        # plus the rounding of ``base + c`` itself
+        slack = rounding_slack(spec, u0, u0 + c) + 2.0 * np.finfo(float).eps * abs(c)
+        assert np.all(np.abs(shifted - (base + c)) <= slack)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ordered_data_stays_ordered(self, seed):
         spec = GridSpec(dimension=2, half_width=1.0, cells_per_axis=16,

@@ -1,0 +1,88 @@
+"""Print every function under ``src/hjreg`` that no reference run reaches.
+
+The reference runs are the ones ``tools/digests.py`` makes (its digest
+lines are discarded; its runs write under a temporary root) and the tests
+of ``tests/test_acceptance.py``.  A ``sys.setprofile`` hook records the
+code object of every Python call they make (all in this thread: the
+digest runs run their ensemble serially).  The functions of the package
+are the code objects of its ``def`` statements, found by compiling each
+module, and one counts as reached when its code object was called.  Lambdas, comprehensions and
+dataclass-generated methods are not counted.
+
+Output: one ``module.qualname`` per unreached function, sorted, then a
+count line.  The exit code is 1 when a reference run failed.
+
+Usage::
+
+    python tools/reach.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import inspect
+import io
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "hjreg"
+
+
+def package_functions() -> dict[tuple[str, int, str], str]:
+    """``(file, first line, name)`` of every ``def`` in the package, mapped
+    to its ``module.qualname``."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if inspect.iscode(c))
+            is_def = not code.co_name.startswith("<")
+            if is_def and code.co_flags & inspect.CO_OPTIMIZED:
+                key = (str(path), code.co_firstlineno, code.co_name)
+                out[key] = f"{path.stem}.{code.co_qualname}"
+    return out
+
+
+def reference_runs() -> bool:
+    """Run the digest runs and the acceptance tests; True when all pass."""
+    import pytest
+
+    digests = runpy.run_path(str(REPO / "tools" / "digests.py"), run_name="digests")
+    with tempfile.TemporaryDirectory() as root, \
+            contextlib.redirect_stdout(io.StringIO()):
+        digest_code = digests["main"](["--out", root])
+        test_code = pytest.main(["-q", "-p", "no:cacheprovider",
+                                 str(REPO / "tests" / "test_acceptance.py")])
+    return digest_code == 0 and test_code == 0
+
+
+def main() -> int:
+    sys.path.insert(0, str(REPO / "src"))
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        ok = reference_runs()
+    finally:
+        sys.setprofile(None)
+    reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in called}
+    unreached = sorted(name for key, name in package_functions().items()
+                       if key not in reached)
+    for name in unreached:
+        print(name)
+    print(f"{len(unreached)} unreached functions")
+    if not ok:
+        print("a reference run failed", file=sys.stderr)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
