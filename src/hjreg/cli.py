@@ -15,13 +15,13 @@ import traceback
 
 from .experiment import (
     ConfigError,
-    _base_dir,
     bundled_scenarios,
     ensemble,
     parse_config,
     run,
+    run_directory,
 )
-from .oscillation import ChainConstructionError, build_constant_chain
+from .oscillation import build_constant_chain
 
 __all__ = ["main"]
 
@@ -120,8 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if report.error is not None:
         stage = report.error.get("stage", "?")
         print(f"  error at {stage}: {report.error.get('message')}")
-    seed = args.seed if args.seed is not None else cfg.initial_data.seed
-    run_dir = _base_dir(cfg, args.out) / f"{cfg.scenario}-seed{seed}"
+    run_dir = run_directory(cfg, args.out, args.seed)
     print(f"status: {report.status}")
     print(f"report: {run_dir / 'report.json'}")
     return _EXIT[report.status]
@@ -137,9 +136,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
             f"alpha={t['alpha']:g}: {t['status']}" for t in report.chain_search
         )
         print(f"  chain search: {trail}")
-    run_dir = _base_dir(cfg, None) / (
-        f"{cfg.scenario}-ensemble-seed{args.seed}-n{args.count}"
-    )
+    run_dir = run_directory(cfg, None, args.seed, args.count)
     print(f"status: {report.status}")
     print(f"report: {run_dir / 'report.json'}")
     return _EXIT[report.status]
@@ -148,7 +145,7 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
 def _cmd_chain(args: argparse.Namespace) -> int:
     try:
         chain = build_constant_chain(args.dimension, args.p, args.lam, args.alpha)
-    except (ValueError, ChainConstructionError) as err:
+    except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     print(json.dumps(chain.to_json_dict(), indent=2, sort_keys=True))

@@ -13,9 +13,12 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,10 +32,9 @@ from .degiorgi import (
 )
 from .grid import ConfigError, Cylinder, GridSpec, ScalarField, Window
 from .grid import config_errors, field_from_values, from_json, save_snapshot, to_json
-from .hamiltonians import CoercivityEnvelope, HamiltonianSpec, coercivity_check
+from .hamiltonians import KINDS, CoercivityEnvelope, HamiltonianSpec, coercivity_check
 from .initial_data import make_initial_function, read_parameters
 from .oscillation import (
-    ChainConstructionError,
     ConstantChain,
     build_constant_chain,
     oscillation_above_check,
@@ -57,11 +59,11 @@ __all__ = [
     "ensemble",
     "parse_config",
     "run",
+    "run_directory",
     "scenario_path",
 ]
 
 SCHEMA_VERSION = "1"
-CHECK_NAMES = ("lemma1", "lemma2", "osc_above", "osc_below", "cascade", "theorem")
 
 # Reference recurrence prefactor behind the default mass threshold; the
 # fitted prefactor of the actual run is reported next to the default so a
@@ -69,14 +71,6 @@ CHECK_NAMES = ("lemma1", "lemma2", "osc_above", "osc_below", "cascade", "theorem
 _D_REFERENCE = 10.0
 
 _SWEEPABLE = {"eta": "eta", "coefficient": "coefficient", "lambda": "lam"}
-
-# Checks whose lattice windows are fixed by the statements they test.
-_WINDOWS = {
-    "lemma1": (0.0, 2.0, 1.0),
-    "lemma2": (-2.0, 2.0, 1.0),
-    "osc_above": (-2.0, 2.0, 1.0),
-    "osc_below": (-2.0, 2.0, 1.0),
-}
 
 
 @dataclass(frozen=True)
@@ -303,7 +297,7 @@ def _check_gates(cfg: ExperimentConfig) -> None:
             f"N={grid.dimension} with checks enabled"
         )
     for name in cfg.checks:
-        window = _WINDOWS.get(name)
+        window = _CHECKS[name].window
         if window is None:
             continue
         t_lo, t_hi, radius = window
@@ -343,26 +337,25 @@ def _check_gates(cfg: ExperimentConfig) -> None:
         with config_errors("oracle"):
             grids = _oracle_grids(cfg)
         for grid_l in grids:
-            # the one or two axis centers nearest 0, as ``axis_centers`` has them
-            n = grid_l.cells_per_axis
-            mid = np.arange(max(n // 2 - 1, 0), n // 2 + 1)
-            nearest = -grid_l.half_width + grid_l.cell_width * (mid + 0.5)
-            if not np.abs(nearest).min() <= cfg.oracle.window * grid_l.half_width:
+            nearest = np.abs(grid_l.axis_centers()).min()
+            if not nearest <= cfg.oracle.window * grid_l.half_width:
                 raise ConfigError(
                     f"oracle window {cfg.oracle.window} holds no cell center "
                     f"at {grid_l.cells_per_axis} cells per axis"
                 )
     if cfg.sweep is not None:
-        if cfg.sweep.parameter == "eta" and cfg.hamiltonian.kind != "rough-coefficient":
+        attr = _SWEEPABLE[cfg.sweep.parameter]
+        if attr not in KINDS[cfg.hamiltonian.kind]:
+            readers = " or ".join(k for k, reads in KINDS.items() if attr in reads)
             raise ConfigError(
-                "sweeping 'eta' needs a rough-coefficient hamiltonian"
+                f"sweeping {cfg.sweep.parameter!r} needs a {readers} hamiltonian"
             )
         with config_errors("sweep"):
             _sweep_variants(cfg)
     if cfg.chain.mode == "fixed" and _needs_chain(cfg):
         try:
             _build_chain(cfg)
-        except (ValueError, ChainConstructionError) as err:
+        except ValueError as err:
             raise ConfigError(f"chain alpha {cfg.chain.alpha}: {err}") from None
 
 
@@ -500,13 +493,10 @@ def _build_chain(cfg: ExperimentConfig) -> ConstantChain:
 
 
 def _needs_chain(cfg: ExperimentConfig) -> bool:
-    return any(
-        c in cfg.checks
-        for c in ("lemma2", "osc_above", "osc_below", "cascade", "theorem")
-    )
+    return any(_CHECKS[name].reads_chain for name in cfg.checks)
 
 
-def _check_lemma1(cfg: ExperimentConfig, traj, chain) -> tuple[str, dict]:
+def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
     delta = _default_delta(cfg)
     verdict = lemma_one_check(
         traj.field, cfg.envelope, delta,
@@ -529,7 +519,7 @@ def _check_lemma1(cfg: ExperimentConfig, traj, chain) -> tuple[str, dict]:
     return verdict.status, payload
 
 
-def _check_lemma2(cfg: ExperimentConfig, traj, chain) -> tuple[str, dict]:
+def _check_lemma2(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
     delta = _default_delta(cfg)
     verdict = lemma_two_check(
         traj.field, cfg.envelope, chain.middle_threshold, delta,
@@ -540,32 +530,19 @@ def _check_lemma2(cfg: ExperimentConfig, traj, chain) -> tuple[str, dict]:
     return verdict.status, payload
 
 
-def _check_osc_above(cfg: ExperimentConfig, traj, chain) -> tuple[str, dict]:
-    verdict = oscillation_above_check(
-        traj.field, chain,
-        residual_tol=cfg.tolerances.get("residual"),
-        conclusion_tol=cfg.tolerances.get("conclusion"),
-    )
-    return verdict.status, verdict.to_json_dict()
-
-
-def _check_osc_below(cfg: ExperimentConfig, traj, chain) -> tuple[str, dict]:
-    verdict = oscillation_below_check(
-        traj.field, chain,
-        residual_tol=cfg.tolerances.get("residual"),
-        conclusion_tol=cfg.tolerances.get("conclusion"),
-    )
-    return verdict.status, verdict.to_json_dict()
-
-
-def _check_cascade(
-    cfg: ExperimentConfig,
-    traj,
-    chain: ConstantChain,
-    hamiltonian: HamiltonianSpec,
-    outputs: dict,
-    label: str,
+def _check_oscillation(
+    cfg, traj, chain, hamiltonian, outputs, label, below: bool = False
 ) -> tuple[str, dict]:
+    check = oscillation_below_check if below else oscillation_above_check
+    verdict = check(
+        traj.field, chain,
+        residual_tol=cfg.tolerances.get("residual"),
+        conclusion_tol=cfg.tolerances.get("conclusion"),
+    )
+    return verdict.status, verdict.to_json_dict()
+
+
+def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
     opts = cfg.cascade
     spec = traj.spec
     t0 = spec.t_end if opts.base_time is None else opts.base_time
@@ -596,12 +573,7 @@ def _check_cascade(
     return "pass", payload
 
 
-def _check_theorem(
-    cfg: ExperimentConfig,
-    traj,
-    chain: ConstantChain,
-    hamiltonian: HamiltonianSpec,
-) -> tuple[str, dict]:
+def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
     opts = cfg.theorem
     spec = traj.spec
     delta_time = opts.delta_time
@@ -624,6 +596,31 @@ def _check_theorem(
         math.isfinite(report.alpha_min) and report.alpha_min < report.alpha_theory
     )
     return ("refuted" if refuted else "pass"), to_json(report)
+
+
+class _Check(NamedTuple):
+    """``run(cfg, traj, chain, hamiltonian, outputs, label)`` returns the
+    check's ``(status, payload)``; ``window`` is the lattice window
+    ``(t_lo, t_hi, radius)`` that its statement fixes, if any."""
+
+    run: Callable[..., tuple[str, dict]]
+    window: tuple[float, float, float] | None
+    reads_chain: bool
+
+
+_CYLINDER = (-2.0, 2.0, 1.0)  # [-2, 2] x B(1)
+# Every check a config may enable, in report order.  Runners name the check
+# functions in their bodies, so a wrapper rebound over a module global (as
+# ``perfbench/spans.py`` does) sees every call.
+_CHECKS = {
+    "lemma1": _Check(_check_lemma1, (0.0, 2.0, 1.0), False),
+    "lemma2": _Check(_check_lemma2, _CYLINDER, True),
+    "osc_above": _Check(_check_oscillation, _CYLINDER, True),
+    "osc_below": _Check(partial(_check_oscillation, below=True), _CYLINDER, True),
+    "cascade": _Check(_check_cascade, None, True),
+    "theorem": _Check(_check_theorem, None, True),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
@@ -707,22 +704,8 @@ def _coercivity_outcome(
     grads = np.concatenate([m * dirs for m in mags])
     report = coercivity_check(hamiltonian, env, [float(t) for t in times],
                               points, grads)
-    payload = {
-        "declared_lambda": env.lam,
-        "n_samples": report.n_samples,
-        "min_lower_slack": report.min_lower_slack,
-        "min_upper_slack": report.min_upper_slack,
-        "violations": list(report.violations),
-    }
+    payload = {"declared_lambda": env.lam, **to_json(report)}
     return ("precondition-violated" if report.violations else "pass"), payload
-
-
-_CHECK_TABLE = {
-    "lemma1": _check_lemma1,
-    "lemma2": _check_lemma2,
-    "osc_above": _check_osc_above,
-    "osc_below": _check_osc_below,
-}
 
 
 def _aggregate(statuses: list[str]) -> str:
@@ -754,10 +737,6 @@ def _artifact_names(outputs: dict) -> tuple[str, ...]:
                  for suffix in (pair if isinstance(payload, ScalarField) else ("",)))
 
 
-def _solver_error(stage: str, err: SolverError) -> dict:
-    return {"stage": stage, "message": str(err), "step_index": err.step_index}
-
-
 def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     """Solve, check, and report one config without touching the disk.
 
@@ -769,11 +748,24 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     checks_out: list[dict] = []
     outputs: dict[str, dict | str | ScalarField] = {}
     statuses: list[str] = []
-    error_info = None
-    chain = None
-    chain_dict = None
+    chain = chain_dict = None
+    stage = "chain"
 
-    def finish(status: str) -> tuple[RunReport, dict]:
+    @contextmanager
+    def timed(name: str):
+        """Time the stage ``name`` into ``timings``, also when it raises."""
+        nonlocal stage
+        stage, t0 = name, time.perf_counter()
+        try:
+            yield
+        finally:
+            timings[name] = time.perf_counter() - t0
+
+    def record(name: str, status: str, payload: dict) -> None:
+        checks_out.append({"check": name, "status": status, **payload})
+        statuses.append(status)
+
+    def finish(status: str, error: dict | None = None) -> tuple[RunReport, dict]:
         return RunReport(
             version=SCHEMA_VERSION,
             scenario=cfg.scenario,
@@ -783,7 +775,7 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
             chain_search=None,
             checks=tuple(checks_out),
             artifacts=_artifact_names(outputs),
-            error=error_info,
+            error=error,
             timings=timings,
         ), outputs
 
@@ -791,70 +783,39 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     if _needs_chain(cfg):
         try:
             chain = _build_chain(cfg)
-        except (ValueError, ChainConstructionError) as err:
-            error_info = {"stage": "chain", "message": str(err)}
-            return finish("error")
-        chain_dict = chain.to_json_dict()
-        outputs["chain.json"] = chain_dict
+        except ValueError as err:
+            return finish("error", {"stage": "chain", "message": str(err)})
+        outputs["chain.json"] = chain_dict = chain.to_json_dict()
     timings["chain"] = time.perf_counter() - begin
 
     init = cfg.initial_data
     fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
-
-    for label, hamiltonian in _sweep_variants(cfg):
-        if cfg.sweep is not None:
-            t0 = time.perf_counter()
-            status, payload = _coercivity_outcome(cfg, hamiltonian)
-            checks_out.append(
-                {"check": f"coercivity{label}", "status": status, **payload}
-            )
-            statuses.append(status)
-            timings[f"coercivity{label}"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        try:
-            traj = solve(cfg.grid, hamiltonian, fn, cfg.solve)
-        except SolverError as err:
-            error_info = _solver_error(f"solve{label}", err)
-            timings[f"solve{label}"] = time.perf_counter() - t0
-            return finish("error")
-        timings[f"solve{label}"] = time.perf_counter() - t0
-
-        for name in cfg.checks:
-            t0 = time.perf_counter()
-            try:
-                if name == "cascade":
-                    status, payload = _check_cascade(
-                        cfg, traj, chain, hamiltonian, outputs, label
-                    )
-                elif name == "theorem":
-                    status, payload = _check_theorem(cfg, traj, chain, hamiltonian)
-                else:
-                    status, payload = _CHECK_TABLE[name](cfg, traj, chain)
-            except (ValueError, RuntimeError) as err:
-                status, payload = "error", {"message": str(err)}
-            checks_out.append({"check": f"{name}{label}", "status": status,
-                               **payload})
-            statuses.append(status)
-            timings[f"{name}{label}"] = time.perf_counter() - t0
-
-        if cfg.sweep is None:
-            outputs.update(_snapshots(traj))
-        # free this variant's trajectory before the next one solves
-        del traj
-
-    if cfg.oracle is not None:
-        t0 = time.perf_counter()
-        try:
-            status, payload = _oracle_outcome(cfg)
-        except SolverError as err:
-            error_info = _solver_error("oracle", err)
-            timings["oracle"] = time.perf_counter() - t0
-            return finish("error")
-        checks_out.append({"check": "oracle", "status": status, **payload})
-        statuses.append(status)
-        timings["oracle"] = time.perf_counter() - t0
-
+    try:
+        for label, hamiltonian in _sweep_variants(cfg):
+            if cfg.sweep is not None:
+                with timed(f"coercivity{label}"):
+                    record(f"coercivity{label}", *_coercivity_outcome(cfg, hamiltonian))
+            with timed(f"solve{label}"):
+                traj = solve(cfg.grid, hamiltonian, fn, cfg.solve)
+            for name in cfg.checks:
+                with timed(f"{name}{label}"):
+                    try:
+                        outcome = _CHECKS[name].run(
+                            cfg, traj, chain, hamiltonian, outputs, label
+                        )
+                    except (ValueError, RuntimeError) as err:
+                        outcome = "error", {"message": str(err)}
+                    record(f"{name}{label}", *outcome)
+            if cfg.sweep is None:
+                outputs.update(_snapshots(traj))
+            # free this variant's trajectory before the next one solves
+            del traj
+        if cfg.oracle is not None:
+            with timed("oracle"):
+                record("oracle", *_oracle_outcome(cfg))
+    except SolverError as err:
+        return finish("error", {"stage": stage, "message": str(err),
+                                "step_index": err.step_index})
     timings["total"] = time.perf_counter() - begin
     return finish(_aggregate(statuses))
 
@@ -880,13 +841,27 @@ def _write(run_dir: Path, report: RunReport, outputs: dict) -> None:
     _write_json(run_dir / "report.json", report.to_json_dict())
 
 
-def _base_dir(cfg: ExperimentConfig, out_dir: str | Path | None) -> Path:
-    if out_dir is not None:
-        return Path(out_dir)
-    env_dir = os.environ.get("HJREG_OUT_DIR")
-    if env_dir:
-        return Path(env_dir)
-    return Path(cfg.output_dir or "runs")
+def run_directory(
+    cfg: ExperimentConfig,
+    out_dir: str | Path | None = None,
+    seed: int | None = None,
+    count: int | None = None,
+) -> Path:
+    """Where a run writes, ``<scenario>-seed<seed>``, or with a member
+    ``count`` an ensemble, ``<scenario>-ensemble-seed<seed>-n<count>``.
+
+    The base directory is ``out_dir``, else ``HJREG_OUT_DIR``, else the
+    config's ``output_dir``, else ``runs``; ``seed`` defaults to the
+    initial-data seed.
+    """
+    if out_dir is None:
+        out_dir = os.environ.get("HJREG_OUT_DIR") or cfg.output_dir or "runs"
+    if seed is None:
+        seed = cfg.initial_data.seed
+    name = f"{cfg.scenario}-seed{seed}"
+    if count is not None:
+        name = f"{cfg.scenario}-ensemble-seed{seed}-n{count}"
+    return Path(out_dir) / name
 
 
 def _with_overrides(
@@ -932,7 +907,7 @@ def run(
 ) -> RunReport:
     """Execute one scenario run under a deterministic run-stamped directory."""
     cfg = _with_overrides(config, seed, resolution)
-    run_dir = _base_dir(cfg, out_dir) / f"{cfg.scenario}-seed{cfg.initial_data.seed}"
+    run_dir = run_directory(cfg, out_dir)
     if cfg.chain.mode == "empirical":
         _, search, (report, outputs) = _search_alpha(
             cfg, _compute, lambda outcome: outcome[0].status
@@ -993,9 +968,7 @@ def ensemble(
     children = np.random.SeedSequence(seed).spawn(count)
     member_seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
-    run_dir = _base_dir(config, out_dir) / (
-        f"{config.scenario}-ensemble-seed{seed}-n{count}"
-    )
+    run_dir = run_directory(config, out_dir, seed, count)
     cfg = config
     search = None
     if cfg.chain.mode == "empirical":

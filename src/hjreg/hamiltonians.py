@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec, ScalarField, to_json
 
 __all__ = [
     "CoercivityEnvelope",
@@ -34,7 +34,13 @@ __all__ = [
     "coercivity_check",
 ]
 
-KINDS = ("power-law", "scaled-power-law", "rough-coefficient", "tabulated")
+# The fields each kind reads besides ``kind`` and ``p``.
+KINDS = {
+    "power-law": (),
+    "scaled-power-law": ("coefficient", "offset"),
+    "rough-coefficient": ("lam", "eta"),
+    "tabulated": ("table",),
+}
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,9 @@ class HamiltonianSpec:
             (checkerboard ``a(x) in {1/lam, lam}`` with cell size ``eta``),
             or ``tabulated`` (piecewise-constant ``table``).
         p: gradient growth exponent, > 1.
+
+    A field that the kind does not read (see ``KINDS``) must keep its
+    default.
     """
 
     kind: str
@@ -125,7 +134,13 @@ class HamiltonianSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown Hamiltonian kind {self.kind!r}; know {KINDS}")
+            raise ValueError(
+                f"unknown Hamiltonian kind {self.kind!r}; know {tuple(KINDS)}"
+            )
+        reads = ("kind", "p", *KINDS[self.kind])
+        for f, key in zip(fields(self), to_json(self)):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"a {self.kind} Hamiltonian does not read {key!r}")
         if self.p <= 1.0:
             raise ValueError(f"exponent must exceed 1, got {self.p}")
         if self.kind == "scaled-power-law" and self.coefficient <= 0.0:
@@ -211,23 +226,10 @@ class HamiltonianSpec:
         return CoercivityEnvelope(lam=lam, p=self.p)
 
     def to_config(self) -> dict:
-        out: dict = {"kind": self.kind, "p": self.p}
-        if self.kind == "scaled-power-law":
-            out["coefficient"] = self.coefficient
-            out["offset"] = self.offset
-        if self.kind == "rough-coefficient":
-            out["lambda"] = self.lam
-            out["eta"] = self.eta
-        if self.kind == "tabulated":
-            assert self.table is not None
-            out["table"] = {
-                "dimension": self.table.dimension,
-                "t_edges": list(self.table.t_edges),
-                "half_width": self.table.half_width,
-                "cells_per_axis": self.table.cells_per_axis,
-                "values": list(self.table.values),
-            }
-        return out
+        """``kind``, ``p`` and the fields this kind reads, as JSON."""
+        reads = ("kind", "p", *KINDS[self.kind])
+        out = to_json(self)
+        return {key: out[key] for f, key in zip(fields(self), out) if f.name in reads}
 
 
 @dataclass(frozen=True)
@@ -249,10 +251,6 @@ class TransformedHamiltonian:
     t_shift: float = 0.0
     x_shift: tuple[float, ...] = ()
     const: float = 0.0
-
-    @property
-    def p(self) -> float:
-        return self.base.p
 
     @property
     def static_coefficient(self) -> bool:

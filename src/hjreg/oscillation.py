@@ -52,6 +52,7 @@ __all__ = [
     "build_constant_chain",
     "comparison_check",
     "dyadic_ladder",
+    "growth_envelope",
     "oscillation_above_check",
     "oscillation_below_check",
     "time_reverse",
@@ -61,8 +62,8 @@ __all__ = [
 _EPS = 1e-9
 
 
-class ChainConstructionError(RuntimeError):
-    """Raised when the derived constants cannot satisfy their own checks."""
+class ChainConstructionError(ValueError):
+    """Raised when the derived constants overflow or fail their own checks."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,8 @@ def build_constant_chain(
     closure checks, doubled as safety margin; ``holder_exponent = 1/r``.
 
     Raises ``ValueError`` outside the theorem scope (``p >= dimension``)
-    and ``ChainConstructionError`` if the selected constants fail their own
+    and ``ChainConstructionError``, a ``ValueError`` too, when the ladder
+    constants overflow or the selected constants fail their own
     re-verification.
     """
     if not p > 1.0:
@@ -158,13 +160,19 @@ def build_constant_chain(
         raise ValueError(f"middle threshold must be positive, got {middle_threshold}")
 
     cylinder_volume = 4.0 * ball_volume(dimension, 1.0)
-    depth = math.floor(cylinder_volume / middle_threshold) + 1
+    try:
+        depth = math.floor(cylinder_volume / middle_threshold) + 1
+        c = 8.0 * lam * 2.0 ** ((p - 1.0) * (depth + 1))
+    except OverflowError:
+        raise ChainConstructionError(
+            f"middle threshold {middle_threshold} is too small: the ladder "
+            "constants overflow"
+        ) from None
     shrink_above = 2.0 ** -(depth + 1)
 
     # Largest height with 2h = (h/c)^(1/p); anything smaller satisfies the
     # strict inequality because the left side is linear and the right side
     # is concave in h.
-    c = 8.0 * lam * 2.0 ** ((p - 1.0) * (depth + 1))
     height_max = (c * 2.0**p) ** (-1.0 / (p - 1.0))
     height = 0.5 * min(shrink_above, height_max)
     slope = (height / c) ** (1.0 / p)
@@ -434,6 +442,14 @@ def barrier(
     )
 
 
+def growth_envelope(chain: ConstantChain, spec: GridSpec) -> NDArray[np.float64]:
+    """The sloped envelope ``2 + barrier_slope * (|x| - 1)_+`` at the cell
+    centers of ``spec``: a zoom's input stays under it in absolute value,
+    and the improvement from below needs the field above its negative."""
+    radii = np.linalg.norm(spec.centers(), axis=-1)
+    return 2.0 + chain.barrier_slope * np.maximum(radii - 1.0, 0.0)
+
+
 def barrier_field(chain: ConstantChain, spec: GridSpec) -> ScalarField:
     """Sample the comparison barrier at every cell center of the grid."""
     radii = np.linalg.norm(spec.centers(), axis=-1)
@@ -653,9 +669,8 @@ def oscillation_below_check(
     negative_mass = level_set_measure(f, cyl, hi=0.0)
     nonneg_mass = total - negative_mass
 
-    radii = np.linalg.norm(spec.centers(), axis=-1)
-    envelope = -2.0 - chain.barrier_slope * np.maximum(radii - 1.0, 0.0)
-    envelope_margin = min(float((f.values[lo:hi] - envelope).min())
+    envelope = growth_envelope(chain, spec)
+    envelope_margin = min(float((f.values[lo:hi] + envelope).min())
                           for lo, hi in slice_blocks(0, spec.n_slices, envelope.size))
     envelope_tol = one_cell_oscillation(f)
     tolerances["envelope"] = envelope_tol

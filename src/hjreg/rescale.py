@@ -35,7 +35,7 @@ from .grid import (
     to_json,
 )
 from .hamiltonians import CoercivityEnvelope, GaugedField, TransformedHamiltonian
-from .oscillation import ConstantChain
+from .oscillation import ConstantChain, growth_envelope
 from .solver import (
     SolveConfig,
     SolverError,
@@ -74,11 +74,7 @@ class RecenterError(RuntimeError):
 
 
 class EnvelopeViolation(RuntimeError):
-    """A zoom-level field escaped its certified bound; carries the witness."""
-
-    def __init__(self, message: str, witness: dict) -> None:
-        super().__init__(message)
-        self.witness = witness
+    """A zoom-level field escaped its certified bound."""
 
 
 class CascadeError(RuntimeError):
@@ -220,24 +216,15 @@ def select_recenter(
 
 
 def _check_envelope(f: ScalarField, chain: ConstantChain, tolerance: float) -> None:
-    radii = np.linalg.norm(f.spec.centers(), axis=-1)
-    bound = 2.0 + chain.barrier_slope * np.maximum(radii - 1.0, 0.0)
-    margin = bound - np.abs(f.values)
+    margin = growth_envelope(chain, f.spec) - np.abs(f.values)
     worst = float(margin.min())
     if worst < -tolerance:
         where = np.unravel_index(int(np.argmin(margin)), margin.shape)
-        witness = {
-            "slice": int(where[0]),
-            "cell": tuple(int(i) for i in where[1:]),
-            "time": float(f.spec.times()[where[0]]),
-            "x": tuple(float(c) for c in f.spec.centers()[where[1:]]),
-            "value": float(f.values[where]),
-            "bound": float(bound[where[1:]]),
-        }
+        t = float(f.spec.times()[where[0]])
+        x = tuple(float(c) for c in f.spec.centers()[where[1:]])
         raise EnvelopeViolation(
             f"field exceeds its growth envelope by {-worst} "
-            f"(tolerance {tolerance}) at t={witness['time']}, x={witness['x']}",
-            witness,
+            f"(tolerance {tolerance}) at t={t}, x={x}"
         )
 
 
@@ -267,7 +254,7 @@ def zoom_step(
     same grid.  Before mapping, the input must sit under the growth
     envelope ``2 + barrier_slope * (|x| - 1)_+``; after mapping, the output
     must be bounded by 2 on the window that certifies the next level.
-    Both checks raise ``EnvelopeViolation`` with a witness cell.
+    Both checks raise ``EnvelopeViolation``.
     """
     spec = f.spec
     tol, a, b, scale = _zoom_constants(f, chain, tolerance)
@@ -282,27 +269,11 @@ def zoom_step(
     t_lo = max(spec.t_start, -1.0 / a)
     r_check = min(0.5 / b, spec.half_width * math.sqrt(spec.dimension))
     win = Window(spec, Cylinder(t_lo, 0.0, (0.0,) * spec.dimension, r_check))
-    idx, mask = win.slices, win.mask
     sup = max(float(np.abs(block).max()) for block in win.rows(out.values))
     if sup > 2.0 + tol:
-        flat = [
-            (float(np.abs(out.values[i][mask]).max()), int(i)) for i in idx
-        ]
-        bad_slice = max(flat)[1]
-        local = np.abs(out.values[bad_slice]) * mask
-        where = np.unravel_index(int(np.argmax(local)), local.shape)
-        witness = {
-            "slice": bad_slice,
-            "cell": tuple(int(i) for i in where),
-            "time": float(spec.times()[bad_slice]),
-            "x": tuple(float(c) for c in spec.centers()[where]),
-            "value": float(out.values[bad_slice][where]),
-            "bound": 2.0,
-        }
         raise EnvelopeViolation(
             f"zoomed field reaches {sup} > 2 (tolerance {tol}) inside the "
-            f"certified window [{t_lo}, 0] x B({r_check})",
-            witness,
+            f"certified window [{t_lo}, 0] x B({r_check})"
         )
     return out
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import MISSING, fields, replace
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hjreg
@@ -669,6 +670,36 @@ class TestRun:
             run(quiet_run_config, out_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_traced_run_sees_every_check(self, tmp_path):
+        # perfbench rebinds each check where a module holds it; the check
+        # table must reach the rebound names, not the ones seen at import
+        spans = runpy.run_path(
+            str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+        )
+        from hjreg import hamiltonians
+        modules = [m for n, m in sys.modules.items() if n.startswith("hjreg")]
+        saved = {m: dict(vars(m)) for m in modules}
+        classes = (hamiltonians.HamiltonianSpec, hamiltonians.TransformedHamiltonian)
+        saved_eval = {cls: cls.__dict__["eval"] for cls in classes}
+        tracer = spans["Tracer"]()
+        try:
+            spans["install"](tracer)
+            report = experiment.run(parse_config("zero-initial-data"),
+                                    out_dir=tmp_path)
+        finally:
+            for mod, attrs in saved.items():
+                vars(mod).update(attrs)
+            for cls, fn in saved_eval.items():
+                cls.eval = fn
+        assert [c["check"] for c in report.checks] == list(CHECK_NAMES)
+        calls = spans["summarize"](tracer)
+        for name in ("degiorgi.lemma_one_check", "degiorgi.lemma_two_check",
+                     "oscillation.oscillation_below_check", "rescale.zoom_cascade",
+                     "rescale.theorem_check"):
+            assert calls[f"{name}.calls"] >= 1, name
+        # the direct call and the reflected one inside the check from below
+        assert calls["oscillation.oscillation_above_check.calls"] >= 2
+
     @pytest.mark.parametrize("mode", ["interpolate", "resolve"])
     def test_cascade_check_matches_the_theorem_entry_at_its_point(
         self, tmp_path, mode
@@ -881,6 +912,15 @@ class TestCli:
                                "parameters": {"n_modes": True}}}, []),
             ({"initial_data": {"name": "constant", "parameters": {"value": "1"}}},
              []),
+            ({"checks": ["cascade"], "chain": {"alpha": 0.005}}, []),
+            ({"initial_data": {"name": "random-trig",
+                               "parameters": {"n_modes": 10**12}}}, []),
+            ({"hamiltonian": {"kind": "power-law", "p": 1.5, "coefficient": 3.0}},
+             []),
+            ({"hamiltonian": {"kind": "power-law", "p": 1.5, "eta": -1}}, []),
+            ({"sweep": {"parameter": "lambda", "values": [1, 2, 4]}}, []),
+            ({"hamiltonian": ROUGH,
+              "sweep": {"parameter": "coefficient", "values": [1, 2]}}, []),
         ]] + [({}, [], w) for w in ("abc", "2.5", "0", "-3", "")],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
              "working-slices-zero", "grid-list", "amplitude-nan", "delta-nan",
@@ -895,7 +935,9 @@ class TestCli:
              "sigma-bound-negative", "p-inf", "amplitude-list",
              "bandwidth-zero", "cone-center-short", "barrier-slice-no-p",
              "barrier-slice-p-above-n", "n-modes-fractional", "n-modes-bool",
-             "constant-value-string", "workers-word",
+             "constant-value-string", "alpha-overflow", "n-modes-huge",
+             "power-law-coefficient", "power-law-eta-negative",
+             "sweep-lambda-power-law", "sweep-coefficient-rough", "workers-word",
              "workers-fraction", "workers-zero", "workers-negative",
              "workers-empty"],
     )
@@ -916,6 +958,24 @@ class TestCli:
         assert "config error" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_printed_report_paths_are_the_written_ones(self, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("HJREG_OUT_DIR", str(tmp_path / "env"))
+        path = write_config(tmp_path, tiny_ensemble_dict())
+        assert main(["run", "--config", str(path), "--seed", "5"]) == 0
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["ensemble", "--config", str(path), "--count", "2",
+                     "--seed", "4"]) == 0
+        printed = [line.removeprefix("report: ")
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("report: ")]
+        assert printed == [
+            str(tmp_path / "env" / "unit-test-seed5" / "report.json"),
+            str(tmp_path / "unit-test-seed0" / "report.json"),
+            str(tmp_path / "env" / "unit-test-ensemble-seed4-n2" / "report.json"),
+        ]
+        assert all(Path(p).is_file() for p in printed)
 
     def test_solver_abort_exit_three(self, tmp_path, capsys):
         code = main(["run", "--config", "solver-abort-fixture", "--out",
@@ -961,6 +1021,25 @@ class TestCli:
         assert "config error: chain re-verification failed" in err
         assert "zoom_ratio: slack=-inf" in err
         assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from([2, 3]),
+           p=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
+           lam=st.floats(1.0, 8.0),
+           log_alpha=st.floats(math.log(1e-320), math.log(16.0)))
+    @example(n=2, p=1.5, lam=1.0, log_alpha=math.log(0.005))
+    @example(n=2, p=1.5, lam=1.0, log_alpha=math.log(1e-320))
+    def test_chain_command_exits_zero_or_two(self, n, p, lam, log_alpha):
+        assume(p < n)
+        alpha = min(max(math.exp(log_alpha), 1e-320), 16.0)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["chain", "--N", str(n), "--p", repr(p),
+                         "--lambda", repr(lam), "--alpha", repr(alpha)])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert json.loads(out.getvalue())["middle_threshold"] == alpha
 
     def test_run_with_an_unbuildable_chain_reports_the_chain_stage(
             self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hjreg.experiment import ExperimentConfig
-from hjreg.grid import GridSpec, ScalarField
+from hjreg.grid import GridSpec, ScalarField, from_json
 from hjreg.hamiltonians import (
     CoercivityEnvelope,
     GaugedField,
@@ -18,6 +18,19 @@ from hjreg.hamiltonians import (
 
 from conftest import const_field, coordinate_field, noise_field
 from reference import make_field
+
+
+TABLE = TabulatedCoefficient(dimension=1, t_edges=(0.0, 1.0), half_width=1.0,
+                             cells_per_axis=2, values=(0.5, 2.0))
+# One Hamiltonian of each kind, every field it reads off its default.
+EACH_KIND = {
+    "power-law": HamiltonianSpec(kind="power-law", p=1.5),
+    "scaled-power-law": HamiltonianSpec(kind="scaled-power-law", p=1.5,
+                                        coefficient=3.0, offset=-0.25),
+    "rough-coefficient": HamiltonianSpec(kind="rough-coefficient", p=1.5,
+                                         lam=2.0, eta=0.125),
+    "tabulated": HamiltonianSpec(kind="tabulated", p=1.5, table=TABLE),
+}
 
 
 def sample_cloud(dimension, rng, n_points=16, n_grads=12):
@@ -115,6 +128,35 @@ class TestValidation:
     def test_scaled_needs_positive_coefficient(self):
         with pytest.raises(ValueError, match="coefficient"):
             HamiltonianSpec(kind="scaled-power-law", p=1.5, coefficient=0.0)
+
+    @pytest.mark.parametrize("kind, extra, key", [
+        ("power-law", {"coefficient": 3.0}, "coefficient"),
+        ("power-law", {"eta": -1.0}, "eta"),
+        ("power-law", {"table": TABLE}, "table"),
+        ("scaled-power-law", {"lam": 2.0}, "lambda"),
+        ("rough-coefficient", {"coefficient": 2.0}, "coefficient"),
+        ("tabulated", {"table": TABLE, "offset": 0.5}, "offset"),
+    ])
+    def test_fields_the_kind_does_not_read_are_rejected(self, kind, extra, key):
+        match = f"a {kind} Hamiltonian does not read '{key}'"
+        with pytest.raises(ValueError, match=match):
+            HamiltonianSpec(kind=kind, p=1.5, **extra)
+
+    def test_a_field_the_kind_does_not_read_may_keep_its_default(self):
+        h = HamiltonianSpec(kind="power-law", p=1.5, coefficient=1.0, eta=0.25)
+        assert h == HamiltonianSpec(kind="power-law", p=1.5)
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("power-law", []),
+        ("scaled-power-law", ["coefficient", "offset"]),
+        ("rough-coefficient", ["lambda", "eta"]),
+        ("tabulated", ["table"]),
+    ])
+    def test_config_writes_the_keys_the_kind_reads(self, kind, keys):
+        h = EACH_KIND[kind]
+        out = h.to_config()
+        assert list(out) == ["kind", "p", *keys]
+        assert from_json(HamiltonianSpec, out, "hamiltonian") == h
 
     def test_envelope_floors(self):
         with pytest.raises(ValueError):
@@ -240,7 +282,6 @@ class TestTransformedHamiltonian:
         assert wrapped.eval(0.3, np.zeros(2), grad) == pytest.approx(
             float(base.eval(0.3, np.zeros(2), grad)), rel=1e-14
         )
-        assert wrapped.p == 1.5
 
     def test_scales_compose_as_documented(self):
         base = HamiltonianSpec(kind="power-law", p=2.0)

@@ -181,9 +181,9 @@ class TestZoomStep:
         np.testing.assert_allclose(out.values[0], expected, rtol=1e-12)
 
     def test_growth_envelope_is_enforced(self, window, chain_unit):
-        with pytest.raises(EnvelopeViolation) as exc:
+        with pytest.raises(EnvelopeViolation,
+                           match=r"field exceeds its growth envelope by 1\.0 "):
             zoom_step(const_field(window, 3.0), 0.0, chain_unit)
-        assert "value" in exc.value.witness
 
     def test_bounded_input_stays_bounded(self, window, chain_unit, rng):
         f = noise_field(window, rng)
@@ -447,7 +447,7 @@ class TestBasePointWindow:
         _, h_w, _, _ = base_point_window(f, chain_double, 0.0, (0.0, 0.0), 1.0,
                                          working, hamiltonian=POWER_LAW)
         assert h_w is not None
-        assert h_w.p == POWER_LAW.p
+        assert h_w.base is POWER_LAW
         assert float(h_w.eval(0.0, np.zeros(2), np.zeros(2))) == 0.0
 
     def test_no_time_room_is_an_error(self, box2, chain_double, working):
