@@ -82,12 +82,12 @@ def truncated_energy(
     vol = f.spec.cell_volume
     sup_term = max(
         float((np.maximum(block - cutoff, 0.0).sum(axis=1) * vol).max())
-        for block in win.rows(f.values)
+        for block in win.rows(f)
     )
     cells = np.flatnonzero(win.mask)
     grads = []
     for lo, hi in win.blocks(weighted=True):
-        trunc = f.values[lo:hi] - cutoff
+        trunc = f.rows(lo, hi) - cutoff
         np.maximum(trunc, 0.0, out=trunc)
         grads.append(gradient_norm_p_rows(trunc, f.spec, env.p, cells))
     grad_term = in_slice_order(win.weights[win.weighted_slices()] * per_slice(grads))
@@ -242,9 +242,9 @@ def lemma_one_check(
     defaults to the largest one-cell jump of ``f`` in the conclusion window.
     """
     spec = f.spec
-    plus_mass = _unit_window(spec, 0.0, 2.0).integral(np.maximum(f.values, 0.0))
+    plus_mass = _unit_window(spec, 0.0, 2.0).integral(f, above=0.0)
     late = _unit_window(spec, 1.0, 2.0)
-    sup_late = late.max(f.values)
+    sup_late = late.max(f)
     tol = (
         one_cell_oscillation(f, late.cylinder)
         if conclusion_tol is None
@@ -289,7 +289,7 @@ def lemma_two_check(
             f"the machinery needs p < N, got p={env.p}, N={spec.dimension}"
         )
     cyl = win.cylinder
-    sup_all = win.max(f.values)
+    sup_all = win.max(f)
     bound_tol = one_cell_oscillation(f, cyl)
     tol = spec.residual_tol if residual_tol is None else residual_tol
     worst = residual_subsolution(f, env, ball=win.mask).ball_max
@@ -304,9 +304,7 @@ def lemma_two_check(
     zero_mass = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
     middle_mass = level_set_measure(f, cyl, lo=0.0, hi=1.0)
 
-    above_mass = _unit_window(spec, 0.0, 2.0).integral(
-        np.maximum(f.values - 1.0, 0.0)
-    )
+    above_mass = _unit_window(spec, 0.0, 2.0).integral(f, above=1.0)
     return LemmaVerdict(
         name="measure-to-mass-improvement",
         preconditions=preconditions,

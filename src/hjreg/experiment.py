@@ -41,7 +41,10 @@ from .oscillation import (
     oscillation_below_check,
 )
 from .rescale import (
+    GaugeScan,
     _base_point_cascades,
+    base_point_slices,
+    base_times,
     holder_estimate,
     records_to_csv,
     theorem_check,
@@ -286,6 +289,12 @@ def _sweep_variants(cfg: ExperimentConfig) -> list[tuple[str, HamiltonianSpec]]:
 def _check_gates(cfg: ExperimentConfig) -> None:
     """Cross-section rules that make a config runnable, not just well-formed."""
     grid = cfg.grid
+    table = cfg.hamiltonian.table
+    if table is not None and table.dimension != grid.dimension:
+        raise ConfigError(
+            f"hamiltonian table has dimension {table.dimension}, the grid "
+            f"{grid.dimension}"
+        )
     if cfg.envelope.p != cfg.hamiltonian.p:
         raise ConfigError(
             f"envelope exponent {cfg.envelope.p} does not match the "
@@ -545,10 +554,10 @@ def _check_oscillation(
 def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
     opts = cfg.cascade
     spec = traj.spec
-    t0 = spec.t_end if opts.base_time is None else opts.base_time
+    t0 = _cascade_time(cfg)
     x0 = opts.base_point or (0.0,) * spec.dimension
     gauged, gamma, [(tau, rho, records, aborted)] = _base_point_cascades(
-        traj.field, chain, cfg.envelope, [(t0, x0)], opts.levels, opts.mode,
+        traj, chain, cfg.envelope, [(t0, x0)], opts.levels, opts.mode,
         hamiltonian if opts.mode == "resolve" else None,
         opts.working_cells, opts.working_slices, cfg.solve,
     )
@@ -575,13 +584,9 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
 
 def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
     opts = cfg.theorem
-    spec = traj.spec
-    delta_time = opts.delta_time
-    if delta_time is None:
-        delta_time = spec.t_start + 0.5 * (spec.t_end - spec.t_start)
     report = theorem_check(
         traj,
-        delta_time,
+        _theorem_delta(cfg),
         chain,
         cfg.envelope,
         points_per_axis=opts.points_per_axis,
@@ -598,27 +603,60 @@ def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
     return ("refuted" if refuted else "pass"), to_json(report)
 
 
+def _cascade_time(cfg: ExperimentConfig) -> float:
+    t0 = cfg.cascade.base_time
+    return cfg.grid.t_end if t0 is None else t0
+
+
+def _theorem_delta(cfg: ExperimentConfig) -> float:
+    delta_time, spec = cfg.theorem.delta_time, cfg.grid
+    if delta_time is None:
+        return spec.t_start + 0.5 * (spec.t_end - spec.t_start)
+    return delta_time
+
+
+def _every_slice(cfg: ExperimentConfig, chain) -> list[range]:
+    return [range(cfg.grid.n_slices)]
+
+
+def _cascade_slices(cfg: ExperimentConfig, chain) -> list[range]:
+    return [base_point_slices(cfg.grid, chain, _cascade_time(cfg))]
+
+
+def _theorem_slices(cfg: ExperimentConfig, chain) -> list[range]:
+    opts = cfg.theorem
+    return [base_point_slices(cfg.grid, chain, t0)
+            for t0 in base_times(cfg.grid, _theorem_delta(cfg), opts.points_per_axis)]
+
+
 class _Check(NamedTuple):
     """``run(cfg, traj, chain, hamiltonian, outputs, label)`` returns the
     check's ``(status, payload)``; ``window`` is the lattice window
-    ``(t_lo, t_hi, radius)`` that its statement fixes, if any."""
+    ``(t_lo, t_hi, radius)`` that its statement fixes, if any.
+    ``reads(cfg, chain)`` lists the ranges of trajectory slices the check
+    reads, and ``gauged`` says whether it reads ``gauge_to_window``'s scan,
+    which the solve then takes."""
 
     run: Callable[..., tuple[str, dict]]
     window: tuple[float, float, float] | None
     reads_chain: bool
+    reads: Callable[[ExperimentConfig, ConstantChain | None], list[range]]
+    gauged: bool = False
 
 
 _CYLINDER = (-2.0, 2.0, 1.0)  # [-2, 2] x B(1)
 # Every check a config may enable, in report order.  Runners name the check
 # functions in their bodies, so a wrapper rebound over a module global (as
-# ``perfbench/spans.py`` does) sees every call.
+# ``perfbench/spans.py`` does) sees every call.  The lemma and oscillation
+# checks scan their residuals over every slice of the grid.
 _CHECKS = {
-    "lemma1": _Check(_check_lemma1, (0.0, 2.0, 1.0), False),
-    "lemma2": _Check(_check_lemma2, _CYLINDER, True),
-    "osc_above": _Check(_check_oscillation, _CYLINDER, True),
-    "osc_below": _Check(partial(_check_oscillation, below=True), _CYLINDER, True),
-    "cascade": _Check(_check_cascade, None, True),
-    "theorem": _Check(_check_theorem, None, True),
+    "lemma1": _Check(_check_lemma1, (0.0, 2.0, 1.0), False, _every_slice),
+    "lemma2": _Check(_check_lemma2, _CYLINDER, True, _every_slice),
+    "osc_above": _Check(_check_oscillation, _CYLINDER, True, _every_slice),
+    "osc_below": _Check(partial(_check_oscillation, below=True), _CYLINDER, True,
+                        _every_slice),
+    "cascade": _Check(_check_cascade, None, True, _cascade_slices, gauged=True),
+    "theorem": _Check(_check_theorem, None, True, _theorem_slices, gauged=True),
 }
 CHECK_NAMES = tuple(_CHECKS)
 
@@ -648,16 +686,15 @@ def _oracle_outcome(cfg: ExperimentConfig) -> tuple[str, dict]:
     widths: list[float] = []
     errors: list[float] = []
     for grid_l in _oracle_grids(cfg):
-        traj = solve(grid_l, cfg.hamiltonian, fn, cfg.solve)
         times = grid_l.times()
         ti = int(np.argmin(np.abs(times - t_cmp)))
+        # the solve keeps the one slice the oracle reads
+        traj = solve(grid_l, cfg.hamiltonian, fn, cfg.solve, keep=[range(ti, ti + 1)])
         elapsed = float(times[ti] - grid_l.t_start)
         centers = grid_l.centers().reshape(-1, grid_l.dimension)
         inner = np.max(np.abs(centers), axis=1) <= opts.window * grid_l.half_width
         pts = centers[inner]
-        got = traj.field.values[ti].reshape(-1)[inner]
-        # neither the oracle's temporaries nor the next level's solve sit
-        # on top of this trajectory
+        got = traj.field.rows(ti, ti + 1)[0].reshape(-1)[inner]
         del traj
         want = hopf_lax(fn, elapsed, pts, cfg.hamiltonian.p)
         resolutions.append(grid_l.cells_per_axis)
@@ -721,12 +758,12 @@ def _aggregate(statuses: list[str]) -> str:
 
 def _snapshots(traj) -> dict[str, ScalarField]:
     """The first and last two slices of a trajectory, copied out of it."""
-    spec = traj.spec
+    spec, n = traj.spec, traj.spec.n_slices
     first = replace(spec, t_end=spec.t_start + spec.dt)
     last = replace(spec, t_start=spec.t_end - spec.dt)
     return {
-        "snapshots/first_steps": field_from_values(first, traj.field.values[:2]),
-        "snapshots/last_steps": field_from_values(last, traj.field.values[-2:]),
+        "snapshots/first_steps": field_from_values(first, traj.field.rows(0, 2)),
+        "snapshots/last_steps": field_from_values(last, traj.field.rows(n - 2, n)),
     }
 
 
@@ -790,13 +827,19 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
     init = cfg.initial_data
     fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+    # the solve keeps only the slices the checks and the snapshots read
+    keep = [r for name in cfg.checks for r in _CHECKS[name].reads(cfg, chain)]
+    if cfg.sweep is None:
+        keep += [range(0, 2), range(cfg.grid.n_slices - 2, cfg.grid.n_slices)]
+    gauged = any(_CHECKS[name].gauged for name in cfg.checks)
     try:
         for label, hamiltonian in _sweep_variants(cfg):
             if cfg.sweep is not None:
                 with timed(f"coercivity{label}"):
                     record(f"coercivity{label}", *_coercivity_outcome(cfg, hamiltonian))
             with timed(f"solve{label}"):
-                traj = solve(cfg.grid, hamiltonian, fn, cfg.solve)
+                scan = GaugeScan(cfg.grid, cfg.envelope) if gauged else None
+                traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scan)
             for name in cfg.checks:
                 with timed(f"{name}{label}"):
                     try:

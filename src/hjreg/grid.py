@@ -35,6 +35,7 @@ because a grid is the first thing both a config and a snapshot hold:
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import types
@@ -52,6 +53,7 @@ __all__ = [
     "ConfigError",
     "GridSpec",
     "Cylinder",
+    "PartialField",
     "ScalarField",
     "Window",
     "EmptyCylinderError",
@@ -77,6 +79,8 @@ _REL_TOL = 1e-6
 _TIME_TOL = 1e-9
 # Cells per block of slices in the batched reductions along time.
 _BLOCK_CELLS = 1 << 17
+# Snapshot rows formatted per write: the text in flight stays small.
+_CSV_ROWS = 1 << 12
 # Attributes written and read under another JSON key.
 _KEYS = {"lam": "lambda"}
 
@@ -315,6 +319,43 @@ class ScalarField:
             )
         self.values.setflags(write=False)
 
+    def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
+        """Slices ``lo:hi``, a view of :attr:`values`."""
+        if not 0 <= lo <= hi <= self.spec.n_slices:
+            raise IndexError(f"slices {lo}:{hi} outside the grid's {self.spec.n_slices}")
+        return self.values[lo:hi]
+
+
+@dataclass(frozen=True)
+class PartialField:
+    """Some of the slices of a field on a :class:`GridSpec` lattice.
+
+    ``values[k]`` is slice ``kept[k]``; ``kept`` is strictly increasing.
+    A read of a slice that was not kept raises instead of returning data.
+    """
+
+    spec: GridSpec
+    values: NDArray[np.float64]
+    kept: NDArray[np.intp]
+
+    def __post_init__(self) -> None:
+        if self.values.shape != (len(self.kept), *self.spec.spatial_shape):
+            raise ValueError(
+                f"values shape {self.values.shape} does not hold {len(self.kept)} "
+                f"slices of {self.spec.spatial_shape}"
+            )
+        self.values.setflags(write=False)
+
+    def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
+        """Slices ``lo:hi``, a view of :attr:`values`; ``IndexError`` unless
+        every one of them was kept."""
+        k = int(np.searchsorted(self.kept, lo))
+        last = k + hi - lo - 1
+        if hi > lo and not (last < len(self.kept) and self.kept[k] == lo
+                            and self.kept[last] == hi - 1):
+            raise IndexError(f"slices {lo}:{hi} were not all kept")
+        return self.values[k:k + hi - lo]
+
 
 def ball_volume(dimension: int, radius: float) -> float:
     """Volume of the N-ball: ``pi^(N/2) r^N / Gamma(N/2 + 1)``."""
@@ -363,9 +404,8 @@ class Window:
         self.spec = spec
         self.cylinder = cylinder
         times = spec.times()
-        self.slices = np.nonzero(
-            (times >= cylinder.t_lo - _TIME_TOL) & (times <= cylinder.t_hi + _TIME_TOL)
-        )[0]
+        inside = Window.slice_range(spec, cylinder.t_lo, cylinder.t_hi)
+        self.slices = np.arange(inside.start, inside.stop)
         half = 0.5 * spec.dt
         own_lo = np.maximum(times - half, spec.t_start)
         own_hi = np.minimum(times + half, spec.t_end)
@@ -377,6 +417,17 @@ class Window:
                 f"cylinder [{cylinder.t_lo}, {cylinder.t_hi}] x "
                 f"B({cylinder.center}, {cylinder.radius}) selects no lattice cells"
             )
+
+    @staticmethod
+    def slice_range(spec: GridSpec, t_lo: float, t_hi: float, pad: int = 0) -> range:
+        """Indices of the slices whose times lie in ``[t_lo, t_hi]``, widened
+        by ``pad`` slices on each side and clipped to the grid.  With
+        ``pad > 0`` the range is not empty even when no slice time falls
+        inside: it holds the ``pad`` slices on each side of the interval."""
+        times = spec.times()
+        lo = int(np.searchsorted(times, t_lo - _TIME_TOL, "left"))
+        hi = int(np.searchsorted(times, t_hi + _TIME_TOL, "right"))
+        return range(max(lo - pad, 0), min(hi + pad, spec.n_slices))
 
     @staticmethod
     def require_cover(spec: GridSpec, cylinder: Cylinder) -> None:
@@ -409,29 +460,37 @@ class Window:
         if index.size:
             yield from slice_blocks(int(index[0]), int(index[-1]) + 1, self.mask.size)
 
-    def rows(
-        self, values: NDArray[np.float64], weighted: bool = False
-    ) -> Iterator[NDArray[np.float64]]:
-        """The ball's cells of ``values`` (one entry per slice and cell) over
-        each of :meth:`blocks`, as C-contiguous ``(slices, cells)`` arrays."""
-        flat = values.reshape(values.shape[0], -1)
+    def rows(self, source, weighted: bool = False) -> Iterator[NDArray[np.float64]]:
+        """The ball's cells of ``source`` over each of :meth:`blocks`, as
+        C-contiguous ``(slices, cells)`` arrays.  ``source`` is a field,
+        read through its ``rows(lo, hi)`` one block at a time, or an array
+        with one entry per slice and cell."""
+        read = source.rows if hasattr(source, "rows") else (
+            lambda lo, hi: source[lo:hi])
         cells = np.flatnonzero(self.mask)
         for lo, hi in self.blocks(weighted):
-            yield np.take(flat[lo:hi], cells, axis=1)
+            yield np.take(read(lo, hi).reshape(hi - lo, -1), cells, axis=1)
 
-    def max(self, values: NDArray[np.float64]) -> float:
-        """Largest of ``values`` (one entry per slice and cell) in the window."""
-        return max(float(block.max()) for block in self.rows(values))
+    def max(self, source) -> float:
+        """Largest of ``source`` (see :meth:`rows`) in the window."""
+        return max(float(block.max()) for block in self.rows(source))
 
-    def min(self, values: NDArray[np.float64]) -> float:
-        """Smallest of ``values`` (one entry per slice and cell) in the window."""
-        return min(float(block.min()) for block in self.rows(values))
+    def min(self, source) -> float:
+        """Smallest of ``source`` (see :meth:`rows`) in the window."""
+        return min(float(block.min()) for block in self.rows(source))
 
-    def integral(self, values: NDArray[np.float64]) -> float:
-        """Time-weighted cell-counting integral of ``values`` over the cylinder."""
-        sums = per_slice([b.sum(axis=1) for b in self.rows(values, weighted=True)])
+    def integral(self, source, above: float | None = None) -> float:
+        """Time-weighted cell-counting integral of ``source`` (see
+        :meth:`rows`) over the cylinder, or with ``above`` of its excess
+        ``(source - above)_+``, taken a block at a time."""
+        sums = []
+        for block in self.rows(source, weighted=True):
+            if above is not None:
+                block -= above
+                np.maximum(block, 0.0, out=block)
+            sums.append(block.sum(axis=1))
         weights = self.weights[self.weighted_slices()]
-        return in_slice_order((weights * sums) * self.spec.cell_volume)
+        return in_slice_order((weights * per_slice(sums)) * self.spec.cell_volume)
 
     def measure(self, counts: list[NDArray[np.intp]]) -> float:
         """Cell-counting measure from per-slice cell counts, one array per
@@ -480,7 +539,7 @@ def level_set_measure(
         np.count_nonzero(
             (vals > lo) & ((vals <= hi) if closed_upper else (vals < hi)), axis=1
         )
-        for vals in win.rows(f.values, weighted=True)
+        for vals in win.rows(f, weighted=True)
     ]
     return win.measure(counts)
 
@@ -558,15 +617,15 @@ def one_cell_oscillation(f: ScalarField, cyl: Cylinder | None = None) -> float:
     upper = np.concatenate([np.delete(index, 0, axis=a).ravel() for a in axes])
     both = mask.ravel()[lower] & mask.ravel()[upper]
     lower, upper = lower[both], upper[both]
-    flat = f.values.reshape(spec.n_slices, -1)
     jump = 0.0
     for lo, hi in slice_blocks(start, stop, mask.size):
         # One slice of overlap with the next block for the time jumps.
-        rows = np.take(flat[lo:min(hi + 1, stop)], cells, axis=1)
+        flat = f.rows(lo, min(hi + 1, stop)).reshape(-1, mask.size)
+        rows = np.take(flat, cells, axis=1)
         if rows.shape[0] > 1:
             jump = max(jump, float(np.abs(np.diff(rows, axis=0)).max()))
         if lower.size:
-            block = flat[lo:hi]
+            block = flat[:hi - lo]
             pairs = np.take(block, upper, axis=1) - np.take(block, lower, axis=1)
             jump = max(jump, float(np.abs(pairs).max()))
     return jump
@@ -577,22 +636,26 @@ def save_snapshot(f: ScalarField, base_path: str | Path) -> tuple[Path, Path]:
 
     Values are printed with 17 significant digits so float64 samples
     round-trip exactly; the JSON descriptor round-trips the grid bit-exactly.
+    The CSV has ``csv.writer``'s bytes (comma-separated, ``\\r\\n`` line
+    ends, no field needs quoting); each cell's coordinates are formatted
+    once per file.
     """
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
     spec = f.spec
     header = ["t"] + [f"x{i + 1}" for i in range(spec.dimension)] + ["u"]
-    centers = spec.centers().reshape(-1, spec.dimension)
+    # cells in C order: the cell centers are the product of one axis
+    axis = [f"{c:.17g}" for c in spec.axis_centers().tolist()]
+    cells = [",".join(x) for x in itertools.product(axis, repeat=spec.dimension)]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(spec.times()):
-            flat = f.values[i].reshape(-1)
-            for coords, v in zip(centers, flat):
-                writer.writerow(
-                    [f"{t:.17g}"] + [f"{c:.17g}" for c in coords] + [f"{v:.17g}"]
-                )
+        fh.write(",".join(header) + "\r\n")
+        for t, values in zip(spec.times().tolist(),
+                             f.values.reshape(spec.n_slices, -1)):
+            t_text = f"{t:.17g}"
+            for lo in range(0, len(cells), _CSV_ROWS):
+                part = zip(cells[lo:lo + _CSV_ROWS], values[lo:lo + _CSV_ROWS].tolist())
+                fh.write("".join([f"{t_text},{x},{v:.17g}\r\n" for x, v in part]))
     with open(json_path, "w") as fh:
         json.dump(to_json(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")

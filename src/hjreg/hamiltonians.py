@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridSpec, ScalarField, to_json
+from .grid import GridSpec, PartialField, ScalarField, to_json
 
 __all__ = [
     "CoercivityEnvelope",
@@ -67,9 +67,10 @@ class CoercivityEnvelope:
 class TabulatedCoefficient:
     """Piecewise-constant coefficient on a coarse ``(t, x)`` lattice.
 
-    ``t_edges`` has one more entry than there are time bins; spatial cells
-    tile ``[-half_width, half_width]^dimension`` uniformly.  Lookups clamp to
-    the nearest bin, so evaluation is defined everywhere.
+    ``t_edges`` has one more entry than there are time bins and increases
+    strictly; spatial cells tile ``[-half_width, half_width]^dimension``
+    uniformly, with ``half_width > 0``.  Lookups clamp to the nearest bin,
+    so evaluation is defined everywhere.
     """
 
     dimension: int
@@ -82,6 +83,10 @@ class TabulatedCoefficient:
         n_bins = len(self.t_edges) - 1
         if n_bins < 1:
             raise ValueError("need at least two time edges")
+        if any(b <= a for a, b in zip(self.t_edges, self.t_edges[1:])):
+            raise ValueError(f"t_edges must increase strictly, got {list(self.t_edges)}")
+        if not self.half_width > 0.0:
+            raise ValueError(f"table half_width must be positive, got {self.half_width}")
         expected = n_bins * self.cells_per_axis**self.dimension
         if len(self.values) != expected:
             raise ValueError(
@@ -344,7 +349,7 @@ def coercivity_check(
 class GaugedField:
     """``field`` read with ``rate * t`` added, only on the slices asked for."""
 
-    field: ScalarField
+    field: ScalarField | PartialField
     rate: float = 0.0
 
     @property
@@ -352,8 +357,8 @@ class GaugedField:
         return self.field.spec
 
     def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
-        """Slices ``lo:hi`` plus ``rate * t``; a view of the field at rate 0."""
-        values, times = self.field.values[lo:hi], self.spec.times()[lo:hi]
+        """Slices ``lo:hi`` plus ``rate * t``; the field's own rows at rate 0."""
+        values, times = self.field.rows(lo, hi), self.spec.times()[lo:hi]
         if self.rate == 0.0:
             return values
         return values + self.rate * times[(...,) + (None,) * self.spec.dimension]

@@ -47,6 +47,7 @@ __all__ = [
     "ComparisonReport",
     "ConstantChain",
     "InvariantCheck",
+    "TimeReversed",
     "barrier",
     "barrier_field",
     "build_constant_chain",
@@ -409,12 +410,36 @@ def dyadic_ladder(f: ScalarField, k: int) -> ScalarField:
     return ScalarField(f.spec, 2.0**k * (f.values - shift))
 
 
-def time_reverse(f: ScalarField) -> ScalarField:
-    """Reflect in time and flip sign: ``v(t, x) = -f(-t, x)``.
+@dataclass(frozen=True)
+class TimeReversed:
+    """The reflection ``v(t, x) = -f(-t, x)`` of a field on a time interval
+    symmetric about 0, read a block of slices at a time: slice ``i`` of
+    ``v`` is slice ``n_slices - 1 - i`` of ``f``, negated.  Negation and
+    reindexing are exact, so reflecting twice reads the original bit for
+    bit."""
+
+    source: ScalarField
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.source.spec
+
+    def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
+        """Slices ``lo:hi`` of the reflection, as a new C-contiguous array."""
+        n = self.spec.n_slices
+        return np.negative(self.source.rows(n - hi, n - lo)[::-1])
+
+    @property
+    def values(self) -> NDArray[np.float64]:
+        """Every slice of the reflection, built anew on each access."""
+        return self.rows(0, self.spec.n_slices)
+
+
+def time_reverse(f: ScalarField | TimeReversed) -> TimeReversed:
+    """Reflect in time and flip sign: ``v(t, x) = -f(-t, x)``, read lazily.
 
     Requires a time interval symmetric about 0 so reflected slices land
-    back on lattice times.  Negation and slice reindexing are exact, so
-    applying the reflection twice returns the original bit for bit.
+    back on lattice times.
     """
     spec = f.spec
     if abs(spec.t_start + spec.t_end) > _EPS * max(1.0, abs(spec.t_end)):
@@ -422,9 +447,7 @@ def time_reverse(f: ScalarField) -> ScalarField:
             f"time interval [{spec.t_start}, {spec.t_end}] is not symmetric "
             "about 0; reflection would leave the lattice"
         )
-    return ScalarField(
-        spec, np.negative(f.values[::-1], out=np.empty_like(f.values))
-    )
+    return TimeReversed(f)
 
 
 def barrier(
@@ -538,7 +561,7 @@ def _witness_level(
     """
     levels = range(1, chain.ladder_depth + 1)
     counts: list[list] = [[] for _ in levels]
-    for vals in win.rows(f.values, weighted=True):
+    for vals in win.rows(f, weighted=True):
         for k, per_level in zip(levels, counts):
             band = vals - (2.0 - 2.0 ** (1 - k))
             per_level.append(
@@ -553,7 +576,7 @@ def _witness_level(
 
 
 def oscillation_above_check(
-    f: ScalarField,
+    f: ScalarField | TimeReversed,
     chain: ConstantChain,
     residual_tol: float | None = None,
     conclusion_tol: float | None = None,
@@ -568,6 +591,8 @@ def oscillation_above_check(
 
     Diagnostics carry the pigeonhole witness: the smallest dyadic level
     whose middle layer has measure at most the threshold, if one exists.
+    Every read of ``f`` goes through its ``rows``, a block of slices at a
+    time, so a :class:`TimeReversed` field is never built whole.
     """
     spec = f.spec
     origin = (0.0,) * spec.dimension
@@ -576,7 +601,7 @@ def oscillation_above_check(
     win = Window(spec, cyl)
     late = Window(spec, Cylinder(1.0, 2.0, origin, 1.0))
 
-    sup_all = win.max(f.values)
+    sup_all = win.max(f)
     bound_tol = one_cell_oscillation(f, cyl)
     tol = spec.residual_tol if residual_tol is None else residual_tol
     worst = residual_subsolution(
@@ -597,7 +622,7 @@ def oscillation_above_check(
         if conclusion_tol is None
         else conclusion_tol
     )
-    late_sup = late.max(f.values)
+    late_sup = late.max(f)
     tolerances["conclusion"] = concl_tol
 
     witness, middle_measures = _witness_level(f, chain, win)
@@ -636,9 +661,9 @@ def oscillation_below_check(
     field stays above ``-2 + shrink_below`` on ``[1, 2] x B(1/2)``.
 
     Diagnostics include the full verdict of the improvement from above
-    applied to the reflection ``-f(-t, x)``, whose conclusion window pulls
-    back to the early bound ``f >= -2 + shrink_above`` on
-    ``[-2, -1] x B(1)``.
+    applied to the reflection ``-f(-t, x)`` (read a block at a time through
+    ``time_reverse``), whose conclusion window pulls back to the early
+    bound ``f >= -2 + shrink_above`` on ``[-2, -1] x B(1)``.
     """
     spec = f.spec
     origin = (0.0,) * spec.dimension
@@ -664,13 +689,13 @@ def oscillation_below_check(
     }
     tolerances = {"lower_bound": bound_tol, "residual": tol}
 
-    inf_all = win.min(f.values)
+    inf_all = win.min(f)
     total = level_set_measure(f, cyl)
     negative_mass = level_set_measure(f, cyl, hi=0.0)
     nonneg_mass = total - negative_mass
 
     envelope = growth_envelope(chain, spec)
-    envelope_margin = min(float((f.values[lo:hi] + envelope).min())
+    envelope_margin = min(float((f.rows(lo, hi) + envelope).min())
                           for lo, hi in slice_blocks(0, spec.n_slices, envelope.size))
     envelope_tol = one_cell_oscillation(f)
     tolerances["envelope"] = envelope_tol
@@ -680,7 +705,7 @@ def oscillation_below_check(
         if conclusion_tol is None
         else conclusion_tol
     )
-    late_min = late.min(f.values)
+    late_min = late.min(f)
     tolerances["conclusion"] = concl_tol
 
     reflected = oscillation_above_check(

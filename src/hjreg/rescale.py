@@ -28,6 +28,7 @@ import numpy as np
 from .grid import (
     Cylinder,
     GridSpec,
+    PartialField,
     ScalarField,
     Window,
     one_cell_oscillation,
@@ -48,11 +49,14 @@ from .solver import (
 __all__ = [
     "CascadeError",
     "EnvelopeViolation",
+    "GaugeScan",
     "HolderEstimate",
     "OscillationRecord",
     "RecenterError",
     "TheoremReport",
+    "base_point_slices",
     "base_point_window",
+    "base_times",
     "gauge_to_window",
     "holder_estimate",
     "records_to_csv",
@@ -163,7 +167,7 @@ def _clamped_sample(f: ScalarField | GaugedField, axes: list) -> np.ndarray:
     side, are read (and gauged).  Each value rounds as scipy's per-point
     ``RegularGridInterpolator`` rounds it: corners summed from 0 in
     ``itertools.product`` order, each weight multiplied from 1 in axis order."""
-    f = GaugedField(f) if isinstance(f, ScalarField) else f
+    f = f if isinstance(f, GaugedField) else GaugedField(f)
     grids = [f.spec.times()] + [f.spec.axis_centers()] * f.spec.dimension
     queries = [np.clip(q, g[0], g[-1]) for g, q in zip(grids, axes)]
     # t lies in [times[k - 1], times[k]); a:b pads those rows by one each side
@@ -185,7 +189,7 @@ def _clamped_sample(f: ScalarField | GaugedField, axes: list) -> np.ndarray:
 
 def _window_extrema(f: ScalarField, cyl: Cylinder) -> tuple[float, float]:
     win = Window(f.spec, cyl)
-    return win.min(f.values), win.max(f.values)
+    return win.min(f), win.max(f)
 
 
 def select_recenter(
@@ -269,7 +273,7 @@ def zoom_step(
     t_lo = max(spec.t_start, -1.0 / a)
     r_check = min(0.5 / b, spec.half_width * math.sqrt(spec.dimension))
     win = Window(spec, Cylinder(t_lo, 0.0, (0.0,) * spec.dimension, r_check))
-    sup = max(float(np.abs(block).max()) for block in win.rows(out.values))
+    sup = max(float(np.abs(block).max()) for block in win.rows(out))
     if sup > 2.0 + tol:
         raise EnvelopeViolation(
             f"zoomed field reaches {sup} > 2 (tolerance {tol}) inside the "
@@ -464,35 +468,112 @@ def holder_estimate(
     )
 
 
+class GaugeScan:
+    """``gauge_to_window``'s reductions of a field: each slice's max and
+    min, and whether the lower-inequality residual (``residual_supersolution``
+    at ``env``) fails on some ``slice_blocks`` slab.
+
+    Block ``(lo, hi)``'s rows ``lo..hi-1`` difference against row ``hi``,
+    so its slab ends there.  ``fails`` turns true at the first slab whose
+    minimum is below ``-residual_tol``, and no later slab is taken.  A scan
+    is fed either every slice in order, as ``scan(i, slice_i)``, which
+    ``solve`` does as it marches (the scan copies the current slab's
+    slices into a buffer of one slab), or a whole field at once through
+    :meth:`read`.
+    """
+
+    def __init__(self, spec: GridSpec, env: CoercivityEnvelope) -> None:
+        self.spec, self.env = spec, env
+        self.slice_max = np.empty(spec.n_slices)
+        self.slice_min = np.empty(spec.n_slices)
+        self.fails = False
+        self._cells = math.prod(spec.spatial_shape)
+        self._blocks = slice_blocks(0, spec.n_slices - 1, self._cells)
+        self._block = next(self._blocks, None)
+        self._slab = None
+
+    def _residual(self, slab: np.ndarray) -> None:
+        """Take block ``(lo, hi)``'s residual on ``slab``, its rows ``lo..hi``."""
+        lo, hi = self._block
+        times = self.spec.times()
+        part = ScalarField(replace(self.spec, t_start=times[lo], t_end=times[hi]), slab)
+        self.fails = bool(residual_supersolution(part, self.env).min_value
+                          < -self.spec.residual_tol)
+        self._block = None if self.fails else next(self._blocks, None)
+
+    def __call__(self, i: int, values: np.ndarray) -> None:
+        self.slice_max[i], self.slice_min[i] = values.max(), values.min()
+        if self._block is None:
+            return
+        lo, hi = self._block
+        if self._slab is None:  # the first block is the largest
+            self._slab = np.empty((hi - lo + 1, *self.spec.spatial_shape))
+        self._slab[i - lo] = values
+        if i == hi:
+            self._residual(self._slab[:hi - lo + 1])
+            self._slab[0] = self._slab[hi - lo]
+
+    def read(self, field) -> GaugeScan:
+        """Feed every slice of ``field`` (read through its ``rows``), a
+        block at a time; returns the scan."""
+        for lo, hi in slice_blocks(0, self.spec.n_slices, self._cells):
+            flat = field.rows(lo, hi).reshape(hi - lo, -1)
+            flat.max(axis=1, out=self.slice_max[lo:hi])
+            flat.min(axis=1, out=self.slice_min[lo:hi])
+        while self._block is not None:
+            lo, hi = self._block
+            self._residual(field.rows(lo, hi + 1))
+        return self
+
+
 def gauge_to_window(
-    field: ScalarField, env: CoercivityEnvelope
+    field: ScalarField | PartialField | Trajectory, env: CoercivityEnvelope
 ) -> tuple[GaugedField, bool, float]:
     """Prepare a solved field for base-point zooming.
 
     Gauges it by ``lam * t`` when the raw lower-inequality residual fails
     (any solution inside the envelope then satisfies both one-sided
     inequalities at the doubled constant) and reports the value factor
-    that caps the gauged field at 2.  The residual is checked a
-    ``slice_blocks`` block of rows at a time and the check stops at the
-    first block whose minimum is below ``-residual_tol``; a field that
-    never fails is scanned whole.  Returns ``(gauged_field, gauged,
+    that caps the gauged field at 2.  The reductions are a
+    :class:`GaugeScan`'s: a trajectory's own scan at ``env`` when its solve
+    fed one, else a scan fed here with every slice of the field, which
+    then must hold them all.  Returns ``(gauged_field, gauged,
     cap_factor)``: ``field`` with rate ``lam`` or 0, never a shifted copy.
     """
+    scan = None
+    if isinstance(field, Trajectory):
+        field, scan = field.field, field.scan
     spec = field.spec
-    u, times = field.values.reshape(spec.n_slices, -1), spec.times()
-    # a block's rows lo..hi-1 difference against row hi, so its slab ends there
-    gauged = any(
-        residual_supersolution(ScalarField(
-            replace(spec, t_start=times[lo], t_end=times[hi]), field.values[lo:hi + 1]
-        ), env).min_value < -spec.residual_tol
-        for lo, hi in slice_blocks(0, spec.n_slices - 1, u.shape[1])
-    )
-    out = GaugedField(field, env.lam if gauged else 0.0)
+    if not (isinstance(scan, GaugeScan) and scan.env == env):
+        scan = GaugeScan(spec, env).read(field)
+    out = GaugedField(field, env.lam if scan.fails else 0.0)
     # rounding is monotone: a slice's gauged max (min) is its max (min) gauged
-    gauge = times * out.rate
-    sup = float(max((u.max(axis=1) + gauge).max(), -(u.min(axis=1) + gauge).min()))
+    gauge = spec.times() * out.rate
+    sup = float(max((scan.slice_max + gauge).max(),
+                    -(scan.slice_min + gauge).min()))
     gamma = 1.0 if sup <= 2.0 else 2.0 / sup
-    return out, gauged, gamma
+    return out, scan.fails, gamma
+
+
+def base_times(spec: GridSpec, delta_time: float, points_per_axis: int) -> list[float]:
+    """The base times ``theorem_check`` zooms at: ``points_per_axis``
+    equally spaced times from ``delta_time`` to the grid's end."""
+    return [float(t0) for t0 in np.linspace(delta_time, spec.t_end, points_per_axis)]
+
+
+def base_point_slices(spec: GridSpec, chain: ConstantChain, t0: float) -> range:
+    """The slices of a field on ``spec`` that ``base_point_window`` reads
+    around base time ``t0`` onto a ``[-4, 0]`` working grid, for any
+    ``gamma`` and base point.
+
+    The window pulls back to ``[t0 - 4 tau eps_time, t0]`` with
+    ``eps_time = prezoom_scale^prezoom_time_exponent`` and ``tau <= (t0 -
+    t_start) / 4``, so it lies in ``[t0 - (t0 - t_start) eps_time, t0]``;
+    the multilinear sample reads one slice below and two above the slices
+    its queries fall between, so the range is padded by two each side.
+    """
+    eps_time = chain.prezoom_scale**chain.prezoom_time_exponent
+    return Window.slice_range(spec, t0 - (t0 - spec.t_start) * eps_time, t0, pad=2)
 
 
 def base_point_window(
@@ -557,7 +638,7 @@ def base_point_window(
 
 
 def _base_point_cascades(
-    field: ScalarField,
+    field: ScalarField | Trajectory,
     chain: ConstantChain,
     env: CoercivityEnvelope,
     points,
@@ -568,7 +649,8 @@ def _base_point_cascades(
     working_slices: int,
     solve_config: SolveConfig | None,
 ) -> tuple[bool, float, list[tuple]]:
-    """Gauge ``field`` once, then window and cascade it at each ``(t0, x0)``.
+    """Gauge ``field`` once (see ``gauge_to_window``), then window and
+    cascade it at each ``(t0, x0)``.
 
     The chain must be built for the field's dimension at twice the
     envelope constant.  ``hamiltonian``, when given, is the one ``field``
@@ -654,9 +736,11 @@ def theorem_check(
 ) -> TheoremReport:
     """Estimate interior Holder regularity of a solved field.
 
-    The field (typically a solver trajectory on ``[0, T] x box``) is
-    shifted by ``lam * t`` when its raw lower-inequality residual fails
-    on some block of slices (``gauge_to_window`` stops at the first),
+    The field (typically a solver trajectory on ``[0, T] x box``, which
+    may keep only the slices ``base_point_slices`` names around each base
+    time when its solve fed a :class:`GaugeScan`) is shifted by
+    ``lam * t`` when its raw lower-inequality residual fails on some block
+    of slices (``gauge_to_window`` stops at the first),
     which certifies the one-sided inequalities for any Hamiltonian inside
     the coercivity envelope at the doubled constant; the chain must be
     built at that doubled constant.  Around every base point ``(t0, x0)``
@@ -665,8 +749,6 @@ def theorem_check(
     at 2 and ``(g rho)^p = g tau <= 1`` preserving both inequalities, then
     the first-stage zoom and the cascade run on a working grid.
     """
-    if isinstance(field, Trajectory):
-        field = field.field
     spec = field.spec
     if not spec.t_start < delta_time <= spec.t_end:
         raise ValueError(
@@ -676,13 +758,13 @@ def theorem_check(
     if points_per_axis < 1:
         raise ValueError("need at least one base point per axis")
 
-    t_points = np.linspace(delta_time, spec.t_end, points_per_axis)
     axis_pts = np.linspace(
         -0.5 * spec.half_width, 0.5 * spec.half_width, points_per_axis
     )
     grids = np.meshgrid(*([axis_pts] * spec.dimension), indexing="ij")
     x_points = np.stack([g.ravel() for g in grids], axis=-1)
-    points = [(float(t0), x0) for t0 in t_points for x0 in x_points]
+    points = [(t0, x0) for t0 in base_times(spec, delta_time, points_per_axis)
+              for x0 in x_points]
     gauged, gamma, runs = _base_point_cascades(
         field, chain, env, points, levels, mode, hamiltonian,
         working_cells, working_slices, solve_config,

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import _BLOCK_CELLS, GridSpec, ScalarField, slice_blocks
+from .grid import _BLOCK_CELLS, GridSpec, PartialField, ScalarField, slice_blocks
 from .hamiltonians import CoercivityEnvelope
 
 __all__ = [
@@ -95,11 +95,17 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solve output: the space-time field plus per-step diagnostics."""
+    """Solve output: the space-time field plus per-step diagnostics.
 
-    field: ScalarField
+    ``field`` holds every slice, or only the kept ones as a
+    :class:`~hjreg.grid.PartialField`; ``scan`` is the observer the march
+    fed with every slice, if any.
+    """
+
+    field: ScalarField | PartialField
     cfl_margins: NDArray[np.float64]
     max_updates: NDArray[np.float64]
+    scan: Callable[[int, NDArray[np.float64]], None] | None = None
 
     @property
     def spec(self) -> GridSpec:
@@ -276,12 +282,20 @@ def solve(
     h,
     u0: Callable[[NDArray[np.float64]], NDArray[np.float64]] | NDArray[np.float64],
     cfg: SolveConfig | None = None,
+    keep: list[range] | None = None,
+    scan: Callable[[int, NDArray[np.float64]], None] | None = None,
 ) -> Trajectory:
     """March the initial data across the whole time lattice.
 
     ``u0`` is either an array on the spatial lattice or a callable applied to
     the cell-center coordinate array (shape ``(*spatial_shape, dimension)``).
-    The returned field wraps the one trajectory array the march fills.
+    ``keep`` lists the ranges of slice indices to store (every slice by
+    default); the other slices are marched through in two scratch slices
+    and dropped, and unless every slice is kept the field is a
+    :class:`~hjreg.grid.PartialField`.  ``scan``, when given, is called as
+    ``scan(i, slice_i)`` on every slice in order as soon as it is computed
+    (``rescale.GaugeScan`` takes the gauge's reductions this way).  The
+    returned field wraps the one array of kept slices the march fills.
     """
     cfg = cfg or SolveConfig()
     times = spec.times()
@@ -305,17 +319,34 @@ def solve(
         raise SolverError(
             f"grid needs {n_steps} steps, exceeding max_steps={cfg.max_steps}", 0
         )
-    values = np.empty((spec.n_slices, *spec.spatial_shape), dtype=np.float64)
-    values[0] = init
+    kept = np.ones(spec.n_slices, dtype=bool)
+    if keep is not None:
+        kept[:] = False
+        for r in keep:
+            kept[r.start:r.stop] = True
+    slot = np.cumsum(kept) - 1
+    values = np.empty((int(slot[-1]) + 1, *spec.spatial_shape), dtype=np.float64)
+    scratch = None if kept.all() else np.empty((2, *spec.spatial_shape))
+
+    def at(i: int) -> NDArray[np.float64]:
+        return values[slot[i]] if kept[i] else scratch[i % 2]
+
+    u = at(0)
+    u[...] = init
+    if scan is not None:
+        scan(0, u)
     margins = np.empty(n_steps)
     updates = np.empty(n_steps)
     for i in range(n_steps):
-        margins[i], updates[i] = kernel(values[i], float(times[i]), i, values[i + 1])
-    return Trajectory(
-        field=ScalarField(spec, values),
-        cfl_margins=margins,
-        max_updates=updates,
-    )
+        out = at(i + 1)
+        margins[i], updates[i] = kernel(u, float(times[i]), i, out)
+        if scan is not None:
+            scan(i + 1, out)
+        u = out
+    field = (ScalarField(spec, values) if scratch is None
+             else PartialField(spec, values, np.flatnonzero(kept)))
+    return Trajectory(field=field, cfl_margins=margins, max_updates=updates,
+                      scan=scan)
 
 
 def hopf_lax(
@@ -506,11 +537,12 @@ def _residual(f, p: float, terms, ball) -> list[ResidualReport]:
     lo, hi = next(slice_blocks(0, rows, cells))  # the first block is the largest
     work = np.empty((3, hi - lo, *spec.spatial_shape))  # for every block in turn
     for lo, hi in slice_blocks(0, rows, cells):
-        u = f.values[lo:hi]
+        slab = f.rows(lo, hi + 1)
+        u = slab[:-1]
         block = work[:, :hi - lo]
         grad_term = _central_gradient_norm(u, spec, block)
         grad_term **= p
-        dudt = np.subtract(f.values[lo + 1:hi + 1], u, out=block[0])
+        dudt = np.subtract(slab[1:], u, out=block[0])
         dudt /= spec.dt
         for (a_coef, b_const), table in zip(terms, tables):
             res = np.multiply(a_coef, grad_term, out=block[1])

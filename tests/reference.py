@@ -5,7 +5,9 @@ package computes the same quantities a block of slices at a time and keeps
 only what its checks read; the tests compare the two with ``==``.
 """
 
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -106,3 +108,23 @@ def sample(f, points, rate=0.0):
     values = f.values + rate * times[(...,) + (None,) * spec.dimension]
     grids = [times] + [spec.axis_centers()] * spec.dimension
     return np.array([multilinear(grids, values, row) for row in points])
+
+
+def snapshot_csv(f, base_path):
+    """``grid.save_snapshot``'s CSV as ``csv.writer`` writes it, one row of
+    17-digit ``t, x1, ..., xN, u`` strings per cell of every slice; returns
+    the path of ``<base>.csv``."""
+    spec = f.spec
+    path = Path(base_path).with_suffix(".csv")
+    header = ["t"] + [f"x{i + 1}" for i in range(spec.dimension)] + ["u"]
+    centers = spec.centers().reshape(-1, spec.dimension)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, t in enumerate(spec.times()):
+            flat = f.values[i].reshape(-1)
+            for coords, v in zip(centers, flat):
+                writer.writerow(
+                    [f"{t:.17g}"] + [f"{c:.17g}" for c in coords] + [f"{v:.17g}"]
+                )
+    return path

@@ -51,6 +51,14 @@ GRID = {
 ROUGH = {"kind": "rough-coefficient", "p": 1.5, "lambda": 2.0, "eta": 0.25}
 
 
+def tabulated(dimension=2, t_edges=(0.0, 1.0), half_width=1.25):
+    """A ``tabulated`` Hamiltonian section with two cells per axis."""
+    return {"kind": "tabulated", "p": 1.5,
+            "table": {"dimension": dimension, "t_edges": list(t_edges),
+                      "half_width": half_width, "cells_per_axis": 2,
+                      "values": [1.0] * (len(t_edges) - 1) * 2**dimension}}
+
+
 def minimal_dict(**overrides):
     data = {
         "scenario": "unit-test",
@@ -921,6 +929,10 @@ class TestCli:
             ({"sweep": {"parameter": "lambda", "values": [1, 2, 4]}}, []),
             ({"hamiltonian": ROUGH,
               "sweep": {"parameter": "coefficient", "values": [1, 2]}}, []),
+            ({"hamiltonian": tabulated(dimension=1)}, []),
+            ({"hamiltonian": tabulated(dimension=3)}, []),
+            ({"hamiltonian": tabulated(t_edges=[1.0, 0.0], half_width=-1.25)}, []),
+            ({"hamiltonian": tabulated(half_width=-1.25)}, []),
         ]] + [({}, [], w) for w in ("abc", "2.5", "0", "-3", "")],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
              "working-slices-zero", "grid-list", "amplitude-nan", "delta-nan",
@@ -937,7 +949,9 @@ class TestCli:
              "barrier-slice-p-above-n", "n-modes-fractional", "n-modes-bool",
              "constant-value-string", "alpha-overflow", "n-modes-huge",
              "power-law-coefficient", "power-law-eta-negative",
-             "sweep-lambda-power-law", "sweep-coefficient-rough", "workers-word",
+             "sweep-lambda-power-law", "sweep-coefficient-rough",
+             "table-dimension-1", "table-dimension-3", "table-edges-decreasing",
+             "table-half-width-negative", "workers-word",
              "workers-fraction", "workers-zero", "workers-negative",
              "workers-empty"],
     )

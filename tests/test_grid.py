@@ -11,6 +11,8 @@ from hjreg.grid import (
     Cylinder,
     EmptyCylinderError,
     GridSpec,
+    PartialField,
+    ScalarField,
     Window,
     ball_volume,
     discrete_gradient_norm_p,
@@ -23,6 +25,7 @@ from hjreg.grid import (
     to_json,
 )
 
+import reference
 from conftest import const_field, coordinate_field, noise_field, time_field
 from reference import make_field
 
@@ -270,6 +273,62 @@ def test_window_matches_integer_reference(dt, start, n_steps, lo, length):
     np.testing.assert_allclose(win.weights, dt * steps, rtol=0.0, atol=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    dt=st.sampled_from([0.5, 0.25, 0.1, 0.025, 1.0 / 3.0]),
+    start=st.integers(min_value=-40, max_value=40),
+    n_steps=st.integers(min_value=1, max_value=40),
+    lo=st.floats(min_value=-6.0, max_value=46.0),
+    length=st.floats(min_value=0.0, max_value=50.0),
+    pad=st.integers(min_value=0, max_value=3),
+)
+def test_slice_range_pads_the_selection(dt, start, n_steps, lo, length, pad):
+    """The slices with times in ``[t_lo, t_hi]``, ``pad`` more each side,
+    clipped to the grid; the interval may fall between two slices."""
+    t_start = start * dt
+    spec = GridSpec(dimension=1, half_width=1.0, cells_per_axis=4,
+                    t_start=t_start, t_end=t_start + n_steps * dt, dt=dt)
+    t_lo, t_hi = t_start + lo * dt, t_start + (lo + length) * dt
+    got = Window.slice_range(spec, t_lo, t_hi, pad)
+    times = spec.times()
+    inside = np.flatnonzero((times >= t_lo - 1e-9) & (times <= t_hi + 1e-9))
+    # with nothing inside, the selection is the empty run where it would be
+    first = inside[0] if inside.size else int(np.searchsorted(times, t_lo - 1e-9))
+    last = inside[-1] if inside.size else first - 1
+    assert got == range(max(first - pad, 0), min(last + 1 + pad, spec.n_slices))
+
+
+class TestPartialField:
+    @pytest.fixture()
+    def partial(self, box2, rng):
+        full = noise_field(box2, rng)
+        kept = np.array([3, 4, 5, 9])
+        return full, PartialField(box2, full.values[kept].copy(), kept)
+
+    def test_kept_runs_read_as_the_full_field(self, partial):
+        full, f = partial
+        assert np.array_equal(f.rows(3, 6), full.values[3:6])
+        assert np.array_equal(f.rows(9, 10), full.values[9:10])
+        assert f.rows(4, 4).shape == (0, *full.spec.spatial_shape)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 2), (2, 4), (5, 7), (4, 10), (9, 11),
+                                        (-1, 3), (10, 11)])
+    def test_a_slice_not_kept_raises(self, partial, lo, hi):
+        _, f = partial
+        with pytest.raises(IndexError, match="not all kept"):
+            f.rows(lo, hi)
+
+    def test_full_field_rows_stay_inside_the_grid(self, box2):
+        f = const_field(box2, 1.0)
+        assert np.shares_memory(f.rows(0, 2), f.values)
+        with pytest.raises(IndexError):
+            f.rows(box2.n_slices - 1, box2.n_slices + 1)
+
+    def test_shape_must_match_the_kept_slices(self, box2):
+        with pytest.raises(ValueError, match="does not hold 2 slices"):
+            PartialField(box2, np.zeros((3, *box2.spatial_shape)), np.array([0, 1]))
+
+
 @pytest.fixture(scope="module")
 def unit_box():
     return GridSpec(dimension=2, half_width=1.0, cells_per_axis=8,
@@ -352,6 +411,18 @@ class TestSnapshots:
         back = load_snapshot(tmp_path / "state")
         assert back.spec == f.spec
         np.testing.assert_array_equal(back.values, f.values)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_bytes_match_the_csv_writer(self, dimension, rng, tmp_path):
+        spec = GridSpec(dimension=dimension, half_width=1.25, cells_per_axis=4,
+                        t_start=-0.5, t_end=0.25, dt=0.25)
+        values = rng.standard_normal((spec.n_slices, *spec.spatial_shape))
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, 0.1]
+        values.flat[:len(special)] = special
+        f = ScalarField(spec, values)
+        csv_path, _ = save_snapshot(f, tmp_path / "fast")
+        expected = reference.snapshot_csv(f, tmp_path / "writer")
+        assert csv_path.read_bytes() == expected.read_bytes()
 
     def test_tampered_coordinates_are_rejected(self, box2, rng, tmp_path):
         f = noise_field(box2, rng)

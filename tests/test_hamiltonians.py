@@ -75,6 +75,19 @@ class TestEvaluation:
         assert left == pytest.approx(0.5, rel=1e-12)
         assert right == pytest.approx(2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("t_edges, half_width, match", [
+        ((1.0, 0.0), 1.0, "increase strictly"),
+        ((0.0, 1.0, 1.0), 1.0, "increase strictly"),
+        ((0.0, 1.0), -1.25, "half_width must be positive"),
+        ((0.0, 1.0), 0.0, "half_width must be positive"),
+    ])
+    def test_tabulated_lattice_must_describe_the_table(self, t_edges, half_width,
+                                                       match):
+        n_bins = len(t_edges) - 1
+        with pytest.raises(ValueError, match=match):
+            TabulatedCoefficient(dimension=1, t_edges=t_edges, half_width=half_width,
+                                 cells_per_axis=2, values=(1.0, 2.0) * n_bins)
+
     def test_tabulated_array_is_built_once(self):
         table = TabulatedCoefficient(
             dimension=1, t_edges=(0.0, 1.0, 2.0), half_width=1.0,

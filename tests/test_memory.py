@@ -14,16 +14,22 @@ import numpy as np
 import pytest
 
 from hjreg import experiment
+from hjreg.degiorgi import lemma_one_check, lemma_two_check
 from hjreg.experiment import (
     ExperimentConfig,
     InitialDataSpec,
     SweepSettings,
+    TheoremSettings,
     parse_config,
 )
-from hjreg.grid import _BLOCK_CELLS, GridSpec
+from hjreg.grid import _BLOCK_CELLS, GridSpec, PartialField
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
-from hjreg.oscillation import barrier_field, build_constant_chain, time_reverse
-from hjreg.rescale import gauge_to_window
+from hjreg.oscillation import (
+    barrier_field,
+    build_constant_chain,
+    oscillation_below_check,
+)
+from hjreg.rescale import base_point_slices, gauge_to_window
 from hjreg.solver import (
     hopf_lax,
     residual_subsolution,
@@ -105,11 +111,64 @@ def test_barrier_field_builds_one_array():
     assert peak <= _TRAJECTORY + 64 * _CELL_BYTES + _SLACK
 
 
-def test_time_reverse_builds_one_array():
-    f = make_field(_SPEC, lambda t, x: t * x[..., 0])
-    v, peak = _traced_peak(lambda: time_reverse(f))
-    assert v.values.flags.c_contiguous
-    assert peak <= _TRAJECTORY + _SLACK
+def test_reflected_check_peaks_below_one_trajectory():
+    """The improvement from below reads its reflection ``-f(-t, x)`` a
+    block of slices at a time, never as a whole reversed copy."""
+    chain = build_constant_chain(2, 1.5, 1.0, 1.0)
+    f = make_field(_SPEC, lambda t, x: 0.5 * np.cos(x[..., 0] + t))
+    verdict, peak = _traced_peak(lambda: oscillation_below_check(f, chain))
+    assert verdict.diagnostics["reflected_above"]["name"] == (
+        "oscillation-improvement-above")
+    assert peak < _TRAJECTORY
+
+
+@pytest.mark.parametrize("check, mass", [
+    (lambda f, env: lemma_one_check(f, env, 0.1), "plus_mass"),
+    (lambda f, env: lemma_two_check(f, env, 1.0, 0.1), "above_mass"),
+], ids=["lemma1", "lemma2"])
+def test_lemma_checks_peak_below_one_trajectory(check, mass):
+    """The positive parts the lemmas integrate are taken a block at a time."""
+    env = CoercivityEnvelope(lam=1.0, p=1.5)
+    f = make_field(_SPEC, lambda t, x: 1.5 * np.cos(x[..., 0] + t))
+    verdict, peak = _traced_peak(lambda: check(f, env))
+    values = {**verdict.hypothesis_values, **verdict.conclusion_values}
+    assert values[mass] > 0.0
+    assert peak < _TRAJECTORY
+
+
+def test_windowed_theorem_run_peaks_below_one_trajectory(monkeypatch):
+    """A theorem-only run keeps the slices around its base times and takes
+    the gauge's reductions inside the march, so the whole run, solve
+    included, peaks below the trajectory it marches through."""
+    kept = []
+    original = experiment.solve
+
+    def solve(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        kept.append(traj.field)
+        return traj
+
+    monkeypatch.setattr(experiment, "solve", solve)
+    cfg = ExperimentConfig(
+        scenario="theorem-memory",
+        grid=replace(_SPEC, t_start=0.0, t_end=4.0),
+        hamiltonian=HamiltonianSpec(kind="power-law", p=1.5),
+        initial_data=InitialDataSpec(name="random-trig",
+                                     parameters={"amplitude": 0.5}, seed=2),
+        checks=("theorem",),
+        theorem=TheoremSettings(points_per_axis=2, levels=2, working_cells=16,
+                                working_slices=16),
+    )
+    (report, _), peak = _traced_peak(lambda: experiment._compute(cfg))
+    assert report.status == "pass"
+    [field] = kept
+    assert isinstance(field, PartialField)
+    chain = experiment._build_chain(cfg)
+    declared = {i for t0 in (2.0, 4.0)
+                for i in base_point_slices(cfg.grid, chain, t0)}
+    snapshots = {0, 1, cfg.grid.n_slices - 2, cfg.grid.n_slices - 1}
+    assert set(field.kept.tolist()) == declared | snapshots
+    assert peak < _TRAJECTORY
 
 
 def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path):
@@ -138,16 +197,15 @@ def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path
 
 
 def test_oracle_levels_hold_one_trajectory_at_a_time():
-    """Each refinement level's trajectory is dropped before the oracle runs
-    and before the next level solves, so the finest one sets the peak."""
+    """Each refinement level's solve keeps only the slice the oracle reads,
+    so no level holds a trajectory."""
     cfg = parse_config("hopf-lax-validation")
     cfg = replace(cfg, oracle=replace(cfg.oracle, refinements=2))
     finest = experiment._oracle_grids(cfg)[-1]
     finest_bytes = finest.n_slices * finest.cells_per_axis * 8
     (status, _), peak = _traced_peak(lambda: experiment._oracle_outcome(cfg))
     assert status == "pass"
-    # the level before is a quarter of the finest
-    assert peak <= finest_bytes + 2 * _BLOCK_BYTES
+    assert peak < finest_bytes / 2
 
 
 def test_batched_oracle_peaks_at_block_sized_temporaries():

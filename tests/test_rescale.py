@@ -4,14 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjreg import rescale
-from hjreg.grid import _BLOCK_CELLS, GridSpec, field_from_values, one_cell_oscillation
+from hjreg.grid import (
+    _BLOCK_CELLS,
+    GridSpec,
+    PartialField,
+    ScalarField,
+    field_from_values,
+    one_cell_oscillation,
+)
 from hjreg.hamiltonians import GaugedField, HamiltonianSpec
+from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import (
     CascadeError,
     EnvelopeViolation,
+    GaugeScan,
     OscillationRecord,
+    base_point_slices,
     base_point_window,
     gauge_to_window,
     holder_estimate,
@@ -414,11 +426,75 @@ class TestGaugeToWindow:
         assert gauged
         assert rows_read == [_BLOCK_CELLS // 64**2]
 
+    @pytest.mark.parametrize("offset", [0.0, 3.0])
+    def test_a_windowed_solve_scans_as_its_full_field(self, blocks4, env_unit,
+                                                      rows_read, offset):
+        """The scan the march feeds takes the same residuals, gauge and cap
+        as a scan of the whole field, which the kept slices cannot give."""
+        h = HamiltonianSpec(kind="scaled-power-law", p=1.5, offset=offset)
+        u0 = lambda x: 0.01 * np.cos(2.0 * x[..., 0])
+        out, gauged, gamma = gauge_to_window(solve(blocks4, h, u0).field, env_unit)
+        field_rows = list(rows_read)
+        rows_read.clear()
+        traj = solve(blocks4, h, u0, keep=[range(3, 5)],
+                     scan=GaugeScan(blocks4, env_unit))
+        windowed, w_gauged, w_gamma = gauge_to_window(traj, env_unit)
+        assert rows_read == field_rows
+        assert len(field_rows) == (1 if offset else 4)
+        assert (w_gauged, w_gamma, windowed.rate) == (gauged, gamma, out.rate)
+        assert windowed.field is traj.field
+        with pytest.raises(IndexError, match="not all kept"):
+            gauge_to_window(traj.field, env_unit)
+
 
 @pytest.fixture(scope="module")
 def working():
     return GridSpec(dimension=2, half_width=1.25, cells_per_axis=16,
                     t_start=-4.0, t_end=0.0, dt=0.25)
+
+
+_CHAINS = {alpha: build_constant_chain(2, 1.5, 2.0, alpha) for alpha in (16.0, 4.0, 1.0, 0.5)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.sampled_from(sorted(_CHAINS)),
+    t_start=st.sampled_from([-2.0, 0.0, 0.3]),
+    n_steps=st.integers(min_value=4, max_value=300),
+    span=st.sampled_from([1.0, 2.5, 4.0]),
+    cells=st.integers(min_value=8, max_value=20),
+    t0_at=st.one_of(st.floats(min_value=1e-6, max_value=1.0),
+                    st.integers(min_value=1, max_value=300)),
+    gamma=st.floats(min_value=1e-3, max_value=1.0),
+    x0=st.tuples(st.floats(-0.4, 0.4), st.floats(-0.4, 0.4)),
+    rate=st.sampled_from([0.0, 2.0]),
+)
+def test_base_point_window_reads_only_the_declared_slices(
+    alpha, t_start, n_steps, span, cells, t0_at, gamma, x0, rate
+):
+    """A field that keeps only ``base_point_slices`` windows exactly as the
+    whole field; a read outside them would raise."""
+    chain = _CHAINS[alpha]
+    spec = GridSpec(dimension=2, half_width=1.25, cells_per_axis=cells,
+                    t_start=t_start, t_end=t_start + span, dt=span / n_steps)
+    if isinstance(t0_at, int):  # on a slice time, or between two
+        t0 = float(spec.times()[min(t0_at, n_steps)])
+    else:
+        t0 = t_start + t0_at * span
+    rng = np.random.default_rng(n_steps * cells)
+    full = ScalarField(spec, rng.uniform(-1.0, 1.0, (spec.n_slices, *spec.spatial_shape)))
+    kept = base_point_slices(spec, chain, t0)
+    part = PartialField(spec, full.values[kept.start:kept.stop].copy(),
+                        np.arange(kept.start, kept.stop))
+    working = GridSpec(dimension=2, half_width=1.25, cells_per_axis=8,
+                       t_start=-4.0, t_end=0.0, dt=4.0 / 7)
+    x0 = tuple(c * spec.half_width for c in x0)
+    want, _, tau, rho = base_point_window(GaugedField(full, rate), chain, t0, x0,
+                                          gamma, working)
+    got, _, _, _ = base_point_window(GaugedField(part, rate), chain, t0, x0,
+                                     gamma, working)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert tau <= (t0 - t_start) / 4.0
 
 
 class TestBasePointWindow:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjreg.solver
-from hjreg.grid import GridSpec
+from hjreg.grid import GridSpec, PartialField, ScalarField
 from hjreg.hamiltonians import (
     CoercivityEnvelope,
     HamiltonianSpec,
@@ -189,6 +189,45 @@ class TestSolve:
         with pytest.raises(SolverError, match="fixed dissipation bound") as exc:
             solve(line, QUADRATIC, lambda x: 4.0 * np.abs(x[..., 0]), cfg)
         assert exc.value.step_index == 0
+
+
+class TestWindowedSolve:
+    """A solve that keeps some slices marches exactly as one that keeps all."""
+
+    @pytest.fixture(scope="class")
+    def full(self, line):
+        return solve(line, QUADRATIC, lambda x: np.abs(x[..., 0]) - 0.5)
+
+    def test_kept_slices_equal_the_full_march(self, line, full):
+        traj = solve(line, QUADRATIC, lambda x: np.abs(x[..., 0]) - 0.5,
+                     keep=[range(5, 8), range(30, 33), range(6, 7)])
+        assert isinstance(traj.field, PartialField)
+        kept = [5, 6, 7, 30, 31, 32]
+        assert traj.field.kept.tolist() == kept
+        assert traj.field.values.tobytes() == full.field.values[kept].tobytes()
+        assert traj.cfl_margins.tobytes() == full.cfl_margins.tobytes()
+        assert traj.max_updates.tobytes() == full.max_updates.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (4, 6), (7, 9), (8, 30), (31, 34)])
+    def test_a_slice_the_solve_did_not_keep_raises(self, line, lo, hi):
+        traj = solve(line, QUADRATIC, lambda x: np.abs(x[..., 0]),
+                     keep=[range(5, 8), range(30, 33)])
+        with pytest.raises(IndexError, match="not all kept"):
+            traj.field.rows(lo, hi)
+
+    def test_keeping_every_slice_is_the_full_field(self, line, full):
+        traj = solve(line, QUADRATIC, lambda x: np.abs(x[..., 0]) - 0.5,
+                     keep=[range(0, 10), range(10, line.n_slices)])
+        assert isinstance(traj.field, ScalarField)
+        assert traj.field.values.tobytes() == full.field.values.tobytes()
+
+    def test_scan_sees_every_slice_in_order(self, line, full):
+        seen = []
+        traj = solve(line, QUADRATIC, lambda x: np.abs(x[..., 0]) - 0.5,
+                     keep=[range(0, 2)], scan=lambda i, u: seen.append((i, u.copy())))
+        assert [i for i, _ in seen] == list(range(line.n_slices))
+        assert np.array_equal(np.stack([u for _, u in seen]), full.field.values)
+        assert traj.field.values.shape == (2, *line.spatial_shape)
 
 
 @st.composite

@@ -11,10 +11,13 @@ report digest text, without ``timings``.  The run directory is removed
 before the run, so the line pins exactly what the run wrote.  The
 trajectory digest, on the ``traj`` line below that, is the first 16 hex
 digits of the sha256 over every ``solve`` the run made, in call order: the
-shape, values, ``cfl_margins`` and ``max_updates`` of each returned
-trajectory, and the exception name and ``step_index`` of each aborted one
-(zoom re-solves retry on aborts).  Reports and snapshots read only part
-of a trajectory; this line pins all of it.  The runs:
+shape ``(n_slices, *spatial_shape)``, every slice the march computes in
+slice order (the bytes of the whole trajectory array, also where the
+solve keeps only the slices its checks read), then ``cfl_margins`` and
+``max_updates`` of each returned trajectory, and the exception name and
+``step_index`` of each aborted one (zoom re-solves retry on aborts).
+Reports and snapshots read only part of a trajectory; this line pins all
+of it.  The runs:
 
 - ``run`` of every bundled scenario;
 - ``run`` of ``rough-eta-sweep`` at ``--resolution 96``;
@@ -98,10 +101,12 @@ def files_digest(run_dir: Path) -> str:
 
 
 class TrajectoryDigest:
-    """Hashes every trajectory ``hjreg.solver.solve`` returns.
+    """Hashes every trajectory ``hjreg.solver.solve`` computes.
 
     ``install`` rebinds ``solve`` in every loaded hjreg module that holds
-    it; ``reset`` starts a new digest.
+    it, and the march's step on ``hjreg.solver._StepKernel``, so the digest
+    reads every slice as the march computes it, also the slices a windowed
+    solve does not keep; ``reset`` starts a new digest.
     """
 
     def __init__(self) -> None:
@@ -113,20 +118,33 @@ class TrajectoryDigest:
 
     def install(self) -> None:
         original = hjreg.solver.solve
+        kernel = hjreg.solver._StepKernel
+        step = kernel.__call__
 
-        def solve(*args, **kwargs):
+        def hashed_step(self_, u, t, step_index, out):
+            result = step(self_, u, t, step_index, out)
+            if step_index == 0:
+                self.hash.update(np.ascontiguousarray(u).tobytes())
+            self.hash.update(np.ascontiguousarray(out).tobytes())
+            return result
+
+        def solve(spec, *args, **kwargs):
             self.solves += 1
+            before = self.hash.copy()
+            self.hash.update(repr((spec.n_slices, *spec.spatial_shape)).encode())
             try:
-                traj = original(*args, **kwargs)
+                traj = original(spec, *args, **kwargs)
             except Exception as err:
-                step = getattr(err, "step_index", None)
-                self.hash.update(f"abort {type(err).__name__} {step}".encode())
+                # an aborted solve hashes as its abort alone
+                self.hash = before
+                step_index = getattr(err, "step_index", None)
+                self.hash.update(f"abort {type(err).__name__} {step_index}".encode())
                 raise
-            self.hash.update(repr(traj.field.values.shape).encode())
-            for arr in (traj.field.values, traj.cfl_margins, traj.max_updates):
+            for arr in (traj.cfl_margins, traj.max_updates):
                 self.hash.update(np.ascontiguousarray(arr).tobytes())
             return traj
 
+        kernel.__call__ = hashed_step
         for name, mod in list(sys.modules.items()):
             if name.startswith("hjreg") and getattr(mod, "solve", None) is original:
                 mod.solve = solve
