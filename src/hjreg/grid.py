@@ -65,6 +65,8 @@ __all__ = [
     "in_slice_order",
     "per_slice",
     "slice_blocks",
+    "ShiftedDifference",
+    "axis_strides",
     "one_cell_oscillation",
     "save_snapshot",
     "load_snapshot",
@@ -594,40 +596,91 @@ def gradient_norm_p_rows(
     return grad_sq.sum(axis=1) * spec.cell_volume
 
 
+class ShiftedDifference:
+    """Forward differences along one axis of a raveled C-contiguous block,
+    written to ``buf[pad:]`` as one contiguous slice subtraction.
+
+    The axis has element stride ``stride`` and ``length`` entries, so
+    ``flat[j + stride] - flat[j]`` over the whole block is
+    ``flat[stride:] - flat[:-stride]``.  The entries whose index along the
+    axis is the last one, which would hold a difference across a row or
+    slice boundary or past the end, are set to 0.0 through one strided
+    view, :attr:`edges`.  When ``buf[:pad]`` holds zeros and
+    ``stride <= pad``, :attr:`prev`, the same buffer read ``stride``
+    entries earlier, is the backward difference, exactly 0.0 at each lower
+    edge.  The views are built once, so a call costs one subtraction and
+    one fill.
+    """
+
+    def __init__(self, stride: int, length: int, buf: NDArray[np.float64],
+                 pad: int = 0) -> None:
+        self.stride = stride
+        self.fwd = buf[pad:]
+        self.head = buf[pad:buf.size - stride]
+        self.edges = self.fwd.reshape(-1, length, stride)[:, -1]
+        self.prev = buf[pad - stride:buf.size - stride] if stride <= pad else None
+
+    def __call__(self, flat: NDArray[np.float64]) -> NDArray[np.float64]:
+        """The differences of ``flat``, a block of ``buf.size - pad``
+        entries, as the view :attr:`fwd`."""
+        np.subtract(flat[self.stride:], flat[:-self.stride], out=self.head)
+        self.edges.fill(0.0)
+        return self.fwd
+
+
+def axis_strides(spec: GridSpec) -> list[int]:
+    """Element stride of each spatial axis in a C-contiguous slice."""
+    n, dim = spec.cells_per_axis, spec.dimension
+    return [n ** (dim - 1 - axis) for axis in range(dim)]
+
+
 def one_cell_oscillation(f: ScalarField, cyl: Cylinder | None = None) -> float:
     """Largest single-cell jump of the field (space or time axis).
 
     This is the natural resolution floor for sup-norm conclusions: a bound
     checked at cell centers can be off by at most one neighbor jump.  With
-    a cylinder, only jumps between two cells of its window count.
+    a cylinder, only jumps between two cells of its window count.  Each
+    axis's jumps over a block of slices are one :class:`ShiftedDifference`,
+    whose zeroed entries do not raise the maximum; with a cylinder the
+    maximum is taken over the pairs whose two cells lie in its ball (the
+    mask ANDed with itself shifted by the axis stride).
     """
     spec = f.spec
+    cells = math.prod(spec.spatial_shape)
     if cyl is None:
-        start, stop = 0, spec.n_slices
-        mask = np.ones(spec.spatial_shape, dtype=bool)
+        start, stop, in_ball = 0, spec.n_slices, None
     else:
         win = Window(spec, cyl)
         start, stop = int(win.slices[0]), int(win.slices[-1]) + 1
-        mask = win.mask
-    cells = np.flatnonzero(mask)
-    # Flat indices of the neighbor pairs (lower, upper) inside the mask.
-    index = np.arange(mask.size).reshape(mask.shape)
-    axes = range(spec.dimension)
-    lower = np.concatenate([np.delete(index, -1, axis=a).ravel() for a in axes])
-    upper = np.concatenate([np.delete(index, 0, axis=a).ravel() for a in axes])
-    both = mask.ravel()[lower] & mask.ravel()[upper]
-    lower, upper = lower[both], upper[both]
+        mask = win.mask.reshape(-1)
+        in_ball = np.flatnonzero(mask)
+    # Per spatial axis: its stride and the cells j of a slice whose pair
+    # (j, j + stride) has both ends in the ball (None: the whole box).
+    pairs = [(stride, None if cyl is None
+              else np.flatnonzero(mask[stride:] & mask[:-stride]))
+             for stride in axis_strides(spec)]
+
+    def largest(d, at):
+        # the largest |d| over the cells ``at`` of each slice
+        if at is not None:
+            d = np.take(d.reshape(-1, cells), at, axis=1)
+        return float(np.abs(d, out=d).max(initial=0.0))
+
     jump = 0.0
-    for lo, hi in slice_blocks(start, stop, mask.size):
-        # One slice of overlap with the next block for the time jumps.
-        flat = f.rows(lo, min(hi + 1, stop)).reshape(-1, mask.size)
-        rows = np.take(flat, cells, axis=1)
-        if rows.shape[0] > 1:
-            jump = max(jump, float(np.abs(np.diff(rows, axis=0)).max()))
-        if lower.size:
-            block = flat[:hi - lo]
-            pairs = np.take(block, upper, axis=1) - np.take(block, lower, axis=1)
-            jump = max(jump, float(np.abs(pairs).max()))
+    lo, hi = next(slice_blocks(start, stop, cells))  # the first block is the largest
+    buf = np.empty((min(hi + 1, stop) - lo) * cells)
+    for lo, hi in slice_blocks(start, stop, cells):
+        # One slice of overlap with the next block for the time jumps; a
+        # field whose values are not C-contiguous (a loaded snapshot's) is
+        # read through a copy of the block.
+        flat = np.ascontiguousarray(f.rows(lo, min(hi + 1, stop))).reshape(-1)
+        if flat.size > cells:
+            in_time = ShiftedDifference(cells, flat.size // cells, buf[:flat.size])
+            jump = max(jump, largest(in_time(flat), in_ball))
+        block = flat[:(hi - lo) * cells]
+        for stride, at in pairs:
+            along = ShiftedDifference(stride, spec.cells_per_axis, buf[:block.size])
+            jump = max(jump, largest(along(block), at))
     return jump
 
 

@@ -185,19 +185,31 @@ class HamiltonianSpec:
         x: NDArray[np.float64],
         grad: NDArray[np.float64],
         coefficient: NDArray[np.float64] | float | None = None,
+        out: NDArray[np.float64] | None = None,
     ) -> NDArray[np.float64]:
         """Evaluate on arrays whose last axis indexes the spatial components.
 
         ``coefficient``, when given, is ``coefficient_field(t, x)`` computed
-        beforehand, and ``x`` is not read.
+        beforehand, and ``x`` is not read.  ``|P|`` is the square root of
+        the squared components summed in axis order, as ``np.linalg.norm``
+        sums them.  With ``out``, shaped like the value, the value is
+        written there and ``grad`` serves as scratch: its components are
+        squared in place.  Without, ``grad`` is left as it was.
         """
-        pnorm = np.linalg.norm(np.atleast_1d(np.asarray(grad, dtype=np.float64)),
-                               axis=-1)
         if coefficient is None:
             coefficient = self.coefficient_field(t, np.asarray(x, dtype=np.float64))
-        out = coefficient * pnorm**self.p
+        if out is None:
+            grad = np.array(np.atleast_1d(grad), dtype=np.float64)
+            out = np.empty(np.broadcast_shapes(np.shape(coefficient), grad.shape[:-1]))
+        np.square(grad[..., 0], out=out)
+        for axis in range(1, grad.shape[-1]):
+            out += np.square(grad[..., axis], out=grad[..., axis])
+        np.sqrt(out, out=out)
+        out **= self.p
+        if self.kind != "power-law":  # whose coefficient is 1
+            out *= coefficient
         if self.kind == "scaled-power-law":
-            out = out + self.offset
+            out += self.offset
         return out
 
     @property
@@ -272,15 +284,24 @@ class TransformedHamiltonian:
             self.t_shift + self.t_scale * t, self._inner_x(x)
         )
 
-    def eval(self, t, x, grad, coefficient=None):
-        """``coefficient``, when given, is ``coefficient_field(t, x)``."""
+    def eval(self, t, x, grad, coefficient=None, out=None):
+        """``coefficient``, when given, is ``coefficient_field(t, x)``.  With
+        ``out`` the value is written there and ``grad`` is scratch, scaled
+        in place, as in :meth:`HamiltonianSpec.eval`."""
+        if out is None:
+            scaled = self.grad_scale * np.asarray(grad, dtype=np.float64)
+        else:
+            scaled = np.multiply(grad, self.grad_scale, out=grad)
         inner = self.base.eval(
             self.t_shift + self.t_scale * t,
             self._inner_x(x) if coefficient is None else x,
-            self.grad_scale * np.asarray(grad, dtype=np.float64),
+            scaled,
             coefficient,
+            out,
         )
-        return self.out_scale * (inner + self.const)
+        inner += self.const
+        inner *= self.out_scale
+        return inner
 
     def dissipation_bound(self, pnorm: float) -> float:
         inner = self.base.dissipation_bound(abs(self.grad_scale) * pnorm)

@@ -366,9 +366,15 @@ def validate_chain(
     # slack below subtracts it analytically so the comparison is between
     # the small excesses rather than numbers of order one.
     lhs_excess = 4.0 * chain.shrink_below / (4.0 - chain.shrink_below)
-    rhs_excess = chain.barrier_slope * (1.0 / (2.0 * chain.zoom_ratio) - 1.0)
+    if chain.zoom_ratio > 0.0:
+        rhs_excess = chain.barrier_slope * (1.0 / (2.0 * chain.zoom_ratio) - 1.0)
+        try:
+            time_gain = chain.zoom_ratio**-chain.zoom_time_exponent - 4.0
+        except OverflowError:
+            time_gain = math.inf
+    else:  # a ratio that underflowed to 0 zooms to a point: both closures fail
+        rhs_excess = time_gain = -math.inf
     envelope_slack = rhs_excess - lhs_excess
-    time_gain = chain.zoom_ratio**-chain.zoom_time_exponent - 4.0
     exponent_slack = min(in_range, envelope_slack, time_gain)
     out["zoom_exponent"] = InvariantCheck(
         ok=exponent_slack > 0.0,

@@ -11,6 +11,17 @@ gradients present in the slice.  Under the CFL restriction
 ``dt * N * sigma / cell_width <= 1`` the update is monotone, which is what
 every comparison-based check downstream leans on.
 
+The step and the residual's gradient work on the raveled C-contiguous
+lattice.  Along an axis of element stride ``s`` the forward difference of a
+slice, or of a block of slices, is the one contiguous subtraction
+``flat[s:] - flat[:-s]``, with the entries at the last index along that
+axis set to 0.0, the outflow value.  The difference buffer begins with
+``s_0`` zeros (``s_0`` the largest stride), so ``D-`` is the same buffer
+read ``s`` entries earlier and is exactly 0.0 at each lower edge, also
+where one slice of a block ends and the next begins.  Every operand order
+of the formula is kept, so a step writes the bits the formula gives on an
+edge-padded copy of the slice.
+
 The exact-solution oracle for space-homogeneous power laws is the inf-convolution
 
     u(t, x) = min_y { u0(y) + t * c_p * (|x - y| / t)^(p/(p-1)) },
@@ -31,7 +42,15 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import _BLOCK_CELLS, GridSpec, PartialField, ScalarField, slice_blocks
+from .grid import (
+    _BLOCK_CELLS,
+    GridSpec,
+    PartialField,
+    ScalarField,
+    ShiftedDifference,
+    axis_strides,
+    slice_blocks,
+)
 from .hamiltonians import CoercivityEnvelope
 
 __all__ = [
@@ -129,37 +148,39 @@ def snap_dt(t_start: float, t_end: float, dt_max: float) -> float:
     return span / math.ceil(span / dt_max)
 
 
-def _cut(axis: int, start: int | None, stop: int | None) -> tuple:
-    """Index that slices ``start:stop`` along ``axis`` and keeps the axes before."""
-    return (slice(None),) * axis + (slice(start, stop),)
+def _flat_view(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``a`` raveled as a view.  A reshape of an array that is not
+    C-contiguous would be a copy, and a write through it would be lost, so
+    such an array is a ``ValueError``."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"need a C-contiguous array, got strides {a.strides}")
+    return a.reshape(-1)
 
 
 def _central_gradient_norm(
-    u: NDArray[np.float64], spec: GridSpec, work: NDArray[np.float64]
+    u: NDArray[np.float64], spec: GridSpec, diff: NDArray[np.float64],
+    comp: NDArray[np.float64], sq: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """``|grad u|`` with the solver's centered gradient ``(D+ + D-) / 2``,
-    over the trailing spatial axes of ``u`` (leading axes hold a block of
-    slices), built in the three arrays shaped like ``u`` that ``work``
-    stacks; the norm is returned in ``work[2]``.
+    """``|grad u|`` with the solver's centered gradient ``(D+ + D-) / 2``
+    at every cell of ``u``, a raveled C-contiguous block of whole slices,
+    returned in ``sq``; ``comp`` is shaped like ``u``, and ``diff`` holds
+    the largest axis stride of zeros followed by room for ``u``.
 
-    With outflow padding ``D+`` is the forward difference and 0 at the
-    upper edge, ``D-`` the backward difference and 0 at the lower edge, so
-    ``D+ + D-`` is formed from one difference per axis; the components are
-    squared and summed in axis order, as ``np.linalg.norm`` sums them.
+    Each axis's ``D+`` over the whole block is one
+    :class:`~hjreg.grid.ShiftedDifference` into ``diff``, 0.0 where the
+    outflow padding puts it, and ``D-`` the same buffer read one stride
+    earlier, 0.0 at each lower edge, also where one slice of the block
+    ends and the next begins.  The components are squared and summed in
+    axis order, as ``np.linalg.norm`` sums them.
     """
-    lead = u.ndim - spec.dimension
-    diff, comp, sq = work
-    for axis in range(lead, u.ndim):
-        d = diff[_cut(axis, 1, None)]
-        np.subtract(u[_cut(axis, 1, None)], u[_cut(axis, None, -1)], out=d)
-        d /= spec.cell_width
-        np.add(d[_cut(axis, 1, None)], d[_cut(axis, None, -1)],
-               out=comp[_cut(axis, 1, -1)])
-        # At each edge the missing one-sided difference is exactly 0.0.
-        comp[_cut(axis, 0, 1)] = d[_cut(axis, 0, 1)] + 0.0
-        comp[_cut(axis, -1, None)] = 0.0 + d[_cut(axis, -1, None)]
+    strides = axis_strides(spec)
+    for axis, stride in enumerate(strides):
+        along = ShiftedDifference(stride, spec.cells_per_axis, diff, strides[0])
+        fwd = along(u)
+        fwd /= spec.cell_width
+        np.add(fwd, along.prev, out=comp)
         comp *= 0.5
-        if axis == lead:
+        if axis == 0:
             np.multiply(comp, comp, out=sq)
         else:
             comp *= comp
@@ -170,10 +191,12 @@ def _central_gradient_norm(
 class _StepKernel:
     """Forward-Euler steps on one grid with work buffers allocated once.
 
-    The one-sided differences are shifted-slice differences written into
-    the buffers; with outflow padding the missing difference at each box
-    edge is exactly 0.0.  A coefficient field that does not depend on time
-    is evaluated once, here, and handed to every ``h.eval``.
+    Each axis's ``D+`` is one :class:`~hjreg.grid.ShiftedDifference` of the
+    raveled slice and ``D-`` its buffer read one stride earlier (see the
+    module docstring).  A coefficient field that does not depend on time is
+    evaluated once, here, and handed to every ``h.eval``.  The slice the
+    step reads and the one it writes must be C-contiguous, as
+    ``_flat_view`` checks, since the step works on raveled views.
     """
 
     def __init__(self, spec: GridSpec, h, cfg: SolveConfig):
@@ -181,21 +204,21 @@ class _StepKernel:
         self.h = h
         self.cfg = cfg
         self.centers = spec.centers()
+        self.width = spec.cell_width
         shape = spec.spatial_shape
-        self.fwd = np.empty(shape)
-        self.bwd = np.empty(shape)
-        self.diff = np.empty(shape)
-        self.jump = np.empty(shape)
-        self.pnorm_sq = np.empty(shape)
-        self.finite = np.empty(shape, dtype=bool)
-        # (*shape, N) with each component contiguous: the norm over the last
-        # axis then sums the components in axis order, row by row.
-        self.grad = np.moveaxis(np.empty((spec.dimension, *shape)), 0, -1)
-        self.axes = [
-            (_cut(axis, 1, None), _cut(axis, None, -1),
-             _cut(axis, -1, None), _cut(axis, 0, 1), self.grad[..., axis])
-            for axis in range(spec.dimension)
-        ]
+        cells = math.prod(shape)
+        strides = axis_strides(spec)
+        diff = np.zeros(strides[0] + cells)
+        self.axes = [ShiftedDifference(stride, spec.cells_per_axis, diff, strides[0])
+                     for stride in strides]
+        self.jump, self.pnorm_sq, self.work = np.empty((3, cells))
+        self.finite = np.empty(cells, dtype=bool)
+        # (*shape, N) with each component contiguous: ``h.eval`` sums the
+        # squared components in axis order.
+        components = np.empty((spec.dimension, *shape))
+        self.grad = np.moveaxis(components, 0, -1)
+        self.central = components.reshape(spec.dimension, cells)
+        self.hval = self.work.reshape(shape)
         self.coefficient = (
             h.coefficient_field(spec.t_start, self.centers)
             if h.static_coefficient
@@ -211,29 +234,27 @@ class _StepKernel:
     ) -> tuple[float, float]:
         """Write the step from ``u`` at time ``t`` into ``out``; returns
         (cfl margin, max |update|)."""
-        spec, cfg = self.spec, self.cfg
-        fwd, bwd, diff = self.fwd, self.bwd, self.diff
-        jump, pnorm_sq = self.jump, self.pnorm_sq
-        jump.fill(0.0)
-        pnorm_sq.fill(0.0)
-        for upper, lower, last, first, central in self.axes:
+        spec, cfg, width = self.spec, self.cfg, self.width
+        jump, pnorm_sq, work = self.jump, self.pnorm_sq, self.work
+        flat_u, flat_out = _flat_view(u), _flat_view(out)
+        for axis, along in enumerate(self.axes):
             # D+ = (u[j+1] - u[j]) / h and D- = (u[j] - u[j-1]) / h = D+[j-1]
-            np.subtract(u[upper], u[lower], out=fwd[lower])
-            fwd[last] = 0.0
-            fwd /= spec.cell_width
-            bwd[upper] = fwd[lower]
-            bwd[first] = 0.0
-            np.add(fwd, bwd, out=central)
+            fwd, prev, central = along(flat_u), along.prev, self.central[axis]
+            fwd /= width
+            np.add(fwd, prev, out=central)
             central *= 0.5
-            np.subtract(fwd, bwd, out=diff)
-            jump += diff
-            np.abs(fwd, out=fwd)
-            np.abs(bwd, out=bwd)
-            np.maximum(fwd, bwd, out=fwd)
+            if axis == 0:
+                np.subtract(fwd, prev, out=jump)
+            else:
+                jump += np.subtract(fwd, prev, out=work)
+            # max(|D+|, |D-|)^2 as max(D+^2, D-^2): rounding is monotone
             np.square(fwd, out=fwd)
-            pnorm_sq += fwd
+            if axis == 0:
+                np.maximum(fwd, prev, out=pnorm_sq)
+            else:
+                pnorm_sq += np.maximum(fwd, prev, out=work)
 
-        pnorm_max = float(np.sqrt(pnorm_sq.max()))
+        pnorm_max = math.sqrt(np.maximum.reduce(pnorm_sq))
         sigma_est = max(self.h.dissipation_bound(pnorm_max), 0.0)
         if cfg.sigma_mode == "fixed":
             sigma_diss = float(cfg.sigma_bound)  # type: ignore[arg-type]
@@ -246,7 +267,6 @@ class _StepKernel:
         else:
             sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
 
-        width = spec.cell_width
         ratio_mono = spec.dt * spec.dimension * sigma_diss / width
         if ratio_mono > 1.0 + 1e-9:
             raise SolverError(
@@ -263,18 +283,19 @@ class _StepKernel:
                 step_index,
             )
 
-        hval = self.h.eval(t, self.centers, self.grad, coefficient=self.coefficient)
+        # the gradient is scratch from here on: eval squares it in place
+        self.h.eval(t, self.centers, self.grad, self.coefficient, out=self.hval)
         # update = (-dt) * (H - (0.5 sigma) * jump), built in the jump buffer
         update = jump
         update *= 0.5 * sigma_diss
-        np.subtract(hval, update, out=update)
+        np.subtract(work, update, out=update)
         update *= -spec.dt
-        np.add(u, update, out=out)
-        if not np.isfinite(out, out=self.finite).all():
+        np.add(flat_u, update, out=flat_out)
+        if not np.logical_and.reduce(np.isfinite(flat_out, out=self.finite)):
             raise SolverError(
                 f"step {step_index}: non-finite values produced", step_index
             )
-        return margin, float(np.abs(update, out=update).max())
+        return margin, float(np.maximum.reduce(np.abs(update, out=update)))
 
 
 def solve(
@@ -535,17 +556,23 @@ def _residual(f, p: float, terms, ball) -> list[ResidualReport]:
     in_ball = None if ball is None else np.flatnonzero(ball)
     tables = [np.empty((rows, 3)) for _ in terms]
     lo, hi = next(slice_blocks(0, rows, cells))  # the first block is the largest
-    work = np.empty((3, hi - lo, *spec.spatial_shape))  # for every block in turn
+    # three block-sized arrays for every block in turn: the differences
+    # after their zero pad (then the residual), the components (then du/dt)
+    # and |grad u|^p
+    pad = axis_strides(spec)[0]
+    diff = np.zeros(pad + (hi - lo) * cells)
+    work = np.empty((2, (hi - lo) * cells))
     for lo, hi in slice_blocks(0, rows, cells):
-        slab = f.rows(lo, hi + 1)
-        u = slab[:-1]
-        block = work[:, :hi - lo]
-        grad_term = _central_gradient_norm(u, spec, block)
+        slab = np.ascontiguousarray(f.rows(lo, hi + 1)).reshape(-1)
+        size = (hi - lo) * cells
+        comp, sq = work[:, :size]
+        u = slab[:size]
+        grad_term = _central_gradient_norm(u, spec, diff[:pad + size], comp, sq)
         grad_term **= p
-        dudt = np.subtract(slab[1:], u, out=block[0])
+        dudt = np.subtract(slab[cells:], u, out=comp)
         dudt /= spec.dt
         for (a_coef, b_const), table in zip(terms, tables):
-            res = np.multiply(a_coef, grad_term, out=block[1])
+            res = np.multiply(a_coef, grad_term, out=diff[pad:pad + size])
             np.add(dudt, res, out=res)
             res -= b_const
             flat, part = res.reshape(hi - lo, cells), table[lo:hi]

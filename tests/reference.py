@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hjreg.grid import ScalarField
+from hjreg.grid import ScalarField, Window, slice_blocks
 
 
 def make_field(spec, initializer):
@@ -61,6 +61,41 @@ def residual(f, p, a, b):
         sq = sq + comp * comp
     dudt = (f.values[1:] - u) / spec.dt
     return dudt + a * np.sqrt(sq) ** p - b
+
+
+def one_cell_oscillation(f, cyl=None):
+    """Largest single-cell jump of ``f`` in space or time, over the cells
+    of ``cyl``'s window (the whole field without one), with each spatial
+    neighbour pair gathered by flat index with ``np.take`` a block of
+    slices at a time."""
+    spec = f.spec
+    if cyl is None:
+        start, stop = 0, spec.n_slices
+        mask = np.ones(spec.spatial_shape, dtype=bool)
+    else:
+        win = Window(spec, cyl)
+        start, stop = int(win.slices[0]), int(win.slices[-1]) + 1
+        mask = win.mask
+    cells = np.flatnonzero(mask)
+    # Flat indices of the neighbor pairs (lower, upper) inside the mask.
+    index = np.arange(mask.size).reshape(mask.shape)
+    axes = range(spec.dimension)
+    lower = np.concatenate([np.delete(index, -1, axis=a).ravel() for a in axes])
+    upper = np.concatenate([np.delete(index, 0, axis=a).ravel() for a in axes])
+    both = mask.ravel()[lower] & mask.ravel()[upper]
+    lower, upper = lower[both], upper[both]
+    jump = 0.0
+    for lo, hi in slice_blocks(start, stop, mask.size):
+        # One slice of overlap with the next block for the time jumps.
+        flat = f.rows(lo, min(hi + 1, stop)).reshape(-1, mask.size)
+        rows = np.take(flat, cells, axis=1)
+        if rows.shape[0] > 1:
+            jump = max(jump, float(np.abs(np.diff(rows, axis=0)).max()))
+        if lower.size:
+            block = flat[:hi - lo]
+            pairs = np.take(block, upper, axis=1) - np.take(block, lower, axis=1)
+            jump = max(jump, float(np.abs(pairs).max()))
+    return jump
 
 
 def table(full, ball=None):

@@ -24,6 +24,7 @@ from hjreg.grid import (
     Cylinder,
     EmptyCylinderError,
     GridSpec,
+    ScalarField,
     Window,
     discrete_gradient_norm_p,
     field_from_values,
@@ -128,6 +129,62 @@ def test_residuals_match_the_per_slice_loop(f, p, a, b):
     sup = residual_supersolution(f, env, a_coef=a)
     assert np.array_equal(sup.values,
                           reference.table(reference.residual(f, p, a, 0.0)))
+
+
+@st.composite
+def blocked_fields(draw):
+    """A small field, random or a time-constant cone with a flat top (exact
+    zeros in its differences), with a block size of a few slices."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    cells = draw(st.integers(*_SMALL_CELLS[dim]))
+    spec = GridSpec(dimension=dim, half_width=1.5, cells_per_axis=cells,
+                    t_start=-2.0, t_end=2.0, dt=4.0 / draw(st.integers(3, 12)))
+    if draw(st.booleans()):
+        f = reference.make_field(
+            spec, lambda t, x: np.minimum(np.abs(x).max(axis=-1), 0.75))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        f = field_from_values(
+            spec, rng.uniform(-1.0, 1.0, (spec.n_slices, *spec.spatial_shape)))
+    return f, draw(st.integers(2, 4)) * cells**dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(fb=blocked_fields(), p=st.floats(1.1, 2.5), a=st.floats(0.1, 4.0),
+       b=st.floats(0.0, 2.0), with_ball=st.booleans())
+def test_residuals_match_with_slice_boundaries_inside_a_block(fb, p, a, b,
+                                                              with_ball):
+    """Blocks of two to four slices: each spatial axis's raveled difference
+    runs across the slice boundaries inside a block, where the backward
+    difference must read 0.0, as at the box edge."""
+    f, block_cells = fb
+    ball = (np.linalg.norm(f.spec.centers(), axis=-1) < 1.0) if with_ball else None
+    env = CoercivityEnvelope(lam=1.0, p=p)
+    with mock.patch("hjreg.grid._BLOCK_CELLS", block_cells):
+        sub = residual_subsolution(f, env, a_coef=a, b_const=b, ball=ball)
+        sup = residual_supersolution(f, env, a_coef=a, ball=ball,
+                                     upper=(a, b))
+    expected = reference.table(reference.residual(f, p, a, b), ball)
+    assert np.array_equal(sub.values, expected)
+    assert np.array_equal(sup.upper.values, expected)
+    assert np.array_equal(
+        sup.values, reference.table(reference.residual(f, p, a, 0.0), ball))
+
+
+def test_readers_take_values_that_are_not_c_contiguous():
+    """A loaded snapshot's values are a strided column of the CSV table:
+    the residual and the one-cell jump read such a field like a copy."""
+    spec = GridSpec(dimension=2, half_width=1.5, cells_per_axis=12,
+                    t_start=-2.0, t_end=2.0, dt=0.5)
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, (spec.n_slices, 12, 12))
+    strided = ScalarField(spec, np.asfortranarray(values))
+    f = field_from_values(spec, values)
+    assert not strided.values.flags.c_contiguous
+    env = CoercivityEnvelope(lam=1.0, p=1.5)
+    assert np.array_equal(residual_subsolution(strided, env).values,
+                          residual_subsolution(f, env).values)
+    for cyl in (None, Cylinder(-1.0, 1.0, (0.0, 0.0), 1.0)):
+        assert one_cell_oscillation(strided, cyl) == one_cell_oscillation(f, cyl)
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,6 +386,26 @@ def test_one_cell_oscillation_matches_the_per_slice_loop(data, f, whole_box):
     except EmptyCylinderError:
         return
     assert one_cell_oscillation(f, cyl) == expected
+    assert reference.one_cell_oscillation(f, cyl) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), f=fields(), whole_box=st.booleans(),
+       per_block=st.integers(1, 4))
+def test_one_cell_oscillation_matches_the_gathered_pairs(data, f, whole_box,
+                                                         per_block):
+    """Shifted-slice differences against the ``np.take`` gather of every
+    neighbour pair, also with blocks of a few slices, so that block edges
+    fall inside the window."""
+    cyl = None if whole_box else data.draw(cylinders(f.spec.dimension))
+    try:
+        expected = reference.one_cell_oscillation(f, cyl)
+    except EmptyCylinderError:
+        return
+    assert one_cell_oscillation(f, cyl) == expected
+    cells = math.prod(f.spec.spatial_shape)
+    with mock.patch("hjreg.grid._BLOCK_CELLS", per_block * cells):
+        assert one_cell_oscillation(f, cyl) == expected
 
 
 @settings(max_examples=40, deadline=None)

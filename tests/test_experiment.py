@@ -1043,6 +1043,8 @@ class TestCli:
            log_alpha=st.floats(math.log(1e-320), math.log(16.0)))
     @example(n=2, p=1.5, lam=1.0, log_alpha=math.log(0.005))
     @example(n=2, p=1.5, lam=1.0, log_alpha=math.log(1e-320))
+    # p near 1: the zoom ratio underflows to 0.0
+    @example(n=3, p=1.0390625, lam=1.0, log_alpha=-4.0)
     def test_chain_command_exits_zero_or_two(self, n, p, lam, log_alpha):
         assume(p < n)
         alpha = min(max(math.exp(log_alpha), 1e-320), 16.0)

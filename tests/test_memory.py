@@ -22,7 +22,13 @@ from hjreg.experiment import (
     TheoremSettings,
     parse_config,
 )
-from hjreg.grid import _BLOCK_CELLS, GridSpec, PartialField
+from hjreg.grid import (
+    _BLOCK_CELLS,
+    Cylinder,
+    GridSpec,
+    PartialField,
+    one_cell_oscillation,
+)
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     barrier_field,
@@ -31,6 +37,8 @@ from hjreg.oscillation import (
 )
 from hjreg.rescale import base_point_slices, gauge_to_window
 from hjreg.solver import (
+    SolveConfig,
+    _StepKernel,
     hopf_lax,
     residual_subsolution,
     residual_supersolution,
@@ -101,6 +109,33 @@ def test_run_path_residuals_peak_at_block_sized_temporaries():
     ))
     assert both.upper.values.shape == (_SPEC.n_slices - 1, 3)
     assert peak <= 4 * _BLOCK_BYTES
+
+
+@pytest.mark.parametrize("hamiltonian", [
+    HamiltonianSpec(kind="power-law", p=2.0),
+    HamiltonianSpec(kind="rough-coefficient", p=1.5, lam=2.0, eta=0.25),
+], ids=["power-law", "rough-coefficient"])
+def test_one_step_allocates_less_than_a_slice(hamiltonian):
+    """The step writes every intermediate, the Hamiltonian's value too, into
+    buffers the kernel allocated once."""
+    spec = GridSpec(dimension=3, half_width=1.0, cells_per_axis=48,
+                    t_start=0.0, t_end=0.01, dt=0.001)
+    kernel = _StepKernel(spec, hamiltonian, SolveConfig())
+    u = 0.3 * np.sin(2.0 * spec.centers()[..., 0])
+    out = np.empty_like(u)
+    _, peak = _traced_peak(lambda: kernel(u, 0.0, 0, out))
+    assert peak < u.nbytes
+
+
+@pytest.mark.parametrize("cylinder", [None, Cylinder(-1.0, 1.0, (0.0, 0.0), 1.0)],
+                         ids=["whole-box", "ball"])
+def test_one_cell_oscillation_peaks_at_block_sized_temporaries(cylinder):
+    """Each axis's jumps are a shifted-slice difference into one buffer of a
+    block; a ball window gathers only its pairs' differences, once."""
+    f = make_field(_SPEC, lambda t, x: np.cos(3.0 * x[..., 0] + t) * x[..., 1])
+    jump, peak = _traced_peak(lambda: one_cell_oscillation(f, cylinder))
+    assert jump > 0.0
+    assert peak <= 3 * _BLOCK_BYTES
 
 
 def test_barrier_field_builds_one_array():

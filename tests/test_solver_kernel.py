@@ -257,6 +257,59 @@ def test_step_matches_reference(problem, seed, data):
     _assert_same_outcome(got, want)
 
 
+def _reference_eval(h, t, x, grad):
+    """The former ``eval``: ``np.linalg.norm`` over the last axis, and each
+    affine reparametrization ``out_scale * (base(...) + const)`` on a
+    scaled copy of the gradient."""
+    if isinstance(h, TransformedHamiltonian):
+        shift = np.asarray(h.x_shift) if h.x_shift else 0.0
+        inner = _reference_eval(h.base, h.t_shift + h.t_scale * t,
+                                shift + h.x_scale * x, h.grad_scale * grad)
+        return h.out_scale * (inner + h.const)
+    pnorm = np.linalg.norm(grad, axis=-1)
+    out = h.coefficient_field(t, x) * pnorm**h.p
+    if h.kind == "scaled-power-law":
+        out = out + h.offset
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda dim: st.tuples(st.just(dim), hamiltonians(dim))),
+    st.integers(0, 2**32 - 1))
+def test_eval_matches_the_norm_formula(dim_h, seed):
+    """``eval`` with and without ``out`` against the former formula, bytes
+    and all, on grids and on a broadcast cloud of points and gradients."""
+    dim, h = dim_h
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=6,
+                    t_start=0.0, t_end=0.1, dt=0.05)
+    x = spec.centers()
+    grad = rng.uniform(-3.0, 3.0, x.shape) * 10.0 ** rng.uniform(-3.0, 3.0, x.shape)
+    grad[rng.random(x.shape) < 0.2] = 0.0
+    want = _reference_eval(h, 0.05, x, grad)
+    kept = grad.copy()
+    assert _same(h.eval(0.05, x, kept), want)
+    assert _same(kept, grad)
+    scratch = np.moveaxis(np.moveaxis(grad, -1, 0).copy(), 0, -1)
+    out = np.empty(spec.spatial_shape)
+    assert h.eval(0.05, x, scratch, h.coefficient_field(0.05, x), out=out) is out
+    assert _same(out, want)
+    points, grads = x.reshape(-1, dim)[:5, None, :], grad.reshape(-1, dim)[None, :7, :]
+    assert _same(h.eval(0.05, points, grads), _reference_eval(h, 0.05, points, grads))
+
+
+def test_step_refuses_a_slice_it_cannot_ravel_in_place():
+    spec = GridSpec(dimension=2, half_width=1.0, cells_per_axis=8,
+                    t_start=0.0, t_end=0.01, dt=0.001)
+    kernel = _StepKernel(spec, _QUADRATIC, SolveConfig())
+    u = np.zeros(spec.spatial_shape)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel(u, 0.0, 0, np.empty((8, 16))[:, ::2])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernel(np.zeros((8, 16))[:, ::2], 0.0, 0, u)
+
+
 _LINE = GridSpec(dimension=1, half_width=2.0, cells_per_axis=64,
                  t_start=0.0, t_end=0.5, dt=0.5 / 112.0)
 _QUADRATIC = HamiltonianSpec(kind="power-law", p=2.0)
