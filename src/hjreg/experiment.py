@@ -129,16 +129,19 @@ def _at_least(where: str, opts, **lows) -> None:
 
 
 def _check_zoom_settings(where: str, opts, **lows) -> None:
-    """Ranges shared by the cascade and theorem sections."""
-    if opts.mode not in ("interpolate", "resolve"):
-        raise ConfigError(f"unknown {where} mode {opts.mode!r}")
+    """Ranges shared by the cascade and theorem sections.  Their ``mode``
+    key stays readable because configs write it, but every zoom re-solves,
+    so ``"resolve"`` is its only value."""
+    if opts.mode != "resolve":
+        raise ConfigError(f"unknown {where} mode {opts.mode!r}; the only "
+                          "mode is 'resolve'")
     _at_least(where, opts, levels=0, working_cells=4, working_slices=1, **lows)
 
 
 @dataclass(frozen=True)
 class CascadeSettings:
     levels: int = 4
-    mode: str = "interpolate"
+    mode: str = "resolve"
     base_time: float | None = None
     base_point: tuple[float, ...] | None = None
     working_cells: int = 40
@@ -153,7 +156,7 @@ class TheoremSettings:
     delta_time: float | None = None
     points_per_axis: int = 3
     levels: int = 4
-    mode: str = "interpolate"
+    mode: str = "resolve"
     working_cells: int = 40
     working_slices: int = 64
 
@@ -557,8 +560,7 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
     t0 = _cascade_time(cfg)
     x0 = opts.base_point or (0.0,) * spec.dimension
     gauged, gamma, [(tau, rho, records, aborted)] = _base_point_cascades(
-        traj, chain, cfg.envelope, [(t0, x0)], opts.levels, opts.mode,
-        hamiltonian if opts.mode == "resolve" else None,
+        traj, chain, cfg.envelope, [(t0, x0)], opts.levels, hamiltonian,
         opts.working_cells, opts.working_slices, cfg.solve,
     )
     estimate = holder_estimate(records, chain)
@@ -569,7 +571,6 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
         "gamma": gamma,
         "tau": tau,
         "rho": rho,
-        "mode": opts.mode,
         "records": [to_json(r) for r in records],
         "estimate": to_json(estimate),
         "aborted": aborted,
@@ -589,10 +590,9 @@ def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
         _theorem_delta(cfg),
         chain,
         cfg.envelope,
+        hamiltonian,
         points_per_axis=opts.points_per_axis,
         levels=opts.levels,
-        mode=opts.mode,
-        hamiltonian=hamiltonian if opts.mode == "resolve" else None,
         working_cells=opts.working_cells,
         working_slices=opts.working_slices,
         solve_config=cfg.solve,

@@ -8,13 +8,12 @@ by ``(zoom_ratio^zoom_time_exponent, zoom_ratio)``, and rescales values by
 of the original field over the shrinking windows ``Q_m`` by
 ``4 * decay_ratio^(m+1)``, which is a Holder modulus at the origin.
 
-Two ways to advance a level: resampling the previous level (cheap, loses
-resolution with every zoom) or re-solving the transformed equation on a
-fresh working grid at full resolution.  The cascade records measured
-oscillation against the theoretical bound per level; a regression on the
-records estimates the realized Holder exponent, and ``theorem_check``
-repeats the whole construction over a lattice of base points away from the
-initial time.
+Each level after the first re-solves the rescaled equation on a fresh
+working grid at full resolution, from one slice sampled multilinearly from
+the previous level.  The cascade records measured oscillation against the
+theoretical bound per level; a regression on the records estimates the
+realized Holder exponent, and ``theorem_check`` repeats the whole
+construction over a lattice of base points away from the initial time.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "select_recenter",
     "theorem_check",
     "zoom_cascade",
-    "zoom_step",
 ]
 
 # Absolute floor for bound checks: the affine zoom map costs a couple of
@@ -139,9 +137,8 @@ def resample(
     space_scale: float = 1.0,
     space_shift: tuple[float, ...] | None = None,
     value_scale: float = 1.0,
-    value_shift: float = 0.0,
 ) -> ScalarField:
-    """Multilinear resample ``value_scale * f(affine(t, x)) + value_shift``.
+    """Multilinear resample ``value_scale * f(affine(t, x))``.
 
     Queries outside the source's cell-center hull clamp to the hull, which
     continues the field constantly past its last center, matching the
@@ -157,7 +154,7 @@ def resample(
     shift = (0.0,) * spec.dimension if space_shift is None else space_shift
     axes = [time_shift + time_scale * out_spec.times()]
     axes += [s + space_scale * out_spec.axis_centers() for s in shift]
-    return ScalarField(out_spec, value_scale * _clamped_sample(f, axes) + value_shift)
+    return ScalarField(out_spec, value_scale * _clamped_sample(f, axes))
 
 
 def _clamped_sample(f: ScalarField | GaugedField, axes: list) -> np.ndarray:
@@ -232,74 +229,29 @@ def _check_envelope(f: ScalarField, chain: ConstantChain, tolerance: float) -> N
         )
 
 
-def _zoom_constants(
-    f: ScalarField, chain: ConstantChain, tolerance: float | None
-) -> tuple[float, float, float, float]:
-    """Check ``f`` against its growth envelope and return the zoom's
-    tolerance, time and space ratios and value scale."""
-    tol = max(
-        one_cell_oscillation(f) if tolerance is None else tolerance, _TOL_FLOOR
-    )
-    _check_envelope(f, chain, tol)
-    a = chain.zoom_ratio**chain.zoom_time_exponent
-    return tol, a, chain.zoom_ratio, 4.0 / (4.0 - chain.shrink_below)
-
-
-def zoom_step(
-    f: ScalarField,
-    d: float,
-    chain: ConstantChain,
-    tolerance: float | None = None,
-) -> ScalarField:
-    """One zoom by resampling: ``(4/(4-shrink_below)) (f(a t, b x) - d)``.
-
-    ``a = zoom_ratio^zoom_time_exponent`` and ``b = zoom_ratio``, so the
-    output reads the input strictly inside its own domain and lives on the
-    same grid.  Before mapping, the input must sit under the growth
-    envelope ``2 + barrier_slope * (|x| - 1)_+``; after mapping, the output
-    must be bounded by 2 on the window that certifies the next level.
-    Both checks raise ``EnvelopeViolation``.
-    """
-    spec = f.spec
-    tol, a, b, scale = _zoom_constants(f, chain, tolerance)
-    out = resample(
-        f,
-        spec,
-        time_scale=a,
-        space_scale=b,
-        value_scale=scale,
-        value_shift=-scale * d,
-    )
-    t_lo = max(spec.t_start, -1.0 / a)
-    r_check = min(0.5 / b, spec.half_width * math.sqrt(spec.dimension))
-    win = Window(spec, Cylinder(t_lo, 0.0, (0.0,) * spec.dimension, r_check))
-    sup = max(float(np.abs(block).max()) for block in win.rows(out))
-    if sup > 2.0 + tol:
-        raise EnvelopeViolation(
-            f"zoomed field reaches {sup} > 2 (tolerance {tol}) inside the "
-            f"certified window [{t_lo}, 0] x B({r_check})"
-        )
-    return out
-
-
 def _zoom_resolve(
     f: ScalarField,
     d: float,
     chain: ConstantChain,
     hamiltonian,
     cfg: SolveConfig,
-    tolerance: float | None = None,
 ) -> tuple[ScalarField, TransformedHamiltonian]:
     """One zoom by re-solving the transformed equation at full resolution.
 
     The next level's equation has Hamiltonian ``s a H(a t, b x, P/(s b))``
-    with ``s = 4/(4 - shrink_below)``; only the initial slice is
-    interpolated from the previous level, at the pulled-back time ``-4 a``.
-    The time step is chosen from the initial slice's steepness with a
-    factor-4 margin and halved on any solver abort.
+    with ``s = 4/(4 - shrink_below)``; only the initial slice
+    ``s (f(-4 a, b x) - d)`` is sampled from the previous level.  Before
+    mapping, ``f`` must sit under the growth envelope ``2 + barrier_slope
+    * (|x| - 1)_+``, up to its one-cell oscillation (else
+    ``EnvelopeViolation``).  The time step is chosen from the initial
+    slice's steepness with a factor-4 margin and halved on any solver
+    abort.
     """
     spec = f.spec
-    tol, a, b, scale = _zoom_constants(f, chain, tolerance)
+    _check_envelope(f, chain, max(one_cell_oscillation(f), _TOL_FLOOR))
+    a = chain.zoom_ratio**chain.zoom_time_exponent
+    b = chain.zoom_ratio
+    scale = 4.0 / (4.0 - chain.shrink_below)
     transformed = TransformedHamiltonian(
         base=hamiltonian,
         out_scale=scale * a,
@@ -334,8 +286,7 @@ def zoom_cascade(
     f: ScalarField,
     chain: ConstantChain,
     levels: int,
-    mode: str = "resolve",
-    hamiltonian=None,
+    hamiltonian,
     solve_config: SolveConfig | None = None,
 ) -> list[OscillationRecord]:
     """Run ``levels`` zooms and record measured versus certified decay.
@@ -347,17 +298,12 @@ def zoom_cascade(
     ``decay_ratio^m`` times the measured window oscillation at level ``m``.
     The certified bound is ``4 decay_ratio^(m+1)``.
 
-    ``mode="resolve"`` advances levels by re-solving the transformed
-    equation (requires ``hamiltonian``, the one the input field solves);
-    ``mode="interpolate"`` just resamples, losing resolution per level.  A
-    step failure raises ``CascadeError`` carrying the completed records.
+    Each level advances by re-solving the transformed equation of
+    ``hamiltonian``, the one the input field solves.  A step failure
+    raises ``CascadeError`` carrying the completed records.
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    if mode not in ("resolve", "interpolate"):
-        raise ValueError(f"mode must be 'resolve' or 'interpolate', got {mode!r}")
-    if mode == "resolve" and hamiltonian is None:
-        raise ValueError("re-solve mode needs the Hamiltonian the field solves")
     spec = f.spec
     sup = float(np.abs(f.values).max())
     box_tol = max(one_cell_oscillation(f), _TOL_FLOOR)
@@ -370,7 +316,6 @@ def zoom_cascade(
     cfg = solve_config or SolveConfig()
     records: list[OscillationRecord] = []
     u = f
-    ham = hamiltonian
     center = (0.0,) * spec.dimension
     for m in range(levels + 1):
         try:
@@ -395,10 +340,7 @@ def zoom_cascade(
                 )
             )
             if m < levels:
-                if mode == "interpolate":
-                    u = zoom_step(u, d, chain)
-                else:
-                    u, ham = _zoom_resolve(u, d, chain, ham, cfg)
+                u, hamiltonian = _zoom_resolve(u, d, chain, hamiltonian, cfg)
         except (RecenterError, EnvelopeViolation, SolverError, ValueError) as err:
             raise CascadeError(
                 f"cascade aborted at level {m}: {err}", records
@@ -583,7 +525,7 @@ def base_point_window(
     x0,
     gamma: float,
     working: GridSpec,
-    hamiltonian=None,
+    hamiltonian,
 ):
     """Affine-map a neighborhood of ``(t0, x0)`` onto the cascade window.
 
@@ -593,9 +535,9 @@ def base_point_window(
     field(t0 + tau t, x0 + rho x)`` with ``(gamma rho)^p = gamma tau <= 1``
     (so both one-sided inequalities survive with unchanged constants), and
     the chain's first-stage zoom into a single resample onto ``working``.
-    ``hamiltonian``, when given, must be the one ``field`` solves (gauge
-    constant included) and comes back reparametrized to the one the window
-    solves.  Returns ``(window, window_hamiltonian, tau, rho)``.
+    ``hamiltonian`` must be the one ``field`` solves (gauge constant
+    included) and comes back reparametrized to the one the window solves.
+    Returns ``(window, window_hamiltonian, tau, rho)``.
     """
     spec = field.spec
     x0_arr = np.atleast_1d(np.asarray(x0, dtype=np.float64))
@@ -623,17 +565,15 @@ def base_point_window(
         space_shift=shift,
         value_scale=gamma,
     )
-    h_w = None
-    if hamiltonian is not None:
-        h_w = TransformedHamiltonian(
-            base=hamiltonian,
-            out_scale=gamma * tau * eps_time,
-            t_scale=tau * eps_time,
-            x_scale=rho * eps,
-            grad_scale=1.0 / (gamma * rho * eps),
-            t_shift=float(t0),
-            x_shift=shift,
-        )
+    h_w = TransformedHamiltonian(
+        base=hamiltonian,
+        out_scale=gamma * tau * eps_time,
+        t_scale=tau * eps_time,
+        x_scale=rho * eps,
+        grad_scale=1.0 / (gamma * rho * eps),
+        t_shift=float(t0),
+        x_shift=shift,
+    )
     return w, h_w, tau, rho
 
 
@@ -643,7 +583,6 @@ def _base_point_cascades(
     env: CoercivityEnvelope,
     points,
     levels: int,
-    mode: str,
     hamiltonian,
     working_cells: int,
     working_slices: int,
@@ -653,12 +592,12 @@ def _base_point_cascades(
     cascade it at each ``(t0, x0)``.
 
     The chain must be built for the field's dimension at twice the
-    envelope constant.  ``hamiltonian``, when given, is the one ``field``
-    solves; the gauge constant is added to it.  Each window lives on the
-    working grid ``[-4, 0] x box(1.25)``.  Returns ``(gauged, gamma, runs)``
-    with one ``(tau, rho, records, aborted)`` per point, where ``aborted``
-    is the message of a cascade that stopped early (its completed records
-    are kept), else ``None``.
+    envelope constant.  ``hamiltonian`` is the one ``field`` solves; the
+    gauge constant is added to it.  Each window lives on the working grid
+    ``[-4, 0] x box(1.25)``.  Returns ``(gauged, gamma, runs)`` with one
+    ``(tau, rho, records, aborted)`` per point, where ``aborted`` is the
+    message of a cascade that stopped early (its completed records are
+    kept), else ``None``.
     """
     spec = field.spec
     if chain.dimension != spec.dimension:
@@ -671,7 +610,7 @@ def _base_point_cascades(
             f"exactly twice the envelope constant {env.lam}"
         )
     u, gauged, gamma = gauge_to_window(field, env)
-    if hamiltonian is not None and gauged:
+    if gauged:
         hamiltonian = TransformedHamiltonian(base=hamiltonian, const=-env.lam)
     working = GridSpec(
         dimension=spec.dimension,
@@ -687,10 +626,7 @@ def _base_point_cascades(
             u, chain, t0, x0, gamma, working, hamiltonian
         )
         try:
-            records = zoom_cascade(
-                w, chain, levels, mode=mode, hamiltonian=h_w,
-                solve_config=solve_config,
-            )
+            records = zoom_cascade(w, chain, levels, h_w, solve_config)
             aborted = None
         except CascadeError as err:
             records, aborted = err.records, str(err)
@@ -726,10 +662,9 @@ def theorem_check(
     delta_time: float,
     chain: ConstantChain,
     env: CoercivityEnvelope,
+    hamiltonian,
     points_per_axis: int = 5,
     levels: int = 4,
-    mode: str = "interpolate",
-    hamiltonian=None,
     working_cells: int = 40,
     working_slices: int = 64,
     solve_config: SolveConfig | None = None,
@@ -766,7 +701,7 @@ def theorem_check(
     points = [(t0, x0) for t0 in base_times(spec, delta_time, points_per_axis)
               for x0 in x_points]
     gauged, gamma, runs = _base_point_cascades(
-        field, chain, env, points, levels, mode, hamiltonian,
+        field, chain, env, points, levels, hamiltonian,
         working_cells, working_slices, solve_config,
     )
 

@@ -298,13 +298,12 @@ def test_criterion_08_zoom_cascade_on_kink_data():
                        t_start=-4.0, t_end=0.0, dt=0.0625)
     w, h_w, _, _ = base_point_window(field, chain, 1.0, (0.0, 0.0), gamma,
                                      working, hamiltonian)
-    records = zoom_cascade(w, chain, 6, mode="resolve", hamiltonian=h_w)
+    records = zoom_cascade(w, chain, 6, h_w)
     cascade_ok = len(records) == 7 and all(r.satisfied for r in records)
 
     # the base-point scan at the same depth
-    report = theorem_check(traj, 0.5, chain, env, points_per_axis=2,
-                           levels=6, mode="resolve",
-                           hamiltonian=hamiltonian)
+    report = theorem_check(traj, 0.5, chain, env, hamiltonian,
+                           points_per_axis=2, levels=6)
     scan_ok = report.n_unsatisfied == 0 and all(
         e["n_unsatisfied"] == 0
         and (e["alpha_est"] is None or e["alpha_est"] >= 0.5)

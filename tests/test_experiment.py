@@ -275,10 +275,20 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("section", ["cascade", "theorem"])
     def test_unknown_zoom_mode(self, section):
-        with pytest.raises(ConfigError, match="mode"):
-            ExperimentConfig.from_json_dict(
-                minimal_dict(**{section: {"mode": "extrapolate"}})
-            )
+        for mode in ("extrapolate", "interpolate"):
+            with pytest.raises(ConfigError, match="mode"):
+                ExperimentConfig.from_json_dict(
+                    minimal_dict(**{section: {"mode": mode}})
+                )
+
+    @pytest.mark.parametrize("section", ["cascade", "theorem"])
+    def test_resolve_is_the_default_and_still_parses(self, section):
+        written = ExperimentConfig.from_json_dict(
+            minimal_dict(**{section: {"mode": "resolve"}})
+        )
+        default = ExperimentConfig.from_json_dict(minimal_dict())
+        assert getattr(written, section).mode == "resolve"
+        assert written == default
 
     def test_theorem_delta_time_inside_the_grid(self):
         data = checked_dict(checks=["theorem"],
@@ -708,12 +718,8 @@ class TestRun:
         # the direct call and the reflected one inside the check from below
         assert calls["oscillation.oscillation_above_check.calls"] >= 2
 
-    @pytest.mark.parametrize("mode", ["interpolate", "resolve"])
-    def test_cascade_check_matches_the_theorem_entry_at_its_point(
-        self, tmp_path, mode
-    ):
-        zoom = {"levels": 3, "mode": mode, "working_cells": 24,
-                "working_slices": 32}
+    def test_cascade_check_matches_the_theorem_entry_at_its_point(self, tmp_path):
+        zoom = {"levels": 3, "working_cells": 24, "working_slices": 32}
         data = checked_dict(
             initial_data={"name": "random-trig",
                           "parameters": {"amplitude": 0.5}, "seed": 5},
@@ -874,6 +880,7 @@ class TestCli:
             ({"chain": {"alpha": "big"}}, []),
             ({"cascade": {"levels": -1}}, []),
             ({"theorem": {"working_slices": 0}}, []),
+            ({"theorem": {"mode": "interpolate"}}, []),
             ({"grid": []}, []),
             ({"initial_data": {"name": "random-trig",
                                "parameters": {"amplitude": "NaN"}}}, []),
@@ -935,7 +942,8 @@ class TestCli:
             ({"hamiltonian": tabulated(half_width=-1.25)}, []),
         ]] + [({}, [], w) for w in ("abc", "2.5", "0", "-3", "")],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
-             "working-slices-zero", "grid-list", "amplitude-nan", "delta-nan",
+             "working-slices-zero", "theorem-mode-interpolate", "grid-list",
+             "amplitude-nan", "delta-nan",
              "delta-negative", "checks-int", "t-end-inf", "cells-fractional",
              "dimension-huge", "steps-overflow", "half-width-overflow",
              "sweep-values-string", "sweep-eta-negative",

@@ -1,6 +1,7 @@
 """Zoom cascade: resampling, recentering, zooms, and the regularity scan."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from hjreg.rescale import (
     select_recenter,
     theorem_check,
     zoom_cascade,
-    zoom_step,
 )
 from hjreg.solver import SolveConfig, residual_supersolution, solve
 
@@ -124,11 +124,11 @@ class TestSampler:
         shift = tuple(float(c) for c in rng.uniform(-0.5, 0.5, dimension))
         out = resample(GaugedField(f, -0.5), target, time_scale=1.5,
                        time_shift=-0.2, space_scale=1.3, space_shift=shift,
-                       value_scale=0.75, value_shift=-0.1)
+                       value_scale=0.75)
         times = -0.2 + 1.5 * target.times()
         cells = (np.asarray(shift) + 1.3 * target.centers()).reshape(-1, dimension)
         points = np.array([(t, *x) for t in times for x in cells])
-        expected = 0.75 * sample(f, points, -0.5) + -0.1
+        expected = 0.75 * sample(f, points, -0.5)
         assert np.array_equal(out.values.ravel(), expected)
 
     def test_node_aligned_maps_are_exact(self, rng):
@@ -172,43 +172,54 @@ class TestSelectRecenter:
         assert achieved == pytest.approx(0.25 - d, rel=1e-12)
 
 
+def zoom_start(f, d, chain):
+    """The first slice of the next level, ``s (f(-4 a, b x) - d)``, as the
+    re-solve builds it."""
+    out, _ = rescale._zoom_resolve(f, d, chain, POWER_LAW, SolveConfig())
+    return out.values[0]
+
+
 class TestZoomStep:
     def test_recentering_constant_zeroes_out(self, window, chain_unit):
         d = chain_unit.shrink_below / 4.0
-        out = zoom_step(const_field(window, d), d, chain_unit)
-        np.testing.assert_allclose(out.values, 0.0, rtol=0, atol=1e-18)
+        start = zoom_start(const_field(window, d), d, chain_unit)
+        np.testing.assert_allclose(start, 0.0, rtol=0, atol=1e-18)
 
     def test_ceiling_is_a_fixed_point_after_recentering(self, window, chain_unit):
         f = const_field(window, 2.0)
         d, _ = select_recenter(f, chain_unit)
-        out = zoom_step(f, d, chain_unit)
-        np.testing.assert_allclose(out.values, 2.0, rtol=8e-16)
+        start = zoom_start(f, d, chain_unit)
+        np.testing.assert_allclose(start, 2.0, rtol=8e-16)
 
     def test_linear_profile_maps_linearly(self, window, chain_unit):
         beta = 0.5
         f = make_field(window, lambda t, x: beta * x[..., 0])
-        out = zoom_step(f, 0.0, chain_unit)
+        start = zoom_start(f, 0.0, chain_unit)
         scale = 4.0 / (4.0 - chain_unit.shrink_below)
         expected = scale * beta * chain_unit.zoom_ratio * window.centers()[..., 0]
-        np.testing.assert_allclose(out.values[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(start, expected, rtol=1e-12)
 
-    def test_growth_envelope_is_enforced(self, window, chain_unit):
+    def test_growth_envelope_is_enforced(self, window, chain_unit, monkeypatch):
         with pytest.raises(EnvelopeViolation,
                            match=r"field exceeds its growth envelope by 1\.0 "):
-            zoom_step(const_field(window, 3.0), 0.0, chain_unit)
+            zoom_start(const_field(window, 3.0), 0.0, chain_unit)
 
-    def test_bounded_input_stays_bounded(self, window, chain_unit, rng):
-        f = noise_field(window, rng)
-        capped = field_from_values(f.spec, np.clip(f.values, -1.9, 1.9))
-        out = zoom_step(capped, 0.0, chain_unit)
-        mask = np.sum(window.centers() ** 2, axis=-1) < 0.25
-        assert np.abs(out.values[-9:, mask]).max() <= 2.0 + one_cell_oscillation(capped)
+        # a level-1 field that is 0 on the recentering window [-1, 0] but
+        # reaches 3 at t = -4, one eighth per slice
+        escaped = make_field(window, lambda t, x: np.clip(-1.0 - t, 0.0, 3.0))
+        monkeypatch.setattr(rescale, "solve",
+                            lambda *args: SimpleNamespace(field=escaped))
+        with pytest.raises(CascadeError) as exc:
+            zoom_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
+        assert isinstance(exc.value.__cause__, EnvelopeViolation)
+        assert "at level 1: field exceeds its growth envelope by 1.0 " in str(
+            exc.value)
+        assert [r.level for r in exc.value.records] == [0, 1]
 
 
 class TestZoomCascade:
     def test_zero_field_satisfies_every_level(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3,
-                               mode="interpolate")
+        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3, POWER_LAW)
         assert len(records) == 4
         theta = chain_unit.decay_ratio
         for m, r in enumerate(records):
@@ -219,24 +230,21 @@ class TestZoomCascade:
             assert r.recenter == 0.0
 
     def test_bound_ratio_is_the_decay_constant(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 2,
-                               mode="interpolate")
+        records = zoom_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
         for a, b in zip(records, records[1:]):
             assert b.osc_bound / a.osc_bound == pytest.approx(
                 chain_unit.decay_ratio, rel=1e-12
             )
 
     def test_single_record_run(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 0,
-                               mode="interpolate")
+        records = zoom_cascade(const_field(window, 0.0), chain_unit, 0, POWER_LAW)
         assert len(records) == 1
         assert records[0].osc_bound == pytest.approx(
             4.0 * chain_unit.decay_ratio, rel=1e-12
         )
 
     def test_window_geometry_shrinks(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 2,
-                               mode="interpolate")
+        records = zoom_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
         a = chain_unit.zoom_ratio ** chain_unit.zoom_time_exponent
         for m, r in enumerate(records):
             assert r.radius == pytest.approx(
@@ -250,7 +258,7 @@ class TestZoomCascade:
             lambda t, x: 0.5 * np.cos(np.pi * x[..., 0] / 2.5)
             * np.cos(np.pi * x[..., 1] / 2.5),
         )
-        records = zoom_cascade(f, chain_unit, 2, mode="interpolate")
+        records = zoom_cascade(f, chain_unit, 2, POWER_LAW)
         assert all(r.satisfied for r in records)
         oscs = [r.osc_measured for r in records if r.osc_measured > 0]
         assert oscs == sorted(oscs, reverse=True)
@@ -266,33 +274,26 @@ class TestZoomCascade:
                              t_start=-4.0, t_end=0.0, dt=0.0625)
         coarse = make_field(coarse_spec, profile)
         fine = make_field(fine_spec, profile)
-        rec_c = zoom_cascade(coarse, chain_unit, 1, mode="interpolate")
-        rec_f = zoom_cascade(fine, chain_unit, 1, mode="interpolate")
+        rec_c = zoom_cascade(coarse, chain_unit, 1, POWER_LAW)
+        rec_f = zoom_cascade(fine, chain_unit, 1, POWER_LAW)
         slack = 3.0 * one_cell_oscillation(coarse)
         for a, b in zip(rec_c, rec_f):
             assert abs(a.osc_measured - b.osc_measured) <= slack
 
     def test_unbounded_input_rejected(self, window, chain_unit):
         with pytest.raises(ValueError, match="bounded by 2"):
-            zoom_cascade(const_field(window, 2.5), chain_unit, 1,
-                         mode="interpolate")
-
-    def test_resolve_mode_needs_hamiltonian(self, window, chain_unit):
-        with pytest.raises(ValueError, match="Hamiltonian"):
-            zoom_cascade(const_field(window, 0.0), chain_unit, 1)
+            zoom_cascade(const_field(window, 2.5), chain_unit, 1, POWER_LAW)
 
     def test_step_failure_carries_completed_records(self, window, chain_unit):
         f = make_field(window, lambda t, x: 0.3 * np.sin(2.0 * x[..., 0]))
         bad_cfg = SolveConfig(sigma_mode="fixed", sigma_bound=1e-9)
         with pytest.raises(CascadeError) as exc:
-            zoom_cascade(f, chain_unit, 2, mode="resolve",
-                         hamiltonian=POWER_LAW, solve_config=bad_cfg)
+            zoom_cascade(f, chain_unit, 2, POWER_LAW, solve_config=bad_cfg)
         assert len(exc.value.records) >= 1
         assert exc.value.records[0].level == 0
 
     def test_records_csv_shape(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 1,
-                               mode="interpolate")
+        records = zoom_cascade(const_field(window, 0.0), chain_unit, 1, POWER_LAW)
         text = records_to_csv(records)
         lines = text.strip().split("\n")
         assert lines[0] == "m,radius,t_depth,osc_measured,osc_bound,d_m,satisfied"
@@ -340,8 +341,7 @@ class TestHolderEstimate:
         assert 0.0 < est.alpha_theory < 1e-5
 
     def test_flat_records_are_degenerate(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3,
-                               mode="interpolate")
+        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3, POWER_LAW)
         est = holder_estimate(records, chain_unit)
         assert est.degenerate
         assert est.points_used == 0
@@ -490,9 +490,9 @@ def test_base_point_window_reads_only_the_declared_slices(
                        t_start=-4.0, t_end=0.0, dt=4.0 / 7)
     x0 = tuple(c * spec.half_width for c in x0)
     want, _, tau, rho = base_point_window(GaugedField(full, rate), chain, t0, x0,
-                                          gamma, working)
+                                          gamma, working, POWER_LAW)
     got, _, _, _ = base_point_window(GaugedField(part, rate), chain, t0, x0,
-                                     gamma, working)
+                                     gamma, working, POWER_LAW)
     assert got.values.tobytes() == want.values.tobytes()
     assert tau <= (t0 - t_start) / 4.0
 
@@ -501,9 +501,8 @@ class TestBasePointWindow:
     def test_constant_field_maps_to_scaled_constant(self, box2, chain_double,
                                                     working):
         f = const_field(box2, 1.5)
-        w, h_w, tau, rho = base_point_window(f, chain_double, 0.0, (0.0, 0.0),
-                                             1.0, working)
-        assert h_w is None
+        w, _, tau, rho = base_point_window(f, chain_double, 0.0, (0.0, 0.0),
+                                           1.0, working, POWER_LAW)
         np.testing.assert_allclose(w.values, 1.5, rtol=0, atol=1e-12)
         assert tau > 0 and rho > 0
 
@@ -511,7 +510,7 @@ class TestBasePointWindow:
         gamma = 0.5
         f = const_field(box2, 1.0)
         _, _, tau, rho = base_point_window(f, chain_double, 0.5, (0.25, -0.25),
-                                           gamma, working)
+                                           gamma, working, POWER_LAW)
         assert (gamma * rho) ** chain_double.p == pytest.approx(
             gamma * tau, rel=1e-12
         )
@@ -522,7 +521,6 @@ class TestBasePointWindow:
         f = const_field(box2, 0.0)
         _, h_w, _, _ = base_point_window(f, chain_double, 0.0, (0.0, 0.0), 1.0,
                                          working, hamiltonian=POWER_LAW)
-        assert h_w is not None
         assert h_w.base is POWER_LAW
         assert float(h_w.eval(0.0, np.zeros(2), np.zeros(2))) == 0.0
 
@@ -530,19 +528,20 @@ class TestBasePointWindow:
         f = const_field(box2, 0.0)
         with pytest.raises(ValueError, match="time room"):
             base_point_window(f, chain_double, box2.t_start, (0.0, 0.0), 1.0,
-                              working)
+                              working, POWER_LAW)
 
     def test_boundary_point_is_an_error(self, box2, chain_double, working):
         f = const_field(box2, 0.0)
         with pytest.raises(ValueError, match="boundary"):
-            base_point_window(f, chain_double, 0.0, (1.2, 0.0), 1.0, working)
+            base_point_window(f, chain_double, 0.0, (1.2, 0.0), 1.0, working,
+                              POWER_LAW)
 
 
 class TestTheoremCheck:
     def test_zero_solution_is_everywhere_degenerate(self, box2, chain_double,
                                                     env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
-        report = theorem_check(traj, 1.0, chain_double, env_unit,
+        report = theorem_check(traj, 1.0, chain_double, env_unit, POWER_LAW,
                                points_per_axis=2, levels=2,
                                working_cells=16, working_slices=16)
         assert report.n_unsatisfied == 0
@@ -553,14 +552,9 @@ class TestTheoremCheck:
     def test_delta_time_bounds(self, box2, chain_double, env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
         with pytest.raises(ValueError, match="delta_time"):
-            theorem_check(traj, -3.0, chain_double, env_unit)
+            theorem_check(traj, -3.0, chain_double, env_unit, POWER_LAW)
 
     def test_chain_envelope_coupling(self, box2, chain_unit, env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
         with pytest.raises(ValueError, match="twice"):
-            theorem_check(traj, 1.0, chain_unit, env_unit)
-
-    def test_resolve_mode_needs_hamiltonian(self, box2, chain_double, env_unit):
-        traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
-        with pytest.raises(ValueError, match="Hamiltonian"):
-            theorem_check(traj, 1.0, chain_double, env_unit, mode="resolve")
+            theorem_check(traj, 1.0, chain_unit, env_unit, POWER_LAW)

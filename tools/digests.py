@@ -32,6 +32,10 @@ of it.  The runs:
   osc_above and osc_below and ``chain.mode = "empirical"``,
   ``--count 4 --seed 3``.
 
+``"resolve"`` is the default and only zoom mode, so the three runs with
+``mode = "resolve"`` repeat the default path; they stay because they pin
+the key the benchmark's zoom-sweep writes.
+
 Each ``chain`` line after the runs gives the first 16 hex digits of the
 sha256 of ``hjreg chain`` stdout for one setting of ``CHAIN_SETTINGS``;
 that command writes no file, so these lines pin its JSON.
