@@ -675,7 +675,31 @@ def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
     ]
 
 
-def _oracle_outcome(cfg: ExperimentConfig) -> tuple[str, dict]:
+def _oracle_slice(cfg: ExperimentConfig, grid: GridSpec) -> int:
+    """Index of the slice of ``grid`` the oracle compares: the one nearest
+    ``oracle.time``, the end of the grid by default."""
+    assert cfg.oracle is not None
+    t_cmp = cfg.grid.t_end if cfg.oracle.time is None else cfg.oracle.time
+    return int(np.argmin(np.abs(grid.times() - t_cmp)))
+
+
+def _oracle_base_slice(cfg: ExperimentConfig) -> int | None:
+    """The oracle's comparison slice on the run's own grid, when the run's
+    solve is the oracle's level 0 (no sweep, and level 0 snaps to the same
+    ``dt``); ``None`` when the oracle has to solve level 0 itself."""
+    if cfg.oracle is None or cfg.sweep is not None:
+        return None
+    if _oracle_grids(cfg)[0] != cfg.grid:
+        return None
+    return _oracle_slice(cfg, cfg.grid)
+
+
+def _oracle_outcome(
+    cfg: ExperimentConfig, base: np.ndarray | None = None
+) -> tuple[str, dict]:
+    """Refinement study against the inf-convolution.  ``base``, when given,
+    is the run's own slice at level 0's comparison time, and level 0 is
+    read from it instead of solved again."""
     opts = cfg.oracle
     assert opts is not None
     spec = cfg.grid
@@ -685,17 +709,21 @@ def _oracle_outcome(cfg: ExperimentConfig) -> tuple[str, dict]:
     resolutions: list[int] = []
     widths: list[float] = []
     errors: list[float] = []
-    for grid_l in _oracle_grids(cfg):
-        times = grid_l.times()
-        ti = int(np.argmin(np.abs(times - t_cmp)))
-        # the solve keeps the one slice the oracle reads
-        traj = solve(grid_l, cfg.hamiltonian, fn, cfg.solve, keep=[range(ti, ti + 1)])
-        elapsed = float(times[ti] - grid_l.t_start)
+    for level, grid_l in enumerate(_oracle_grids(cfg)):
+        ti = _oracle_slice(cfg, grid_l)
+        if level == 0 and base is not None:
+            got = base
+        else:
+            # the solve keeps the one slice the oracle reads
+            traj = solve(grid_l, cfg.hamiltonian, fn, cfg.solve,
+                         keep=[range(ti, ti + 1)])
+            got = traj.field.rows(ti, ti + 1)[0]
+            del traj
+        elapsed = float(grid_l.times()[ti] - grid_l.t_start)
         centers = grid_l.centers().reshape(-1, grid_l.dimension)
         inner = np.max(np.abs(centers), axis=1) <= opts.window * grid_l.half_width
         pts = centers[inner]
-        got = traj.field.rows(ti, ti + 1)[0].reshape(-1)[inner]
-        del traj
+        got = got.reshape(-1)[inner]
         want = hopf_lax(fn, elapsed, pts, cfg.hamiltonian.p)
         resolutions.append(grid_l.cells_per_axis)
         widths.append(grid_l.cell_width)
@@ -831,6 +859,10 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     keep = [r for name in cfg.checks for r in _CHECKS[name].reads(cfg, chain)]
     if cfg.sweep is None:
         keep += [range(0, 2), range(cfg.grid.n_slices - 2, cfg.grid.n_slices)]
+    oracle_ti = _oracle_base_slice(cfg)
+    if oracle_ti is not None:
+        keep.append(range(oracle_ti, oracle_ti + 1))
+    oracle_base = None
     gauged = any(_CHECKS[name].gauged for name in cfg.checks)
     try:
         for label, hamiltonian in _sweep_variants(cfg):
@@ -851,11 +883,14 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                     record(f"{name}{label}", *outcome)
             if cfg.sweep is None:
                 outputs.update(_snapshots(traj))
+            if oracle_ti is not None:
+                # a copy, so the oracle holds one slice, not the trajectory
+                oracle_base = traj.field.rows(oracle_ti, oracle_ti + 1)[0].copy()
             # free this variant's trajectory before the next one solves
             del traj
         if cfg.oracle is not None:
             with timed("oracle"):
-                record("oracle", *_oracle_outcome(cfg))
+                record("oracle", *_oracle_outcome(cfg, oracle_base))
     except SolverError as err:
         return finish("error", {"stage": stage, "message": str(err),
                                 "step_index": err.step_index})

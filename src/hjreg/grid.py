@@ -42,7 +42,7 @@ import types
 import typing
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 from typing import Iterator
 
@@ -384,6 +384,26 @@ def _ball_mask(spec: GridSpec, cyl: Cylinder) -> NDArray[np.bool_]:
     return np.einsum("...i,...i->...", delta, delta) < cyl.radius**2
 
 
+@lru_cache(maxsize=32)
+def _window_geometry(spec: GridSpec, cylinder: Cylinder) -> tuple[
+    NDArray[np.intp], NDArray[np.float64], NDArray[np.bool_]
+]:
+    """A :class:`Window`'s ``slices``, ``weights`` and ``mask``, built once
+    per grid and cylinder and shared read-only by every window of the pair."""
+    times = spec.times()
+    inside = Window.slice_range(spec, cylinder.t_lo, cylinder.t_hi)
+    slices = np.arange(inside.start, inside.stop)
+    half = 0.5 * spec.dt
+    own_lo = np.maximum(times - half, spec.t_start)
+    own_hi = np.minimum(times + half, spec.t_end)
+    overlap = np.minimum(own_hi, cylinder.t_hi) - np.maximum(own_lo, cylinder.t_lo)
+    weights = np.maximum(overlap, 0.0)
+    mask = _ball_mask(spec, cylinder)
+    for arr in (slices, weights, mask):
+        arr.flags.writeable = False
+    return slices, weights, mask
+
+
 class Window:
     """The lattice cells a cylinder owns on a grid.
 
@@ -397,6 +417,9 @@ class Window:
             spans the window.
         mask: spatial cells whose centers lie strictly inside the ball.
 
+    The three arrays are read-only: every window of one grid and cylinder
+    shares them (see ``_window_geometry``).
+
     Raises:
         EmptyCylinderError: when the cylinder holds no slice or no cell.
         ValueError: when the center's length differs from the dimension.
@@ -405,15 +428,7 @@ class Window:
     def __init__(self, spec: GridSpec, cylinder: Cylinder) -> None:
         self.spec = spec
         self.cylinder = cylinder
-        times = spec.times()
-        inside = Window.slice_range(spec, cylinder.t_lo, cylinder.t_hi)
-        self.slices = np.arange(inside.start, inside.stop)
-        half = 0.5 * spec.dt
-        own_lo = np.maximum(times - half, spec.t_start)
-        own_hi = np.minimum(times + half, spec.t_end)
-        overlap = np.minimum(own_hi, cylinder.t_hi) - np.maximum(own_lo, cylinder.t_lo)
-        self.weights = np.maximum(overlap, 0.0)
-        self.mask = _ball_mask(spec, cylinder)
+        self.slices, self.weights, self.mask = _window_geometry(spec, cylinder)
         if self.slices.size == 0 or not np.any(self.mask):
             raise EmptyCylinderError(
                 f"cylinder [{cylinder.t_lo}, {cylinder.t_hi}] x "

@@ -68,6 +68,9 @@ __all__ = [
 
 SIGMA_INFLATION = 1.5
 _SIGMA_FLOOR = 1e-12
+# While a bound on |u| plus max |update| stays below this, far under the
+# float maximum, every entry of u + update is finite (see _StepKernel).
+_FINITE_BOUND = 2.0**1000
 
 
 class SolverError(RuntimeError):
@@ -191,39 +194,62 @@ def _central_gradient_norm(
 class _StepKernel:
     """Forward-Euler steps on one grid with work buffers allocated once.
 
-    Each axis's ``D+`` is one :class:`~hjreg.grid.ShiftedDifference` of the
-    raveled slice and ``D-`` its buffer read one stride earlier (see the
-    module docstring).  A coefficient field that does not depend on time is
+    Each axis's ``D+`` is the forward difference of the raveled slice and
+    ``D-`` its buffer read one stride earlier (see the module docstring);
+    the views of both, of the entries the outflow zeroes and of the axis's
+    centered component are built here, once per solve, as one plan tuple
+    per axis.  A coefficient field that does not depend on time is
     evaluated once, here, and handed to every ``h.eval``.  The slice the
     step reads and the one it writes must be C-contiguous, as
     ``_flat_view`` checks, since the step works on raveled views.
+
+    The finiteness pass over the new slice runs only when an overflow is
+    possible.  The kernel keeps a bound on ``|u|``, taken from the slice
+    when it is not the one the previous call wrote and grown by each
+    step's ``max |update|``; while the bound plus that maximum stays under
+    ``_FINITE_BOUND``, every entry of ``u + update`` is finite.  A NaN or
+    inf in the update, or a bound past the constant, runs the full check,
+    after which the bound is taken again from the new slice.
     """
 
     def __init__(self, spec: GridSpec, h, cfg: SolveConfig):
         self.spec = spec
         self.h = h
-        self.cfg = cfg
         self.centers = spec.centers()
         self.width = spec.cell_width
+        self.dt = spec.dt
+        self.dt_n = spec.dt * spec.dimension
+        self.safety = cfg.cfl_safety
+        # the fixed dissipation, or None to estimate it on every step
+        self.sigma_bound = (
+            float(cfg.sigma_bound) if cfg.sigma_mode == "fixed" else None
+        )
         shape = spec.spatial_shape
         cells = math.prod(shape)
         strides = axis_strides(spec)
         diff = np.zeros(strides[0] + cells)
-        self.axes = [ShiftedDifference(stride, spec.cells_per_axis, diff, strides[0])
-                     for stride in strides]
         self.jump, self.pnorm_sq, self.work = np.empty((3, cells))
         self.finite = np.empty(cells, dtype=bool)
         # (*shape, N) with each component contiguous: ``h.eval`` sums the
         # squared components in axis order.
         components = np.empty((spec.dimension, *shape))
         self.grad = np.moveaxis(components, 0, -1)
-        self.central = components.reshape(spec.dimension, cells)
         self.hval = self.work.reshape(shape)
+        # In 1-D the one edge entry lies past the subtraction's output and
+        # stays 0.0 (divided and squared), so it is zeroed once, here.
+        self.axes = []
+        for stride, central in zip(strides, components.reshape(spec.dimension, cells)):
+            along = ShiftedDifference(stride, spec.cells_per_axis, diff, strides[0])
+            edges = along.edges if spec.dimension > 1 else None
+            self.axes.append((stride, along.head, edges, along.fwd, along.prev, central))
         self.coefficient = (
             h.coefficient_field(spec.t_start, self.centers)
             if h.static_coefficient
             else None
         )
+        # the slice the last call wrote, its raveled view and the bound on
+        # its |u|
+        self.last = self.flat_last = self.bound = None
 
     def __call__(
         self,
@@ -234,12 +260,15 @@ class _StepKernel:
     ) -> tuple[float, float]:
         """Write the step from ``u`` at time ``t`` into ``out``; returns
         (cfl margin, max |update|)."""
-        spec, cfg, width = self.spec, self.cfg, self.width
-        jump, pnorm_sq, work = self.jump, self.pnorm_sq, self.work
-        flat_u, flat_out = _flat_view(u), _flat_view(out)
-        for axis, along in enumerate(self.axes):
+        width, jump, pnorm_sq, work = self.width, self.jump, self.pnorm_sq, self.work
+        carried = u is self.last
+        flat_u = self.flat_last if carried else _flat_view(u)
+        flat_out = _flat_view(out)
+        for axis, (stride, head, edges, fwd, prev, central) in enumerate(self.axes):
             # D+ = (u[j+1] - u[j]) / h and D- = (u[j] - u[j-1]) / h = D+[j-1]
-            fwd, prev, central = along(flat_u), along.prev, self.central[axis]
+            np.subtract(flat_u[stride:], flat_u[:-stride], out=head)
+            if edges is not None:
+                edges.fill(0.0)
             fwd /= width
             np.add(fwd, prev, out=central)
             central *= 0.5
@@ -256,30 +285,29 @@ class _StepKernel:
 
         pnorm_max = math.sqrt(np.maximum.reduce(pnorm_sq))
         sigma_est = max(self.h.dissipation_bound(pnorm_max), 0.0)
-        if cfg.sigma_mode == "fixed":
-            sigma_diss = float(cfg.sigma_bound)  # type: ignore[arg-type]
-            if sigma_est > sigma_diss * (1.0 + 1e-9):
-                raise SolverError(
-                    f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
-                    f"fixed dissipation bound {sigma_diss:.3g}",
-                    step_index,
-                )
-        else:
+        sigma_diss = self.sigma_bound
+        if sigma_diss is None:
             sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
+        elif sigma_est > sigma_diss * (1.0 + 1e-9):
+            raise SolverError(
+                f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
+                f"fixed dissipation bound {sigma_diss:.3g}",
+                step_index,
+            )
 
-        ratio_mono = spec.dt * spec.dimension * sigma_diss / width
+        ratio_mono = self.dt_n * sigma_diss / width
         if ratio_mono > 1.0 + 1e-9:
             raise SolverError(
                 f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
                 f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
                 step_index,
             )
-        margin = cfg.cfl_safety - spec.dt * spec.dimension * sigma_est / width
+        margin = self.safety - self.dt_n * sigma_est / width
         if margin < 0.0:
             raise SolverError(
                 f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
-                f"needs dt <= {cfl_dt(spec, sigma_est, cfg.cfl_safety):.3g} "
-                f"but grid has dt={spec.dt}",
+                f"needs dt <= {cfl_dt(self.spec, sigma_est, self.safety):.3g} "
+                f"but grid has dt={self.dt}",
                 step_index,
             )
 
@@ -289,13 +317,19 @@ class _StepKernel:
         update = jump
         update *= 0.5 * sigma_diss
         np.subtract(work, update, out=update)
-        update *= -spec.dt
+        update *= -self.dt
         np.add(flat_u, update, out=flat_out)
-        if not np.logical_and.reduce(np.isfinite(flat_out, out=self.finite)):
-            raise SolverError(
-                f"step {step_index}: non-finite values produced", step_index
-            )
-        return margin, float(np.maximum.reduce(np.abs(update, out=update)))
+        max_update = float(np.maximum.reduce(np.abs(update, out=update)))
+        bound = (self.bound if carried
+                 else max(float(flat_u.max()), -float(flat_u.min()))) + max_update
+        if not bound < _FINITE_BOUND:
+            if not np.logical_and.reduce(np.isfinite(flat_out, out=self.finite)):
+                raise SolverError(
+                    f"step {step_index}: non-finite values produced", step_index
+                )
+            bound = max(float(flat_out.max()), -float(flat_out.min()))
+        self.last, self.flat_last, self.bound = out, flat_out, bound
+        return margin, max_update
 
 
 def solve(

@@ -743,6 +743,77 @@ class TestRun:
         assert {k: entry[k] for k in cascade["estimate"]} == cascade["estimate"]
 
 
+class TestOracleReuse:
+    """A run without a sweep whose grid is the oracle's level 0 hands the
+    oracle its own comparison slice instead of marching that grid again."""
+
+    def test_validation_run_solves_twice_and_writes_the_same_report(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = parse_config("hopf-lax-validation")
+        solves = count_solves(monkeypatch)
+        reused = run(cfg, out_dir=tmp_path / "reused")
+        # the run's solve and the one refinement
+        assert [args[0].cells_per_axis for args in solves] == [256, 512]
+        assert reused.status == "pass"
+        solves.clear()
+        monkeypatch.setattr(experiment, "_oracle_base_slice", lambda cfg: None)
+        solved = run(cfg, out_dir=tmp_path / "solved")
+        assert [args[0].cells_per_axis for args in solves] == [256, 256, 512]
+        assert reused.stable_bytes() == solved.stable_bytes()
+        assert (output_tree(tmp_path / "reused")
+                == output_tree(tmp_path / "solved"))
+
+    def test_oracle_time_inside_the_grid_keeps_that_slice(self, monkeypatch):
+        cfg = parse_config("hopf-lax-validation")
+        cfg = replace(cfg, oracle=replace(cfg.oracle, time=0.25))
+        ti = experiment._oracle_base_slice(cfg)
+        assert cfg.grid.times()[ti] == pytest.approx(0.25)
+        fields, bases = [], []
+        original_solve, original_outcome = experiment.solve, experiment._oracle_outcome
+
+        def solve(*args, **kwargs):
+            traj = original_solve(*args, **kwargs)
+            fields.append(traj.field)
+            return traj
+
+        def outcome(cfg, base=None):
+            bases.append(base)
+            return original_outcome(cfg, base)
+
+        monkeypatch.setattr(experiment, "solve", solve)
+        monkeypatch.setattr(experiment, "_oracle_outcome", outcome)
+        report, _ = experiment._compute(cfg)
+        assert report.status == "pass"
+        assert ti in fields[0].kept.tolist()
+        init = cfg.initial_data
+        fn = initial_data.make_initial_function(cfg.grid, init.name,
+                                                init.parameters, init.seed)
+        whole = original_solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve)
+        [base] = bases
+        assert base.tobytes() == whole.field.values[ti].tobytes()
+
+    def test_a_snapped_level_zero_solves_itself(self, monkeypatch):
+        cfg = parse_config("hopf-lax-validation")
+        # a dt the grid accepts but level 0 snaps to the exact 1/500
+        cfg = replace(cfg, grid=replace(cfg.grid, dt=0.002 * (1.0 + 1e-9)))
+        assert experiment._oracle_grids(cfg)[0].dt != cfg.grid.dt
+        assert experiment._oracle_base_slice(cfg) is None
+        solves = count_solves(monkeypatch)
+        report, _ = experiment._compute(cfg)
+        assert report.status == "pass"
+        assert [args[0].dt for args in solves[1:]] == [
+            grid.dt for grid in experiment._oracle_grids(cfg)]
+
+    def test_a_sweep_never_hands_its_slice_to_the_oracle(self):
+        cfg = parse_config("hopf-lax-validation")
+        cfg = replace(cfg, hamiltonian=replace(cfg.hamiltonian,
+                                               kind="scaled-power-law"))
+        swept = replace(cfg, sweep=experiment.SweepSettings(
+            parameter="coefficient", values=(1.0,)))
+        assert experiment._oracle_base_slice(swept) is None
+
+
 def tiny_ensemble_dict():
     # dt well under the CFL limit for the random draws' slopes
     return minimal_dict(

@@ -1,6 +1,7 @@
 """Lattice primitives: sampling, windows, measures, gradients, oscillation, snapshots."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,6 +210,30 @@ class TestWindow:
         cyl = Cylinder(t_lo=0.01, t_hi=0.02, center=(0.0, 0.0), radius=1.0)
         with pytest.raises(EmptyCylinderError):
             Window(box2, cyl)
+
+    def test_geometry_is_shared_and_read_only(self, box2):
+        cyl = Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0)
+        first, second = Window(box2, cyl), Window(box2, cyl)
+        for name in ("slices", "weights", "mask"):
+            arr = getattr(first, name)
+            assert arr is getattr(second, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = arr
+
+    def test_one_cylinder_on_two_grids_gets_two_geometries(self, box2):
+        cyl = Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0)
+        fine = replace(box2, cells_per_axis=2 * box2.cells_per_axis, dt=box2.dt / 2)
+        coarse, refined = Window(box2, cyl), Window(fine, cyl)
+        assert refined.mask.shape == fine.spatial_shape != coarse.mask.shape
+        assert refined.weights.shape == (fine.n_slices,)
+        assert len(refined.slices) == 2 * len(coarse.slices) - 1
+        assert refined.weights.sum() == pytest.approx(coarse.weights.sum(), rel=1e-12)
+
+    def test_empty_cylinder_raises_on_every_construction(self, box2):
+        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(10.0, 10.0), radius=0.5)
+        for _ in range(2):
+            with pytest.raises(EmptyCylinderError):
+                Window(box2, cyl)
 
     def test_center_must_match_the_dimension(self, box2):
         cyl = Cylinder(t_lo=-1.0, t_hi=1.0, center=(0.0,), radius=1.0)

@@ -8,6 +8,7 @@ not counted).
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -231,15 +232,40 @@ def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path
     assert live[1] - live[0] < _TRAJECTORY / 4
 
 
-def test_oracle_levels_hold_one_trajectory_at_a_time():
+def test_oracle_levels_hold_one_trajectory_at_a_time(monkeypatch):
     """Each refinement level's solve keeps only the slice the oracle reads,
-    so no level holds a trajectory."""
+    so no level holds a trajectory.  On the run path the oracle's level 0
+    is one slice of the run's own solve, copied out of a trajectory that is
+    gone when the oracle starts."""
     cfg = parse_config("hopf-lax-validation")
     cfg = replace(cfg, oracle=replace(cfg.oracle, refinements=2))
     finest = experiment._oracle_grids(cfg)[-1]
     finest_bytes = finest.n_slices * finest.cells_per_axis * 8
     (status, _), peak = _traced_peak(lambda: experiment._oracle_outcome(cfg))
     assert status == "pass"
+    assert peak < finest_bytes / 2
+
+    trajectories, seen = [], []
+    original_solve, original_outcome = experiment.solve, experiment._oracle_outcome
+
+    def solve(*args, **kwargs):
+        traj = original_solve(*args, **kwargs)
+        trajectories.append(weakref.ref(traj.field.values))
+        return traj
+
+    def outcome(cfg, base=None):
+        seen.append(([ref() is None for ref in trajectories], base))
+        return original_outcome(cfg, base)
+
+    monkeypatch.setattr(experiment, "solve", solve)
+    monkeypatch.setattr(experiment, "_oracle_outcome", outcome)
+    (report, _), peak = _traced_peak(lambda: experiment._compute(cfg))
+    assert report.status == "pass"
+    [(freed, base)] = seen
+    assert freed == [True]
+    assert base.shape == cfg.grid.spatial_shape and base.base is None
+    # the run's solve and the two refinements
+    assert len(trajectories) == 3
     assert peak < finest_bytes / 2
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hjreg import solver
 from hjreg.grid import GridSpec, field_from_values
 from hjreg.hamiltonians import (
     HamiltonianSpec,
@@ -319,6 +320,10 @@ _NAN_START = np.where(np.arange(64) == 0, np.nan, 0.0)
 _OVERFLOW = TransformedHamiltonian(
     base=HamiltonianSpec(kind="power-law", p=2.0), out_scale=1e308, const=1e308
 )
+# On flat data the update is -dt * offset, here about 4.5e305 a step: finite,
+# but it carries a slice near 1.7e308 past the float maximum at step 21.
+_CLIMB = HamiltonianSpec(kind="scaled-power-law", p=2.0, offset=-1e308)
+_NAN_H = TransformedHamiltonian(base=_QUADRATIC, const=float("nan"))
 
 ABORTS = [
     ("initial data contains non-finite values", 0,
@@ -334,6 +339,10 @@ ABORTS = [
     ("CFL violation", 0, _LINE, _QUADRATIC, _CONE, SolveConfig()),
     ("step 0: non-finite values produced", 0,
      _LINE, _OVERFLOW, np.zeros(64), SolveConfig()),
+    ("step 21: non-finite values produced", 21,
+     _LINE, _CLIMB, np.full(64, 1.7e308), SolveConfig()),
+    # (a shorter pattern than the overflow's above, for a distinct test id)
+    ("step 0: non-finite values", 0, _LINE, _NAN_H, np.zeros(64), SolveConfig()),
     # a steepening rough-coefficient front crosses the fixed bound late
     ("step 2: sampled", 2,
      GridSpec(dimension=1, half_width=1.0, cells_per_axis=32,
@@ -353,6 +362,41 @@ def test_abort_paths_keep_message_and_step(match, index, spec, h, init, cfg):
     with pytest.raises(SolverError, match=match) as exc:
         solve(spec, h, init, cfg)
     assert (str(exc.value), exc.value.step_index) == want[1:]
+
+
+class _CountingNumpy:
+    """numpy with its ``isfinite`` calls counted."""
+
+    def __init__(self):
+        self.isfinite_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, *args, **kwargs):
+        self.isfinite_calls += 1
+        return np.isfinite(*args, **kwargs)
+
+
+@pytest.mark.parametrize("h,init,passes", [
+    # |u| stays far below the float maximum: the initial data's check only
+    (_QUADRATIC, 0.1 * _CONE, 1),
+    # the bound starts above the constant: the full check on every step
+    (HamiltonianSpec(kind="scaled-power-law", p=2.0, offset=-1e303),
+     np.full(64, 1e305), 1 + _LINE.n_steps),
+], ids=["small", "huge"])
+def test_finiteness_pass_runs_only_when_an_overflow_is_possible(
+    monkeypatch, h, init, passes
+):
+    counting = _CountingNumpy()
+    monkeypatch.setattr(solver, "np", counting)
+    cfg = SolveConfig(cfl_safety=0.9)
+    traj = solve(_LINE, h, init, cfg)
+    assert counting.isfinite_calls == passes
+    want = _reference_solve(_LINE, h, init, cfg)
+    for got, ref in zip((traj.field.values, traj.cfl_margins, traj.max_updates),
+                        want):
+        assert _same(got, ref)
 
 
 def test_step_abort_carries_the_slice_index():
