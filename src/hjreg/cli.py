@@ -9,7 +9,6 @@ failures such as a solver abort.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 
@@ -21,6 +20,7 @@ from .experiment import (
     run,
     run_directory,
 )
+from .grid import write_json
 from .oscillation import build_constant_chain
 
 __all__ = ["main"]
@@ -148,7 +148,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    print(json.dumps(chain.to_json_dict(), indent=2, sort_keys=True))
+    write_json(chain.to_json_dict(), sys.stdout)
     return 0
 
 

@@ -3,12 +3,14 @@
 A run solves one initial-data draw under one Hamiltonian and feeds the
 trajectory to the enabled checks; an ensemble repeats that over seeded
 draws and merges the member reports in index order.  Reports are plain
-JSON with a separable ``timings`` block, so two runs of the same config
-and seed produce byte-identical ``stable_bytes()``.
+JSON, written through ``grid.write_json``, with a separable ``timings``
+block, so two runs of the same config and seed produce byte-identical
+``stable_bytes()``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -30,8 +32,8 @@ from .degiorgi import (
     lemma_two_check,
     recurrence_fit,
 )
-from .grid import ConfigError, Cylinder, GridSpec, ScalarField, Window
-from .grid import config_errors, field_from_values, from_json, save_snapshot, to_json
+from .grid import ConfigError, Cylinder, GridSpec, ScalarField, Window, config_errors
+from .grid import field_from_values, from_json, save_snapshot, to_json, write_json
 from .hamiltonians import KINDS, CoercivityEnvelope, HamiltonianSpec, coercivity_check
 from .initial_data import make_initial_function, read_parameters
 from .oscillation import (
@@ -421,22 +423,6 @@ def scenario_path(name: str) -> Path:
     return p
 
 
-def _json_safe(obj):
-    """Recursively coerce to JSON-serializable values; non-finite floats -> None."""
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    return obj
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Everything one run produced, minus the field data itself."""
@@ -452,20 +438,18 @@ class RunReport:
     error: dict | None
     timings: dict
 
-    def to_json_dict(self, include_timings: bool = True) -> dict:
-        """Every field, ``timings`` only if ``include_timings``, JSON-safe."""
+    def to_json_dict(self) -> dict:
+        """The report's JSON (see ``grid.to_json``) without ``timings``."""
         out = to_json(self)
-        if not include_timings:
-            del out["timings"]
-        return _json_safe(out)
+        del out["timings"]
+        return out
 
     def stable_bytes(self) -> bytes:
-        """Report bytes with the timings block dropped; identical across reruns."""
-        return json.dumps(
-            self.to_json_dict(include_timings=False),
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode()
+        """``report.json``'s bytes with the timings block dropped; identical
+        across reruns."""
+        text = io.StringIO()
+        write_json(self.to_json_dict(), text)
+        return text.getvalue().encode()
 
 
 @dataclass(frozen=True)
@@ -571,7 +555,7 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
         "gamma": gamma,
         "tau": tau,
         "rho": rho,
-        "records": [to_json(r) for r in records],
+        "records": to_json(records),
         "estimate": to_json(estimate),
         "aborted": aborted,
     }
@@ -898,25 +882,21 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     return finish(_aggregate(statuses))
 
 
-def _write_json(path: Path, data) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write(run_dir: Path, report: RunReport, outputs: dict) -> None:
+def _write(
+    run_dir: Path, report: RunReport | EnsembleReport, outputs: dict
+) -> None:
     """Put a computed run on disk: its artifacts, then ``report.json``."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in outputs.items():
+    for name, payload in {**outputs, "report.json": report}.items():
         path = run_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(payload, ScalarField):
             save_snapshot(payload, path)
-        elif isinstance(payload, dict):
-            _write_json(path, _json_safe(payload))
-        else:
+        elif isinstance(payload, str):
             path.write_text(payload)
-    _write_json(run_dir / "report.json", report.to_json_dict())
+        else:
+            with open(path, "w") as fh:
+                write_json(payload, fh)
 
 
 def run_directory(
@@ -1080,9 +1060,9 @@ def ensemble(
         member_seeds=tuple(member_seeds),
         counts=counts,
         chain_search=search,
-        members=tuple(r.to_json_dict(include_timings=False) for r in reports),
+        members=tuple(r.to_json_dict() for r in reports),
         artifacts=artifacts,
         timings={"total": time.perf_counter() - begin},
     )
-    _write_json(run_dir / "report.json", report.to_json_dict())
+    _write(run_dir, report, {})
     return report

@@ -25,16 +25,16 @@ on its own), and per-slice terms are accumulated in slice order with
 ``np.cumsum``, never with ``np.sum``, whose pairwise order would change
 the last digits.
 
-JSON crosses the package boundary through one pair of functions, here
-because a grid is the first thing both a config and a snapshot hold:
-:func:`to_json` writes a dataclass one key per field, and
-:func:`from_json` reads one back by its field annotations, raising a
-:class:`ConfigError` that names the key on any misfit.
+JSON crosses the package boundary through the functions here, because a
+grid is the first thing both a config and a snapshot hold: :func:`to_json`
+is the one encoder (a dataclass one key per field, a non-finite float as
+``null``), :func:`write_json` the one writer of JSON text, and
+:func:`from_json` reads a dataclass back by its field annotations, raising
+a :class:`ConfigError` that names the key on any misfit.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -53,7 +53,6 @@ __all__ = [
     "ConfigError",
     "GridSpec",
     "Cylinder",
-    "PartialField",
     "ScalarField",
     "Window",
     "EmptyCylinderError",
@@ -69,10 +68,10 @@ __all__ = [
     "axis_strides",
     "one_cell_oscillation",
     "save_snapshot",
-    "load_snapshot",
     "config_errors",
     "from_json",
     "to_json",
+    "write_json",
 ]
 
 _REL_TOL = 1e-6
@@ -87,21 +86,35 @@ _CSV_ROWS = 1 << 12
 _KEYS = {"lam": "lambda"}
 
 
-def to_json(obj) -> dict:
-    """The JSON object of a dataclass, one key per field (``lam`` under
-    ``lambda``): tuples become lists, dicts are copied and nested
-    dataclasses become their own objects."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = to_json(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        elif isinstance(value, dict):
-            value = dict(value)
-        out[_KEYS.get(f.name, f.name)] = value
-    return out
+def to_json(obj):
+    """The JSON value of ``obj``, the one encoder of every JSON output.
+
+    A dataclass becomes an object with one key per field (``lam`` under
+    ``lambda``); dicts (their keys as strings), lists and tuples are walked
+    item by item; numpy bools, integers and floats become Python ones, and
+    a non-finite float becomes ``None``, which JSON writes as ``null``.
+    """
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {str(k): to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if is_dataclass(obj):
+        return {_KEYS.get(f.name, f.name): to_json(getattr(obj, f.name))
+                for f in fields(obj)}
+    return obj
+
+
+def write_json(obj, fh) -> None:
+    """Write :func:`to_json` of ``obj`` to the text stream ``fh``: two-space
+    indent, sorted keys and a final newline."""
+    text = json.dumps(to_json(obj), indent=2, sort_keys=True, allow_nan=False)
+    fh.write(text + "\n")
 
 
 class ConfigError(ValueError):
@@ -308,53 +321,36 @@ class Cylinder:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Immutable scalar samples on a :class:`GridSpec` lattice."""
+    """Immutable scalar samples on a :class:`GridSpec` lattice.
 
-    spec: GridSpec
-    values: NDArray[np.float64]
-
-    def __post_init__(self) -> None:
-        expected = (self.spec.n_slices, *self.spec.spatial_shape)
-        if self.values.shape != expected:
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid {expected}"
-            )
-        self.values.setflags(write=False)
-
-    def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
-        """Slices ``lo:hi``, a view of :attr:`values`."""
-        if not 0 <= lo <= hi <= self.spec.n_slices:
-            raise IndexError(f"slices {lo}:{hi} outside the grid's {self.spec.n_slices}")
-        return self.values[lo:hi]
-
-
-@dataclass(frozen=True)
-class PartialField:
-    """Some of the slices of a field on a :class:`GridSpec` lattice.
-
-    ``values[k]`` is slice ``kept[k]``; ``kept`` is strictly increasing.
-    A read of a slice that was not kept raises instead of returning data.
+    With ``kept`` None every slice is held and ``values[i]`` is slice ``i``;
+    otherwise ``values[k]`` is slice ``kept[k]``, ``kept`` is strictly
+    increasing, and a read of a slice that was not kept raises instead of
+    returning data.
     """
 
     spec: GridSpec
     values: NDArray[np.float64]
-    kept: NDArray[np.intp]
+    kept: NDArray[np.intp] | None = None
 
     def __post_init__(self) -> None:
-        if self.values.shape != (len(self.kept), *self.spec.spatial_shape):
+        held = self.spec.n_slices if self.kept is None else len(self.kept)
+        if self.values.shape != (held, *self.spec.spatial_shape):
             raise ValueError(
-                f"values shape {self.values.shape} does not hold {len(self.kept)} "
+                f"values shape {self.values.shape} does not hold {held} "
                 f"slices of {self.spec.spatial_shape}"
             )
         self.values.setflags(write=False)
 
     def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
         """Slices ``lo:hi``, a view of :attr:`values`; ``IndexError`` unless
-        every one of them was kept."""
-        k = int(np.searchsorted(self.kept, lo))
+        every one of them is held."""
+        kept = self.kept
+        k = lo if kept is None else int(np.searchsorted(kept, lo))
         last = k + hi - lo - 1
-        if hi > lo and not (last < len(self.kept) and self.kept[k] == lo
-                            and self.kept[last] == hi - 1):
+        if not (0 <= lo <= hi and last < len(self.values) and (
+                kept is None or hi == lo
+                or kept[k] == lo and kept[last] == hi - 1)):
             raise IndexError(f"slices {lo}:{hi} were not all kept")
         return self.values[k:k + hi - lo]
 
@@ -686,8 +682,8 @@ def one_cell_oscillation(f: ScalarField, cyl: Cylinder | None = None) -> float:
     buf = np.empty((min(hi + 1, stop) - lo) * cells)
     for lo, hi in slice_blocks(start, stop, cells):
         # One slice of overlap with the next block for the time jumps; a
-        # field whose values are not C-contiguous (a loaded snapshot's) is
-        # read through a copy of the block.
+        # field whose values are not C-contiguous is read through a copy of
+        # the block.
         flat = np.ascontiguousarray(f.rows(lo, min(hi + 1, stop))).reshape(-1)
         if flat.size > cells:
             in_time = ShiftedDifference(cells, flat.size // cells, buf[:flat.size])
@@ -725,47 +721,6 @@ def save_snapshot(f: ScalarField, base_path: str | Path) -> tuple[Path, Path]:
                 part = zip(cells[lo:lo + _CSV_ROWS], values[lo:lo + _CSV_ROWS].tolist())
                 fh.write("".join([f"{t_text},{x},{v:.17g}\r\n" for x, v in part]))
     with open(json_path, "w") as fh:
-        json.dump(to_json(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(spec, fh)
     return csv_path, json_path
 
-
-def load_snapshot(base_path: str | Path) -> ScalarField:
-    """Inverse of :func:`save_snapshot`.
-
-    Every row's ``t`` and ``x`` columns must equal the grid's slice time and
-    cell center in :func:`save_snapshot`'s row order; the 17-digit columns
-    make that an exact comparison.
-
-    Raises:
-        ValueError: on a descriptor that does not read as a grid (a
-            ``ConfigError``), a bad header, a wrong row count, or the first
-            row whose coordinates differ from the grid's.
-    """
-    base = Path(base_path)
-    with open(base.with_suffix(".json")) as fh:
-        spec = from_json(GridSpec, json.load(fh), str(fh.name))
-    with open(base.with_suffix(".csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "t" or header[-1] != "u" or len(header) != spec.dimension + 2:
-            raise ValueError(f"unexpected snapshot header {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    centers = spec.centers().reshape(-1, spec.dimension)
-    expected_rows = spec.n_slices * len(centers)
-    if len(rows) != expected_rows:
-        raise ValueError(f"snapshot has {len(rows)} rows, grid expects {expected_rows}")
-    data = np.array(rows, dtype=np.float64)
-    coords = np.column_stack(
-        [np.repeat(spec.times(), len(centers)), np.tile(centers, (spec.n_slices, 1))]
-    )
-    mismatch = np.nonzero(np.any(data[:, :-1] != coords, axis=1))[0]
-    if mismatch.size:
-        n = int(mismatch[0])
-        raise ValueError(
-            f"snapshot row {n + 1} has coordinates {data[n, :-1].tolist()}, "
-            f"grid expects {coords[n].tolist()}"
-        )
-    return ScalarField(
-        spec=spec, values=data[:, -1].reshape(spec.n_slices, *spec.spatial_shape)
-    )

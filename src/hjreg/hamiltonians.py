@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridSpec, PartialField, ScalarField, to_json
+from .grid import _KEYS, GridSpec, ScalarField, to_json
 
 __all__ = [
     "CoercivityEnvelope",
@@ -143,8 +143,9 @@ class HamiltonianSpec:
                 f"unknown Hamiltonian kind {self.kind!r}; know {tuple(KINDS)}"
             )
         reads = ("kind", "p", *KINDS[self.kind])
-        for f, key in zip(fields(self), to_json(self)):
+        for f in fields(self):
             if f.name not in reads and getattr(self, f.name) != f.default:
+                key = _KEYS.get(f.name, f.name)
                 raise ValueError(f"a {self.kind} Hamiltonian does not read {key!r}")
         if self.p <= 1.0:
             raise ValueError(f"exponent must exceed 1, got {self.p}")
@@ -370,7 +371,7 @@ def coercivity_check(
 class GaugedField:
     """``field`` read with ``rate * t`` added, only on the slices asked for."""
 
-    field: ScalarField | PartialField
+    field: ScalarField
     rate: float = 0.0
 
     @property

@@ -147,7 +147,8 @@ def build_constant_chain(
     closure checks, doubled as safety margin; ``holder_exponent = 1/r``.
 
     Raises ``ValueError`` outside the theorem scope (``p >= dimension``)
-    and ``ChainConstructionError``, a ``ValueError`` too, when the ladder
+    or for a middle threshold that is not positive and finite, and
+    ``ChainConstructionError``, a ``ValueError`` too, when the ladder
     constants overflow or the selected constants fail their own
     re-verification.
     """
@@ -157,17 +158,19 @@ def build_constant_chain(
         raise ValueError(f"the machinery needs p < N, got p={p}, N={dimension}")
     if lam < 1.0:
         raise ValueError(f"ellipticity constant must be >= 1, got {lam}")
-    if middle_threshold <= 0.0:
-        raise ValueError(f"middle threshold must be positive, got {middle_threshold}")
+    if not 0.0 < middle_threshold < math.inf:
+        raise ValueError(
+            f"middle threshold must be positive and finite, got {middle_threshold}"
+        )
 
-    cylinder_volume = 4.0 * ball_volume(dimension, 1.0)
     try:
+        cylinder_volume = 4.0 * ball_volume(dimension, 1.0)
         depth = math.floor(cylinder_volume / middle_threshold) + 1
         c = 8.0 * lam * 2.0 ** ((p - 1.0) * (depth + 1))
     except OverflowError:
         raise ChainConstructionError(
-            f"middle threshold {middle_threshold} is too small: the ladder "
-            "constants overflow"
+            f"the ladder constants overflow at N={dimension} with middle "
+            f"threshold {middle_threshold}"
         ) from None
     shrink_above = 2.0 ** -(depth + 1)
 
@@ -434,11 +437,6 @@ class TimeReversed:
         """Slices ``lo:hi`` of the reflection, as a new C-contiguous array."""
         n = self.spec.n_slices
         return np.negative(self.source.rows(n - hi, n - lo)[::-1])
-
-    @property
-    def values(self) -> NDArray[np.float64]:
-        """Every slice of the reflection, built anew on each access."""
-        return self.rows(0, self.spec.n_slices)
 
 
 def time_reverse(f: ScalarField | TimeReversed) -> TimeReversed:

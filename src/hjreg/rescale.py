@@ -27,7 +27,6 @@ import numpy as np
 from .grid import (
     Cylinder,
     GridSpec,
-    PartialField,
     ScalarField,
     Window,
     one_cell_oscillation,
@@ -469,7 +468,7 @@ class GaugeScan:
 
 
 def gauge_to_window(
-    field: ScalarField | PartialField | Trajectory, env: CoercivityEnvelope
+    field: ScalarField | Trajectory, env: CoercivityEnvelope
 ) -> tuple[GaugedField, bool, float]:
     """Prepare a solved field for base-point zooming.
 

@@ -45,7 +45,6 @@ from numpy.typing import NDArray
 from .grid import (
     _BLOCK_CELLS,
     GridSpec,
-    PartialField,
     ScalarField,
     ShiftedDifference,
     axis_strides,
@@ -57,7 +56,6 @@ __all__ = [
     "SolveConfig",
     "Trajectory",
     "SolverError",
-    "cfl_dt",
     "snap_dt",
     "solve",
     "hopf_lax",
@@ -119,12 +117,11 @@ class SolveConfig:
 class Trajectory:
     """Solve output: the space-time field plus per-step diagnostics.
 
-    ``field`` holds every slice, or only the kept ones as a
-    :class:`~hjreg.grid.PartialField`; ``scan`` is the observer the march
-    fed with every slice, if any.
+    ``field`` holds every slice, or only the kept ones (its ``kept``);
+    ``scan`` is the observer the march fed with every slice, if any.
     """
 
-    field: ScalarField | PartialField
+    field: ScalarField
     cfl_margins: NDArray[np.float64]
     max_updates: NDArray[np.float64]
     scan: Callable[[int, NDArray[np.float64]], None] | None = None
@@ -132,15 +129,6 @@ class Trajectory:
     @property
     def spec(self) -> GridSpec:
         return self.field.spec
-
-
-def cfl_dt(spec: GridSpec, sigma: float, safety: float) -> float:
-    """Largest stable step ``safety * cell_width / (N * sigma)``."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"safety must lie in (0, 1], got {safety}")
-    return safety * spec.cell_width / (spec.dimension * sigma)
 
 
 def snap_dt(t_start: float, t_end: float, dt_max: float) -> float:
@@ -304,9 +292,11 @@ class _StepKernel:
             )
         margin = self.safety - self.dt_n * sigma_est / width
         if margin < 0.0:
+            # the largest stable step, safety * cell_width / (N * sigma)
+            stable = self.safety * width / (self.spec.dimension * sigma_est)
             raise SolverError(
                 f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
-                f"needs dt <= {cfl_dt(self.spec, sigma_est, self.safety):.3g} "
+                f"needs dt <= {stable:.3g} "
                 f"but grid has dt={self.dt}",
                 step_index,
             )
@@ -346,8 +336,8 @@ def solve(
     the cell-center coordinate array (shape ``(*spatial_shape, dimension)``).
     ``keep`` lists the ranges of slice indices to store (every slice by
     default); the other slices are marched through in two scratch slices
-    and dropped, and unless every slice is kept the field is a
-    :class:`~hjreg.grid.PartialField`.  ``scan``, when given, is called as
+    and dropped, and unless every slice is kept the field's ``kept`` lists
+    the slices it holds.  ``scan``, when given, is called as
     ``scan(i, slice_i)`` on every slice in order as soon as it is computed
     (``rescale.GaugeScan`` takes the gauge's reductions this way).  The
     returned field wraps the one array of kept slices the march fills.
@@ -398,8 +388,7 @@ def solve(
         if scan is not None:
             scan(i + 1, out)
         u = out
-    field = (ScalarField(spec, values) if scratch is None
-             else PartialField(spec, values, np.flatnonzero(kept)))
+    field = ScalarField(spec, values, None if scratch is None else np.flatnonzero(kept))
     return Trajectory(field=field, cfl_margins=margins, max_updates=updates,
                       scan=scan)
 

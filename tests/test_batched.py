@@ -172,8 +172,8 @@ def test_residuals_match_with_slice_boundaries_inside_a_block(fb, p, a, b,
 
 
 def test_readers_take_values_that_are_not_c_contiguous():
-    """A loaded snapshot's values are a strided column of the CSV table:
-    the residual and the one-cell jump read such a field like a copy."""
+    """A field whose values are not C-contiguous (a strided view): the
+    residual and the one-cell jump read such a field like a copy."""
     spec = GridSpec(dimension=2, half_width=1.5, cells_per_axis=12,
                     t_start=-2.0, t_end=2.0, dt=0.5)
     values = np.random.default_rng(5).uniform(-1.0, 1.0, (spec.n_slices, 12, 12))

@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import hjreg
-from hjreg import experiment, initial_data
+from hjreg import experiment, initial_data, rescale
 from hjreg.cli import main
 from hjreg.degiorgi import LemmaVerdict
 from hjreg.experiment import (
@@ -37,7 +37,12 @@ from hjreg.experiment import (
 from hjreg.grid import GridSpec, to_json
 from hjreg.initial_data import catalog_names
 from hjreg.oscillation import build_constant_chain
-from hjreg.rescale import HolderEstimate, OscillationRecord, TheoremReport
+from hjreg.rescale import (
+    HolderEstimate,
+    OscillationRecord,
+    TheoremReport,
+    holder_estimate,
+)
 
 
 GRID = {
@@ -83,6 +88,13 @@ def checked_dict(**overrides):
     )
     data.update(overrides)
     return data
+
+
+def strict_json(text):
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and ``-Infinity``."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -475,6 +487,31 @@ class TestReportSerialization:
         data = json.loads(report.stable_bytes())
         assert "timings" not in data
         assert data["version"] == SCHEMA_VERSION
+
+    def test_every_json_file_of_a_run_is_strict(self, monkeypatch, tmp_path):
+        # zero data has no oscillation to fit: every Holder estimate of its
+        # cascade and theorem checks is infinite, and is written as null
+        estimates = []
+
+        def spy(records, chain):
+            estimate = holder_estimate(records, chain)
+            estimates.append(estimate.alpha_est)
+            return estimate
+
+        monkeypatch.setattr(experiment, "holder_estimate", spy)
+        monkeypatch.setattr(rescale, "holder_estimate", spy)
+        run(parse_config("zero-initial-data"), out_dir=tmp_path)
+        assert estimates and all(a == math.inf for a in estimates)
+        run_dir = tmp_path / "zero-initial-data-seed0"
+        written = {path.relative_to(run_dir).as_posix(): strict_json(path.read_text())
+                   for path in run_dir.rglob("*.json")}
+        assert sorted(written) == ["chain.json", "report.json",
+                                   "snapshots/first_steps.json",
+                                   "snapshots/last_steps.json"]
+        checks = {c["check"]: c for c in written["report.json"]["checks"]}
+        assert checks["cascade"]["estimate"]["alpha_est"] is None
+        assert checks["theorem"]["alpha_min"] is None
+        assert [e["alpha_est"] for e in checks["theorem"]["entries"]] == [None] * 8
 
 
 _CHAIN_KEYS = [
@@ -1116,17 +1153,21 @@ class TestCli:
         assert "Traceback" not in err
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.sampled_from([2, 3]),
+    @given(n=st.sampled_from([2, 3]) | st.integers(4, 400),
            p=st.floats(1.0, 3.0, exclude_min=True, exclude_max=True),
            lam=st.floats(1.0, 8.0),
-           log_alpha=st.floats(math.log(1e-320), math.log(16.0)))
+           log_alpha=st.floats(math.log(1e-320), math.log(16.0)) | st.just(math.inf))
     @example(n=2, p=1.5, lam=1.0, log_alpha=math.log(0.005))
     @example(n=2, p=1.5, lam=1.0, log_alpha=math.log(1e-320))
     # p near 1: the zoom ratio underflows to 0.0
     @example(n=3, p=1.0390625, lam=1.0, log_alpha=-4.0)
+    # Gamma(N/2 + 1) in the ball volume overflows from N = 342 on
+    @example(n=342, p=2.0, lam=1.0, log_alpha=0.0)
+    @example(n=3, p=2.0, lam=1.0, log_alpha=math.inf)
     def test_chain_command_exits_zero_or_two(self, n, p, lam, log_alpha):
         assume(p < n)
-        alpha = min(max(math.exp(log_alpha), 1e-320), 16.0)
+        alpha = (min(max(math.exp(log_alpha), 1e-320), 16.0)
+                 if math.isfinite(log_alpha) else math.inf)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["chain", "--N", str(n), "--p", repr(p),
@@ -1134,7 +1175,18 @@ class TestCli:
         assert code in (0, 2)
         assert "Traceback" not in err.getvalue()
         if code == 0:
-            assert json.loads(out.getvalue())["middle_threshold"] == alpha
+            assert strict_json(out.getvalue())["middle_threshold"] == alpha
+
+    @pytest.mark.parametrize("n, alpha", [("342", "1"), ("3", "inf"), ("3", "nan")])
+    def test_chain_command_rejects_an_overflow_or_a_threshold_not_finite(
+            self, capsys, n, alpha):
+        code = main(["chain", "--N", n, "--p", "2", "--lambda", "1",
+                     "--alpha", alpha])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_run_with_an_unbuildable_chain_reports_the_chain_stage(
             self, tmp_path, capsys):

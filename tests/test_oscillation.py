@@ -118,21 +118,25 @@ class TestDyadicLadder:
         assert lifted >= base
 
 
+def every_slice(f):
+    return f.rows(0, f.spec.n_slices)
+
+
 class TestTimeReverse:
     def test_time_ramp_is_fixed(self, box2):
         # Fixed up to lattice rounding: -(-t_i) and t_i need not be the same
         # float when the slice times come from arange arithmetic.
         f = time_field(box2)
-        np.testing.assert_allclose(time_reverse(f).values, f.values,
+        np.testing.assert_allclose(every_slice(time_reverse(f)), f.values,
                                    rtol=0, atol=1e-14)
 
     def test_constant_flips_sign(self, box2):
         out = time_reverse(const_field(box2, 3.0))
-        np.testing.assert_array_equal(out.values, -3.0)
+        np.testing.assert_array_equal(every_slice(out), -3.0)
 
     def test_involution(self, box2, rng):
         f = noise_field(box2, rng)
-        np.testing.assert_array_equal(time_reverse(time_reverse(f)).values,
+        np.testing.assert_array_equal(every_slice(time_reverse(time_reverse(f))),
                                       f.values)
 
     @settings(max_examples=100, deadline=None)
@@ -148,7 +152,7 @@ class TestTimeReverse:
         values[rng.uniform(size=values.shape) < 0.1] = 0.0
         values *= rng.choice([-1.0, 1.0], size=values.shape)  # signed zeros
         f = field_from_values(spec, values)
-        twice = time_reverse(time_reverse(f)).values
+        twice = every_slice(time_reverse(time_reverse(f)))
         assert twice.tobytes() == f.values.tobytes()
 
 

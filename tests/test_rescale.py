@@ -12,7 +12,6 @@ from hjreg import rescale
 from hjreg.grid import (
     _BLOCK_CELLS,
     GridSpec,
-    PartialField,
     ScalarField,
     field_from_values,
     one_cell_oscillation,
@@ -484,8 +483,8 @@ def test_base_point_window_reads_only_the_declared_slices(
     rng = np.random.default_rng(n_steps * cells)
     full = ScalarField(spec, rng.uniform(-1.0, 1.0, (spec.n_slices, *spec.spatial_shape)))
     kept = base_point_slices(spec, chain, t0)
-    part = PartialField(spec, full.values[kept.start:kept.stop].copy(),
-                        np.arange(kept.start, kept.stop))
+    part = ScalarField(spec, full.values[kept.start:kept.stop].copy(),
+                       np.arange(kept.start, kept.stop))
     working = GridSpec(dimension=2, half_width=1.25, cells_per_axis=8,
                        t_start=-4.0, t_end=0.0, dt=4.0 / 7)
     x0 = tuple(c * spec.half_width for c in x0)

@@ -25,7 +25,6 @@ from hjreg.solver import (
     SIGMA_INFLATION,
     SolveConfig,
     SolverError,
-    cfl_dt,
     solve,
 )
 from hjreg.solver import _SIGMA_FLOOR, _StepKernel
@@ -80,7 +79,7 @@ def _reference_step(u, spec, h, t, cfg, centers, step_index):
     if margin < 0.0:
         raise SolverError(
             f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
-            f"needs dt <= {cfl_dt(spec, sigma_est, cfg.cfl_safety):.3g} "
+            f"needs dt <= {cfg.cfl_safety * width / (spec.dimension * sigma_est):.3g} "
             f"but grid has dt={spec.dt}",
             step_index,
         )
@@ -215,9 +214,9 @@ def problems(draw):
     ) / width
     sigma = max(h.dissipation_bound(steep * math.sqrt(dim)), 1e-3)
     safety = draw(st.floats(0.25, 1.0))
-    dt = draw(st.floats(0.05, 2.0)) * cfl_dt(
-        GridSpec(dim, 1.0, cells, 0.0, 1.0, 1.0), sigma * SIGMA_INFLATION, safety
-    )
+    # a multiple of the largest stable step, safety * cell_width / (N * sigma)
+    dt = draw(st.floats(0.05, 2.0)) * (
+        safety * width / (dim * (sigma * SIGMA_INFLATION)))
     n_steps = draw(st.integers(1, 12))
     spec = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=cells,
                     t_start=0.0, t_end=n_steps * dt, dt=dt)
