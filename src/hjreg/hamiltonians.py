@@ -9,7 +9,10 @@ for some growth constant ``lam >= 1`` and exponent ``p > 1``.  The catalog
 covers space-homogeneous power laws, scaled power laws with a constant
 offset, rough checkerboard coefficients with contrast ``{1/lam, lam}`` at a
 given cell size, and piecewise-constant tabulated coefficients.  Affine
-reparametrizations (used by the zoom machinery) wrap any of these.
+reparametrizations (used by the zoom machinery) wrap any of these, and a
+reparametrization of a reparametrization composes into one, so every
+Hamiltonian here is one power form ``A(t, x) * |P|^p + B`` and all share
+one evaluation.
 """
 
 from __future__ import annotations
@@ -167,7 +170,8 @@ class HamiltonianSpec:
     def coefficient_field(
         self, t: float, x: NDArray[np.float64]
     ) -> NDArray[np.float64] | float:
-        """The coefficient ``a(t, x)`` at the points ``x`` (last axis spatial)."""
+        """The coefficient ``a(t, x)``, the power form's ``A``, at the points
+        ``x`` (last axis spatial)."""
         if self.kind == "power-law":
             return 1.0
         if self.kind == "scaled-power-law":
@@ -188,14 +192,15 @@ class HamiltonianSpec:
         coefficient: NDArray[np.float64] | float | None = None,
         out: NDArray[np.float64] | None = None,
     ) -> NDArray[np.float64]:
-        """Evaluate on arrays whose last axis indexes the spatial components.
+        """The power form ``coefficient_field(t, x) * |P|^p + offset``, on
+        arrays whose last axis indexes the spatial components.
 
-        ``coefficient``, when given, is ``coefficient_field(t, x)`` computed
-        beforehand, and ``x`` is not read.  ``|P|`` is the square root of
-        the squared components summed in axis order, as ``np.linalg.norm``
-        sums them.  With ``out``, shaped like the value, the value is
-        written there and ``grad`` serves as scratch: its components are
-        squared in place.  Without, ``grad`` is left as it was.
+        ``coefficient``, when given, stands in for ``coefficient_field(t,
+        x)`` and ``x`` is not read.  ``|P|^p`` is ``(sum_i P_i^2)^(p/2)``,
+        the squares summed in axis order.  With ``out``, shaped like the
+        value, the value is written there and ``grad`` serves as scratch:
+        its components are squared in place.  Without, ``grad`` is left as
+        it was.
         """
         if coefficient is None:
             coefficient = self.coefficient_field(t, np.asarray(x, dtype=np.float64))
@@ -205,12 +210,11 @@ class HamiltonianSpec:
         np.square(grad[..., 0], out=out)
         for axis in range(1, grad.shape[-1]):
             out += np.square(grad[..., axis], out=grad[..., axis])
-        np.sqrt(out, out=out)
-        out **= self.p
-        if self.kind != "power-law":  # whose coefficient is 1
-            out *= coefficient
-        if self.kind == "scaled-power-law":
-            out += self.offset
+        out **= 0.5 * self.p
+        out *= coefficient
+        offset = self.offset
+        if offset:  # a zero adds nothing; a NaN is added
+            out += offset
         return out
 
     @property
@@ -252,16 +256,23 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True)
 class TransformedHamiltonian:
-    """Affine reparametrization of another Hamiltonian.
+    """Affine reparametrization of a catalog Hamiltonian.
 
     Evaluates ``out_scale * (base(t_shift + t_scale*t, x_shift + x_scale*x,
     grad_scale*P) + const)``.  This is exactly the family produced when a
     solution is rescaled ``u(t, x) -> s * (u(a t, b x) - d)``: the rescaled
     function solves the equation with ``out_scale = s*a``, ``grad_scale =
     1/(s*b)`` applied to the original Hamiltonian.
+
+    A transform of a transform composes on construction into one affine
+    map, so ``base`` is always a :class:`HamiltonianSpec`: an outer ``(o, c,
+    g)`` over an inner ``(o', c', g')`` is ``(o' o, c' + c/o', g g')``, and
+    the time and space maps compose alike.  The value is the power form
+    with ``A = out_scale |grad_scale|^p a`` and ``B = out_scale (offset +
+    const)``.  A zero ``out_scale``, which composing divides by, is refused.
     """
 
-    base: HamiltonianSpec | "TransformedHamiltonian"
+    base: HamiltonianSpec
     out_scale: float = 1.0
     t_scale: float = 1.0
     x_scale: float = 1.0
@@ -270,43 +281,53 @@ class TransformedHamiltonian:
     x_shift: tuple[float, ...] = ()
     const: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.out_scale == 0.0:
+            raise ValueError("out_scale must be nonzero")
+        inner = self.base
+        if isinstance(inner, TransformedHamiltonian):
+            shift = inner._inner_x(self.x_shift).tolist() if self.x_shift else ()
+            composed = dict(
+                base=inner.base, out_scale=inner.out_scale * self.out_scale,
+                t_scale=inner.t_scale * self.t_scale, x_scale=inner.x_scale * self.x_scale,
+                grad_scale=self.grad_scale * inner.grad_scale,
+                t_shift=inner.t_shift + inner.t_scale * self.t_shift,
+                x_shift=tuple(shift) or inner.x_shift,
+                const=inner.const + self.const / inner.out_scale)
+            for name, value in composed.items():
+                object.__setattr__(self, name, value)
+
+    # the catalog's one evaluation, bound here so each class's is traced apart
+    eval = HamiltonianSpec.eval
+    dissipation_bound = HamiltonianSpec.dissipation_bound
+
+    @property
+    def p(self) -> float:
+        return self.base.p
+
     @property
     def static_coefficient(self) -> bool:
         return self.base.static_coefficient
 
+    @property
+    def offset(self) -> float:
+        """The power form's ``B = out_scale (offset + const)``."""
+        return self.out_scale * (self.base.offset + self.const)
+
+    @property
+    def sup_coefficient(self) -> float:
+        return abs(self.out_scale) * abs(self.grad_scale) ** self.p * (
+            self.base.sup_coefficient)
+
     def _inner_x(self, x) -> NDArray[np.float64]:
-        x = np.asarray(x, dtype=np.float64)
         shift = np.asarray(self.x_shift) if self.x_shift else 0.0
-        return shift + self.x_scale * x
+        return shift + self.x_scale * np.asarray(x, dtype=np.float64)
 
     def coefficient_field(self, t, x):
-        """The base coefficient at the mapped time and points."""
-        return self.base.coefficient_field(
-            self.t_shift + self.t_scale * t, self._inner_x(x)
-        )
-
-    def eval(self, t, x, grad, coefficient=None, out=None):
-        """``coefficient``, when given, is ``coefficient_field(t, x)``.  With
-        ``out`` the value is written there and ``grad`` is scratch, scaled
-        in place, as in :meth:`HamiltonianSpec.eval`."""
-        if out is None:
-            scaled = self.grad_scale * np.asarray(grad, dtype=np.float64)
-        else:
-            scaled = np.multiply(grad, self.grad_scale, out=grad)
-        inner = self.base.eval(
-            self.t_shift + self.t_scale * t,
-            self._inner_x(x) if coefficient is None else x,
-            scaled,
-            coefficient,
-            out,
-        )
-        inner += self.const
-        inner *= self.out_scale
-        return inner
-
-    def dissipation_bound(self, pnorm: float) -> float:
-        inner = self.base.dissipation_bound(abs(self.grad_scale) * pnorm)
-        return abs(self.out_scale * self.grad_scale) * inner
+        """``A``: the base coefficient at the mapped time and points, scaled."""
+        return self.out_scale * abs(self.grad_scale) ** self.p * (
+            self.base.coefficient_field(self.t_shift + self.t_scale * t,
+                                        self._inner_x(x)))
 
 
 @dataclass(frozen=True)

@@ -513,10 +513,11 @@ def comparison_check(
     above the barrier on its first slice (the ordering the comparison
     principle propagates), and it must satisfy the zoomed-in lower
     inequality up to ``residual_tol`` (default ``10 (cell width + dt)``).
+    The margin is the one trajectory-sized array it holds.
     """
     spec = f.spec
-    psi = barrier_field(chain, spec)
-    initial_gap = float((f.values[0] - psi.values[0]).min())
+    radii = np.linalg.norm(spec.centers(), axis=-1)
+    initial_gap = float((f.values[0] - barrier(chain, spec.times()[0], radii)).min())
     if initial_gap < 0.0:
         raise ValueError(
             f"initial slice dips {-initial_gap} below the barrier; "
@@ -530,20 +531,38 @@ def comparison_check(
             f"lower-inequality residual {rep.min_value} is below -{tol}; "
             "the field is not a supersolution on this grid"
         )
-    margin_values = f.values - psi.values
-    n_violations = int(np.count_nonzero(margin_values < 0.0))
-    flat_order = (np.argsort(margin_values, axis=None)[: min(8, n_violations)]
-                  if n_violations else ())
+    margin = np.empty(f.values.shape)
+    for i, t in enumerate(spec.times()):
+        np.subtract(f.values[i], barrier(chain, t, radii), out=margin[i])
+    n_violations, flat_order = _most_negative(margin, 8)
     worst = tuple(
-        tuple(int(i) for i in np.unravel_index(k, margin_values.shape))
+        tuple(int(i) for i in np.unravel_index(k, margin.shape))
         for k in flat_order
     )
     return ComparisonReport(
-        min_margin=float(margin_values.min()),
+        min_margin=float(margin.min()),
         n_violations=n_violations,
         worst_cells=worst,
         cell_width=spec.cell_width,
     )
+
+
+def _most_negative(values: NDArray[np.float64], k: int) -> tuple[int, NDArray[np.intp]]:
+    """The count of negative entries of ``values`` and the flat indices of
+    the ``k`` least, in stable-sort order: per block of slices,
+    ``np.argpartition`` cuts, then a (value, index) ``lexsort`` merges."""
+    cells = math.prod(values.shape[1:])
+    flat = values.reshape(-1)
+    count, best = 0, np.empty(0, dtype=np.intp)
+    for lo, hi in slice_blocks(0, len(values), cells):
+        index = np.flatnonzero(values[lo:hi] < 0.0) + lo * cells
+        count += index.size
+        if index.size > k:  # every entry tied with the k-th least stays
+            picked = flat[index]
+            index = index[picked <= picked[np.argpartition(picked, k - 1)[k - 1]]]
+        merged = np.concatenate([best, index])
+        best = merged[np.lexsort((merged, flat[merged]))[:k]]
+    return count, best
 
 
 def _witness_level(

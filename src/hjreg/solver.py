@@ -18,9 +18,9 @@ slice, or of a block of slices, is the one contiguous subtraction
 axis set to 0.0, the outflow value.  The difference buffer begins with
 ``s_0`` zeros (``s_0`` the largest stride), so ``D-`` is the same buffer
 read ``s`` entries earlier and is exactly 0.0 at each lower edge, also
-where one slice of a block ends and the next begins.  Every operand order
-of the formula is kept, so a step writes the bits the formula gives on an
-edge-padded copy of the slice.
+where one slice of a block ends and the next begins.  The differences stay
+raw, not divided by the cell width ``h``: for ``H = A |P|^p + B`` a step is
+``A (0.5/h)^p (sum (D+ + D-)^2)^(p/2) + B - (0.5 sigma/h) sum (D+ - D-)``.
 
 The exact-solution oracle for space-homogeneous power laws is the inf-convolution
 
@@ -182,14 +182,15 @@ def _central_gradient_norm(
 class _StepKernel:
     """Forward-Euler steps on one grid with work buffers allocated once.
 
-    Each axis's ``D+`` is the forward difference of the raveled slice and
-    ``D-`` its buffer read one stride earlier (see the module docstring);
-    the views of both, of the entries the outflow zeroes and of the axis's
-    centered component are built here, once per solve, as one plan tuple
-    per axis.  A coefficient field that does not depend on time is
-    evaluated once, here, and handed to every ``h.eval``.  The slice the
-    step reads and the one it writes must be C-contiguous, as
-    ``_flat_view`` checks, since the step works on raveled views.
+    Each axis's raw ``D+`` is the forward difference of the raveled slice
+    and ``D-`` its buffer read one stride earlier (see the module
+    docstring); the views of both, of the entries the outflow zeroes and of
+    the axis's centered sum ``D+ + D-`` are built here, once per solve, as
+    one plan tuple per axis.  ``h.eval``, the step's one call into the
+    Hamiltonian, gets ``A (0.5/h)^p``, built here if ``A`` is static, else
+    per step.  The slice the step reads and the one it writes must be
+    C-contiguous, as ``_flat_view`` checks, since the step works on raveled
+    views.
 
     The finiteness pass over the new slice runs only when an overflow is
     possible.  The kernel keeps a bound on ``|u|``, taken from the slice
@@ -224,14 +225,15 @@ class _StepKernel:
         self.grad = np.moveaxis(components, 0, -1)
         self.hval = self.work.reshape(shape)
         # In 1-D the one edge entry lies past the subtraction's output and
-        # stays 0.0 (divided and squared), so it is zeroed once, here.
+        # stays 0.0 (squared), so it is zeroed once, here.
         self.axes = []
         for stride, central in zip(strides, components.reshape(spec.dimension, cells)):
             along = ShiftedDifference(stride, spec.cells_per_axis, diff, strides[0])
             edges = along.edges if spec.dimension > 1 else None
             self.axes.append((stride, along.head, edges, along.fwd, along.prev, central))
+        self.lattice_scale = (0.5 / self.width) ** h.p
         self.coefficient = (
-            h.coefficient_field(spec.t_start, self.centers)
+            h.coefficient_field(spec.t_start, self.centers) * self.lattice_scale
             if h.static_coefficient
             else None
         )
@@ -253,13 +255,11 @@ class _StepKernel:
         flat_u = self.flat_last if carried else _flat_view(u)
         flat_out = _flat_view(out)
         for axis, (stride, head, edges, fwd, prev, central) in enumerate(self.axes):
-            # D+ = (u[j+1] - u[j]) / h and D- = (u[j] - u[j-1]) / h = D+[j-1]
+            # raw D+ = u[j+1] - u[j] and D- = u[j] - u[j-1] = D+[j-1]
             np.subtract(flat_u[stride:], flat_u[:-stride], out=head)
             if edges is not None:
                 edges.fill(0.0)
-            fwd /= width
             np.add(fwd, prev, out=central)
-            central *= 0.5
             if axis == 0:
                 np.subtract(fwd, prev, out=jump)
             else:
@@ -271,7 +271,7 @@ class _StepKernel:
             else:
                 pnorm_sq += np.maximum(fwd, prev, out=work)
 
-        pnorm_max = math.sqrt(np.maximum.reduce(pnorm_sq))
+        pnorm_max = math.sqrt(np.maximum.reduce(pnorm_sq)) / width
         sigma_est = max(self.h.dissipation_bound(pnorm_max), 0.0)
         sigma_diss = self.sigma_bound
         if sigma_diss is None:
@@ -301,11 +301,15 @@ class _StepKernel:
                 step_index,
             )
 
+        coefficient = self.coefficient
+        if coefficient is None:
+            coefficient = self.h.coefficient_field(t, self.centers)
+            coefficient *= self.lattice_scale
         # the gradient is scratch from here on: eval squares it in place
-        self.h.eval(t, self.centers, self.grad, self.coefficient, out=self.hval)
-        # update = (-dt) * (H - (0.5 sigma) * jump), built in the jump buffer
+        self.h.eval(t, self.centers, self.grad, coefficient, out=self.hval)
+        # update = (-dt) * (H - (0.5 sigma / h) * jump), built in the jump buffer
         update = jump
-        update *= 0.5 * sigma_diss
+        update *= 0.5 * sigma_diss / width
         np.subtract(work, update, out=update)
         update *= -self.dt
         np.add(flat_u, update, out=flat_out)

@@ -33,6 +33,7 @@ from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     barrier_field,
     build_constant_chain,
+    comparison_check,
     oscillation_below_check,
 )
 from hjreg.rescale import base_point_slices, gauge_to_window
@@ -109,6 +110,25 @@ def test_run_path_residuals_peak_at_block_sized_temporaries():
     ))
     assert both.upper.values.shape == (_SPEC.n_slices - 1, 3)
     assert peak <= 4 * _BLOCK_BYTES
+
+
+def test_comparison_check_holds_one_trajectory_beside_its_input():
+    """The margin is the one trajectory-sized array: the barrier is sampled
+    into it a slice at a time, after the residual precondition, and the
+    worst cells are picked a block at a time.  The field sinks under the
+    barrier's plateau, where every cell of a slice ties, on every block."""
+    chain = build_constant_chain(2, 1.5, 1.0, 1.0)
+    plateau = -2.0 + chain.barrier_height
+    f = make_field(_SPEC, lambda t, x: plateau - 0.1 * (t + 2.0))
+    report, peak = _traced_peak(
+        lambda: comparison_check(f, chain, residual_tol=math.inf))
+    assert peak < 1.3 * _TRAJECTORY
+    margin = f.values - barrier_field(chain, _SPEC).values
+    order = np.argsort(margin, axis=None, kind="stable")[:8]
+    assert report.n_violations == np.count_nonzero(margin < 0.0) > 8
+    assert report.worst_cells == tuple(
+        tuple(int(i) for i in np.unravel_index(k, margin.shape)) for k in order
+    )
 
 
 @pytest.mark.parametrize("hamiltonian", [

@@ -225,6 +225,26 @@ class TestComparisonCheck:
         with pytest.raises(ValueError, match="residual"):
             comparison_check(f, chain_unit, residual_tol=0.1)
 
+    @pytest.mark.parametrize("n_dips", [3, 20])
+    def test_worst_cells_follow_a_stable_sort(self, chain_unit, box2, rng, n_dips):
+        """Dips at random cells after the first slice: the count, the least
+        margin and the worst cells, in the order of a stable sort of the
+        margin (the memory test has ties)."""
+        psi = barrier_field(chain_unit, box2).values
+        dips = np.zeros(psi.size)
+        cells = rng.choice(np.arange(psi[0].size, psi.size), n_dips, replace=False)
+        dips[cells] = -rng.uniform(0.1, 1.0, n_dips)
+        f = field_from_values(box2, psi + dips.reshape(psi.shape))
+        margin = f.values - psi
+        report = comparison_check(f, chain_unit, residual_tol=np.inf)
+        n = int(np.count_nonzero(margin < 0.0))
+        order = np.argsort(margin, axis=None, kind="stable")[:min(8, n)]
+        assert report.n_violations == n == n_dips
+        assert report.min_margin == margin.min()
+        assert report.worst_cells == tuple(
+            tuple(int(i) for i in np.unravel_index(k, margin.shape)) for k in order
+        )
+
 
 class TestOscillationAbove:
     def test_negative_constant_passes(self, chain_unit, box2):

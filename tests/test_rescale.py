@@ -16,7 +16,11 @@ from hjreg.grid import (
     field_from_values,
     one_cell_oscillation,
 )
-from hjreg.hamiltonians import GaugedField, HamiltonianSpec
+from hjreg.hamiltonians import (
+    GaugedField,
+    HamiltonianSpec,
+    TransformedHamiltonian,
+)
 from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import (
     CascadeError,
@@ -227,6 +231,51 @@ class TestZoomCascade:
             assert r.osc_bound == pytest.approx(4.0 * theta ** (m + 1), rel=1e-12)
             assert r.satisfied
             assert r.recenter == 0.0
+
+    def test_resolves_evaluate_one_flat_transform_per_step(
+        self, window, chain_unit, monkeypatch
+    ):
+        """Every re-solve step makes one ``TransformedHamiltonian.eval``
+        call, inside no other ``eval``, and the catalog base is never
+        evaluated on its own: each level's transform composes with the ones
+        before it.  The benchmark's cascade workload counts these calls."""
+        counts = {"transformed": 0, "spec": 0, "nested": 0, "steps": 0}
+        depth = [0]
+
+        def spy(cls, key):
+            original = cls.__dict__["eval"]
+
+            def counted(self, *args, **kwargs):
+                counts[key] += 1
+                counts["nested"] += depth[0] > 0
+                depth[0] += 1
+                try:
+                    return original(self, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(cls, "eval", counted)
+
+        spy(HamiltonianSpec, "spec")
+        spy(TransformedHamiltonian, "transformed")
+        real_solve = rescale.solve
+
+        def counted_solve(spec, h, *args, **kwargs):
+            assert isinstance(h.base, HamiltonianSpec)
+            traj = real_solve(spec, h, *args, **kwargs)
+            counts["steps"] += spec.n_steps
+            return traj
+
+        monkeypatch.setattr(rescale, "solve", counted_solve)
+        h = TransformedHamiltonian(
+            base=HamiltonianSpec(kind="rough-coefficient", p=1.5, lam=2.0, eta=0.2),
+            x_scale=0.5, x_shift=(0.1, -0.2),
+        )
+        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3, h)
+        assert len(records) == 4
+        assert counts["steps"] > 0
+        assert counts["transformed"] == counts["steps"]
+        assert counts["spec"] == counts["nested"] == 0
 
     def test_bound_ratio_is_the_decay_constant(self, window, chain_unit):
         records = zoom_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)

@@ -1,13 +1,18 @@
-"""The solver's step kernel against the gather-and-stack step it replaced.
+"""The solver's step kernel against a gather-and-stack step.
 
-The reference below is the former per-step code: one-sided differences
-from an edge-padded copy built with ``np.take`` and ``np.concatenate``, the
-centered gradient from ``np.stack``, the Hamiltonian's coefficient looked
-up on every call, and a trajectory copied into its field at the end.
-Every comparison is on the bytes, so signed zeros count too.
+The reference below is the step written out in the kernel's operand
+order: raw one-sided differences from an edge-padded copy built with
+``np.take`` and ``np.concatenate``, the centered sums ``D+ + D-`` from
+``np.stack``, the flat power form ``A (0.5/h)^p (sum D^2)^(p/2) + B`` with
+``A`` and ``B`` computed by hand from the Hamiltonian's fields on every
+call, the dissipation scaled by ``0.5 sigma / h``, and a trajectory copied
+into its field at the end.  Every comparison is on the bytes, so signed
+zeros count too.  The flat form is also checked, to rounding, against the
+nested evaluation that affine reparametrizations had before they composed.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,15 +37,34 @@ from hjreg.solver import _SIGMA_FLOOR, _StepKernel
 _MAX_CELLS = {1: 40, 2: 16, 3: 8}
 
 
-def _one_sided_differences(u, spec, axis):
-    h = spec.cell_width
+def _one_sided_differences(u, axis):
+    """Raw ``D+`` and ``D-``, not divided by the cell width."""
     first = np.take(u, [0], axis=axis)
     last = np.take(u, [-1], axis=axis)
     padded = np.concatenate([first, u, last], axis=axis)
     n = u.shape[axis]
-    fwd = (np.take(padded, np.arange(2, n + 2), axis=axis) - u) / h
-    bwd = (u - np.take(padded, np.arange(0, n), axis=axis)) / h
+    fwd = np.take(padded, np.arange(2, n + 2), axis=axis) - u
+    bwd = u - np.take(padded, np.arange(0, n), axis=axis)
     return fwd, bwd
+
+
+def _flat_form(h, t, x):
+    """``A(t, x)`` and ``B`` of the power form, by hand from the fields."""
+    if isinstance(h, TransformedHamiltonian):
+        shift = np.asarray(h.x_shift) if h.x_shift else 0.0
+        a = h.out_scale * abs(h.grad_scale) ** h.base.p * h.base.coefficient_field(
+            h.t_shift + h.t_scale * t, shift + h.x_scale * x)
+        return a, h.out_scale * (h.base.offset + h.const)
+    return h.coefficient_field(t, x), h.offset
+
+
+def _power_form(a, b, p, grad):
+    """``a * (sum_i grad_i^2)^(p/2) + b``, the squares summed in axis order."""
+    sq = grad[..., 0] ** 2
+    for axis in range(1, grad.shape[-1]):
+        sq = sq + grad[..., axis] ** 2
+    out = a * sq ** (0.5 * p)
+    return out + b if b else out
 
 
 def _reference_step(u, spec, h, t, cfg, centers, step_index):
@@ -48,13 +72,13 @@ def _reference_step(u, spec, h, t, cfg, centers, step_index):
     central = []
     pnorm_sq = np.zeros_like(u)
     for axis in range(spec.dimension):
-        fwd, bwd = _one_sided_differences(u, spec, axis)
-        central.append(0.5 * (fwd + bwd))
+        fwd, bwd = _one_sided_differences(u, axis)
+        central.append(fwd + bwd)
         jump_sum += fwd - bwd
         pnorm_sq += np.maximum(np.abs(fwd), np.abs(bwd)) ** 2
     grad = np.stack(central, axis=-1)
 
-    pnorm_max = float(np.sqrt(pnorm_sq.max()))
+    pnorm_max = float(np.sqrt(pnorm_sq.max())) / spec.cell_width
     sigma_est = max(h.dissipation_bound(pnorm_max), 0.0)
     if cfg.sigma_mode == "fixed":
         sigma_diss = float(cfg.sigma_bound)
@@ -84,8 +108,9 @@ def _reference_step(u, spec, h, t, cfg, centers, step_index):
             step_index,
         )
 
-    hval = np.asarray(h.eval(t, centers, grad), dtype=np.float64)
-    numerical = hval - 0.5 * sigma_diss * jump_sum
+    a, b = _flat_form(h, t, centers)
+    hval = _power_form(a * (0.5 / width) ** h.p, b, h.p, grad)
+    numerical = hval - 0.5 * sigma_diss / width * jump_sum
     update = -spec.dt * numerical
     u_next = u + update
     if not np.all(np.isfinite(u_next)):
@@ -171,26 +196,31 @@ def base_hamiltonians(draw, dim):
     return HamiltonianSpec(kind=kind, p=p, table=table)
 
 
+def transforms(dim, most):
+    """Zero to ``most`` affine reparametrizations, innermost first, as the
+    keyword arguments of ``TransformedHamiltonian``."""
+    one = st.fixed_dictionaries({
+        "out_scale": st.floats(0.25, 2.0),
+        "t_scale": st.floats(0.25, 4.0),
+        "x_scale": st.floats(0.25, 2.0),
+        "grad_scale": st.floats(0.25, 2.0),
+        "t_shift": st.floats(-0.05, 0.05),
+        "x_shift": st.one_of(st.just(()), st.tuples(*[st.floats(-0.5, 0.5)] * dim)),
+        "const": st.floats(-1.0, 1.0),
+    })
+    return st.lists(one, max_size=most)
+
+
+def _wrap(h, chain):
+    for params in chain:
+        h = TransformedHamiltonian(base=h, **params)
+    return h
+
+
 @st.composite
 def hamiltonians(draw, dim):
     """A catalog Hamiltonian under zero to two affine reparametrizations."""
-    h = draw(base_hamiltonians(dim))
-    for _ in range(draw(st.integers(0, 2))):
-        shift = draw(st.one_of(
-            st.just(()),
-            st.tuples(*[st.floats(-0.5, 0.5)] * dim),
-        ))
-        h = TransformedHamiltonian(
-            base=h,
-            out_scale=draw(st.floats(0.25, 2.0)),
-            t_scale=draw(st.floats(0.25, 4.0)),
-            x_scale=draw(st.floats(0.25, 2.0)),
-            grad_scale=draw(st.floats(0.25, 2.0)),
-            t_shift=draw(st.floats(-0.05, 0.05)),
-            x_shift=shift,
-            const=draw(st.floats(-1.0, 1.0)),
-        )
-    return h
+    return _wrap(draw(base_hamiltonians(dim)), draw(transforms(dim, 2)))
 
 
 @st.composite
@@ -258,19 +288,9 @@ def test_step_matches_reference(problem, seed, data):
 
 
 def _reference_eval(h, t, x, grad):
-    """The former ``eval``: ``np.linalg.norm`` over the last axis, and each
-    affine reparametrization ``out_scale * (base(...) + const)`` on a
-    scaled copy of the gradient."""
-    if isinstance(h, TransformedHamiltonian):
-        shift = np.asarray(h.x_shift) if h.x_shift else 0.0
-        inner = _reference_eval(h.base, h.t_shift + h.t_scale * t,
-                                shift + h.x_scale * x, h.grad_scale * grad)
-        return h.out_scale * (inner + h.const)
-    pnorm = np.linalg.norm(grad, axis=-1)
-    out = h.coefficient_field(t, x) * pnorm**h.p
-    if h.kind == "scaled-power-law":
-        out = out + h.offset
-    return out
+    """The flat power form, by hand: ``A(t, x) (sum_i P_i^2)^(p/2) + B``."""
+    a, b = _flat_form(h, t, x)
+    return _power_form(a, b, h.p, grad)
 
 
 @settings(max_examples=150, deadline=None)
@@ -278,8 +298,9 @@ def _reference_eval(h, t, x, grad):
     lambda dim: st.tuples(st.just(dim), hamiltonians(dim))),
     st.integers(0, 2**32 - 1))
 def test_eval_matches_the_norm_formula(dim_h, seed):
-    """``eval`` with and without ``out`` against the former formula, bytes
-    and all, on grids and on a broadcast cloud of points and gradients."""
+    """``eval`` with and without ``out`` against the power form written out
+    by hand, bytes and all, on grids and on a broadcast cloud of points and
+    gradients."""
     dim, h = dim_h
     rng = np.random.default_rng(seed)
     spec = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=6,
@@ -299,6 +320,59 @@ def test_eval_matches_the_norm_formula(dim_h, seed):
     assert _same(h.eval(0.05, points, grads), _reference_eval(h, 0.05, points, grads))
 
 
+def _nested_eval(base, chain, t, x, grad):
+    """The evaluation before transforms composed: each reparametrization,
+    outermost first, is ``out_scale * (inner(...) + const)`` on a scaled
+    copy of the gradient, and the catalog value is ``a |P|^p + offset`` with
+    ``|P|`` from ``np.linalg.norm``."""
+    if not chain:
+        pnorm = np.linalg.norm(grad, axis=-1)
+        return base.coefficient_field(t, x) * pnorm**base.p + base.offset
+    *inner, outer = chain
+    shift = np.asarray(outer["x_shift"]) if outer["x_shift"] else 0.0
+    value = _nested_eval(base, inner, outer["t_shift"] + outer["t_scale"] * t,
+                         shift + outer["x_scale"] * x, outer["grad_scale"] * grad)
+    return outer["out_scale"] * (value + outer["const"])
+
+
+def _nested_dissipation_bound(base, chain, pnorm):
+    """The dissipation bound before transforms composed."""
+    if not chain:
+        return base.sup_coefficient * base.p * max(pnorm, 0.0) ** (base.p - 1.0)
+    *inner, outer = chain
+    scale = abs(outer["grad_scale"])
+    return abs(outer["out_scale"]) * scale * _nested_dissipation_bound(
+        base, inner, scale * pnorm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda dim: st.tuples(
+    st.just(dim), base_hamiltonians(dim), transforms(dim, 3))),
+    st.integers(0, 2**32 - 1))
+def test_composed_transforms_match_the_nested_evaluation(drawn, seed):
+    """A chain of up to three transforms builds with a catalog base, and its
+    flat power form agrees with the nested evaluation to 1e-12 relative to
+    the size of the terms summed (the same nesting on absolute values).
+    Points and times are drawn at random, so no point sits on a coefficient
+    cell edge that the two roundings of the map could put on either side."""
+    dim, base, chain = drawn
+    h = _wrap(base, chain)
+    assert isinstance(h if not chain else h.base, HamiltonianSpec)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.5, 1.5, (40, dim))
+    grad = rng.uniform(-3.0, 3.0, x.shape) * 10.0 ** rng.uniform(-2.0, 2.0, x.shape)
+    t = float(rng.uniform(-0.05, 0.1))
+    want = _nested_eval(base, chain, t, x, grad)
+    size = _nested_eval(replace(base, offset=abs(base.offset)),
+                        [{**c, "const": abs(c["const"])} for c in chain],
+                        t, x, grad)
+    got = h.eval(t, x, grad)
+    assert np.all(np.abs(got - want) <= 1e-12 * size)
+    for pnorm in (0.0, 0.3, float(np.abs(grad).max())):
+        assert h.dissipation_bound(pnorm) == pytest.approx(
+            _nested_dissipation_bound(base, chain, pnorm), rel=1e-12)
+
+
 def test_step_refuses_a_slice_it_cannot_ravel_in_place():
     spec = GridSpec(dimension=2, half_width=1.0, cells_per_axis=8,
                     t_start=0.0, t_end=0.01, dt=0.001)
@@ -315,7 +389,8 @@ _LINE = GridSpec(dimension=1, half_width=2.0, cells_per_axis=64,
 _QUADRATIC = HamiltonianSpec(kind="power-law", p=2.0)
 _CONE = 4.0 * np.abs(_LINE.axis_centers())
 _NAN_START = np.where(np.arange(64) == 0, np.nan, 0.0)
-# The inner value 1e308 + 1e308 overflows while the dissipation stays 0.
+# Its constant 1e308 * 1e308 overflows, and its coefficient 1e308 times the
+# lattice scale (0.5/h)^2 too, while the dissipation stays 0.
 _OVERFLOW = TransformedHamiltonian(
     base=HamiltonianSpec(kind="power-law", p=2.0), out_scale=1e308, const=1e308
 )
