@@ -2,8 +2,8 @@
 
 Exit codes are part of the interface: 0 when every check passed or was
 vacuous, 1 when some check refuted its implication on data, 2 for
-configuration problems (including bad chain parameters), 3 for runtime
-failures such as a solver abort.
+configuration problems (including bad chain parameters and a grid too large
+to allocate), 3 for runtime failures such as a solver abort.
 """
 
 from __future__ import annotations
@@ -172,6 +172,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        # the 2**60-value rule admits lattices no host can allocate
+        print(f"config error: grid too large to allocate: {err}", file=sys.stderr)
         return 2
     except Exception:
         # anything unexpected is a runtime failure, not a refutation; keep

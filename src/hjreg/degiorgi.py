@@ -35,7 +35,6 @@ from .grid import (
     level_set_measure,
     one_cell_oscillation,
     per_slice,
-    to_json,
 )
 from .hamiltonians import CoercivityEnvelope
 from .solver import residual_subsolution
@@ -182,9 +181,10 @@ def delta_constant(eps0: float, lam: float) -> float:
 class LemmaVerdict:
     """Outcome of one hypothesis-implies-conclusion check.
 
-    ``refuted`` is only claimed when the preconditions held, the hypotheses
-    held, and the conclusion failed; a failed precondition is reported as its
-    own status because the implication says nothing there.
+    ``status`` is set from the other fields: ``"refuted"`` only when the
+    preconditions held, the hypotheses held, and the conclusion failed; a
+    failed precondition is ``"precondition-violated"`` because the
+    implication says nothing there, and a failed hypothesis ``"vacuous"``.
     """
 
     name: str
@@ -198,35 +198,16 @@ class LemmaVerdict:
     tolerances: dict[str, float]
     cell_width: float
     diagnostics: dict = field(default_factory=dict)
+    status: str = field(init=False)
 
-    @property
-    def preconditions_ok(self) -> bool:
-        return all(self.preconditions.values())
-
-    @property
-    def refuted(self) -> bool:
-        return (
-            self.preconditions_ok
-            and self.hypothesis_satisfied
-            and not self.conclusion_satisfied
-        )
-
-    @property
-    def vacuous(self) -> bool:
-        return self.preconditions_ok and not self.hypothesis_satisfied
-
-    @property
-    def status(self) -> str:
-        if not self.preconditions_ok:
-            return "precondition-violated"
-        if self.refuted:
-            return "refuted"
-        if self.vacuous:
-            return "vacuous"
-        return "pass"
-
-    def to_json_dict(self) -> dict:
-        return {**to_json(self), "status": self.status}
+    def __post_init__(self) -> None:
+        if not all(self.preconditions.values()):
+            status = "precondition-violated"
+        elif not self.hypothesis_satisfied:
+            status = "vacuous"
+        else:
+            status = "pass" if self.conclusion_satisfied else "refuted"
+        object.__setattr__(self, "status", status)
 
 
 def lemma_one_check(

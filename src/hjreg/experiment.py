@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .degiorgi import (
+    LemmaVerdict,
     delta_constant,
     energy_ladder,
     fast_convergence_threshold,
@@ -44,6 +45,7 @@ from .oscillation import (
 )
 from .rescale import (
     GaugeScan,
+    TheoremReport,
     _base_point_cascades,
     base_point_slices,
     base_times,
@@ -65,7 +67,6 @@ __all__ = [
     "parse_config",
     "run",
     "run_directory",
-    "scenario_path",
 ]
 
 SCHEMA_VERSION = "1"
@@ -414,15 +415,6 @@ def bundled_scenarios() -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def scenario_path(name: str) -> Path:
-    p = _bundled_path(name)
-    if p is None:
-        raise ConfigError(
-            f"no bundled scenario {name!r}; have {', '.join(bundled_scenarios())}"
-        )
-    return p
-
-
 @dataclass(frozen=True)
 class RunReport:
     """Everything one run produced, minus the field data itself."""
@@ -492,18 +484,17 @@ def _needs_chain(cfg: ExperimentConfig) -> bool:
     return any(_CHECKS[name].reads_chain for name in cfg.checks)
 
 
-def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
+def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
     delta = _default_delta(cfg)
     verdict = lemma_one_check(
         traj.field, cfg.envelope, delta,
         conclusion_tol=cfg.tolerances.get("conclusion"),
     )
-    payload = verdict.to_json_dict()
-    payload["delta"] = delta
+    report = {**to_json(verdict), "delta": delta}
     try:
         ladder = energy_ladder(traj.field, 8, cfg.envelope)
         fit = recurrence_fit(ladder, cfg.grid.dimension)
-        payload["recurrence"] = {
+        report["recurrence"] = {
             "d_fit": fit.d_fit,
             "d_reference": _D_REFERENCE,
             "all_zero": fit.all_zero,
@@ -512,33 +503,30 @@ def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, d
         # ladder windows may not fit inside the configured grid; the check
         # itself already passed coverage gates, so just skip the extras
         pass
-    return verdict.status, payload
+    return report
 
 
-def _check_lemma2(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
+def _check_lemma2(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
     delta = _default_delta(cfg)
     verdict = lemma_two_check(
         traj.field, cfg.envelope, chain.middle_threshold, delta,
         residual_tol=cfg.tolerances.get("residual"),
     )
-    payload = verdict.to_json_dict()
-    payload["delta"] = delta
-    return verdict.status, payload
+    return {**to_json(verdict), "delta": delta}
 
 
 def _check_oscillation(
     cfg, traj, chain, hamiltonian, outputs, label, below: bool = False
-) -> tuple[str, dict]:
+) -> LemmaVerdict:
     check = oscillation_below_check if below else oscillation_above_check
-    verdict = check(
+    return check(
         traj.field, chain,
         residual_tol=cfg.tolerances.get("residual"),
         conclusion_tol=cfg.tolerances.get("conclusion"),
     )
-    return verdict.status, verdict.to_json_dict()
 
 
-def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
+def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
     opts = cfg.cascade
     spec = traj.spec
     t0 = _cascade_time(cfg)
@@ -547,29 +535,28 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
         traj, chain, cfg.envelope, [(t0, x0)], opts.levels, hamiltonian,
         opts.working_cells, opts.working_slices, cfg.solve,
     )
-    estimate = holder_estimate(records, chain)
-    payload = {
+    outputs[f"cascades/base{label}.csv"] = records_to_csv(records)
+    if aborted is not None:
+        status = "error"
+    else:
+        status = "refuted" if any(not r.satisfied for r in records) else "pass"
+    return {
+        "status": status,
         "base_time": t0,
-        "base_point": list(x0),
+        "base_point": x0,
         "gauged": gauged,
         "gamma": gamma,
         "tau": tau,
         "rho": rho,
-        "records": to_json(records),
-        "estimate": to_json(estimate),
+        "records": records,
+        "estimate": holder_estimate(records, chain),
         "aborted": aborted,
     }
-    outputs[f"cascades/base{label}.csv"] = records_to_csv(records)
-    if aborted is not None:
-        return "error", payload
-    if any(not r.satisfied for r in records):
-        return "refuted", payload
-    return "pass", payload
 
 
-def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, dict]:
+def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> TheoremReport:
     opts = cfg.theorem
-    report = theorem_check(
+    return theorem_check(
         traj,
         _theorem_delta(cfg),
         chain,
@@ -581,10 +568,6 @@ def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> tuple[str, 
         working_slices=opts.working_slices,
         solve_config=cfg.solve,
     )
-    refuted = report.n_unsatisfied > 0 or (
-        math.isfinite(report.alpha_min) and report.alpha_min < report.alpha_theory
-    )
-    return ("refuted" if refuted else "pass"), to_json(report)
 
 
 def _cascade_time(cfg: ExperimentConfig) -> float:
@@ -615,13 +598,14 @@ def _theorem_slices(cfg: ExperimentConfig, chain) -> list[range]:
 
 class _Check(NamedTuple):
     """``run(cfg, traj, chain, hamiltonian, outputs, label)`` returns the
-    check's ``(status, payload)``; ``window`` is the lattice window
+    check's report, a dataclass or dict whose ``to_json`` carries its
+    ``"status"``; ``window`` is the lattice window
     ``(t_lo, t_hi, radius)`` that its statement fixes, if any.
     ``reads(cfg, chain)`` lists the ranges of trajectory slices the check
     reads, and ``gauged`` says whether it reads ``gauge_to_window``'s scan,
     which the solve then takes."""
 
-    run: Callable[..., tuple[str, dict]]
+    run: Callable[..., object]
     window: tuple[float, float, float] | None
     reads_chain: bool
     reads: Callable[[ExperimentConfig, ConstantChain | None], list[range]]
@@ -678,9 +662,7 @@ def _oracle_base_slice(cfg: ExperimentConfig) -> int | None:
     return _oracle_slice(cfg, cfg.grid)
 
 
-def _oracle_outcome(
-    cfg: ExperimentConfig, base: np.ndarray | None = None
-) -> tuple[str, dict]:
+def _oracle_outcome(cfg: ExperimentConfig, base: np.ndarray | None = None) -> dict:
     """Refinement study against the inf-convolution.  ``base``, when given,
     is the run's own slice at level 0's comparison time, and level 0 is
     read from it instead of solved again."""
@@ -722,7 +704,8 @@ def _oracle_outcome(
         and errors[-1] <= opts.max_error
         and all(o >= opts.min_order for o in orders)
     )
-    payload = {
+    return {
+        "status": "pass" if ok else "refuted",
         "time": t_cmp,
         "window": opts.window,
         "resolutions": resolutions,
@@ -733,12 +716,9 @@ def _oracle_outcome(
         "max_error": opts.max_error,
         "min_order": opts.min_order,
     }
-    return ("pass" if ok else "refuted"), payload
 
 
-def _coercivity_outcome(
-    cfg: ExperimentConfig, hamiltonian: HamiltonianSpec
-) -> tuple[str, dict]:
+def _coercivity_outcome(cfg: ExperimentConfig, hamiltonian: HamiltonianSpec) -> dict:
     """Sample the declared envelope of a (possibly swept) Hamiltonian."""
     spec = cfg.grid
     env = hamiltonian.declared_envelope()
@@ -753,8 +733,8 @@ def _coercivity_outcome(
     grads = np.concatenate([m * dirs for m in mags])
     report = coercivity_check(hamiltonian, env, [float(t) for t in times],
                               points, grads)
-    payload = {"declared_lambda": env.lam, **to_json(report)}
-    return ("precondition-violated" if report.violations else "pass"), payload
+    status = "precondition-violated" if report.violations else "pass"
+    return {"status": status, "declared_lambda": env.lam, **to_json(report)}
 
 
 def _aggregate(statuses: list[str]) -> str:
@@ -796,7 +776,6 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     timings: dict[str, float] = {}
     checks_out: list[dict] = []
     outputs: dict[str, dict | str | ScalarField] = {}
-    statuses: list[str] = []
     chain = chain_dict = None
     stage = "chain"
 
@@ -810,9 +789,8 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
         finally:
             timings[name] = time.perf_counter() - t0
 
-    def record(name: str, status: str, payload: dict) -> None:
-        checks_out.append({"check": name, "status": status, **payload})
-        statuses.append(status)
+    def record(name: str, report) -> None:
+        checks_out.append({"check": name, **to_json(report)})
 
     def finish(status: str, error: dict | None = None) -> tuple[RunReport, dict]:
         return RunReport(
@@ -852,19 +830,19 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
         for label, hamiltonian in _sweep_variants(cfg):
             if cfg.sweep is not None:
                 with timed(f"coercivity{label}"):
-                    record(f"coercivity{label}", *_coercivity_outcome(cfg, hamiltonian))
+                    record(f"coercivity{label}", _coercivity_outcome(cfg, hamiltonian))
             with timed(f"solve{label}"):
                 scan = GaugeScan(cfg.grid, cfg.envelope) if gauged else None
                 traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scan)
             for name in cfg.checks:
                 with timed(f"{name}{label}"):
                     try:
-                        outcome = _CHECKS[name].run(
+                        report = _CHECKS[name].run(
                             cfg, traj, chain, hamiltonian, outputs, label
                         )
                     except (ValueError, RuntimeError) as err:
-                        outcome = "error", {"message": str(err)}
-                    record(f"{name}{label}", *outcome)
+                        report = {"status": "error", "message": str(err)}
+                    record(f"{name}{label}", report)
             if cfg.sweep is None:
                 outputs.update(_snapshots(traj))
             if oracle_ti is not None:
@@ -874,12 +852,12 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
             del traj
         if cfg.oracle is not None:
             with timed("oracle"):
-                record("oracle", *_oracle_outcome(cfg, oracle_base))
+                record("oracle", _oracle_outcome(cfg, oracle_base))
     except SolverError as err:
         return finish("error", {"stage": stage, "message": str(err),
                                 "step_index": err.step_index})
     timings["total"] = time.perf_counter() - begin
-    return finish(_aggregate(statuses))
+    return finish(_aggregate([c["status"] for c in checks_out]))
 
 
 def _write(

@@ -476,13 +476,10 @@ class Window:
     def rows(self, source, weighted: bool = False) -> Iterator[NDArray[np.float64]]:
         """The ball's cells of ``source`` over each of :meth:`blocks`, as
         C-contiguous ``(slices, cells)`` arrays.  ``source`` is a field,
-        read through its ``rows(lo, hi)`` one block at a time, or an array
-        with one entry per slice and cell."""
-        read = source.rows if hasattr(source, "rows") else (
-            lambda lo, hi: source[lo:hi])
+        read through its ``rows(lo, hi)`` one block at a time."""
         cells = np.flatnonzero(self.mask)
         for lo, hi in self.blocks(weighted):
-            yield np.take(read(lo, hi).reshape(hi - lo, -1), cells, axis=1)
+            yield np.take(source.rows(lo, hi).reshape(hi - lo, -1), cells, axis=1)
 
     def max(self, source) -> float:
         """Largest of ``source`` (see :meth:`rows`) in the window."""

@@ -26,7 +26,6 @@ from .grid import ConfigError, GridSpec, from_json
 from .oscillation import ConstantChain, barrier, build_constant_chain
 
 __all__ = [
-    "catalog_names",
     "make_initial_function",
     "read_parameters",
 ]
@@ -179,10 +178,6 @@ _CATALOG: dict[str, type[_Generator]] = {
 }
 
 
-def catalog_names() -> tuple[str, ...]:
-    return tuple(sorted(_CATALOG))
-
-
 def read_parameters(
     spec: GridSpec, name: str, parameters: dict | None = None
 ) -> _Generator:
@@ -196,7 +191,7 @@ def read_parameters(
     if cls is None:
         raise ConfigError(
             f"initial_data: unknown initial data {name!r}; "
-            f"catalog has {', '.join(catalog_names())}"
+            f"catalog has {', '.join(sorted(_CATALOG))}"
         )
     where = "initial_data.parameters"
     params = from_json(cls, {} if parameters is None else parameters, where)

@@ -156,7 +156,7 @@ def build_constant_chain(
         raise ValueError(f"gradient power must exceed 1, got {p}")
     if p >= dimension:
         raise ValueError(f"the machinery needs p < N, got p={p}, N={dimension}")
-    if lam < 1.0:
+    if not lam >= 1.0:
         raise ValueError(f"ellipticity constant must be >= 1, got {lam}")
     if not 0.0 < middle_threshold < math.inf:
         raise ValueError(
@@ -734,7 +734,7 @@ def oscillation_below_check(
     reflected = oscillation_above_check(
         time_reverse(f), chain, residual_tol=residual_tol
     )
-    diagnostics["reflected_above"] = reflected.to_json_dict()
+    diagnostics["reflected_above"] = to_json(reflected)
     diagnostics["early_min"] = -reflected.conclusion_values["late_sup"]
 
     hypothesis_values = {

@@ -163,7 +163,6 @@ def _clamped_sample(f: ScalarField | GaugedField, axes: list) -> np.ndarray:
     side, are read (and gauged).  Each value rounds as scipy's per-point
     ``RegularGridInterpolator`` rounds it: corners summed from 0 in
     ``itertools.product`` order, each weight multiplied from 1 in axis order."""
-    f = f if isinstance(f, GaugedField) else GaugedField(f)
     grids = [f.spec.times()] + [f.spec.axis_centers()] * f.spec.dimension
     queries = [np.clip(q, g[0], g[-1]) for g, q in zip(grids, axes)]
     # t lies in [times[k - 1], times[k]); a:b pads those rows by one each side
@@ -643,7 +642,9 @@ class TheoremReport:
     non-degenerate points; ``max_quotient`` is the largest measured
     oscillation divided by ``radius^alpha_min``, a modulus prefactor for
     the whole sampled region.  Degenerate points (flat at every sampled
-    scale) contribute no quotient.
+    scale) contribute no quotient.  ``status`` is ``"refuted"`` when a
+    record is unsatisfied or a finite ``alpha_min`` falls below
+    ``alpha_theory``, else ``"pass"``.
     """
 
     delta_time: float
@@ -654,6 +655,7 @@ class TheoremReport:
     max_quotient: float
     n_degenerate: int
     n_unsatisfied: int
+    status: str
 
 
 def theorem_check(
@@ -736,6 +738,9 @@ def theorem_check(
         max_quotient = max(osc / radius**alpha_min for radius, osc in all_pairs)
     else:
         max_quotient = 0.0
+    refuted = n_unsatisfied > 0 or (
+        math.isfinite(alpha_min) and alpha_min < chain.holder_exponent
+    )
     return TheoremReport(
         delta_time=delta_time,
         gauged=gauged,
@@ -745,4 +750,5 @@ def theorem_check(
         max_quotient=max_quotient,
         n_degenerate=len(entries) - len(finite),
         n_unsatisfied=n_unsatisfied,
+        status="refuted" if refuted else "pass",
     )

@@ -1,5 +1,8 @@
 """Shared lattices, envelopes, and chains used across the test modules."""
 
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -65,3 +68,9 @@ def noise_field(spec, rng, scale=1.0):
     from hjreg.grid import field_from_values
 
     return field_from_values(spec, values)
+
+
+def bundled_config(name):
+    """The JSON object of the bundled scenario ``name``."""
+    path = resources.files("hjreg") / "scenarios" / f"{name}.json"
+    return json.loads(path.read_text())

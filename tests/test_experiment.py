@@ -8,7 +8,7 @@ import os
 import runpy
 import subprocess
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,9 @@ from hjreg.experiment import (
     ensemble,
     parse_config,
     run,
-    scenario_path,
 )
 from hjreg.grid import GridSpec, to_json
-from hjreg.initial_data import catalog_names
+from hjreg.initial_data import make_initial_function
 from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import (
     HolderEstimate,
@@ -43,6 +42,8 @@ from hjreg.rescale import (
     TheoremReport,
     holder_estimate,
 )
+
+from conftest import bundled_config
 
 
 GRID = {
@@ -135,7 +136,7 @@ def count_solves(monkeypatch):
 def refuted_empirical_dict():
     """refuted-fixture in empirical chain mode: lemma1 does not read the
     chain, so every candidate is refuted."""
-    data = json.loads(scenario_path("refuted-fixture").read_text())
+    data = bundled_config("refuted-fixture")
     data["chain"] = {"mode": "empirical"}
     return data
 
@@ -169,7 +170,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("name", bundled_scenarios())
     def test_bundled_scenario_round_trip(self, name):
-        cfg = parse_config(scenario_path(name))
+        cfg = parse_config(name)
         assert ExperimentConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
     def test_values_are_read_by_their_annotations(self):
@@ -387,7 +388,7 @@ class TestConfigFuzz:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_replaced_value_parses_or_is_a_config_error(self, name, data):
-        config = json.loads(scenario_path(name).read_text())
+        config = bundled_config(name)
         path = data.draw(st.sampled_from(sorted(key_paths(config), key=repr)))
         node = config
         for key in path[:-1]:
@@ -398,7 +399,7 @@ class TestConfigFuzz:
         except ConfigError:
             pass
 
-    @pytest.mark.parametrize("name", catalog_names())
+    @pytest.mark.parametrize("name", sorted(initial_data._CATALOG))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_initial_data_parameters_parse_or_are_a_config_error(self, name, data):
@@ -441,12 +442,12 @@ class TestConfigFiles:
         names = bundled_scenarios()
         assert len(names) >= 7
         for name in names:
-            cfg = parse_config(scenario_path(name))
+            cfg = parse_config(name)
             assert cfg.scenario == name
 
     def test_unknown_scenario_name(self):
-        with pytest.raises(ConfigError, match="no bundled scenario"):
-            scenario_path("missing")
+        with pytest.raises(ConfigError, match="neither a file nor a bundled scenario"):
+            parse_config("missing")
 
 
 class TestReportSerialization:
@@ -543,9 +544,10 @@ def _chain_stdout():
     pytest.param(lambda: to_json(TheoremReport(
         delta_time=1.0, gauged=False, alpha_theory=1e-6, entries=(),
         alpha_min=math.inf, max_quotient=0.0, n_degenerate=0, n_unsatisfied=0,
+        status="pass",
     )), [
         "alpha_min", "alpha_theory", "delta_time", "entries", "gauged",
-        "max_quotient", "n_degenerate", "n_unsatisfied",
+        "max_quotient", "n_degenerate", "n_unsatisfied", "status",
     ], id="TheoremReport"),
     pytest.param(lambda: to_json(OscillationRecord(
         level=0, radius=0.5, t_depth=1.0, osc_measured=0.0, osc_bound=4.0,
@@ -574,12 +576,12 @@ def _chain_stdout():
         "member_seeds", "members", "scenario", "seed", "status", "timings",
         "version",
     ], id="EnsembleReport"),
-    pytest.param(lambda: LemmaVerdict(
+    pytest.param(lambda: to_json(LemmaVerdict(
         name="n", preconditions={}, hypothesis_values={},
         hypothesis_thresholds={}, hypothesis_satisfied=True,
         conclusion_values={}, conclusion_thresholds={},
         conclusion_satisfied=True, tolerances={}, cell_width=0.1,
-    ).to_json_dict(), [
+    )), [
         "cell_width", "conclusion_satisfied", "conclusion_thresholds",
         "conclusion_values", "diagnostics", "hypothesis_satisfied",
         "hypothesis_thresholds", "hypothesis_values", "name", "preconditions",
@@ -593,6 +595,23 @@ def _chain_stdout():
 ])
 def test_json_keys_match_the_written_reports(build, keys):
     assert sorted(build()) == keys
+
+
+def test_every_check_returns_a_report_that_carries_its_status():
+    cfg = parse_config("zero-initial-data")
+    chain = experiment._build_chain(cfg)
+    init = cfg.initial_data
+    fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+    traj = experiment.solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve,
+                            scan=rescale.GaugeScan(cfg.grid, cfg.envelope))
+    statuses = {"pass", "vacuous", "refuted", "precondition-violated", "error"}
+    assert set(experiment._CHECKS) == set(cfg.checks)
+    for name, check in experiment._CHECKS.items():
+        report = check.run(cfg, traj, chain, cfg.hamiltonian, {}, "")
+        status = to_json(report)["status"]
+        assert status in statuses, name
+        if is_dataclass(report):
+            assert report.status == status, name
 
 
 @pytest.fixture()
@@ -1177,20 +1196,27 @@ class TestCli:
         if code == 0:
             assert strict_json(out.getvalue())["middle_threshold"] == alpha
 
-    @pytest.mark.parametrize("n, alpha", [("342", "1"), ("3", "inf"), ("3", "nan")])
+    @pytest.mark.parametrize("n, p, lam, alpha, names", [
+        pytest.param("342", "2", "1", "1", "overflow", id="342-1"),
+        pytest.param("3", "2", "1", "inf", "middle threshold", id="3-inf"),
+        pytest.param("3", "2", "1", "nan", "middle threshold", id="3-nan"),
+        pytest.param("2", "1.5", "nan", "1", "ellipticity constant",
+                     id="lambda-nan"),
+    ])
     def test_chain_command_rejects_an_overflow_or_a_threshold_not_finite(
-            self, capsys, n, alpha):
-        code = main(["chain", "--N", n, "--p", "2", "--lambda", "1",
+            self, capsys, n, p, lam, alpha, names):
+        code = main(["chain", "--N", n, "--p", p, "--lambda", lam,
                      "--alpha", alpha])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+        assert names in captured.err
         assert "Traceback" not in captured.err
 
     def test_run_with_an_unbuildable_chain_reports_the_chain_stage(
             self, tmp_path, capsys):
-        data = json.loads(scenario_path("oscillation-improvement").read_text())
+        data = bundled_config("oscillation-improvement")
         data["chain"] = {"mode": "fixed", "alpha": 0.25}
         out = tmp_path / "out"
         code = main(["run", "--config", str(write_config(tmp_path, data)),
@@ -1200,6 +1226,33 @@ class TestCli:
         assert "Traceback" not in err
         assert "config error: chain alpha 0.25" in err
         assert "zoom_ratio" in err
+        assert not out.exists()
+
+    def test_a_lattice_too_large_to_allocate_exits_two(self, tmp_path):
+        # 4e12 slices of 20^2 cells pass the 2**60-value rule, but their
+        # slice times alone take 29 TiB; the address-space cap makes the
+        # allocation fail on any host
+        data = bundled_config("zero-initial-data")
+        data["grid"]["dt"] = 1e-12
+        out = tmp_path / "out"
+        code = (
+            "import resource, sys\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "cap = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+            "from hjreg.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(hjreg.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config",
+             str(write_config(tmp_path, data)), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 2
+        assert "config error: grid too large to allocate" in done.stderr
+        assert "Traceback" not in done.stderr
         assert not out.exists()
 
     def test_cli_import_leaves_scipy_and_the_process_pool_unloaded(self):

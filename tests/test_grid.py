@@ -259,11 +259,10 @@ class TestWindow:
     def test_extrema_and_integral(self, box2):
         f = time_field(box2)
         win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0))
-        assert win.min(f.values) == -1.0
-        assert win.max(f.values) == pytest.approx(0.5, abs=1e-12)
-        ones = np.ones((box2.n_slices, *box2.spatial_shape))
+        assert win.min(f) == -1.0
+        assert win.max(f) == pytest.approx(0.5, abs=1e-12)
         area = np.count_nonzero(win.mask) * box2.cell_volume
-        assert win.integral(ones) == pytest.approx(1.5 * area, rel=1e-12)
+        assert win.integral(const_field(box2, 1.0)) == pytest.approx(1.5 * area, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -395,7 +394,7 @@ class TestGradient:
 
 def oscillation(f, cyl):
     win = Window(f.spec, cyl)
-    return win.max(f.values) - win.min(f.values)
+    return win.max(f) - win.min(f)
 
 
 class TestOscillation:

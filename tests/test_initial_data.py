@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hjreg.grid import ConfigError, GridSpec
-from hjreg.initial_data import catalog_names, make_initial_function
+from hjreg.initial_data import make_initial_function
 from hjreg.oscillation import barrier
 
 
@@ -15,12 +15,11 @@ def plane():
 
 
 class TestCatalog:
-    def test_names_are_sorted_and_complete(self):
-        names = catalog_names()
-        assert names == tuple(sorted(names))
-        for expected in ("zero", "constant", "cone", "sine-product",
-                         "random-trig", "barrier-slice"):
-            assert expected in names
+    def test_names_are_sorted_and_complete(self, plane):
+        # the unknown-name error lists the catalog
+        names = "barrier-slice, cone, constant, random-trig, sine-product, zero"
+        with pytest.raises(ConfigError, match=f"catalog has {names}$"):
+            make_initial_function(plane, "not-a-generator")
 
 
 class TestValidateDescriptor:

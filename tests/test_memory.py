@@ -260,8 +260,8 @@ def test_oracle_levels_hold_one_trajectory_at_a_time(monkeypatch):
     cfg = replace(cfg, oracle=replace(cfg.oracle, refinements=2))
     finest = experiment._oracle_grids(cfg)[-1]
     finest_bytes = finest.n_slices * finest.cells_per_axis * 8
-    (status, _), peak = _traced_peak(lambda: experiment._oracle_outcome(cfg))
-    assert status == "pass"
+    outcome, peak = _traced_peak(lambda: experiment._oracle_outcome(cfg))
+    assert outcome["status"] == "pass"
     assert peak < finest_bytes / 2
 
     trajectories, seen = [], []

@@ -9,10 +9,12 @@ are the code objects of its ``def`` statements, found by compiling each
 module, and one counts as reached when its code object was called.  Lambdas, comprehensions and
 dataclass-generated methods are not counted.
 
-Output: one ``module.qualname`` per unreached function, sorted, then a
-count line, then ``src/ lines: N``, the line count of the package's
-modules that every change reports.  The exit code is 1 when a reference
-run failed.
+Output: one ``module.qualname`` per unreached function, sorted, marked
+``(perfbench)`` when ``perfbench/spans.py`` traces it and ``(cli)`` when
+it handles a ``hjreg`` command, so the unmarked names are the deletable
+ones; then a count line, then ``src/ lines: N``, the line count of the
+package's modules that every change reports.  The exit code is 1 when a
+reference run failed.
 
 Usage::
 
@@ -62,6 +64,17 @@ def reference_runs() -> bool:
     return digest_code == 0 and test_code == 0
 
 
+def bound_names() -> dict[str, str]:
+    """The ``module.qualname`` of every function perfbench traces and of
+    every CLI command handler, mapped to its mark."""
+    from hjreg import cli
+
+    spans = runpy.run_path(str(REPO / "perfbench" / "spans.py"))
+    marks = {f"{module}.{path}": "perfbench" for module, path in spans["TARGETS"]}
+    marks.update({f"cli.{fn.__qualname__}": "cli" for fn in cli._COMMANDS.values()})
+    return marks
+
+
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     called = set()
@@ -78,8 +91,9 @@ def main() -> int:
     reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in called}
     unreached = sorted(name for key, name in package_functions().items()
                        if key not in reached)
+    marks = bound_names()
     for name in unreached:
-        print(name)
+        print(f"{name} ({marks[name]})" if name in marks else name)
     print(f"{len(unreached)} unreached functions")
     lines = sum(len(p.read_text().splitlines()) for p in PACKAGE.glob("*.py"))
     print(f"src/ lines: {lines}")
