@@ -21,6 +21,7 @@ suprema over time are maxima over grid slices, with no interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,7 +38,7 @@ from .grid import (
     per_slice,
 )
 from .hamiltonians import CoercivityEnvelope
-from .solver import residual_subsolution
+from .solver import ResidualReport, ResidualTerm
 
 __all__ = [
     "LadderEntry",
@@ -53,6 +54,7 @@ __all__ = [
     "delta_constant",
     "lemma_one_check",
     "lemma_two_check",
+    "lemma_two_terms",
 ]
 
 
@@ -245,11 +247,18 @@ def lemma_one_check(
     )
 
 
+def lemma_two_terms(env: CoercivityEnvelope) -> list[ResidualTerm]:
+    """The residual lemma two reads: the subsolution inequality's at
+    ``env``'s default coefficients ``1/lam`` and ``lam``."""
+    return [ResidualTerm(1.0 / env.lam, env.lam)]
+
+
 def lemma_two_check(
     f: ScalarField,
     env: CoercivityEnvelope,
     alpha: float,
     delta: float,
+    residuals: Mapping[ResidualTerm, ResidualReport],
     residual_tol: float | None = None,
 ) -> LemmaVerdict:
     """Mostly-nonpositive fields with a thin middle layer have tiny mass above 1.
@@ -259,9 +268,11 @@ def lemma_two_check(
     ``(f - 1)_+`` over ``[0, 2] x B(1)`` stays below ``delta / 2``.
 
     Preconditions: ``f <= 2`` on the cylinder, and the one-sided
-    subsolution residual stays below ``residual_tol`` inside the ball.  The
-    conclusion is only meaningful for genuine subsolutions, so a failed
-    precondition is reported as its own status rather than a refutation.
+    subsolution residual stays below ``residual_tol`` inside the ball; its
+    report is the one ``residuals`` maps :func:`lemma_two_terms` to (on
+    ``f``, the unit ball as the mask).  The conclusion is only meaningful
+    for genuine subsolutions, so a failed precondition is reported as its
+    own status rather than a refutation.
     """
     spec = f.spec
     win = _unit_window(spec, -2.0, 2.0)
@@ -273,7 +284,8 @@ def lemma_two_check(
     sup_all = win.max(f)
     bound_tol = one_cell_oscillation(f, cyl)
     tol = spec.residual_tol if residual_tol is None else residual_tol
-    worst = residual_subsolution(f, env, ball=win.mask).ball_max
+    [term] = lemma_two_terms(env)
+    worst = residuals[term].ball_max
     preconditions = {
         "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
     }

@@ -17,7 +17,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -31,6 +31,7 @@ from .degiorgi import (
     fast_convergence_threshold,
     lemma_one_check,
     lemma_two_check,
+    lemma_two_terms,
     recurrence_fit,
 )
 from .grid import ConfigError, Cylinder, GridSpec, ScalarField, Window, config_errors
@@ -39,6 +40,8 @@ from .hamiltonians import KINDS, CoercivityEnvelope, HamiltonianSpec, coercivity
 from .initial_data import make_initial_function, read_parameters
 from .oscillation import (
     ConstantChain,
+    above_terms,
+    below_terms,
     build_constant_chain,
     oscillation_above_check,
     oscillation_below_check,
@@ -53,7 +56,8 @@ from .rescale import (
     records_to_csv,
     theorem_check,
 )
-from .solver import SolveConfig, SolverError, hopf_lax, snap_dt, solve
+from .solver import ResidualReport, ResidualTerm, SolveConfig, SolverError, hopf_lax
+from .solver import residual_reports, snap_dt, solve
 
 __all__ = [
     "CHECK_NAMES",
@@ -484,7 +488,7 @@ def _needs_chain(cfg: ExperimentConfig) -> bool:
     return any(_CHECKS[name].reads_chain for name in cfg.checks)
 
 
-def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
+def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> dict:
     delta = _default_delta(cfg)
     verdict = lemma_one_check(
         traj.field, cfg.envelope, delta,
@@ -506,27 +510,27 @@ def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
     return report
 
 
-def _check_lemma2(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
+def _check_lemma2(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> dict:
     delta = _default_delta(cfg)
     verdict = lemma_two_check(
-        traj.field, cfg.envelope, chain.middle_threshold, delta,
+        traj.field, cfg.envelope, chain.middle_threshold, delta, residuals,
         residual_tol=cfg.tolerances.get("residual"),
     )
     return {**to_json(verdict), "delta": delta}
 
 
 def _check_oscillation(
-    cfg, traj, chain, hamiltonian, outputs, label, below: bool = False
+    cfg, traj, chain, hamiltonian, outputs, label, residuals, below: bool = False
 ) -> LemmaVerdict:
     check = oscillation_below_check if below else oscillation_above_check
     return check(
-        traj.field, chain,
+        traj.field, chain, residuals,
         residual_tol=cfg.tolerances.get("residual"),
         conclusion_tol=cfg.tolerances.get("conclusion"),
     )
 
 
-def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
+def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> dict:
     opts = cfg.cascade
     spec = traj.spec
     t0 = _cascade_time(cfg)
@@ -554,7 +558,9 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label) -> dict:
     }
 
 
-def _check_theorem(cfg, traj, chain, hamiltonian, outputs, label) -> TheoremReport:
+def _check_theorem(
+    cfg, traj, chain, hamiltonian, outputs, label, residuals
+) -> TheoremReport:
     opts = cfg.theorem
     return theorem_check(
         traj,
@@ -597,36 +603,62 @@ def _theorem_slices(cfg: ExperimentConfig, chain) -> list[range]:
 
 
 class _Check(NamedTuple):
-    """``run(cfg, traj, chain, hamiltonian, outputs, label)`` returns the
-    check's report, a dataclass or dict whose ``to_json`` carries its
-    ``"status"``; ``window`` is the lattice window
+    """``run(cfg, traj, chain, hamiltonian, outputs, label, residuals)``
+    returns the check's report, a dataclass or dict whose ``to_json``
+    carries its ``"status"``; ``window`` is the lattice window
     ``(t_lo, t_hi, radius)`` that its statement fixes, if any.
     ``reads(cfg, chain)`` lists the ranges of trajectory slices the check
     reads, and ``gauged`` says whether it reads ``gauge_to_window``'s scan,
-    which the solve then takes."""
+    which the solve then takes.  ``terms(cfg, chain)`` lists the residual
+    terms the check reads over its window's ball, and ``run`` gets
+    ``residuals``, their reports from the window's one pass (see
+    :func:`_residual_pass`), or ``None`` if the check reads none."""
 
     run: Callable[..., object]
     window: tuple[float, float, float] | None
     reads_chain: bool
     reads: Callable[[ExperimentConfig, ConstantChain | None], list[range]]
     gauged: bool = False
+    terms: Callable[[ExperimentConfig, ConstantChain | None],
+                    list[ResidualTerm]] | None = None
 
 
 _CYLINDER = (-2.0, 2.0, 1.0)  # [-2, 2] x B(1)
 # Every check a config may enable, in report order.  Runners name the check
 # functions in their bodies, so a wrapper rebound over a module global (as
-# ``perfbench/spans.py`` does) sees every call.  The lemma and oscillation
-# checks scan their residuals over every slice of the grid.
+# ``perfbench/spans.py`` does) sees every call.  The residuals of lemma2,
+# osc_above and osc_below span every slice of the grid; one pass per
+# trajectory computes all their terms, osc_below's reflected one included.
 _CHECKS = {
     "lemma1": _Check(_check_lemma1, (0.0, 2.0, 1.0), False, _every_slice),
-    "lemma2": _Check(_check_lemma2, _CYLINDER, True, _every_slice),
-    "osc_above": _Check(_check_oscillation, _CYLINDER, True, _every_slice),
+    "lemma2": _Check(_check_lemma2, _CYLINDER, True, _every_slice,
+                     terms=lambda cfg, chain: lemma_two_terms(cfg.envelope)),
+    "osc_above": _Check(_check_oscillation, _CYLINDER, True, _every_slice,
+                        terms=lambda cfg, chain: above_terms(chain)),
     "osc_below": _Check(partial(_check_oscillation, below=True), _CYLINDER, True,
-                        _every_slice),
+                        _every_slice, terms=lambda cfg, chain: below_terms(chain)),
     "cascade": _Check(_check_cascade, None, True, _cascade_slices, gauged=True),
     "theorem": _Check(_check_theorem, None, True, _theorem_slices, gauged=True),
 }
 CHECK_NAMES = tuple(_CHECKS)
+
+
+def _residual_pass(
+    cfg: ExperimentConfig, field: ScalarField, chain: ConstantChain | None,
+    window: tuple[float, float, float],
+) -> dict[ResidualTerm, ResidualReport]:
+    """The reports of every term that the config's checks over ``window``
+    read, from one pass over ``field`` with the window's ball as the mask.
+    Every term has the envelope's exponent, which the chain's is.  The
+    coverage rule runs first, as it does first in each check that reads
+    the pass, so a grid that fails it raises the message the check would."""
+    t_lo, t_hi, radius = window
+    cyl = Cylinder(t_lo, t_hi, (0.0,) * field.spec.dimension, radius)
+    Window.require_cover(field.spec, cyl)
+    terms = [term for name in cfg.checks
+             if _CHECKS[name].terms is not None and _CHECKS[name].window == window
+             for term in _CHECKS[name].terms(cfg, chain)]
+    return residual_reports(field, cfg.envelope, terms, Window(field.spec, cyl).mask)
 
 
 def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
@@ -834,11 +866,17 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
             with timed(f"solve{label}"):
                 scan = GaugeScan(cfg.grid, cfg.envelope) if gauged else None
                 traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scan)
+            # each window's pass runs for the first check that reads it; one
+            # that raises is not kept, so each such check records the error
+            passes = cache(partial(_residual_pass, cfg, traj.field, chain))
             for name in cfg.checks:
+                check = _CHECKS[name]
                 with timed(f"{name}{label}"):
                     try:
-                        report = _CHECKS[name].run(
-                            cfg, traj, chain, hamiltonian, outputs, label
+                        residuals = (None if check.terms is None
+                                     else passes(check.window))
+                        report = check.run(
+                            cfg, traj, chain, hamiltonian, outputs, label, residuals
                         )
                     except (ValueError, RuntimeError) as err:
                         report = {"status": "error", "message": str(err)}
@@ -849,7 +887,7 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                 # a copy, so the oracle holds one slice, not the trajectory
                 oracle_base = traj.field.rows(oracle_ti, oracle_ti + 1)[0].copy()
             # free this variant's trajectory before the next one solves
-            del traj
+            del traj, passes
         if cfg.oracle is not None:
             with timed("oracle"):
                 record("oracle", _oracle_outcome(cfg, oracle_base))

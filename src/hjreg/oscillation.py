@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,7 +41,7 @@ from .grid import (
     to_json,
 )
 from .hamiltonians import CoercivityEnvelope
-from .solver import residual_subsolution, residual_supersolution
+from .solver import ResidualReport, ResidualTerm, residual_supersolution
 
 __all__ = [
     "ChainConstructionError",
@@ -48,8 +49,10 @@ __all__ = [
     "ConstantChain",
     "InvariantCheck",
     "TimeReversed",
+    "above_terms",
     "barrier",
     "barrier_field",
+    "below_terms",
     "build_constant_chain",
     "comparison_check",
     "dyadic_ladder",
@@ -598,9 +601,25 @@ def _witness_level(
     return witness, measures
 
 
+def above_terms(chain: ConstantChain) -> list[ResidualTerm]:
+    """The residual the improvement from above reads: the zoomed-in upper
+    inequality's."""
+    return [ResidualTerm(chain.subsolution_coefficient, chain.subsolution_offset)]
+
+
+def below_terms(chain: ConstantChain) -> list[ResidualTerm]:
+    """The residuals the improvement from below reads: the zoomed-in lower
+    inequality's, the upper one's, and the upper one's on the reflection
+    ``-f(-t, x)``, which its reflected improvement from above reads."""
+    [upper] = above_terms(chain)
+    return [ResidualTerm(chain.supersolution_coefficient), upper,
+            upper._replace(reflected=True)]
+
+
 def oscillation_above_check(
     f: ScalarField | TimeReversed,
     chain: ConstantChain,
+    residuals: Mapping[ResidualTerm, ResidualReport],
     residual_tol: float | None = None,
     conclusion_tol: float | None = None,
 ) -> LemmaVerdict:
@@ -612,10 +631,12 @@ def oscillation_above_check(
     least half the cylinder.  Conclusion: the field stays below
     ``2 - shrink_above`` on the late window ``[1, 2] x B(1)``.
 
-    Diagnostics carry the pigeonhole witness: the smallest dyadic level
-    whose middle layer has measure at most the threshold, if one exists.
-    Every read of ``f`` goes through its ``rows``, a block of slices at a
-    time, so a :class:`TimeReversed` field is never built whole.
+    ``residuals`` maps each of :func:`above_terms` to its report on ``f``
+    with the unit ball as the mask, as ``solver.residual_reports`` makes
+    them.  Diagnostics carry the pigeonhole witness: the smallest dyadic
+    level whose middle layer has measure at most the threshold, if one
+    exists.  Every read of ``f`` goes through its ``rows``, a block of
+    slices at a time, so a :class:`TimeReversed` field is never built whole.
     """
     spec = f.spec
     origin = (0.0,) * spec.dimension
@@ -627,10 +648,8 @@ def oscillation_above_check(
     sup_all = win.max(f)
     bound_tol = one_cell_oscillation(f, cyl)
     tol = spec.residual_tol if residual_tol is None else residual_tol
-    worst = residual_subsolution(
-        f, chain.envelope, a_coef=chain.subsolution_coefficient,
-        b_const=chain.subsolution_offset, ball=win.mask,
-    ).ball_max
+    [term] = above_terms(chain)
+    worst = residuals[term].ball_max
     preconditions = {
         "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
     }
@@ -670,6 +689,7 @@ def oscillation_above_check(
 def oscillation_below_check(
     f: ScalarField,
     chain: ConstantChain,
+    residuals: Mapping[ResidualTerm, ResidualReport],
     residual_tol: float | None = None,
     conclusion_tol: float | None = None,
 ) -> LemmaVerdict:
@@ -683,9 +703,11 @@ def oscillation_below_check(
     ``-2 - barrier_slope * (|x| - 1)_+`` everywhere.  Conclusion: the
     field stays above ``-2 + shrink_below`` on ``[1, 2] x B(1/2)``.
 
-    Diagnostics include the full verdict of the improvement from above
-    applied to the reflection ``-f(-t, x)`` (read a block at a time through
-    ``time_reverse``), whose conclusion window pulls back to the early
+    ``residuals`` maps each of :func:`below_terms` to its report on ``f``
+    with the unit ball as the mask.  Diagnostics include the full verdict
+    of the improvement from above applied to the reflection ``-f(-t, x)``
+    (read a block at a time through ``time_reverse``, its residual the
+    reflected term's), whose conclusion window pulls back to the early
     bound ``f >= -2 + shrink_above`` on ``[-2, -1] x B(1)``.
     """
     spec = f.spec
@@ -697,13 +719,8 @@ def oscillation_below_check(
 
     bound_tol = one_cell_oscillation(f, cyl)
     tol = spec.residual_tol if residual_tol is None else residual_tol
-    # Both inequalities in one pass over the field's |grad u|^p.
-    rep = residual_supersolution(
-        f, chain.envelope, a_coef=chain.supersolution_coefficient,
-        ball=win.mask,
-        upper=(chain.subsolution_coefficient, chain.subsolution_offset),
-    )
-    worst_lower, worst_upper = rep.min_value, rep.upper.ball_max
+    lower, upper, reflected_upper = below_terms(chain)
+    worst_lower, worst_upper = residuals[lower].min_value, residuals[upper].ball_max
     preconditions = {
         "supersolution": worst_lower >= -tol, "subsolution": worst_upper <= tol,
     }
@@ -732,7 +749,8 @@ def oscillation_below_check(
     tolerances["conclusion"] = concl_tol
 
     reflected = oscillation_above_check(
-        time_reverse(f), chain, residual_tol=residual_tol
+        time_reverse(f), chain, {upper: residuals[reflected_upper]},
+        residual_tol=residual_tol,
     )
     diagnostics["reflected_above"] = to_json(reflected)
     diagnostics["early_min"] = -reflected.conclusion_values["late_sup"]

@@ -70,6 +70,17 @@ def noise_field(spec, rng, scale=1.0):
     return field_from_values(spec, values)
 
 
+def check_residuals(f, env, terms):
+    """The residual reports a lemma or oscillation check reads: ``terms``
+    from one ``residual_reports`` pass over ``f`` with the ball of
+    ``[-2, 2] x B(1)`` as the mask, as a run computes them."""
+    from hjreg.grid import Cylinder, Window
+    from hjreg.solver import residual_reports
+
+    ball = Window(f.spec, Cylinder(-2.0, 2.0, (0.0,) * f.spec.dimension, 1.0)).mask
+    return residual_reports(f, env, terms, ball)
+
+
 def bundled_config(name):
     """The JSON object of the bundled scenario ``name``."""
     path = resources.files("hjreg") / "scenarios" / f"{name}.json"

@@ -34,7 +34,13 @@ from hjreg.grid import (
 from hjreg.hamiltonians import CoercivityEnvelope
 from hjreg.oscillation import _witness_level, dyadic_ladder
 from hjreg.rescale import gauge_to_window, resample
-from hjreg.solver import residual_subsolution, residual_supersolution
+from hjreg.oscillation import time_reverse
+from hjreg.solver import (
+    ResidualTerm,
+    residual_reports,
+    residual_subsolution,
+    residual_supersolution,
+)
 
 import reference
 from reference import gauge_shift
@@ -156,19 +162,25 @@ def test_residuals_match_with_slice_boundaries_inside_a_block(fb, p, a, b,
                                                               with_ball):
     """Blocks of two to four slices: each spatial axis's raveled difference
     runs across the slice boundaries inside a block, where the backward
-    difference must read 0.0, as at the box edge."""
+    difference must read 0.0, as at the box edge.  A pass with a reflected
+    term takes the gradient of one more slice per block."""
     f, block_cells = fb
     ball = (np.linalg.norm(f.spec.centers(), axis=-1) < 1.0) if with_ball else None
     env = CoercivityEnvelope(lam=1.0, p=p)
+    lower, upper = ResidualTerm(a), ResidualTerm(a, b)
+    reflected = upper._replace(reflected=True)
     with mock.patch("hjreg.grid._BLOCK_CELLS", block_cells):
         sub = residual_subsolution(f, env, a_coef=a, b_const=b, ball=ball)
-        sup = residual_supersolution(f, env, a_coef=a, ball=ball,
-                                     upper=(a, b))
+        reports = residual_reports(f, env, [lower, upper, reflected], ball)
+        mirrored = residual_subsolution(time_reverse(f), env, a_coef=a,
+                                        b_const=b, ball=ball)
     expected = reference.table(reference.residual(f, p, a, b), ball)
     assert np.array_equal(sub.values, expected)
-    assert np.array_equal(sup.upper.values, expected)
+    assert np.array_equal(reports[upper].values, expected)
     assert np.array_equal(
-        sup.values, reference.table(reference.residual(f, p, a, 0.0), ball))
+        reports[lower].values,
+        reference.table(reference.residual(f, p, a, 0.0), ball))
+    assert reports[reflected].values.tobytes() == mirrored.values.tobytes()
 
 
 def test_readers_take_values_that_are_not_c_contiguous():
@@ -203,17 +215,19 @@ def test_reduced_residuals_equal_the_array_form(data, f, p, a, b, a_up, b_up):
     assert reduced.max_positive == float(max(full.max(), 0.0))
     assert reduced.ball_max == float(full[:, ball].max())
     # both inequalities from one pass against two whole-field residuals
-    both = residual_supersolution(f, env, a_coef=a_up, ball=ball, upper=(a, b))
+    both = residual_reports(f, env, [ResidualTerm(a_up), ResidualTerm(a, b)], ball)
     lower = reference.residual(f, p, a_up, 0.0)
-    assert np.array_equal(both.values, reference.table(lower, ball))
-    assert both.min_value == float(lower.min())
-    assert both.ball_max == float(lower[:, ball].max())
-    assert np.array_equal(both.upper.values, reduced.values)
-    assert both.upper.upper is None
+    first = both[ResidualTerm(a_up)]
+    assert np.array_equal(first.values, reference.table(lower, ball))
+    assert first.min_value == float(lower.min())
+    assert first.ball_max == float(lower[:, ball].max())
+    assert np.array_equal(both[ResidualTerm(a, b)].values, reduced.values)
+    assert all(report.also == () for report in both.values())
     upper = reference.residual(f, p, a_up, b_up)
-    paired = residual_supersolution(f, env, a_coef=a, upper=(a_up, b_up))
-    assert np.array_equal(paired.upper.values, reference.table(upper))
-    assert np.array_equal(paired.values,
+    paired = residual_reports(f, env, [ResidualTerm(a), ResidualTerm(a_up, b_up)])
+    assert np.array_equal(paired[ResidualTerm(a_up, b_up)].values,
+                          reference.table(upper))
+    assert np.array_equal(paired[ResidualTerm(a)].values,
                           reference.table(reference.residual(f, p, a, 0.0)))
 
 

@@ -14,6 +14,7 @@ from hjreg.degiorgi import (
     fast_convergence_threshold,
     lemma_one_check,
     lemma_two_check,
+    lemma_two_terms,
     recurrence_fit,
     recurrence_orbit,
     truncated_energy,
@@ -21,7 +22,7 @@ from hjreg.degiorgi import (
 from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope
 
-from conftest import const_field, coordinate_field, time_field
+from conftest import check_residuals, const_field, coordinate_field, time_field
 from reference import make_field
 
 
@@ -196,10 +197,15 @@ class TestLemmaOne:
         assert loose.conclusion_satisfied
 
 
+def _lemma_two(f, env, **kwargs):
+    residuals = check_residuals(f, env, lemma_two_terms(env))
+    return lemma_two_check(f, env, residuals=residuals, **kwargs)
+
+
 class TestLemmaTwo:
     def test_negative_constant_passes(self, box2, env_unit):
-        verdict = lemma_two_check(const_field(box2, -1.0), env_unit,
-                                  alpha=0.5, delta=0.01)
+        verdict = _lemma_two(const_field(box2, -1.0), env_unit,
+                             alpha=0.5, delta=0.01)
         assert verdict.preconditions["bounded_by_two"]
         assert verdict.preconditions["subsolution"]
         assert verdict.hypothesis_satisfied
@@ -207,21 +213,21 @@ class TestLemmaTwo:
         assert verdict.conclusion_values["above_mass"] == 0.0
 
     def test_positive_half_is_vacuous(self, box2, env_unit):
-        verdict = lemma_two_check(const_field(box2, 0.5), env_unit,
-                                  alpha=1e-6, delta=0.01)
+        verdict = _lemma_two(const_field(box2, 0.5), env_unit,
+                             alpha=1e-6, delta=0.01)
         assert not verdict.hypothesis_satisfied
         assert verdict.conclusion_satisfied
 
     def test_rejects_supercritical_exponent(self, box2):
         env = CoercivityEnvelope(lam=1.0, p=2.0)
         with pytest.raises(ValueError, match="p < N"):
-            lemma_two_check(const_field(box2, -1.0), env, alpha=0.5, delta=0.01)
+            _lemma_two(const_field(box2, -1.0), env, alpha=0.5, delta=0.01)
 
     def test_drifting_field_violates_subsolution_precondition(self, box2, env_unit):
         # du/dt = 1.6 exceeds the critical rate lam = 1 by more than the
         # tolerance, while the field itself stays below the ceiling.
         f = make_field(box2, lambda t, x: 1.6 * t - 4.0)
-        verdict = lemma_two_check(f, env_unit, alpha=4.0, delta=0.01,
-                                  residual_tol=0.4)
+        verdict = _lemma_two(f, env_unit, alpha=4.0, delta=0.01,
+                             residual_tol=0.4)
         assert verdict.preconditions["bounded_by_two"]
         assert not verdict.preconditions["subsolution"]

@@ -607,7 +607,9 @@ def test_every_check_returns_a_report_that_carries_its_status():
     statuses = {"pass", "vacuous", "refuted", "precondition-violated", "error"}
     assert set(experiment._CHECKS) == set(cfg.checks)
     for name, check in experiment._CHECKS.items():
-        report = check.run(cfg, traj, chain, cfg.hamiltonian, {}, "")
+        residuals = None if check.terms is None else experiment._residual_pass(
+            cfg, traj.field, chain, check.window)
+        report = check.run(cfg, traj, chain, cfg.hamiltonian, {}, "", residuals)
         status = to_json(report)["status"]
         assert status in statuses, name
         if is_dataclass(report):
@@ -797,6 +799,69 @@ class TestRun:
         assert entry["n_unsatisfied"] == sum(not r["satisfied"] for r in records)
         assert not cascade["estimate"]["degenerate"]
         assert {k: entry[k] for k in cascade["estimate"]} == cascade["estimate"]
+
+
+class TestResidualPass:
+    """The lemma and oscillation checks read their residuals from one pass
+    per trajectory, which every residual goes through (``solver._residual``
+    takes the pass's term list)."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        seen = []
+        original = hjreg.solver._residual
+
+        def spy(f, p, terms, ball):
+            seen.append(list(terms))
+            return original(f, p, terms, ball)
+
+        monkeypatch.setattr(hjreg.solver, "_residual", spy)
+        return seen
+
+    def test_oscillation_run_makes_one_pass(self, passes):
+        report, _ = experiment._compute(parse_config("oscillation-improvement"))
+        assert report.status == "pass"
+        [terms] = passes
+        # the supersolution, the shared subsolution and its reflection
+        assert len(terms) == 3
+        assert sorted(term.reflected for term in terms) == [False, False, True]
+
+    def test_ensemble_member_with_four_checks_makes_one_pass(self, passes):
+        data = bundled_config("small-mass-ensemble")
+        data["checks"] = ["lemma1", "lemma2", "osc_above", "osc_below"]
+        report, _ = experiment._compute(ExperimentConfig.from_json_dict(data))
+        assert [c["check"] for c in report.checks] == data["checks"]
+        assert all(c["status"] != "error" for c in report.checks)
+        [terms] = passes
+        # lemma2's subsolution term beside the three oscillation terms
+        assert len(terms) == 4
+
+    def test_a_failing_check_records_its_own_error(self, passes):
+        data = bundled_config("small-mass-ensemble")
+        data["checks"] = ["lemma2", "osc_above", "osc_below"]
+        data["grid"]["t_end"] = 2.5
+        report, _ = experiment._compute(ExperimentConfig.from_json_dict(data))
+        lemma2, above, below = report.checks
+        assert lemma2["status"] == above["status"] == "pass"
+        assert below == {
+            "check": "osc_below", "status": "error",
+            "message": "time interval [-2.0, 2.5] is not symmetric about 0; "
+                       "reflection would leave the lattice",
+        }
+        assert report.status == "error"
+        assert len(passes) == 1
+
+    def test_a_failing_pass_is_an_error_of_each_check_that_reads_it(self, passes):
+        cfg = parse_config("small-mass-ensemble")
+        cfg = replace(cfg, checks=("lemma1", "lemma2", "osc_above", "osc_below"),
+                      grid=replace(cfg.grid, half_width=1.0))
+        report, _ = experiment._compute(cfg)
+        message = ("box half-width 1.0 leaves less than two cells of padding "
+                   "around the radius-1.0 ball")
+        assert report.checks == tuple(
+            {"check": name, "status": "error", "message": message}
+            for name in cfg.checks)
+        assert passes == []
 
 
 class TestOracleReuse:

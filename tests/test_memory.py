@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hjreg import experiment
-from hjreg.degiorgi import lemma_one_check, lemma_two_check
+from hjreg.degiorgi import lemma_one_check, lemma_two_check, lemma_two_terms
 from hjreg.experiment import (
     ExperimentConfig,
     InitialDataSpec,
@@ -32,20 +32,23 @@ from hjreg.grid import (
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     barrier_field,
+    below_terms,
     build_constant_chain,
     comparison_check,
     oscillation_below_check,
 )
 from hjreg.rescale import base_point_slices, gauge_to_window
 from hjreg.solver import (
+    ResidualTerm,
     SolveConfig,
     _StepKernel,
     hopf_lax,
+    residual_reports,
     residual_subsolution,
-    residual_supersolution,
     solve,
 )
 
+from conftest import check_residuals
 from reference import make_field
 
 # Long enough in time that a trajectory (12 MB, more than eleven blocks)
@@ -94,9 +97,11 @@ def test_gauge_to_window_peaks_at_block_sized_temporaries(gauged):
 
 
 def test_run_path_residuals_peak_at_block_sized_temporaries():
-    """A residual keeps a per-slice table, not a trajectory, also
-    with the subsolution residual evaluated in the same pass: its three
-    work arrays and the ball's cells of one block are the peak."""
+    """A residual keeps a per-slice table, not a trajectory, also with the
+    oscillation checks' terms evaluated in one pass (the supersolution,
+    the subsolution and the reflected subsolution): its three work arrays,
+    one slice longer for the reflected term, and the ball's cells of one
+    block are the peak."""
     env = CoercivityEnvelope(lam=2.0, p=1.5)
     f = make_field(_SPEC, lambda t, x: t * np.cos(x[..., 0]) + x[..., 1] ** 2)
     ball = np.linalg.norm(_SPEC.centers(), axis=-1) < 1.0
@@ -105,10 +110,12 @@ def test_run_path_residuals_peak_at_block_sized_temporaries():
     )
     assert sub.values.shape == (_SPEC.n_slices - 1, 3)
     assert peak <= 4 * _BLOCK_BYTES
-    both, peak = _traced_peak(lambda: residual_supersolution(
-        f, env, ball=ball, upper=(0.5, 2.0)
-    ))
-    assert both.upper.values.shape == (_SPEC.n_slices - 1, 3)
+    terms = [ResidualTerm(4.0), ResidualTerm(0.5, 2.0),
+             ResidualTerm(0.5, 2.0, reflected=True)]
+    reports, peak = _traced_peak(lambda: residual_reports(f, env, terms, ball))
+    assert list(reports) == terms
+    for report in reports.values():
+        assert report.values.shape == (_SPEC.n_slices - 1, 3)
     assert peak <= 4 * _BLOCK_BYTES
 
 
@@ -171,7 +178,8 @@ def test_reflected_check_peaks_below_one_trajectory():
     block of slices at a time, never as a whole reversed copy."""
     chain = build_constant_chain(2, 1.5, 1.0, 1.0)
     f = make_field(_SPEC, lambda t, x: 0.5 * np.cos(x[..., 0] + t))
-    verdict, peak = _traced_peak(lambda: oscillation_below_check(f, chain))
+    verdict, peak = _traced_peak(lambda: oscillation_below_check(
+        f, chain, check_residuals(f, chain.envelope, below_terms(chain))))
     assert verdict.diagnostics["reflected_above"]["name"] == (
         "oscillation-improvement-above")
     assert peak < _TRAJECTORY
@@ -179,7 +187,9 @@ def test_reflected_check_peaks_below_one_trajectory():
 
 @pytest.mark.parametrize("check, mass", [
     (lambda f, env: lemma_one_check(f, env, 0.1), "plus_mass"),
-    (lambda f, env: lemma_two_check(f, env, 1.0, 0.1), "above_mass"),
+    (lambda f, env: lemma_two_check(
+        f, env, 1.0, 0.1, check_residuals(f, env, lemma_two_terms(env))),
+     "above_mass"),
 ], ids=["lemma1", "lemma2"])
 def test_lemma_checks_peak_below_one_trajectory(check, mass):
     """The positive parts the lemmas integrate are taken a block at a time."""

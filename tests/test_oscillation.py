@@ -11,8 +11,10 @@ from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     ChainConstructionError,
+    above_terms,
     barrier,
     barrier_field,
+    below_terms,
     build_constant_chain,
     comparison_check,
     dyadic_ladder,
@@ -23,7 +25,7 @@ from hjreg.oscillation import (
 )
 from hjreg.solver import solve
 
-from conftest import const_field, noise_field, time_field
+from conftest import check_residuals, const_field, noise_field, time_field
 from reference import make_field
 
 
@@ -246,21 +248,31 @@ class TestComparisonCheck:
         )
 
 
+def _above(f, chain, **kwargs):
+    residuals = check_residuals(f, chain.envelope, above_terms(chain))
+    return oscillation_above_check(f, chain, residuals, **kwargs)
+
+
+def _below(f, chain, **kwargs):
+    residuals = check_residuals(f, chain.envelope, below_terms(chain))
+    return oscillation_below_check(f, chain, residuals, **kwargs)
+
+
 class TestOscillationAbove:
     def test_negative_constant_passes(self, chain_unit, box2):
-        verdict = oscillation_above_check(const_field(box2, -1.0), chain_unit)
+        verdict = _above(const_field(box2, -1.0), chain_unit)
         assert verdict.preconditions["bounded_by_two"]
         assert verdict.preconditions["subsolution"]
         assert verdict.hypothesis_satisfied
         assert verdict.conclusion_satisfied
 
     def test_ceiling_constant_is_vacuous(self, chain_unit, box2):
-        verdict = oscillation_above_check(const_field(box2, 2.0), chain_unit)
+        verdict = _above(const_field(box2, 2.0), chain_unit)
         assert not verdict.hypothesis_satisfied
         assert not verdict.conclusion_satisfied
 
     def test_conclusion_threshold_uses_shrink(self, chain_unit, box2):
-        verdict = oscillation_above_check(const_field(box2, -1.0), chain_unit)
+        verdict = _above(const_field(box2, -1.0), chain_unit)
         assert verdict.conclusion_thresholds["late_sup"] == pytest.approx(
             2.0 - chain_unit.shrink_above, rel=1e-12
         )
@@ -269,20 +281,20 @@ class TestOscillationAbove:
         short = GridSpec(dimension=2, half_width=1.25, cells_per_axis=20,
                          t_start=0.0, t_end=1.0, dt=0.025)
         with pytest.raises(ValueError, match="cover"):
-            oscillation_above_check(const_field(short, -1.0), chain_unit)
+            _above(const_field(short, -1.0), chain_unit)
 
 
 class TestOscillationBelow:
     def test_zero_constant_passes(self, chain_unit, box2):
-        verdict = oscillation_below_check(const_field(box2, 0.0), chain_unit)
+        verdict = _below(const_field(box2, 0.0), chain_unit)
         assert verdict.hypothesis_satisfied
         assert verdict.conclusion_satisfied
 
     def test_floor_constant_is_vacuous(self, chain_unit, box2):
-        verdict = oscillation_below_check(const_field(box2, -2.0), chain_unit)
+        verdict = _below(const_field(box2, -2.0), chain_unit)
         assert not verdict.hypothesis_satisfied
 
     def test_conclusion_threshold_uses_shrink(self, chain_unit, box2):
-        verdict = oscillation_below_check(const_field(box2, 0.0), chain_unit)
+        verdict = _below(const_field(box2, 0.0), chain_unit)
         late_min = verdict.conclusion_thresholds["late_min"]
         assert late_min == pytest.approx(-2.0 + chain_unit.shrink_below, rel=1e-9)

@@ -20,10 +20,13 @@ from hjreg.hamiltonians import (
     TransformedHamiltonian,
 )
 from hjreg.initial_data import make_initial_function
+from hjreg.oscillation import time_reverse
 from hjreg.solver import (
+    ResidualTerm,
     SolveConfig,
     SolverError,
     hopf_lax,
+    residual_reports,
     residual_subsolution,
     residual_supersolution,
     snap_dt,
@@ -462,9 +465,61 @@ class TestResiduals:
         np.testing.assert_allclose(interior, 1.5, rtol=1e-12)
 
 
+# Cells per axis of the one-block and the several-block draws.
+_ONE_BLOCK_CELLS = {1: (8, 64), 2: (6, 24), 3: (4, 12)}
+_MANY_BLOCK_CELLS = {1: (400, 600), 2: (40, 64), 3: (16, 24)}
+
+
+@st.composite
+def reflectable_fields(draw):
+    """A smooth field with a flat cap on ``[-T, T] x [-1.5, 1.5]^N``, N in
+    1..3, spanning one block of ``grid._BLOCK_CELLS`` cells or several."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    several_blocks = draw(st.booleans())
+    cells = draw(st.integers(
+        *(_MANY_BLOCK_CELLS if several_blocks else _ONE_BLOCK_CELLS)[dim]))
+    per_block = max(1, hjreg.solver._BLOCK_CELLS // cells**dim)
+    if several_blocks:
+        n_steps = draw(st.integers(per_block + 1, 3 * per_block))
+    else:
+        n_steps = draw(st.integers(1, min(40, per_block - 1)))
+    half = draw(st.floats(0.5, 2.0))
+    spec = GridSpec(dimension=dim, half_width=1.5, cells_per_axis=cells,
+                    t_start=-half, t_end=half, dt=2.0 * half / n_steps)
+    k = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)))
+    speed, drift, cap = (draw(st.floats(-2.0, 2.0)) for _ in range(3))
+    return make_field(spec, lambda t, x: np.minimum(
+        np.sin(x @ k + speed * t) + drift * t, cap))
+
+
+residual_terms = st.builds(ResidualTerm, st.floats(0.1, 4.0),
+                           st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
+                           st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=reflectable_fields(), p=st.floats(1.1, 2.5),
+       drawn=st.lists(residual_terms, min_size=1, max_size=5), with_ball=st.booleans())
+def test_one_pass_equals_one_call_per_term(f, p, drawn, with_ball):
+    """Every term of a pass has the bytes of its own call; a reflected
+    term those of the residual of ``time_reverse(f)``."""
+    env = CoercivityEnvelope(lam=1.0, p=p)
+    ball = (np.linalg.norm(f.spec.centers(), axis=-1) < 1.0) if with_ball else None
+    reports = residual_reports(f, env, drawn, ball)
+    assert list(reports) == list(dict.fromkeys(drawn))
+    for term, report in reports.items():
+        source = time_reverse(f) if term.reflected else f
+        alone = residual_subsolution(source, env, term.a, term.b, ball=ball)
+        assert report.values.tobytes() == alone.values.tobytes()
+        assert (report.max_positive, report.min_value, report.ball_max) == (
+            alone.max_positive, alone.min_value, alone.ball_max)
+        assert report.also == ()
+
+
 def test_traced_residuals_count_their_table_rows(line):
     """The benchmark's tracer counts ``solver.residual.slices`` from
-    ``ResidualReport.values``: one per table row, one row per time step."""
+    ``ResidualReport.values``: one per table row, one row per time step,
+    and a pass of several terms once."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("traced_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -486,14 +541,21 @@ def test_traced_residuals_count_their_table_rows(line):
     try:
         spans.install(tracer)
         sub = hjreg.solver.residual_subsolution(f, env)
-        sup = hjreg.solver.residual_supersolution(f, env, upper=(1.0, 0.5))
+        sup = hjreg.solver.residual_supersolution(f, env)
+        terms = [ResidualTerm(1.0), ResidualTerm(1.0, 0.5),
+                 ResidualTerm(1.0, 0.5, reflected=True)]
+        reports = hjreg.solver.residual_reports(f, env, terms)
     finally:
         for module, attrs in saved.items():
             vars(module).update(attrs)
         for owner, attr, original in methods:
             setattr(owner, attr, original)
     assert sub.values.shape[0] == sup.values.shape[0] == line.n_steps
-    assert spans.summarize(tracer)["solver.residual.slices"] == 2 * line.n_steps
+    assert len(reports) == 3
+    summary = spans.summarize(tracer)
+    assert summary["solver.residual.slices"] == 3 * line.n_steps
+    assert summary["solver.residual_subsolution.calls"] == 2
+    assert summary["solver.residual_supersolution.calls"] == 1
     assert hjreg.solver.residual_subsolution is residual_subsolution
 
 

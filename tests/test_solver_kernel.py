@@ -438,6 +438,36 @@ def test_abort_paths_keep_message_and_step(match, index, spec, h, init, cfg):
     assert (str(exc.value), exc.value.step_index) == want[1:]
 
 
+def test_step_buffers_start_on_page_boundaries():
+    """The step's work buffers sit on 4,096-byte boundaries, wherever the
+    heap stands when the solve starts."""
+    spec = GridSpec(dimension=2, half_width=1.5, cells_per_axis=24,
+                    t_start=0.0, t_end=0.1, dt=0.001)
+    for filler in (1, 100, 1000):
+        held = np.zeros(filler)
+        kernel = _StepKernel(spec, _QUADRATIC, SolveConfig())
+        stride, head, edges, fwd, prev, central = kernel.axes[0]
+        for buf in (kernel.jump, kernel.pnorm_sq, kernel.work, prev, central):
+            assert buf.ctypes.data % 4096 == 0
+        assert not prev[:stride].any()
+        del held
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_coefficient_past_the_lattice_scale_keeps_zero_data_at_zero():
+    """``A (0.5/h)^p`` overflows here (1e307 * 32^2), and a zero gradient
+    would make it ``0 * inf = NaN``: the step scales the centered sums by
+    ``0.5/h`` instead, and zero data stay zero."""
+    spec = GridSpec(dimension=1, half_width=1.0, cells_per_axis=64,
+                    t_start=0.0, t_end=0.01, dt=0.001)
+    h = HamiltonianSpec(kind="scaled-power-law", p=2.0, coefficient=1e307)
+    assert math.isinf(h.coefficient * (0.5 / spec.cell_width) ** h.p)
+    traj = solve(spec, h, np.zeros(64))
+    assert spec.n_steps == 10
+    assert traj.field.values.tobytes() == np.zeros((11, 64)).tobytes()
+    assert traj.max_updates.tolist() == [0.0] * 10
+
+
 class _CountingNumpy:
     """numpy with its ``isfinite`` calls counted."""
 
