@@ -28,7 +28,6 @@ from numpy.typing import NDArray
 
 from .grid import (
     Cylinder,
-    GridSpec,
     ScalarField,
     Window,
     gradient_norm_p_rows,
@@ -41,6 +40,9 @@ from .hamiltonians import CoercivityEnvelope
 from .solver import ResidualReport, ResidualTerm
 
 __all__ = [
+    "LATE_WINDOW",
+    "UNIT_CYLINDER",
+    "UPPER_HALF",
     "LadderEntry",
     "EnergyLadder",
     "RecurrenceFit",
@@ -58,18 +60,18 @@ __all__ = [
 ]
 
 
+# The lemma windows: the unit cylinder ``[-2, 2] x B(1)``, its upper half
+# ``[0, 2] x B(1)`` and its late window ``[1, 2] x B(1)``.
+UNIT_CYLINDER = Cylinder(-2.0, 2.0, 1.0)
+UPPER_HALF = Cylinder(0.0, 2.0, 1.0)
+LATE_WINDOW = Cylinder(1.0, 2.0, 1.0)
+
+
 def cutoff_time(level: int) -> float:
     """Truncation threshold and time-window start ``1 - 2^-level``."""
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     return 1.0 - 2.0 ** (-level)
-
-
-def _unit_window(spec: GridSpec, t_lo: float, t_hi: float) -> Window:
-    """Window of ``[t_lo, t_hi] x B(0, 1)``; the grid must cover it."""
-    cyl = Cylinder(t_lo=t_lo, t_hi=t_hi, center=(0.0,) * spec.dimension, radius=1.0)
-    Window.require_cover(spec, cyl)
-    return Window(spec, cyl)
 
 
 def truncated_energy(
@@ -79,7 +81,7 @@ def truncated_energy(
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     cutoff = cutoff_time(level)
-    win = _unit_window(f.spec, cutoff, 2.0)
+    win = Window.covering(f.spec, Cylinder(cutoff, 2.0, 1.0))
     vol = f.spec.cell_volume
     sup_term = max(
         float((np.maximum(block - cutoff, 0.0).sum(axis=1) * vol).max())
@@ -225,14 +227,10 @@ def lemma_one_check(
     defaults to the largest one-cell jump of ``f`` in the conclusion window.
     """
     spec = f.spec
-    plus_mass = _unit_window(spec, 0.0, 2.0).integral(f, above=0.0)
-    late = _unit_window(spec, 1.0, 2.0)
+    plus_mass = Window.covering(spec, UPPER_HALF).integral(f, above=0.0)
+    late = Window(spec, LATE_WINDOW)
     sup_late = late.max(f)
-    tol = (
-        one_cell_oscillation(f, late.cylinder)
-        if conclusion_tol is None
-        else conclusion_tol
-    )
+    tol = one_cell_oscillation(f, late) if conclusion_tol is None else conclusion_tol
     return LemmaVerdict(
         name="small-mass-implies-bounded",
         preconditions={},
@@ -275,14 +273,13 @@ def lemma_two_check(
     own status rather than a refutation.
     """
     spec = f.spec
-    win = _unit_window(spec, -2.0, 2.0)
+    win = Window.covering(spec, UNIT_CYLINDER)
     if env.p >= spec.dimension:
         raise ValueError(
             f"the machinery needs p < N, got p={env.p}, N={spec.dimension}"
         )
-    cyl = win.cylinder
     sup_all = win.max(f)
-    bound_tol = one_cell_oscillation(f, cyl)
+    bound_tol = one_cell_oscillation(f, win)
     tol = spec.residual_tol if residual_tol is None else residual_tol
     [term] = lemma_two_terms(env)
     worst = residuals[term].ball_max
@@ -293,11 +290,11 @@ def lemma_two_check(
         "sup": sup_all, "subsolution_residual": worst, "subsolution_tol": tol,
     }
 
-    total = level_set_measure(f, cyl)
-    zero_mass = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
-    middle_mass = level_set_measure(f, cyl, lo=0.0, hi=1.0)
+    total = level_set_measure(f, win)
+    zero_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)
+    middle_mass = level_set_measure(f, win, lo=0.0, hi=1.0)
 
-    above_mass = _unit_window(spec, 0.0, 2.0).integral(f, above=1.0)
+    above_mass = Window(spec, UPPER_HALF).integral(f, above=1.0)
     return LemmaVerdict(
         name="measure-to-mass-improvement",
         preconditions=preconditions,

@@ -25,6 +25,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .degiorgi import (
+    UNIT_CYLINDER,
+    UPPER_HALF,
     LemmaVerdict,
     delta_constant,
     energy_ladder,
@@ -319,11 +321,8 @@ def _check_gates(cfg: ExperimentConfig) -> None:
         window = _CHECKS[name].window
         if window is None:
             continue
-        t_lo, t_hi, radius = window
         try:
-            Window.require_cover(
-                grid, Cylinder(t_lo, t_hi, (0.0,) * grid.dimension, radius)
-            )
+            Window.require_cover(grid, window)
         except ValueError as err:
             raise ConfigError(f"check {name!r}: {err}") from None
     times = {
@@ -605,8 +604,9 @@ def _theorem_slices(cfg: ExperimentConfig, chain) -> list[range]:
 class _Check(NamedTuple):
     """``run(cfg, traj, chain, hamiltonian, outputs, label, residuals)``
     returns the check's report, a dataclass or dict whose ``to_json``
-    carries its ``"status"``; ``window`` is the lattice window
-    ``(t_lo, t_hi, radius)`` that its statement fixes, if any.
+    carries its ``"status"``; ``window`` is the cylinder its statement
+    fixes, if any: the module constant its check covers first, which the
+    config gate and :func:`_residual_pass` cover too.
     ``reads(cfg, chain)`` lists the ranges of trajectory slices the check
     reads, and ``gauged`` says whether it reads ``gauge_to_window``'s scan,
     which the solve then takes.  ``terms(cfg, chain)`` lists the residual
@@ -615,7 +615,7 @@ class _Check(NamedTuple):
     :func:`_residual_pass`), or ``None`` if the check reads none."""
 
     run: Callable[..., object]
-    window: tuple[float, float, float] | None
+    window: Cylinder | None
     reads_chain: bool
     reads: Callable[[ExperimentConfig, ConstantChain | None], list[range]]
     gauged: bool = False
@@ -623,20 +623,20 @@ class _Check(NamedTuple):
                     list[ResidualTerm]] | None = None
 
 
-_CYLINDER = (-2.0, 2.0, 1.0)  # [-2, 2] x B(1)
 # Every check a config may enable, in report order.  Runners name the check
 # functions in their bodies, so a wrapper rebound over a module global (as
 # ``perfbench/spans.py`` does) sees every call.  The residuals of lemma2,
 # osc_above and osc_below span every slice of the grid; one pass per
 # trajectory computes all their terms, osc_below's reflected one included.
 _CHECKS = {
-    "lemma1": _Check(_check_lemma1, (0.0, 2.0, 1.0), False, _every_slice),
-    "lemma2": _Check(_check_lemma2, _CYLINDER, True, _every_slice,
+    "lemma1": _Check(_check_lemma1, UPPER_HALF, False, _every_slice),
+    "lemma2": _Check(_check_lemma2, UNIT_CYLINDER, True, _every_slice,
                      terms=lambda cfg, chain: lemma_two_terms(cfg.envelope)),
-    "osc_above": _Check(_check_oscillation, _CYLINDER, True, _every_slice,
+    "osc_above": _Check(_check_oscillation, UNIT_CYLINDER, True, _every_slice,
                         terms=lambda cfg, chain: above_terms(chain)),
-    "osc_below": _Check(partial(_check_oscillation, below=True), _CYLINDER, True,
-                        _every_slice, terms=lambda cfg, chain: below_terms(chain)),
+    "osc_below": _Check(partial(_check_oscillation, below=True), UNIT_CYLINDER,
+                        True, _every_slice,
+                        terms=lambda cfg, chain: below_terms(chain)),
     "cascade": _Check(_check_cascade, None, True, _cascade_slices, gauged=True),
     "theorem": _Check(_check_theorem, None, True, _theorem_slices, gauged=True),
 }
@@ -645,20 +645,18 @@ CHECK_NAMES = tuple(_CHECKS)
 
 def _residual_pass(
     cfg: ExperimentConfig, field: ScalarField, chain: ConstantChain | None,
-    window: tuple[float, float, float],
+    window: Cylinder,
 ) -> dict[ResidualTerm, ResidualReport]:
     """The reports of every term that the config's checks over ``window``
     read, from one pass over ``field`` with the window's ball as the mask.
     Every term has the envelope's exponent, which the chain's is.  The
     coverage rule runs first, as it does first in each check that reads
     the pass, so a grid that fails it raises the message the check would."""
-    t_lo, t_hi, radius = window
-    cyl = Cylinder(t_lo, t_hi, (0.0,) * field.spec.dimension, radius)
-    Window.require_cover(field.spec, cyl)
+    win = Window.covering(field.spec, window)
     terms = [term for name in cfg.checks
              if _CHECKS[name].terms is not None and _CHECKS[name].window == window
              for term in _CHECKS[name].terms(cfg, chain)]
-    return residual_reports(field, cfg.envelope, terms, Window(field.spec, cyl).mask)
+    return residual_reports(field, cfg.envelope, terms, win.mask)
 
 
 def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
@@ -946,10 +944,11 @@ def _with_overrides(
             cfg = replace(cfg, initial_data=replace(cfg.initial_data, seed=int(seed)))
     if resolution is not None:
         with config_errors(f"resolution {resolution}"):
-            cells = int(resolution)
-            scale = cfg.grid.cells_per_axis / cells
-            dt = snap_dt(cfg.grid.t_start, cfg.grid.t_end, cfg.grid.dt * scale)
-            cfg = replace(cfg, grid=replace(cfg.grid, cells_per_axis=cells, dt=dt))
+            # the grid's own rule on cells_per_axis runs before the division
+            grid = replace(cfg.grid, cells_per_axis=int(resolution))
+            scale = cfg.grid.cells_per_axis / grid.cells_per_axis
+            dt = snap_dt(grid.t_start, grid.t_end, grid.dt * scale)
+            cfg = replace(cfg, grid=replace(grid, dt=dt))
     return cfg
 
 

@@ -13,7 +13,12 @@ to ``[t_start, t_end]``; a slice contributes the overlap of that interval
 with the requested time window.  With this weighting the measure of a full
 cylinder is exact in time whenever the window endpoints lie on the lattice,
 so the only discretization error left is the spatial ball boundary layer.
-Every check selects its cells through one :class:`Window`.
+
+A :class:`Cylinder` ``[t_lo, t_hi] x B(0, radius)`` is centred at the
+origin.  A :class:`Window` is the one way to select its cells on a grid:
+every reader of a region takes the window its caller holds, and
+:meth:`Window.slice_range` is the one rule for which slices a time
+interval selects.
 
 Reductions along time run on blocks of consecutive slices, each a
 ``(slices, cells)`` array of about ``_BLOCK_CELLS`` cells; the block size is
@@ -205,7 +210,8 @@ def from_json(cls, data, where: str, **given):
 
 
 class EmptyCylinderError(ValueError):
-    """A cylinder selected no lattice cells at all.
+    """A cylinder selected no lattice cells at all: its time interval holds
+    no slice, or its ball no cell center.  Only :class:`Window` raises it.
 
     Distinct from a measure-zero result, which is a valid 0.0 return from a
     nonempty selection.
@@ -304,11 +310,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Time window crossed with a spatial ball: ``[t_lo, t_hi] x B(center, radius)``."""
+    """Time window crossed with a ball about the origin,
+    ``[t_lo, t_hi] x B(0, radius)``, on a grid of any dimension; a base
+    point moves to the origin by ``rescale.base_point_window``'s map."""
 
     t_lo: float
     t_hi: float
-    center: tuple[float, ...]
     radius: float
 
     def __post_init__(self) -> None:
@@ -316,7 +323,6 @@ class Cylinder:
             raise ValueError(f"need t_hi > t_lo, got [{self.t_lo}, {self.t_hi}]")
         if self.radius <= 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
 
 @dataclass(frozen=True)
@@ -369,17 +375,6 @@ def field_from_values(spec: GridSpec, values: NDArray[np.float64]) -> ScalarFiel
     return ScalarField(spec=spec, values=arr)
 
 
-def _ball_mask(spec: GridSpec, cyl: Cylinder) -> NDArray[np.bool_]:
-    if len(cyl.center) != spec.dimension:
-        raise ValueError(
-            f"cylinder center has {len(cyl.center)} coordinates, grid has "
-            f"dimension {spec.dimension}"
-        )
-    centers = spec.centers()
-    delta = centers - np.asarray(cyl.center)
-    return np.einsum("...i,...i->...", delta, delta) < cyl.radius**2
-
-
 @lru_cache(maxsize=32)
 def _window_geometry(spec: GridSpec, cylinder: Cylinder) -> tuple[
     NDArray[np.intp], NDArray[np.float64], NDArray[np.bool_]
@@ -394,19 +389,21 @@ def _window_geometry(spec: GridSpec, cylinder: Cylinder) -> tuple[
     own_hi = np.minimum(times + half, spec.t_end)
     overlap = np.minimum(own_hi, cylinder.t_hi) - np.maximum(own_lo, cylinder.t_lo)
     weights = np.maximum(overlap, 0.0)
-    mask = _ball_mask(spec, cylinder)
+    centers = spec.centers()
+    mask = np.einsum("...i,...i->...", centers, centers) < cylinder.radius**2
     for arr in (slices, weights, mask):
         arr.flags.writeable = False
     return slices, weights, mask
 
 
 class Window:
-    """The lattice cells a cylinder owns on a grid.
+    """The lattice cells a cylinder owns on a grid: the one way a reader
+    selects a space-time region.
 
     Attributes:
         spec: the grid.
-        cylinder: the cylinder ``[t_lo, t_hi] x B(center, radius)``.
-        slices: indices of the slices whose times lie in ``[t_lo, t_hi]``.
+        slices: indices of the slices whose times lie in the cylinder's
+            ``[t_lo, t_hi]``, its :meth:`slice_range`.
         weights: per-slice time weights, shape ``(n_slices,)``: the overlap
             of each slice's owned interval with ``[t_lo, t_hi]`` (see the
             module docstring); they sum to ``t_hi - t_lo`` when the grid
@@ -417,26 +414,34 @@ class Window:
     shares them (see ``_window_geometry``).
 
     Raises:
-        EmptyCylinderError: when the cylinder holds no slice or no cell.
-        ValueError: when the center's length differs from the dimension.
+        EmptyCylinderError: when the cylinder holds no slice or no cell;
+            no other code raises it.
     """
 
     def __init__(self, spec: GridSpec, cylinder: Cylinder) -> None:
         self.spec = spec
-        self.cylinder = cylinder
         self.slices, self.weights, self.mask = _window_geometry(spec, cylinder)
         if self.slices.size == 0 or not np.any(self.mask):
             raise EmptyCylinderError(
                 f"cylinder [{cylinder.t_lo}, {cylinder.t_hi}] x "
-                f"B({cylinder.center}, {cylinder.radius}) selects no lattice cells"
+                f"B(0, {cylinder.radius}) selects no lattice cells"
             )
+
+    @classmethod
+    def covering(cls, spec: GridSpec, cylinder: Cylinder) -> Window:
+        """The window of a cylinder the grid must cover: :meth:`require_cover`
+        runs first, so a grid that breaks the rule raises its ``ValueError``
+        before any :class:`EmptyCylinderError`."""
+        cls.require_cover(spec, cylinder)
+        return cls(spec, cylinder)
 
     @staticmethod
     def slice_range(spec: GridSpec, t_lo: float, t_hi: float, pad: int = 0) -> range:
         """Indices of the slices whose times lie in ``[t_lo, t_hi]``, widened
-        by ``pad`` slices on each side and clipped to the grid.  With
-        ``pad > 0`` the range is not empty even when no slice time falls
-        inside: it holds the ``pad`` slices on each side of the interval."""
+        by ``pad`` slices on each side and clipped to the grid: the one rule
+        for which slices a time interval selects.  With ``pad > 0`` the
+        range is not empty even when no slice time falls inside: it holds
+        the ``pad`` slices on each side of the interval."""
         times = spec.times()
         lo = int(np.searchsorted(times, t_lo - _TIME_TOL, "left"))
         hi = int(np.searchsorted(times, t_hi + _TIME_TOL, "right"))
@@ -454,8 +459,7 @@ class Window:
                 f"grid time range [{spec.t_start}, {spec.t_end}] does not cover "
                 f"[{cylinder.t_lo}, {cylinder.t_hi}]"
             )
-        reach = max(abs(c) for c in cylinder.center) + cylinder.radius
-        if spec.half_width < reach + 2.0 * spec.cell_width:
+        if spec.half_width < cylinder.radius + 2.0 * spec.cell_width:
             raise ValueError(
                 f"box half-width {spec.half_width} leaves less than two cells of "
                 f"padding around the radius-{cylinder.radius} ball"
@@ -529,22 +533,21 @@ def in_slice_order(terms: NDArray[np.float64]) -> float:
 
 def level_set_measure(
     f: ScalarField,
-    cyl: Cylinder,
+    win: Window,
     lo: float = -math.inf,
     hi: float = math.inf,
     closed_upper: bool = False,
 ) -> float:
-    """Cell-counting measure of ``{lo < f < hi}`` (or ``< f <= hi``) in a cylinder.
+    """Cell-counting measure of ``{lo < f < hi}`` (or ``< f <= hi``) in the
+    window ``win`` of ``f``'s grid.
 
     Bounds are strict; ``closed_upper=True`` switches the upper predicate to
     ``f <= hi``, so ``{f <= c}`` is expressed as ``(-inf, c]`` and point
-    levels ``{f == c}`` as a closed/open difference.
+    levels ``{f == c}`` as a closed/open difference.  Reads the cells of
+    ``win.mask`` on the slices of positive weight, through ``f.rows``.
 
-    Returns 0.0 when the selection is nonempty but no cell satisfies the
-    predicate; raises :class:`EmptyCylinderError` when the cylinder selects
-    no cells at all.
+    Returns 0.0 when no cell of the window satisfies the predicate.
     """
-    win = Window(f.spec, cyl)
     counts = [
         np.count_nonzero(
             (vals > lo) & ((vals <= hi) if closed_upper else (vals < hi)), axis=1
@@ -558,24 +561,18 @@ def discrete_gradient_norm_p(
     f: ScalarField,
     slice_index: int,
     p: float,
-    ball: Cylinder | None = None,
+    ball: Window | None = None,
 ) -> float:
     """Integral of ``|grad f|^p`` over one time slice.
 
     Gradients are forward differences per axis, one-sided (backward) at the
-    upper box edge.  Integration is over the whole box by default, or over
-    the spatial ball of ``ball`` when given (its time window is ignored).
+    upper box edge.  Reads slice ``slice_index`` of ``f.values`` and
+    integrates over the whole box, or over the cells of ``ball.mask`` when
+    a window is given (its slices are not read).
     """
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
-    cells = None
-    if ball is not None:
-        mask = _ball_mask(f.spec, ball)
-        if not np.any(mask):
-            raise EmptyCylinderError(
-                f"ball B({ball.center}, {ball.radius}) selects no cells"
-            )
-        cells = np.flatnonzero(mask)
+    cells = None if ball is None else np.flatnonzero(ball.mask)
     return float(gradient_norm_p_rows(f.values[slice_index][None], f.spec, p, cells)[0])
 
 
@@ -642,29 +639,29 @@ def axis_strides(spec: GridSpec) -> list[int]:
     return [n ** (dim - 1 - axis) for axis in range(dim)]
 
 
-def one_cell_oscillation(f: ScalarField, cyl: Cylinder | None = None) -> float:
+def one_cell_oscillation(f: ScalarField, win: Window | None = None) -> float:
     """Largest single-cell jump of the field (space or time axis).
 
     This is the natural resolution floor for sup-norm conclusions: a bound
     checked at cell centers can be off by at most one neighbor jump.  With
-    a cylinder, only jumps between two cells of its window count.  Each
-    axis's jumps over a block of slices are one :class:`ShiftedDifference`,
-    whose zeroed entries do not raise the maximum; with a cylinder the
-    maximum is taken over the pairs whose two cells lie in its ball (the
-    mask ANDed with itself shifted by the axis stride).
+    a window of ``f``'s grid, only jumps between two of its cells count:
+    the slices from its first to its last, and the pairs whose two cells
+    lie in its mask (the mask ANDed with itself shifted by the axis
+    stride); without one, every slice and cell.  Each axis's jumps over a
+    block of slices are one :class:`ShiftedDifference`, whose zeroed
+    entries do not raise the maximum.
     """
     spec = f.spec
     cells = math.prod(spec.spatial_shape)
-    if cyl is None:
+    if win is None:
         start, stop, in_ball = 0, spec.n_slices, None
     else:
-        win = Window(spec, cyl)
         start, stop = int(win.slices[0]), int(win.slices[-1]) + 1
         mask = win.mask.reshape(-1)
         in_ball = np.flatnonzero(mask)
     # Per spatial axis: its stride and the cells j of a slice whose pair
     # (j, j + stride) has both ends in the ball (None: the whole box).
-    pairs = [(stride, None if cyl is None
+    pairs = [(stride, None if win is None
               else np.flatnonzero(mask[stride:] & mask[:-stride]))
              for stride in axis_strides(spec)]
 

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .degiorgi import LemmaVerdict
+from .degiorgi import LATE_WINDOW, UNIT_CYLINDER, LemmaVerdict
 from .grid import (
     Cylinder,
     GridSpec,
@@ -44,6 +44,7 @@ from .hamiltonians import CoercivityEnvelope
 from .solver import ResidualReport, ResidualTerm, residual_supersolution
 
 __all__ = [
+    "LATE_HALF_BALL",
     "ChainConstructionError",
     "ComparisonReport",
     "ConstantChain",
@@ -64,6 +65,9 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+# The late half-ball ``[1, 2] x B(1/2)`` of the improvement from below; the
+# checks' other windows are the lemmas' unit cylinder and late window.
+LATE_HALF_BALL = Cylinder(1.0, 2.0, 0.5)
 
 
 class ChainConstructionError(ValueError):
@@ -639,14 +643,11 @@ def oscillation_above_check(
     slices at a time, so a :class:`TimeReversed` field is never built whole.
     """
     spec = f.spec
-    origin = (0.0,) * spec.dimension
-    cyl = Cylinder(-2.0, 2.0, origin, 1.0)
-    Window.require_cover(spec, cyl)
-    win = Window(spec, cyl)
-    late = Window(spec, Cylinder(1.0, 2.0, origin, 1.0))
+    win = Window.covering(spec, UNIT_CYLINDER)
+    late = Window(spec, LATE_WINDOW)
 
     sup_all = win.max(f)
-    bound_tol = one_cell_oscillation(f, cyl)
+    bound_tol = one_cell_oscillation(f, win)
     tol = spec.residual_tol if residual_tol is None else residual_tol
     [term] = above_terms(chain)
     worst = residuals[term].ball_max
@@ -656,14 +657,11 @@ def oscillation_above_check(
     diagnostics: dict = {"sup": sup_all, "subsolution_residual": worst}
     tolerances = {"bounded_by_two": bound_tol, "residual": tol}
 
-    total = level_set_measure(f, cyl)
-    nonpos_mass = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
+    total = level_set_measure(f, win)
+    nonpos_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)
 
-    concl_tol = (
-        one_cell_oscillation(f, late.cylinder)
-        if conclusion_tol is None
-        else conclusion_tol
-    )
+    concl_tol = (one_cell_oscillation(f, late) if conclusion_tol is None
+                 else conclusion_tol)
     late_sup = late.max(f)
     tolerances["conclusion"] = concl_tol
 
@@ -711,13 +709,10 @@ def oscillation_below_check(
     bound ``f >= -2 + shrink_above`` on ``[-2, -1] x B(1)``.
     """
     spec = f.spec
-    origin = (0.0,) * spec.dimension
-    cyl = Cylinder(-2.0, 2.0, origin, 1.0)
-    Window.require_cover(spec, cyl)
-    win = Window(spec, cyl)
-    late = Window(spec, Cylinder(1.0, 2.0, origin, 0.5))
+    win = Window.covering(spec, UNIT_CYLINDER)
+    late = Window(spec, LATE_HALF_BALL)
 
-    bound_tol = one_cell_oscillation(f, cyl)
+    bound_tol = one_cell_oscillation(f, win)
     tol = spec.residual_tol if residual_tol is None else residual_tol
     lower, upper, reflected_upper = below_terms(chain)
     worst_lower, worst_upper = residuals[lower].min_value, residuals[upper].ball_max
@@ -730,8 +725,8 @@ def oscillation_below_check(
     tolerances = {"lower_bound": bound_tol, "residual": tol}
 
     inf_all = win.min(f)
-    total = level_set_measure(f, cyl)
-    negative_mass = level_set_measure(f, cyl, hi=0.0)
+    total = level_set_measure(f, win)
+    negative_mass = level_set_measure(f, win, hi=0.0)
     nonneg_mass = total - negative_mass
 
     envelope = growth_envelope(chain, spec)
@@ -740,11 +735,8 @@ def oscillation_below_check(
     envelope_tol = one_cell_oscillation(f)
     tolerances["envelope"] = envelope_tol
 
-    concl_tol = (
-        one_cell_oscillation(f, late.cylinder)
-        if conclusion_tol is None
-        else conclusion_tol
-    )
+    concl_tol = (one_cell_oscillation(f, late) if conclusion_tol is None
+                 else conclusion_tol)
     late_min = late.min(f)
     tolerances["conclusion"] = concl_tol
 

@@ -45,6 +45,7 @@ from .solver import (
 )
 
 __all__ = [
+    "ZOOM_WINDOW",
     "CascadeError",
     "EnvelopeViolation",
     "GaugeScan",
@@ -68,6 +69,9 @@ __all__ = [
 # roundings, so fields sitting exactly on a certified bound can overshoot
 # it by machine epsilon even when the algebra is an identity.
 _TOL_FLOOR = 1e-12
+# The zoom window ``[-1, 0] x B(1/2)``: each cascade level's field is
+# measured and recentered on it, and ``Q_m`` pulls back to it.
+ZOOM_WINDOW = Cylinder(-1.0, 0.0, 0.5)
 
 
 class RecenterError(RuntimeError):
@@ -159,15 +163,15 @@ def resample(
 def _clamped_sample(f: ScalarField | GaugedField, axes: list) -> np.ndarray:
     """Multilinear values of ``f`` on the tensor grid of ``axes``: one 1-D
     query array per axis, time first, each clamped to the cell-center hull.
-    Only the slices the time queries fall between, and one more on each
-    side, are read (and gauged).  Each value rounds as scipy's per-point
-    ``RegularGridInterpolator`` rounds it: corners summed from 0 in
-    ``itertools.product`` order, each weight multiplied from 1 in axis order."""
+    Only the slices ``Window.slice_range`` selects for the time queries,
+    padded by two on each side, are read (and gauged).  Each value rounds
+    as scipy's per-point ``RegularGridInterpolator`` rounds it: corners
+    summed from 0 in ``itertools.product`` order, each weight multiplied
+    from 1 in axis order."""
     grids = [f.spec.times()] + [f.spec.axis_centers()] * f.spec.dimension
     queries = [np.clip(q, g[0], g[-1]) for g, q in zip(grids, axes)]
-    # t lies in [times[k - 1], times[k]); a:b pads those rows by one each side
-    k = np.searchsorted(grids[0], [queries[0].min(), queries[0].max()], "right")
-    a, b = max(int(k[0]) - 2, 0), min(int(k[1]) + 2, len(grids[0]))
+    read = Window.slice_range(f.spec, queries[0].min(), queries[0].max(), pad=2)
+    a, b = read.start, read.stop
     grids[0], values, ends = grids[0][a:b], f.rows(a, b), []
     for axis, (g, q) in enumerate(zip(grids, queries)):
         i = np.clip(np.searchsorted(g, q, "right") - 1, 0, len(g) - 2)
@@ -182,30 +186,23 @@ def _clamped_sample(f: ScalarField | GaugedField, axes: list) -> np.ndarray:
     return out
 
 
-def _window_extrema(f: ScalarField, cyl: Cylinder) -> tuple[float, float]:
-    win = Window(f.spec, cyl)
-    return win.min(f), win.max(f)
-
-
 def select_recenter(
-    f: ScalarField, chain: ConstantChain, tolerance: float | None = None
+    lo: float, hi: float, chain: ConstantChain, tolerance: float
 ) -> tuple[float, float]:
-    """Recentering constant for the next zoom, from the window extrema.
+    """Recentering constant for the next zoom, from the extrema ``lo`` and
+    ``hi`` of the field over :data:`ZOOM_WINDOW`.
 
-    Takes the midpoint of the field's range over ``[-1, 0] x B(1/2)``,
-    clamped to ``[-shrink_below/2, shrink_below/2]``, and returns it with
-    the achieved sup of ``|f - d|``.  The improved-oscillation property
-    guarantees an admissible ``d`` whenever one of the two one-sided
-    improvements applies; a :class:`RecenterError` reports an achieved
-    bound above ``2 - shrink_below/2`` (plus the tolerance).
+    Takes the midpoint of that range, clamped to ``[-shrink_below/2,
+    shrink_below/2]``, and returns it with the achieved sup of ``|f - d|``.
+    The improved-oscillation property guarantees an admissible ``d``
+    whenever one of the two one-sided improvements applies; a
+    :class:`RecenterError` reports an achieved bound above ``2 -
+    shrink_below/2`` plus the tolerance (at least ``_TOL_FLOOR``).
     """
-    window = Cylinder(-1.0, 0.0, (0.0,) * f.spec.dimension, 0.5)
-    lo, hi = _window_extrema(f, window)
     half_shrink = 0.5 * chain.shrink_below
     d = min(half_shrink, max(-half_shrink, 0.5 * (lo + hi)))
     achieved = max(hi - d, d - lo)
-    tol = one_cell_oscillation(f, window) if tolerance is None else tolerance
-    tol = max(tol, _TOL_FLOOR)
+    tol = max(tolerance, _TOL_FLOOR)
     if achieved > 2.0 - half_shrink + tol:
         raise RecenterError(
             f"window range [{lo}, {hi}] admits no recentering: best bound "
@@ -291,9 +288,10 @@ def zoom_cascade(
 
     Record ``m`` measures the oscillation of the original field over the
     window ``Q_m`` through the cascade bookkeeping: the window pulls back
-    to ``[-1, 0] x B(1/2)`` on level ``m``'s field, and every zoom scales
-    values by exactly ``1/decay_ratio``, so the original oscillation is
-    ``decay_ratio^m`` times the measured window oscillation at level ``m``.
+    to :data:`ZOOM_WINDOW` on level ``m``'s field (whose extrema there each
+    level takes once), and every zoom scales values by exactly
+    ``1/decay_ratio``, so the original oscillation is ``decay_ratio^m``
+    times the measured window oscillation at level ``m``.
     The certified bound is ``4 decay_ratio^(m+1)``.
 
     Each level advances by re-solving the transformed equation of
@@ -302,7 +300,6 @@ def zoom_cascade(
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    spec = f.spec
     sup = float(np.abs(f.values).max())
     box_tol = max(one_cell_oscillation(f), _TOL_FLOOR)
     if sup > 2.0 + box_tol:
@@ -314,13 +311,12 @@ def zoom_cascade(
     cfg = solve_config or SolveConfig()
     records: list[OscillationRecord] = []
     u = f
-    center = (0.0,) * spec.dimension
     for m in range(levels + 1):
         try:
-            window = Cylinder(-1.0, 0.0, center, 0.5)
-            lo, hi = _window_extrema(u, window)
-            window_tol = one_cell_oscillation(u, window)
-            d, _ = select_recenter(u, chain, tolerance=window_tol)
+            win = Window(u.spec, ZOOM_WINDOW)
+            lo, hi = win.min(u), win.max(u)
+            window_tol = one_cell_oscillation(u, win)
+            d, _ = select_recenter(lo, hi, chain, window_tol)
             factor = theta**m
             osc = factor * (hi - lo)
             bound = 4.0 * theta ** (m + 1)
@@ -508,9 +504,9 @@ def base_point_slices(spec: GridSpec, chain: ConstantChain, t0: float) -> range:
 
     The window pulls back to ``[t0 - 4 tau eps_time, t0]`` with
     ``eps_time = prezoom_scale^prezoom_time_exponent`` and ``tau <= (t0 -
-    t_start) / 4``, so it lies in ``[t0 - (t0 - t_start) eps_time, t0]``;
-    the multilinear sample reads one slice below and two above the slices
-    its queries fall between, so the range is padded by two each side.
+    t_start) / 4``, so it lies in ``[t0 - (t0 - t_start) eps_time, t0]``,
+    and the multilinear sample reads ``Window.slice_range`` of its queries
+    padded by two: this is that range for the widest queries.
     """
     eps_time = chain.prezoom_scale**chain.prezoom_time_exponent
     return Window.slice_range(spec, t0 - (t0 - spec.t_start) * eps_time, t0, pad=2)

@@ -258,6 +258,9 @@ class _StepKernel:
         self.sum_scale = None
         if not math.isfinite(h.sup_coefficient * self.lattice_scale):
             self.sum_scale, self.lattice_scale = 0.5 / self.width, 1.0
+        # ``h.dissipation_bound`` with its per-solve factor taken once:
+        # sigma = (sup A * p) * |P|^(p - 1)
+        self.sigma_scale, self.sigma_power = h.sup_coefficient * h.p, h.p - 1.0
         self.coefficient = (
             h.coefficient_field(spec.t_start, self.centers) * self.lattice_scale
             if h.static_coefficient
@@ -298,7 +301,7 @@ class _StepKernel:
                 pnorm_sq += np.maximum(fwd, prev, out=work)
 
         pnorm_max = math.sqrt(np.maximum.reduce(pnorm_sq)) / width
-        sigma_est = max(self.h.dissipation_bound(pnorm_max), 0.0)
+        sigma_est = max(self.sigma_scale * max(pnorm_max, 0.0) ** self.sigma_power, 0.0)
         sigma_diss = self.sigma_bound
         if sigma_diss is None:
             sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)

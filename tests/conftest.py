@@ -74,10 +74,11 @@ def check_residuals(f, env, terms):
     """The residual reports a lemma or oscillation check reads: ``terms``
     from one ``residual_reports`` pass over ``f`` with the ball of
     ``[-2, 2] x B(1)`` as the mask, as a run computes them."""
-    from hjreg.grid import Cylinder, Window
+    from hjreg.degiorgi import UNIT_CYLINDER
+    from hjreg.grid import Window
     from hjreg.solver import residual_reports
 
-    ball = Window(f.spec, Cylinder(-2.0, 2.0, (0.0,) * f.spec.dimension, 1.0)).mask
+    ball = Window(f.spec, UNIT_CYLINDER).mask
     return residual_reports(f, env, terms, ball)
 
 

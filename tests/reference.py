@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hjreg.grid import ScalarField, Window, slice_blocks
+from hjreg.grid import ScalarField, slice_blocks
 
 
 def make_field(spec, initializer):
@@ -63,17 +63,16 @@ def residual(f, p, a, b):
     return dudt + a * np.sqrt(sq) ** p - b
 
 
-def one_cell_oscillation(f, cyl=None):
+def one_cell_oscillation(f, win=None):
     """Largest single-cell jump of ``f`` in space or time, over the cells
-    of ``cyl``'s window (the whole field without one), with each spatial
+    of the window ``win`` (the whole field without one), with each spatial
     neighbour pair gathered by flat index with ``np.take`` a block of
     slices at a time."""
     spec = f.spec
-    if cyl is None:
+    if win is None:
         start, stop = 0, spec.n_slices
         mask = np.ones(spec.spatial_shape, dtype=bool)
     else:
-        win = Window(spec, cyl)
         start, stop = int(win.slices[0]), int(win.slices[-1]) + 1
         mask = win.mask
     cells = np.flatnonzero(mask)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjreg import rescale
-from hjreg.degiorgi import cutoff_time, truncated_energy
+from hjreg.degiorgi import UNIT_CYLINDER, cutoff_time, truncated_energy
 from hjreg.grid import (
     _BLOCK_CELLS,
     Cylinder,
@@ -73,15 +73,22 @@ def fields(draw):
 
 
 @st.composite
-def cylinders(draw, dim):
+def cylinders(draw):
     t_lo = draw(st.floats(-2.5, 1.9))
     t_hi = draw(st.floats(t_lo + 0.05, 2.5))
-    center = tuple(draw(st.floats(-0.4, 0.4)) for _ in range(dim))
-    return Cylinder(t_lo, t_hi, center, draw(st.floats(0.2, 1.0)))
+    return Cylinder(t_lo, t_hi, draw(st.floats(0.2, 1.0)))
 
 
-def _reference_level_set(f, cyl, lo, hi, closed_upper):
-    win = Window(f.spec, cyl)
+def _windows(data, f):
+    """A drawn cylinder's window on ``f``'s grid, or None when it selects
+    no cells."""
+    try:
+        return Window(f.spec, data.draw(cylinders()))
+    except EmptyCylinderError:
+        return None
+
+
+def _reference_level_set(f, win, lo, hi, closed_upper):
     total = 0.0
     for i in win.weighted_slices():
         vals = f.values[i][win.mask]
@@ -102,11 +109,10 @@ def _reference_gradient_norm_p(slice_values, spec, p, mask):
     return float(np.sum(total ** (p / 2.0)) * spec.cell_volume)
 
 
-def _reference_one_cell(f, cyl):
-    if cyl is None:
+def _reference_one_cell(f, win):
+    if win is None:
         return float(max(np.abs(np.diff(f.values, axis=a)).max(initial=0.0)
                          for a in range(f.values.ndim)))
-    win = Window(f.spec, cyl)
     mask = win.mask
     jump = 0.0
     for i in range(win.slices[0], win.slices[-1] + 1):
@@ -195,8 +201,8 @@ def test_readers_take_values_that_are_not_c_contiguous():
     env = CoercivityEnvelope(lam=1.0, p=1.5)
     assert np.array_equal(residual_subsolution(strided, env).values,
                           residual_subsolution(f, env).values)
-    for cyl in (None, Cylinder(-1.0, 1.0, (0.0, 0.0), 1.0)):
-        assert one_cell_oscillation(strided, cyl) == one_cell_oscillation(f, cyl)
+    for win in (None, Window(spec, Cylinder(-1.0, 1.0, 1.0))):
+        assert one_cell_oscillation(strided, win) == one_cell_oscillation(f, win)
 
 
 @settings(max_examples=30, deadline=None)
@@ -320,27 +326,24 @@ def test_gauge_stops_at_the_first_failing_block_like_the_full_scan(data, lam, p)
 @given(data=st.data(), f=fields(), closed_upper=st.booleans(),
        lo=st.floats(-1.0, 1.5), width=st.floats(0.0, 1.5))
 def test_level_set_measure_matches_the_per_slice_loop(data, f, closed_upper, lo, width):
-    cyl = data.draw(cylinders(f.spec.dimension))
-    try:
-        expected = _reference_level_set(f, cyl, lo, lo + width, closed_upper)
-    except EmptyCylinderError:
-        with pytest.raises(EmptyCylinderError):
-            level_set_measure(f, cyl, lo, lo + width, closed_upper)
+    win = _windows(data, f)
+    if win is None:
         return
-    assert level_set_measure(f, cyl, lo, lo + width, closed_upper) == expected
-    assert level_set_measure(f, cyl) == _reference_level_set(
-        f, cyl, -math.inf, math.inf, False
+    expected = _reference_level_set(f, win, lo, lo + width, closed_upper)
+    assert level_set_measure(f, win, lo, lo + width, closed_upper) == expected
+    assert level_set_measure(f, win) == _reference_level_set(
+        f, win, -math.inf, math.inf, False
     )
 
 
 @settings(max_examples=40, deadline=None)
 @given(f=fields(), depth=st.integers(1, 14), threshold=st.floats(0.0, 2.0))
 def test_witness_measures_match_the_dyadic_ladder(f, depth, threshold):
-    cyl = Cylinder(-2.0, 2.0, (0.0,) * f.spec.dimension, 1.0)
+    win = Window(f.spec, UNIT_CYLINDER)
     chain = SimpleNamespace(ladder_depth=depth, middle_threshold=threshold)
-    witness, measures = _witness_level(f, chain, Window(f.spec, cyl))
+    witness, measures = _witness_level(f, chain, win)
     expected = [
-        level_set_measure(dyadic_ladder(f, k), cyl, lo=0.0, hi=1.0)
+        level_set_measure(dyadic_ladder(f, k), win, lo=0.0, hi=1.0)
         for k in range(1, depth + 1)
     ]
     assert measures == expected
@@ -362,25 +365,23 @@ def test_witness_band_edges_match_the_dyadic_ladder():
     inside = np.flatnonzero(np.abs(spec.axis_centers()) < 1.0)
     row[inside[: len(values)]] = values
     f = field_from_values(spec, np.broadcast_to(row, (spec.n_slices, *row.shape)))
-    cyl = Cylinder(-2.0, 2.0, (0.0,), 1.0)
+    win = Window(spec, UNIT_CYLINDER)
     chain = SimpleNamespace(ladder_depth=depth, middle_threshold=0.0)
-    _, measures = _witness_level(f, chain, Window(spec, cyl))
-    expected = [level_set_measure(dyadic_ladder(f, k), cyl, lo=0.0, hi=1.0)
+    _, measures = _witness_level(f, chain, win)
+    expected = [level_set_measure(dyadic_ladder(f, k), win, lo=0.0, hi=1.0)
                 for k in range(1, depth + 1)]
     assert measures == expected
     # Band k holds exactly one ulp above its lower edge and one below its
     # upper edge; the edges themselves belong to no band.
-    two_cells = 2 * spec.cell_volume * (cyl.t_hi - cyl.t_lo)
+    two_cells = 2 * spec.cell_volume * (UNIT_CYLINDER.t_hi - UNIT_CYLINDER.t_lo)
     assert measures == [pytest.approx(two_cells, rel=1e-12)] * depth
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), f=fields())
 def test_window_reductions_match_the_per_slice_loop(data, f):
-    cyl = data.draw(cylinders(f.spec.dimension))
-    try:
-        win = Window(f.spec, cyl)
-    except EmptyCylinderError:
+    win = _windows(data, f)
+    if win is None:
         return
     values = f.values
     assert win.max(f) == max(float(values[i][win.mask].max()) for i in win.slices)
@@ -394,13 +395,12 @@ def test_window_reductions_match_the_per_slice_loop(data, f):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), f=fields(), whole_box=st.booleans())
 def test_one_cell_oscillation_matches_the_per_slice_loop(data, f, whole_box):
-    cyl = None if whole_box else data.draw(cylinders(f.spec.dimension))
-    try:
-        expected = _reference_one_cell(f, cyl)
-    except EmptyCylinderError:
+    win = None if whole_box else _windows(data, f)
+    if win is None and not whole_box:
         return
-    assert one_cell_oscillation(f, cyl) == expected
-    assert reference.one_cell_oscillation(f, cyl) == expected
+    expected = _reference_one_cell(f, win)
+    assert one_cell_oscillation(f, win) == expected
+    assert reference.one_cell_oscillation(f, win) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,23 +411,21 @@ def test_one_cell_oscillation_matches_the_gathered_pairs(data, f, whole_box,
     """Shifted-slice differences against the ``np.take`` gather of every
     neighbour pair, also with blocks of a few slices, so that block edges
     fall inside the window."""
-    cyl = None if whole_box else data.draw(cylinders(f.spec.dimension))
-    try:
-        expected = reference.one_cell_oscillation(f, cyl)
-    except EmptyCylinderError:
+    win = None if whole_box else _windows(data, f)
+    if win is None and not whole_box:
         return
-    assert one_cell_oscillation(f, cyl) == expected
+    expected = reference.one_cell_oscillation(f, win)
+    assert one_cell_oscillation(f, win) == expected
     cells = math.prod(f.spec.spatial_shape)
     with mock.patch("hjreg.grid._BLOCK_CELLS", per_block * cells):
-        assert one_cell_oscillation(f, cyl) == expected
+        assert one_cell_oscillation(f, win) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(f=fields(), level=st.integers(1, 6), p=st.floats(1.1, 2.5))
 def test_truncated_energy_matches_the_per_slice_loop(f, level, p):
     spec = f.spec
-    cyl = Cylinder(cutoff_time(level), 2.0, (0.0,) * spec.dimension, 1.0)
-    win = Window(spec, cyl)
+    win = Window(spec, Cylinder(cutoff_time(level), 2.0, 1.0))
     trunc = np.maximum(f.values - cutoff_time(level), 0.0)
     vol = spec.cell_volume
     sup_term = max(float(trunc[i][win.mask].sum()) * vol for i in win.slices)
@@ -442,7 +440,7 @@ def test_truncated_energy_matches_the_per_slice_loop(f, level, p):
     assert discrete_gradient_norm_p(f, i, p) == _reference_gradient_norm_p(
         f.values[i], spec, p, None
     )
-    assert discrete_gradient_norm_p(f, i, p, ball=cyl) == _reference_gradient_norm_p(
+    assert discrete_gradient_norm_p(f, i, p, ball=win) == _reference_gradient_norm_p(
         f.values[i], spec, p, win.mask
     )
 
@@ -455,5 +453,5 @@ def test_one_cell_oscillation_sees_a_time_jump_between_blocks(whole_box):
     values = np.zeros((spec.n_slices, *spec.spatial_shape))
     values[per_block:] = 1.0
     f = field_from_values(spec, values)
-    cyl = None if whole_box else Cylinder(-2.0, 2.0, (0.0, 0.0), 1.0)
-    assert one_cell_oscillation(f, cyl) == 1.0
+    win = None if whole_box else Window(spec, UNIT_CYLINDER)
+    assert one_cell_oscillation(f, win) == 1.0

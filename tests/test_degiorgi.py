@@ -19,7 +19,7 @@ from hjreg.degiorgi import (
     recurrence_orbit,
     truncated_energy,
 )
-from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
+from hjreg.grid import Cylinder, GridSpec, Window, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope
 
 from conftest import check_residuals, const_field, coordinate_field, time_field
@@ -29,9 +29,8 @@ from reference import make_field
 def lattice_disk_area(spec):
     """Spatial measure the lattice assigns to the unit disk."""
     f = const_field(spec, 0.0)
-    cyl = Cylinder(t_lo=spec.t_start, t_hi=spec.t_end,
-                   center=(0.0,) * spec.dimension, radius=1.0)
-    return level_set_measure(f, cyl) / (spec.t_end - spec.t_start)
+    win = Window(spec, Cylinder(t_lo=spec.t_start, t_hi=spec.t_end, radius=1.0))
+    return level_set_measure(f, win) / (spec.t_end - spec.t_start)
 
 
 class TestTruncation:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hjreg
 from hjreg import experiment, initial_data, rescale
 from hjreg.cli import main
-from hjreg.degiorgi import LemmaVerdict
+from hjreg.degiorgi import LemmaVerdict, lemma_one_check, lemma_two_check
 from hjreg.experiment import (
     CHECK_NAMES,
     SCHEMA_VERSION,
@@ -33,9 +33,14 @@ from hjreg.experiment import (
     parse_config,
     run,
 )
-from hjreg.grid import GridSpec, to_json
+from hjreg.grid import GridSpec, field_from_values, to_json
+from hjreg.hamiltonians import CoercivityEnvelope
 from hjreg.initial_data import make_initial_function
-from hjreg.oscillation import build_constant_chain
+from hjreg.oscillation import (
+    build_constant_chain,
+    oscillation_above_check,
+    oscillation_below_check,
+)
 from hjreg.rescale import (
     HolderEstimate,
     OscillationRecord,
@@ -241,6 +246,33 @@ class TestConfigParsing:
         data["grid"]["half_width"] = 1.1
         with pytest.raises(ConfigError, match="padding"):
             ExperimentConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("grid, rule", [
+        ({"t_end": 1.5}, "time range .* does not cover"),
+        ({"half_width": 1.1}, "padding"),
+    ], ids=["time-range", "padding"])
+    @pytest.mark.parametrize("name", ["lemma1", "lemma2", "osc_above", "osc_below"])
+    def test_config_gate_and_check_raise_the_same_coverage_text(self, name, grid, rule):
+        """A grid that misses a check's own cylinder is refused at parse time
+        with the text that the check itself raises, before any cell is read."""
+        data = checked_dict(checks=[name])
+        data["grid"].update(grid)
+        with pytest.raises(ConfigError, match=rule) as gate:
+            ExperimentConfig.from_json_dict(data)
+        spec = GridSpec(**data["grid"])
+        f = field_from_values(spec, np.zeros((spec.n_slices, *spec.spatial_shape)))
+        env = CoercivityEnvelope(lam=1.0, p=1.5)
+        chain = build_constant_chain(2, 1.5, 2.0, 1.0)
+        direct = {
+            "lemma1": lambda: lemma_one_check(f, env, 0.1),
+            "lemma2": lambda: lemma_two_check(f, env, 1.0, 0.1, {}),
+            "osc_above": lambda: oscillation_above_check(f, chain, {}),
+            "osc_below": lambda: oscillation_below_check(f, chain, {}),
+        }[name]
+        with pytest.raises(ValueError) as check:
+            direct()
+        assert type(check.value) is ValueError
+        assert str(gate.value) == f"check {name!r}: {check.value}"
 
     def test_oracle_requires_the_plain_power_law(self):
         data = minimal_dict(
@@ -1172,6 +1204,15 @@ class TestCli:
         assert "config error" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_resolution_names_the_grid_rule(self, tmp_path, capsys, resolution):
+        code = main(["run", "--config", "zero-initial-data", "--out", str(tmp_path),
+                     "--resolution", resolution])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"resolution {resolution}: cells_per_axis must be >= 4, "
+                f"got {resolution}") in err
 
     def test_printed_report_paths_are_the_written_ones(self, tmp_path, monkeypatch,
                                                         capsys):

@@ -127,9 +127,10 @@ class TestMeasures:
         spec = GridSpec(dimension=2, half_width=1.25, cells_per_axis=20,
                         t_start=-2.0, t_end=2.0, dt=4.0 / 159.0)
         f = time_field(spec)
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
-        below = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
-        total = level_set_measure(f, cyl)
+        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, radius=1.0)
+        win = Window(spec, cyl)
+        below = level_set_measure(f, win, hi=0.0, closed_upper=True)
+        total = level_set_measure(f, win)
         assert below == pytest.approx(0.5 * total, rel=1e-12)
         # One boundary layer of cells separates this from the exact 2*pi.
         rel_err = abs(below - 2.0 * math.pi) / (2.0 * math.pi)
@@ -137,46 +138,53 @@ class TestMeasures:
 
     def test_constant_above_window_has_zero_measure(self, box2):
         f = const_field(box2, 5.0)
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
-        assert level_set_measure(f, cyl, hi=1.0) == 0.0
+        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, radius=1.0)
+        assert level_set_measure(f, Window(box2, cyl), hi=1.0) == 0.0
 
     def test_coordinate_field_splits_in_half(self, box2):
         f = coordinate_field(box2)
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
-        below = level_set_measure(f, cyl, hi=0.0)
-        total = level_set_measure(f, cyl)
+        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, radius=1.0)
+        win = Window(box2, cyl)
+        below = level_set_measure(f, win, hi=0.0)
+        total = level_set_measure(f, win)
         assert below == pytest.approx(0.5 * total, rel=1e-12)
         assert below == pytest.approx(2.0 * math.pi, rel=0.5)
 
     def test_point_level_as_closed_open_difference(self, box2):
         f = const_field(box2, 5.0)
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
-        closed = level_set_measure(f, cyl, hi=5.0, closed_upper=True)
-        open_ = level_set_measure(f, cyl, hi=5.0)
-        total = level_set_measure(f, cyl)
+        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, radius=1.0)
+        win = Window(box2, cyl)
+        closed = level_set_measure(f, win, hi=5.0, closed_upper=True)
+        open_ = level_set_measure(f, win, hi=5.0)
+        total = level_set_measure(f, win)
         assert open_ == 0.0
         assert closed == pytest.approx(total, rel=1e-12)
 
     def test_empty_cylinder_raises(self, box2):
         f = const_field(box2, 0.0)
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(10.0, 10.0), radius=0.5)
-        with pytest.raises(EmptyCylinderError):
-            level_set_measure(f, cyl)
+        # empty by time (between two slices) and by a radius under half a cell
+        for cyl in (Cylinder(t_lo=0.01, t_hi=0.02, radius=1.0),
+                    Cylinder(t_lo=-2.0, t_hi=2.0, radius=0.05)):
+            with pytest.raises(EmptyCylinderError):
+                level_set_measure(f, Window(box2, cyl))
+            with pytest.raises(EmptyCylinderError):
+                one_cell_oscillation(f, Window(box2, cyl))
 
     def test_level_set_additivity(self, box2, rng):
         f = noise_field(box2, rng)
-        cyl = Cylinder(t_lo=-1.5, t_hi=1.5, center=(0.0, 0.0), radius=1.0)
+        cyl = Cylinder(t_lo=-1.5, t_hi=1.5, radius=1.0)
         lo, mid, hi = -0.3, 0.1, 0.8
-        lower = level_set_measure(f, cyl, lo=lo, hi=mid, closed_upper=True)
-        upper = level_set_measure(f, cyl, lo=mid, hi=hi)
-        both = level_set_measure(f, cyl, lo=lo, hi=hi)
+        win = Window(box2, cyl)
+        lower = level_set_measure(f, win, lo=lo, hi=mid, closed_upper=True)
+        upper = level_set_measure(f, win, lo=mid, hi=hi)
+        both = level_set_measure(f, win, lo=lo, hi=hi)
         assert lower + upper == pytest.approx(both, rel=1e-12)
 
     @pytest.mark.parametrize("radius", [1.0, 0.6])
     def test_full_range_matches_product_measure(self, box2, radius):
         f = const_field(box2, 0.0)
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=radius)
-        counted = level_set_measure(f, cyl)
+        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, radius=radius)
+        counted = level_set_measure(f, Window(box2, cyl))
         exact = (cyl.t_hi - cyl.t_lo) * ball_volume(box2.dimension, radius)
         rel = abs(counted - exact) / exact
         assert rel <= 2 * box2.dimension * box2.cell_width / radius
@@ -184,7 +192,7 @@ class TestMeasures:
 
 class TestWindow:
     def test_slice_at_t_hi_is_selected_and_the_next_is_not(self, box2):
-        win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0))
+        win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, radius=1.0))
         times = box2.times()
         # Slice 100 sits at t_hi up to round-off; slice 101 is one step past it.
         assert times[100] == pytest.approx(0.5, abs=1e-12)
@@ -194,24 +202,18 @@ class TestWindow:
         "t_lo, t_hi", [(-2.0, 2.0), (-1.0, 0.5), (0.0, 2.0), (1.0, 1.025)]
     )
     def test_weights_sum_to_the_duration_on_lattice_endpoints(self, box2, t_lo, t_hi):
-        cyl = Cylinder(t_lo=t_lo, t_hi=t_hi, center=(0.0, 0.0), radius=1.0)
+        cyl = Cylinder(t_lo=t_lo, t_hi=t_hi, radius=1.0)
         win = Window(box2, cyl)
         assert win.weights.shape == (box2.n_slices,)
         assert win.weights.sum() == pytest.approx(t_hi - t_lo, rel=1e-12)
 
-    def test_mask_is_the_open_ball_around_the_center(self, box2):
-        cyl = Cylinder(t_lo=-1.0, t_hi=1.0, center=(0.3, -0.2), radius=0.6)
-        win = Window(box2, cyl)
-        dist = np.linalg.norm(box2.centers() - np.array([0.3, -0.2]), axis=-1)
-        np.testing.assert_array_equal(win.mask, dist < 0.6)
-
     def test_window_between_two_slices_is_empty(self, box2):
-        cyl = Cylinder(t_lo=0.01, t_hi=0.02, center=(0.0, 0.0), radius=1.0)
+        cyl = Cylinder(t_lo=0.01, t_hi=0.02, radius=1.0)
         with pytest.raises(EmptyCylinderError):
             Window(box2, cyl)
 
     def test_geometry_is_shared_and_read_only(self, box2):
-        cyl = Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0)
+        cyl = Cylinder(t_lo=-1.0, t_hi=0.5, radius=1.0)
         first, second = Window(box2, cyl), Window(box2, cyl)
         for name in ("slices", "weights", "mask"):
             arr = getattr(first, name)
@@ -220,7 +222,7 @@ class TestWindow:
                 arr[...] = arr
 
     def test_one_cylinder_on_two_grids_gets_two_geometries(self, box2):
-        cyl = Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0)
+        cyl = Cylinder(t_lo=-1.0, t_hi=0.5, radius=1.0)
         fine = replace(box2, cells_per_axis=2 * box2.cells_per_axis, dt=box2.dt / 2)
         coarse, refined = Window(box2, cyl), Window(fine, cyl)
         assert refined.mask.shape == fine.spatial_shape != coarse.mask.shape
@@ -229,36 +231,29 @@ class TestWindow:
         assert refined.weights.sum() == pytest.approx(coarse.weights.sum(), rel=1e-12)
 
     def test_empty_cylinder_raises_on_every_construction(self, box2):
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(10.0, 10.0), radius=0.5)
+        # every cell center lies at least sqrt(2)/2 cell widths from the origin
+        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, radius=0.05)
         for _ in range(2):
             with pytest.raises(EmptyCylinderError):
                 Window(box2, cyl)
 
-    def test_center_must_match_the_dimension(self, box2):
-        cyl = Cylinder(t_lo=-1.0, t_hi=1.0, center=(0.0,), radius=1.0)
-        with pytest.raises(ValueError, match="dimension"):
-            Window(box2, cyl)
-
     def test_cover_needs_the_time_range(self, box2):
-        cyl = Cylinder(t_lo=-3.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
+        cyl = Cylinder(t_lo=-3.0, t_hi=2.0, radius=1.0)
         with pytest.raises(ValueError, match="time range .* does not cover"):
             Window.require_cover(box2, cyl)
 
     def test_cover_needs_two_cells_of_padding(self, box2):
         # half-width 1.25 with cell width 0.125 leaves exactly two cells
         # around the unit ball, and not around a slightly larger one.
-        ok = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
+        ok = Cylinder(t_lo=-2.0, t_hi=2.0, radius=1.0)
         Window.require_cover(box2, ok)
-        wide = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.01)
+        wide = Cylinder(t_lo=-2.0, t_hi=2.0, radius=1.01)
         with pytest.raises(ValueError, match="padding"):
             Window.require_cover(box2, wide)
-        shifted = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.1, 0.0), radius=1.0)
-        with pytest.raises(ValueError, match="padding"):
-            Window.require_cover(box2, shifted)
 
     def test_extrema_and_integral(self, box2):
         f = time_field(box2)
-        win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, center=(0.0, 0.0), radius=1.0))
+        win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, radius=1.0))
         assert win.min(f) == -1.0
         assert win.max(f) == pytest.approx(0.5, abs=1e-12)
         area = np.count_nonzero(win.mask) * box2.cell_volume
@@ -280,7 +275,7 @@ def test_window_matches_integer_reference(dt, start, n_steps, lo, length):
                     t_start=t_start, t_end=t_start + n_steps * dt, dt=dt)
     hi = lo + length
     cyl = Cylinder(t_lo=t_start + lo * dt, t_hi=t_start + hi * dt,
-                   center=(0.0,), radius=0.5)
+                   radius=0.5)
     index = np.arange(spec.n_slices)
     selected = index[(index >= lo) & (index <= hi)]
     # Slice i owns [i - 1/2, i + 1/2] clipped to [0, n_steps], in steps.
@@ -380,7 +375,7 @@ class TestGradient:
 
     def test_ball_restriction(self, box2):
         f = coordinate_field(box2)
-        ball = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=0.5)
+        ball = Window(box2, Cylinder(t_lo=-2.0, t_hi=2.0, radius=0.5))
         inside = discrete_gradient_norm_p(f, 0, 2.0, ball=ball)
         # |grad| = 1 per cell, so this counts lattice disk area.
         assert inside == pytest.approx(math.pi * 0.25, rel=0.5)
@@ -400,23 +395,23 @@ def oscillation(f, cyl):
 class TestOscillation:
     def test_constant_is_flat(self, box2):
         f = const_field(box2, 7.0)
-        cyl = Cylinder(t_lo=-1.0, t_hi=0.0, center=(0.0, 0.0), radius=0.5)
+        cyl = Cylinder(t_lo=-1.0, t_hi=0.0, radius=0.5)
         assert oscillation(f, cyl) == 0.0
 
     def test_coordinate_swing_within_one_cell(self, box2):
         f = coordinate_field(box2)
-        cyl = Cylinder(t_lo=-1.0, t_hi=0.0, center=(0.0, 0.0), radius=0.5)
+        cyl = Cylinder(t_lo=-1.0, t_hi=0.0, radius=0.5)
         assert abs(oscillation(f, cyl) - 1.0) <= box2.cell_width + 1e-12
 
     def test_time_swing_within_one_step(self, box2):
         f = time_field(box2)
-        cyl = Cylinder(t_lo=-1.0, t_hi=0.0, center=(0.0, 0.0), radius=1.0)
+        cyl = Cylinder(t_lo=-1.0, t_hi=0.0, radius=1.0)
         assert abs(oscillation(f, cyl) - 1.0) <= box2.dt + 1e-12
 
     def test_monotone_under_inclusion(self, box2, rng):
         f = noise_field(box2, rng)
-        small = Cylinder(t_lo=-0.5, t_hi=0.25, center=(0.1, 0.0), radius=0.4)
-        large = Cylinder(t_lo=-1.0, t_hi=1.0, center=(0.0, 0.0), radius=1.0)
+        small = Cylinder(t_lo=-0.5, t_hi=0.25, radius=0.4)
+        large = Cylinder(t_lo=-1.0, t_hi=1.0, radius=1.0)
         assert oscillation(f, small) <= oscillation(f, large)
 
     def test_one_cell_jump_spatial(self, box2):

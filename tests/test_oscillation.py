@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjreg.grid import Cylinder, GridSpec, field_from_values, level_set_measure
+from hjreg.degiorgi import UNIT_CYLINDER
+from hjreg.grid import GridSpec, Window, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     ChainConstructionError,
@@ -113,9 +114,9 @@ class TestDyadicLadder:
 
     def test_nonpositive_set_grows(self, box2, rng):
         f = noise_field(box2, rng)
-        cyl = Cylinder(t_lo=-2.0, t_hi=2.0, center=(0.0, 0.0), radius=1.0)
-        base = level_set_measure(f, cyl, hi=0.0, closed_upper=True)
-        lifted = level_set_measure(dyadic_ladder(f, 2), cyl, hi=0.0,
+        win = Window(box2, UNIT_CYLINDER)
+        base = level_set_measure(f, win, hi=0.0, closed_upper=True)
+        lifted = level_set_measure(dyadic_ladder(f, 2), win, hi=0.0,
                                    closed_upper=True)
         assert lifted >= base
 

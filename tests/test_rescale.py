@@ -13,6 +13,7 @@ from hjreg.grid import (
     _BLOCK_CELLS,
     GridSpec,
     ScalarField,
+    Window,
     field_from_values,
     one_cell_oscillation,
 )
@@ -23,6 +24,7 @@ from hjreg.hamiltonians import (
 )
 from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import (
+    ZOOM_WINDOW,
     CascadeError,
     EnvelopeViolation,
     GaugeScan,
@@ -156,22 +158,29 @@ class TestSampler:
         assert np.array_equal(out.values, f.values[np.ix_(rows, xs, ys)])
 
 
+def recenter(f, chain):
+    """``select_recenter`` of ``f``'s extrema over the zoom window, at its
+    one-cell oscillation there, as the cascade calls it."""
+    win = Window(f.spec, ZOOM_WINDOW)
+    return select_recenter(win.min(f), win.max(f), chain, one_cell_oscillation(f, win))
+
+
 class TestSelectRecenter:
     def test_zero_field(self, window, chain_unit):
-        d, achieved = select_recenter(const_field(window, 0.0), chain_unit)
+        d, achieved = recenter(const_field(window, 0.0), chain_unit)
         assert d == 0.0
         assert achieved == 0.0
 
     def test_clamps_to_half_shrink(self, window, chain_unit):
         lam_tilde = chain_unit.shrink_below
-        d_low, _ = select_recenter(const_field(window, -lam_tilde), chain_unit)
-        d_high, _ = select_recenter(const_field(window, lam_tilde), chain_unit)
+        d_low, _ = recenter(const_field(window, -lam_tilde), chain_unit)
+        d_high, _ = recenter(const_field(window, lam_tilde), chain_unit)
         assert d_low == -lam_tilde / 2.0
         assert d_high == lam_tilde / 2.0
 
     def test_achieved_sup_reports_residual_range(self, window, chain_unit):
         f = const_field(window, 0.25)
-        d, achieved = select_recenter(f, chain_unit)
+        d, achieved = recenter(f, chain_unit)
         assert achieved == pytest.approx(0.25 - d, rel=1e-12)
 
 
@@ -190,7 +199,7 @@ class TestZoomStep:
 
     def test_ceiling_is_a_fixed_point_after_recentering(self, window, chain_unit):
         f = const_field(window, 2.0)
-        d, _ = select_recenter(f, chain_unit)
+        d, _ = recenter(f, chain_unit)
         start = zoom_start(f, d, chain_unit)
         np.testing.assert_allclose(start, 2.0, rtol=8e-16)
 
