@@ -43,8 +43,6 @@ __all__ = [
     "LATE_WINDOW",
     "UNIT_CYLINDER",
     "UPPER_HALF",
-    "LadderEntry",
-    "EnergyLadder",
     "RecurrenceFit",
     "LemmaVerdict",
     "cutoff_time",
@@ -97,35 +95,13 @@ def truncated_energy(
     return sup_term + grad_term
 
 
-@dataclass(frozen=True)
-class LadderEntry:
-    level: int
-    cutoff: float
-    energy: float
-
-
-@dataclass(frozen=True)
-class EnergyLadder:
-    """Truncated energies for levels ``1..k_max`` under one envelope."""
-
-    env: CoercivityEnvelope
-    entries: tuple[LadderEntry, ...]
-
-    def energies(self) -> NDArray[np.float64]:
-        return np.array([e.energy for e in self.entries])
-
-
 def energy_ladder(
     f: ScalarField, k_max: int, env: CoercivityEnvelope
-) -> EnergyLadder:
+) -> NDArray[np.float64]:
+    """The truncated energies ``U_1..U_k_max`` of ``f`` under ``env``."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    entries = tuple(
-        LadderEntry(level=k, cutoff=cutoff_time(k),
-                    energy=truncated_energy(f, k, env))
-        for k in range(1, k_max + 1)
-    )
-    return EnergyLadder(env=env, entries=entries)
+    return np.array([truncated_energy(f, k, env) for k in range(1, k_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -137,19 +113,14 @@ class RecurrenceFit:
     all_zero: bool
 
 
-def recurrence_fit(ladder: EnergyLadder, dimension: int) -> RecurrenceFit:
-    beta = ladder.env.p / dimension
-    energies = ladder.energies()
-    ratios: list[float] = []
-    for prev, curr in zip(energies[:-1], energies[1:]):
-        if prev > 0.0:
-            ratios.append(float(curr / prev ** (1.0 + beta)))
+def recurrence_fit(energies: NDArray[np.float64], beta: float) -> RecurrenceFit:
+    """The fit of ``U_k <= D * U_{k-1}^(1 + beta)`` to a ladder's
+    ``energies``, with ``beta = p/N``."""
+    ratios = tuple(float(curr / prev ** (1.0 + beta))
+                   for prev, curr in zip(energies[:-1], energies[1:]) if prev > 0.0)
     all_zero = bool(np.all(energies == 0.0))
-    if ratios:
-        d_fit: float | None = max(ratios)
-    else:
-        d_fit = 0.0 if all_zero else None
-    return RecurrenceFit(d_fit=d_fit, ratios=tuple(ratios), all_zero=all_zero)
+    d_fit = max(ratios) if ratios else (0.0 if all_zero else None)
+    return RecurrenceFit(d_fit=d_fit, ratios=ratios, all_zero=all_zero)
 
 
 def recurrence_orbit(

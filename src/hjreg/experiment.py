@@ -16,11 +16,11 @@ import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -97,15 +97,21 @@ class InitialDataSpec:
 
 @dataclass(frozen=True)
 class ChainSettings:
-    """Either a fixed measure threshold or a descending candidate search."""
+    """Either a fixed measure threshold or a descending candidate search.
+    A key that the mode does not read (see ``READS``) must keep its default."""
 
+    READS = {"fixed": ("mode", "alpha"), "empirical": ("mode", "candidates")}
     alpha: float | None = 1.0
     mode: str = "fixed"
     candidates: tuple[float, ...] = (4.0, 2.0, 1.0, 0.5, 0.25)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fixed", "empirical"):
+        if self.mode not in self.READS:
             raise ConfigError(f"unknown chain mode {self.mode!r}")
+        for f in fields(self):
+            unread = f.name not in self.READS[self.mode]
+            if unread and getattr(self, f.name) != f.default:
+                raise ConfigError(f"the {self.mode} chain mode does not read {f.name!r}")
         if self.mode == "fixed":
             if self.alpha is None or self.alpha <= 0.0:
                 raise ConfigError(
@@ -121,12 +127,8 @@ class ChainSettings:
         )
 
     def to_json_dict(self) -> dict:
-        out: dict = {"mode": self.mode}
-        if self.mode == "fixed":
-            out["alpha"] = self.alpha
-        else:
-            out["candidates"] = list(self.candidates)
-        return out
+        out = to_json(self)
+        return {key: out[key] for key in self.READS[self.mode]}
 
 
 def _at_least(where: str, opts, **lows) -> None:
@@ -137,40 +139,47 @@ def _at_least(where: str, opts, **lows) -> None:
             raise ConfigError(f"{where} needs {name} >= {low}, got {value}")
 
 
-def _check_zoom_settings(where: str, opts, **lows) -> None:
-    """Ranges shared by the cascade and theorem sections.  Their ``mode``
-    key stays readable because configs write it, but every zoom re-solves,
-    so ``"resolve"`` is its only value."""
-    if opts.mode != "resolve":
-        raise ConfigError(f"unknown {where} mode {opts.mode!r}; the only "
-                          "mode is 'resolve'")
-    _at_least(where, opts, levels=0, working_cells=4, working_slices=1, **lows)
+@dataclass(frozen=True)
+class _ZoomSettings:
+    """The keys the cascade and theorem sections share.  ``mode`` stays
+    readable because configs write it, but every zoom re-solves, so
+    ``"resolve"`` is its only value."""
+
+    section: ClassVar[str]
+    levels: int = 4
+    mode: str = "resolve"
+    working_cells: int = 40
+    working_slices: int = 64
+
+    def __post_init__(self) -> None:
+        if self.mode != "resolve":
+            raise ConfigError(f"unknown {self.section} mode {self.mode!r}; the "
+                              "only mode is 'resolve'")
+        _at_least(self.section, self, levels=0, working_cells=4, working_slices=1)
 
 
 @dataclass(frozen=True)
-class CascadeSettings:
-    levels: int = 4
-    mode: str = "resolve"
+class CascadeSettings(_ZoomSettings):
+    """One cascade, at ``base_time`` (the grid's end by default) and
+    ``base_point`` (the origin by default)."""
+
+    section = "cascade"
     base_time: float | None = None
     base_point: tuple[float, ...] | None = None
-    working_cells: int = 40
-    working_slices: int = 64
-
-    def __post_init__(self) -> None:
-        _check_zoom_settings("cascade", self)
 
 
 @dataclass(frozen=True)
-class TheoremSettings:
+class TheoremSettings(_ZoomSettings):
+    """Cascades at ``base_times``' lattice from ``delta_time`` (the grid's
+    middle by default), ``points_per_axis`` per axis."""
+
+    section = "theorem"
     delta_time: float | None = None
     points_per_axis: int = 3
-    levels: int = 4
-    mode: str = "resolve"
-    working_cells: int = 40
-    working_slices: int = 64
 
     def __post_init__(self) -> None:
-        _check_zoom_settings("theorem", self, points_per_axis=1)
+        super().__post_init__()
+        _at_least(self.section, self, points_per_axis=1)
 
 
 @dataclass(frozen=True)
@@ -495,8 +504,8 @@ def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> d
     )
     report = {**to_json(verdict), "delta": delta}
     try:
-        ladder = energy_ladder(traj.field, 8, cfg.envelope)
-        fit = recurrence_fit(ladder, cfg.grid.dimension)
+        energies = energy_ladder(traj.field, 8, cfg.envelope)
+        fit = recurrence_fit(energies, cfg.envelope.p / cfg.grid.dimension)
         report["recurrence"] = {
             "d_fit": fit.d_fit,
             "d_reference": _D_REFERENCE,
@@ -587,38 +596,23 @@ def _theorem_delta(cfg: ExperimentConfig) -> float:
     return delta_time
 
 
-def _every_slice(cfg: ExperimentConfig, chain) -> list[range]:
-    return [range(cfg.grid.n_slices)]
-
-
-def _cascade_slices(cfg: ExperimentConfig, chain) -> list[range]:
-    return [base_point_slices(cfg.grid, chain, _cascade_time(cfg))]
-
-
-def _theorem_slices(cfg: ExperimentConfig, chain) -> list[range]:
-    opts = cfg.theorem
-    return [base_point_slices(cfg.grid, chain, t0)
-            for t0 in base_times(cfg.grid, _theorem_delta(cfg), opts.points_per_axis)]
-
-
 class _Check(NamedTuple):
     """``run(cfg, traj, chain, hamiltonian, outputs, label, residuals)``
     returns the check's report, a dataclass or dict whose ``to_json``
     carries its ``"status"``; ``window`` is the cylinder its statement
     fixes, if any: the module constant its check covers first, which the
     config gate and :func:`_residual_pass` cover too.
-    ``reads(cfg, chain)`` lists the ranges of trajectory slices the check
-    reads, and ``gauged`` says whether it reads ``gauge_to_window``'s scan,
-    which the solve then takes.  ``terms(cfg, chain)`` lists the residual
-    terms the check reads over its window's ball, and ``run`` gets
-    ``residuals``, their reports from the window's one pass (see
-    :func:`_residual_pass`), or ``None`` if the check reads none."""
+    ``base_times(cfg)`` lists the times the check zooms at, so the solve
+    keeps their ``base_point_slices`` and feeds a :class:`GaugeScan`; it is
+    ``None`` for a check that reads every slice.  ``terms(cfg, chain)``
+    lists the residual terms the check reads over its window's ball, and
+    ``run`` gets ``residuals``, their reports from the window's one pass
+    (see :func:`_residual_pass`), or ``None`` if the check reads none."""
 
     run: Callable[..., object]
     window: Cylinder | None
     reads_chain: bool
-    reads: Callable[[ExperimentConfig, ConstantChain | None], list[range]]
-    gauged: bool = False
+    base_times: Callable[[ExperimentConfig], list[float]] | None = None
     terms: Callable[[ExperimentConfig, ConstantChain | None],
                     list[ResidualTerm]] | None = None
 
@@ -629,16 +623,18 @@ class _Check(NamedTuple):
 # osc_above and osc_below span every slice of the grid; one pass per
 # trajectory computes all their terms, osc_below's reflected one included.
 _CHECKS = {
-    "lemma1": _Check(_check_lemma1, UPPER_HALF, False, _every_slice),
-    "lemma2": _Check(_check_lemma2, UNIT_CYLINDER, True, _every_slice,
+    "lemma1": _Check(_check_lemma1, UPPER_HALF, False),
+    "lemma2": _Check(_check_lemma2, UNIT_CYLINDER, True,
                      terms=lambda cfg, chain: lemma_two_terms(cfg.envelope)),
-    "osc_above": _Check(_check_oscillation, UNIT_CYLINDER, True, _every_slice,
+    "osc_above": _Check(_check_oscillation, UNIT_CYLINDER, True,
                         terms=lambda cfg, chain: above_terms(chain)),
     "osc_below": _Check(partial(_check_oscillation, below=True), UNIT_CYLINDER,
-                        True, _every_slice,
-                        terms=lambda cfg, chain: below_terms(chain)),
-    "cascade": _Check(_check_cascade, None, True, _cascade_slices, gauged=True),
-    "theorem": _Check(_check_theorem, None, True, _theorem_slices, gauged=True),
+                        True, terms=lambda cfg, chain: below_terms(chain)),
+    "cascade": _Check(_check_cascade, None, True,
+                      lambda cfg: [_cascade_time(cfg)]),
+    "theorem": _Check(_check_theorem, None, True,
+                      lambda cfg: base_times(cfg.grid, _theorem_delta(cfg),
+                                             cfg.theorem.points_per_axis)),
 }
 CHECK_NAMES = tuple(_CHECKS)
 
@@ -848,21 +844,23 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     init = cfg.initial_data
     fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
     # the solve keeps only the slices the checks and the snapshots read
-    keep = [r for name in cfg.checks for r in _CHECKS[name].reads(cfg, chain)]
+    zooms = [_CHECKS[name].base_times for name in cfg.checks]
+    keep = [range(cfg.grid.n_slices)] if None in zooms else []
+    keep += [base_point_slices(cfg.grid, chain, t0)
+             for times in zooms if times is not None for t0 in times(cfg)]
     if cfg.sweep is None:
         keep += [range(0, 2), range(cfg.grid.n_slices - 2, cfg.grid.n_slices)]
     oracle_ti = _oracle_base_slice(cfg)
     if oracle_ti is not None:
         keep.append(range(oracle_ti, oracle_ti + 1))
     oracle_base = None
-    gauged = any(_CHECKS[name].gauged for name in cfg.checks)
     try:
         for label, hamiltonian in _sweep_variants(cfg):
             if cfg.sweep is not None:
                 with timed(f"coercivity{label}"):
                     record(f"coercivity{label}", _coercivity_outcome(cfg, hamiltonian))
             with timed(f"solve{label}"):
-                scan = GaugeScan(cfg.grid, cfg.envelope) if gauged else None
+                scan = GaugeScan(cfg.grid, cfg.envelope) if any(zooms) else None
                 traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scan)
             # each window's pass runs for the first check that reads it; one
             # that raises is not kept, so each such check records the error

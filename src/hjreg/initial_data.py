@@ -23,7 +23,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import ConfigError, GridSpec, from_json
-from .oscillation import ConstantChain, barrier, build_constant_chain
 
 __all__ = [
     "make_initial_function",
@@ -147,34 +146,12 @@ class RandomTrig(_Generator):
         return fn
 
 
-@dataclass(frozen=True)
-class BarrierSlice(_Generator):
-    """The comparison barrier of the chain at ``(N, p, lambda, alpha)``,
-    sampled at one ``time``."""
-
-    p: float
-    lam: float
-    alpha: float = 1.0
-    time: float = -2.0
-
-    def check(self, spec: GridSpec) -> ConstantChain:
-        """The chain, which must build at the grid's dimension."""
-        return build_constant_chain(spec.dimension, self.p, self.lam, self.alpha)
-
-    def make(self, spec: GridSpec, rng: np.random.Generator) -> InitialFunction:
-        chain = self.check(spec)
-        return lambda pts: barrier(
-            chain, self.time, np.linalg.norm(np.asarray(pts), axis=-1)
-        )
-
-
 _CATALOG: dict[str, type[_Generator]] = {
     "zero": Zero,
     "constant": Constant,
     "cone": Cone,
     "sine-product": SineProduct,
     "random-trig": RandomTrig,
-    "barrier-slice": BarrierSlice,
 }
 
 

@@ -46,7 +46,6 @@ from .solver import (
 
 __all__ = [
     "ZOOM_WINDOW",
-    "CascadeError",
     "EnvelopeViolation",
     "GaugeScan",
     "HolderEstimate",
@@ -80,14 +79,6 @@ class RecenterError(RuntimeError):
 
 class EnvelopeViolation(RuntimeError):
     """A zoom-level field escaped its certified bound."""
-
-
-class CascadeError(RuntimeError):
-    """A cascade step failed; carries the records completed before the abort."""
-
-    def __init__(self, message: str, records: list["OscillationRecord"]) -> None:
-        super().__init__(message)
-        self.records = records
 
 
 @dataclass(frozen=True)
@@ -283,7 +274,7 @@ def zoom_cascade(
     levels: int,
     hamiltonian,
     solve_config: SolveConfig | None = None,
-) -> list[OscillationRecord]:
+) -> tuple[list[OscillationRecord], str | None]:
     """Run ``levels`` zooms and record measured versus certified decay.
 
     Record ``m`` measures the oscillation of the original field over the
@@ -295,8 +286,10 @@ def zoom_cascade(
     The certified bound is ``4 decay_ratio^(m+1)``.
 
     Each level advances by re-solving the transformed equation of
-    ``hamiltonian``, the one the input field solves.  A step failure
-    raises ``CascadeError`` carrying the completed records.
+    ``hamiltonian``, the one the input field solves.  Returns ``(records,
+    aborted)``: ``aborted`` is ``None``, or the message ``"cascade aborted
+    at level m: ..."`` of the level that failed, and ``records`` then holds
+    every record taken before the failure.
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
@@ -336,10 +329,8 @@ def zoom_cascade(
             if m < levels:
                 u, hamiltonian = _zoom_resolve(u, d, chain, hamiltonian, cfg)
         except (RecenterError, EnvelopeViolation, SolverError, ValueError) as err:
-            raise CascadeError(
-                f"cascade aborted at level {m}: {err}", records
-            ) from err
-    return records
+            return records, f"cascade aborted at level {m}: {err}"
+    return records, None
 
 
 def records_to_csv(records: list[OscillationRecord]) -> str:
@@ -589,9 +580,8 @@ def _base_point_cascades(
     envelope constant.  ``hamiltonian`` is the one ``field`` solves; the
     gauge constant is added to it.  Each window lives on the working grid
     ``[-4, 0] x box(1.25)``.  Returns ``(gauged, gamma, runs)`` with one
-    ``(tau, rho, records, aborted)`` per point, where ``aborted`` is the
-    message of a cascade that stopped early (its completed records are
-    kept), else ``None``.
+    ``(tau, rho, records, aborted)`` per point, the last two being
+    ``zoom_cascade``'s return on that point's window.
     """
     spec = field.spec
     if chain.dimension != spec.dimension:
@@ -619,12 +609,7 @@ def _base_point_cascades(
         w, h_w, tau, rho = base_point_window(
             u, chain, t0, x0, gamma, working, hamiltonian
         )
-        try:
-            records = zoom_cascade(w, chain, levels, h_w, solve_config)
-            aborted = None
-        except CascadeError as err:
-            records, aborted = err.records, str(err)
-        runs.append((tau, rho, records, aborted))
+        runs.append((tau, rho, *zoom_cascade(w, chain, levels, h_w, solve_config)))
     return gauged, gamma, runs
 
 

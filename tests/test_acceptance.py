@@ -298,7 +298,7 @@ def test_criterion_08_zoom_cascade_on_kink_data():
                        t_start=-4.0, t_end=0.0, dt=0.0625)
     w, h_w, _, _ = base_point_window(field, chain, 1.0, (0.0, 0.0), gamma,
                                      working, hamiltonian)
-    records = zoom_cascade(w, chain, 6, h_w)
+    records, _ = zoom_cascade(w, chain, 6, h_w)
     cascade_ok = len(records) == 7 and all(r.satisfied for r in records)
 
     # the base-point scan at the same depth

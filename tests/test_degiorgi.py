@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from hjreg.degiorgi import (
-    EnergyLadder,
-    LadderEntry,
     cutoff_time,
     delta_constant,
     energy_ladder,
@@ -64,26 +62,25 @@ class TestTruncatedEnergy:
 
 class TestEnergyLadder:
     def test_constant_two_profile(self, box2, env_unit):
-        ladder = energy_ladder(const_field(box2, 2.0), 8, env_unit)
+        got = energy_ladder(const_field(box2, 2.0), 8, env_unit)
         area = lattice_disk_area(box2)
-        got = ladder.energies()
         expected = [(1.0 + 2.0**-k) * area for k in range(1, 9)]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
         assert all(a > b for a, b in zip(got, got[1:]))
 
     def test_nonpositive_field_is_identically_zero(self, box2, env_unit):
-        ladder = energy_ladder(const_field(box2, -1.0), 6, env_unit)
-        assert all(e == 0.0 for e in ladder.energies())
+        energies = energy_ladder(const_field(box2, -1.0), 6, env_unit)
+        assert all(e == 0.0 for e in energies)
 
     def test_nonincreasing_in_level(self, box2, env_unit, rng):
         values = np.abs(rng.standard_normal((box2.n_slices, *box2.spatial_shape)))
         f = field_from_values(box2, values)
-        energies = energy_ladder(f, 6, env_unit).energies()
+        energies = energy_ladder(f, 6, env_unit)
         assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_zero_entry_stays_zero(self, box2, env_unit):
         # f = 0.6 clears the level-1 threshold but not level 2.
-        energies = energy_ladder(const_field(box2, 0.6), 5, env_unit).energies()
+        energies = energy_ladder(const_field(box2, 0.6), 5, env_unit)
         assert energies[0] > 0.0
         assert all(e == 0.0 for e in energies[1:])
 
@@ -92,37 +89,29 @@ class TestEnergyLadder:
             energy_ladder(const_field(box2, 2.0), 0, env_unit)
 
 
-def synthetic_ladder(energies, env):
-    entries = tuple(
-        LadderEntry(level=k + 1, cutoff=cutoff_time(k + 1), energy=float(e))
-        for k, e in enumerate(energies)
-    )
-    return EnergyLadder(env=env, entries=entries)
-
-
 class TestRecurrenceFit:
     def test_recovers_generating_constant(self, env_unit):
         beta = env_unit.p / 2.0
         orbit = recurrence_orbit(10.0, beta, 0.01, 5)
-        fit = recurrence_fit(synthetic_ladder(orbit, env_unit), 2)
+        fit = recurrence_fit(orbit, beta)
         assert fit.d_fit == pytest.approx(10.0, rel=1e-12)
         np.testing.assert_allclose(fit.ratios, 10.0, rtol=1e-12)
         assert not fit.all_zero
 
     def test_all_zero_ladder(self, env_unit):
-        fit = recurrence_fit(synthetic_ladder([0.0, 0.0, 0.0], env_unit), 2)
+        fit = recurrence_fit(np.zeros(3), env_unit.p / 2.0)
         assert fit.all_zero
         assert fit.d_fit == 0.0
         assert fit.ratios == ()
 
     def test_single_entry_has_no_ratios(self, env_unit):
-        fit = recurrence_fit(synthetic_ladder([1.0], env_unit), 2)
+        fit = recurrence_fit(np.ones(1), env_unit.p / 2.0)
         assert fit.d_fit is None
         assert not fit.all_zero
 
     def test_slowly_decaying_ladder_reports_large_constant(self, box2, env_unit):
         ladder = energy_ladder(const_field(box2, 2.0), 6, env_unit)
-        fit = recurrence_fit(ladder, box2.dimension)
+        fit = recurrence_fit(ladder, env_unit.p / box2.dimension)
         assert fit.d_fit is not None
         assert fit.d_fit > 0.0
         assert len(fit.ratios) == 5

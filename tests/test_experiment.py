@@ -200,6 +200,10 @@ class TestConfigParsing:
             ({"scenario": 5}, "scenario must be a string"),
             ({"checks": ["lemma1", 2]}, r"checks\[1\]"),
             ({"sweep": {"parameter": "eta", "values": ["x"]}}, r"values\[0\]"),
+            ({"chain": {"mode": "empirical", "alpha": 0.5}},
+             "empirical chain mode does not read 'alpha'"),
+            ({"chain": {"mode": "fixed", "candidates": [8.0, 0.1]}},
+             "fixed chain mode does not read 'candidates'"),
         ],
     )
     def test_coercion_faults_name_the_key(self, section, match):
@@ -208,7 +212,7 @@ class TestConfigParsing:
 
     def test_empirical_chain_drops_alpha(self):
         cfg = ExperimentConfig.from_json_dict(
-            minimal_dict(chain={"mode": "empirical", "alpha": 2.0})
+            minimal_dict(chain={"mode": "empirical", "alpha": 1.0})
         )
         assert cfg.chain.alpha is None
 
@@ -1141,10 +1145,8 @@ class TestCli:
                                "parameters": {"bandwidth": 0}}}, []),
             ({"initial_data": {"name": "cone", "parameters": {"center": [0.0]}}},
              []),
-            ({"initial_data": {"name": "barrier-slice",
-                               "parameters": {"lambda": 1.0}}}, []),
-            ({"initial_data": {"name": "barrier-slice",
-                               "parameters": {"p": 3, "lambda": 1.0}}}, []),
+            ({"chain": {"mode": "empirical", "alpha": 0.5}}, []),
+            ({"chain": {"mode": "fixed", "candidates": [8.0, 0.1]}}, []),
             ({"initial_data": {"name": "random-trig",
                                "parameters": {"n_modes": 1.5}}}, []),
             ({"initial_data": {"name": "random-trig",
@@ -1177,8 +1179,8 @@ class TestCli:
              "alpha-nan", "envelope-lambda-nan", "seed-negative",
              "seed-override-negative", "max-steps-zero", "max-steps-negative",
              "sigma-bound-negative", "p-inf", "amplitude-list",
-             "bandwidth-zero", "cone-center-short", "barrier-slice-no-p",
-             "barrier-slice-p-above-n", "n-modes-fractional", "n-modes-bool",
+             "bandwidth-zero", "cone-center-short", "empirical-chain-alpha",
+             "fixed-chain-candidates", "n-modes-fractional", "n-modes-bool",
              "constant-value-string", "alpha-overflow", "n-modes-huge",
              "power-law-coefficient", "power-law-eta-negative",
              "sweep-lambda-power-law", "sweep-coefficient-rough",

@@ -5,7 +5,6 @@ import pytest
 
 from hjreg.grid import ConfigError, GridSpec
 from hjreg.initial_data import make_initial_function
-from hjreg.oscillation import barrier
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +16,7 @@ def plane():
 class TestCatalog:
     def test_names_are_sorted_and_complete(self, plane):
         # the unknown-name error lists the catalog
-        names = "barrier-slice, cone, constant, random-trig, sine-product, zero"
+        names = "cone, constant, random-trig, sine-product, zero"
         with pytest.raises(ConfigError, match=f"catalog has {names}$"):
             make_initial_function(plane, "not-a-generator")
 
@@ -126,27 +125,3 @@ class TestRandomTrig:
     def test_degenerate_mode_counts_rejected(self, plane, params):
         with pytest.raises(ValueError):
             make_initial_function(plane, "random-trig", params)
-
-
-class TestBarrierSlice:
-    def test_requires_p_and_lambda(self, plane):
-        with pytest.raises(ValueError, match="'p'"):
-            make_initial_function(plane, "barrier-slice", {"lambda": 1.0})
-        with pytest.raises(ValueError, match="'lambda'"):
-            make_initial_function(plane, "barrier-slice", {"p": 1.5})
-
-    def test_matches_the_comparison_barrier(self, plane, chain_unit):
-        params = {"p": 1.5, "lambda": 1.0, "alpha": 1.0, "time": -1.0}
-        vals = make_initial_function(plane, "barrier-slice", params)(plane.centers())
-        radii = np.linalg.norm(plane.centers(), axis=-1)
-        expected = barrier(chain_unit, -1.0, radii)
-        np.testing.assert_array_equal(vals, expected)
-
-    def test_default_time_is_the_window_start(self, plane, chain_unit):
-        fn = make_initial_function(plane, "barrier-slice",
-                                   {"p": 1.5, "lambda": 1.0})
-        vals = fn(plane.centers())
-        x_edge = np.array([1.0, 0.0])
-        assert float(fn(x_edge[None])[0]) == pytest.approx(-2.0, abs=1e-15)
-        assert vals.max() == pytest.approx(-2.0 + chain_unit.barrier_height,
-                                           rel=1e-12)

@@ -25,7 +25,6 @@ from hjreg.hamiltonians import (
 from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import (
     ZOOM_WINDOW,
-    CascadeError,
     EnvelopeViolation,
     GaugeScan,
     OscillationRecord,
@@ -39,12 +38,19 @@ from hjreg.rescale import (
     theorem_check,
     zoom_cascade,
 )
-from hjreg.solver import SolveConfig, residual_supersolution, solve
+from hjreg.solver import SolveConfig, SolverError, residual_supersolution, solve
 
 from conftest import const_field, coordinate_field, noise_field
 from reference import gauge_shift, make_field, sample
 
 POWER_LAW = HamiltonianSpec(kind="power-law", p=1.5)
+
+
+def complete_cascade(*args, **kwargs):
+    """``zoom_cascade``'s records, after checking that no level aborted."""
+    records, aborted = zoom_cascade(*args, **kwargs)
+    assert aborted is None
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -221,17 +227,16 @@ class TestZoomStep:
         escaped = make_field(window, lambda t, x: np.clip(-1.0 - t, 0.0, 3.0))
         monkeypatch.setattr(rescale, "solve",
                             lambda *args: SimpleNamespace(field=escaped))
-        with pytest.raises(CascadeError) as exc:
-            zoom_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
-        assert isinstance(exc.value.__cause__, EnvelopeViolation)
-        assert "at level 1: field exceeds its growth envelope by 1.0 " in str(
-            exc.value)
-        assert [r.level for r in exc.value.records] == [0, 1]
+        records, aborted = zoom_cascade(
+            const_field(window, 0.0), chain_unit, 2, POWER_LAW)
+        assert aborted.startswith(
+            "cascade aborted at level 1: field exceeds its growth envelope by 1.0 ")
+        assert [r.level for r in records] == [0, 1]
 
 
 class TestZoomCascade:
     def test_zero_field_satisfies_every_level(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3, POWER_LAW)
+        records = complete_cascade(const_field(window, 0.0), chain_unit, 3, POWER_LAW)
         assert len(records) == 4
         theta = chain_unit.decay_ratio
         for m, r in enumerate(records):
@@ -280,28 +285,28 @@ class TestZoomCascade:
             base=HamiltonianSpec(kind="rough-coefficient", p=1.5, lam=2.0, eta=0.2),
             x_scale=0.5, x_shift=(0.1, -0.2),
         )
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3, h)
+        records = complete_cascade(const_field(window, 0.0), chain_unit, 3, h)
         assert len(records) == 4
         assert counts["steps"] > 0
         assert counts["transformed"] == counts["steps"]
         assert counts["spec"] == counts["nested"] == 0
 
     def test_bound_ratio_is_the_decay_constant(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
+        records = complete_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
         for a, b in zip(records, records[1:]):
             assert b.osc_bound / a.osc_bound == pytest.approx(
                 chain_unit.decay_ratio, rel=1e-12
             )
 
     def test_single_record_run(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 0, POWER_LAW)
+        records = complete_cascade(const_field(window, 0.0), chain_unit, 0, POWER_LAW)
         assert len(records) == 1
         assert records[0].osc_bound == pytest.approx(
             4.0 * chain_unit.decay_ratio, rel=1e-12
         )
 
     def test_window_geometry_shrinks(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
+        records = complete_cascade(const_field(window, 0.0), chain_unit, 2, POWER_LAW)
         a = chain_unit.zoom_ratio ** chain_unit.zoom_time_exponent
         for m, r in enumerate(records):
             assert r.radius == pytest.approx(
@@ -315,7 +320,7 @@ class TestZoomCascade:
             lambda t, x: 0.5 * np.cos(np.pi * x[..., 0] / 2.5)
             * np.cos(np.pi * x[..., 1] / 2.5),
         )
-        records = zoom_cascade(f, chain_unit, 2, POWER_LAW)
+        records = complete_cascade(f, chain_unit, 2, POWER_LAW)
         assert all(r.satisfied for r in records)
         oscs = [r.osc_measured for r in records if r.osc_measured > 0]
         assert oscs == sorted(oscs, reverse=True)
@@ -331,8 +336,8 @@ class TestZoomCascade:
                              t_start=-4.0, t_end=0.0, dt=0.0625)
         coarse = make_field(coarse_spec, profile)
         fine = make_field(fine_spec, profile)
-        rec_c = zoom_cascade(coarse, chain_unit, 1, POWER_LAW)
-        rec_f = zoom_cascade(fine, chain_unit, 1, POWER_LAW)
+        rec_c = complete_cascade(coarse, chain_unit, 1, POWER_LAW)
+        rec_f = complete_cascade(fine, chain_unit, 1, POWER_LAW)
         slack = 3.0 * one_cell_oscillation(coarse)
         for a, b in zip(rec_c, rec_f):
             assert abs(a.osc_measured - b.osc_measured) <= slack
@@ -344,13 +349,32 @@ class TestZoomCascade:
     def test_step_failure_carries_completed_records(self, window, chain_unit):
         f = make_field(window, lambda t, x: 0.3 * np.sin(2.0 * x[..., 0]))
         bad_cfg = SolveConfig(sigma_mode="fixed", sigma_bound=1e-9)
-        with pytest.raises(CascadeError) as exc:
-            zoom_cascade(f, chain_unit, 2, POWER_LAW, solve_config=bad_cfg)
-        assert len(exc.value.records) >= 1
-        assert exc.value.records[0].level == 0
+        records, aborted = zoom_cascade(f, chain_unit, 2, POWER_LAW,
+                                        solve_config=bad_cfg)
+        assert aborted.startswith("cascade aborted at level 0: ")
+        assert len(records) >= 1
+        assert records[0].level == 0
+
+    def test_an_aborted_resolve_retries_at_half_the_step(self, window, chain_unit,
+                                                        monkeypatch):
+        real_solve, steps = rescale.solve, []
+
+        def abort_once(spec, *args, **kwargs):
+            steps.append(spec.dt)
+            if len(steps) == 1:
+                raise SolverError("forced abort", 0)
+            return real_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(rescale, "solve", abort_once)
+        records, aborted = zoom_cascade(const_field(window, 0.0), chain_unit, 1,
+                                        POWER_LAW)
+        assert aborted is None
+        assert [r.level for r in records] == [0, 1]
+        assert len(steps) == 2
+        assert steps[1] == 0.5 * steps[0]
 
     def test_records_csv_shape(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 1, POWER_LAW)
+        records = complete_cascade(const_field(window, 0.0), chain_unit, 1, POWER_LAW)
         text = records_to_csv(records)
         lines = text.strip().split("\n")
         assert lines[0] == "m,radius,t_depth,osc_measured,osc_bound,d_m,satisfied"
@@ -398,7 +422,7 @@ class TestHolderEstimate:
         assert 0.0 < est.alpha_theory < 1e-5
 
     def test_flat_records_are_degenerate(self, window, chain_unit):
-        records = zoom_cascade(const_field(window, 0.0), chain_unit, 3, POWER_LAW)
+        records = complete_cascade(const_field(window, 0.0), chain_unit, 3, POWER_LAW)
         est = holder_estimate(records, chain_unit)
         assert est.degenerate
         assert est.points_used == 0

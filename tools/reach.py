@@ -12,9 +12,11 @@ dataclass-generated methods are not counted.
 Output: one ``module.qualname`` per unreached function, sorted, marked
 ``(perfbench)`` when ``perfbench/spans.py`` traces it and ``(cli)`` when
 it handles a ``hjreg`` command, so the unmarked names are the deletable
-ones; then a count line, then ``src/ lines: N``, the line count of the
-package's modules that every change reports.  The exit code is 1 when a
-reference run failed.
+ones; then a count line, then ``src/ code lines: N``, the lines of the
+package's modules that are not blank, comment-only or inside a docstring
+(the leading string of the module, a class or a function), then ``src/
+lines: N``, their whole line count, which every change reports.  The exit
+code is 1 when a reference run failed.
 
 Usage::
 
@@ -23,6 +25,7 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import inspect
 import io
@@ -49,6 +52,19 @@ def package_functions() -> dict[tuple[str, int, str], str]:
                 key = (str(path), code.co_firstlineno, code.co_name)
                 out[key] = f"{path.stem}.{code.co_qualname}"
     return out
+
+
+def code_lines(path: Path) -> int:
+    """The lines of ``path`` that are not blank, comment-only or inside a
+    docstring."""
+    text = path.read_text()
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        if isinstance(node, kinds) and ast.get_docstring(node) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if i not in docs and line.strip() and not line.lstrip().startswith("#"))
 
 
 def reference_runs() -> bool:
@@ -95,6 +111,7 @@ def main() -> int:
     for name in unreached:
         print(f"{name} ({marks[name]})" if name in marks else name)
     print(f"{len(unreached)} unreached functions")
+    print(f"src/ code lines: {sum(code_lines(p) for p in PACKAGE.glob('*.py'))}")
     lines = sum(len(p.read_text().splitlines()) for p in PACKAGE.glob("*.py"))
     print(f"src/ lines: {lines}")
     if not ok:
