@@ -261,7 +261,7 @@ def lemma_two_check(
         "sup": sup_all, "subsolution_residual": worst, "subsolution_tol": tol,
     }
 
-    total = level_set_measure(f, win)
+    total = win.volume
     zero_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)
     middle_mass = level_set_measure(f, win, lo=0.0, hi=1.0)
 

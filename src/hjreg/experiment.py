@@ -364,8 +364,10 @@ def _check_gates(cfg: ExperimentConfig) -> None:
         with config_errors("oracle"):
             grids = _oracle_grids(cfg)
         for grid_l in grids:
-            nearest = np.abs(grid_l.axis_centers()).min()
-            if not nearest <= cfg.oracle.window * grid_l.half_width:
+            # the two centres nearest 0, by axis_centers' per-entry expression
+            middle = (grid_l.cells_per_axis + np.array([-1, 0])) // 2
+            centres = -grid_l.half_width + grid_l.cell_width * (middle + 0.5)
+            if not np.abs(centres).min() <= cfg.oracle.window * grid_l.half_width:
                 raise ConfigError(
                     f"oracle window {cfg.oracle.window} holds no cell center "
                     f"at {grid_l.cells_per_axis} cells per axis"
@@ -937,29 +939,38 @@ def run_directory(
 def _with_overrides(
     cfg: ExperimentConfig, seed: int | None, resolution: int | None
 ) -> ExperimentConfig:
+    """``cfg`` with the run's seed and resolution, read back through
+    ``from_json_dict`` so that the overridden config passes every gate;
+    ``cfg`` itself when neither is given."""
+    if seed is None and resolution is None:
+        return cfg
+    data = cfg.to_json_dict()
     if seed is not None:
-        with config_errors(f"seed {seed}"):
-            cfg = replace(cfg, initial_data=replace(cfg.initial_data, seed=int(seed)))
+        data["initial_data"]["seed"] = seed
     if resolution is not None:
         with config_errors(f"resolution {resolution}"):
             # the grid's own rule on cells_per_axis runs before the division
             grid = replace(cfg.grid, cells_per_axis=int(resolution))
             scale = cfg.grid.cells_per_axis / grid.cells_per_axis
             dt = snap_dt(grid.t_start, grid.t_end, grid.dt * scale)
-            cfg = replace(cfg, grid=replace(grid, dt=dt))
-    return cfg
+            data["grid"] = to_json(replace(grid, dt=dt))
+    return ExperimentConfig.from_json_dict(data)
 
 
 def _search_alpha(cfg: ExperimentConfig, runner, status):
     """Largest candidate threshold that survives without a refutation.
 
-    The candidates run in descending order, each as a fixed-mode config,
-    until ``status(runner(trial_cfg))`` is not ``"refuted"``; when every
-    candidate is refuted the search takes the smallest.  Either way the
-    chosen candidate is the last trial run, so its outcome is the run
-    itself.  Returns ``(trial_cfg, trials, outcome)`` of that trial, with
-    ``trials`` the ``{"alpha", "status"}`` of every candidate tried.
+    In empirical chain mode the candidates run in descending order, each
+    as a fixed-mode config, until ``status(runner(trial_cfg))`` is not
+    ``"refuted"``; when every candidate is refuted the search takes the
+    smallest.  Either way the chosen candidate is the last trial run, so
+    its outcome is the run itself.  Returns ``(trial_cfg, trials,
+    outcome)`` of that trial, with ``trials`` the ``{"alpha", "status"}``
+    of every candidate tried.  A fixed-mode ``cfg`` is its own one trial,
+    with ``trials`` ``None``.
     """
+    if cfg.chain.mode == "fixed":
+        return cfg, None, runner(cfg)
     trials: list[dict] = []
     for alpha in cfg.chain.candidates:
         trial_cfg = replace(cfg, chain=ChainSettings(alpha=alpha, mode="fixed"))
@@ -979,13 +990,10 @@ def run(
     """Execute one scenario run under a deterministic run-stamped directory."""
     cfg = _with_overrides(config, seed, resolution)
     run_dir = run_directory(cfg, out_dir)
-    if cfg.chain.mode == "empirical":
-        _, search, (report, outputs) = _search_alpha(
-            cfg, _compute, lambda outcome: outcome[0].status
-        )
-        report = replace(report, chain_search=search)
-    else:
-        report, outputs = _compute(cfg)
+    _, search, (report, outputs) = _search_alpha(
+        cfg, _compute, lambda outcome: outcome[0].status
+    )
+    report = replace(report, chain_search=search)
     _write(run_dir, report, outputs)
     return report
 
@@ -1040,16 +1048,11 @@ def ensemble(
     member_seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
     run_dir = run_directory(config, out_dir, seed, count)
-    cfg = config
-    search = None
-    if cfg.chain.mode == "empirical":
-        cfg, search, members = _search_alpha(
-            cfg,
-            lambda trial: _run_members(trial, member_seeds, workers),
-            lambda outcomes: _aggregate([r.status for r, _ in outcomes]),
-        )
-    else:
-        members = _run_members(cfg, member_seeds, workers)
+    cfg, search, members = _search_alpha(
+        config,
+        lambda trial: _run_members(trial, member_seeds, workers),
+        lambda outcomes: _aggregate([r.status for r, _ in outcomes]),
+    )
 
     member_dirs = [run_dir / "members" / f"m{i:03d}" for i in range(count)]
     for member_dir, (rep, outputs) in zip(member_dirs, members):

@@ -512,6 +512,14 @@ class Window:
         weights = self.weights[self.weighted_slices()]
         return in_slice_order((weights * self.spec.cell_volume) * per_slice(counts))
 
+    @property
+    def volume(self) -> float:
+        """Cell-counting measure of the whole cylinder: :meth:`measure` with
+        every cell of :attr:`mask` counted on each weighted slice."""
+        weights = self.weights[self.weighted_slices()]
+        cells = np.count_nonzero(self.mask)
+        return in_slice_order((weights * self.spec.cell_volume) * cells)
+
 
 def slice_blocks(start: int, stop: int, cells: int) -> Iterator[tuple[int, int]]:
     """Consecutive ``(lo, hi)`` ranges covering ``[start, stop)``, each about

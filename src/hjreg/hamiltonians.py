@@ -152,12 +152,12 @@ class HamiltonianSpec:
                 raise ValueError(f"a {self.kind} Hamiltonian does not read {key!r}")
         if self.p <= 1.0:
             raise ValueError(f"exponent must exceed 1, got {self.p}")
-        if self.kind == "scaled-power-law" and self.coefficient <= 0.0:
+        if self.kind == "scaled-power-law" and not self.coefficient > 0.0:
             raise ValueError(f"coefficient must be positive, got {self.coefficient}")
         if self.kind == "rough-coefficient":
-            if self.lam < 1.0:
+            if not self.lam >= 1.0:
                 raise ValueError(f"rough contrast needs lam >= 1, got {self.lam}")
-            if self.eta <= 0.0:
+            if not self.eta > 0.0:
                 raise ValueError(f"eta must be positive, got {self.eta}")
         if self.kind == "tabulated" and self.table is None:
             raise ValueError("tabulated kind requires a table")
@@ -218,15 +218,22 @@ class HamiltonianSpec:
         return out
 
     @property
-    def sup_coefficient(self) -> float:
+    def _coefficient_bounds(self) -> tuple[float, float]:
+        """``(sup a, sup 1/a)`` over every ``(t, x)``.  The rough kind's are
+        both ``lam`` as given: ``1/(1/lam)`` can differ from it in the last
+        bit, and ``lam`` is the declared envelope's constant."""
         if self.kind == "power-law":
-            return 1.0
+            return 1.0, 1.0
         if self.kind == "scaled-power-law":
-            return self.coefficient
+            return self.coefficient, 1.0 / self.coefficient
         if self.kind == "rough-coefficient":
-            return self.lam
+            return self.lam, self.lam
         assert self.table is not None
-        return max(self.table.values)
+        return max(self.table.values), 1.0 / min(self.table.values)
+
+    @property
+    def sup_coefficient(self) -> float:
+        return self._coefficient_bounds[0]
 
     def dissipation_bound(self, pnorm: float) -> float:
         """Upper bound for ``|dH/dP|`` over ``|P| <= pnorm`` (per axis and total)."""
@@ -234,17 +241,7 @@ class HamiltonianSpec:
 
     def declared_envelope(self) -> CoercivityEnvelope:
         """Tightest catalog envelope this kind is guaranteed to satisfy."""
-        if self.kind == "power-law":
-            lam = 1.0
-        elif self.kind == "scaled-power-law":
-            lam = max(1.0, self.coefficient, 1.0 / self.coefficient,
-                      abs(self.offset))
-        elif self.kind == "rough-coefficient":
-            lam = self.lam
-        else:
-            assert self.table is not None
-            lam = max(1.0, max(self.table.values),
-                      1.0 / min(self.table.values))
+        lam = max(1.0, *self._coefficient_bounds, abs(self.offset))
         return CoercivityEnvelope(lam=lam, p=self.p)
 
     def to_config(self) -> dict:

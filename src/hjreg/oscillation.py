@@ -45,7 +45,6 @@ from .solver import ResidualReport, ResidualTerm, residual_supersolution
 
 __all__ = [
     "LATE_HALF_BALL",
-    "ChainConstructionError",
     "ComparisonReport",
     "ConstantChain",
     "InvariantCheck",
@@ -68,10 +67,6 @@ _EPS = 1e-9
 # The late half-ball ``[1, 2] x B(1/2)`` of the improvement from below; the
 # checks' other windows are the lemmas' unit cylinder and late window.
 LATE_HALF_BALL = Cylinder(1.0, 2.0, 0.5)
-
-
-class ChainConstructionError(ValueError):
-    """Raised when the derived constants overflow or fail their own checks."""
 
 
 @dataclass(frozen=True)
@@ -153,10 +148,9 @@ def build_constant_chain(
     rate ``r`` (with ``zoom_ratio = decay_ratio^r``) that passes both
     closure checks, doubled as safety margin; ``holder_exponent = 1/r``.
 
-    Raises ``ValueError`` outside the theorem scope (``p >= dimension``)
-    or for a middle threshold that is not positive and finite, and
-    ``ChainConstructionError``, a ``ValueError`` too, when the ladder
-    constants overflow or the selected constants fail their own
+    Raises ``ValueError`` outside the theorem scope (``p >= dimension``),
+    for a middle threshold that is not positive and finite, and when the
+    ladder constants overflow or the selected constants fail their own
     re-verification.
     """
     if not p > 1.0:
@@ -175,7 +169,7 @@ def build_constant_chain(
         depth = math.floor(cylinder_volume / middle_threshold) + 1
         c = 8.0 * lam * 2.0 ** ((p - 1.0) * (depth + 1))
     except OverflowError:
-        raise ChainConstructionError(
+        raise ValueError(
             f"the ladder constants overflow at N={dimension} with middle "
             f"threshold {middle_threshold}"
         ) from None
@@ -188,7 +182,7 @@ def build_constant_chain(
     height = 0.5 * min(shrink_above, height_max)
     slope = (height / c) ** (1.0 / p)
     if not 2.0 * height < slope:
-        raise ChainConstructionError(
+        raise ValueError(
             f"barrier constraint failed: 2*height={2 * height} >= slope={slope} "
             f"(height_max={height_max}, shrink_above={shrink_above})"
         )
@@ -241,7 +235,7 @@ def build_constant_chain(
             f"{name}: slack={check.slack:.3e} ({check.detail})"
             for name, check in failed.items()
         )
-        raise ChainConstructionError(
+        raise ValueError(
             f"chain re-verification failed with r in [{max(1.0, r_a, r_b)}, {r}]: "
             f"{report}"
         )
@@ -657,7 +651,7 @@ def oscillation_above_check(
     diagnostics: dict = {"sup": sup_all, "subsolution_residual": worst}
     tolerances = {"bounded_by_two": bound_tol, "residual": tol}
 
-    total = level_set_measure(f, win)
+    total = win.volume
     nonpos_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)
 
     concl_tol = (one_cell_oscillation(f, late) if conclusion_tol is None
@@ -725,7 +719,7 @@ def oscillation_below_check(
     tolerances = {"lower_bound": bound_tol, "residual": tol}
 
     inf_all = win.min(f)
-    total = level_set_measure(f, win)
+    total = win.volume
     negative_mass = level_set_measure(f, win, hi=0.0)
     nonneg_mass = total - negative_mass
 

@@ -46,11 +46,9 @@ from .solver import (
 
 __all__ = [
     "ZOOM_WINDOW",
-    "EnvelopeViolation",
     "GaugeScan",
     "HolderEstimate",
     "OscillationRecord",
-    "RecenterError",
     "TheoremReport",
     "base_point_slices",
     "base_point_window",
@@ -71,14 +69,6 @@ _TOL_FLOOR = 1e-12
 # The zoom window ``[-1, 0] x B(1/2)``: each cascade level's field is
 # measured and recentered on it, and ``Q_m`` pulls back to it.
 ZOOM_WINDOW = Cylinder(-1.0, 0.0, 0.5)
-
-
-class RecenterError(RuntimeError):
-    """No admissible recentering constant."""
-
-
-class EnvelopeViolation(RuntimeError):
-    """A zoom-level field escaped its certified bound."""
 
 
 @dataclass(frozen=True)
@@ -187,15 +177,15 @@ def select_recenter(
     shrink_below/2]``, and returns it with the achieved sup of ``|f - d|``.
     The improved-oscillation property guarantees an admissible ``d``
     whenever one of the two one-sided improvements applies; a
-    :class:`RecenterError` reports an achieved bound above ``2 -
-    shrink_below/2`` plus the tolerance (at least ``_TOL_FLOOR``).
+    ``ValueError`` reports an achieved bound above ``2 - shrink_below/2``
+    plus the tolerance (at least ``_TOL_FLOOR``).
     """
     half_shrink = 0.5 * chain.shrink_below
     d = min(half_shrink, max(-half_shrink, 0.5 * (lo + hi)))
     achieved = max(hi - d, d - lo)
     tol = max(tolerance, _TOL_FLOOR)
     if achieved > 2.0 - half_shrink + tol:
-        raise RecenterError(
+        raise ValueError(
             f"window range [{lo}, {hi}] admits no recentering: best bound "
             f"{achieved} exceeds {2.0 - half_shrink} (tolerance {tol})"
         )
@@ -209,7 +199,7 @@ def _check_envelope(f: ScalarField, chain: ConstantChain, tolerance: float) -> N
         where = np.unravel_index(int(np.argmin(margin)), margin.shape)
         t = float(f.spec.times()[where[0]])
         x = tuple(float(c) for c in f.spec.centers()[where[1:]])
-        raise EnvelopeViolation(
+        raise ValueError(
             f"field exceeds its growth envelope by {-worst} "
             f"(tolerance {tolerance}) at t={t}, x={x}"
         )
@@ -228,8 +218,8 @@ def _zoom_resolve(
     with ``s = 4/(4 - shrink_below)``; only the initial slice
     ``s (f(-4 a, b x) - d)`` is sampled from the previous level.  Before
     mapping, ``f`` must sit under the growth envelope ``2 + barrier_slope
-    * (|x| - 1)_+``, up to its one-cell oscillation (else
-    ``EnvelopeViolation``).  The time step is chosen from the initial
+    * (|x| - 1)_+``, up to its one-cell oscillation (else a
+    ``ValueError``).  The time step is chosen from the initial
     slice's steepness with a factor-4 margin and halved on any solver
     abort.
     """
@@ -328,7 +318,7 @@ def zoom_cascade(
             )
             if m < levels:
                 u, hamiltonian = _zoom_resolve(u, d, chain, hamiltonian, cfg)
-        except (RecenterError, EnvelopeViolation, SolverError, ValueError) as err:
+        except (SolverError, ValueError) as err:
             return records, f"cascade aborted at level {m}: {err}"
     return records, None
 
@@ -345,6 +335,13 @@ def records_to_csv(records: list[OscillationRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fit_pairs(records: list[OscillationRecord]) -> list[tuple[float, float]]:
+    """``(radius, osc_measured)`` of the records whose oscillation clears
+    its own resolution floor, the ones a Holder fit reads."""
+    return [(r.radius, r.osc_measured) for r in records
+            if r.osc_measured > max(r.tolerance, _TOL_FLOOR)]
+
+
 def holder_estimate(
     records: list[OscillationRecord], chain: ConstantChain
 ) -> HolderEstimate:
@@ -357,11 +354,7 @@ def holder_estimate(
     record only counts when its oscillation clears its own resolution
     floor, so interpolation rounding noise never masquerades as decay.
     """
-    pairs = [
-        (r.radius, r.osc_measured)
-        for r in records
-        if r.osc_measured > max(r.tolerance, _TOL_FLOOR)
-    ]
+    pairs = _fit_pairs(records)
     theory = chain.holder_exponent
     if len(pairs) < 3:
         bound = (min(p[0] for p in pairs), max(p[0] for p in pairs)) if pairs else (
@@ -695,11 +688,7 @@ def theorem_check(
         est = holder_estimate(records, chain)
         if not est.degenerate:
             finite.append(est.alpha_est)
-            all_pairs.extend(
-                (r.radius, r.osc_measured)
-                for r in records
-                if r.osc_measured > max(r.tolerance, _TOL_FLOOR)
-            )
+            all_pairs.extend(_fit_pairs(records))
         n_bad = sum(1 for r in records if not r.satisfied)
         n_unsatisfied += n_bad
         entries.append(

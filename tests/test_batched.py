@@ -337,6 +337,25 @@ def test_level_set_measure_matches_the_per_slice_loop(data, f, closed_upper, lo,
 
 
 @settings(max_examples=40, deadline=None)
+@given(data=st.data(), f=fields(), radius=st.floats(0.2, 1.0),
+       fractions=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+def test_window_volume_is_the_measure_of_the_whole_cylinder(data, f, radius,
+                                                            fractions):
+    """``Window.volume`` is ``level_set_measure`` with both bounds open on a
+    finite field, for a cylinder whose ends both fall between slice times."""
+    spec = f.spec
+    i = data.draw(st.integers(0, spec.n_slices - 2))
+    j = data.draw(st.integers(i + 1, spec.n_slices - 1))
+    t_lo = spec.t_start + spec.dt * (i + fractions[0])
+    t_hi = spec.t_start + spec.dt * (j + fractions[1])
+    try:
+        win = Window(spec, Cylinder(t_lo, t_hi, radius))
+    except EmptyCylinderError:
+        return
+    assert win.volume == level_set_measure(f, win)
+
+
+@settings(max_examples=40, deadline=None)
 @given(f=fields(), depth=st.integers(1, 14), threshold=st.floats(0.0, 2.0))
 def test_witness_measures_match_the_dyadic_ladder(f, depth, threshold):
     win = Window(f.spec, UNIT_CYLINDER)

@@ -435,6 +435,18 @@ class TestConfigFuzz:
         except ConfigError:
             pass
 
+    def test_oracle_gate_allocates_no_axis(self):
+        """A 1-D grid that the lattice rule admits, with billions of cells
+        per axis: the oracle gate reads two cell centres of each refinement,
+        so the config parses (a draw of the test above once raised
+        ``MemoryError`` on the whole axis)."""
+        config = bundled_config("hopf-lax-validation")
+        config["grid"]["cells_per_axis"] = 2919258602
+        try:
+            ExperimentConfig.from_json_dict(config)
+        except ConfigError:
+            pass
+
     @pytest.mark.parametrize("name", sorted(initial_data._CATALOG))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -1166,6 +1178,8 @@ class TestCli:
             ({"hamiltonian": tabulated(dimension=3)}, []),
             ({"hamiltonian": tabulated(t_edges=[1.0, 0.0], half_width=-1.25)}, []),
             ({"hamiltonian": tabulated(half_width=-1.25)}, []),
+            (bundled_config("oscillation-improvement"), ["--resolution", "6"]),
+            (bundled_config("zero-initial-data"), ["--resolution", "6"]),
         ]] + [({}, [], w) for w in ("abc", "2.5", "0", "-3", "")],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
              "working-slices-zero", "theorem-mode-interpolate", "grid-list",
@@ -1185,7 +1199,8 @@ class TestCli:
              "power-law-coefficient", "power-law-eta-negative",
              "sweep-lambda-power-law", "sweep-coefficient-rough",
              "table-dimension-1", "table-dimension-3", "table-edges-decreasing",
-             "table-half-width-negative", "workers-word",
+             "table-half-width-negative", "osc-checks-resolution-6",
+             "every-check-resolution-6", "workers-word",
              "workers-fraction", "workers-zero", "workers-negative",
              "workers-empty"],
     )

@@ -138,6 +138,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="lam"):
             HamiltonianSpec(kind="rough-coefficient", p=1.5, lam=0.5)
 
+    @pytest.mark.parametrize("kind, field, match", [
+        ("rough-coefficient", "lam", "lam >= 1, got nan"),
+        ("rough-coefficient", "eta", "eta must be positive, got nan"),
+        ("scaled-power-law", "coefficient", "coefficient must be positive, got nan"),
+    ])
+    def test_nan_parameters_are_refused(self, kind, field, match):
+        """A NaN passes no range check, so it is refused rather than read:
+        the ``max`` that declares the envelope would turn a NaN ``lam`` or
+        ``coefficient`` into ``lam`` 1."""
+        with pytest.raises(ValueError, match=match):
+            HamiltonianSpec(kind=kind, p=1.5, **{field: math.nan})
+
     def test_scaled_needs_positive_coefficient(self):
         with pytest.raises(ValueError, match="coefficient"):
             HamiltonianSpec(kind="scaled-power-law", p=1.5, coefficient=0.0)

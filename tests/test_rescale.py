@@ -25,7 +25,6 @@ from hjreg.hamiltonians import (
 from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import (
     ZOOM_WINDOW,
-    EnvelopeViolation,
     GaugeScan,
     OscillationRecord,
     base_point_slices,
@@ -218,7 +217,7 @@ class TestZoomStep:
         np.testing.assert_allclose(start, expected, rtol=1e-12)
 
     def test_growth_envelope_is_enforced(self, window, chain_unit, monkeypatch):
-        with pytest.raises(EnvelopeViolation,
+        with pytest.raises(ValueError,
                            match=r"field exceeds its growth envelope by 1\.0 "):
             zoom_start(const_field(window, 3.0), 0.0, chain_unit)
 

@@ -15,8 +15,10 @@ it handles a ``hjreg`` command, so the unmarked names are the deletable
 ones; then a count line, then ``src/ code lines: N``, the lines of the
 package's modules that are not blank, comment-only or inside a docstring
 (the leading string of the module, a class or a function), then ``src/
-lines: N``, their whole line count, which every change reports.  The exit
-code is 1 when a reference run failed.
+lines: N``, their whole line count, which every change reports.  When a
+reference run fails, the unreached list is not printed (a partial run
+reaches less), the tail of the runs' captured output goes to stderr, and
+the exit code is 1; the two line counts are still printed last.
 
 Usage::
 
@@ -36,6 +38,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "hjreg"
+# Lines of the reference runs' output shown when one of them fails.
+TAIL_LINES = 40
 
 
 def package_functions() -> dict[tuple[str, int, str], str]:
@@ -67,17 +71,19 @@ def code_lines(path: Path) -> int:
                if i not in docs and line.strip() and not line.lstrip().startswith("#"))
 
 
-def reference_runs() -> bool:
-    """Run the digest runs and the acceptance tests; True when all pass."""
+def reference_runs() -> tuple[bool, str]:
+    """Run the digest runs and the acceptance tests: whether all pass, and
+    the output they printed."""
     import pytest
 
     digests = runpy.run_path(str(REPO / "tools" / "digests.py"), run_name="digests")
+    captured = io.StringIO()
     with tempfile.TemporaryDirectory() as root, \
-            contextlib.redirect_stdout(io.StringIO()):
+            contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
         digest_code = digests["main"](["--out", root])
         test_code = pytest.main(["-q", "-p", "no:cacheprovider",
                                  str(REPO / "tests" / "test_acceptance.py")])
-    return digest_code == 0 and test_code == 0
+    return digest_code == 0 and test_code == 0, captured.getvalue()
 
 
 def bound_names() -> dict[str, str]:
@@ -101,21 +107,24 @@ def main() -> int:
 
     sys.setprofile(hook)
     try:
-        ok = reference_runs()
+        ok, output = reference_runs()
     finally:
         sys.setprofile(None)
-    reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in called}
-    unreached = sorted(name for key, name in package_functions().items()
-                       if key not in reached)
-    marks = bound_names()
-    for name in unreached:
-        print(f"{name} ({marks[name]})" if name in marks else name)
-    print(f"{len(unreached)} unreached functions")
+    if ok:
+        reached = {(c.co_filename, c.co_firstlineno, c.co_name) for c in called}
+        unreached = sorted(name for key, name in package_functions().items()
+                           if key not in reached)
+        marks = bound_names()
+        for name in unreached:
+            print(f"{name} ({marks[name]})" if name in marks else name)
+        print(f"{len(unreached)} unreached functions")
+    else:
+        tail = "\n".join(output.splitlines()[-TAIL_LINES:])
+        print(f"{tail}\na reference run failed; no unreached list", file=sys.stderr)
+        sys.stderr.flush()
     print(f"src/ code lines: {sum(code_lines(p) for p in PACKAGE.glob('*.py'))}")
     lines = sum(len(p.read_text().splitlines()) for p in PACKAGE.glob("*.py"))
     print(f"src/ lines: {lines}")
-    if not ok:
-        print("a reference run failed", file=sys.stderr)
     return 0 if ok else 1
 
 
