@@ -92,8 +92,10 @@ def _detail(entry: dict) -> str:
     bits: list[str] = []
     if entry.get("sup_errors"):
         bits.append(f"sup_error={entry['sup_errors'][-1]:.3g}")
-    if entry.get("orders"):
-        bits.append(f"order={min(entry['orders']):.2f}")
+    # an infinite order is written as null
+    finite = [o for o in entry.get("orders") or () if o is not None]
+    if finite:
+        bits.append(f"order={min(finite):.2f}")
     estimate = entry.get("estimate")
     if estimate and estimate.get("alpha_est") is not None:
         bits.append(f"alpha_est={estimate['alpha_est']:.3f}")

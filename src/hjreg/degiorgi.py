@@ -55,6 +55,7 @@ __all__ = [
     "lemma_one_check",
     "lemma_two_check",
     "lemma_two_terms",
+    "upper_preconditions",
 ]
 
 
@@ -222,6 +223,28 @@ def lemma_two_terms(env: CoercivityEnvelope) -> list[ResidualTerm]:
     return [ResidualTerm(1.0 / env.lam, env.lam)]
 
 
+def upper_preconditions(
+    f, win: Window, terms: list[ResidualTerm],
+    residuals: Mapping[ResidualTerm, ResidualReport], residual_tol: float | None,
+) -> tuple[dict, dict, dict]:
+    """The preconditions of a check from the upper side on ``win``: ``f <=
+    2`` up to its one-cell oscillation there, and the residual of the one
+    term in ``terms`` at most ``residual_tol`` (the grid's by default)
+    inside the ball.  Returns the preconditions, the diagnostics (``sup``,
+    ``subsolution_residual``) and the tolerances (``bounded_by_two``,
+    ``residual``)."""
+    sup_all = win.max(f)
+    bound_tol = one_cell_oscillation(f, win)
+    tol = f.spec.residual_tol if residual_tol is None else residual_tol
+    [term] = terms
+    worst = residuals[term].ball_max
+    return (
+        {"bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol},
+        {"sup": sup_all, "subsolution_residual": worst},
+        {"bounded_by_two": bound_tol, "residual": tol},
+    )
+
+
 def lemma_two_check(
     f: ScalarField,
     env: CoercivityEnvelope,
@@ -249,17 +272,9 @@ def lemma_two_check(
         raise ValueError(
             f"the machinery needs p < N, got p={env.p}, N={spec.dimension}"
         )
-    sup_all = win.max(f)
-    bound_tol = one_cell_oscillation(f, win)
-    tol = spec.residual_tol if residual_tol is None else residual_tol
-    [term] = lemma_two_terms(env)
-    worst = residuals[term].ball_max
-    preconditions = {
-        "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
-    }
-    diagnostics = {
-        "sup": sup_all, "subsolution_residual": worst, "subsolution_tol": tol,
-    }
+    preconditions, diagnostics, tolerances = upper_preconditions(
+        f, win, lemma_two_terms(env), residuals, residual_tol)
+    diagnostics["subsolution_tol"] = tolerances.pop("residual")
 
     total = win.volume
     zero_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)
@@ -275,7 +290,7 @@ def lemma_two_check(
         conclusion_values={"above_mass": above_mass},
         conclusion_thresholds={"above_mass": 0.5 * delta},
         conclusion_satisfied=above_mass < 0.5 * delta,
-        tolerances={"bounded_by_two": bound_tol},
+        tolerances=tolerances,
         cell_width=spec.cell_width,
         diagnostics=diagnostics,
     )

@@ -52,6 +52,7 @@ from .rescale import (
     GaugeScan,
     TheoremReport,
     _base_point_cascades,
+    base_point_room,
     base_point_slices,
     base_times,
     holder_estimate,
@@ -297,14 +298,18 @@ class ExperimentConfig:
 
 def _sweep_variants(cfg: ExperimentConfig) -> list[tuple[str, HamiltonianSpec]]:
     """``(label, hamiltonian)`` per solve: one per sweep value, or the
-    config's own Hamiltonian with an empty label."""
+    config's own Hamiltonian with an empty label.  Two values with one
+    label are a ``ValueError``: their outputs would share paths."""
     if cfg.sweep is None:
         return [("", cfg.hamiltonian)]
     attr = _SWEEPABLE[cfg.sweep.parameter]
-    return [
-        (f"[{cfg.sweep.parameter}={v:g}]", replace(cfg.hamiltonian, **{attr: v}))
-        for v in cfg.sweep.values
-    ]
+    values: dict[str, float] = {}
+    for v in cfg.sweep.values:
+        label = f"[{cfg.sweep.parameter}={v:g}]"
+        if label in values:
+            raise ValueError(f"values {values[label]} and {v} share the label {label}")
+        values[label] = v
+    return [(label, replace(cfg.hamiltonian, **{attr: v})) for label, v in values.items()]
 
 
 def _check_gates(cfg: ExperimentConfig) -> None:
@@ -351,7 +356,7 @@ def _check_gates(cfg: ExperimentConfig) -> None:
                 raise ConfigError(
                     f"cascade base_point needs {grid.dimension} coordinates"
                 )
-            if max(abs(c) for c in x0) >= grid.half_width - 2.0 * grid.cell_width:
+            if base_point_room(grid, x0) <= 0.0:
                 raise ConfigError(
                     "cascade base_point sits within two cells of the boundary"
                 )
@@ -658,57 +663,48 @@ def _residual_pass(
 
 
 def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
-    """The base grid and each refinement, cells and time steps halved."""
+    """The run's own grid, then each refinement, cells and time steps halved."""
     assert cfg.oracle is not None
     spec = cfg.grid
-    return [
+    return [spec] + [
         replace(
             spec,
             cells_per_axis=spec.cells_per_axis * 2**level,
             dt=snap_dt(spec.t_start, spec.t_end, spec.dt / 2**level),
         )
-        for level in range(cfg.oracle.refinements + 1)
+        for level in range(1, cfg.oracle.refinements + 1)
     ]
 
 
-def _oracle_slice(cfg: ExperimentConfig, grid: GridSpec) -> int:
-    """Index of the slice of ``grid`` the oracle compares: the one nearest
-    ``oracle.time``, the end of the grid by default."""
+def _oracle_time(cfg: ExperimentConfig) -> float:
+    """The time the oracle compares at: ``oracle.time``, the end of the
+    grid by default."""
     assert cfg.oracle is not None
-    t_cmp = cfg.grid.t_end if cfg.oracle.time is None else cfg.oracle.time
-    return int(np.argmin(np.abs(grid.times() - t_cmp)))
+    return cfg.grid.t_end if cfg.oracle.time is None else cfg.oracle.time
 
 
-def _oracle_base_slice(cfg: ExperimentConfig) -> int | None:
-    """The oracle's comparison slice on the run's own grid, when the run's
-    solve is the oracle's level 0 (no sweep, and level 0 snaps to the same
-    ``dt``); ``None`` when the oracle has to solve level 0 itself."""
-    if cfg.oracle is None or cfg.sweep is not None:
-        return None
-    if _oracle_grids(cfg)[0] != cfg.grid:
-        return None
-    return _oracle_slice(cfg, cfg.grid)
+def _oracle_slice(cfg: ExperimentConfig, grid: GridSpec) -> int:
+    """Index of the slice of ``grid`` nearest the oracle's comparison time."""
+    return int(np.argmin(np.abs(grid.times() - _oracle_time(cfg))))
 
 
-def _oracle_outcome(cfg: ExperimentConfig, base: np.ndarray | None = None) -> dict:
-    """Refinement study against the inf-convolution.  ``base``, when given,
-    is the run's own slice at level 0's comparison time, and level 0 is
-    read from it instead of solved again."""
+def _oracle_outcome(cfg: ExperimentConfig, base: np.ndarray) -> dict:
+    """Refinement study against the inf-convolution.  Level 0 is the run's
+    own grid, read from ``base``, the run's slice at the comparison time;
+    each refinement is solved here."""
     opts = cfg.oracle
     assert opts is not None
     spec = cfg.grid
     init = cfg.initial_data
     fn = make_initial_function(spec, init.name, init.parameters, init.seed)
-    t_cmp = spec.t_end if opts.time is None else opts.time
     resolutions: list[int] = []
     widths: list[float] = []
     errors: list[float] = []
+    got = base
     for level, grid_l in enumerate(_oracle_grids(cfg)):
         ti = _oracle_slice(cfg, grid_l)
-        if level == 0 and base is not None:
-            got = base
-        else:
-            # the solve keeps the one slice the oracle reads
+        if level > 0:
+            # a refinement's solve keeps the one slice the oracle reads
             traj = solve(grid_l, cfg.hamiltonian, fn, cfg.solve,
                          keep=[range(ti, ti + 1)])
             got = traj.field.rows(ti, ti + 1)[0]
@@ -722,11 +718,12 @@ def _oracle_outcome(cfg: ExperimentConfig, base: np.ndarray | None = None) -> di
         resolutions.append(grid_l.cells_per_axis)
         widths.append(grid_l.cell_width)
         errors.append(float(np.abs(got - want).max()))
-    orders = [
-        math.log2(errors[i] / errors[i + 1]) if errors[i + 1] > 0.0 else math.inf
-        for i in range(len(errors) - 1)
-    ]
-    monotone = all(b < a for a, b in zip(errors, errors[1:]))
+    # two exact levels have converged (order inf); an exact coarser level
+    # before an inexact finer one has not (order -inf)
+    pairs = list(zip(errors, errors[1:]))
+    orders = [math.inf if b == 0.0 else -math.inf if a == 0.0 else math.log2(a / b)
+              for a, b in pairs]
+    monotone = all(b < a or a == b == 0.0 for a, b in pairs)
     ok = (
         monotone
         and errors[-1] <= opts.max_error
@@ -734,7 +731,7 @@ def _oracle_outcome(cfg: ExperimentConfig, base: np.ndarray | None = None) -> di
     )
     return {
         "status": "pass" if ok else "refuted",
-        "time": t_cmp,
+        "time": _oracle_time(cfg),
         "window": opts.window,
         "resolutions": resolutions,
         "cell_widths": widths,
@@ -852,8 +849,8 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
              for times in zooms if times is not None for t0 in times(cfg)]
     if cfg.sweep is None:
         keep += [range(0, 2), range(cfg.grid.n_slices - 2, cfg.grid.n_slices)]
-    oracle_ti = _oracle_base_slice(cfg)
-    if oracle_ti is not None:
+    if cfg.oracle is not None:
+        oracle_ti = _oracle_slice(cfg, cfg.grid)
         keep.append(range(oracle_ti, oracle_ti + 1))
     oracle_base = None
     try:
@@ -881,7 +878,7 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                     record(f"{name}{label}", report)
             if cfg.sweep is None:
                 outputs.update(_snapshots(traj))
-            if oracle_ti is not None:
+            if cfg.oracle is not None:
                 # a copy, so the oracle holds one slice, not the trajectory
                 oracle_base = traj.field.rows(oracle_ti, oracle_ti + 1)[0].copy()
             # free this variant's trajectory before the next one solves

@@ -516,9 +516,8 @@ class Window:
     def volume(self) -> float:
         """Cell-counting measure of the whole cylinder: :meth:`measure` with
         every cell of :attr:`mask` counted on each weighted slice."""
-        weights = self.weights[self.weighted_slices()]
-        cells = np.count_nonzero(self.mask)
-        return in_slice_order((weights * self.spec.cell_volume) * cells)
+        n_slices = self.weighted_slices().size
+        return self.measure([np.full(n_slices, np.count_nonzero(self.mask))])
 
 
 def slice_blocks(start: int, stop: int, cells: int) -> Iterator[tuple[int, int]]:

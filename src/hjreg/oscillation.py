@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .degiorgi import LATE_WINDOW, UNIT_CYLINDER, LemmaVerdict
+from .degiorgi import LATE_WINDOW, UNIT_CYLINDER, LemmaVerdict, upper_preconditions
 from .grid import (
     Cylinder,
     GridSpec,
@@ -64,6 +64,10 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+# validate_chain's relative tolerance, and its tolerance for the identities
+# through ``p - zoom_time_exponent``
+_REL_TOL = 1e-12
+_COUPLED_TOL = 1e-5
 # The late half-ball ``[1, 2] x B(1/2)`` of the improvement from below; the
 # checks' other windows are the lemmas' unit cylinder and late window.
 LATE_HALF_BALL = Cylinder(1.0, 2.0, 0.5)
@@ -260,19 +264,15 @@ def _equality_slack(lhs: float, rhs: float, tol: float) -> float:
     return tol - abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def validate_chain(
-    chain: ConstantChain,
-    rel_tol: float = 1e-12,
-    coupled_tol: float = 1e-5,
-) -> dict[str, InvariantCheck]:
+def validate_chain(chain: ConstantChain) -> dict[str, InvariantCheck]:
     """Re-derive every invariant from the finished chain's own fields.
 
     Deliberately independent of the constructor: each right-hand side is
     recomputed from other stored fields.  Identities that pass through the
     difference ``p - zoom_time_exponent`` lose about seven digits to
     cancellation (the difference is near ``1e-9`` while both terms are
-    order one), so those are held to ``coupled_tol`` instead of
-    ``rel_tol``.
+    order one), so those are held to ``_COUPLED_TOL`` instead of
+    ``_REL_TOL``.
     """
     out: dict[str, InvariantCheck] = {}
     p = chain.p
@@ -290,8 +290,8 @@ def validate_chain(
 
     expected_shrink = 2.0 ** -(depth + 1)
     out["shrink_above"] = InvariantCheck(
-        ok=_equality_slack(chain.shrink_above, expected_shrink, rel_tol) >= 0.0,
-        slack=_equality_slack(chain.shrink_above, expected_shrink, rel_tol),
+        ok=_equality_slack(chain.shrink_above, expected_shrink, _REL_TOL) >= 0.0,
+        slack=_equality_slack(chain.shrink_above, expected_shrink, _REL_TOL),
         detail=f"stored {chain.shrink_above}, recomputed {expected_shrink}",
     )
 
@@ -311,7 +311,7 @@ def validate_chain(
         ),
     )
 
-    slope_slack = _equality_slack(chain.barrier_slope, slope_recomputed, rel_tol)
+    slope_slack = _equality_slack(chain.barrier_slope, slope_recomputed, _REL_TOL)
     out["barrier_slope"] = InvariantCheck(
         ok=slope_slack >= 0.0,
         slack=slope_slack,
@@ -319,10 +319,10 @@ def validate_chain(
     )
 
     shrink_slack = _equality_slack(
-        chain.shrink_below, 0.5 * chain.barrier_height, rel_tol
+        chain.shrink_below, 0.5 * chain.barrier_height, _REL_TOL
     )
     theta_slack = _equality_slack(
-        chain.decay_ratio, (4.0 - chain.shrink_below) / 4.0, rel_tol
+        chain.decay_ratio, (4.0 - chain.shrink_below) / 4.0, _REL_TOL
     )
     out["shrink_below"] = InvariantCheck(
         ok=min(shrink_slack, theta_slack) >= 0.0,
@@ -336,10 +336,10 @@ def validate_chain(
     a_exp = chain.prezoom_time_exponent
     gain = chain.prezoom_scale ** -(p - a_exp)
     gain_target = 2.0 ** ((depth + 1) * (p - 1.0))
-    gain_slack = rel_tol - abs(gain - gain_target) / gain_target
+    gain_slack = _REL_TOL - abs(gain - gain_target) / gain_target
     fine_slack = (
         2.0 ** -(depth + 1) - chain.prezoom_scale**a_exp
-    ) / 2.0 ** -(depth + 1) + rel_tol
+    ) / 2.0 ** -(depth + 1) + _REL_TOL
     out["prezoom_scale"] = InvariantCheck(
         ok=min(gain_slack, fine_slack) >= 0.0,
         slack=min(gain_slack, fine_slack),
@@ -354,7 +354,7 @@ def validate_chain(
     deficit = p - chain.zoom_time_exponent
     rate = (p - 1.0) / deficit if deficit > 0.0 else math.inf
     ratio_recomputed = chain.decay_ratio**rate
-    ratio_slack = (_equality_slack(chain.zoom_ratio, ratio_recomputed, coupled_tol)
+    ratio_slack = (_equality_slack(chain.zoom_ratio, ratio_recomputed, _COUPLED_TOL)
                    if deficit > 0.0 else -math.inf)
     out["zoom_ratio"] = InvariantCheck(
         ok=ratio_slack >= 0.0,
@@ -390,7 +390,7 @@ def validate_chain(
     )
 
     holder_recomputed = (p - chain.zoom_time_exponent) / (p - 1.0)
-    holder_eq = _equality_slack(chain.holder_exponent, holder_recomputed, coupled_tol)
+    holder_eq = _equality_slack(chain.holder_exponent, holder_recomputed, _COUPLED_TOL)
     holder_slack = min(
         holder_eq, chain.holder_exponent, 1.0 - chain.holder_exponent
     )
@@ -640,16 +640,8 @@ def oscillation_above_check(
     win = Window.covering(spec, UNIT_CYLINDER)
     late = Window(spec, LATE_WINDOW)
 
-    sup_all = win.max(f)
-    bound_tol = one_cell_oscillation(f, win)
-    tol = spec.residual_tol if residual_tol is None else residual_tol
-    [term] = above_terms(chain)
-    worst = residuals[term].ball_max
-    preconditions = {
-        "bounded_by_two": sup_all <= 2.0 + bound_tol, "subsolution": worst <= tol,
-    }
-    diagnostics: dict = {"sup": sup_all, "subsolution_residual": worst}
-    tolerances = {"bounded_by_two": bound_tol, "residual": tol}
+    preconditions, diagnostics, tolerances = upper_preconditions(
+        f, win, above_terms(chain), residuals, residual_tol)
 
     total = win.volume
     nonpos_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)

@@ -50,6 +50,7 @@ __all__ = [
     "HolderEstimate",
     "OscillationRecord",
     "TheoremReport",
+    "base_point_room",
     "base_point_slices",
     "base_point_window",
     "base_times",
@@ -355,36 +356,23 @@ def holder_estimate(
     floor, so interpolation rounding noise never masquerades as decay.
     """
     pairs = _fit_pairs(records)
-    theory = chain.holder_exponent
-    if len(pairs) < 3:
-        bound = (min(p[0] for p in pairs), max(p[0] for p in pairs)) if pairs else (
-            0.0,
-            0.0,
-        )
-        return HolderEstimate(
-            alpha_est=math.inf,
-            c_est=0.0,
-            fit_residual=0.0,
-            scale_range=bound,
-            points_used=len(pairs),
-            degenerate=True,
-            alpha_theory=theory,
-        )
     radii = np.array([p[0] for p in pairs])
-    oscs = np.array([p[1] for p in pairs])
-    logs_r = np.log(radii)
-    logs_o = np.log(oscs)
-    slope, intercept = np.polyfit(logs_r, logs_o, 1)
-    fitted = slope * logs_r + intercept
-    residual = float(np.sqrt(np.mean((logs_o - fitted) ** 2)))
+    slope, c_est, residual = math.inf, 0.0, 0.0
+    if len(pairs) >= 3:
+        logs_r = np.log(radii)
+        logs_o = np.log(np.array([p[1] for p in pairs]))
+        slope, intercept = np.polyfit(logs_r, logs_o, 1)
+        fitted = slope * logs_r + intercept
+        residual = float(np.sqrt(np.mean((logs_o - fitted) ** 2)))
+        c_est = float(np.exp(intercept))
     return HolderEstimate(
         alpha_est=float(slope),
-        c_est=float(np.exp(intercept)),
+        c_est=c_est,
         fit_residual=residual,
-        scale_range=(float(radii.min()), float(radii.max())),
+        scale_range=(float(radii.min()), float(radii.max())) if pairs else (0.0, 0.0),
         points_used=len(pairs),
-        degenerate=False,
-        alpha_theory=theory,
+        degenerate=len(pairs) < 3,
+        alpha_theory=chain.holder_exponent,
     )
 
 
@@ -496,6 +484,12 @@ def base_point_slices(spec: GridSpec, chain: ConstantChain, t0: float) -> range:
     return Window.slice_range(spec, t0 - (t0 - spec.t_start) * eps_time, t0, pad=2)
 
 
+def base_point_room(spec: GridSpec, x0) -> float:
+    """Space between base point ``x0`` and two cells inside the box edge,
+    the margin ``base_point_window`` zooms into; a base point needs it > 0."""
+    return spec.half_width - float(np.max(np.abs(x0))) - 2.0 * spec.cell_width
+
+
 def base_point_window(
     field: ScalarField | GaugedField,
     chain: ConstantChain,
@@ -526,7 +520,7 @@ def base_point_window(
     if tau <= 0.0:
         raise ValueError(f"no time room left of t0={t0} (field starts at "
                          f"{spec.t_start})")
-    room = spec.half_width - float(np.max(np.abs(x0_arr))) - 2.0 * spec.cell_width
+    room = base_point_room(spec, x0_arr)
     if room <= 0.0:
         raise ValueError(
             f"base point {x0_arr.tolist()} sits within two cells of the boundary"

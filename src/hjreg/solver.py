@@ -687,15 +687,11 @@ def residual_subsolution(
 
 
 def residual_supersolution(
-    f: ScalarField,
-    env: CoercivityEnvelope,
-    a_coef: float | None = None,
-    *,
-    ball: NDArray[np.bool_] | None = None,
+    f: ScalarField, env: CoercivityEnvelope, a_coef: float | None = None
 ) -> ResidualReport:
     """Residual of ``du/dt + A |grad u|^p >= 0``; defaults A=lam."""
     a = env.lam if a_coef is None else a_coef
-    return _residual(f, env.p, [ResidualTerm(a)], ball)[0]
+    return _residual(f, env.p, [ResidualTerm(a)], None)[0]
 
 
 def residual_reports(

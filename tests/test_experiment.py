@@ -912,31 +912,46 @@ class TestResidualPass:
         assert passes == []
 
 
+def level_zero_oracle(cfg):
+    """The config's initial function, the inner cells of the run's own grid
+    and the inf-convolution there at the grid's end: what the oracle
+    compares level 0 against."""
+    spec, init = cfg.grid, cfg.initial_data
+    fn = make_initial_function(spec, init.name, init.parameters, init.seed)
+    centers = spec.centers().reshape(-1, spec.dimension)
+    inner = np.max(np.abs(centers), axis=1) <= cfg.oracle.window * spec.half_width
+    elapsed = float(spec.times()[-1] - spec.t_start)
+    return fn, inner, hjreg.solver.hopf_lax(fn, elapsed, centers[inner],
+                                            cfg.hamiltonian.p)
+
+
+def oracle_level_zero_error(cfg):
+    """The oracle's sup error on the run's own grid, from a whole solve."""
+    fn, inner, want = level_zero_oracle(cfg)
+    whole = hjreg.solver.solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve)
+    return float(np.abs(whole.field.values[-1].reshape(-1)[inner] - want).max())
+
+
 class TestOracleReuse:
-    """A run without a sweep whose grid is the oracle's level 0 hands the
-    oracle its own comparison slice instead of marching that grid again."""
+    """The oracle's level 0 is the run's own grid: the run hands the oracle
+    its comparison slice, and the oracle solves only the refinements."""
 
     def test_validation_run_solves_twice_and_writes_the_same_report(
         self, tmp_path, monkeypatch
     ):
         cfg = parse_config("hopf-lax-validation")
         solves = count_solves(monkeypatch)
-        reused = run(cfg, out_dir=tmp_path / "reused")
+        report = run(cfg, out_dir=tmp_path)
         # the run's solve and the one refinement
         assert [args[0].cells_per_axis for args in solves] == [256, 512]
-        assert reused.status == "pass"
-        solves.clear()
-        monkeypatch.setattr(experiment, "_oracle_base_slice", lambda cfg: None)
-        solved = run(cfg, out_dir=tmp_path / "solved")
-        assert [args[0].cells_per_axis for args in solves] == [256, 256, 512]
-        assert reused.stable_bytes() == solved.stable_bytes()
-        assert (output_tree(tmp_path / "reused")
-                == output_tree(tmp_path / "solved"))
+        assert report.status == "pass"
+        [oracle] = report.checks
+        assert oracle["sup_errors"][0] == oracle_level_zero_error(cfg)
 
     def test_oracle_time_inside_the_grid_keeps_that_slice(self, monkeypatch):
         cfg = parse_config("hopf-lax-validation")
         cfg = replace(cfg, oracle=replace(cfg.oracle, time=0.25))
-        ti = experiment._oracle_base_slice(cfg)
+        ti = experiment._oracle_slice(cfg, cfg.grid)
         assert cfg.grid.times()[ti] == pytest.approx(0.25)
         fields, bases = [], []
         original_solve, original_outcome = experiment.solve, experiment._oracle_outcome
@@ -946,7 +961,7 @@ class TestOracleReuse:
             fields.append(traj.field)
             return traj
 
-        def outcome(cfg, base=None):
+        def outcome(cfg, base):
             bases.append(base)
             return original_outcome(cfg, base)
 
@@ -962,25 +977,35 @@ class TestOracleReuse:
         [base] = bases
         assert base.tobytes() == whole.field.values[ti].tobytes()
 
-    def test_a_snapped_level_zero_solves_itself(self, monkeypatch):
+    def test_a_snapped_dt_solves_only_the_refinements(self, monkeypatch):
         cfg = parse_config("hopf-lax-validation")
-        # a dt the grid accepts but level 0 snaps to the exact 1/500
-        cfg = replace(cfg, grid=replace(cfg.grid, dt=0.002 * (1.0 + 1e-9)))
-        assert experiment._oracle_grids(cfg)[0].dt != cfg.grid.dt
-        assert experiment._oracle_base_slice(cfg) is None
+        # a dt the grid accepts, though span / steps snaps to the exact 1/500
+        grid = replace(cfg.grid, dt=0.002 * (1.0 + 1e-9))
+        cfg = ExperimentConfig.from_json_dict({**cfg.to_json_dict(),
+                                               "grid": to_json(grid)})
+        assert cfg.grid.dt != 0.002
+        grids = experiment._oracle_grids(cfg)
+        assert grids[0] == cfg.grid
         solves = count_solves(monkeypatch)
         report, _ = experiment._compute(cfg)
         assert report.status == "pass"
-        assert [args[0].dt for args in solves[1:]] == [
-            grid.dt for grid in experiment._oracle_grids(cfg)]
+        # the run's solve, then the refinement alone
+        assert [args[0] for args in solves] == grids
+        [oracle] = report.checks
+        assert oracle["sup_errors"][0] == oracle_level_zero_error(cfg)
 
-    def test_a_sweep_never_hands_its_slice_to_the_oracle(self):
-        cfg = parse_config("hopf-lax-validation")
-        cfg = replace(cfg, hamiltonian=replace(cfg.hamiltonian,
-                                               kind="scaled-power-law"))
-        swept = replace(cfg, sweep=experiment.SweepSettings(
-            parameter="coefficient", values=(1.0,)))
-        assert experiment._oracle_base_slice(swept) is None
+
+def test_an_exact_level_before_an_inexact_one_is_refuted():
+    """Errors 0 then positive: the refinement lost accuracy, order -inf."""
+    cfg = parse_config("hopf-lax-validation")
+    _, inner, want = level_zero_oracle(cfg)
+    exact = np.zeros(cfg.grid.spatial_shape)
+    exact.reshape(-1)[inner] = want
+    outcome = experiment._oracle_outcome(cfg, exact)
+    assert outcome["sup_errors"][0] == 0.0 < outcome["sup_errors"][1]
+    assert outcome["orders"] == [-math.inf]
+    assert not outcome["monotone"]
+    assert outcome["status"] == "refuted"
 
 
 def tiny_ensemble_dict():
@@ -1180,6 +1205,12 @@ class TestCli:
             ({"hamiltonian": tabulated(half_width=-1.25)}, []),
             (bundled_config("oscillation-improvement"), ["--resolution", "6"]),
             (bundled_config("zero-initial-data"), ["--resolution", "6"]),
+            # the gate once let 1.5 - 2 * 0.6 round above the base point's 0.3
+            ({"grid": {**GRID, "half_width": 1.5, "cells_per_axis": 5,
+                       "t_start": -2.0, "t_end": 2.0, "dt": 0.025},
+              "checks": ["cascade"], "cascade": {"base_point": [0.3, 0.0]}}, []),
+            ({"hamiltonian": ROUGH,
+              "sweep": {"parameter": "eta", "values": [0.25, 0.2500001]}}, []),
         ]] + [({}, [], w) for w in ("abc", "2.5", "0", "-3", "")],
         ids=["resolution-0", "resolution-2", "alpha-big", "levels-negative",
              "working-slices-zero", "theorem-mode-interpolate", "grid-list",
@@ -1200,7 +1231,8 @@ class TestCli:
              "sweep-lambda-power-law", "sweep-coefficient-rough",
              "table-dimension-1", "table-dimension-3", "table-edges-decreasing",
              "table-half-width-negative", "osc-checks-resolution-6",
-             "every-check-resolution-6", "workers-word",
+             "every-check-resolution-6", "cascade-base-point-at-the-edge",
+             "sweep-labels-collide", "workers-word",
              "workers-fraction", "workers-zero", "workers-negative",
              "workers-empty"],
     )
@@ -1221,6 +1253,23 @@ class TestCli:
         assert "config error" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("data", [
+        {"name": "zero"}, {"name": "constant", "parameters": {"value": 0.5}},
+    ], ids=["zero", "constant"])
+    def test_exactly_solved_oracle_data_passes(self, tmp_path, capsys, data):
+        path = write_config(tmp_path, {**bundled_config("hopf-lax-validation"),
+                                       "initial_data": data})
+        code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 0
+        assert "  oracle: pass (sup_error=0)\n" in capsys.readouterr().out
+        report = json.loads(
+            (tmp_path / "hopf-lax-validation-seed0" / "report.json").read_text())
+        [oracle] = report["checks"]
+        # both levels exact: converged, with the infinite order written as null
+        assert oracle["sup_errors"] == [0.0, 0.0]
+        assert oracle["orders"] == [None]
+        assert oracle["monotone"] is True
 
     @pytest.mark.parametrize("resolution", ["0", "-3"])
     def test_resolution_names_the_grid_rule(self, tmp_path, capsys, resolution):

@@ -31,6 +31,7 @@ from hjreg.grid import (
     one_cell_oscillation,
 )
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
+from hjreg.initial_data import make_initial_function
 from hjreg.oscillation import (
     barrier_field,
     below_terms,
@@ -265,14 +266,20 @@ def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path
 
 def test_oracle_levels_hold_one_trajectory_at_a_time(monkeypatch):
     """Each refinement level's solve keeps only the slice the oracle reads,
-    so no level holds a trajectory.  On the run path the oracle's level 0
-    is one slice of the run's own solve, copied out of a trajectory that is
-    gone when the oracle starts."""
+    so no level holds a trajectory.  The oracle's level 0 is one slice of
+    the run's own solve, copied out of a trajectory that is gone when the
+    oracle starts."""
     cfg = parse_config("hopf-lax-validation")
     cfg = replace(cfg, oracle=replace(cfg.oracle, refinements=2))
     finest = experiment._oracle_grids(cfg)[-1]
     finest_bytes = finest.n_slices * finest.cells_per_axis * 8
-    outcome, peak = _traced_peak(lambda: experiment._oracle_outcome(cfg))
+    # level 0's slice, from a solve made before the trace starts
+    init, ti = cfg.initial_data, experiment._oracle_slice(cfg, cfg.grid)
+    fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+    whole = experiment.solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve)
+    base = whole.field.values[ti].copy()
+    del whole
+    outcome, peak = _traced_peak(lambda: experiment._oracle_outcome(cfg, base))
     assert outcome["status"] == "pass"
     assert peak < finest_bytes / 2
 
@@ -284,7 +291,7 @@ def test_oracle_levels_hold_one_trajectory_at_a_time(monkeypatch):
         trajectories.append(weakref.ref(traj.field.values))
         return traj
 
-    def outcome(cfg, base=None):
+    def outcome(cfg, base):
         seen.append(([ref() is None for ref in trajectories], base))
         return original_outcome(cfg, base)
 
