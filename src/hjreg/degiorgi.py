@@ -20,7 +20,8 @@ suprema over time are maxima over grid slices, with no interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -157,26 +158,39 @@ def delta_constant(eps0: float, lam: float) -> float:
 class LemmaVerdict:
     """Outcome of one hypothesis-implies-conclusion check.
 
-    ``status`` is set from the other fields: ``"refuted"`` only when the
+    ``hypotheses`` and ``conclusions`` map names to bounds ``(value, rel,
+    threshold)``, ``rel`` a key of ``RELATIONS`` and any tolerance inside
+    ``threshold``; they set the ``*_values``, ``*_thresholds`` and
+    ``*_satisfied`` fields.  ``status``: ``"refuted"`` only when the
     preconditions held, the hypotheses held, and the conclusion failed; a
     failed precondition is ``"precondition-violated"`` because the
     implication says nothing there, and a failed hypothesis ``"vacuous"``.
     """
 
+    RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
     name: str
     preconditions: dict[str, bool]
-    hypothesis_values: dict[str, float]
-    hypothesis_thresholds: dict[str, float]
-    hypothesis_satisfied: bool
-    conclusion_values: dict[str, float]
-    conclusion_thresholds: dict[str, float]
-    conclusion_satisfied: bool
+    hypotheses: InitVar[dict[str, tuple[float, str, float]]]
+    conclusions: InitVar[dict[str, tuple[float, str, float]]]
     tolerances: dict[str, float]
     cell_width: float
     diagnostics: dict = field(default_factory=dict)
+    hypothesis_values: dict[str, float] = field(init=False)
+    hypothesis_thresholds: dict[str, float] = field(init=False)
+    hypothesis_satisfied: bool = field(init=False)
+    conclusion_values: dict[str, float] = field(init=False)
+    conclusion_thresholds: dict[str, float] = field(init=False)
+    conclusion_satisfied: bool = field(init=False)
     status: str = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, hypotheses, conclusions) -> None:
+        for side, bounds in (("hypothesis", hypotheses), ("conclusion", conclusions)):
+            object.__setattr__(self, f"{side}_values",
+                               {k: v for k, (v, _, _) in bounds.items()})
+            object.__setattr__(self, f"{side}_thresholds",
+                               {k: t for k, (_, _, t) in bounds.items()})
+            object.__setattr__(self, f"{side}_satisfied", all(
+                self.RELATIONS[rel](v, t) for v, rel, t in bounds.values()))
         if not all(self.preconditions.values()):
             status = "precondition-violated"
         elif not self.hypothesis_satisfied:
@@ -206,12 +220,8 @@ def lemma_one_check(
     return LemmaVerdict(
         name="small-mass-implies-bounded",
         preconditions={},
-        hypothesis_values={"plus_mass": plus_mass},
-        hypothesis_thresholds={"plus_mass": delta},
-        hypothesis_satisfied=plus_mass <= delta,
-        conclusion_values={"late_sup": sup_late},
-        conclusion_thresholds={"late_sup": 1.0},
-        conclusion_satisfied=sup_late <= 1.0 + tol,
+        hypotheses={"plus_mass": (plus_mass, "<=", delta)},
+        conclusions={"late_sup": (sup_late, "<=", 1.0 + tol)},
         tolerances={"late_sup": tol},
         cell_width=spec.cell_width,
     )
@@ -284,12 +294,9 @@ def lemma_two_check(
     return LemmaVerdict(
         name="measure-to-mass-improvement",
         preconditions=preconditions,
-        hypothesis_values={"zero_set": zero_mass, "middle_set": middle_mass},
-        hypothesis_thresholds={"zero_set": 0.5 * total, "middle_set": alpha},
-        hypothesis_satisfied=(zero_mass >= 0.5 * total) and (middle_mass <= alpha),
-        conclusion_values={"above_mass": above_mass},
-        conclusion_thresholds={"above_mass": 0.5 * delta},
-        conclusion_satisfied=above_mass < 0.5 * delta,
+        hypotheses={"zero_set": (zero_mass, ">=", 0.5 * total),
+                    "middle_set": (middle_mass, "<=", alpha)},
+        conclusions={"above_mass": (above_mass, "<", 0.5 * delta)},
         tolerances=tolerances,
         cell_width=spec.cell_width,
         diagnostics=diagnostics,

@@ -55,6 +55,7 @@ from .rescale import (
     base_point_room,
     base_point_slices,
     base_times,
+    cascade_status,
     holder_estimate,
     records_to_csv,
     theorem_check,
@@ -551,16 +552,10 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> 
     t0 = _cascade_time(cfg)
     x0 = opts.base_point or (0.0,) * spec.dimension
     gauged, gamma, [(tau, rho, records, aborted)] = _base_point_cascades(
-        traj, chain, cfg.envelope, [(t0, x0)], opts.levels, hamiltonian,
-        opts.working_cells, opts.working_slices, cfg.solve,
-    )
+        traj, chain, cfg.envelope, [(t0, x0)], hamiltonian, opts, cfg.solve)
     outputs[f"cascades/base{label}.csv"] = records_to_csv(records)
-    if aborted is not None:
-        status = "error"
-    else:
-        status = "refuted" if any(not r.satisfied for r in records) else "pass"
     return {
-        "status": status,
+        "status": cascade_status(records, aborted),
         "base_time": t0,
         "base_point": x0,
         "gauged": gauged,
@@ -576,19 +571,8 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> 
 def _check_theorem(
     cfg, traj, chain, hamiltonian, outputs, label, residuals
 ) -> TheoremReport:
-    opts = cfg.theorem
-    return theorem_check(
-        traj,
-        _theorem_delta(cfg),
-        chain,
-        cfg.envelope,
-        hamiltonian,
-        points_per_axis=opts.points_per_axis,
-        levels=opts.levels,
-        working_cells=opts.working_cells,
-        working_slices=opts.working_slices,
-        solve_config=cfg.solve,
-    )
+    return theorem_check(traj, _theorem_delta(cfg), chain, cfg.envelope,
+                         hamiltonian, cfg.theorem, cfg.solve)
 
 
 def _cascade_time(cfg: ExperimentConfig) -> float:

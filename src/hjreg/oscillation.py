@@ -658,12 +658,8 @@ def oscillation_above_check(
     return LemmaVerdict(
         name="oscillation-improvement-above",
         preconditions=preconditions,
-        hypothesis_values={"nonpositive_set": nonpos_mass},
-        hypothesis_thresholds={"nonpositive_set": 0.5 * total},
-        hypothesis_satisfied=nonpos_mass >= 0.5 * total,
-        conclusion_values={"late_sup": late_sup},
-        conclusion_thresholds={"late_sup": 2.0 - chain.shrink_above + concl_tol},
-        conclusion_satisfied=late_sup <= 2.0 - chain.shrink_above + concl_tol,
+        hypotheses={"nonpositive_set": (nonpos_mass, ">=", 0.5 * total)},
+        conclusions={"late_sup": (late_sup, "<=", 2.0 - chain.shrink_above + concl_tol)},
         tolerances=tolerances,
         cell_width=spec.cell_width,
         diagnostics=diagnostics,
@@ -733,30 +729,15 @@ def oscillation_below_check(
     diagnostics["reflected_above"] = to_json(reflected)
     diagnostics["early_min"] = -reflected.conclusion_values["late_sup"]
 
-    hypothesis_values = {
-        "cylinder_min": inf_all,
-        "nonnegative_set": nonneg_mass,
-        "envelope_margin": envelope_margin,
-    }
-    hypothesis_thresholds = {
-        "cylinder_min": -2.0 - bound_tol,
-        "nonnegative_set": 0.5 * total,
-        "envelope_margin": -envelope_tol,
-    }
-    hypothesis_satisfied = (
-        inf_all >= -2.0 - bound_tol
-        and nonneg_mass >= 0.5 * total
-        and envelope_margin >= -envelope_tol
-    )
     return LemmaVerdict(
         name="oscillation-improvement-below",
         preconditions=preconditions,
-        hypothesis_values=hypothesis_values,
-        hypothesis_thresholds=hypothesis_thresholds,
-        hypothesis_satisfied=hypothesis_satisfied,
-        conclusion_values={"late_min": late_min},
-        conclusion_thresholds={"late_min": -2.0 + chain.shrink_below - concl_tol},
-        conclusion_satisfied=late_min >= -2.0 + chain.shrink_below - concl_tol,
+        hypotheses={
+            "cylinder_min": (inf_all, ">=", -2.0 - bound_tol),
+            "nonnegative_set": (nonneg_mass, ">=", 0.5 * total),
+            "envelope_margin": (envelope_margin, ">=", -envelope_tol),
+        },
+        conclusions={"late_min": (late_min, ">=", -2.0 + chain.shrink_below - concl_tol)},
         tolerances=tolerances,
         cell_width=spec.cell_width,
         diagnostics=diagnostics,

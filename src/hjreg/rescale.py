@@ -54,6 +54,7 @@ __all__ = [
     "base_point_slices",
     "base_point_window",
     "base_times",
+    "cascade_status",
     "gauge_to_window",
     "holder_estimate",
     "records_to_csv",
@@ -324,6 +325,15 @@ def zoom_cascade(
     return records, None
 
 
+def cascade_status(records: list[OscillationRecord], aborted: str | None) -> str:
+    """The verdict of one cascade, ``zoom_cascade``'s return: ``"error"``
+    when it aborted, else ``"refuted"`` when a record is unsatisfied, else
+    ``"pass"``."""
+    if aborted is not None:
+        return "error"
+    return "refuted" if any(not r.satisfied for r in records) else "pass"
+
+
 def records_to_csv(records: list[OscillationRecord]) -> str:
     """Cascade records as CSV with the cascade's canonical column order."""
     lines = ["m,radius,t_depth,osc_measured,osc_bound,d_m,satisfied"]
@@ -554,10 +564,8 @@ def _base_point_cascades(
     chain: ConstantChain,
     env: CoercivityEnvelope,
     points,
-    levels: int,
     hamiltonian,
-    working_cells: int,
-    working_slices: int,
+    opts,
     solve_config: SolveConfig | None,
 ) -> tuple[bool, float, list[tuple]]:
     """Gauge ``field`` once (see ``gauge_to_window``), then window and
@@ -565,10 +573,11 @@ def _base_point_cascades(
 
     The chain must be built for the field's dimension at twice the
     envelope constant.  ``hamiltonian`` is the one ``field`` solves; the
-    gauge constant is added to it.  Each window lives on the working grid
-    ``[-4, 0] x box(1.25)``.  Returns ``(gauged, gamma, runs)`` with one
-    ``(tau, rho, records, aborted)`` per point, the last two being
-    ``zoom_cascade``'s return on that point's window.
+    gauge constant is added to it.  ``opts``, an ``experiment`` zoom
+    section's settings, sizes each window's working grid ``[-4, 0] x
+    box(1.25)`` and sets the cascades' ``levels``.  Returns ``(gauged,
+    gamma, runs)`` with one ``(tau, rho, records, aborted)`` per point,
+    the last two being ``zoom_cascade``'s return on that point's window.
     """
     spec = field.spec
     if chain.dimension != spec.dimension:
@@ -586,17 +595,17 @@ def _base_point_cascades(
     working = GridSpec(
         dimension=spec.dimension,
         half_width=1.25,
-        cells_per_axis=working_cells,
+        cells_per_axis=opts.working_cells,
         t_start=-4.0,
         t_end=0.0,
-        dt=4.0 / working_slices,
+        dt=4.0 / opts.working_slices,
     )
     runs = []
     for t0, x0 in points:
         w, h_w, tau, rho = base_point_window(
             u, chain, t0, x0, gamma, working, hamiltonian
         )
-        runs.append((tau, rho, *zoom_cascade(w, chain, levels, h_w, solve_config)))
+        runs.append((tau, rho, *zoom_cascade(w, chain, opts.levels, h_w, solve_config)))
     return gauged, gamma, runs
 
 
@@ -610,9 +619,10 @@ class TheoremReport:
     non-degenerate points; ``max_quotient`` is the largest measured
     oscillation divided by ``radius^alpha_min``, a modulus prefactor for
     the whole sampled region.  Degenerate points (flat at every sampled
-    scale) contribute no quotient.  ``status`` is ``"refuted"`` when a
-    record is unsatisfied or a finite ``alpha_min`` falls below
-    ``alpha_theory``, else ``"pass"``.
+    scale) contribute no quotient.  ``status`` is ``"error"`` when a
+    point's cascade aborted (its entry then carries ``aborted``, the
+    cascade's message), else ``"refuted"`` when a record is unsatisfied or
+    a finite ``alpha_min`` falls below ``alpha_theory``, else ``"pass"``.
     """
 
     delta_time: float
@@ -632,10 +642,7 @@ def theorem_check(
     chain: ConstantChain,
     env: CoercivityEnvelope,
     hamiltonian,
-    points_per_axis: int = 5,
-    levels: int = 4,
-    working_cells: int = 40,
-    working_slices: int = 64,
+    opts,
     solve_config: SolveConfig | None = None,
 ) -> TheoremReport:
     """Estimate interior Holder regularity of a solved field.
@@ -651,7 +658,8 @@ def theorem_check(
     of a lattice with ``t0 >= delta_time``, the field is normalized by
     ``w(t, x) = g * u(t0 + tau t, x0 + rho x)`` with ``g`` capping ``|w|``
     at 2 and ``(g rho)^p = g tau <= 1`` preserving both inequalities, then
-    the first-stage zoom and the cascade run on a working grid.
+    the first-stage zoom and the cascade run on a working grid, the
+    lattice and the cascades sized by ``opts``, a ``TheoremSettings``.
     """
     spec = field.spec
     if not spec.t_start < delta_time <= spec.t_end:
@@ -659,26 +667,22 @@ def theorem_check(
             f"delta_time {delta_time} outside the field's time window "
             f"({spec.t_start}, {spec.t_end}]"
         )
-    if points_per_axis < 1:
-        raise ValueError("need at least one base point per axis")
-
-    axis_pts = np.linspace(
-        -0.5 * spec.half_width, 0.5 * spec.half_width, points_per_axis
-    )
+    half = 0.5 * spec.half_width
+    axis_pts = np.linspace(-half, half, opts.points_per_axis)
     grids = np.meshgrid(*([axis_pts] * spec.dimension), indexing="ij")
     x_points = np.stack([g.ravel() for g in grids], axis=-1)
-    points = [(t0, x0) for t0 in base_times(spec, delta_time, points_per_axis)
+    points = [(t0, x0) for t0 in base_times(spec, delta_time, opts.points_per_axis)
               for x0 in x_points]
     gauged, gamma, runs = _base_point_cascades(
-        field, chain, env, points, levels, hamiltonian,
-        working_cells, working_slices, solve_config,
-    )
+        field, chain, env, points, hamiltonian, opts, solve_config)
 
     entries: list[dict] = []
     all_pairs: list[tuple[float, float]] = []
     finite: list[float] = []
     n_unsatisfied = 0
-    for (t0, x0), (tau, rho, records, _) in zip(points, runs):
+    statuses = set()
+    for (t0, x0), (tau, rho, records, aborted) in zip(points, runs):
+        statuses.add(cascade_status(records, aborted))
         est = holder_estimate(records, chain)
         if not est.degenerate:
             finite.append(est.alpha_est)
@@ -695,6 +699,7 @@ def theorem_check(
                 "n_records": len(records),
                 "n_unsatisfied": n_bad,
                 **to_json(est),
+                **({} if aborted is None else {"aborted": aborted}),
             }
         )
     alpha_min = min(finite) if finite else math.inf
@@ -702,9 +707,9 @@ def theorem_check(
         max_quotient = max(osc / radius**alpha_min for radius, osc in all_pairs)
     else:
         max_quotient = 0.0
-    refuted = n_unsatisfied > 0 or (
-        math.isfinite(alpha_min) and alpha_min < chain.holder_exponent
-    )
+    low = math.isfinite(alpha_min) and alpha_min < chain.holder_exponent
+    status = ("error" if "error" in statuses
+              else "refuted" if low or "refuted" in statuses else "pass")
     return TheoremReport(
         delta_time=delta_time,
         gauged=gauged,
@@ -714,5 +719,5 @@ def theorem_check(
         max_quotient=max_quotient,
         n_degenerate=len(entries) - len(finite),
         n_unsatisfied=n_unsatisfied,
-        status="refuted" if refuted else "pass",
+        status=status,
     )

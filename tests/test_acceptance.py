@@ -19,7 +19,13 @@ from hjreg.degiorgi import (
     lemma_one_check,
     recurrence_orbit,
 )
-from hjreg.experiment import ExperimentConfig, ensemble, parse_config, run
+from hjreg.experiment import (
+    ExperimentConfig,
+    TheoremSettings,
+    ensemble,
+    parse_config,
+    run,
+)
 from hjreg.grid import GridSpec
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.initial_data import make_initial_function
@@ -303,7 +309,7 @@ def test_criterion_08_zoom_cascade_on_kink_data():
 
     # the base-point scan at the same depth
     report = theorem_check(traj, 0.5, chain, env, hamiltonian,
-                           points_per_axis=2, levels=6)
+                           TheoremSettings(points_per_axis=2, levels=6))
     scan_ok = report.n_unsatisfied == 0 and all(
         e["n_unsatisfied"] == 0
         and (e["alpha_est"] is None or e["alpha_est"] >= 0.5)

@@ -184,6 +184,19 @@ class TestLemmaOne:
         assert not strict.conclusion_satisfied
         assert loose.conclusion_satisfied
 
+    def test_reported_threshold_includes_the_tolerance(self, box2, env_unit):
+        # one late cell at 1 + 1e-3 sits inside the one-cell tolerance, and
+        # the threshold reported is the one the late sup was compared against
+        values = np.zeros((box2.n_slices, *box2.spatial_shape))
+        values[np.searchsorted(box2.times(), 1.5), 10, 10] = 1.0 + 1e-3
+        verdict = lemma_one_check(field_from_values(box2, values), env_unit,
+                                  delta=1e9)
+        sup, bound = (verdict.conclusion_values["late_sup"],
+                      verdict.conclusion_thresholds["late_sup"])
+        assert sup == 1.0 + 1e-3
+        assert verdict.conclusion_satisfied
+        assert sup <= bound == 1.0 + verdict.tolerances["late_sup"]
+
 
 def _lemma_two(f, env, **kwargs):
     residuals = check_residuals(f, env, lemma_two_terms(env))

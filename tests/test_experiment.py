@@ -625,10 +625,8 @@ def _chain_stdout():
         "version",
     ], id="EnsembleReport"),
     pytest.param(lambda: to_json(LemmaVerdict(
-        name="n", preconditions={}, hypothesis_values={},
-        hypothesis_thresholds={}, hypothesis_satisfied=True,
-        conclusion_values={}, conclusion_thresholds={},
-        conclusion_satisfied=True, tolerances={}, cell_width=0.1,
+        name="n", preconditions={}, hypotheses={}, conclusions={},
+        tolerances={}, cell_width=0.1,
     )), [
         "cell_width", "conclusion_satisfied", "conclusion_thresholds",
         "conclusion_values", "diagnostics", "hypothesis_satisfied",
@@ -1303,6 +1301,23 @@ class TestCli:
                      str(tmp_path)])
         assert code == 3
         assert "status: error" in capsys.readouterr().out
+
+    def test_aborted_theorem_cascades_exit_three(self, tmp_path):
+        # two of the eight base points need more than max_steps steps at
+        # level 0, and an aborted cascade makes the whole scan an error
+        data = bundled_config("rough-eta-sweep")
+        del data["sweep"]
+        data.update(checks=["theorem"], solve={"max_steps": 500})
+        data["theorem"]["working_cells"] = 96
+        code = main(["run", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        [path] = (tmp_path / "out").glob("*/report.json")
+        [theorem] = json.loads(path.read_text())["checks"]
+        assert theorem["status"] == "error"
+        aborted = [e["aborted"] for e in theorem["entries"] if "aborted" in e]
+        assert len(aborted) == 2
+        assert all(a.startswith("cascade aborted at level 0") for a in aborted)
 
     def test_ensemble_command(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HJREG_OUT_DIR", str(tmp_path))

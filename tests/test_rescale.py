@@ -1,6 +1,7 @@
 """Zoom cascade: resampling, recentering, zooms, and the regularity scan."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjreg import rescale
+from hjreg.experiment import TheoremSettings
 from hjreg.grid import (
     _BLOCK_CELLS,
     GridSpec,
@@ -29,6 +31,7 @@ from hjreg.rescale import (
     OscillationRecord,
     base_point_slices,
     base_point_window,
+    cascade_status,
     gauge_to_window,
     holder_estimate,
     records_to_csv,
@@ -383,6 +386,16 @@ class TestZoomCascade:
         assert float(first[1]) == 0.5
         assert first[-1] == "true"
 
+    def test_cascade_status_ranks_an_abort_above_a_refutation(self):
+        bad = OscillationRecord(level=0, radius=0.5, t_depth=1.0, osc_measured=1.0,
+                                osc_bound=0.5, recenter=0.0, satisfied=False,
+                                tolerance=0.0)
+        good = replace(bad, satisfied=True)
+        assert cascade_status([good], None) == "pass"
+        assert cascade_status([good, bad], None) == "refuted"
+        assert cascade_status([good, bad], "cascade aborted at level 1: x") == "error"
+        assert cascade_status([], "cascade aborted at level 0: x") == "error"
+
 
 def synthetic_records(exponent, chain, n=6, prefactor=1.0):
     records = []
@@ -622,8 +635,8 @@ class TestTheoremCheck:
                                                     env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
         report = theorem_check(traj, 1.0, chain_double, env_unit, POWER_LAW,
-                               points_per_axis=2, levels=2,
-                               working_cells=16, working_slices=16)
+                               TheoremSettings(points_per_axis=2, levels=2,
+                                               working_cells=16, working_slices=16))
         assert report.n_unsatisfied == 0
         assert report.max_quotient == 0.0
         assert report.n_degenerate == len(report.entries)
@@ -632,9 +645,11 @@ class TestTheoremCheck:
     def test_delta_time_bounds(self, box2, chain_double, env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
         with pytest.raises(ValueError, match="delta_time"):
-            theorem_check(traj, -3.0, chain_double, env_unit, POWER_LAW)
+            theorem_check(traj, -3.0, chain_double, env_unit, POWER_LAW,
+                          TheoremSettings())
 
     def test_chain_envelope_coupling(self, box2, chain_unit, env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
         with pytest.raises(ValueError, match="twice"):
-            theorem_check(traj, 1.0, chain_unit, env_unit, POWER_LAW)
+            theorem_check(traj, 1.0, chain_unit, env_unit, POWER_LAW,
+                          TheoremSettings())

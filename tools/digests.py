@@ -24,6 +24,10 @@ of it.  The runs:
 - ``run`` of ``rough-eta-sweep`` with ``theorem.mode = "resolve"``;
 - ``run`` of ``rough-eta-sweep`` at ``--resolution 96`` with
   ``theorem.mode = "resolve"`` (the perfbench zoom-sweep run);
+- ``run`` of ``rough-eta-sweep`` unswept, with only the ``theorem`` check,
+  ``solve.max_steps = 500`` and ``theorem.working_cells = 96``: two base
+  points' cascades abort at level 0, after the re-solve's dt-halving
+  retries, so the scan is an error;
 - ``run`` of ``oscillation-improvement`` with only the ``cascade`` check,
   in ``cascade.mode = "resolve"``;
 - ``run`` of ``refuted-fixture`` with ``chain.mode = "empirical"``: every
@@ -203,6 +207,19 @@ def _runs(root: Path) -> list[tuple[str, list[str], Path]]:
     out.append((
         "run rough-eta-sweep --resolution 96 theorem.mode=resolve",
         ["run", "--config", str(path), "--resolution", "96", "--out", str(base)],
+        base / f"rough-eta-sweep-seed{sweep_seed}" / "report.json",
+    ))
+
+    abort = _scenario_config("rough-eta-sweep")
+    del abort["sweep"]
+    abort.update(checks=["theorem"], solve={"max_steps": 500})
+    abort["theorem"]["working_cells"] = 96
+    path = configs / "rough-eta-sweep-theorem-abort.json"
+    path.write_text(json.dumps(abort, indent=2))
+    base = root / "theorem-abort"
+    out.append((
+        "run rough-eta-sweep theorem-abort",
+        ["run", "--config", str(path), "--out", str(base)],
         base / f"rough-eta-sweep-seed{sweep_seed}" / "report.json",
     ))
 
