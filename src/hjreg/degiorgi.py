@@ -16,10 +16,14 @@ hypothesis is ``delta = eps0 / (2 lam (1 + lam))``.
 
 Everything here evaluates on cell-counting measures from :mod:`hjreg.grid`;
 suprema over time are maxima over grid slices, with no interpolation.
+Each check reads a field through the per-slice tables of a
+``grid.SliceTables`` (the ``*_reads`` functions name them), which a run
+takes as the march goes.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Mapping
@@ -27,16 +31,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import (
-    Cylinder,
-    ScalarField,
-    Window,
-    gradient_norm_p_rows,
-    in_slice_order,
-    level_set_measure,
-    one_cell_oscillation,
-    per_slice,
-)
+from .grid import Cylinder, SliceRead, SliceTables, Window, in_slice_order
 from .hamiltonians import CoercivityEnvelope
 from .solver import ResidualReport, ResidualTerm
 
@@ -49,14 +44,18 @@ __all__ = [
     "cutoff_time",
     "truncated_energy",
     "energy_ladder",
+    "ladder_reads",
     "recurrence_fit",
     "recurrence_orbit",
     "fast_convergence_threshold",
     "delta_constant",
     "lemma_one_check",
+    "lemma_one_reads",
     "lemma_two_check",
+    "lemma_two_reads",
     "lemma_two_terms",
     "upper_preconditions",
+    "upper_reads",
 ]
 
 
@@ -75,35 +74,37 @@ def cutoff_time(level: int) -> float:
 
 
 def truncated_energy(
-    f: ScalarField, level: int, env: CoercivityEnvelope
+    tables: SliceTables, level: int, env: CoercivityEnvelope
 ) -> float:
-    """Energy of the level-``k`` truncation on ``[1 - 2^-k, 2] x B(1)``."""
+    """Energy of the level-``k`` truncation on ``[1 - 2^-k, 2] x B(1)``, from
+    the tables of :func:`ladder_reads` (``k`` up to their depth)."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
     cutoff = cutoff_time(level)
-    win = Window.covering(f.spec, Cylinder(cutoff, 2.0, 1.0))
-    vol = f.spec.cell_volume
-    sup_term = max(
-        float((np.maximum(block - cutoff, 0.0).sum(axis=1) * vol).max())
-        for block in win.rows(f)
-    )
-    cells = np.flatnonzero(win.mask)
-    grads = []
-    for lo, hi in win.blocks(weighted=True):
-        trunc = f.rows(lo, hi) - cutoff
-        np.maximum(trunc, 0.0, out=trunc)
-        grads.append(gradient_norm_p_rows(trunc, f.spec, env.p, cells))
-    grad_term = in_slice_order(win.weights[win.weighted_slices()] * per_slice(grads))
-    return sup_term + grad_term
+    win = Window.covering(tables.spec, Cylinder(cutoff, 2.0, 1.0))
+    sums = tables.table("excess", win.radius, (cutoff,))[win.slices]
+    sup_term = float((sums * tables.spec.cell_volume).max())
+    weighted = win.weighted_slices()
+    grads = tables.table("gradient", win.radius, (cutoff, env.p))[weighted]
+    return sup_term + in_slice_order(win.weights[weighted] * grads)
+
+
+def ladder_reads(k_max: int, env: CoercivityEnvelope) -> list[SliceRead]:
+    """The tables :func:`energy_ladder` reads up to ``k_max`` under ``env``:
+    each level's excess and the ``|grad|^p`` of its truncation."""
+    return [SliceRead(kind, 1.0, arg) for k in range(1, k_max + 1)
+            for kind, arg in (("excess", (cutoff_time(k),)),
+                              ("gradient", (cutoff_time(k), env.p)))]
 
 
 def energy_ladder(
-    f: ScalarField, k_max: int, env: CoercivityEnvelope
+    tables: SliceTables, k_max: int, env: CoercivityEnvelope
 ) -> NDArray[np.float64]:
-    """The truncated energies ``U_1..U_k_max`` of ``f`` under ``env``."""
+    """The truncated energies ``U_1..U_k_max`` under ``env``, from the
+    tables of :func:`ladder_reads`."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return np.array([truncated_energy(f, k, env) for k in range(1, k_max + 1)])
+    return np.array([truncated_energy(tables, k, env) for k in range(1, k_max + 1)])
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ class LemmaVerdict:
 
 
 def lemma_one_check(
-    f: ScalarField,
+    tables: SliceTables,
     env: CoercivityEnvelope,
     delta: float,
     conclusion_tol: float | None = None,
@@ -211,12 +212,13 @@ def lemma_one_check(
     Hypothesis: the integral of ``f_+`` over ``[0, 2] x B(1)`` is at most
     ``delta``.  Conclusion checked at cell centers with a tolerance that
     defaults to the largest one-cell jump of ``f`` in the conclusion window.
+    ``tables`` holds :func:`lemma_one_reads` of ``f``.
     """
-    spec = f.spec
-    plus_mass = Window.covering(spec, UPPER_HALF).integral(f, above=0.0)
+    spec = tables.spec
+    plus_mass = tables.integral(Window.covering(spec, UPPER_HALF), above=0.0)
     late = Window(spec, LATE_WINDOW)
-    sup_late = late.max(f)
-    tol = one_cell_oscillation(f, late) if conclusion_tol is None else conclusion_tol
+    sup_late = tables.max(late)
+    tol = tables.one_cell(late) if conclusion_tol is None else conclusion_tol
     return LemmaVerdict(
         name="small-mass-implies-bounded",
         preconditions={},
@@ -227,14 +229,36 @@ def lemma_one_check(
     )
 
 
+def lemma_one_reads() -> list[SliceRead]:
+    """The tables :func:`lemma_one_check` reads: the positive part's sums
+    and the extrema and jumps of the unit ball."""
+    return [SliceRead("excess", UPPER_HALF.radius, (0.0,)), *upper_reads()]
+
+
+def upper_reads(negated: bool = False) -> list[SliceRead]:
+    """The unit ball's maxima (of ``-f`` when ``negated``) and its jumps:
+    what :func:`upper_preconditions` and the late windows read."""
+    return [SliceRead("max", UNIT_CYLINDER.radius, negated=negated),
+            SliceRead("jumps", UNIT_CYLINDER.radius)]
+
+
 def lemma_two_terms(env: CoercivityEnvelope) -> list[ResidualTerm]:
     """The residual lemma two reads: the subsolution inequality's at
     ``env``'s default coefficients ``1/lam`` and ``lam``."""
     return [ResidualTerm(1.0 / env.lam, env.lam)]
 
 
+def lemma_two_reads() -> list[SliceRead]:
+    """The tables :func:`lemma_two_check` reads: the unit ball's level
+    sets at 0 and 1 and the excess over 1, beside :func:`upper_reads`."""
+    unit = UNIT_CYLINDER.radius
+    return [*upper_reads(), SliceRead("count", unit, (0.0, -math.inf, 0.0, True)),
+            SliceRead("count", unit, (0.0, 0.0, 1.0, False)),
+            SliceRead("excess", UPPER_HALF.radius, (1.0,))]
+
+
 def upper_preconditions(
-    f, win: Window, terms: list[ResidualTerm],
+    tables: SliceTables, win: Window, terms: list[ResidualTerm],
     residuals: Mapping[ResidualTerm, ResidualReport], residual_tol: float | None,
 ) -> tuple[dict, dict, dict]:
     """The preconditions of a check from the upper side on ``win``: ``f <=
@@ -243,9 +267,9 @@ def upper_preconditions(
     inside the ball.  Returns the preconditions, the diagnostics (``sup``,
     ``subsolution_residual``) and the tolerances (``bounded_by_two``,
     ``residual``)."""
-    sup_all = win.max(f)
-    bound_tol = one_cell_oscillation(f, win)
-    tol = f.spec.residual_tol if residual_tol is None else residual_tol
+    sup_all = tables.max(win)
+    bound_tol = tables.one_cell(win)
+    tol = tables.spec.residual_tol if residual_tol is None else residual_tol
     [term] = terms
     worst = residuals[term].ball_max
     return (
@@ -256,7 +280,7 @@ def upper_preconditions(
 
 
 def lemma_two_check(
-    f: ScalarField,
+    tables: SliceTables,
     env: CoercivityEnvelope,
     alpha: float,
     delta: float,
@@ -274,23 +298,24 @@ def lemma_two_check(
     report is the one ``residuals`` maps :func:`lemma_two_terms` to (on
     ``f``, the unit ball as the mask).  The conclusion is only meaningful
     for genuine subsolutions, so a failed precondition is reported as its
-    own status rather than a refutation.
+    own status rather than a refutation.  ``tables`` holds
+    :func:`lemma_two_reads` of ``f``.
     """
-    spec = f.spec
+    spec = tables.spec
     win = Window.covering(spec, UNIT_CYLINDER)
     if env.p >= spec.dimension:
         raise ValueError(
             f"the machinery needs p < N, got p={env.p}, N={spec.dimension}"
         )
     preconditions, diagnostics, tolerances = upper_preconditions(
-        f, win, lemma_two_terms(env), residuals, residual_tol)
+        tables, win, lemma_two_terms(env), residuals, residual_tol)
     diagnostics["subsolution_tol"] = tolerances.pop("residual")
 
     total = win.volume
-    zero_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)
-    middle_mass = level_set_measure(f, win, lo=0.0, hi=1.0)
+    zero_mass = tables.measure(win, hi=0.0, closed_upper=True)
+    middle_mass = tables.measure(win, lo=0.0, hi=1.0)
 
-    above_mass = Window(spec, UPPER_HALF).integral(f, above=1.0)
+    above_mass = tables.integral(Window(spec, UPPER_HALF), above=1.0)
     return LemmaVerdict(
         name="measure-to-mass-improvement",
         preconditions=preconditions,

@@ -17,7 +17,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, ClassVar, NamedTuple
@@ -31,18 +31,24 @@ from .degiorgi import (
     delta_constant,
     energy_ladder,
     fast_convergence_threshold,
+    ladder_reads,
     lemma_one_check,
+    lemma_one_reads,
     lemma_two_check,
+    lemma_two_reads,
     lemma_two_terms,
     recurrence_fit,
 )
-from .grid import ConfigError, Cylinder, GridSpec, ScalarField, Window, config_errors
-from .grid import field_from_values, from_json, save_snapshot, to_json, write_json
+from .grid import ConfigError, Cylinder, GridSpec, ScalarField, SliceRead, SliceScan
+from .grid import SliceTables, Window, ball_mask, config_errors, field_from_values
+from .grid import from_json, save_snapshot, to_json, write_json
 from .hamiltonians import KINDS, CoercivityEnvelope, HamiltonianSpec, coercivity_check
 from .initial_data import make_initial_function, read_parameters
 from .oscillation import (
     ConstantChain,
+    above_reads,
     above_terms,
+    below_reads,
     below_terms,
     build_constant_chain,
     oscillation_above_check,
@@ -60,8 +66,8 @@ from .rescale import (
     records_to_csv,
     theorem_check,
 )
-from .solver import ResidualReport, ResidualTerm, SolveConfig, SolverError, hopf_lax
-from .solver import residual_reports, snap_dt, solve
+from .solver import ResidualRows, ResidualTerm, SolveConfig, SolverError, hopf_lax
+from .solver import snap_dt, solve
 
 __all__ = [
     "CHECK_NAMES",
@@ -83,6 +89,8 @@ SCHEMA_VERSION = "1"
 # fitted prefactor of the actual run is reported next to the default so a
 # bad reference is visible rather than silent.
 _D_REFERENCE = 10.0
+# Levels of the energy ladder lemma1 reports the recurrence fit of.
+_LADDER_DEPTH = 8
 
 _SWEEPABLE = {"eta": "eta", "coefficient": "coefficient", "lambda": "lam"}
 
@@ -504,15 +512,16 @@ def _needs_chain(cfg: ExperimentConfig) -> bool:
     return any(_CHECKS[name].reads_chain for name in cfg.checks)
 
 
-def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> dict:
+def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label, tables,
+                  residuals) -> dict:
     delta = _default_delta(cfg)
     verdict = lemma_one_check(
-        traj.field, cfg.envelope, delta,
+        tables, cfg.envelope, delta,
         conclusion_tol=cfg.tolerances.get("conclusion"),
     )
     report = {**to_json(verdict), "delta": delta}
     try:
-        energies = energy_ladder(traj.field, 8, cfg.envelope)
+        energies = energy_ladder(tables, _LADDER_DEPTH, cfg.envelope)
         fit = recurrence_fit(energies, cfg.envelope.p / cfg.grid.dimension)
         report["recurrence"] = {
             "d_fit": fit.d_fit,
@@ -526,27 +535,30 @@ def _check_lemma1(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> d
     return report
 
 
-def _check_lemma2(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> dict:
+def _check_lemma2(cfg, traj, chain, hamiltonian, outputs, label, tables,
+                  residuals) -> dict:
     delta = _default_delta(cfg)
     verdict = lemma_two_check(
-        traj.field, cfg.envelope, chain.middle_threshold, delta, residuals,
+        tables, cfg.envelope, chain.middle_threshold, delta, residuals,
         residual_tol=cfg.tolerances.get("residual"),
     )
     return {**to_json(verdict), "delta": delta}
 
 
 def _check_oscillation(
-    cfg, traj, chain, hamiltonian, outputs, label, residuals, below: bool = False
+    cfg, traj, chain, hamiltonian, outputs, label, tables, residuals,
+    below: bool = False,
 ) -> LemmaVerdict:
     check = oscillation_below_check if below else oscillation_above_check
     return check(
-        traj.field, chain, residuals,
+        tables, chain, residuals,
         residual_tol=cfg.tolerances.get("residual"),
         conclusion_tol=cfg.tolerances.get("conclusion"),
     )
 
 
-def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> dict:
+def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, tables,
+                   residuals) -> dict:
     opts = cfg.cascade
     spec = traj.spec
     t0 = _cascade_time(cfg)
@@ -569,7 +581,7 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, residuals) -> 
 
 
 def _check_theorem(
-    cfg, traj, chain, hamiltonian, outputs, label, residuals
+    cfg, traj, chain, hamiltonian, outputs, label, tables, residuals
 ) -> TheoremReport:
     return theorem_check(traj, _theorem_delta(cfg), chain, cfg.envelope,
                          hamiltonian, cfg.theorem, cfg.solve)
@@ -588,39 +600,46 @@ def _theorem_delta(cfg: ExperimentConfig) -> float:
 
 
 class _Check(NamedTuple):
-    """``run(cfg, traj, chain, hamiltonian, outputs, label, residuals)``
-    returns the check's report, a dataclass or dict whose ``to_json``
-    carries its ``"status"``; ``window`` is the cylinder its statement
-    fixes, if any: the module constant its check covers first, which the
-    config gate and :func:`_residual_pass` cover too.
-    ``base_times(cfg)`` lists the times the check zooms at, so the solve
-    keeps their ``base_point_slices`` and feeds a :class:`GaugeScan`; it is
-    ``None`` for a check that reads every slice.  ``terms(cfg, chain)``
-    lists the residual terms the check reads over its window's ball, and
-    ``run`` gets ``residuals``, their reports from the window's one pass
-    (see :func:`_residual_pass`), or ``None`` if the check reads none."""
+    """``run(cfg, traj, chain, hamiltonian, outputs, label, tables,
+    residuals)`` returns the check's report, a dataclass or dict whose
+    ``to_json`` carries its ``"status"``; ``window`` is the cylinder its
+    statement fixes, if any: the module constant its check covers first,
+    which the config gate covers too.  ``base_times(cfg)`` lists the times
+    the check zooms at, so the solve keeps their ``base_point_slices`` and
+    feeds a :class:`GaugeScan`.  ``reads(cfg, chain)`` lists the per-slice
+    tables the check reads and ``terms(cfg, chain)`` the residual terms it
+    reads over the unit ball: the march takes both for every check of the
+    run in one :class:`SliceScan`, and ``run`` gets ``tables``, the
+    :class:`SliceTables`, and ``residuals``, each term's report."""
 
     run: Callable[..., object]
     window: Cylinder | None
     reads_chain: bool
     base_times: Callable[[ExperimentConfig], list[float]] | None = None
+    reads: Callable[[ExperimentConfig, ConstantChain | None],
+                    list[SliceRead]] = lambda cfg, chain: []
     terms: Callable[[ExperimentConfig, ConstantChain | None],
-                    list[ResidualTerm]] | None = None
+                    list[ResidualTerm]] = lambda cfg, chain: []
 
 
 # Every check a config may enable, in report order.  Runners name the check
 # functions in their bodies, so a wrapper rebound over a module global (as
-# ``perfbench/spans.py`` does) sees every call.  The residuals of lemma2,
-# osc_above and osc_below span every slice of the grid; one pass per
-# trajectory computes all their terms, osc_below's reflected one included.
+# ``perfbench/spans.py`` does) sees every call.  lemma1, lemma2, osc_above
+# and osc_below read the whole march, through the tables and residual rows
+# that one scan takes as it runs, osc_below's reflected reads included.
 _CHECKS = {
-    "lemma1": _Check(_check_lemma1, UPPER_HALF, False),
+    "lemma1": _Check(_check_lemma1, UPPER_HALF, False,
+                     reads=lambda cfg, chain: [
+                         *lemma_one_reads(), *ladder_reads(_LADDER_DEPTH, cfg.envelope)]),
     "lemma2": _Check(_check_lemma2, UNIT_CYLINDER, True,
+                     reads=lambda cfg, chain: lemma_two_reads(),
                      terms=lambda cfg, chain: lemma_two_terms(cfg.envelope)),
     "osc_above": _Check(_check_oscillation, UNIT_CYLINDER, True,
+                        reads=lambda cfg, chain: above_reads(chain),
                         terms=lambda cfg, chain: above_terms(chain)),
     "osc_below": _Check(partial(_check_oscillation, below=True), UNIT_CYLINDER,
-                        True, terms=lambda cfg, chain: below_terms(chain)),
+                        True, reads=lambda cfg, chain: below_reads(chain),
+                        terms=lambda cfg, chain: below_terms(chain)),
     "cascade": _Check(_check_cascade, None, True,
                       lambda cfg: [_cascade_time(cfg)]),
     "theorem": _Check(_check_theorem, None, True,
@@ -628,22 +647,6 @@ _CHECKS = {
                                              cfg.theorem.points_per_axis)),
 }
 CHECK_NAMES = tuple(_CHECKS)
-
-
-def _residual_pass(
-    cfg: ExperimentConfig, field: ScalarField, chain: ConstantChain | None,
-    window: Cylinder,
-) -> dict[ResidualTerm, ResidualReport]:
-    """The reports of every term that the config's checks over ``window``
-    read, from one pass over ``field`` with the window's ball as the mask.
-    Every term has the envelope's exponent, which the chain's is.  The
-    coverage rule runs first, as it does first in each check that reads
-    the pass, so a grid that fails it raises the message the check would."""
-    win = Window.covering(field.spec, window)
-    terms = [term for name in cfg.checks
-             if _CHECKS[name].terms is not None and _CHECKS[name].window == window
-             for term in _CHECKS[name].terms(cfg, chain)]
-    return residual_reports(field, cfg.envelope, terms, win.mask)
 
 
 def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
@@ -826,11 +829,15 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
 
     init = cfg.initial_data
     fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
-    # the solve keeps only the slices the checks and the snapshots read
-    zooms = [_CHECKS[name].base_times for name in cfg.checks]
-    keep = [range(cfg.grid.n_slices)] if None in zooms else []
-    keep += [base_point_slices(cfg.grid, chain, t0)
-             for times in zooms if times is not None for t0 in times(cfg)]
+    checks = [_CHECKS[name] for name in cfg.checks]
+    reads = [read for check in checks for read in check.reads(cfg, chain)]
+    terms = list(dict.fromkeys(term for check in checks
+                               for term in check.terms(cfg, chain)))
+    # the solve keeps only the slices the zooms, the snapshots and the
+    # oracle read; the other checks read the march as it runs
+    zooms = [check.base_times for check in checks if check.base_times is not None]
+    keep = [base_point_slices(cfg.grid, chain, t0) for times in zooms
+            for t0 in times(cfg)]
     if cfg.sweep is None:
         keep += [range(0, 2), range(cfg.grid.n_slices - 2, cfg.grid.n_slices)]
     if cfg.oracle is not None:
@@ -843,20 +850,19 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                 with timed(f"coercivity{label}"):
                     record(f"coercivity{label}", _coercivity_outcome(cfg, hamiltonian))
             with timed(f"solve{label}"):
-                scan = GaugeScan(cfg.grid, cfg.envelope) if any(zooms) else None
-                traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scan)
-            # each window's pass runs for the first check that reads it; one
-            # that raises is not kept, so each such check records the error
-            passes = cache(partial(_residual_pass, cfg, traj.field, chain))
-            for name in cfg.checks:
-                check = _CHECKS[name]
+                tables = SliceTables(cfg.grid, reads)
+                rows = ResidualRows(cfg.grid, cfg.envelope.p, terms,
+                                    ball_mask(cfg.grid, UNIT_CYLINDER.radius))
+                scans = [GaugeScan(cfg.grid, cfg.envelope)] if zooms else []
+                if reads:
+                    scans.append(SliceScan(cfg.grid, [tables, rows]))
+                traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scans)
+            residuals = dict(zip(terms, rows.reports()))
+            for name, check in zip(cfg.checks, checks):
                 with timed(f"{name}{label}"):
                     try:
-                        residuals = (None if check.terms is None
-                                     else passes(check.window))
-                        report = check.run(
-                            cfg, traj, chain, hamiltonian, outputs, label, residuals
-                        )
+                        report = check.run(cfg, traj, chain, hamiltonian, outputs,
+                                           label, tables, residuals)
                     except (ValueError, RuntimeError) as err:
                         report = {"status": "error", "message": str(err)}
                     record(f"{name}{label}", report)
@@ -866,7 +872,7 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                 # a copy, so the oracle holds one slice, not the trajectory
                 oracle_base = traj.field.rows(oracle_ti, oracle_ti + 1)[0].copy()
             # free this variant's trajectory before the next one solves
-            del traj, passes
+            del traj, tables, rows, residuals
         if cfg.oracle is not None:
             with timed("oracle"):
                 record("oracle", _oracle_outcome(cfg, oracle_base))

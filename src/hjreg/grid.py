@@ -23,12 +23,14 @@ interval selects.
 Reductions along time run on blocks of consecutive slices, each a
 ``(slices, cells)`` array of about ``_BLOCK_CELLS`` cells; the block size is
 set by the cell count, not the slice count, so one block stays cache-sized
-at every resolution.  The batched reductions give the same bits as a loop
-over slices: maxima and minima are exact in any order, a per-slice sum is a
-row sum of a C-contiguous block (numpy sums each row as it sums the slice
-on its own), and per-slice terms are accumulated in slice order with
-``np.cumsum``, never with ``np.sum``, whose pairwise order would change
-the last digits.
+at every resolution.  A :class:`SliceScan` hands the blocks, in slice
+order, to readers such as :class:`SliceTables`, either as a march computes
+the slices or from a whole field; the checks read the per-slice tables.
+The batched reductions give the same bits as a loop over slices: maxima
+and minima are exact in any order, a per-slice sum is a row sum of a
+C-contiguous block (numpy sums each row as it sums the slice on its own),
+and per-slice terms are accumulated in slice order with ``np.cumsum``,
+never with ``np.sum``, whose pairwise order would change the last digits.
 
 JSON crosses the package boundary through the functions here, because a
 grid is the first thing both a config and a snapshot hold: :func:`to_json`
@@ -40,6 +42,7 @@ a :class:`ConfigError` that names the key on any misfit.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -49,7 +52,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -61,14 +64,17 @@ __all__ = [
     "ScalarField",
     "Window",
     "EmptyCylinderError",
+    "ball_mask",
     "ball_volume",
     "field_from_values",
     "level_set_measure",
     "discrete_gradient_norm_p",
     "gradient_norm_p_rows",
     "in_slice_order",
-    "per_slice",
     "slice_blocks",
+    "SliceRead",
+    "SliceScan",
+    "SliceTables",
     "ShiftedDifference",
     "axis_strides",
     "one_cell_oscillation",
@@ -376,6 +382,16 @@ def field_from_values(spec: GridSpec, values: NDArray[np.float64]) -> ScalarFiel
 
 
 @lru_cache(maxsize=32)
+def ball_mask(spec: GridSpec, radius: float) -> NDArray[np.bool_]:
+    """The cells of ``spec`` whose centers lie strictly inside ``B(0,
+    radius)``, as a read-only mask shared by every reader of the ball."""
+    centers = spec.centers()
+    mask = np.einsum("...i,...i->...", centers, centers) < radius**2
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=32)
 def _window_geometry(spec: GridSpec, cylinder: Cylinder) -> tuple[
     NDArray[np.intp], NDArray[np.float64], NDArray[np.bool_]
 ]:
@@ -389,11 +405,9 @@ def _window_geometry(spec: GridSpec, cylinder: Cylinder) -> tuple[
     own_hi = np.minimum(times + half, spec.t_end)
     overlap = np.minimum(own_hi, cylinder.t_hi) - np.maximum(own_lo, cylinder.t_lo)
     weights = np.maximum(overlap, 0.0)
-    centers = spec.centers()
-    mask = np.einsum("...i,...i->...", centers, centers) < cylinder.radius**2
-    for arr in (slices, weights, mask):
+    for arr in (slices, weights):
         arr.flags.writeable = False
-    return slices, weights, mask
+    return slices, weights, ball_mask(spec, cylinder.radius)
 
 
 class Window:
@@ -409,6 +423,8 @@ class Window:
             module docstring); they sum to ``t_hi - t_lo`` when the grid
             spans the window.
         mask: spatial cells whose centers lie strictly inside the ball.
+        radius: the ball's radius, which names its cells to a
+            :class:`SliceRead`.
 
     The three arrays are read-only: every window of one grid and cylinder
     shares them (see ``_window_geometry``).
@@ -419,7 +435,7 @@ class Window:
     """
 
     def __init__(self, spec: GridSpec, cylinder: Cylinder) -> None:
-        self.spec = spec
+        self.spec, self.radius = spec, cylinder.radius
         self.slices, self.weights, self.mask = _window_geometry(spec, cylinder)
         if self.slices.size == 0 or not np.any(self.mask):
             raise EmptyCylinderError(
@@ -469,55 +485,34 @@ class Window:
         """Indices of the slices with a positive time weight."""
         return np.nonzero(self.weights > 0.0)[0]
 
-    def blocks(self, weighted: bool = False) -> Iterator[tuple[int, int]]:
-        """``(lo, hi)`` ranges of about ``_BLOCK_CELLS`` cells covering the
-        window's :attr:`slices`, or its :meth:`weighted_slices` when
-        ``weighted``; both are runs of consecutive slices."""
-        index = self.weighted_slices() if weighted else self.slices
-        if index.size:
-            yield from slice_blocks(int(index[0]), int(index[-1]) + 1, self.mask.size)
-
-    def rows(self, source, weighted: bool = False) -> Iterator[NDArray[np.float64]]:
-        """The ball's cells of ``source`` over each of :meth:`blocks`, as
-        C-contiguous ``(slices, cells)`` arrays.  ``source`` is a field,
-        read through its ``rows(lo, hi)`` one block at a time."""
-        cells = np.flatnonzero(self.mask)
-        for lo, hi in self.blocks(weighted):
-            yield np.take(source.rows(lo, hi).reshape(hi - lo, -1), cells, axis=1)
+    def tables(self, source, reads) -> SliceTables:
+        """The :class:`SliceTables` of ``reads`` of ``source``, a field read
+        through its ``rows(lo, hi)``, on the window's slices and its
+        :meth:`weighted_slices` (a slice outside ``[t_lo, t_hi]`` can own
+        part of it)."""
+        index = np.concatenate([self.slices, self.weighted_slices()])
+        return SliceTables.of(source, reads, int(index.min()), int(index.max()) + 1)
 
     def max(self, source) -> float:
-        """Largest of ``source`` (see :meth:`rows`) in the window."""
-        return max(float(block.max()) for block in self.rows(source))
+        """Largest of ``source`` (see :meth:`tables`) in the window."""
+        return self.tables(source, [SliceRead("max", self.radius)]).max(self)
 
     def min(self, source) -> float:
-        """Smallest of ``source`` (see :meth:`rows`) in the window."""
-        return min(float(block.min()) for block in self.rows(source))
+        """Smallest of ``source`` (see :meth:`tables`) in the window."""
+        return self.tables(source, [SliceRead("min", self.radius)]).min(self)
 
-    def integral(self, source, above: float | None = None) -> float:
-        """Time-weighted cell-counting integral of ``source`` (see
-        :meth:`rows`) over the cylinder, or with ``above`` of its excess
-        ``(source - above)_+``, taken a block at a time."""
-        sums = []
-        for block in self.rows(source, weighted=True):
-            if above is not None:
-                block -= above
-                np.maximum(block, 0.0, out=block)
-            sums.append(block.sum(axis=1))
+    def measure(self, counts: NDArray) -> float:
+        """Cell-counting measure from the cell counts of the
+        :meth:`weighted_slices`, one per slice in their order."""
         weights = self.weights[self.weighted_slices()]
-        return in_slice_order((weights * per_slice(sums)) * self.spec.cell_volume)
-
-    def measure(self, counts: list[NDArray[np.intp]]) -> float:
-        """Cell-counting measure from per-slice cell counts, one array per
-        block of ``rows(..., weighted=True)``."""
-        weights = self.weights[self.weighted_slices()]
-        return in_slice_order((weights * self.spec.cell_volume) * per_slice(counts))
+        return in_slice_order((weights * self.spec.cell_volume) * counts)
 
     @property
     def volume(self) -> float:
         """Cell-counting measure of the whole cylinder: :meth:`measure` with
         every cell of :attr:`mask` counted on each weighted slice."""
         n_slices = self.weighted_slices().size
-        return self.measure([np.full(n_slices, np.count_nonzero(self.mask))])
+        return self.measure(np.full(n_slices, np.count_nonzero(self.mask)))
 
 
 def slice_blocks(start: int, stop: int, cells: int) -> Iterator[tuple[int, int]]:
@@ -526,11 +521,6 @@ def slice_blocks(start: int, stop: int, cells: int) -> Iterator[tuple[int, int]]
     step = max(1, _BLOCK_CELLS // cells)
     for lo in range(start, stop, step):
         yield lo, min(lo + step, stop)
-
-
-def per_slice(parts: list[NDArray]) -> NDArray:
-    """Per-slice results of consecutive blocks, joined in slice order."""
-    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def in_slice_order(terms: NDArray[np.float64]) -> float:
@@ -551,17 +541,13 @@ def level_set_measure(
     Bounds are strict; ``closed_upper=True`` switches the upper predicate to
     ``f <= hi``, so ``{f <= c}`` is expressed as ``(-inf, c]`` and point
     levels ``{f == c}`` as a closed/open difference.  Reads the cells of
-    ``win.mask`` on the slices of positive weight, through ``f.rows``.
+    ``win.mask`` on the slices of positive weight, through ``f.rows``, as
+    :meth:`SliceTables.measure` of their counts.
 
     Returns 0.0 when no cell of the window satisfies the predicate.
     """
-    counts = [
-        np.count_nonzero(
-            (vals > lo) & ((vals <= hi) if closed_upper else (vals < hi)), axis=1
-        )
-        for vals in win.rows(f, weighted=True)
-    ]
-    return win.measure(counts)
+    read = SliceRead("count", win.radius, (0.0, lo, hi, closed_upper))
+    return win.tables(f, [read]).measure(win, lo, hi, closed_upper)
 
 
 def discrete_gradient_norm_p(
@@ -653,47 +639,275 @@ def one_cell_oscillation(f: ScalarField, win: Window | None = None) -> float:
     checked at cell centers can be off by at most one neighbor jump.  With
     a window of ``f``'s grid, only jumps between two of its cells count:
     the slices from its first to its last, and the pairs whose two cells
-    lie in its mask (the mask ANDed with itself shifted by the axis
-    stride); without one, every slice and cell.  Each axis's jumps over a
-    block of slices are one :class:`ShiftedDifference`, whose zeroed
-    entries do not raise the maximum.
+    lie in its mask; without one, every slice and cell.  It is
+    :meth:`SliceTables.one_cell` of the slices it reads.
     """
-    spec = f.spec
-    cells = math.prod(spec.spatial_shape)
     if win is None:
-        start, stop, in_ball = 0, spec.n_slices, None
-    else:
-        start, stop = int(win.slices[0]), int(win.slices[-1]) + 1
-        mask = win.mask.reshape(-1)
-        in_ball = np.flatnonzero(mask)
-    # Per spatial axis: its stride and the cells j of a slice whose pair
-    # (j, j + stride) has both ends in the ball (None: the whole box).
-    pairs = [(stride, None if win is None
-              else np.flatnonzero(mask[stride:] & mask[:-stride]))
-             for stride in axis_strides(spec)]
+        return SliceTables.of(f, [SliceRead("jumps", None)]).one_cell()
+    return win.tables(f, [SliceRead("jumps", win.radius)]).one_cell(win)
 
-    def largest(d, at):
-        # the largest |d| over the cells ``at`` of each slice
-        if at is not None:
-            d = np.take(d.reshape(-1, cells), at, axis=1)
-        return float(np.abs(d, out=d).max(initial=0.0))
 
-    jump = 0.0
-    lo, hi = next(slice_blocks(start, stop, cells))  # the first block is the largest
-    buf = np.empty((min(hi + 1, stop) - lo) * cells)
-    for lo, hi in slice_blocks(start, stop, cells):
-        # One slice of overlap with the next block for the time jumps; a
-        # field whose values are not C-contiguous is read through a copy of
-        # the block.
-        flat = np.ascontiguousarray(f.rows(lo, min(hi + 1, stop))).reshape(-1)
-        if flat.size > cells:
-            in_time = ShiftedDifference(cells, flat.size // cells, buf[:flat.size])
-            jump = max(jump, largest(in_time(flat), in_ball))
+class SliceRead(NamedTuple):
+    """One per-slice reduction that :class:`SliceTables` takes of a field.
+
+    ``radius`` picks the cells: the ball ``B(0, radius)`` of a
+    :class:`Window` of that radius, or the whole box for ``None``; with
+    ``negated`` the reduction reads ``-f``.  The kinds and their ``arg``:
+
+    - ``"max"``, ``"min"``: the largest and the smallest value;
+    - ``"count"``, ``(shift, lo, hi, closed_upper)``: the cells with ``lo <
+      f - shift < hi`` (``<= hi`` when ``closed_upper``); a zero shift is
+      not subtracted;
+    - ``"excess"``, ``(c,)``: the row sum of ``(f - c)_+``;
+    - ``"gradient"``, ``(c, p)``: :func:`gradient_norm_p_rows` of ``(f -
+      c)_+`` over the ball;
+    - ``"plus_min"``, ``(fn, *args)``: the smallest of ``f + fn(*args,
+      spec)``, an array of the spatial shape;
+    - ``"jumps"``: the largest one-cell jump inside the slice and the one
+      to the next slice (see :meth:`SliceTables.one_cell`); the jumps of
+      ``-f`` are those of ``f``, so this kind is never negated.
+    """
+
+    kind: str
+    radius: float | None = 1.0
+    arg: tuple = ()
+    negated: bool = False
+
+
+class SliceTables:
+    """The per-slice tables of ``reads``, one entry per slice of a field
+    (``jumps``: its space and time columns), and the window reductions a
+    check takes of them.
+
+    A block of slices reaches :meth:`take` through a :class:`SliceScan`:
+    from the march as it runs, or from a field at once (see :meth:`of`).
+    Every reduction is the one a loop over the window's slices would take:
+    maxima and minima are exact in any order, each slice's sum is a row
+    sum of a C-contiguous array, and measures and integrals accumulate
+    their per-slice terms in slice order with :func:`in_slice_order`.
+
+    :meth:`reflection` reads the same tables as the field's reflection
+    ``v(t, x) = -f(-t, x)`` on a time interval symmetric about 0: slice
+    ``i`` of ``v`` is slice ``n_slices - 1 - i`` of the negated reads.
+    """
+
+    def __init__(self, spec: GridSpec, reads) -> None:
+        self.spec = spec
+        # the reads of one ball and sign next to each other, so that a block
+        # holds one gathered copy of the ball's cells at a time
+        self.tables = {read: self._empty(read) for read in sorted(
+            dict.fromkeys(reads),
+            key=lambda read: (read.radius is None, read.radius or 0.0, read.negated))}
+        self.reflected = False
+        # ``one_cell`` per (radius, start, stop) of the field's slices,
+        # shared with the reflection
+        self._one_cell: dict[tuple, float] = {}
+
+    def _empty(self, read: SliceRead) -> NDArray:
+        """A zeroed table for ``read``: counts in the smallest unsigned type
+        that holds the ball's cells, ``jumps`` in two columns."""
+        spec = self.spec
+        if read.kind == "count":
+            cells = (math.prod(spec.spatial_shape) if read.radius is None
+                     else np.count_nonzero(ball_mask(spec, read.radius)))
+            return np.zeros(spec.n_slices, dtype=np.min_scalar_type(cells))
+        return np.zeros((spec.n_slices, 2) if read.kind == "jumps" else spec.n_slices)
+
+    @classmethod
+    def of(cls, f, reads, start: int = 0, stop: int | None = None) -> SliceTables:
+        """The tables of ``reads`` of the slices ``start:stop`` of ``f``
+        (every slice by default), read through ``f.rows``."""
+        tables = cls(f.spec, reads)
+        SliceScan(f.spec, [tables]).read(f, start, stop)
+        return tables
+
+    def reflection(self) -> SliceTables:
+        """These tables read as the field's reflection; reflecting twice
+        reads the field."""
+        out = copy.copy(self)
+        out.reflected = not self.reflected
+        return out
+
+    def take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
+        """Fill the rows ``lo:hi`` of every table from ``slab``, the
+        C-contiguous ``(slices, cells)`` rows of slices ``lo..hi-1`` and of
+        slice ``hi`` when the field has it."""
+        spec, n = self.spec, hi - lo
+        own = slab[:n]
+        key = gathered = None
+        for read, table in self.tables.items():
+            kind, arg, out = read.kind, read.arg, table[lo:hi]
+            if kind == "jumps":
+                self._jumps(read.radius, lo, hi, slab, table)
+                continue
+            if kind in ("gradient", "plus_min"):
+                rows = own
+            else:
+                if key != (read.radius, read.negated):
+                    key, gathered = (read.radius, read.negated), None
+                    rows = own if read.radius is None else np.take(
+                        own, np.flatnonzero(ball_mask(spec, read.radius)), axis=1)
+                    gathered = np.negative(rows) if read.negated else rows
+                rows = gathered
+            if kind == "max":
+                rows.max(axis=1, initial=-np.inf, out=out)
+            elif kind == "min":
+                rows.min(axis=1, initial=np.inf, out=out)
+            elif kind == "count":
+                shift, low, high, closed = arg
+                vals = rows - shift if shift else rows
+                out[:] = np.count_nonzero(
+                    (vals > low) & ((vals <= high) if closed else (vals < high)), axis=1)
+            elif kind == "plus_min":
+                fn, *args = arg
+                np.add(rows, fn(*args, spec).reshape(-1)).min(axis=1, out=out)
+            else:  # excess and gradient: the truncation (f - c)_+
+                trunc = rows - arg[0]
+                np.maximum(trunc, 0.0, out=trunc)
+                if kind == "excess":
+                    out[:] = trunc.sum(axis=1)
+                    continue
+                # a slice whose truncation is zero has no gradient energy:
+                # its entry stays 0.0, the value the sum of zeros gives
+                live = np.flatnonzero(trunc.max(axis=1) > 0.0)
+                if live.size:
+                    out[live] = gradient_norm_p_rows(
+                        trunc[live].reshape(live.size, *spec.spatial_shape), spec,
+                        arg[1], np.flatnonzero(ball_mask(spec, read.radius)))
+
+    def _jumps(self, radius, lo: int, hi: int, slab, table) -> None:
+        """The ``jumps`` rows of block ``lo:hi``: each axis's jumps over the
+        block are one :class:`ShiftedDifference` into one buffer, whose
+        zeroed entries do not raise the maximum; with a ball, only pairs of
+        two of its cells count (the mask ANDed with itself shifted by the
+        axis stride)."""
+        spec, (k, cells) = self.spec, slab.shape
+        buf = np.empty(slab.size)
+        mask = None if radius is None else ball_mask(spec, radius).reshape(-1)
+        in_ball = None if mask is None else np.flatnonzero(mask)
+
+        def largest(d, rows, at):
+            # the largest |d| over the cells ``at`` of each of ``rows`` slices
+            d = d.reshape(rows, cells)
+            if at is not None:
+                d = np.take(d, at, axis=1)
+            return np.abs(d, out=d).max(axis=1, initial=0.0)
+
+        flat = slab.reshape(-1)
+        if k > 1:
+            in_time = ShiftedDifference(cells, k, buf)
+            table[lo:lo + k - 1, 1] = largest(in_time(flat), k, in_ball)[:-1]
         block = flat[:(hi - lo) * cells]
-        for stride, at in pairs:
+        space = table[lo:hi, 0]
+        for stride in axis_strides(spec):
+            at = None if mask is None else np.flatnonzero(mask[stride:] & mask[:-stride])
             along = ShiftedDifference(stride, spec.cells_per_axis, buf[:block.size])
-            jump = max(jump, largest(along(block), at))
-    return jump
+            np.maximum(space, largest(along(block), hi - lo, at), out=space)
+
+    def table(self, kind: str, radius, arg: tuple = ()) -> NDArray[np.float64]:
+        """The table of the read ``SliceRead(kind, radius, arg)``, one entry
+        per slice in the order of the field read (the reflection's order,
+        from its negated read, after :meth:`reflection`)."""
+        table = self.tables[SliceRead(kind, radius, arg, self.reflected)]
+        return table[::-1] if self.reflected else table
+
+    def max(self, win: Window) -> float:
+        """Largest value in the window."""
+        return float(self.table("max", win.radius)[win.slices].max())
+
+    def min(self, win: Window) -> float:
+        """Smallest value in the window."""
+        return float(self.table("min", win.radius)[win.slices].min())
+
+    def measure(self, win: Window, lo: float = -math.inf, hi: float = math.inf,
+                closed_upper: bool = False, shift: float = 0.0) -> float:
+        """Cell-counting measure of ``{lo < f - shift < hi}`` (``<= hi``
+        when ``closed_upper``) in the window; see :func:`level_set_measure`."""
+        counts = self.table("count", win.radius, (shift, lo, hi, closed_upper))
+        return win.measure(counts[win.weighted_slices()])
+
+    def integral(self, win: Window, above: float) -> float:
+        """Time-weighted cell-counting integral of the excess ``(f -
+        above)_+`` over the cylinder."""
+        weighted = win.weighted_slices()
+        sums = self.table("excess", win.radius, (above,))[weighted]
+        return in_slice_order((win.weights[weighted] * sums) * self.spec.cell_volume)
+
+    def one_cell(self, win: Window | None = None) -> float:
+        """Largest single-cell jump, space or time, between two cells of the
+        window (see :func:`one_cell_oscillation`), or of the whole field
+        without one; taken once per ball and slice range of the field."""
+        n = self.spec.n_slices
+        if win is None:
+            radius, start, stop = None, 0, n
+        else:
+            radius, start, stop = win.radius, int(win.slices[0]), int(win.slices[-1]) + 1
+        if self.reflected:
+            start, stop = n - stop, n - start
+        key = (radius, start, stop)
+        if key not in self._one_cell:
+            self._one_cell[key] = self._jump(radius, start, stop)
+        return self._one_cell[key]
+
+    def _jump(self, radius, start: int, stop: int) -> float:
+        """The largest jump inside the slices ``start:stop`` of the field
+        and between two of them, over the ball's cells."""
+        jumps = self.tables[SliceRead("jumps", radius)]
+        return max(0.0, float(jumps[start:stop, 0].max(initial=0.0)),
+                   float(jumps[start:stop - 1, 1].max(initial=0.0)))
+
+
+class SliceScan:
+    """Blocks of consecutive slices of a field, in slice order, for readers
+    such as :class:`SliceTables` and ``solver.ResidualRows``.
+
+    Each block holds about ``_BLOCK_CELLS`` cells (see :func:`slice_blocks`)
+    and one slice of overlap with the next block for time differences; a
+    reader gets ``take(lo, hi, slab)`` with ``slab`` the C-contiguous
+    ``(slices, cells)`` rows of slices ``lo..hi-1`` and of slice ``hi`` when
+    the field has it.  A scan is fed either every slice in order, as
+    ``scan(i, slice_i)``, which ``solver.solve`` does as it marches (the
+    scan gathers the slices into a ring of one block), or a field at once
+    through :meth:`read`.
+    """
+
+    def __init__(self, spec: GridSpec, readers) -> None:
+        self.spec, self.readers = spec, list(readers)
+        self._n, self._cells = spec.n_slices, math.prod(spec.spatial_shape)
+        self._step = max(1, _BLOCK_CELLS // self._cells)
+        self._lo = 0
+        self._ring = None
+
+    def _take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
+        for reader in self.readers:
+            reader.take(lo, hi, slab)
+
+    def __call__(self, i: int, values: NDArray[np.float64]) -> None:
+        n = self._n
+        if self._ring is None:
+            self._ring = np.empty((min(self._step + 1, n), self._cells))
+        self._ring[i - self._lo] = values.reshape(-1)
+        # the block lo:hi is whole once slice hi, or the field's last, is in
+        while True:
+            lo = self._lo
+            hi = min(lo + self._step, n)
+            last = min(hi, n - 1)
+            if i != last:
+                return
+            self._take(lo, hi, self._ring[:last - lo + 1])
+            if hi == n:
+                return
+            self._ring[0] = self._ring[last - lo]
+            self._lo = hi
+
+    def read(self, f, start: int = 0, stop: int | None = None) -> SliceScan:
+        """Feed the slices ``start:stop`` of ``f`` (every slice by default),
+        read through ``f.rows`` a block at a time; returns the scan."""
+        stop = self._n if stop is None else stop
+        for lo, hi in slice_blocks(start, stop, self._cells):
+            rows = f.rows(lo, min(hi + 1, stop))
+            self._take(lo, hi, np.ascontiguousarray(rows).reshape(len(rows), -1))
+        return self
 
 
 def save_snapshot(f: ScalarField, base_path: str | Path) -> tuple[Path, Path]:

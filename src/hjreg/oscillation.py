@@ -28,15 +28,21 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .degiorgi import LATE_WINDOW, UNIT_CYLINDER, LemmaVerdict, upper_preconditions
+from .degiorgi import (
+    LATE_WINDOW,
+    UNIT_CYLINDER,
+    LemmaVerdict,
+    upper_preconditions,
+    upper_reads,
+)
 from .grid import (
     Cylinder,
     GridSpec,
     ScalarField,
+    SliceRead,
+    SliceTables,
     Window,
     ball_volume,
-    level_set_measure,
-    one_cell_oscillation,
     slice_blocks,
     to_json,
 )
@@ -48,10 +54,11 @@ __all__ = [
     "ComparisonReport",
     "ConstantChain",
     "InvariantCheck",
-    "TimeReversed",
+    "above_reads",
     "above_terms",
     "barrier",
     "barrier_field",
+    "below_reads",
     "below_terms",
     "build_constant_chain",
     "comparison_check",
@@ -420,31 +427,15 @@ def dyadic_ladder(f: ScalarField, k: int) -> ScalarField:
     return ScalarField(f.spec, 2.0**k * (f.values - shift))
 
 
-@dataclass(frozen=True)
-class TimeReversed:
-    """The reflection ``v(t, x) = -f(-t, x)`` of a field on a time interval
-    symmetric about 0, read a block of slices at a time: slice ``i`` of
-    ``v`` is slice ``n_slices - 1 - i`` of ``f``, negated.  Negation and
-    reindexing are exact, so reflecting twice reads the original bit for
-    bit."""
+def time_reverse(f):
+    """Reflect in time and flip sign: ``v(t, x) = -f(-t, x)``.
 
-    source: ScalarField
-
-    @property
-    def spec(self) -> GridSpec:
-        return self.source.spec
-
-    def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
-        """Slices ``lo:hi`` of the reflection, as a new C-contiguous array."""
-        n = self.spec.n_slices
-        return np.negative(self.source.rows(n - hi, n - lo)[::-1])
-
-
-def time_reverse(f: ScalarField | TimeReversed) -> TimeReversed:
-    """Reflect in time and flip sign: ``v(t, x) = -f(-t, x)``, read lazily.
-
-    Requires a time interval symmetric about 0 so reflected slices land
-    back on lattice times.
+    A field reflects into a new field, slice ``i`` of ``v`` the negated
+    slice ``n_slices - 1 - i`` of ``f``; a :class:`~hjreg.grid.SliceTables`
+    into its reflection, which reads the negated tables in reversed slice
+    order.  Negation and reindexing are exact, so reflecting twice reads
+    the original bit for bit.  Requires a time interval symmetric about 0
+    so reflected slices land back on lattice times.
     """
     spec = f.spec
     if abs(spec.t_start + spec.t_end) > _EPS * max(1.0, abs(spec.t_end)):
@@ -452,7 +443,9 @@ def time_reverse(f: ScalarField | TimeReversed) -> TimeReversed:
             f"time interval [{spec.t_start}, {spec.t_end}] is not symmetric "
             "about 0; reflection would leave the lattice"
         )
-    return TimeReversed(f)
+    if isinstance(f, SliceTables):
+        return f.reflection()
+    return ScalarField(spec, np.negative(f.values[::-1]))
 
 
 def barrier(
@@ -567,7 +560,7 @@ def _most_negative(values: NDArray[np.float64], k: int) -> tuple[int, NDArray[np
 
 
 def _witness_level(
-    f: ScalarField, chain: ConstantChain, win: Window
+    tables: SliceTables, chain: ConstantChain, win: Window
 ) -> tuple[int | None, list[float]]:
     """Smallest ladder level whose middle layer is thin, plus all measures.
 
@@ -579,24 +572,44 @@ def _witness_level(
     returned rather than a guess.
 
     Level ``k``'s layer is counted as the band
-    ``0 < f - (2 - 2^(1-k)) < 2^-k`` of ``f`` itself: scaling by ``2^k``
-    is exact, so this matches ``{0 < dyadic_ladder(f, k) < 1}`` bit for bit
-    without building the ladder.
+    ``0 < f - (2 - 2^(1-k)) < 2^-k`` of ``f`` itself (a count of
+    :func:`above_reads`): scaling by ``2^k`` is exact, so this matches
+    ``{0 < dyadic_ladder(f, k) < 1}`` bit for bit without building the
+    ladder.
     """
     levels = range(1, chain.ladder_depth + 1)
-    counts: list[list] = [[] for _ in levels]
-    for vals in win.rows(f, weighted=True):
-        for k, per_level in zip(levels, counts):
-            band = vals - (2.0 - 2.0 ** (1 - k))
-            per_level.append(
-                np.count_nonzero((band > 0.0) & (band < 2.0**-k), axis=1)
-            )
-    measures = [win.measure(per_level) for per_level in counts]
+    measures = [tables.measure(win, 0.0, 2.0**-k, shift=2.0 - 2.0 ** (1 - k))
+                for k in levels]
     witness = next(
         (k for k, mass in zip(levels, measures) if mass <= chain.middle_threshold),
         None,
     )
     return witness, measures
+
+
+def above_reads(chain: ConstantChain, negated: bool = False) -> list[SliceRead]:
+    """The tables :func:`oscillation_above_check` reads (of ``-f`` when
+    ``negated``, for the reflection): the unit ball's maxima and jumps, and
+    the counts of its nonpositive set and of the dyadic middle layers
+    ``1..ladder_depth`` that :func:`_witness_level` reads."""
+    counts = [(0.0, -math.inf, 0.0, True)] + [
+        (2.0 - 2.0 ** (1 - k), 0.0, 2.0**-k, False)
+        for k in range(1, chain.ladder_depth + 1)]
+    return [*upper_reads(negated), *(
+        SliceRead("count", UNIT_CYLINDER.radius, arg, negated) for arg in counts)]
+
+
+def below_reads(chain: ConstantChain) -> list[SliceRead]:
+    """The tables :func:`oscillation_below_check` reads: the unit ball's
+    minima, jumps and negative set, the late half-ball's minima and jumps,
+    the envelope margin and the whole box's jumps, and the reflection's
+    :func:`above_reads`."""
+    unit, late = UNIT_CYLINDER.radius, LATE_HALF_BALL.radius
+    return [SliceRead("min", unit), SliceRead("jumps", unit),
+            SliceRead("count", unit, (0.0, -math.inf, 0.0, False)),
+            SliceRead("min", late), SliceRead("jumps", late),
+            SliceRead("plus_min", None, (growth_envelope, chain)),
+            SliceRead("jumps", None), *above_reads(chain, negated=True)]
 
 
 def above_terms(chain: ConstantChain) -> list[ResidualTerm]:
@@ -615,7 +628,7 @@ def below_terms(chain: ConstantChain) -> list[ResidualTerm]:
 
 
 def oscillation_above_check(
-    f: ScalarField | TimeReversed,
+    tables: SliceTables,
     chain: ConstantChain,
     residuals: Mapping[ResidualTerm, ResidualReport],
     residual_tol: float | None = None,
@@ -629,29 +642,28 @@ def oscillation_above_check(
     least half the cylinder.  Conclusion: the field stays below
     ``2 - shrink_above`` on the late window ``[1, 2] x B(1)``.
 
-    ``residuals`` maps each of :func:`above_terms` to its report on ``f``
-    with the unit ball as the mask, as ``solver.residual_reports`` makes
-    them.  Diagnostics carry the pigeonhole witness: the smallest dyadic
-    level whose middle layer has measure at most the threshold, if one
-    exists.  Every read of ``f`` goes through its ``rows``, a block of
-    slices at a time, so a :class:`TimeReversed` field is never built whole.
+    ``tables`` holds :func:`above_reads` of ``f``, or is the reflection
+    of a field's tables (see :func:`time_reverse`); ``residuals`` maps each
+    of :func:`above_terms` to its report on ``f`` with the unit ball as the
+    mask, as ``solver.ResidualRows`` makes them.  Diagnostics carry the
+    pigeonhole witness: the smallest dyadic level whose middle layer has
+    measure at most the threshold, if one exists.
     """
-    spec = f.spec
+    spec = tables.spec
     win = Window.covering(spec, UNIT_CYLINDER)
     late = Window(spec, LATE_WINDOW)
 
     preconditions, diagnostics, tolerances = upper_preconditions(
-        f, win, above_terms(chain), residuals, residual_tol)
+        tables, win, above_terms(chain), residuals, residual_tol)
 
     total = win.volume
-    nonpos_mass = level_set_measure(f, win, hi=0.0, closed_upper=True)
+    nonpos_mass = tables.measure(win, hi=0.0, closed_upper=True)
 
-    concl_tol = (one_cell_oscillation(f, late) if conclusion_tol is None
-                 else conclusion_tol)
-    late_sup = late.max(f)
+    concl_tol = tables.one_cell(late) if conclusion_tol is None else conclusion_tol
+    late_sup = tables.max(late)
     tolerances["conclusion"] = concl_tol
 
-    witness, middle_measures = _witness_level(f, chain, win)
+    witness, middle_measures = _witness_level(tables, chain, win)
     diagnostics["witness_level"] = witness
     diagnostics["middle_measures"] = middle_measures
 
@@ -667,7 +679,7 @@ def oscillation_above_check(
 
 
 def oscillation_below_check(
-    f: ScalarField,
+    tables: SliceTables,
     chain: ConstantChain,
     residuals: Mapping[ResidualTerm, ResidualReport],
     residual_tol: float | None = None,
@@ -683,18 +695,19 @@ def oscillation_below_check(
     ``-2 - barrier_slope * (|x| - 1)_+`` everywhere.  Conclusion: the
     field stays above ``-2 + shrink_below`` on ``[1, 2] x B(1/2)``.
 
-    ``residuals`` maps each of :func:`below_terms` to its report on ``f``
-    with the unit ball as the mask.  Diagnostics include the full verdict
-    of the improvement from above applied to the reflection ``-f(-t, x)``
-    (read a block at a time through ``time_reverse``, its residual the
-    reflected term's), whose conclusion window pulls back to the early
-    bound ``f >= -2 + shrink_above`` on ``[-2, -1] x B(1)``.
+    ``tables`` holds :func:`below_reads` of ``f``; ``residuals`` maps
+    each of :func:`below_terms` to its report on ``f`` with the unit ball
+    as the mask.  Diagnostics include the full verdict of the improvement
+    from above applied to the reflection ``-f(-t, x)`` (the reflection of
+    the tables through ``time_reverse``, its residual the reflected
+    term's), whose conclusion window pulls back to the early bound ``f >=
+    -2 + shrink_above`` on ``[-2, -1] x B(1)``.
     """
-    spec = f.spec
+    spec = tables.spec
     win = Window.covering(spec, UNIT_CYLINDER)
     late = Window(spec, LATE_HALF_BALL)
 
-    bound_tol = one_cell_oscillation(f, win)
+    bound_tol = tables.one_cell(win)
     tol = spec.residual_tol if residual_tol is None else residual_tol
     lower, upper, reflected_upper = below_terms(chain)
     worst_lower, worst_upper = residuals[lower].min_value, residuals[upper].ball_max
@@ -706,24 +719,21 @@ def oscillation_below_check(
     }
     tolerances = {"lower_bound": bound_tol, "residual": tol}
 
-    inf_all = win.min(f)
+    inf_all = tables.min(win)
     total = win.volume
-    negative_mass = level_set_measure(f, win, hi=0.0)
+    negative_mass = tables.measure(win, hi=0.0)
     nonneg_mass = total - negative_mass
 
-    envelope = growth_envelope(chain, spec)
-    envelope_margin = min(float((f.rows(lo, hi) + envelope).min())
-                          for lo, hi in slice_blocks(0, spec.n_slices, envelope.size))
-    envelope_tol = one_cell_oscillation(f)
+    envelope_margin = float(tables.table("plus_min", None, (growth_envelope, chain)).min())
+    envelope_tol = tables.one_cell()
     tolerances["envelope"] = envelope_tol
 
-    concl_tol = (one_cell_oscillation(f, late) if conclusion_tol is None
-                 else conclusion_tol)
-    late_min = late.min(f)
+    concl_tol = tables.one_cell(late) if conclusion_tol is None else conclusion_tol
+    late_min = tables.min(late)
     tolerances["conclusion"] = concl_tol
 
     reflected = oscillation_above_check(
-        time_reverse(f), chain, {upper: residuals[reflected_upper]},
+        time_reverse(tables), chain, {upper: residuals[reflected_upper]},
         residual_tol=residual_tol,
     )
     diagnostics["reflected_above"] = to_json(reflected)

@@ -222,8 +222,10 @@ def _zoom_resolve(
     mapping, ``f`` must sit under the growth envelope ``2 + barrier_slope
     * (|x| - 1)_+``, up to its one-cell oscillation (else a
     ``ValueError``).  The time step is chosen from the initial
-    slice's steepness with a factor-4 margin and halved on any solver
-    abort.
+    slice's steepness with a factor-4 margin and halved on a solver abort,
+    up to 8 solves; a grid refused for needing more than ``max_steps``
+    steps is not retried, since halving the step doubles the steps it
+    needs.
     """
     spec = f.spec
     _check_envelope(f, chain, max(one_cell_oscillation(f), _TOL_FLOOR))
@@ -248,16 +250,15 @@ def _zoom_resolve(
             steepness = max(steepness, float(diffs.max()))
     sigma = max(transformed.dissipation_bound(max(steepness, 1e-9)), 1e-9)
     dt = snap_dt(-4.0, 0.0, min(cfg.cfl_safety * h / (spec.dimension * sigma * 4.0), 4.0))
-    last_error: SolverError | None = None
-    for _ in range(8):
+    for attempt in range(8):
         out_spec = replace(spec, t_start=-4.0, t_end=0.0, dt=dt)
         try:
-            traj = solve(out_spec, transformed, init, cfg)
-            return traj.field, transformed
-        except SolverError as err:
-            last_error = err
+            return solve(out_spec, transformed, init, cfg).field, transformed
+        except SolverError:
+            refused = cfg.max_steps is not None and out_spec.n_steps > cfg.max_steps
+            if refused or attempt == 7:
+                raise
             dt /= 2.0
-    raise last_error  # type: ignore[misc]
 
 
 def zoom_cascade(
@@ -454,16 +455,16 @@ def gauge_to_window(
     inequalities at the doubled constant) and reports the value factor
     that caps the gauged field at 2.  The reductions are a
     :class:`GaugeScan`'s: a trajectory's own scan at ``env`` when its solve
-    fed one, else a scan fed here with every slice of the field, which
-    then must hold them all.  Returns ``(gauged_field, gauged,
+    fed one (among its ``scans``), else a scan fed here with every slice of
+    the field, which then must hold them all.  Returns ``(gauged_field, gauged,
     cap_factor)``: ``field`` with rate ``lam`` or 0, never a shifted copy.
     """
-    scan = None
+    scans = ()
     if isinstance(field, Trajectory):
-        field, scan = field.field, field.scan
+        field, scans = field.field, field.scans
     spec = field.spec
-    if not (isinstance(scan, GaugeScan) and scan.env == env):
-        scan = GaugeScan(spec, env).read(field)
+    scan = next((s for s in scans if isinstance(s, GaugeScan) and s.env == env),
+                None) or GaugeScan(spec, env).read(field)
     out = GaugedField(field, env.lam if scan.fails else 0.0)
     # rounding is monotone: a slice's gauged max (min) is its max (min) gauged
     gauge = spec.times() * out.rate

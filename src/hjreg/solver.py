@@ -36,7 +36,7 @@ sides cross-validate each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -47,8 +47,8 @@ from .grid import (
     GridSpec,
     ScalarField,
     ShiftedDifference,
+    SliceScan,
     axis_strides,
-    slice_blocks,
 )
 from .hamiltonians import CoercivityEnvelope
 
@@ -60,8 +60,8 @@ __all__ = [
     "solve",
     "hopf_lax",
     "ResidualReport",
+    "ResidualRows",
     "ResidualTerm",
-    "residual_reports",
     "residual_subsolution",
     "residual_supersolution",
 ]
@@ -119,14 +119,17 @@ class SolveConfig:
 class Trajectory:
     """Solve output: the space-time field plus per-step diagnostics.
 
-    ``field`` holds every slice, or only the kept ones (its ``kept``);
-    ``scan`` is the observer the march fed with every slice, if any.
+    ``field`` holds every slice, or only the kept ones (its ``kept``): a
+    run keeps the slices its zooms, snapshots and oracle read, and its
+    other checks take what they read from ``scans``, the observers the
+    march fed with every slice (a ``rescale.GaugeScan``, a
+    ``grid.SliceScan``).
     """
 
     field: ScalarField
     cfl_margins: NDArray[np.float64]
     max_updates: NDArray[np.float64]
-    scan: Callable[[int, NDArray[np.float64]], None] | None = None
+    scans: tuple[Callable[[int, NDArray[np.float64]], None], ...] = ()
 
     @property
     def spec(self) -> GridSpec:
@@ -363,7 +366,7 @@ def solve(
     u0: Callable[[NDArray[np.float64]], NDArray[np.float64]] | NDArray[np.float64],
     cfg: SolveConfig | None = None,
     keep: list[range] | None = None,
-    scan: Callable[[int, NDArray[np.float64]], None] | None = None,
+    scans: Sequence[Callable[[int, NDArray[np.float64]], None]] = (),
 ) -> Trajectory:
     """March the initial data across the whole time lattice.
 
@@ -372,10 +375,13 @@ def solve(
     ``keep`` lists the ranges of slice indices to store (every slice by
     default); the other slices are marched through in two scratch slices
     and dropped, and unless every slice is kept the field's ``kept`` lists
-    the slices it holds.  ``scan``, when given, is called as
-    ``scan(i, slice_i)`` on every slice in order as soon as it is computed
-    (``rescale.GaugeScan`` takes the gauge's reductions this way).  The
-    returned field wraps the one array of kept slices the march fills.
+    the slices it holds.  Each of ``scans`` is called as ``scan(i,
+    slice_i)`` on every slice in order as soon as it is computed, the
+    slice a view that the march may overwrite once the call returns:
+    ``rescale.GaugeScan`` takes the gauge's reductions this way, and
+    ``grid.SliceScan`` the per-slice tables of the lemma and oscillation
+    checks.  The returned field wraps the one array of kept slices the
+    march fills.
     """
     cfg = cfg or SolveConfig()
     times = spec.times()
@@ -413,19 +419,20 @@ def solve(
 
     u = at(0)
     u[...] = init
-    if scan is not None:
+    scans = tuple(scans)
+    for scan in scans:
         scan(0, u)
     margins = np.empty(n_steps)
     updates = np.empty(n_steps)
     for i in range(n_steps):
         out = at(i + 1)
         margins[i], updates[i] = kernel(u, float(times[i]), i, out)
-        if scan is not None:
+        for scan in scans:
             scan(i + 1, out)
         u = out
     field = ScalarField(spec, values, None if scratch is None else np.flatnonzero(kept))
     return Trajectory(field=field, cfl_margins=margins, max_updates=updates,
-                      scan=scan)
+                      scans=scans)
 
 
 def hopf_lax(
@@ -602,68 +609,82 @@ class ResidualReport:
     with outflow padding) and a forward time difference.  ``values`` is a
     ``(n_slices - 1, 3)`` table: row ``i`` holds the min and the max of the
     residual at slice time ``t_i`` over all cells, and its max over the
-    ball mask (the whole box without one).  ``also`` holds the reports of
-    the other terms of the same pass, in order: one pass over a trajectory
-    serves every check that reads it (see :func:`residual_reports`).
+    ball mask (the whole box without one).  One :class:`ResidualRows` pass
+    over a trajectory serves every check that reads it.
     """
 
     values: NDArray[np.float64]
     max_positive: float
     min_value: float
     ball_max: float
-    also: tuple[ResidualReport, ...] = ()
 
 
-def _residual(f, p: float, terms: list[ResidualTerm], ball) -> list[ResidualReport]:
+class ResidualRows:
     """The residual of each of ``terms`` from one ``G = |grad u|^p`` per
     block of slices, reduced per slice into a ``ResidualReport`` table; no
-    slices x cells array is kept.
+    slices x cells array is kept.  A block reader of a
+    :class:`~hjreg.grid.SliceScan`, fed by the march or by a field.
 
     A forward term's row ``j`` is ``dudt[j] + a G[j] - b``.  A reflected
     term's row ``i`` is the reflection's, ``dudt[j] + a G[j + 1] - b`` with
     ``j = n_slices - 2 - i``: negation, the time difference and the squares
     are sign-symmetric, so it has the bits of the residual of
-    ``oscillation.time_reverse(f)``.  With a reflected term, ``G`` spans
-    the slab's last slice too.
+    ``oscillation.time_reverse(f)``.  ``ball`` masks the table's third
+    column (the whole box without one).
     """
-    spec = f.spec
-    if spec.n_slices < 2:
-        raise ValueError("need at least two slices for a time difference")
-    rows, cells = spec.n_slices - 1, math.prod(spec.spatial_shape)
-    in_ball = None if ball is None else np.flatnonzero(ball)
-    tables = [np.empty((rows, 3)) for _ in terms]
-    extra = cells if any(term.reflected for term in terms) else 0
-    lo, hi = next(slice_blocks(0, rows, cells))  # the first block is the largest
-    # three block-sized arrays (one slice longer with a reflected term) for
-    # every block in turn: the differences after their zero pad (then the
-    # residual), the components (then du/dt) and |grad u|^p
-    pad = axis_strides(spec)[0]
-    diff = np.zeros(pad + (hi - lo) * cells + extra)
-    work = np.empty((2, (hi - lo) * cells + extra))
-    for lo, hi in slice_blocks(0, rows, cells):
-        slab = np.ascontiguousarray(f.rows(lo, hi + 1)).reshape(-1)
-        size = (hi - lo) * cells
-        comp, sq = work[:, :size + extra]
-        grad_term = _central_gradient_norm(slab[:size + extra], spec,
-                                           diff[:pad + size + extra], comp, sq)
-        grad_term **= p
-        dudt = np.subtract(slab[cells:], slab[:size], out=comp[:size])
+
+    def __init__(self, spec: GridSpec, p: float, terms: Sequence[ResidualTerm],
+                 ball: NDArray[np.bool_] | None = None) -> None:
+        if spec.n_slices < 2:
+            raise ValueError("need at least two slices for a time difference")
+        self.spec, self.p, self.terms = spec, p, list(terms)
+        self.tables = [np.empty((spec.n_slices - 1, 3)) for _ in self.terms]
+        self._ball = None if ball is None else np.asarray(ball).reshape(-1)
+
+    def take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
+        """The rows of the time differences inside ``slab``, the slices
+        ``lo..`` of a :class:`~hjreg.grid.SliceScan` block."""
+        spec, rows = self.spec, self.spec.n_slices - 1
+        k, cells = slab.shape
+        if k < 2 or not self.terms:
+            return
+        size, pad = (k - 1) * cells, axis_strides(spec)[0]
+        # three block-sized arrays, alive while the block is taken: the
+        # differences after their zero pad (then the residual), the
+        # components (then du/dt) and |grad u|^p
+        diff = np.zeros(pad + slab.size)
+        comp, sq = np.empty((2, slab.size))
+        flat, end = slab.reshape(-1), lo + k - 1
+        grad_term = _central_gradient_norm(flat, spec, diff, comp, sq)
+        grad_term **= self.p
+        dudt = np.subtract(flat[cells:], flat[:size], out=comp[:size])
         dudt /= spec.dt
-        for (a_coef, b_const, reflected), table in zip(terms, tables):
+        for (a_coef, b_const, reflected), table in zip(self.terms, self.tables):
             grad_i = grad_term[cells:] if reflected else grad_term[:size]
             res = np.multiply(a_coef, grad_i, out=diff[pad:pad + size])
             np.add(dudt, res, out=res)
             res -= b_const
-            flat = res.reshape(hi - lo, cells)
+            block = res.reshape(k - 1, cells)
             # a reflected term's rows run backwards from rows - 1 - lo
-            part = table[rows - hi:rows - lo][::-1] if reflected else table[lo:hi]
-            flat.min(axis=1, out=part[:, 0])
-            flat.max(axis=1, out=part[:, 1])
-            part[:, 2] = part[:, 1] if in_ball is None else np.take(
-                flat, in_ball, axis=1).max(axis=1)
-    return [ResidualReport(table, float(max(table[:, 1].max(), 0.0)),
-                           float(table[:, 0].min()), float(table[:, 2].max()))
-            for table in tables]
+            part = table[rows - end:rows - lo][::-1] if reflected else table[lo:end]
+            block.min(axis=1, out=part[:, 0])
+            block.max(axis=1, out=part[:, 1])
+            part[:, 2] = part[:, 1] if self._ball is None else block.max(
+                axis=1, where=self._ball, initial=-np.inf)
+
+    def reports(self) -> list[ResidualReport]:
+        """The report of each term, in order, once every row is taken."""
+        return [ResidualReport(table, float(max(table[:, 1].max(), 0.0)),
+                               float(table[:, 0].min()), float(table[:, 2].max()))
+                for table in self.tables]
+
+
+def _residual(f, p: float, terms: list[ResidualTerm], ball) -> list[ResidualReport]:
+    """The reports of ``terms`` from one :class:`ResidualRows` pass over
+    every slice of ``f``, in order."""
+    rows = ResidualRows(f.spec, p, terms, ball)
+    SliceScan(f.spec, [rows]).read(f)
+    return rows.reports()
 
 
 def residual_subsolution(
@@ -674,16 +695,13 @@ def residual_subsolution(
     *,
     ball: NDArray[np.bool_] | None = None,
     reflected: bool = False,
-    also: Sequence[ResidualTerm] = (),
 ) -> ResidualReport:
     """Residual of ``du/dt + A |grad u|^p - B <= 0``; defaults A=1/lam, B=lam.
     ``ball`` is a spatial mask for the table's third column.  With
-    ``reflected`` the residual is that of ``-f(-t, x)``.  The terms in
-    ``also`` are computed in the same pass, into the report's ``also``."""
+    ``reflected`` the residual is that of ``-f(-t, x)``."""
     a = 1.0 / env.lam if a_coef is None else a_coef
     b = env.lam if b_const is None else b_const
-    first, *rest = _residual(f, env.p, [ResidualTerm(a, b, reflected), *also], ball)
-    return replace(first, also=tuple(rest))
+    return _residual(f, env.p, [ResidualTerm(a, b, reflected)], ball)[0]
 
 
 def residual_supersolution(
@@ -692,17 +710,3 @@ def residual_supersolution(
     """Residual of ``du/dt + A |grad u|^p >= 0``; defaults A=lam."""
     a = env.lam if a_coef is None else a_coef
     return _residual(f, env.p, [ResidualTerm(a)], None)[0]
-
-
-def residual_reports(
-    f: ScalarField,
-    env: CoercivityEnvelope,
-    terms: Sequence[ResidualTerm],
-    ball: NDArray[np.bool_] | None = None,
-) -> dict[ResidualTerm, ResidualReport]:
-    """The report of each of ``terms`` (a repeated term once), all from one
-    ``residual_subsolution`` pass over ``f`` with ``env``'s exponent."""
-    first, *rest = unique = list(dict.fromkeys(terms))
-    report = residual_subsolution(f, env, first.a, first.b, ball=ball,
-                                  reflected=first.reflected, also=rest)
-    return dict(zip(unique, (replace(report, also=()), *report.also)))

@@ -70,16 +70,35 @@ def noise_field(spec, rng, scale=1.0):
     return field_from_values(spec, values)
 
 
+def residual_reports(f, env, terms, ball=None):
+    """The report of each of ``terms`` (a repeated term once) from one
+    ``ResidualRows`` pass over every slice of ``f`` with ``env``'s
+    exponent, as a run takes them from the march."""
+    from hjreg.grid import SliceScan
+    from hjreg.solver import ResidualRows
+
+    unique = list(dict.fromkeys(terms))
+    rows = ResidualRows(f.spec, env.p, unique, ball)
+    SliceScan(f.spec, [rows]).read(f)
+    return dict(zip(unique, rows.reports()))
+
+
 def check_residuals(f, env, terms):
     """The residual reports a lemma or oscillation check reads: ``terms``
-    from one ``residual_reports`` pass over ``f`` with the ball of
-    ``[-2, 2] x B(1)`` as the mask, as a run computes them."""
+    from one pass over ``f`` with the ball of ``[-2, 2] x B(1)`` as the
+    mask, as a run computes them."""
     from hjreg.degiorgi import UNIT_CYLINDER
     from hjreg.grid import Window
-    from hjreg.solver import residual_reports
 
-    ball = Window(f.spec, UNIT_CYLINDER).mask
-    return residual_reports(f, env, terms, ball)
+    return residual_reports(f, env, terms, Window(f.spec, UNIT_CYLINDER).mask)
+
+
+def tables_of(f, reads):
+    """The ``SliceTables`` of ``reads`` over every slice of ``f``, as a run
+    takes them from the march."""
+    from hjreg.grid import SliceTables
+
+    return SliceTables.of(f, reads)
 
 
 def bundled_config(name):

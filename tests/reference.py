@@ -63,6 +63,71 @@ def residual(f, p, a, b):
     return dudt + a * np.sqrt(sq) ** p - b
 
 
+def reflect(f):
+    """The reflection ``v(t, x) = -f(-t, x)`` of a field on a time interval
+    symmetric about 0, as a new field."""
+    return ScalarField(f.spec, -f.values[::-1])
+
+
+def window_max(f, win):
+    """The largest value of ``f`` over the cells and slices of ``win``."""
+    return float(f.values[win.slices][:, win.mask].max())
+
+
+def window_min(f, win):
+    """The smallest value of ``f`` over the cells and slices of ``win``."""
+    return float(f.values[win.slices][:, win.mask].min())
+
+
+def measure(f, win, lo, hi, closed_upper=False, shift=0.0):
+    """Cell-counting measure of ``{lo < f - shift < hi}`` (``<= hi`` when
+    ``closed_upper``) in ``win``: each weighted slice's count times its
+    weight and the cell volume, summed from 0 in slice order."""
+    total = 0.0
+    for i in win.weighted_slices():
+        vals = f.values[i][win.mask] - shift
+        inside = (vals > lo) & ((vals <= hi) if closed_upper else (vals < hi))
+        total += win.weights[i] * f.spec.cell_volume * int(np.count_nonzero(inside))
+    return total
+
+
+def integral(f, win, above):
+    """Time-weighted cell-counting integral of ``(f - above)_+`` over
+    ``win``, summed from 0 in slice order."""
+    total = 0.0
+    for i in win.weighted_slices():
+        excess = np.maximum(f.values[i][win.mask] - above, 0.0)
+        total += win.weights[i] * excess.sum() * f.spec.cell_volume
+    return float(total)
+
+
+def gradient_norm_p(values, spec, p, mask=None):
+    """Integral of ``|grad u|^p`` over one slice ``values``, or over the
+    cells of ``mask``: forward differences per axis, the last one repeated
+    at the upper box edge."""
+    total = np.zeros_like(values)
+    for axis in range(spec.dimension):
+        d = np.diff(values, axis=axis) / spec.cell_width
+        d = np.concatenate([d, np.take(d, [-1], axis=axis)], axis=axis)
+        total += d * d
+    if mask is not None:
+        total = total[mask]
+    return float(np.sum(total ** (p / 2.0)) * spec.cell_volume)
+
+
+def truncated_energy(f, level, p, win):
+    """The level's truncated energy on ``win``, the window of ``[1 - 2^-level,
+    2] x B(1)``: the largest slice integral of ``(f - c)_+`` plus the
+    time-weighted ``|grad (f - c)_+|^p``, with ``c = 1 - 2^-level``."""
+    trunc = np.maximum(f.values - (1.0 - 2.0**-level), 0.0)
+    vol = f.spec.cell_volume
+    sup_term = max(float(trunc[i][win.mask].sum()) * vol for i in win.slices)
+    grad_term = 0.0
+    for i in win.weighted_slices():
+        grad_term += win.weights[i] * gradient_norm_p(trunc[i], f.spec, p, win.mask)
+    return sup_term + grad_term
+
+
 def one_cell_oscillation(f, win=None):
     """Largest single-cell jump of ``f`` in space or time, over the cells
     of the window ``win`` (the whole field without one), with each spatial

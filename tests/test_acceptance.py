@@ -17,6 +17,7 @@ from hjreg.degiorgi import (
     delta_constant,
     fast_convergence_threshold,
     lemma_one_check,
+    lemma_one_reads,
     recurrence_orbit,
 )
 from hjreg.experiment import (
@@ -26,7 +27,7 @@ from hjreg.experiment import (
     parse_config,
     run,
 )
-from hjreg.grid import GridSpec
+from hjreg.grid import GridSpec, SliceScan, SliceTables
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.initial_data import make_initial_function
 from hjreg.oscillation import (
@@ -190,8 +191,10 @@ def test_criterion_05_small_mass_implies_capped_sup():
                 {"amplitude": amplitude, "bandwidth": 2, "n_modes": 6},
                 seed=seed,
             )
-            traj = solve(spec, hamiltonian, fn)
-            verdict = lemma_one_check(traj.field, env, delta)
+            # the check reads the march as it runs, as a run's does
+            tables = SliceTables(spec, lemma_one_reads())
+            solve(spec, hamiltonian, fn, keep=[], scans=[SliceScan(spec, [tables])])
+            verdict = lemma_one_check(tables, env, delta)
             mass = verdict.hypothesis_values["plus_mass"]
             if mass <= delta:
                 break

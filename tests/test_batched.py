@@ -18,13 +18,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjreg import rescale
-from hjreg.degiorgi import UNIT_CYLINDER, cutoff_time, truncated_energy
+from hjreg.degiorgi import (
+    UNIT_CYLINDER,
+    cutoff_time,
+    energy_ladder,
+    ladder_reads,
+    truncated_energy,
+)
 from hjreg.grid import (
     _BLOCK_CELLS,
     Cylinder,
     EmptyCylinderError,
     GridSpec,
     ScalarField,
+    SliceRead,
+    SliceScan,
+    SliceTables,
     Window,
     discrete_gradient_norm_p,
     field_from_values,
@@ -32,17 +41,18 @@ from hjreg.grid import (
     one_cell_oscillation,
 )
 from hjreg.hamiltonians import CoercivityEnvelope
-from hjreg.oscillation import _witness_level, dyadic_ladder
+from hjreg.oscillation import _witness_level, above_reads, dyadic_ladder
 from hjreg.rescale import gauge_to_window, resample
 from hjreg.oscillation import time_reverse
 from hjreg.solver import (
+    ResidualRows,
     ResidualTerm,
-    residual_reports,
     residual_subsolution,
     residual_supersolution,
 )
 
 import reference
+from conftest import residual_reports, tables_of
 from reference import gauge_shift
 
 # Cells per axis of the small and the multi-block draws; with half-width
@@ -228,7 +238,6 @@ def test_reduced_residuals_equal_the_array_form(data, f, p, a, b, a_up, b_up):
     assert first.min_value == float(lower.min())
     assert first.ball_max == float(lower[:, ball].max())
     assert np.array_equal(both[ResidualTerm(a, b)].values, reduced.values)
-    assert all(report.also == () for report in both.values())
     upper = reference.residual(f, p, a_up, b_up)
     paired = residual_reports(f, env, [ResidualTerm(a), ResidualTerm(a_up, b_up)])
     assert np.array_equal(paired[ResidualTerm(a_up, b_up)].values,
@@ -360,7 +369,7 @@ def test_window_volume_is_the_measure_of_the_whole_cylinder(data, f, radius,
 def test_witness_measures_match_the_dyadic_ladder(f, depth, threshold):
     win = Window(f.spec, UNIT_CYLINDER)
     chain = SimpleNamespace(ladder_depth=depth, middle_threshold=threshold)
-    witness, measures = _witness_level(f, chain, win)
+    witness, measures = _witness_level(tables_of(f, above_reads(chain)), chain, win)
     expected = [
         level_set_measure(dyadic_ladder(f, k), win, lo=0.0, hi=1.0)
         for k in range(1, depth + 1)
@@ -386,7 +395,7 @@ def test_witness_band_edges_match_the_dyadic_ladder():
     f = field_from_values(spec, np.broadcast_to(row, (spec.n_slices, *row.shape)))
     win = Window(spec, UNIT_CYLINDER)
     chain = SimpleNamespace(ladder_depth=depth, middle_threshold=0.0)
-    _, measures = _witness_level(f, chain, win)
+    _, measures = _witness_level(tables_of(f, above_reads(chain)), chain, win)
     expected = [level_set_measure(dyadic_ladder(f, k), win, lo=0.0, hi=1.0)
                 for k in range(1, depth + 1)]
     assert measures == expected
@@ -406,9 +415,12 @@ def test_window_reductions_match_the_per_slice_loop(data, f):
     assert win.max(f) == max(float(values[i][win.mask].max()) for i in win.slices)
     assert win.min(f) == min(float(values[i][win.mask].min()) for i in win.slices)
     vol = f.spec.cell_volume
-    expected = float(sum(win.weights[i] * values[i][win.mask].sum() * vol
-                         for i in win.weighted_slices()))
-    assert win.integral(f) == expected
+    above = data.draw(st.floats(-1.0, 2.5))
+    expected = float(sum(
+        win.weights[i] * np.maximum(values[i][win.mask] - above, 0.0).sum() * vol
+        for i in win.weighted_slices()))
+    tables = tables_of(f, [SliceRead("excess", win.radius, (above,))])
+    assert tables.integral(win, above) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -454,7 +466,8 @@ def test_truncated_energy_matches_the_per_slice_loop(f, level, p):
             trunc[i], spec, p, win.mask
         )
     env = CoercivityEnvelope(lam=1.0, p=p)
-    assert truncated_energy(f, level, env) == sup_term + grad_term
+    tables = tables_of(f, ladder_reads(level, env))
+    assert truncated_energy(tables, level, env) == sup_term + grad_term
     i = int(win.slices[-1])
     assert discrete_gradient_norm_p(f, i, p) == _reference_gradient_norm_p(
         f.values[i], spec, p, None
@@ -474,3 +487,68 @@ def test_one_cell_oscillation_sees_a_time_jump_between_blocks(whole_box):
     f = field_from_values(spec, values)
     win = None if whole_box else Window(spec, UNIT_CYLINDER)
     assert one_cell_oscillation(f, win) == 1.0
+
+
+residual_terms = st.builds(ResidualTerm, st.floats(0.1, 4.0),
+                           st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
+                           st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), f=fields(), per_block=st.integers(1, 4), p=st.floats(1.1, 2.5),
+       levels=st.integers(1, 3), terms=st.lists(residual_terms, min_size=1, max_size=3))
+def test_streamed_tables_equal_the_whole_field_oracles(data, f, per_block, p, levels,
+                                                       terms):
+    """The tables and residual rows a march feeds a slice at a time, in
+    blocks of one to four slices (so that windows start and end inside a
+    block and the overlap slice carries the time differences), give every
+    value a check reads bit for bit as the whole-field oracles do: the
+    window's extrema, level-set measures, excess integral and jumps, the
+    box's jumps, the energy ladder and the residual tables, and the same
+    reads of the reflection ``-f(-t, x)`` through ``time_reverse``.  Some
+    slices are shifted to peak at a drawn height, so that their
+    truncations are zero or small at some ladder levels."""
+    win = _windows(data, f)
+    if win is None:
+        return
+    spec, r = f.spec, win.radius
+    sunk = data.draw(st.lists(st.integers(0, spec.n_slices - 1), max_size=spec.n_slices))
+    values = f.values.copy()
+    peaks = values[sunk].max(axis=tuple(range(1, values.ndim)), keepdims=True)
+    values[sunk] += data.draw(st.floats(-0.5, 1.0)) - peaks
+    f = field_from_values(spec, values)
+    count = (data.draw(st.sampled_from([0.0, 1.0, 1.5, 1.75])),
+             data.draw(st.floats(-1.0, 1.5)), data.draw(st.floats(0.0, 1.5)),
+             data.draw(st.booleans()))
+    shift, lo, width, closed = count
+    count = (shift, lo, lo + width, closed)
+    above = data.draw(st.floats(-1.0, 2.5))
+    env = CoercivityEnvelope(lam=1.0, p=p)
+    signed = [SliceRead("max", r), SliceRead("min", r), SliceRead("count", r, count),
+              SliceRead("excess", r, (above,))]
+    reads = [*signed, *(read._replace(negated=True) for read in signed),
+             SliceRead("jumps", r), SliceRead("jumps", None), *ladder_reads(levels, env)]
+    unique = list(dict.fromkeys(terms))
+    with mock.patch("hjreg.grid._BLOCK_CELLS", per_block * math.prod(spec.spatial_shape)):
+        tables = SliceTables(spec, reads)
+        rows = ResidualRows(spec, p, unique, win.mask)
+        scan = SliceScan(spec, [tables, rows])
+        for i in range(spec.n_slices):
+            scan(i, f.values[i].copy())
+    mirror = reference.reflect(f)
+    for source, view in ((f, tables), (mirror, time_reverse(tables))):
+        assert view.max(win) == reference.window_max(source, win)
+        assert view.min(win) == reference.window_min(source, win)
+        assert view.measure(win, lo, lo + width, closed, shift) == reference.measure(
+            source, win, lo, lo + width, closed, shift)
+        assert view.integral(win, above) == reference.integral(source, win, above)
+        assert view.one_cell(win) == reference.one_cell_oscillation(source, win)
+        assert view.one_cell() == reference.one_cell_oscillation(source)
+    ladder = [reference.truncated_energy(f, k, p, Window(spec, Cylinder(
+        cutoff_time(k), 2.0, 1.0))) for k in range(1, levels + 1)]
+    assert energy_ladder(tables, levels, env).tolist() == ladder
+    for term, report in zip(unique, rows.reports()):
+        full = reference.residual(mirror if term.reflected else f, p, term.a, term.b)
+        assert np.array_equal(report.values, reference.table(full, win.mask))
+        assert (report.min_value, report.ball_max) == (
+            float(full.min()), float(full[:, win.mask].max()))

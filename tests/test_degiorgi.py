@@ -10,8 +10,11 @@ from hjreg.degiorgi import (
     delta_constant,
     energy_ladder,
     fast_convergence_threshold,
+    ladder_reads,
     lemma_one_check,
+    lemma_one_reads,
     lemma_two_check,
+    lemma_two_reads,
     lemma_two_terms,
     recurrence_fit,
     recurrence_orbit,
@@ -20,8 +23,26 @@ from hjreg.degiorgi import (
 from hjreg.grid import Cylinder, GridSpec, Window, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope
 
-from conftest import check_residuals, const_field, coordinate_field, time_field
+from conftest import (
+    check_residuals,
+    const_field,
+    coordinate_field,
+    tables_of,
+    time_field,
+)
 from reference import make_field
+
+
+def _energy(f, level, env):
+    return truncated_energy(tables_of(f, ladder_reads(level, env)), level, env)
+
+
+def _ladder(f, k_max, env):
+    return energy_ladder(tables_of(f, ladder_reads(k_max, env)), k_max, env)
+
+
+def _lemma_one(f, env, **kwargs):
+    return lemma_one_check(tables_of(f, lemma_one_reads()), env, **kwargs)
 
 
 def lattice_disk_area(spec):
@@ -42,51 +63,51 @@ class TestTruncation:
 
 class TestTruncatedEnergy:
     def test_constant_two(self, box2, env_unit):
-        got = truncated_energy(const_field(box2, 2.0), 1, env_unit)
+        got = _energy(const_field(box2, 2.0), 1, env_unit)
         assert got == pytest.approx(1.5 * lattice_disk_area(box2), rel=1e-12)
         assert got == pytest.approx(1.5 * math.pi, rel=0.1)
 
     def test_nonpositive_field_has_zero_energy(self, box2, env_unit):
-        assert truncated_energy(const_field(box2, -0.5), 1, env_unit) == 0.0
+        assert _energy(const_field(box2, -0.5), 1, env_unit) == 0.0
 
     def test_requires_window_coverage(self, env_unit):
         short = GridSpec(dimension=2, half_width=1.25, cells_per_axis=20,
                          t_start=0.0, t_end=1.0, dt=0.025)
         with pytest.raises(ValueError, match="cover"):
-            truncated_energy(const_field(short, 2.0), 1, env_unit)
+            _energy(const_field(short, 2.0), 1, env_unit)
 
     def test_level_floor(self, box2, env_unit):
         with pytest.raises(ValueError, match="level"):
-            truncated_energy(const_field(box2, 2.0), 0, env_unit)
+            _energy(const_field(box2, 2.0), 0, env_unit)
 
 
 class TestEnergyLadder:
     def test_constant_two_profile(self, box2, env_unit):
-        got = energy_ladder(const_field(box2, 2.0), 8, env_unit)
+        got = _ladder(const_field(box2, 2.0), 8, env_unit)
         area = lattice_disk_area(box2)
         expected = [(1.0 + 2.0**-k) * area for k in range(1, 9)]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
         assert all(a > b for a, b in zip(got, got[1:]))
 
     def test_nonpositive_field_is_identically_zero(self, box2, env_unit):
-        energies = energy_ladder(const_field(box2, -1.0), 6, env_unit)
+        energies = _ladder(const_field(box2, -1.0), 6, env_unit)
         assert all(e == 0.0 for e in energies)
 
     def test_nonincreasing_in_level(self, box2, env_unit, rng):
         values = np.abs(rng.standard_normal((box2.n_slices, *box2.spatial_shape)))
         f = field_from_values(box2, values)
-        energies = energy_ladder(f, 6, env_unit)
+        energies = _ladder(f, 6, env_unit)
         assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
 
     def test_zero_entry_stays_zero(self, box2, env_unit):
         # f = 0.6 clears the level-1 threshold but not level 2.
-        energies = energy_ladder(const_field(box2, 0.6), 5, env_unit)
+        energies = _ladder(const_field(box2, 0.6), 5, env_unit)
         assert energies[0] > 0.0
         assert all(e == 0.0 for e in energies[1:])
 
     def test_level_floor(self, box2, env_unit):
         with pytest.raises(ValueError, match="k_max"):
-            energy_ladder(const_field(box2, 2.0), 0, env_unit)
+            _ladder(const_field(box2, 2.0), 0, env_unit)
 
 
 class TestRecurrenceFit:
@@ -110,7 +131,7 @@ class TestRecurrenceFit:
         assert not fit.all_zero
 
     def test_slowly_decaying_ladder_reports_large_constant(self, box2, env_unit):
-        ladder = energy_ladder(const_field(box2, 2.0), 6, env_unit)
+        ladder = _ladder(const_field(box2, 2.0), 6, env_unit)
         fit = recurrence_fit(ladder, env_unit.p / box2.dimension)
         assert fit.d_fit is not None
         assert fit.d_fit > 0.0
@@ -159,14 +180,14 @@ class TestRecurrenceOrbit:
 
 class TestLemmaOne:
     def test_zero_field_passes(self, box2, env_unit):
-        verdict = lemma_one_check(const_field(box2, 0.0), env_unit, delta=0.005)
+        verdict = _lemma_one(const_field(box2, 0.0), env_unit, delta=0.005)
         assert verdict.hypothesis_satisfied
         assert verdict.conclusion_satisfied
         assert verdict.hypothesis_values["plus_mass"] == 0.0
         assert verdict.conclusion_values["late_sup"] == 0.0
 
     def test_large_field_fails_both_sides(self, box2, env_unit):
-        verdict = lemma_one_check(const_field(box2, 2.0), env_unit, delta=0.005)
+        verdict = _lemma_one(const_field(box2, 2.0), env_unit, delta=0.005)
         assert not verdict.hypothesis_satisfied
         assert not verdict.conclusion_satisfied
         assert verdict.conclusion_values["late_sup"] == 2.0
@@ -175,12 +196,12 @@ class TestLemmaOne:
         short = GridSpec(dimension=2, half_width=1.25, cells_per_axis=20,
                          t_start=1.5, t_end=2.0, dt=0.025)
         with pytest.raises(ValueError, match="cover"):
-            lemma_one_check(const_field(short, 0.0), env_unit, delta=0.005)
+            _lemma_one(const_field(short, 0.0), env_unit, delta=0.005)
 
     def test_explicit_conclusion_tolerance(self, box2, env_unit):
         f = make_field(box2, lambda t, x: 1.0 + 0.05 * np.sin(x[..., 0]))
-        strict = lemma_one_check(f, env_unit, delta=1e9, conclusion_tol=0.0)
-        loose = lemma_one_check(f, env_unit, delta=1e9, conclusion_tol=0.1)
+        strict = _lemma_one(f, env_unit, delta=1e9, conclusion_tol=0.0)
+        loose = _lemma_one(f, env_unit, delta=1e9, conclusion_tol=0.1)
         assert not strict.conclusion_satisfied
         assert loose.conclusion_satisfied
 
@@ -189,7 +210,7 @@ class TestLemmaOne:
         # the threshold reported is the one the late sup was compared against
         values = np.zeros((box2.n_slices, *box2.spatial_shape))
         values[np.searchsorted(box2.times(), 1.5), 10, 10] = 1.0 + 1e-3
-        verdict = lemma_one_check(field_from_values(box2, values), env_unit,
+        verdict = _lemma_one(field_from_values(box2, values), env_unit,
                                   delta=1e9)
         sup, bound = (verdict.conclusion_values["late_sup"],
                       verdict.conclusion_thresholds["late_sup"])
@@ -200,7 +221,8 @@ class TestLemmaOne:
 
 def _lemma_two(f, env, **kwargs):
     residuals = check_residuals(f, env, lemma_two_terms(env))
-    return lemma_two_check(f, env, residuals=residuals, **kwargs)
+    return lemma_two_check(tables_of(f, lemma_two_reads()), env,
+                           residuals=residuals, **kwargs)
 
 
 class TestLemmaTwo:

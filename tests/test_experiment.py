@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 import hjreg
 from hjreg import experiment, initial_data, rescale
 from hjreg.cli import main
-from hjreg.degiorgi import LemmaVerdict, lemma_one_check, lemma_two_check
+from hjreg.degiorgi import (
+    UNIT_CYLINDER,
+    LemmaVerdict,
+    lemma_one_check,
+    lemma_one_reads,
+    lemma_two_check,
+    lemma_two_reads,
+)
 from hjreg.experiment import (
     CHECK_NAMES,
     SCHEMA_VERSION,
@@ -33,10 +40,19 @@ from hjreg.experiment import (
     parse_config,
     run,
 )
-from hjreg.grid import GridSpec, field_from_values, to_json
+from hjreg.grid import (
+    GridSpec,
+    SliceScan,
+    SliceTables,
+    Window,
+    field_from_values,
+    to_json,
+)
 from hjreg.hamiltonians import CoercivityEnvelope
 from hjreg.initial_data import make_initial_function
 from hjreg.oscillation import (
+    above_reads,
+    below_reads,
     build_constant_chain,
     oscillation_above_check,
     oscillation_below_check,
@@ -47,8 +63,10 @@ from hjreg.rescale import (
     TheoremReport,
     holder_estimate,
 )
+from hjreg.solver import ResidualRows
 
-from conftest import bundled_config
+import reference
+from conftest import bundled_config, tables_of
 
 
 GRID = {
@@ -268,10 +286,13 @@ class TestConfigParsing:
         env = CoercivityEnvelope(lam=1.0, p=1.5)
         chain = build_constant_chain(2, 1.5, 2.0, 1.0)
         direct = {
-            "lemma1": lambda: lemma_one_check(f, env, 0.1),
-            "lemma2": lambda: lemma_two_check(f, env, 1.0, 0.1, {}),
-            "osc_above": lambda: oscillation_above_check(f, chain, {}),
-            "osc_below": lambda: oscillation_below_check(f, chain, {}),
+            "lemma1": lambda: lemma_one_check(tables_of(f, lemma_one_reads()), env, 0.1),
+            "lemma2": lambda: lemma_two_check(tables_of(f, lemma_two_reads()), env,
+                                              1.0, 0.1, {}),
+            "osc_above": lambda: oscillation_above_check(
+                tables_of(f, above_reads(chain)), chain, {}),
+            "osc_below": lambda: oscillation_below_check(
+                tables_of(f, below_reads(chain)), chain, {}),
         }[name]
         with pytest.raises(ValueError) as check:
             direct()
@@ -648,14 +669,22 @@ def test_every_check_returns_a_report_that_carries_its_status():
     chain = experiment._build_chain(cfg)
     init = cfg.initial_data
     fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+    reads = [read for check in experiment._CHECKS.values()
+             for read in check.reads(cfg, chain)]
+    terms = list(dict.fromkeys(term for check in experiment._CHECKS.values()
+                               for term in check.terms(cfg, chain)))
+    tables = SliceTables(cfg.grid, reads)
+    rows = ResidualRows(cfg.grid, cfg.envelope.p, terms,
+                        Window(cfg.grid, UNIT_CYLINDER).mask)
     traj = experiment.solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve,
-                            scan=rescale.GaugeScan(cfg.grid, cfg.envelope))
+                            scans=[rescale.GaugeScan(cfg.grid, cfg.envelope),
+                                   SliceScan(cfg.grid, [tables, rows])])
+    residuals = dict(zip(terms, rows.reports()))
     statuses = {"pass", "vacuous", "refuted", "precondition-violated", "error"}
     assert set(experiment._CHECKS) == set(cfg.checks)
     for name, check in experiment._CHECKS.items():
-        residuals = None if check.terms is None else experiment._residual_pass(
-            cfg, traj.field, chain, check.window)
-        report = check.run(cfg, traj, chain, cfg.hamiltonian, {}, "", residuals)
+        report = check.run(cfg, traj, chain, cfg.hamiltonian, {}, "", tables,
+                           residuals)
         status = to_json(report)["status"]
         assert status in statuses, name
         if is_dataclass(report):
@@ -849,19 +878,27 @@ class TestRun:
 
 class TestResidualPass:
     """The lemma and oscillation checks read their residuals from one pass
-    per trajectory, which every residual goes through (``solver._residual``
-    takes the pass's term list)."""
+    per trajectory, which the march feeds as it runs: one
+    ``solver.ResidualRows`` of the run's terms, fed each slice once."""
 
     @pytest.fixture()
     def passes(self, monkeypatch):
         seen = []
-        original = hjreg.solver._residual
 
-        def spy(f, p, terms, ball):
-            seen.append(list(terms))
-            return original(f, p, terms, ball)
+        class Spy(hjreg.solver.ResidualRows):
+            def __init__(self, spec, p, terms, ball=None):
+                super().__init__(spec, p, terms, ball)
+                if self.terms:
+                    seen.append(self.terms)
+                    self.rows_taken = 0
 
-        monkeypatch.setattr(hjreg.solver, "_residual", spy)
+            def take(self, lo, hi, slab):
+                super().take(lo, hi, slab)
+                if self.terms:
+                    self.rows_taken += len(slab) - 1
+                    assert self.rows_taken <= self.spec.n_slices - 1
+
+        monkeypatch.setattr(experiment, "ResidualRows", Spy)
         return seen
 
     def test_oscillation_run_makes_one_pass(self, passes):
@@ -871,6 +908,35 @@ class TestResidualPass:
         # the supersolution, the shared subsolution and its reflection
         assert len(terms) == 3
         assert sorted(term.reflected for term in terms) == [False, False, True]
+
+    def test_one_unit_cylinder_oscillation_per_trajectory(self, monkeypatch):
+        """osc_above, the reflected osc_above inside osc_below and osc_below
+        each read the one-cell oscillation of the unit cylinder, whose
+        reflection holds the same pairs: it is taken once, and all three
+        tolerances are that value, the whole-field oracle's."""
+        taken = []
+        original = SliceTables._jump
+
+        def spy(self, radius, start, stop):
+            value = original(self, radius, start, stop)
+            taken.append(((radius, start, stop), value))
+            return value
+
+        monkeypatch.setattr(SliceTables, "_jump", spy)
+        cfg = parse_config("oscillation-improvement")
+        report, _ = experiment._compute(cfg)
+        unit = [value for key, value in taken if key == (1.0, 0, cfg.grid.n_slices)]
+        assert len(unit) == 1
+        above, below = report.checks
+        reflected = below["diagnostics"]["reflected_above"]
+        assert (above["tolerances"]["bounded_by_two"],
+                reflected["tolerances"]["bounded_by_two"],
+                below["tolerances"]["lower_bound"]) == (unit[0],) * 3
+        init = cfg.initial_data
+        fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+        whole = experiment.solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve).field
+        assert unit[0] == reference.one_cell_oscillation(
+            whole, Window(cfg.grid, UNIT_CYLINDER))
 
     def test_ensemble_member_with_four_checks_makes_one_pass(self, passes):
         data = bundled_config("small-mass-ensemble")
@@ -907,7 +973,9 @@ class TestResidualPass:
         assert report.checks == tuple(
             {"check": name, "status": "error", "message": message}
             for name in cfg.checks)
-        assert passes == []
+        # the march reads the slices whatever the windows; each check then
+        # refuses its own window
+        assert len(passes) == 1
 
 
 def level_zero_oracle(cfg):

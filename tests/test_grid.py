@@ -14,6 +14,7 @@ from hjreg.grid import (
     EmptyCylinderError,
     GridSpec,
     ScalarField,
+    SliceRead,
     Window,
     ball_volume,
     discrete_gradient_norm_p,
@@ -26,7 +27,7 @@ from hjreg.grid import (
 )
 
 import reference
-from conftest import const_field, coordinate_field, noise_field, time_field
+from conftest import const_field, coordinate_field, noise_field, tables_of, time_field
 from reference import make_field
 
 
@@ -257,7 +258,8 @@ class TestWindow:
         assert win.min(f) == -1.0
         assert win.max(f) == pytest.approx(0.5, abs=1e-12)
         area = np.count_nonzero(win.mask) * box2.cell_volume
-        assert win.integral(const_field(box2, 1.0)) == pytest.approx(1.5 * area, rel=1e-12)
+        ones = tables_of(const_field(box2, 1.0), [SliceRead("excess", 1.0, (0.0,))])
+        assert ones.integral(win, above=0.0) == pytest.approx(1.5 * area, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)

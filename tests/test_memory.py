@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from hjreg import experiment
-from hjreg.degiorgi import lemma_one_check, lemma_two_check, lemma_two_terms
+from hjreg.degiorgi import (
+    lemma_one_check,
+    lemma_one_reads,
+    lemma_two_check,
+    lemma_two_reads,
+    lemma_two_terms,
+)
 from hjreg.experiment import (
     ExperimentConfig,
     InitialDataSpec,
@@ -34,6 +40,7 @@ from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.initial_data import make_initial_function
 from hjreg.oscillation import (
     barrier_field,
+    below_reads,
     below_terms,
     build_constant_chain,
     comparison_check,
@@ -45,12 +52,11 @@ from hjreg.solver import (
     SolveConfig,
     _StepKernel,
     hopf_lax,
-    residual_reports,
     residual_subsolution,
     solve,
 )
 
-from conftest import check_residuals
+from conftest import check_residuals, residual_reports, tables_of
 from reference import make_field
 
 # Long enough in time that a trajectory (12 MB, more than eleven blocks)
@@ -182,16 +188,19 @@ def test_reflected_check_peaks_below_one_trajectory():
     chain = build_constant_chain(2, 1.5, 1.0, 1.0)
     f = make_field(_SPEC, lambda t, x: 0.5 * np.cos(x[..., 0] + t))
     verdict, peak = _traced_peak(lambda: oscillation_below_check(
-        f, chain, check_residuals(f, chain.envelope, below_terms(chain))))
+        tables_of(f, below_reads(chain)), chain,
+        check_residuals(f, chain.envelope, below_terms(chain))))
     assert verdict.diagnostics["reflected_above"]["name"] == (
         "oscillation-improvement-above")
     assert peak < _TRAJECTORY
 
 
 @pytest.mark.parametrize("check, mass", [
-    (lambda f, env: lemma_one_check(f, env, 0.1), "plus_mass"),
+    (lambda f, env: lemma_one_check(tables_of(f, lemma_one_reads()), env, 0.1),
+     "plus_mass"),
     (lambda f, env: lemma_two_check(
-        f, env, 1.0, 0.1, check_residuals(f, env, lemma_two_terms(env))),
+        tables_of(f, lemma_two_reads()), env, 1.0, 0.1,
+        check_residuals(f, env, lemma_two_terms(env))),
      "above_mass"),
 ], ids=["lemma1", "lemma2"])
 def test_lemma_checks_peak_below_one_trajectory(check, mass):
@@ -237,6 +246,22 @@ def test_windowed_theorem_run_peaks_below_one_trajectory(monkeypatch):
     snapshots = {0, 1, cfg.grid.n_slices - 2, cfg.grid.n_slices - 1}
     assert set(field.kept.tolist()) == declared | snapshots
     assert peak < _TRAJECTORY
+
+
+def test_oscillation_run_peaks_below_a_quarter_trajectory():
+    """The oscillation checks read the march as it runs, so a run of
+    osc_above and osc_below on the osc-scan grid (8,001 slices of 20^2)
+    keeps its snapshot slices, one block of slices, the per-slice tables
+    and the residual's block-sized work arrays: under a quarter of the
+    trajectory it marches through."""
+    cfg = parse_config("oscillation-improvement")
+    trajectory = cfg.grid.n_slices * math.prod(cfg.grid.spatial_shape) * 8
+    init = cfg.initial_data
+    # the initial data's imports, outside the trace
+    make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+    (report, _), peak = _traced_peak(lambda: experiment._compute(cfg))
+    assert [c["status"] for c in report.checks] == ["pass", "vacuous"]
+    assert peak < trajectory / 4
 
 
 def test_sweep_frees_each_trajectory_before_the_next_solve(monkeypatch, tmp_path):

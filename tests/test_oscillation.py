@@ -11,9 +11,11 @@ from hjreg.degiorgi import UNIT_CYLINDER
 from hjreg.grid import GridSpec, Window, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
+    above_reads,
     above_terms,
     barrier,
     barrier_field,
+    below_reads,
     below_terms,
     build_constant_chain,
     comparison_check,
@@ -25,7 +27,7 @@ from hjreg.oscillation import (
 )
 from hjreg.solver import solve
 
-from conftest import check_residuals, const_field, noise_field, time_field
+from conftest import check_residuals, const_field, noise_field, tables_of, time_field
 from reference import make_field
 
 
@@ -250,12 +252,14 @@ class TestComparisonCheck:
 
 def _above(f, chain, **kwargs):
     residuals = check_residuals(f, chain.envelope, above_terms(chain))
-    return oscillation_above_check(f, chain, residuals, **kwargs)
+    return oscillation_above_check(tables_of(f, above_reads(chain)), chain,
+                                   residuals, **kwargs)
 
 
 def _below(f, chain, **kwargs):
     residuals = check_residuals(f, chain.envelope, below_terms(chain))
-    return oscillation_below_check(f, chain, residuals, **kwargs)
+    return oscillation_below_check(tables_of(f, below_reads(chain)), chain,
+                                   residuals, **kwargs)
 
 
 class TestOscillationAbove:

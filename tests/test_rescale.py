@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjreg import rescale
-from hjreg.experiment import TheoremSettings
+from hjreg import experiment, rescale
+from hjreg.experiment import ExperimentConfig, TheoremSettings
 from hjreg.grid import (
     _BLOCK_CELLS,
     GridSpec,
@@ -42,7 +42,7 @@ from hjreg.rescale import (
 )
 from hjreg.solver import SolveConfig, SolverError, residual_supersolution, solve
 
-from conftest import const_field, coordinate_field, noise_field
+from conftest import bundled_config, const_field, coordinate_field, noise_field
 from reference import gauge_shift, make_field, sample
 
 POWER_LAW = HamiltonianSpec(kind="power-law", p=1.5)
@@ -375,6 +375,30 @@ class TestZoomCascade:
         assert len(steps) == 2
         assert steps[1] == 0.5 * steps[0]
 
+    def test_a_step_limit_refusal_is_not_retried(self, monkeypatch):
+        """Halving the step only doubles the steps a re-solve needs, so a
+        grid refused for ``max_steps`` is tried once, and the cascade
+        reports that attempt's count."""
+        data = bundled_config("rough-eta-sweep")
+        del data["sweep"]
+        data.update(checks=["theorem"], solve={"max_steps": 500})
+        data["theorem"]["working_cells"] = 96
+        real_solve, steps = rescale.solve, []
+
+        def counted(spec, *args, **kwargs):
+            steps.append(spec.n_steps)
+            return real_solve(spec, *args, **kwargs)
+
+        monkeypatch.setattr(rescale, "solve", counted)
+        report, _ = experiment._compute(ExperimentConfig.from_json_dict(data))
+        [theorem] = report.checks
+        aborted = [e["aborted"] for e in theorem["entries"] if "aborted" in e]
+        assert aborted[0] == ("cascade aborted at level 0: grid needs 520 steps, "
+                              "exceeding max_steps=500")
+        assert len(aborted) == 2
+        # one attempt at each refused grid, none at half its step
+        assert [n for n in steps if n > 500] == [520, 598]
+
     def test_records_csv_shape(self, window, chain_unit):
         records = complete_cascade(const_field(window, 0.0), chain_unit, 1, POWER_LAW)
         text = records_to_csv(records)
@@ -530,7 +554,7 @@ class TestGaugeToWindow:
         field_rows = list(rows_read)
         rows_read.clear()
         traj = solve(blocks4, h, u0, keep=[range(3, 5)],
-                     scan=GaugeScan(blocks4, env_unit))
+                     scans=[GaugeScan(blocks4, env_unit)])
         windowed, w_gauged, w_gamma = gauge_to_window(traj, env_unit)
         assert rows_read == field_rows
         assert len(field_rows) == (1 if offset else 4)

@@ -26,7 +26,6 @@ from hjreg.solver import (
     SolveConfig,
     SolverError,
     hopf_lax,
-    residual_reports,
     residual_subsolution,
     residual_supersolution,
     snap_dt,
@@ -34,7 +33,7 @@ from hjreg.solver import (
 )
 
 import reference
-from conftest import const_field, coordinate_field, time_field
+from conftest import const_field, coordinate_field, residual_reports, time_field
 from reference import gauge_shift, make_field
 from test_solver_kernel import kernel_step
 
@@ -200,7 +199,7 @@ class TestWindowedSolve:
     def test_scan_sees_every_slice_in_order(self, line, full):
         seen = []
         traj = solve(line, QUADRATIC, lambda x: np.abs(x[..., 0]) - 0.5,
-                     keep=[range(0, 2)], scan=lambda i, u: seen.append((i, u.copy())))
+                     keep=[range(0, 2)], scans=[lambda i, u: seen.append((i, u.copy()))])
         assert [i for i, _ in seen] == list(range(line.n_slices))
         assert np.array_equal(np.stack([u for _, u in seen]), full.field.values)
         assert traj.field.values.shape == (2, *line.spatial_shape)
@@ -513,13 +512,12 @@ def test_one_pass_equals_one_call_per_term(f, p, drawn, with_ball):
         assert report.values.tobytes() == alone.values.tobytes()
         assert (report.max_positive, report.min_value, report.ball_max) == (
             alone.max_positive, alone.min_value, alone.ball_max)
-        assert report.also == ()
 
 
 def test_traced_residuals_count_their_table_rows(line):
     """The benchmark's tracer counts ``solver.residual.slices`` from
     ``ResidualReport.values``: one per table row, one row per time step,
-    and a pass of several terms once."""
+    a reflected residual's too."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("traced_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -542,16 +540,14 @@ def test_traced_residuals_count_their_table_rows(line):
         spans.install(tracer)
         sub = hjreg.solver.residual_subsolution(f, env)
         sup = hjreg.solver.residual_supersolution(f, env)
-        terms = [ResidualTerm(1.0), ResidualTerm(1.0, 0.5),
-                 ResidualTerm(1.0, 0.5, reflected=True)]
-        reports = hjreg.solver.residual_reports(f, env, terms)
+        mirrored = hjreg.solver.residual_subsolution(f, env, 1.0, 0.5, reflected=True)
     finally:
         for module, attrs in saved.items():
             vars(module).update(attrs)
         for owner, attr, original in methods:
             setattr(owner, attr, original)
     assert sub.values.shape[0] == sup.values.shape[0] == line.n_steps
-    assert len(reports) == 3
+    assert mirrored.values.shape[0] == line.n_steps
     summary = spans.summarize(tracer)
     assert summary["solver.residual.slices"] == 3 * line.n_steps
     assert summary["solver.residual_subsolution.calls"] == 2
