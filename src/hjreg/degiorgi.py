@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import Cylinder, SliceRead, SliceTables, Window, in_slice_order
+from .grid import Cylinder, GridSpec, SliceRead, SliceTables, Window, in_slice_order
 from .hamiltonians import CoercivityEnvelope
 from .solver import ResidualReport, ResidualTerm
 
@@ -80,19 +80,28 @@ def truncated_energy(
     the tables of :func:`ladder_reads` (``k`` up to their depth)."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    cutoff = cutoff_time(level)
-    win = Window.covering(tables.spec, Cylinder(cutoff, 2.0, 1.0))
-    sums = tables.table("excess", win.radius, (cutoff,))[win.slices]
-    sup_term = float((sums * tables.spec.cell_volume).max())
+    spec, cutoff = tables.spec, cutoff_time(level)
+    win = Window.covering(spec, Cylinder(cutoff, 2.0, 1.0))
+    first = _ladder_start(spec, cutoff)
+    sums = tables.table("excess", win.radius, (cutoff,), first)[win.slices]
+    sup_term = float((sums * spec.cell_volume).max())
     weighted = win.weighted_slices()
-    grads = tables.table("gradient", win.radius, (cutoff, env.p))[weighted]
+    grads = tables.table("gradient", win.radius, (cutoff, env.p), first)[weighted]
     return sup_term + in_slice_order(win.weights[weighted] * grads)
 
 
-def ladder_reads(k_max: int, env: CoercivityEnvelope) -> list[SliceRead]:
-    """The tables :func:`energy_ladder` reads up to ``k_max`` under ``env``:
-    each level's excess and the ``|grad|^p`` of its truncation."""
-    return [SliceRead(kind, 1.0, arg) for k in range(1, k_max + 1)
+def _ladder_start(spec: GridSpec, cutoff: float) -> int:
+    """The first slice a level window ``[cutoff, 2]`` reads: the slice
+    before its first, which can own part of it."""
+    return Window.slice_range(spec, cutoff, 2.0, pad=1).start
+
+
+def ladder_reads(spec: GridSpec, k_max: int, env: CoercivityEnvelope) -> list[SliceRead]:
+    """The tables :func:`energy_ladder` reads on ``spec`` up to ``k_max``
+    under ``env``: each level's excess and the ``|grad|^p`` of its
+    truncation, on the slices of the level's window."""
+    return [SliceRead(kind, 1.0, arg, first=_ladder_start(spec, cutoff_time(k)))
+            for k in range(1, k_max + 1)
             for kind, arg in (("excess", (cutoff_time(k),)),
                               ("gradient", (cutoff_time(k), env.p)))]
 

@@ -630,7 +630,8 @@ class _Check(NamedTuple):
 _CHECKS = {
     "lemma1": _Check(_check_lemma1, UPPER_HALF, False,
                      reads=lambda cfg, chain: [
-                         *lemma_one_reads(), *ladder_reads(_LADDER_DEPTH, cfg.envelope)]),
+                         *lemma_one_reads(),
+                         *ladder_reads(cfg.grid, _LADDER_DEPTH, cfg.envelope)]),
     "lemma2": _Check(_check_lemma2, UNIT_CYLINDER, True,
                      reads=lambda cfg, chain: lemma_two_reads(),
                      terms=lambda cfg, chain: lemma_two_terms(cfg.envelope)),
@@ -647,6 +648,17 @@ _CHECKS = {
                                              cfg.theorem.points_per_axis)),
 }
 CHECK_NAMES = tuple(_CHECKS)
+
+
+def _covers(spec: GridSpec, window: Cylinder | None) -> bool:
+    """Whether ``spec`` keeps the coverage rule for ``window`` (no window
+    is covered)."""
+    if window is not None:
+        try:
+            Window.require_cover(spec, window)
+        except ValueError:
+            return False
+    return True
 
 
 def _oracle_grids(cfg: ExperimentConfig) -> list[GridSpec]:
@@ -830,8 +842,11 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     init = cfg.initial_data
     fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
     checks = [_CHECKS[name] for name in cfg.checks]
-    reads = [read for check in checks for read in check.reads(cfg, chain)]
-    terms = list(dict.fromkeys(term for check in checks
+    # a check whose window the grid does not cover raises its coverage error
+    # before it reads a table, so the march takes none of its reads
+    read_by = [check for check in checks if _covers(cfg.grid, check.window)]
+    reads = [read for check in read_by for read in check.reads(cfg, chain)]
+    terms = list(dict.fromkeys(term for check in read_by
                                for term in check.terms(cfg, chain)))
     # the solve keeps only the slices the zooms, the snapshots and the
     # oracle read; the other checks read the march as it runs
@@ -854,7 +869,7 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
                 rows = ResidualRows(cfg.grid, cfg.envelope.p, terms,
                                     ball_mask(cfg.grid, UNIT_CYLINDER.radius))
                 scans = [GaugeScan(cfg.grid, cfg.envelope)] if zooms else []
-                if reads:
+                if reads or terms:
                     scans.append(SliceScan(cfg.grid, [tables, rows]))
                 traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scans)
             residuals = dict(zip(terms, rows.reports()))

@@ -666,12 +666,16 @@ class SliceRead(NamedTuple):
     - ``"jumps"``: the largest one-cell jump inside the slice and the one
       to the next slice (see :meth:`SliceTables.one_cell`); the jumps of
       ``-f`` are those of ``f``, so this kind is never negated.
+
+    A read fills its table from slice ``first`` on; the entries before it
+    stay 0.
     """
 
     kind: str
     radius: float | None = 1.0
     arg: tuple = ()
     negated: bool = False
+    first: int = 0
 
 
 class SliceTables:
@@ -699,9 +703,6 @@ class SliceTables:
             dict.fromkeys(reads),
             key=lambda read: (read.radius is None, read.radius or 0.0, read.negated))}
         self.reflected = False
-        # ``one_cell`` per (radius, start, stop) of the field's slices,
-        # shared with the reflection
-        self._one_cell: dict[tuple, float] = {}
 
     def _empty(self, read: SliceRead) -> NDArray:
         """A zeroed table for ``read``: counts in the smallest unsigned type
@@ -736,7 +737,9 @@ class SliceTables:
         own = slab[:n]
         key = gathered = None
         for read, table in self.tables.items():
-            kind, arg, out = read.kind, read.arg, table[lo:hi]
+            kind, arg, start = read.kind, read.arg, max(lo, read.first)
+            if start >= hi:
+                continue
             if kind == "jumps":
                 self._jumps(read.radius, lo, hi, slab, table)
                 continue
@@ -749,6 +752,7 @@ class SliceTables:
                         own, np.flatnonzero(ball_mask(spec, read.radius)), axis=1)
                     gathered = np.negative(rows) if read.negated else rows
                 rows = gathered
+            rows, out = rows[start - lo:], table[start:hi]
             if kind == "max":
                 rows.max(axis=1, initial=-np.inf, out=out)
             elif kind == "min":
@@ -766,13 +770,9 @@ class SliceTables:
                 np.maximum(trunc, 0.0, out=trunc)
                 if kind == "excess":
                     out[:] = trunc.sum(axis=1)
-                    continue
-                # a slice whose truncation is zero has no gradient energy:
-                # its entry stays 0.0, the value the sum of zeros gives
-                live = np.flatnonzero(trunc.max(axis=1) > 0.0)
-                if live.size:
-                    out[live] = gradient_norm_p_rows(
-                        trunc[live].reshape(live.size, *spec.spatial_shape), spec,
+                else:
+                    out[:] = gradient_norm_p_rows(
+                        trunc.reshape(len(trunc), *spec.spatial_shape), spec,
                         arg[1], np.flatnonzero(ball_mask(spec, read.radius)))
 
     def _jumps(self, radius, lo: int, hi: int, slab, table) -> None:
@@ -804,11 +804,12 @@ class SliceTables:
             along = ShiftedDifference(stride, spec.cells_per_axis, buf[:block.size])
             np.maximum(space, largest(along(block), hi - lo, at), out=space)
 
-    def table(self, kind: str, radius, arg: tuple = ()) -> NDArray[np.float64]:
-        """The table of the read ``SliceRead(kind, radius, arg)``, one entry
-        per slice in the order of the field read (the reflection's order,
-        from its negated read, after :meth:`reflection`)."""
-        table = self.tables[SliceRead(kind, radius, arg, self.reflected)]
+    def table(self, kind: str, radius, arg: tuple = (),
+              first: int = 0) -> NDArray[np.float64]:
+        """The table of the read ``SliceRead(kind, radius, arg, first=first)``,
+        one entry per slice in the order of the field read (the reflection's
+        order, from its negated read, after :meth:`reflection`)."""
+        table = self.tables[SliceRead(kind, radius, arg, self.reflected, first)]
         return table[::-1] if self.reflected else table
 
     def max(self, win: Window) -> float:
@@ -836,22 +837,14 @@ class SliceTables:
     def one_cell(self, win: Window | None = None) -> float:
         """Largest single-cell jump, space or time, between two cells of the
         window (see :func:`one_cell_oscillation`), or of the whole field
-        without one; taken once per ball and slice range of the field."""
+        without one."""
         n = self.spec.n_slices
         if win is None:
             radius, start, stop = None, 0, n
         else:
             radius, start, stop = win.radius, int(win.slices[0]), int(win.slices[-1]) + 1
-        if self.reflected:
+        if self.reflected:  # the same pairs, in the field's slice order
             start, stop = n - stop, n - start
-        key = (radius, start, stop)
-        if key not in self._one_cell:
-            self._one_cell[key] = self._jump(radius, start, stop)
-        return self._one_cell[key]
-
-    def _jump(self, radius, start: int, stop: int) -> float:
-        """The largest jump inside the slices ``start:stop`` of the field
-        and between two of them, over the ball's cells."""
         jumps = self.tables[SliceRead("jumps", radius)]
         return max(0.0, float(jumps[start:stop, 0].max(initial=0.0)),
                    float(jumps[start:stop - 1, 1].max(initial=0.0)))

@@ -427,25 +427,21 @@ def dyadic_ladder(f: ScalarField, k: int) -> ScalarField:
     return ScalarField(f.spec, 2.0**k * (f.values - shift))
 
 
-def time_reverse(f):
-    """Reflect in time and flip sign: ``v(t, x) = -f(-t, x)``.
-
-    A field reflects into a new field, slice ``i`` of ``v`` the negated
-    slice ``n_slices - 1 - i`` of ``f``; a :class:`~hjreg.grid.SliceTables`
-    into its reflection, which reads the negated tables in reversed slice
-    order.  Negation and reindexing are exact, so reflecting twice reads
-    the original bit for bit.  Requires a time interval symmetric about 0
-    so reflected slices land back on lattice times.
+def time_reverse(tables: SliceTables) -> SliceTables:
+    """Reflect in time and flip sign: ``v(t, x) = -f(-t, x)``, read from the
+    tables of ``f``: their :meth:`~hjreg.grid.SliceTables.reflection`, which
+    reads the negated tables in reversed slice order.  Negation and
+    reindexing are exact, so reflecting twice reads the original bit for
+    bit.  Requires a time interval symmetric about 0 so reflected slices
+    land back on lattice times.
     """
-    spec = f.spec
+    spec = tables.spec
     if abs(spec.t_start + spec.t_end) > _EPS * max(1.0, abs(spec.t_end)):
         raise ValueError(
             f"time interval [{spec.t_start}, {spec.t_end}] is not symmetric "
             "about 0; reflection would leave the lattice"
         )
-    if isinstance(f, SliceTables):
-        return f.reflection()
-    return ScalarField(spec, np.negative(f.values[::-1]))
+    return tables.reflection()
 
 
 def barrier(

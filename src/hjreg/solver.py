@@ -628,8 +628,8 @@ class ResidualRows:
     A forward term's row ``j`` is ``dudt[j] + a G[j] - b``.  A reflected
     term's row ``i`` is the reflection's, ``dudt[j] + a G[j + 1] - b`` with
     ``j = n_slices - 2 - i``: negation, the time difference and the squares
-    are sign-symmetric, so it has the bits of the residual of
-    ``oscillation.time_reverse(f)``.  ``ball`` masks the table's third
+    are sign-symmetric, so it has the bits of the residual of the
+    reflection ``-f(-t, x)``.  ``ball`` masks the table's third
     column (the whole box without one).
     """
 

@@ -41,9 +41,8 @@ from hjreg.grid import (
     one_cell_oscillation,
 )
 from hjreg.hamiltonians import CoercivityEnvelope
-from hjreg.oscillation import _witness_level, above_reads, dyadic_ladder
+from hjreg.oscillation import _witness_level, above_reads, dyadic_ladder, time_reverse
 from hjreg.rescale import gauge_to_window, resample
-from hjreg.oscillation import time_reverse
 from hjreg.solver import (
     ResidualRows,
     ResidualTerm,
@@ -188,7 +187,7 @@ def test_residuals_match_with_slice_boundaries_inside_a_block(fb, p, a, b,
     with mock.patch("hjreg.grid._BLOCK_CELLS", block_cells):
         sub = residual_subsolution(f, env, a_coef=a, b_const=b, ball=ball)
         reports = residual_reports(f, env, [lower, upper, reflected], ball)
-        mirrored = residual_subsolution(time_reverse(f), env, a_coef=a,
+        mirrored = residual_subsolution(reference.reflect(f), env, a_coef=a,
                                         b_const=b, ball=ball)
     expected = reference.table(reference.residual(f, p, a, b), ball)
     assert np.array_equal(sub.values, expected)
@@ -466,7 +465,7 @@ def test_truncated_energy_matches_the_per_slice_loop(f, level, p):
             trunc[i], spec, p, win.mask
         )
     env = CoercivityEnvelope(lam=1.0, p=p)
-    tables = tables_of(f, ladder_reads(level, env))
+    tables = tables_of(f, ladder_reads(spec, level, env))
     assert truncated_energy(tables, level, env) == sup_term + grad_term
     i = int(win.slices[-1])
     assert discrete_gradient_norm_p(f, i, p) == _reference_gradient_norm_p(
@@ -527,7 +526,7 @@ def test_streamed_tables_equal_the_whole_field_oracles(data, f, per_block, p, le
     signed = [SliceRead("max", r), SliceRead("min", r), SliceRead("count", r, count),
               SliceRead("excess", r, (above,))]
     reads = [*signed, *(read._replace(negated=True) for read in signed),
-             SliceRead("jumps", r), SliceRead("jumps", None), *ladder_reads(levels, env)]
+             SliceRead("jumps", r), SliceRead("jumps", None), *ladder_reads(spec, levels, env)]
     unique = list(dict.fromkeys(terms))
     with mock.patch("hjreg.grid._BLOCK_CELLS", per_block * math.prod(spec.spatial_shape)):
         tables = SliceTables(spec, reads)

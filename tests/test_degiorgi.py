@@ -34,11 +34,11 @@ from reference import make_field
 
 
 def _energy(f, level, env):
-    return truncated_energy(tables_of(f, ladder_reads(level, env)), level, env)
+    return truncated_energy(tables_of(f, ladder_reads(f.spec, level, env)), level, env)
 
 
 def _ladder(f, k_max, env):
-    return energy_ladder(tables_of(f, ladder_reads(k_max, env)), k_max, env)
+    return energy_ladder(tables_of(f, ladder_reads(f.spec, k_max, env)), k_max, env)
 
 
 def _lemma_one(f, env, **kwargs):
@@ -104,6 +104,20 @@ class TestEnergyLadder:
         energies = _ladder(const_field(box2, 0.6), 5, env_unit)
         assert energies[0] > 0.0
         assert all(e == 0.0 for e in energies[1:])
+
+    def test_each_level_reads_only_its_window(self, box2, env_unit):
+        """A level's excess and gradient tables are filled from its window
+        ``[1 - 2^-k, 2]`` on, or from the slice before it: the earlier
+        entries stay 0, also where the truncation is positive."""
+        f = make_field(box2, lambda t, x: 2.0 + x[..., 0])
+        reads = ladder_reads(box2, 8, env_unit)
+        tables = tables_of(f, reads)
+        for read in reads:
+            win = Window(box2, Cylinder(read.arg[0], 2.0, 1.0))
+            start = min(win.slices[0], win.weighted_slices()[0])
+            assert start - 1 <= read.first <= start
+            table = tables.table(read.kind, read.radius, read.arg, read.first)
+            assert not table[:read.first].any() and table[read.first:].all()
 
     def test_level_floor(self, box2, env_unit):
         with pytest.raises(ValueError, match="k_max"):

@@ -46,6 +46,7 @@ from hjreg.grid import (
     SliceTables,
     Window,
     field_from_values,
+    slice_blocks,
     to_json,
 )
 from hjreg.hamiltonians import CoercivityEnvelope
@@ -912,31 +913,31 @@ class TestResidualPass:
     def test_one_unit_cylinder_oscillation_per_trajectory(self, monkeypatch):
         """osc_above, the reflected osc_above inside osc_below and osc_below
         each read the one-cell oscillation of the unit cylinder, whose
-        reflection holds the same pairs: it is taken once, and all three
-        tolerances are that value, the whole-field oracle's."""
-        taken = []
-        original = SliceTables._jump
+        reflection holds the same pairs: the march fills the unit ball's
+        jump table once, a block at a time, and all three tolerances are
+        the whole-field oracle's value."""
+        filled = []
+        original = SliceTables._jumps
 
-        def spy(self, radius, start, stop):
-            value = original(self, radius, start, stop)
-            taken.append(((radius, start, stop), value))
-            return value
+        def spy(self, radius, lo, hi, slab, table):
+            filled.append((radius, lo, hi))
+            return original(self, radius, lo, hi, slab, table)
 
-        monkeypatch.setattr(SliceTables, "_jump", spy)
+        monkeypatch.setattr(SliceTables, "_jumps", spy)
         cfg = parse_config("oscillation-improvement")
         report, _ = experiment._compute(cfg)
-        unit = [value for key, value in taken if key == (1.0, 0, cfg.grid.n_slices)]
-        assert len(unit) == 1
+        unit = [(lo, hi) for radius, lo, hi in filled if radius == 1.0]
+        cells = math.prod(cfg.grid.spatial_shape)
+        assert unit == list(slice_blocks(0, cfg.grid.n_slices, cells))
         above, below = report.checks
         reflected = below["diagnostics"]["reflected_above"]
-        assert (above["tolerances"]["bounded_by_two"],
-                reflected["tolerances"]["bounded_by_two"],
-                below["tolerances"]["lower_bound"]) == (unit[0],) * 3
         init = cfg.initial_data
         fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
         whole = experiment.solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve).field
-        assert unit[0] == reference.one_cell_oscillation(
-            whole, Window(cfg.grid, UNIT_CYLINDER))
+        expected = reference.one_cell_oscillation(whole, Window(cfg.grid, UNIT_CYLINDER))
+        assert (above["tolerances"]["bounded_by_two"],
+                reflected["tolerances"]["bounded_by_two"],
+                below["tolerances"]["lower_bound"]) == (expected,) * 3
 
     def test_ensemble_member_with_four_checks_makes_one_pass(self, passes):
         data = bundled_config("small-mass-ensemble")
@@ -973,9 +974,7 @@ class TestResidualPass:
         assert report.checks == tuple(
             {"check": name, "status": "error", "message": message}
             for name in cfg.checks)
-        # the march reads the slices whatever the windows; each check then
-        # refuses its own window
-        assert len(passes) == 1
+        assert passes == []
 
 
 def level_zero_oracle(cfg):

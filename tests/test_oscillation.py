@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjreg.degiorgi import UNIT_CYLINDER
-from hjreg.grid import GridSpec, Window, field_from_values, level_set_measure
+from hjreg.grid import GridSpec, SliceRead, Window, field_from_values, level_set_measure
 from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
 from hjreg.oscillation import (
     above_reads,
@@ -28,7 +28,7 @@ from hjreg.oscillation import (
 from hjreg.solver import solve
 
 from conftest import check_residuals, const_field, noise_field, tables_of, time_field
-from reference import make_field
+from reference import make_field, reflect
 
 
 class TestChainConstruction:
@@ -122,26 +122,37 @@ class TestDyadicLadder:
         assert lifted >= base
 
 
-def every_slice(f):
-    return f.rows(0, f.spec.n_slices)
+# the whole box's maxima and minima of f and of -f, so that the tables
+# answer for the reflection too
+BOX_EXTREMA = [SliceRead(kind, None, negated=negated)
+               for kind in ("max", "min") for negated in (False, True)]
+
+
+def box_extrema(tables):
+    """The per-slice maxima and minima the tables read, in their slice
+    order (the reflection's after ``time_reverse``)."""
+    return np.stack([tables.table("max", None), tables.table("min", None)])
 
 
 class TestTimeReverse:
     def test_time_ramp_is_fixed(self, box2):
         # Fixed up to lattice rounding: -(-t_i) and t_i need not be the same
         # float when the slice times come from arange arithmetic.
-        f = time_field(box2)
-        np.testing.assert_allclose(every_slice(time_reverse(f)), f.values,
-                                   rtol=0, atol=1e-14)
+        tables = tables_of(time_field(box2), BOX_EXTREMA)
+        np.testing.assert_allclose(box_extrema(time_reverse(tables)),
+                                   box_extrema(tables), rtol=0, atol=1e-14)
 
     def test_constant_flips_sign(self, box2):
-        out = time_reverse(const_field(box2, 3.0))
-        np.testing.assert_array_equal(every_slice(out), -3.0)
+        out = time_reverse(tables_of(const_field(box2, 3.0), BOX_EXTREMA))
+        np.testing.assert_array_equal(box_extrema(out), -3.0)
 
     def test_involution(self, box2, rng):
         f = noise_field(box2, rng)
-        np.testing.assert_array_equal(every_slice(time_reverse(time_reverse(f))),
-                                      f.values)
+        tables = tables_of(f, BOX_EXTREMA)
+        np.testing.assert_array_equal(box_extrema(time_reverse(time_reverse(tables))),
+                                      box_extrema(tables))
+        np.testing.assert_array_equal(box_extrema(time_reverse(tables)),
+                                      box_extrema(tables_of(reflect(f), BOX_EXTREMA)))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), dim=st.integers(1, 3), steps=st.integers(1, 40),
@@ -156,8 +167,11 @@ class TestTimeReverse:
         values[rng.uniform(size=values.shape) < 0.1] = 0.0
         values *= rng.choice([-1.0, 1.0], size=values.shape)  # signed zeros
         f = field_from_values(spec, values)
-        twice = every_slice(time_reverse(time_reverse(f)))
-        assert twice.tobytes() == f.values.tobytes()
+        tables = tables_of(f, BOX_EXTREMA)
+        twice = box_extrema(time_reverse(time_reverse(tables)))
+        assert twice.tobytes() == box_extrema(tables).tobytes()
+        once = box_extrema(time_reverse(tables))
+        assert once.tobytes() == box_extrema(tables_of(reflect(f), BOX_EXTREMA)).tobytes()
 
 
 class TestBarrier:

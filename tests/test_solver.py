@@ -20,7 +20,6 @@ from hjreg.hamiltonians import (
     TransformedHamiltonian,
 )
 from hjreg.initial_data import make_initial_function
-from hjreg.oscillation import time_reverse
 from hjreg.solver import (
     ResidualTerm,
     SolveConfig,
@@ -501,13 +500,13 @@ residual_terms = st.builds(ResidualTerm, st.floats(0.1, 4.0),
        drawn=st.lists(residual_terms, min_size=1, max_size=5), with_ball=st.booleans())
 def test_one_pass_equals_one_call_per_term(f, p, drawn, with_ball):
     """Every term of a pass has the bytes of its own call; a reflected
-    term those of the residual of ``time_reverse(f)``."""
+    term those of the residual of the reflection ``-f(-t, x)``."""
     env = CoercivityEnvelope(lam=1.0, p=p)
     ball = (np.linalg.norm(f.spec.centers(), axis=-1) < 1.0) if with_ball else None
     reports = residual_reports(f, env, drawn, ball)
     assert list(reports) == list(dict.fromkeys(drawn))
     for term, report in reports.items():
-        source = time_reverse(f) if term.reflected else f
+        source = reference.reflect(f) if term.reflected else f
         alone = residual_subsolution(source, env, term.a, term.b, ball=ball)
         assert report.values.tobytes() == alone.values.tobytes()
         assert (report.max_positive, report.min_value, report.ball_max) == (
