@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from importlib import resources
@@ -791,56 +791,81 @@ def _artifact_names(outputs: dict) -> tuple[str, ...]:
 
 
 def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
-    """Solve, check, and report one config without touching the disk.
+    """Solve, check, and report one config without touching the disk: the
+    one-member case of :func:`_compute_members`.
 
     Returns the report and the run's outputs: each artifact path, relative
     to the run directory, mapped to what ``_write`` puts there (a dict as
     JSON, a text as is, a field as ``save_snapshot``'s ``.csv``/``.json``).
     """
-    timings: dict[str, float] = {}
-    checks_out: list[dict] = []
-    outputs: dict[str, dict | str | ScalarField] = {}
+    return _compute_members([cfg])[0]
+
+
+def _compute_members(jobs: list[ExperimentConfig]) -> list[tuple[RunReport, dict]]:
+    """:func:`_compute` of each of ``jobs``, configs that differ only in
+    their initial-data seed, in order.
+
+    The members march as one batch (see ``solver.solve``): one
+    :class:`SliceScan` fills every member's tables and residual rows, and
+    each member's checks read their own through its
+    ``Trajectory.member``, ``SliceTables.member`` and
+    ``ResidualRows.reports`` views.  When a solve of several members
+    aborts, each member is computed on its own, so that each abort keeps
+    its message and step index.
+    """
+    cfg, count = jobs[0], len(jobs)
+    timings: list[dict[str, float]] = [{} for _ in jobs]
+    checks_out: list[list[dict]] = [[] for _ in jobs]
+    outputs: list[dict[str, dict | str | ScalarField]] = [{} for _ in jobs]
     chain = chain_dict = None
     stage = "chain"
 
     @contextmanager
-    def timed(name: str):
-        """Time the stage ``name`` into ``timings``, also when it raises."""
+    def timed(name: str, *members: int):
+        """Time the stage ``name`` into the timings of ``members`` (all by
+        default), also when it raises."""
         nonlocal stage
         stage, t0 = name, time.perf_counter()
         try:
             yield
         finally:
-            timings[name] = time.perf_counter() - t0
+            for m in members or range(count):
+                timings[m][name] = time.perf_counter() - t0
 
-    def record(name: str, report) -> None:
-        checks_out.append({"check": name, **to_json(report)})
+    def record(m: int, name: str, report) -> None:
+        checks_out[m].append({"check": name, **to_json(report)})
 
-    def finish(status: str, error: dict | None = None) -> tuple[RunReport, dict]:
+    def finish(m: int, status: str, error: dict | None = None) -> tuple[RunReport, dict]:
         return RunReport(
             version=SCHEMA_VERSION,
             scenario=cfg.scenario,
             status=status,
-            config=cfg.to_json_dict(),
+            config=jobs[m].to_json_dict(),
             chain=chain_dict,
             chain_search=None,
-            checks=tuple(checks_out),
-            artifacts=_artifact_names(outputs),
+            checks=tuple(checks_out[m]),
+            artifacts=_artifact_names(outputs[m]),
             error=error,
-            timings=timings,
-        ), outputs
+            timings=timings[m],
+        ), outputs[m]
 
     begin = time.perf_counter()
-    if _needs_chain(cfg):
-        try:
-            chain = _build_chain(cfg)
-        except ValueError as err:
-            return finish("error", {"stage": "chain", "message": str(err)})
-        outputs["chain.json"] = chain_dict = chain.to_json_dict()
-    timings["chain"] = time.perf_counter() - begin
+    with timed("chain"):
+        if _needs_chain(cfg):
+            try:
+                chain = _build_chain(cfg)
+            except ValueError as err:
+                chain = err
+            else:
+                chain_dict = chain.to_json_dict()
+                for out in outputs:
+                    out["chain.json"] = chain_dict
+    if isinstance(chain, ValueError):
+        return [finish(m, "error", {"stage": "chain", "message": str(chain)})
+                for m in range(count)]
 
-    init = cfg.initial_data
-    fn = make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+    fns = [make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
+           for init in (job.initial_data for job in jobs)]
     checks = [_CHECKS[name] for name in cfg.checks]
     # a check whose window the grid does not cover raises its coverage error
     # before it reads a table, so the march takes none of its reads
@@ -858,44 +883,55 @@ def _compute(cfg: ExperimentConfig) -> tuple[RunReport, dict]:
     if cfg.oracle is not None:
         oracle_ti = _oracle_slice(cfg, cfg.grid)
         keep.append(range(oracle_ti, oracle_ti + 1))
-    oracle_base = None
+    oracle_bases = [None] * count
     try:
         for label, hamiltonian in _sweep_variants(cfg):
             if cfg.sweep is not None:
                 with timed(f"coercivity{label}"):
-                    record(f"coercivity{label}", _coercivity_outcome(cfg, hamiltonian))
+                    coercivity = _coercivity_outcome(cfg, hamiltonian)
+                for m in range(count):
+                    record(m, f"coercivity{label}", coercivity)
             with timed(f"solve{label}"):
-                tables = SliceTables(cfg.grid, reads)
+                tables = SliceTables(cfg.grid, reads, count)
                 rows = ResidualRows(cfg.grid, cfg.envelope.p, terms,
-                                    ball_mask(cfg.grid, UNIT_CYLINDER.radius))
-                scans = [GaugeScan(cfg.grid, cfg.envelope)] if zooms else []
+                                    ball_mask(cfg.grid, UNIT_CYLINDER.radius), count)
+                scans = ([GaugeScan(cfg.grid, cfg.envelope, m) for m in range(count)]
+                         if zooms else [])
                 if reads or terms:
-                    scans.append(SliceScan(cfg.grid, [tables, rows]))
-                traj = solve(cfg.grid, hamiltonian, fn, cfg.solve, keep, scans)
-            residuals = dict(zip(terms, rows.reports()))
-            for name, check in zip(cfg.checks, checks):
-                with timed(f"{name}{label}"):
-                    try:
-                        report = check.run(cfg, traj, chain, hamiltonian, outputs,
-                                           label, tables, residuals)
-                    except (ValueError, RuntimeError) as err:
-                        report = {"status": "error", "message": str(err)}
-                    record(f"{name}{label}", report)
-            if cfg.sweep is None:
-                outputs.update(_snapshots(traj))
-            if cfg.oracle is not None:
-                # a copy, so the oracle holds one slice, not the trajectory
-                oracle_base = traj.field.rows(oracle_ti, oracle_ti + 1)[0].copy()
-            # free this variant's trajectory before the next one solves
-            del traj, tables, rows, residuals
+                    scans.append(SliceScan(cfg.grid, [tables, rows], count))
+                batch = solve(cfg.grid, hamiltonian, fns, cfg.solve, keep, scans)
+            for m, job in enumerate(jobs):
+                traj = batch.member(m)
+                residuals = dict(zip(terms, rows.reports(m)))
+                for name, check in zip(cfg.checks, checks):
+                    with timed(f"{name}{label}", m):
+                        try:
+                            report = check.run(job, traj, chain, hamiltonian, outputs[m],
+                                               label, tables.member(m), residuals)
+                        except (ValueError, RuntimeError) as err:
+                            report = {"status": "error", "message": str(err)}
+                        record(m, f"{name}{label}", report)
+                if cfg.sweep is None:
+                    outputs[m].update(_snapshots(traj))
+                if cfg.oracle is not None:
+                    # a copy, so the oracle holds one slice, not the trajectory
+                    oracle_bases[m] = traj.field.rows(oracle_ti, oracle_ti + 1)[0].copy()
+            # free this variant's trajectories before the next one solves
+            del batch, traj, tables, rows, residuals
         if cfg.oracle is not None:
-            with timed("oracle"):
-                record("oracle", _oracle_outcome(cfg, oracle_base))
+            for m, job in enumerate(jobs):
+                with timed("oracle", m):
+                    record(m, "oracle", _oracle_outcome(job, oracle_bases[m]))
     except SolverError as err:
-        return finish("error", {"stage": stage, "message": str(err),
-                                "step_index": err.step_index})
-    timings["total"] = time.perf_counter() - begin
-    return finish(_aggregate([c["status"] for c in checks_out]))
+        if count > 1:
+            return [_compute(job) for job in jobs]
+        return [finish(0, "error", {"stage": stage, "message": str(err),
+                                    "step_index": err.step_index})]
+    total = time.perf_counter() - begin
+    for m in range(count):
+        timings[m]["total"] = total
+    return [finish(m, _aggregate([c["status"] for c in checks_out[m]]))
+            for m in range(count)]
 
 
 def _write(
@@ -975,6 +1011,7 @@ def _search_alpha(cfg: ExperimentConfig, runner, status):
         return cfg, None, runner(cfg)
     trials: list[dict] = []
     for alpha in cfg.chain.candidates:
+        outcome = None  # a refuted trial's outcome is freed before the next runs
         trial_cfg = replace(cfg, chain=ChainSettings(alpha=alpha, mode="fixed"))
         outcome = runner(trial_cfg)
         trials.append({"alpha": alpha, "status": status(outcome)})
@@ -1001,16 +1038,18 @@ def run(
 
 
 def _run_members(
-    cfg: ExperimentConfig, member_seeds: list[int], workers: int
+    cfg: ExperimentConfig, member_seeds: list[int], pool, workers: int
 ) -> list[tuple[RunReport, dict]]:
-    """``_compute`` of each member, in member order."""
+    """:func:`_compute_members` of each member's config, in member order:
+    one batch, or on ``pool`` one contiguous chunk of members for each of
+    ``workers``."""
     jobs = [replace(cfg, initial_data=replace(cfg.initial_data, seed=s))
             for s in member_seeds]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(_compute, jobs))
-    return [_compute(job) for job in jobs]
+    if pool is None:
+        return _compute_members(jobs)
+    size = -(-len(jobs) // workers)
+    chunks = [jobs[lo:lo + size] for lo in range(0, len(jobs), size)]
+    return [member for chunk in pool.map(_compute_members, chunks) for member in chunk]
 
 
 def _worker_count(workers: int | None) -> int:
@@ -1033,33 +1072,42 @@ def ensemble(
 ) -> EnsembleReport:
     """Run ``count`` seeded draws of the scenario and merge their reports.
 
-    Member seeds are spawned from the master seed, members run in a worker
-    pool (the ``workers`` argument or ``HJREG_WORKERS``, a positive
-    integer; serial by default), and reports are merged in member-index
-    order so the output does not depend on scheduling.  In empirical chain
-    mode every candidate runs all members, and the chosen trial's members
-    are the ones written.
+    Member seeds are spawned from the master seed.  The members march as
+    one batch, or with several workers (the ``workers`` argument or
+    ``HJREG_WORKERS``, a positive integer; serial by default) as one batch
+    of contiguous members per worker of one process pool, which serves
+    every candidate of an empirical search.  Reports are merged in
+    member-index order, so the output does not depend on scheduling.  In
+    empirical chain mode every candidate runs all members, and the chosen
+    trial's members are the ones written.
     """
     if count < 1:
         raise ConfigError(f"ensemble needs count >= 1, got {count}")
     if seed < 0:
         raise ConfigError(f"ensemble needs seed >= 0, got {seed}")
-    workers = _worker_count(workers)
+    workers = min(_worker_count(workers), count)
     begin = time.perf_counter()
     children = np.random.SeedSequence(seed).spawn(count)
     member_seeds = [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
     run_dir = run_directory(config, out_dir, seed, count)
-    cfg, search, members = _search_alpha(
-        config,
-        lambda trial: _run_members(trial, member_seeds, workers),
-        lambda outcomes: _aggregate([r.status for r, _ in outcomes]),
-    )
+    with ExitStack() as stack:
+        # one pool serves every candidate of the search
+        pool = None
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        cfg, search, members = _search_alpha(
+            config,
+            lambda trial: _run_members(trial, member_seeds, pool, workers),
+            lambda outcomes: _aggregate([r.status for r, _ in outcomes]),
+        )
 
     member_dirs = [run_dir / "members" / f"m{i:03d}" for i in range(count)]
     for member_dir, (rep, outputs) in zip(member_dirs, members):
         _write(member_dir, rep, outputs)
     reports = [rep for rep, _ in members]
+    del members, outputs  # the written snapshots are not alive through the report
 
     counts = {"pass": 0, "vacuous": 0, "refuted": 0, "error": 0}
     for rep in reports:

@@ -338,7 +338,9 @@ class ScalarField:
     With ``kept`` None every slice is held and ``values[i]`` is slice ``i``;
     otherwise ``values[k]`` is slice ``kept[k]``, ``kept`` is strictly
     increasing, and a read of a slice that was not kept raises instead of
-    returning data.
+    returning data.  A batched march's field has a leading member axis,
+    ``values[m]`` being member ``m``'s slices; :meth:`member` is one
+    member's field, and only such a field is read by slices.
     """
 
     spec: GridSpec
@@ -347,12 +349,17 @@ class ScalarField:
 
     def __post_init__(self) -> None:
         held = self.spec.n_slices if self.kept is None else len(self.kept)
-        if self.values.shape != (held, *self.spec.spatial_shape):
+        shape = (held, *self.spec.spatial_shape)
+        if self.values.shape not in (shape, (len(self.values), *shape)):
             raise ValueError(
                 f"values shape {self.values.shape} does not hold {held} "
                 f"slices of {self.spec.spatial_shape}"
             )
         self.values.setflags(write=False)
+
+    def member(self, m: int) -> ScalarField:
+        """Member ``m``'s field of a batch's."""
+        return ScalarField(self.spec, self.values[m], self.kept)
 
     def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
         """Slices ``lo:hi``, a view of :attr:`values`; ``IndexError`` unless
@@ -577,16 +584,23 @@ def gradient_norm_p_rows(
 ) -> NDArray[np.float64]:
     """:func:`discrete_gradient_norm_p` of every slice of a block of slices
     (shape ``(slices, *spatial_shape)``), over the flat cell indices
-    ``cells`` or the whole box."""
-    h = spec.cell_width
-    grad_sq = np.zeros_like(values)
-    for axis in range(1, spec.dimension + 1):
-        d = np.diff(values, axis=axis)
-        d /= h
-        d = np.concatenate([d, np.take(d, [-1], axis=axis)], axis=axis)
-        d *= d
-        grad_sq += d
-        del d  # keeps at most three block-sized arrays alive
+    ``cells`` or the whole box.  Each axis's differences are one
+    :class:`ShiftedDifference` subtraction, with the entry at the upper
+    edge copied from the one before it (the one-sided difference there)."""
+    n, flat = spec.cells_per_axis, values.reshape(-1)
+    grad_sq, d = np.empty(values.size), np.empty(values.size)
+    for axis, stride in enumerate(axis_strides(spec)):
+        along = ShiftedDifference(stride, n, d)
+        np.subtract(flat[stride:], flat[:-stride], out=along.head)
+        lanes = d.reshape(-1, n, stride)
+        lanes[:, -1] = lanes[:, -2]
+        d /= spec.cell_width
+        if axis == 0:
+            np.multiply(d, d, out=grad_sq)
+        else:
+            d *= d
+            grad_sq += d
+    del d  # not alive through the gather
     grad_sq = grad_sq.reshape(values.shape[0], -1)
     if cells is not None:
         grad_sq = np.take(grad_sq, cells, axis=1)
@@ -693,26 +707,33 @@ class SliceTables:
     :meth:`reflection` reads the same tables as the field's reflection
     ``v(t, x) = -f(-t, x)`` on a time interval symmetric about 0: slice
     ``i`` of ``v`` is slice ``n_slices - 1 - i`` of the negated reads.
+
+    The tables of a batched march's ``members`` fill together, one row per
+    member, from each block of every member's slices; :meth:`member` reads
+    one member's rows, and the reductions read member 0's by default.
     """
 
-    def __init__(self, spec: GridSpec, reads) -> None:
-        self.spec = spec
+    def __init__(self, spec: GridSpec, reads, members: int = 1) -> None:
+        self.spec, self.members = spec, members
         # the reads of one ball and sign next to each other, so that a block
         # holds one gathered copy of the ball's cells at a time
         self.tables = {read: self._empty(read) for read in sorted(
             dict.fromkeys(reads),
             key=lambda read: (read.radius is None, read.radius or 0.0, read.negated))}
         self.reflected = False
+        self.row = 0
 
     def _empty(self, read: SliceRead) -> NDArray:
-        """A zeroed table for ``read``: counts in the smallest unsigned type
-        that holds the ball's cells, ``jumps`` in two columns."""
+        """A zeroed table for ``read``, one row per member: counts in the
+        smallest unsigned type that holds the ball's cells, ``jumps`` in two
+        columns."""
         spec = self.spec
+        rows = (self.members, spec.n_slices)
         if read.kind == "count":
             cells = (math.prod(spec.spatial_shape) if read.radius is None
                      else np.count_nonzero(ball_mask(spec, read.radius)))
-            return np.zeros(spec.n_slices, dtype=np.min_scalar_type(cells))
-        return np.zeros((spec.n_slices, 2) if read.kind == "jumps" else spec.n_slices)
+            return np.zeros(rows, dtype=np.min_scalar_type(cells))
+        return np.zeros((*rows, 2) if read.kind == "jumps" else rows)
 
     @classmethod
     def of(cls, f, reads, start: int = 0, stop: int | None = None) -> SliceTables:
@@ -729,12 +750,19 @@ class SliceTables:
         out.reflected = not self.reflected
         return out
 
+    def member(self, m: int) -> SliceTables:
+        """These tables read as member ``m``'s."""
+        out = copy.copy(self)
+        out.row = m
+        return out
+
     def take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
-        """Fill the rows ``lo:hi`` of every table from ``slab``, the
-        C-contiguous ``(slices, cells)`` rows of slices ``lo..hi-1`` and of
-        slice ``hi`` when the field has it."""
+        """Fill the entries ``lo:hi`` of every table row from ``slab``, the
+        C-contiguous ``(members, slices, cells)`` block of each member's
+        slices ``lo..hi-1`` and of slice ``hi`` when the field has it; each
+        member's slices reduce into its own row."""
         spec, n = self.spec, hi - lo
-        own = slab[:n]
+        own = slab[:, :n]
         key = gathered = None
         for read, table in self.tables.items():
             kind, arg, start = read.kind, read.arg, max(lo, read.first)
@@ -749,67 +777,66 @@ class SliceTables:
                 if key != (read.radius, read.negated):
                     key, gathered = (read.radius, read.negated), None
                     rows = own if read.radius is None else np.take(
-                        own, np.flatnonzero(ball_mask(spec, read.radius)), axis=1)
+                        own, np.flatnonzero(ball_mask(spec, read.radius)), axis=-1)
                     gathered = np.negative(rows) if read.negated else rows
                 rows = gathered
-            rows, out = rows[start - lo:], table[start:hi]
+            rows, out = rows[:, start - lo:], table[:, start:hi]
             if kind == "max":
-                rows.max(axis=1, initial=-np.inf, out=out)
+                rows.max(axis=-1, initial=-np.inf, out=out)
             elif kind == "min":
-                rows.min(axis=1, initial=np.inf, out=out)
+                rows.min(axis=-1, initial=np.inf, out=out)
             elif kind == "count":
                 shift, low, high, closed = arg
                 vals = rows - shift if shift else rows
                 out[:] = np.count_nonzero(
-                    (vals > low) & ((vals <= high) if closed else (vals < high)), axis=1)
+                    (vals > low) & ((vals <= high) if closed else (vals < high)), axis=-1)
             elif kind == "plus_min":
                 fn, *args = arg
-                np.add(rows, fn(*args, spec).reshape(-1)).min(axis=1, out=out)
+                np.add(rows, fn(*args, spec).reshape(-1)).min(axis=-1, out=out)
             else:  # excess and gradient: the truncation (f - c)_+
                 trunc = rows - arg[0]
                 np.maximum(trunc, 0.0, out=trunc)
                 if kind == "excess":
-                    out[:] = trunc.sum(axis=1)
+                    out[:] = trunc.sum(axis=-1)
                 else:
                     out[:] = gradient_norm_p_rows(
-                        trunc.reshape(len(trunc), *spec.spatial_shape), spec,
-                        arg[1], np.flatnonzero(ball_mask(spec, read.radius)))
+                        trunc.reshape(-1, *spec.spatial_shape), spec, arg[1],
+                        np.flatnonzero(ball_mask(spec, read.radius))).reshape(out.shape)
 
     def _jumps(self, radius, lo: int, hi: int, slab, table) -> None:
-        """The ``jumps`` rows of block ``lo:hi``: each axis's jumps over the
-        block are one :class:`ShiftedDifference` into one buffer, whose
-        zeroed entries do not raise the maximum; with a ball, only pairs of
-        two of its cells count (the mask ANDed with itself shifted by the
-        axis stride)."""
-        spec, (k, cells) = self.spec, slab.shape
+        """The ``jumps`` entries of block ``lo:hi``: each axis's jumps over
+        the block are one :class:`ShiftedDifference` into one buffer, whose
+        zeroed entries do not raise the maximum (in time, a member's last
+        slice is such an edge); with a ball, only pairs of two of its cells
+        count (the mask ANDed with itself shifted by the axis stride)."""
+        spec, (members, k, cells) = self.spec, slab.shape
         buf = np.empty(slab.size)
         mask = None if radius is None else ball_mask(spec, radius).reshape(-1)
         in_ball = None if mask is None else np.flatnonzero(mask)
 
-        def largest(d, rows, at):
-            # the largest |d| over the cells ``at`` of each of ``rows`` slices
-            d = d.reshape(rows, cells)
+        def largest(d, at):
+            # the largest |d| over the cells ``at`` of each member's slices
+            d = d.reshape(members, k, cells)
             if at is not None:
-                d = np.take(d, at, axis=1)
-            return np.abs(d, out=d).max(axis=1, initial=0.0)
+                d = np.take(d, at, axis=-1)
+            return np.abs(d, out=d).max(axis=-1, initial=0.0)
 
         flat = slab.reshape(-1)
         if k > 1:
             in_time = ShiftedDifference(cells, k, buf)
-            table[lo:lo + k - 1, 1] = largest(in_time(flat), k, in_ball)[:-1]
-        block = flat[:(hi - lo) * cells]
-        space = table[lo:hi, 0]
+            table[:, lo:lo + k - 1, 1] = largest(in_time(flat), in_ball)[:, :-1]
+        space = table[:, lo:hi, 0]
         for stride in axis_strides(spec):
             at = None if mask is None else np.flatnonzero(mask[stride:] & mask[:-stride])
-            along = ShiftedDifference(stride, spec.cells_per_axis, buf[:block.size])
-            np.maximum(space, largest(along(block), hi - lo, at), out=space)
+            along = ShiftedDifference(stride, spec.cells_per_axis, buf)
+            np.maximum(space, largest(along(flat), at)[:, :hi - lo], out=space)
 
     def table(self, kind: str, radius, arg: tuple = (),
               first: int = 0) -> NDArray[np.float64]:
         """The table of the read ``SliceRead(kind, radius, arg, first=first)``,
         one entry per slice in the order of the field read (the reflection's
         order, from its negated read, after :meth:`reflection`)."""
-        table = self.tables[SliceRead(kind, radius, arg, self.reflected, first)]
+        table = self.tables[SliceRead(kind, radius, arg, self.reflected, first)][self.row]
         return table[::-1] if self.reflected else table
 
     def max(self, win: Window) -> float:
@@ -845,7 +872,7 @@ class SliceTables:
             radius, start, stop = win.radius, int(win.slices[0]), int(win.slices[-1]) + 1
         if self.reflected:  # the same pairs, in the field's slice order
             start, stop = n - stop, n - start
-        jumps = self.tables[SliceRead("jumps", radius)]
+        jumps = self.tables[SliceRead("jumps", radius)][self.row]
         return max(0.0, float(jumps[start:stop, 0].max(initial=0.0)),
                    float(jumps[start:stop - 1, 1].max(initial=0.0)))
 
@@ -854,20 +881,29 @@ class SliceScan:
     """Blocks of consecutive slices of a field, in slice order, for readers
     such as :class:`SliceTables` and ``solver.ResidualRows``.
 
-    Each block holds about ``_BLOCK_CELLS`` cells (see :func:`slice_blocks`)
+    Each block holds about ``_BLOCK_CELLS`` cells (see :func:`slice_blocks`;
+    a batch's, half of one member's block split evenly among the members)
     and one slice of overlap with the next block for time differences; a
-    reader gets ``take(lo, hi, slab)`` with ``slab`` the C-contiguous
-    ``(slices, cells)`` rows of slices ``lo..hi-1`` and of slice ``hi`` when
-    the field has it.  A scan is fed either every slice in order, as
-    ``scan(i, slice_i)``, which ``solver.solve`` does as it marches (the
-    scan gathers the slices into a ring of one block), or a field at once
-    through :meth:`read`.
+    reader gets ``take(lo, hi, slab)`` with
+    ``slab`` the C-contiguous ``(members, slices, cells)`` block of each
+    member's slices ``lo..hi-1`` and of slice ``hi`` when the field has
+    it: one call a block for every member of a batched march.  A scan is
+    fed either every slice in order, as ``scan(i, slice_i)``, which
+    ``solver.solve`` does as it marches (the scan gathers the slices into
+    a ring of one block; a batch's ``slice_i`` holds every member's), or a
+    field of one member at once through :meth:`read`.
     """
 
-    def __init__(self, spec: GridSpec, readers) -> None:
+    def __init__(self, spec: GridSpec, readers, members: int = 1) -> None:
         self.spec, self.readers = spec, list(readers)
         self._n, self._cells = spec.n_slices, math.prod(spec.spatial_shape)
-        self._step = max(1, _BLOCK_CELLS // self._cells)
+        self._members = members
+        block = min(self._n, _BLOCK_CELLS // self._cells)
+        if members > 1:
+            # beside a batch's block lie every member's tables and kept
+            # slices, so the block is half of one member's, shared evenly
+            block //= 2 * members
+        self._step = max(1, block)
         self._lo = 0
         self._ring = None
 
@@ -878,8 +914,8 @@ class SliceScan:
     def __call__(self, i: int, values: NDArray[np.float64]) -> None:
         n = self._n
         if self._ring is None:
-            self._ring = np.empty((min(self._step + 1, n), self._cells))
-        self._ring[i - self._lo] = values.reshape(-1)
+            self._ring = np.empty((self._members, min(self._step + 1, n), self._cells))
+        self._ring[:, i - self._lo] = values.reshape(self._members, -1)
         # the block lo:hi is whole once slice hi, or the field's last, is in
         while True:
             lo = self._lo
@@ -887,10 +923,12 @@ class SliceScan:
             last = min(hi, n - 1)
             if i != last:
                 return
-            self._take(lo, hi, self._ring[:last - lo + 1])
+            # a shorter last block is a copy when there are several members
+            self._take(lo, hi, np.ascontiguousarray(self._ring[:, :last - lo + 1]))
             if hi == n:
+                self._ring = None
                 return
-            self._ring[0] = self._ring[last - lo]
+            self._ring[:, 0] = self._ring[:, last - lo]
             self._lo = hi
 
     def read(self, f, start: int = 0, stop: int | None = None) -> SliceScan:
@@ -899,7 +937,7 @@ class SliceScan:
         stop = self._n if stop is None else stop
         for lo, hi in slice_blocks(start, stop, self._cells):
             rows = f.rows(lo, min(hi + 1, stop))
-            self._take(lo, hi, np.ascontiguousarray(rows).reshape(len(rows), -1))
+            self._take(lo, hi, np.ascontiguousarray(rows).reshape(1, len(rows), -1))
         return self
 
 

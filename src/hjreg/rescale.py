@@ -398,11 +398,13 @@ class GaugeScan:
     is fed either every slice in order, as ``scan(i, slice_i)``, which
     ``solve`` does as it marches (the scan copies the current slab's
     slices into a buffer of one slab), or a whole field at once through
-    :meth:`read`.
+    :meth:`read`.  With a ``member``, the scan reads that member's row of
+    a batched march's slices.
     """
 
-    def __init__(self, spec: GridSpec, env: CoercivityEnvelope) -> None:
-        self.spec, self.env = spec, env
+    def __init__(self, spec: GridSpec, env: CoercivityEnvelope,
+                 member: int | None = None) -> None:
+        self.spec, self.env, self.member = spec, env, member
         self.slice_max = np.empty(spec.n_slices)
         self.slice_min = np.empty(spec.n_slices)
         self.fails = False
@@ -421,6 +423,8 @@ class GaugeScan:
         self._block = None if self.fails else next(self._blocks, None)
 
     def __call__(self, i: int, values: np.ndarray) -> None:
+        if self.member is not None:
+            values = values[self.member]
         self.slice_max[i], self.slice_min[i] = values.max(), values.min()
         if self._block is None:
             return

@@ -36,6 +36,7 @@ sides cross-validate each other.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -123,7 +124,9 @@ class Trajectory:
     run keeps the slices its zooms, snapshots and oracle read, and its
     other checks take what they read from ``scans``, the observers the
     march fed with every slice (a ``rescale.GaugeScan``, a
-    ``grid.SliceScan``).
+    ``grid.SliceScan``).  A batch's field, ``cfl_margins`` and
+    ``max_updates`` have a leading member axis, and :meth:`member` is one
+    member's trajectory, equal to its own solve's.
     """
 
     field: ScalarField
@@ -134,6 +137,12 @@ class Trajectory:
     @property
     def spec(self) -> GridSpec:
         return self.field.spec
+
+    def member(self, m: int) -> Trajectory:
+        """Member ``m`` of a batch, with the scans that read it: those of no
+        ``member`` and those whose ``member`` is ``m``."""
+        return Trajectory(self.field.member(m), self.cfl_margins[m], self.max_updates[m],
+                          tuple(s for s in self.scans if getattr(s, "member", None) in (None, m)))
 
 
 def snap_dt(t_start: float, t_end: float, dt_max: float) -> float:
@@ -202,29 +211,37 @@ def _central_gradient_norm(
 
 
 class _StepKernel:
-    """Forward-Euler steps on one grid with work buffers allocated once.
+    """Forward-Euler steps of a batch of members on one grid, with work
+    buffers allocated once.
 
-    Each axis's raw ``D+`` is the forward difference of the raveled slice
+    A step reads and writes a C-contiguous ``(members, *spatial_shape)``
+    block, one slice per member (a lone slice when there is one member),
+    raveled into one lattice: a member boundary is a slice boundary, so the
+    outflow zeros at its edges keep every difference inside its member.
+    Each axis's raw ``D+`` is the forward difference of the raveled block
     and ``D-`` its buffer read one stride earlier (see the module
     docstring); the views of both, of the entries the outflow zeroes and of
     the axis's centered sum ``D+ + D-`` are built here, once per solve, as
     one plan tuple per axis.  ``h.eval``, the step's one call into the
     Hamiltonian, gets ``A (0.5/h)^p``, built here if ``A`` is static, else
     per step; when a bound on that product is not finite, it gets ``A``
-    and the centered sums times ``0.5/h``.  The slice the step reads and
-    the one it writes must be C-contiguous, as ``_flat_view`` checks, since
-    the step works on raveled views.
+    and the centered sums times ``0.5/h``.  The blocks the step reads and
+    writes must be C-contiguous, as ``_flat_view`` checks.
 
-    The finiteness pass over the new slice runs only when an overflow is
-    possible.  The kernel keeps a bound on ``|u|``, taken from the slice
-    when it is not the one the previous call wrote and grown by each
-    step's ``max |update|``; while the bound plus that maximum stays under
-    ``_FINITE_BOUND``, every entry of ``u + update`` is finite.  A NaN or
-    inf in the update, or a bound past the constant, runs the full check,
-    after which the bound is taken again from the new slice.
+    Each member keeps its own ``max |P|``, dissipation, CFL margin, checks
+    and ``max |update|``, taken row by row in member order with the scalar
+    arithmetic of a lone solve, so each member's slices have the bits of
+    its own march.  The finiteness pass over the new block runs only when
+    an overflow is possible.  The kernel keeps a bound on each member's
+    ``|u|``, taken from the block when it is not the one the previous call
+    wrote and grown by each step's ``max |update|``; while every bound plus
+    that maximum stays under ``_FINITE_BOUND``, every entry of ``u +
+    update`` is finite.  A NaN or inf in an update, or a bound past the
+    constant, runs the full check, after which the bounds are taken again
+    from the new block.
     """
 
-    def __init__(self, spec: GridSpec, h, cfg: SolveConfig):
+    def __init__(self, spec: GridSpec, h, cfg: SolveConfig, members: int = 1):
         self.spec = spec
         self.h = h
         self.centers = spec.centers()
@@ -237,22 +254,27 @@ class _StepKernel:
             float(cfg.sigma_bound) if cfg.sigma_mode == "fixed" else None
         )
         shape = spec.spatial_shape
-        cells = math.prod(shape)
+        cells = members * math.prod(shape)
         strides = axis_strides(spec)
         diff, self.jump, self.pnorm_sq, self.work, components = _page_buffers(
             strides[0] + cells, cells, cells, cells, spec.dimension * cells)
         self.finite = np.empty(cells, dtype=bool)
-        # (*shape, N) with each component contiguous: ``h.eval`` sums the
-        # squared components in axis order.
-        components = components.reshape(spec.dimension, *shape)
+        # (members, *shape, N) with each component contiguous: ``h.eval``
+        # sums the squared components in axis order.
+        components = components.reshape(spec.dimension, members, *shape)
         self.grad = np.moveaxis(components, 0, -1)
-        self.hval = self.work.reshape(shape)
-        # In 1-D the one edge entry lies past the subtraction's output and
-        # stays 0.0 (squared), so it is zeroed once, here.
+        self.hval = self.work.reshape(members, *shape)
+        # the member rows of the buffers the per-member reductions read
+        self.rows = [a.reshape(members, -1) for a in (self.pnorm_sq, self.jump)]
+        self.factors = np.empty((members, 1))
+        self.batch = members > 1
+        # In 1-D the one edge entry of a lone slice lies past the
+        # subtraction's output and stays 0.0 (squared), so it is zeroed
+        # once, here.
         self.axes = []
         for stride, central in zip(strides, components.reshape(spec.dimension, cells)):
             along = ShiftedDifference(stride, spec.cells_per_axis, diff, strides[0])
-            edges = along.edges if spec.dimension > 1 else None
+            edges = along.edges if spec.dimension > 1 or members > 1 else None
             self.axes.append((stride, along.head, edges, along.fwd, along.prev, central))
         self.lattice_scale = (0.5 / self.width) ** h.p
         # Where A (0.5/h)^p overflows, a zero gradient would give 0 * inf =
@@ -269,7 +291,7 @@ class _StepKernel:
             if h.static_coefficient
             else None
         )
-        # the slice the last call wrote, its raveled view and the bound on
+        # the block the last call wrote, its raveled view and the bound on
         # its |u|
         self.last = self.flat_last = self.bound = None
 
@@ -279,9 +301,9 @@ class _StepKernel:
         t: float,
         step_index: int,
         out: NDArray[np.float64],
-    ) -> tuple[float, float]:
-        """Write the step from ``u`` at time ``t`` into ``out``; returns
-        (cfl margin, max |update|)."""
+    ) -> tuple[list[float], list[float]]:
+        """Write the step from ``u`` at time ``t`` into ``out``; returns each
+        member's cfl margin and max |update|, in member order."""
         width, jump, pnorm_sq, work = self.width, self.jump, self.pnorm_sq, self.work
         carried = u is self.last
         flat_u = self.flat_last if carried else _flat_view(u)
@@ -303,35 +325,43 @@ class _StepKernel:
             else:
                 pnorm_sq += np.maximum(fwd, prev, out=work)
 
-        pnorm_max = math.sqrt(np.maximum.reduce(pnorm_sq)) / width
-        sigma_est = max(self.sigma_scale * max(pnorm_max, 0.0) ** self.sigma_power, 0.0)
-        sigma_diss = self.sigma_bound
-        if sigma_diss is None:
-            sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
-        elif sigma_est > sigma_diss * (1.0 + 1e-9):
-            raise SolverError(
-                f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
-                f"fixed dissipation bound {sigma_diss:.3g}",
-                step_index,
-            )
+        # one reduction over a lone member, row by row over a batch's
+        pnorm_rows, jump_rows = self.rows
+        peaks = (np.maximum.reduce(pnorm_rows, axis=1).tolist() if self.batch
+                 else [float(np.maximum.reduce(pnorm_sq))])
+        margins, factors = [], []
+        for peak in peaks:
+            pnorm_max = math.sqrt(peak) / width
+            sigma_est = max(self.sigma_scale * max(pnorm_max, 0.0) ** self.sigma_power, 0.0)
+            sigma_diss = self.sigma_bound
+            if sigma_diss is None:
+                sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
+            elif sigma_est > sigma_diss * (1.0 + 1e-9):
+                raise SolverError(
+                    f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
+                    f"fixed dissipation bound {sigma_diss:.3g}",
+                    step_index,
+                )
 
-        ratio_mono = self.dt_n * sigma_diss / width
-        if ratio_mono > 1.0 + 1e-9:
-            raise SolverError(
-                f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
-                f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
-                step_index,
-            )
-        margin = self.safety - self.dt_n * sigma_est / width
-        if margin < 0.0:
-            # the largest stable step, safety * cell_width / (N * sigma)
-            stable = self.safety * width / (self.spec.dimension * sigma_est)
-            raise SolverError(
-                f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
-                f"needs dt <= {stable:.3g} "
-                f"but grid has dt={self.dt}",
-                step_index,
-            )
+            ratio_mono = self.dt_n * sigma_diss / width
+            if ratio_mono > 1.0 + 1e-9:
+                raise SolverError(
+                    f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
+                    f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
+                    step_index,
+                )
+            margin = self.safety - self.dt_n * sigma_est / width
+            if margin < 0.0:
+                # the largest stable step, safety * cell_width / (N * sigma)
+                stable = self.safety * width / (self.spec.dimension * sigma_est)
+                raise SolverError(
+                    f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
+                    f"needs dt <= {stable:.3g} "
+                    f"but grid has dt={self.dt}",
+                    step_index,
+                )
+            margins.append(margin)
+            factors.append(0.5 * sigma_diss / width)
 
         if self.sum_scale is not None:
             self.grad *= self.sum_scale
@@ -342,14 +372,20 @@ class _StepKernel:
         # the gradient is scratch from here on: eval squares it in place
         self.h.eval(t, self.centers, self.grad, coefficient, out=self.hval)
         # update = (-dt) * (H - (0.5 sigma / h) * jump), built in the jump buffer
+        if self.batch:
+            self.factors[:, 0] = factors
+            jump_rows *= self.factors
+        else:
+            jump *= factors[0]
         update = jump
-        update *= 0.5 * sigma_diss / width
         np.subtract(work, update, out=update)
         update *= -self.dt
         np.add(flat_u, update, out=flat_out)
-        max_update = float(np.maximum.reduce(np.abs(update, out=update)))
+        np.abs(update, out=update)
+        max_updates = (np.maximum.reduce(jump_rows, axis=1).tolist() if self.batch
+                       else [float(np.maximum.reduce(update))])
         bound = (self.bound if carried
-                 else max(float(flat_u.max()), -float(flat_u.min()))) + max_update
+                 else max(float(flat_u.max()), -float(flat_u.min()))) + max(max_updates)
         if not bound < _FINITE_BOUND:
             if not np.logical_and.reduce(np.isfinite(flat_out, out=self.finite)):
                 raise SolverError(
@@ -357,13 +393,13 @@ class _StepKernel:
                 )
             bound = max(float(flat_out.max()), -float(flat_out.min()))
         self.last, self.flat_last, self.bound = out, flat_out, bound
-        return margin, max_update
+        return margins, max_updates
 
 
 def solve(
     spec: GridSpec,
     h,
-    u0: Callable[[NDArray[np.float64]], NDArray[np.float64]] | NDArray[np.float64],
+    u0,
     cfg: SolveConfig | None = None,
     keep: list[range] | None = None,
     scans: Sequence[Callable[[int, NDArray[np.float64]], None]] = (),
@@ -371,32 +407,40 @@ def solve(
     """March the initial data across the whole time lattice.
 
     ``u0`` is either an array on the spatial lattice or a callable applied to
-    the cell-center coordinate array (shape ``(*spatial_shape, dimension)``).
+    the cell-center coordinate array (shape ``(*spatial_shape, dimension)``),
+    or a list of these, one per member of a batch: the members march
+    together, one kernel call a step, each with the bits of its own solve.
     ``keep`` lists the ranges of slice indices to store (every slice by
-    default); the other slices are marched through in two scratch slices
+    default); the other slices are marched through in two scratch blocks
     and dropped, and unless every slice is kept the field's ``kept`` lists
     the slices it holds.  Each of ``scans`` is called as ``scan(i,
-    slice_i)`` on every slice in order as soon as it is computed, the
-    slice a view that the march may overwrite once the call returns:
+    slice_i)`` on every slice in order as soon as it is computed (for a
+    batch, the ``(members, *spatial_shape)`` block of every member's slice
+    ``i``), a view that the march may overwrite once the call returns:
     ``rescale.GaugeScan`` takes the gauge's reductions this way, and
     ``grid.SliceScan`` the per-slice tables of the lemma and oscillation
     checks.  The returned field wraps the one array of kept slices the
-    march fills.
+    march fills; a batch's is every member's (see :class:`Trajectory`).
+    Any member's abort aborts the batch, with the first aborting member's
+    error.
     """
     cfg = cfg or SolveConfig()
+    batch = isinstance(u0, list)
+    members = u0 if batch else [u0]
     times = spec.times()
-    kernel = _StepKernel(spec, h, cfg)
-    if callable(u0):
-        init = np.broadcast_to(
-            np.asarray(u0(kernel.centers), dtype=np.float64), spec.spatial_shape
-        )
-    else:
-        init = np.asarray(u0, dtype=np.float64)
-        if init.shape != spec.spatial_shape:
+    kernel = _StepKernel(spec, h, cfg, len(members))
+    init = np.empty((len(members), *spec.spatial_shape))
+    for m, data in enumerate(members):
+        if callable(data):
+            data = np.broadcast_to(np.asarray(data(kernel.centers), dtype=np.float64),
+                                   spec.spatial_shape)
+        data = np.asarray(data, dtype=np.float64)
+        if data.shape != spec.spatial_shape:
             raise ValueError(
-                f"initial data shape {init.shape} does not match grid "
+                f"initial data shape {data.shape} does not match grid "
                 f"{spec.spatial_shape}"
             )
+        init[m] = data
     if not np.all(np.isfinite(init)):
         raise SolverError("initial data contains non-finite values", 0)
 
@@ -411,28 +455,39 @@ def solve(
         for r in keep:
             kept[r.start:r.stop] = True
     slot = np.cumsum(kept) - 1
-    values = np.empty((int(slot[-1]) + 1, *spec.spatial_shape), dtype=np.float64)
-    scratch = None if kept.all() else np.empty((2, *spec.spatial_shape))
+    # slice-major, so that every member's slice i is one contiguous block
+    values = np.empty((int(slot[-1]) + 1, *init.shape))
+    scratch = None if kept.all() else np.empty((2, *init.shape))
 
     def at(i: int) -> NDArray[np.float64]:
         return values[slot[i]] if kept[i] else scratch[i % 2]
 
+    def fed(block: NDArray[np.float64]) -> NDArray[np.float64]:
+        return block if batch else block[0]
+
     u = at(0)
     u[...] = init
+    del init  # not alive through the march
     scans = tuple(scans)
     for scan in scans:
-        scan(0, u)
-    margins = np.empty(n_steps)
-    updates = np.empty(n_steps)
+        scan(0, fed(u))
+    # each step's per-member values, packed as doubles
+    margins, updates = array("d"), array("d")
     for i in range(n_steps):
         out = at(i + 1)
-        margins[i], updates[i] = kernel(u, float(times[i]), i, out)
+        margin, update = kernel(u, float(times[i]), i, out)
+        margins.extend(margin)
+        updates.extend(update)
         for scan in scans:
-            scan(i + 1, out)
+            scan(i + 1, fed(out))
         u = out
-    field = ScalarField(spec, values, None if scratch is None else np.flatnonzero(kept))
-    return Trajectory(field=field, cfl_margins=margins, max_updates=updates,
-                      scans=scans)
+    traj = Trajectory(
+        field=ScalarField(spec, np.moveaxis(values, 1, 0),
+                          None if scratch is None else np.flatnonzero(kept)),
+        cfl_margins=np.frombuffer(margins).reshape(n_steps, -1).T.copy(),
+        max_updates=np.frombuffer(updates).reshape(n_steps, -1).T.copy(),
+        scans=scans)
+    return traj if batch else traj.member(0)
 
 
 def hopf_lax(
@@ -623,7 +678,9 @@ class ResidualRows:
     """The residual of each of ``terms`` from one ``G = |grad u|^p`` per
     block of slices, reduced per slice into a ``ResidualReport`` table; no
     slices x cells array is kept.  A block reader of a
-    :class:`~hjreg.grid.SliceScan`, fed by the march or by a field.
+    :class:`~hjreg.grid.SliceScan`, fed by the march or by a field; the
+    tables of a batched march's ``members`` fill together, one row per
+    member, and :meth:`reports` reads one member's.
 
     A forward term's row ``j`` is ``dudt[j] + a G[j] - b``.  A reflected
     term's row ``i`` is the reflection's, ``dudt[j] + a G[j + 1] - b`` with
@@ -634,49 +691,55 @@ class ResidualRows:
     """
 
     def __init__(self, spec: GridSpec, p: float, terms: Sequence[ResidualTerm],
-                 ball: NDArray[np.bool_] | None = None) -> None:
+                 ball: NDArray[np.bool_] | None = None, members: int = 1) -> None:
         if spec.n_slices < 2:
             raise ValueError("need at least two slices for a time difference")
         self.spec, self.p, self.terms = spec, p, list(terms)
-        self.tables = [np.empty((spec.n_slices - 1, 3)) for _ in self.terms]
+        self.tables = [np.empty((members, spec.n_slices - 1, 3)) for _ in self.terms]
         self._ball = None if ball is None else np.asarray(ball).reshape(-1)
 
     def take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
-        """The rows of the time differences inside ``slab``, the slices
-        ``lo..`` of a :class:`~hjreg.grid.SliceScan` block."""
+        """The rows of the time differences inside ``slab``, each member's
+        slices ``lo..`` of a :class:`~hjreg.grid.SliceScan` block."""
         spec, rows = self.spec, self.spec.n_slices - 1
-        k, cells = slab.shape
+        members, k, cells = slab.shape
         if k < 2 or not self.terms:
             return
-        size, pad = (k - 1) * cells, axis_strides(spec)[0]
+        size, pad = members * (k - 1) * cells, axis_strides(spec)[0]
         # three block-sized arrays, alive while the block is taken: the
         # differences after their zero pad (then the residual), the
         # components (then du/dt) and |grad u|^p
         diff = np.zeros(pad + slab.size)
         comp, sq = np.empty((2, slab.size))
-        flat, end = slab.reshape(-1), lo + k - 1
-        grad_term = _central_gradient_norm(flat, spec, diff, comp, sq)
+        end = lo + k - 1
+        grad_term = _central_gradient_norm(slab.reshape(-1), spec, diff, comp, sq)
         grad_term **= self.p
-        dudt = np.subtract(flat[cells:], flat[:size], out=comp[:size])
+        grad_term = grad_term.reshape(slab.shape)
+        dudt = comp[:size].reshape(members, k - 1, cells)
+        np.subtract(slab[:, 1:], slab[:, :-1], out=dudt)
         dudt /= spec.dt
+        res = diff[pad:pad + size].reshape(dudt.shape)
         for (a_coef, b_const, reflected), table in zip(self.terms, self.tables):
-            grad_i = grad_term[cells:] if reflected else grad_term[:size]
-            res = np.multiply(a_coef, grad_i, out=diff[pad:pad + size])
+            np.multiply(a_coef, grad_term[:, 1:] if reflected else grad_term[:, :-1],
+                        out=res)
             np.add(dudt, res, out=res)
             res -= b_const
-            block = res.reshape(k - 1, cells)
             # a reflected term's rows run backwards from rows - 1 - lo
-            part = table[rows - end:rows - lo][::-1] if reflected else table[lo:end]
-            block.min(axis=1, out=part[:, 0])
-            block.max(axis=1, out=part[:, 1])
-            part[:, 2] = part[:, 1] if self._ball is None else block.max(
-                axis=1, where=self._ball, initial=-np.inf)
+            part = (table[:, rows - end:rows - lo][:, ::-1] if reflected
+                    else table[:, lo:end])
+            res.min(axis=-1, out=part[..., 0])
+            res.max(axis=-1, out=part[..., 1])
+            if self._ball is None:
+                part[..., 2] = part[..., 1]
+            else:
+                res.max(axis=-1, where=self._ball, initial=-np.inf, out=part[..., 2])
 
-    def reports(self) -> list[ResidualReport]:
-        """The report of each term, in order, once every row is taken."""
+    def reports(self, member: int = 0) -> list[ResidualReport]:
+        """The report of each term, in order, once every row is taken: of
+        ``member``'s rows."""
         return [ResidualReport(table, float(max(table[:, 1].max(), 0.0)),
                                float(table[:, 0].min()), float(table[:, 2].max()))
-                for table in self.tables]
+                for table in (tables[member] for tables in self.tables)]
 
 
 def _residual(f, p: float, terms: list[ResidualTerm], ball) -> list[ResidualReport]:

@@ -879,16 +879,17 @@ class TestRun:
 
 class TestResidualPass:
     """The lemma and oscillation checks read their residuals from one pass
-    per trajectory, which the march feeds as it runs: one
-    ``solver.ResidualRows`` of the run's terms, fed each slice once."""
+    per march, which the march feeds as it runs: one
+    ``solver.ResidualRows`` of the run's terms for every marched member,
+    fed each slice once."""
 
     @pytest.fixture()
     def passes(self, monkeypatch):
         seen = []
 
         class Spy(hjreg.solver.ResidualRows):
-            def __init__(self, spec, p, terms, ball=None):
-                super().__init__(spec, p, terms, ball)
+            def __init__(self, spec, p, terms, ball=None, members=1):
+                super().__init__(spec, p, terms, ball, members)
                 if self.terms:
                     seen.append(self.terms)
                     self.rows_taken = 0
@@ -896,7 +897,8 @@ class TestResidualPass:
             def take(self, lo, hi, slab):
                 super().take(lo, hi, slab)
                 if self.terms:
-                    self.rows_taken += len(slab) - 1
+                    # slab is (members, slices, cells)
+                    self.rows_taken += slab.shape[1] - 1
                     assert self.rows_taken <= self.spec.n_slices - 1
 
         monkeypatch.setattr(experiment, "ResidualRows", Spy)
@@ -1142,7 +1144,8 @@ class TestEnsemble:
                                           candidates=(4.0, 1.0)))
         report = ensemble(cfg, 2, 1, out_dir=tmp_path, workers=1)
         assert report.chain_search == ({"alpha": 4.0, "status": "pass"},)
-        assert len(solves) == 2
+        # one march of the two members' initial data
+        assert [len(args[2]) for args in solves] == [2]
         members = tmp_path / "unit-test-ensemble-seed1-n2" / "members"
         for i in range(2):
             assert (members / f"m{i:03d}" / "chain.json").is_file()

@@ -15,9 +15,11 @@ shape ``(n_slices, *spatial_shape)``, every slice the march computes in
 slice order (the bytes of the whole trajectory array, also where the
 solve keeps only the slices its checks read), then ``cfl_margins`` and
 ``max_updates`` of each returned trajectory, and the exception name and
-``step_index`` of each aborted one (zoom re-solves retry on aborts).
-Reports and snapshots read only part of a trajectory; this line pins all
-of it.  The runs:
+``step_index`` of each aborted one (zoom re-solves retry on aborts).  A
+batched march of an ensemble's members counts and hashes as its members'
+separate solves, in member order (see ``TrajectoryDigest``), so ``solves=``
+counts marched members.  Reports and snapshots read only part of a
+trajectory; this line pins all of it.  The runs:
 
 - ``run`` of every bundled scenario;
 - ``run`` of ``rough-eta-sweep`` at ``--resolution 96``;
@@ -115,6 +117,14 @@ class TrajectoryDigest:
     it, and the march's step on ``hjreg.solver._StepKernel``, so the digest
     reads every slice as the march computes it, also the slices a windowed
     solve does not keep; ``reset`` starts a new digest.
+
+    A batched march hashes as its members' separate solves, in member
+    order: each member's shape, its slices as marched, its ``cfl_margins``
+    and ``max_updates``, as the member's own solve would hash.  A batch
+    of several members that aborts hashes as nothing, since the run then
+    solves its members one at a time, and those solves hash as above.
+    Unchanged ``traj`` lines thus show that a batch marches every member
+    with the bits of its own solve.
     """
 
     def __init__(self) -> None:
@@ -128,28 +138,46 @@ class TrajectoryDigest:
         original = hjreg.solver.solve
         kernel = hjreg.solver._StepKernel
         step = kernel.__call__
+        # the current march: member 0's digest so far, and the slices of
+        # the others, which hash after it
+        march: dict = {}
 
         def hashed_step(self_, u, t, step_index, out):
             result = step(self_, u, t, step_index, out)
-            if step_index == 0:
-                self.hash.update(np.ascontiguousarray(u).tobytes())
-            self.hash.update(np.ascontiguousarray(out).tobytes())
+            rest = march["rest"]
+            for block in ((u, out) if step_index == 0 else (out,)):
+                rows = np.ascontiguousarray(block).reshape(len(rest) + 1, -1)
+                march["first"].update(rows[0].tobytes())
+                for stream, row in zip(rest, rows[1:]):
+                    stream.append(row.tobytes())
             return result
 
-        def solve(spec, *args, **kwargs):
-            self.solves += 1
-            before = self.hash.copy()
-            self.hash.update(repr((spec.n_slices, *spec.spatial_shape)).encode())
+        def solve(spec, h, u0, *args, **kwargs):
+            batch = isinstance(u0, list)
+            members = len(u0) if batch else 1
+            shape = repr((spec.n_slices, *spec.spatial_shape)).encode()
+            march["first"] = self.hash.copy()
+            march["first"].update(shape)
+            march["rest"] = [[] for _ in range(members - 1)]
             try:
-                traj = original(spec, *args, **kwargs)
+                traj = original(spec, h, u0, *args, **kwargs)
             except Exception as err:
-                # an aborted solve hashes as its abort alone
-                self.hash = before
-                step_index = getattr(err, "step_index", None)
-                self.hash.update(f"abort {type(err).__name__} {step_index}".encode())
+                if members == 1:
+                    # an aborted solve hashes as its abort alone
+                    self.solves += 1
+                    step_index = getattr(err, "step_index", None)
+                    self.hash.update(f"abort {type(err).__name__} {step_index}".encode())
                 raise
-            for arr in (traj.cfl_margins, traj.max_updates):
-                self.hash.update(np.ascontiguousarray(arr).tobytes())
+            self.hash = march["first"]
+            for m in range(members):
+                if m > 0:
+                    self.hash.update(shape)
+                    for chunk in march["rest"][m - 1]:
+                        self.hash.update(chunk)
+                member = traj.member(m) if batch else traj
+                for arr in (member.cfl_margins, member.max_updates):
+                    self.hash.update(np.ascontiguousarray(arr).tobytes())
+                self.solves += 1
             return traj
 
         kernel.__call__ = hashed_step
