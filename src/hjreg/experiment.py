@@ -850,19 +850,17 @@ def _compute_members(jobs: list[ExperimentConfig]) -> list[tuple[RunReport, dict
         ), outputs[m]
 
     begin = time.perf_counter()
-    with timed("chain"):
-        if _needs_chain(cfg):
-            try:
-                chain = _build_chain(cfg)
-            except ValueError as err:
-                chain = err
-            else:
-                chain_dict = chain.to_json_dict()
-                for out in outputs:
-                    out["chain.json"] = chain_dict
-    if isinstance(chain, ValueError):
-        return [finish(m, "error", {"stage": "chain", "message": str(chain)})
-                for m in range(count)]
+    if _needs_chain(cfg):
+        try:
+            chain = _build_chain(cfg)
+        except ValueError as err:
+            return [finish(m, "error", {"stage": "chain", "message": str(err)})
+                    for m in range(count)]
+        chain_dict = chain.to_json_dict()
+        for out in outputs:
+            out["chain.json"] = chain_dict
+    for member_timings in timings:
+        member_timings["chain"] = time.perf_counter() - begin
 
     fns = [make_initial_function(cfg.grid, init.name, init.parameters, init.seed)
            for init in (job.initial_data for job in jobs)]
@@ -1095,8 +1093,10 @@ def ensemble(
         # one pool serves every candidate of the search
         pool = None
         if workers > 1:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")))
         cfg, search, members = _search_alpha(
             config,
             lambda trial: _run_members(trial, member_seeds, pool, workers),

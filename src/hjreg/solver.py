@@ -22,6 +22,13 @@ where one slice of a block ends and the next begins.  The differences stay
 raw, not divided by the cell width ``h``: for ``H = A |P|^p + B`` a step is
 ``A (0.5/h)^p (sum (D+ + D-)^2)^(p/2) + B - (0.5 sigma/h) sum (D+ - D-)``.
 
+The march has a leading member axis: ``solve`` of a list of initial data
+advances every member's slice in one ``(members, *spatial_shape)`` block a
+step.  A member boundary is a slice boundary, so the outflow zeros keep
+each member's differences to itself, and each member's dissipation, CFL
+margin and checks are taken from its own row with a lone solve's scalar
+arithmetic: every member's slices have the bits of its own march.
+
 The exact-solution oracle for space-homogeneous power laws is the inf-convolution
 
     u(t, x) = min_y { u0(y) + t * c_p * (|x - y| / t)^(p/(p-1)) },
@@ -232,13 +239,13 @@ class _StepKernel:
     and ``max |update|``, taken row by row in member order with the scalar
     arithmetic of a lone solve, so each member's slices have the bits of
     its own march.  The finiteness pass over the new block runs only when
-    an overflow is possible.  The kernel keeps a bound on each member's
-    ``|u|``, taken from the block when it is not the one the previous call
-    wrote and grown by each step's ``max |update|``; while every bound plus
-    that maximum stays under ``_FINITE_BOUND``, every entry of ``u +
-    update`` is finite.  A NaN or inf in an update, or a bound past the
-    constant, runs the full check, after which the bounds are taken again
-    from the new block.
+    an overflow is possible.  The kernel keeps a bound on ``|u|`` over the
+    block, taken from the block when it is not the one the previous call
+    wrote and grown by each step's largest ``max |update|``; while the
+    bound plus that maximum stays under ``_FINITE_BOUND``, every entry of
+    ``u + update`` is finite.  A NaN or inf in an update, or a bound past
+    the constant, runs the full check, after which the bound is taken
+    again from the new block.
     """
 
     def __init__(self, spec: GridSpec, h, cfg: SolveConfig, members: int = 1):

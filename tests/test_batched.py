@@ -35,8 +35,10 @@ from hjreg.grid import (
     SliceScan,
     SliceTables,
     Window,
+    ball_mask,
     discrete_gradient_norm_p,
     field_from_values,
+    gradient_norm_p_rows,
     level_set_measure,
     one_cell_oscillation,
 )
@@ -474,6 +476,19 @@ def test_truncated_energy_matches_the_per_slice_loop(f, level, p):
     assert discrete_gradient_norm_p(f, i, p, ball=win) == _reference_gradient_norm_p(
         f.values[i], spec, p, win.mask
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=fields(), p=st.floats(1.1, 2.5), radius=st.sampled_from([None, 0.5, 1.0]))
+def test_gradient_rows_equal_the_reference_oracle(f, p, radius):
+    """The rows' shifted-slice differences, the upper edge's entry copied
+    from the one before it, give each slice's integral of ``|grad f|^p``
+    as the oracle's ``np.diff`` and ``concatenate`` do, bit for bit."""
+    spec = f.spec
+    mask = None if radius is None else ball_mask(spec, radius)
+    cells = None if mask is None else np.flatnonzero(mask)
+    want = [reference.gradient_norm_p(values, spec, p, mask) for values in f.values]
+    assert gradient_norm_p_rows(f.values, spec, p, cells).tolist() == want
 
 
 @pytest.mark.parametrize("whole_box", [True, False])

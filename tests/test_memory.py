@@ -33,6 +33,8 @@ from hjreg.grid import (
     _BLOCK_CELLS,
     Cylinder,
     GridSpec,
+    SliceScan,
+    SliceTables,
     Window,
     one_cell_oscillation,
 )
@@ -48,6 +50,7 @@ from hjreg.oscillation import (
 )
 from hjreg.rescale import base_point_slices, gauge_to_window
 from hjreg.solver import (
+    ResidualRows,
     ResidualTerm,
     SolveConfig,
     _StepKernel,
@@ -160,6 +163,39 @@ def test_one_step_allocates_less_than_a_slice(hamiltonian):
     out = np.empty_like(u)
     _, peak = _traced_peak(lambda: kernel(u, 0.0, 0, out))
     assert peak < u.nbytes
+
+
+def test_a_batch_peaks_at_one_block_beside_its_members_tables():
+    """Eight members march together: the march holds every member's
+    tables, residual rows and kept slices, the step's buffers of one slice
+    per member and one batch block's temporaries (its ring and the
+    residual's three work arrays, each about half of one member's block),
+    far less than eight one-member rings."""
+    k = 8
+    spec = replace(_SPEC, t_end=0.0)
+    cells = math.prod(spec.spatial_shape)
+    member_block = min(spec.n_slices, _BLOCK_CELLS // cells)
+    ring = member_block * cells * 8
+    batch_block = (member_block // (2 * k) + 1) * k * cells * 8
+    env = CoercivityEnvelope(lam=1.0, p=1.5)
+    reads = lemma_one_reads() + lemma_two_reads()
+    terms = lemma_two_terms(env)
+    rng = np.random.default_rng(5)
+    u0 = [0.3 * rng.standard_normal(spec.spatial_shape) for _ in range(k)]
+    h = HamiltonianSpec(kind="power-law", p=1.5)
+
+    def march():
+        tables = SliceTables(spec, reads, k)
+        rows = ResidualRows(spec, env.p, terms, None, k)
+        traj = solve(spec, h, u0, SolveConfig(), [range(0, 2)],
+                     [SliceScan(spec, [tables, rows], k)])
+        return traj, tables, rows
+
+    (traj, tables, rows), peak = _traced_peak(march)
+    held = (traj.field.values.nbytes + sum(t.nbytes for t in tables.tables.values())
+            + sum(t.nbytes for t in rows.tables))
+    assert peak <= held + 8 * k * _CELL_BYTES + 5 * batch_block + _SLACK
+    assert held + 8 * k * _CELL_BYTES + 5 * batch_block < k * ring
 
 
 @pytest.mark.parametrize("cylinder", [None, Cylinder(-1.0, 1.0, 1.0)],
