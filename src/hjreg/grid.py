@@ -915,7 +915,10 @@ class SliceScan:
         n = self._n
         if self._ring is None:
             self._ring = np.empty((self._members, min(self._step + 1, n), self._cells))
-        self._ring[:, i - self._lo] = values.reshape(self._members, -1)
+            # each ring position as a view shaped like the slices fed
+            self._slots = [self._ring[:, j].reshape(values.shape)
+                           for j in range(self._ring.shape[1])]
+        self._slots[i - self._lo][...] = values
         # the block lo:hi is whole once slice hi, or the field's last, is in
         while True:
             lo = self._lo
@@ -926,7 +929,7 @@ class SliceScan:
             # a shorter last block is a copy when there are several members
             self._take(lo, hi, np.ascontiguousarray(self._ring[:, :last - lo + 1]))
             if hi == n:
-                self._ring = None
+                self._ring = self._slots = None
                 return
             self._ring[:, 0] = self._ring[:, last - lo]
             self._lo = hi

@@ -271,10 +271,14 @@ class _StepKernel:
         components = components.reshape(spec.dimension, members, *shape)
         self.grad = np.moveaxis(components, 0, -1)
         self.hval = self.work.reshape(members, *shape)
-        # the member rows of the buffers the per-member reductions read
-        self.rows = [a.reshape(members, -1) for a in (self.pnorm_sq, self.jump)]
+        # the member rows the per-member reductions read, and each member's
+        # update factor
+        self.pnorm_rows, self.jump_rows = (a.reshape(members, -1)
+                                           for a in (self.pnorm_sq, self.jump))
         self.factors = np.empty((members, 1))
         self.batch = members > 1
+        # each step's per-member margins and max |update|, packed as doubles
+        self.margins, self.updates = array("d"), array("d")
         # In 1-D the one edge entry of a lone slice lies past the
         # subtraction's output and stays 0.0 (squared), so it is zeroed
         # once, here.
@@ -308,10 +312,11 @@ class _StepKernel:
         t: float,
         step_index: int,
         out: NDArray[np.float64],
-    ) -> tuple[list[float], list[float]]:
-        """Write the step from ``u`` at time ``t`` into ``out``; returns each
-        member's cfl margin and max |update|, in member order."""
-        width, jump, pnorm_sq, work = self.width, self.jump, self.pnorm_sq, self.work
+    ) -> None:
+        """Write the step from ``u`` at time ``t`` into ``out``, and append
+        each member's cfl margin and max |update|, in member order, to
+        :attr:`margins` and :attr:`updates`."""
+        jump, pnorm_sq, work = self.jump, self.pnorm_sq, self.work
         carried = u is self.last
         flat_u = self.flat_last if carried else _flat_view(u)
         flat_out = _flat_view(out)
@@ -333,42 +338,14 @@ class _StepKernel:
                 pnorm_sq += np.maximum(fwd, prev, out=work)
 
         # one reduction over a lone member, row by row over a batch's
-        pnorm_rows, jump_rows = self.rows
-        peaks = (np.maximum.reduce(pnorm_rows, axis=1).tolist() if self.batch
-                 else [float(np.maximum.reduce(pnorm_sq))])
-        margins, factors = [], []
-        for peak in peaks:
-            pnorm_max = math.sqrt(peak) / width
-            sigma_est = max(self.sigma_scale * max(pnorm_max, 0.0) ** self.sigma_power, 0.0)
-            sigma_diss = self.sigma_bound
-            if sigma_diss is None:
-                sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
-            elif sigma_est > sigma_diss * (1.0 + 1e-9):
-                raise SolverError(
-                    f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
-                    f"fixed dissipation bound {sigma_diss:.3g}",
-                    step_index,
-                )
-
-            ratio_mono = self.dt_n * sigma_diss / width
-            if ratio_mono > 1.0 + 1e-9:
-                raise SolverError(
-                    f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
-                    f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
-                    step_index,
-                )
-            margin = self.safety - self.dt_n * sigma_est / width
-            if margin < 0.0:
-                # the largest stable step, safety * cell_width / (N * sigma)
-                stable = self.safety * width / (self.spec.dimension * sigma_est)
-                raise SolverError(
-                    f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
-                    f"needs dt <= {stable:.3g} "
-                    f"but grid has dt={self.dt}",
-                    step_index,
-                )
-            margins.append(margin)
-            factors.append(0.5 * sigma_diss / width)
+        if self.batch:
+            steps = [self._dissipation(peak, step_index)
+                     for peak in np.maximum.reduce(self.pnorm_rows, axis=1).tolist()]
+            self.margins.extend([margin for margin, _ in steps])
+            self.factors[:, 0] = [factor for _, factor in steps]
+        else:
+            margin, factor = self._dissipation(np.maximum.reduce(pnorm_sq), step_index)
+            self.margins.append(margin)
 
         if self.sum_scale is not None:
             self.grad *= self.sum_scale
@@ -380,19 +357,23 @@ class _StepKernel:
         self.h.eval(t, self.centers, self.grad, coefficient, out=self.hval)
         # update = (-dt) * (H - (0.5 sigma / h) * jump), built in the jump buffer
         if self.batch:
-            self.factors[:, 0] = factors
-            jump_rows *= self.factors
+            self.jump_rows *= self.factors
         else:
-            jump *= factors[0]
+            jump *= factor
         update = jump
         np.subtract(work, update, out=update)
         update *= -self.dt
         np.add(flat_u, update, out=flat_out)
         np.abs(update, out=update)
-        max_updates = (np.maximum.reduce(jump_rows, axis=1).tolist() if self.batch
-                       else [float(np.maximum.reduce(update))])
+        if self.batch:
+            max_updates = np.maximum.reduce(self.jump_rows, axis=1).tolist()
+            self.updates.extend(max_updates)
+            max_update = max(max_updates)
+        else:
+            max_update = float(np.maximum.reduce(update))
+            self.updates.append(max_update)
         bound = (self.bound if carried
-                 else max(float(flat_u.max()), -float(flat_u.min()))) + max(max_updates)
+                 else max(float(flat_u.max()), -float(flat_u.min()))) + max_update
         if not bound < _FINITE_BOUND:
             if not np.logical_and.reduce(np.isfinite(flat_out, out=self.finite)):
                 raise SolverError(
@@ -400,7 +381,40 @@ class _StepKernel:
                 )
             bound = max(float(flat_out.max()), -float(flat_out.min()))
         self.last, self.flat_last, self.bound = out, flat_out, bound
-        return margins, max_updates
+
+    def _dissipation(self, peak: float, step_index: int) -> tuple[float, float]:
+        """A member's CFL margin and update factor ``0.5 sigma / h`` from the
+        peak of its ``max(D+^2, D-^2)`` sums, after its checks."""
+        width = self.width
+        pnorm_max = math.sqrt(peak) / width
+        sigma_est = max(self.sigma_scale * max(pnorm_max, 0.0) ** self.sigma_power, 0.0)
+        sigma_diss = self.sigma_bound
+        if sigma_diss is None:
+            sigma_diss = max(SIGMA_INFLATION * sigma_est, _SIGMA_FLOOR)
+        elif sigma_est > sigma_diss * (1.0 + 1e-9):
+            raise SolverError(
+                f"step {step_index}: sampled |dH/dP|={sigma_est:.3g} exceeds the "
+                f"fixed dissipation bound {sigma_diss:.3g}",
+                step_index,
+            )
+        ratio_mono = self.dt_n * sigma_diss / width
+        if ratio_mono > 1.0 + 1e-9:
+            raise SolverError(
+                f"step {step_index}: dissipation {sigma_diss:.3g} breaks monotonicity "
+                f"(dt*N*sigma/h = {ratio_mono:.3g} > 1)",
+                step_index,
+            )
+        margin = self.safety - self.dt_n * sigma_est / width
+        if margin < 0.0:
+            # the largest stable step, safety * cell_width / (N * sigma)
+            stable = self.safety * width / (self.spec.dimension * sigma_est)
+            raise SolverError(
+                f"step {step_index}: CFL violation, sampled sigma {sigma_est:.3g} "
+                f"needs dt <= {stable:.3g} "
+                f"but grid has dt={self.dt}",
+                step_index,
+            )
+        return margin, 0.5 * sigma_diss / width
 
 
 def solve(
@@ -464,35 +478,30 @@ def solve(
     slot = np.cumsum(kept) - 1
     # slice-major, so that every member's slice i is one contiguous block
     values = np.empty((int(slot[-1]) + 1, *init.shape))
-    scratch = None if kept.all() else np.empty((2, *init.shape))
+    held = None if kept.all() else np.flatnonzero(kept)
+    # the scratch blocks' views, made once: a view costs more than a step's
+    # bookkeeping
+    scratch = () if held is None else tuple(np.empty((2, *init.shape)))
 
     def at(i: int) -> NDArray[np.float64]:
         return values[slot[i]] if kept[i] else scratch[i % 2]
-
-    def fed(block: NDArray[np.float64]) -> NDArray[np.float64]:
-        return block if batch else block[0]
 
     u = at(0)
     u[...] = init
     del init  # not alive through the march
     scans = tuple(scans)
     for scan in scans:
-        scan(0, fed(u))
-    # each step's per-member values, packed as doubles
-    margins, updates = array("d"), array("d")
+        scan(0, u if batch else u[0])
     for i in range(n_steps):
         out = at(i + 1)
-        margin, update = kernel(u, float(times[i]), i, out)
-        margins.extend(margin)
-        updates.extend(update)
+        kernel(u, times.item(i), i, out)
         for scan in scans:
-            scan(i + 1, fed(out))
+            scan(i + 1, out if batch else out[0])
         u = out
     traj = Trajectory(
-        field=ScalarField(spec, np.moveaxis(values, 1, 0),
-                          None if scratch is None else np.flatnonzero(kept)),
-        cfl_margins=np.frombuffer(margins).reshape(n_steps, -1).T.copy(),
-        max_updates=np.frombuffer(updates).reshape(n_steps, -1).T.copy(),
+        field=ScalarField(spec, np.moveaxis(values, 1, 0), held),
+        cfl_margins=np.frombuffer(kernel.margins).reshape(n_steps, -1).T.copy(),
+        max_updates=np.frombuffer(kernel.updates).reshape(n_steps, -1).T.copy(),
         scans=scans)
     return traj if batch else traj.member(0)
 
