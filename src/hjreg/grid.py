@@ -338,8 +338,9 @@ class ScalarField:
     With ``kept`` None every slice is held and ``values[i]`` is slice ``i``;
     otherwise ``values[k]`` is slice ``kept[k]``, ``kept`` is strictly
     increasing, and a read of a slice that was not kept raises instead of
-    returning data.  A batched march's field has a leading member axis,
-    ``values[m]`` being member ``m``'s slices; :meth:`member` is one
+    returning data.  A batched march's field keeps its members' slices as
+    the march computed them, with a member axis after the slice axis:
+    ``values[k, m]`` is member ``m``'s slice; :meth:`member` is one
     member's field, and only such a field is read by slices.
     """
 
@@ -349,8 +350,9 @@ class ScalarField:
 
     def __post_init__(self) -> None:
         held = self.spec.n_slices if self.kept is None else len(self.kept)
-        shape = (held, *self.spec.spatial_shape)
-        if self.values.shape not in (shape, (len(self.values), *shape)):
+        shape, lone = self.values.shape, (held, *self.spec.spatial_shape)
+        # a batch's shape is the lone one with the member axis second
+        if shape != lone and shape[:1] + shape[2:] != lone:
             raise ValueError(
                 f"values shape {self.values.shape} does not hold {held} "
                 f"slices of {self.spec.spatial_shape}"
@@ -359,7 +361,7 @@ class ScalarField:
 
     def member(self, m: int) -> ScalarField:
         """Member ``m``'s field of a batch's."""
-        return ScalarField(self.spec, self.values[m], self.kept)
+        return ScalarField(self.spec, self.values[:, m], self.kept)
 
     def rows(self, lo: int, hi: int) -> NDArray[np.float64]:
         """Slices ``lo:hi``, a view of :attr:`values`; ``IndexError`` unless

@@ -132,8 +132,8 @@ class Trajectory:
     other checks take what they read from ``scans``, the observers the
     march fed with every slice (a ``rescale.GaugeScan``, a
     ``grid.SliceScan``).  A batch's field, ``cfl_margins`` and
-    ``max_updates`` have a leading member axis, and :meth:`member` is one
-    member's trajectory, equal to its own solve's.
+    ``max_updates`` have a member axis after their slice or step axis, and
+    :meth:`member` is one member's trajectory, equal to its own solve's.
     """
 
     field: ScalarField
@@ -148,7 +148,7 @@ class Trajectory:
     def member(self, m: int) -> Trajectory:
         """Member ``m`` of a batch, with the scans that read it: those of no
         ``member`` and those whose ``member`` is ``m``."""
-        return Trajectory(self.field.member(m), self.cfl_margins[m], self.max_updates[m],
+        return Trajectory(self.field.member(m), self.cfl_margins[:, m], self.max_updates[:, m],
                           tuple(s for s in self.scans if getattr(s, "member", None) in (None, m)))
 
 
@@ -476,7 +476,7 @@ def solve(
         for r in keep:
             kept[r.start:r.stop] = True
     slot = np.cumsum(kept) - 1
-    # slice-major, so that every member's slice i is one contiguous block
+    # every member's slice i is one contiguous block
     values = np.empty((int(slot[-1]) + 1, *init.shape))
     held = None if kept.all() else np.flatnonzero(kept)
     # the scratch blocks' views, made once: a view costs more than a step's
@@ -499,9 +499,9 @@ def solve(
             scan(i + 1, out if batch else out[0])
         u = out
     traj = Trajectory(
-        field=ScalarField(spec, np.moveaxis(values, 1, 0), held),
-        cfl_margins=np.frombuffer(kernel.margins).reshape(n_steps, -1).T.copy(),
-        max_updates=np.frombuffer(kernel.updates).reshape(n_steps, -1).T.copy(),
+        field=ScalarField(spec, values, held),
+        cfl_margins=np.frombuffer(kernel.margins).reshape(n_steps, -1),
+        max_updates=np.frombuffer(kernel.updates).reshape(n_steps, -1),
         scans=scans)
     return traj if batch else traj.member(0)
 
