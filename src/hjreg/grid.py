@@ -684,7 +684,10 @@ class SliceRead(NamedTuple):
       ``-f`` are those of ``f``, so this kind is never negated.
 
     A read fills its table from slice ``first`` on; the entries before it
-    stay 0.
+    stay 0.  Entries that a block's range decides are written unread: a
+    count is 0 when no row's shifted ``[min, max]`` meets the band and the
+    row's cell count when each lies inside it; an excess or gradient is
+    ``0.0`` when no row of the box exceeds ``c`` (of ``-f`` when negated).
     """
 
     kind: str
@@ -694,6 +697,34 @@ class SliceRead(NamedTuple):
     first: int = 0
 
 
+class _Block:
+    """One block's slices ``own``, ``(members, slices, cells)``, as
+    :meth:`SliceTables.take` reads them: the gathered cells of one ball and
+    sign at a time, and each row's range per ball and sign, taken once."""
+
+    def __init__(self, spec: GridSpec, own: NDArray[np.float64]) -> None:
+        self.spec, self.own, self.ranges, self.key, self.gathered = spec, own, {}, None, None
+
+    def cells(self, radius, negated: bool) -> NDArray[np.float64]:
+        """Each row's cells of ``B(0, radius)`` (the box for ``None``), of ``-f`` if negated."""
+        if (radius, negated) == (None, False):
+            return self.own
+        if self.key != (radius, negated):
+            self.key, self.gathered = (radius, negated), None
+            rows = self.own if radius is None else np.take(
+                self.own, np.flatnonzero(ball_mask(self.spec, radius)), axis=-1)
+            self.gathered = np.negative(rows) if negated else rows
+        return self.gathered
+
+    def extent(self, radius, negated: bool) -> tuple[NDArray, NDArray]:
+        """Each row's ``(max, min)`` over :meth:`cells`."""
+        if (radius, negated) not in self.ranges:
+            rows = self.cells(radius, negated)
+            self.ranges[radius, negated] = (rows.max(axis=-1, initial=-np.inf),
+                                            rows.min(axis=-1, initial=np.inf))
+        return self.ranges[radius, negated]
+
+
 class SliceTables:
     """The per-slice tables of ``reads``, one entry per slice of a field
     (``jumps``: its space and time columns), and the window reductions a
@@ -701,10 +732,8 @@ class SliceTables:
 
     A block of slices reaches :meth:`take` through a :class:`SliceScan`:
     from the march as it runs, or from a field at once (see :meth:`of`).
-    Every reduction is the one a loop over the window's slices would take:
-    maxima and minima are exact in any order, each slice's sum is a row
-    sum of a C-contiguous array, and measures and integrals accumulate
-    their per-slice terms in slice order with :func:`in_slice_order`.
+    Every reduction gives the bits of a loop over the window's slices (see
+    the module docstring).
 
     :meth:`reflection` reads the same tables as the field's reflection
     ``v(t, x) = -f(-t, x)`` on a time interval symmetric about 0: slice
@@ -722,6 +751,8 @@ class SliceTables:
         self.tables = {read: self._empty(read) for read in sorted(
             dict.fromkeys(reads),
             key=lambda read: (read.radius is None, read.radius or 0.0, read.negated))}
+        self.addends = {read: read.arg[0](*read.arg[1:], spec).reshape(-1)
+                        for read in self.tables if read.kind == "plus_min"}
         self.reflected = False
         self.row = 0
 
@@ -762,76 +793,83 @@ class SliceTables:
         """Fill the entries ``lo:hi`` of every table row from ``slab``, the
         C-contiguous ``(members, slices, cells)`` block of each member's
         slices ``lo..hi-1`` and of slice ``hi`` when the field has it; each
-        member's slices reduce into its own row."""
-        spec, n = self.spec, hi - lo
-        own = slab[:, :n]
-        key = gathered = None
-        for read, table in self.tables.items():
-            kind, arg, start = read.kind, read.arg, max(lo, read.first)
-            if start >= hi:
-                continue
-            if kind == "jumps":
-                self._jumps(read.radius, lo, hi, slab, table)
-                continue
-            if kind in ("gradient", "plus_min"):
-                rows = own
+        member's slices reduce into its own row.  The ``jumps`` reads go
+        first, in one pass; the others skip what the block's range decides
+        (see :class:`SliceRead`) with the bits a reading gives, as rounding
+        is monotone: ``fl(f - s)`` peaks where ``f`` does, and ``(f - c)_+``
+        is ``+0.0`` where ``f <= c``.  A ball's copy lives while its reads do."""
+        live = [(read, table) for read, table in self.tables.items() if max(lo, read.first) < hi]
+        if jumps := [(read.radius, table) for read, table in live if read.kind == "jumps"]:
+            self._jumps(lo, hi, slab, jumps)
+        block = _Block(self.spec, slab[:, :hi - lo])
+        for read, table in live:
+            if block.key is not None and block.key[0] != read.radius:
+                block.key = block.gathered = None
+            if read.kind != "jumps":
+                start = max(lo, read.first)
+                self._fill(block, read, start - lo, table[:, start:hi])
+
+    def _fill(self, block: _Block, read: SliceRead, skip: int, out: NDArray) -> bool:
+        """Write ``read``'s entries of the rows ``skip:`` of ``block`` to
+        ``out``; False when the block's range decided them unread."""
+        kind, arg, spec, decided = read.kind, read.arg, self.spec, None
+        if kind == "count":
+            shift, low, high, closed = arg
+            upto, beyond = (np.less_equal, np.greater) if closed else (np.less, np.greater_equal)
+            top, bottom = (v[:, skip:] - shift if shift else v[:, skip:]
+                           for v in block.extent(read.radius, read.negated))
+            if np.all((top <= low) | beyond(bottom, high)):
+                decided = 0
+            elif np.all((bottom > low) & upto(top, high)):
+                decided = block.cells(read.radius, read.negated).shape[-1]  # held by extent
+        elif kind in ("excess", "gradient"):  # (f - c)_+ is +0.0 where f <= c
+            if np.all(block.extent(None, read.negated)[0][:, skip:] <= arg[0]):
+                decided = 0.0
+        if decided is not None:
+            out[:] = decided
+            return False
+        rows = block.cells(None if kind == "gradient" else read.radius, read.negated)[:, skip:]
+        if kind == "max":
+            rows.max(axis=-1, initial=-np.inf, out=out)
+        elif kind == "min":
+            rows.min(axis=-1, initial=np.inf, out=out)
+        elif kind == "count":
+            vals = rows - shift if shift else rows
+            out[:] = np.count_nonzero((vals > low) & upto(vals, high), axis=-1)
+        elif kind == "plus_min":
+            np.add(rows, self.addends[read]).min(axis=-1, out=out)
+        else:  # excess and gradient: the truncation (f - c)_+
+            trunc = rows - arg[0]
+            np.maximum(trunc, 0.0, out=trunc)
+            if kind == "excess":
+                out[:] = trunc.sum(axis=-1)
             else:
-                if key != (read.radius, read.negated):
-                    key, gathered = (read.radius, read.negated), None
-                    rows = own if read.radius is None else np.take(
-                        own, np.flatnonzero(ball_mask(spec, read.radius)), axis=-1)
-                    gathered = np.negative(rows) if read.negated else rows
-                rows = gathered
-            rows, out = rows[:, start - lo:], table[:, start:hi]
-            if kind == "max":
-                rows.max(axis=-1, initial=-np.inf, out=out)
-            elif kind == "min":
-                rows.min(axis=-1, initial=np.inf, out=out)
-            elif kind == "count":
-                shift, low, high, closed = arg
-                vals = rows - shift if shift else rows
-                out[:] = np.count_nonzero(
-                    (vals > low) & ((vals <= high) if closed else (vals < high)), axis=-1)
-            elif kind == "plus_min":
-                fn, *args = arg
-                np.add(rows, fn(*args, spec).reshape(-1)).min(axis=-1, out=out)
-            else:  # excess and gradient: the truncation (f - c)_+
-                trunc = rows - arg[0]
-                np.maximum(trunc, 0.0, out=trunc)
-                if kind == "excess":
-                    out[:] = trunc.sum(axis=-1)
-                else:
-                    out[:] = gradient_norm_p_rows(
-                        trunc.reshape(-1, *spec.spatial_shape), spec, arg[1],
-                        np.flatnonzero(ball_mask(spec, read.radius))).reshape(out.shape)
+                out[:] = gradient_norm_p_rows(
+                    trunc.reshape(-1, *spec.spatial_shape), spec, arg[1],
+                    np.flatnonzero(ball_mask(spec, read.radius))).reshape(out.shape)
+        return True
 
-    def _jumps(self, radius, lo: int, hi: int, slab, table) -> None:
-        """The ``jumps`` entries of block ``lo:hi``: each axis's jumps over
-        the block are one :class:`ShiftedDifference` into one buffer, whose
-        zeroed entries do not raise the maximum (in time, a member's last
-        slice is such an edge); with a ball, only pairs of two of its cells
-        count (the mask ANDed with itself shifted by the axis stride)."""
+    def _jumps(self, lo: int, hi: int, slab, tables) -> None:
+        """The ``jumps`` entries of block ``lo:hi`` of each ``(radius,
+        table)``: the jumps along time and each spatial axis are one
+        :class:`ShiftedDifference` into one buffer and one ``abs`` for all
+        radii; its zeroed edges do not raise a maximum (in time, a member's
+        last slice is one), and a ball counts only pairs of two of its cells
+        (the mask ANDed with itself shifted by the axis stride)."""
         spec, (members, k, cells) = self.spec, slab.shape
-        buf = np.empty(slab.size)
-        mask = None if radius is None else ball_mask(spec, radius).reshape(-1)
-        in_ball = None if mask is None else np.flatnonzero(mask)
-
-        def largest(d, at):
-            # the largest |d| over the cells ``at`` of each member's slices
-            d = d.reshape(members, k, cells)
-            if at is not None:
-                d = np.take(d, at, axis=-1)
-            return np.abs(d, out=d).max(axis=-1, initial=0.0)
-
-        flat = slab.reshape(-1)
-        if k > 1:
-            in_time = ShiftedDifference(cells, k, buf)
-            table[:, lo:lo + k - 1, 1] = largest(in_time(flat), in_ball)[:, :-1]
-        space = table[:, lo:hi, 0]
-        for stride in axis_strides(spec):
-            at = None if mask is None else np.flatnonzero(mask[stride:] & mask[:-stride])
-            along = ShiftedDifference(stride, spec.cells_per_axis, buf)
-            np.maximum(space, largest(along(flat), at)[:, :hi - lo], out=space)
+        buf, flat = np.empty(slab.size), slab.reshape(-1)
+        # (stride, length, table column, mask shift) of time, then of space
+        axes = [(cells, k, 1, 0), *((stride, spec.cells_per_axis, 0, stride)
+                                    for stride in axis_strides(spec))]
+        for stride, length, column, shift in axes:
+            d = ShiftedDifference(stride, length, buf)(flat).reshape(members, k, cells)
+            np.abs(d, out=d)
+            for radius, table in tables:
+                mask = None if radius is None else ball_mask(spec, radius).reshape(-1)
+                pairs = d if mask is None else np.take(
+                    d, np.flatnonzero(mask[shift:] & mask[:cells - shift]), axis=-1)
+                out = table[:, lo:hi, column]
+                np.maximum(out, pairs.max(axis=-1, initial=0.0)[:, :hi - lo], out=out)
 
     def table(self, kind: str, radius, arg: tuple = (),
               first: int = 0) -> NDArray[np.float64]:

@@ -712,7 +712,7 @@ class ResidualRows:
             raise ValueError("need at least two slices for a time difference")
         self.spec, self.p, self.terms = spec, p, list(terms)
         self.tables = [np.empty((members, spec.n_slices - 1, 3)) for _ in self.terms]
-        self._ball = None if ball is None else np.asarray(ball).reshape(-1)
+        self._outside = None if ball is None else np.flatnonzero(~np.asarray(ball).reshape(-1))
 
     def take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
         """The rows of the time differences inside ``slab``, each member's
@@ -739,16 +739,18 @@ class ResidualRows:
             np.multiply(a_coef, grad_term[:, 1:] if reflected else grad_term[:, :-1],
                         out=res)
             np.add(dudt, res, out=res)
-            res -= b_const
+            if b_const or math.copysign(1.0, b_const) < 0.0:  # - (+0.0) keeps every bit
+                res -= b_const
             # a reflected term's rows run backwards from rows - 1 - lo
             part = (table[:, rows - end:rows - lo][:, ::-1] if reflected
                     else table[:, lo:end])
             res.min(axis=-1, out=part[..., 0])
             res.max(axis=-1, out=part[..., 1])
-            if self._ball is None:
+            if self._outside is None:
                 part[..., 2] = part[..., 1]
-            else:
-                res.max(axis=-1, where=self._ball, initial=-np.inf, out=part[..., 2])
+            else:  # res is scratch: -inf outside the ball, then a plain max
+                res[..., self._outside] = -np.inf
+                res.max(axis=-1, out=part[..., 2])
 
     def reports(self, member: int = 0) -> list[ResidualReport]:
         """The report of each term, in order, once every row is taken: of

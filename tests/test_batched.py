@@ -566,3 +566,157 @@ def test_streamed_tables_equal_the_whole_field_oracles(data, f, per_block, p, le
         assert np.array_equal(report.values, reference.table(full, win.mask))
         assert (report.min_value, report.ball_max) == (
             float(full.min()), float(full[:, win.mask].max()))
+
+
+def _count_rows(values, mask, shift, lo, hi, closed):
+    """Each slice's count of ``lo < v - shift < hi`` (``<= hi`` when
+    ``closed``) over the cells of ``mask``, one slice at a time."""
+    out = []
+    for row in values:
+        vals = row[mask] - shift
+        out.append(int(np.count_nonzero((vals > lo) & ((vals <= hi) if closed else (vals < hi)))))
+    return np.array(out)
+
+
+def _band(data, vals):
+    """``(lo, hi)`` drawn wholly below, wholly above, around or across the
+    values ``vals``, with its edges on an extreme, one ulp off it, or a
+    distance away."""
+    low, high = float(vals.min()), float(vals.max())
+    place = data.draw(st.sampled_from(["below", "above", "inside", "across"]))
+    off = data.draw(st.sampled_from(["on", "ulp", "gap"]))
+    width = data.draw(st.sampled_from([0.0, 0.25, 2.0]))
+
+    def edge(v, direction):
+        return {"on": v, "ulp": float(np.nextafter(v, direction * np.inf)),
+                "gap": v + direction * 0.25}[off]
+
+    if place == "below":
+        hi = edge(low, -1.0)
+        return hi - width, hi
+    if place == "above":
+        lo = edge(high, 1.0)
+        return lo, lo + width
+    if place == "inside":
+        return edge(low, -1.0), edge(high, 1.0)
+    lo = data.draw(st.floats(low, high))
+    return lo, lo + width
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), f=fields(), per_block=st.integers(1, 4),
+       shift=st.sampled_from([0.0, 1.0, 1.5]), closed=st.booleans(),
+       negated=st.booleans(), offset=st.sampled_from([0.0, -10.0, 10.0]))
+def test_range_pruned_reads_equal_the_oracles(data, f, per_block, shift, closed, negated,
+                                              offset):
+    """Counts, excesses and gradients whose block range decides them read
+    as the per-slice oracles do, bit for bit.  The band is placed against
+    the range of the whole field or of one slice (so that some blocks are
+    decided and others not), the count may be shifted and negated, its
+    reads may start inside a block, and a second member, moved far off by
+    ``offset``, marches in the same batch; the band is placed against
+    either member's values, so that often only one member's row reaches
+    it."""
+    spec, win = f.spec, Window(f.spec, UNIT_CYLINDER)
+    mask = win.mask
+    values = f.values.copy()
+    sunk = data.draw(st.lists(st.integers(0, spec.n_slices - 1), max_size=spec.n_slices))
+    values[sunk] -= data.draw(st.floats(0.0, 3.0))
+    sign = -1.0 if negated else 1.0
+    batch = [values, values + offset]
+    anchor = batch[data.draw(st.integers(0, 1))]
+    if data.draw(st.booleans()):
+        anchor = anchor[data.draw(st.integers(0, spec.n_slices - 1))][None]
+    lo, hi = _band(data, sign * anchor[:, mask] - shift)
+    first = data.draw(st.integers(0, spec.n_slices - 1))
+    count = (shift, lo, hi, closed)
+    c = data.draw(st.sampled_from([float(values.max()), float(values.min()) - 0.5,
+                                   float(np.median(values))]))
+    reads = [SliceRead("count", 1.0, count, negated), SliceRead("count", 1.0, count, negated, first),
+             SliceRead("excess", 1.0, (c,), negated, first), SliceRead("gradient", 1.0, (c, 1.5))]
+    members = np.stack(batch, axis=1)
+    cells = math.prod(spec.spatial_shape)
+    with mock.patch("hjreg.grid._BLOCK_CELLS", 4 * per_block * cells):
+        tables = SliceTables(spec, reads, members=2)
+        scan = SliceScan(spec, [tables], members=2)
+        for i in range(spec.n_slices):
+            scan(i, members[i].copy())
+    for m, member in enumerate(batch):
+        signed = sign * member
+        expected = _count_rows(signed, mask, shift, lo, hi, closed)
+        assert np.array_equal(tables.tables[reads[0]][m], expected)
+        late = tables.tables[reads[1]][m]
+        assert np.array_equal(late[first:], expected[first:])
+        assert not late[:first].any()
+        excess = tables.tables[reads[2]][m]
+        assert excess[first:].tolist() == [
+            float(np.maximum(row[mask] - c, 0.0).sum()) for row in signed[first:]]
+        assert not excess[:first].any()
+        gradient = tables.tables[reads[3]][m]
+        trunc = np.maximum(member - c, 0.0)
+        assert gradient.tolist() == [reference.gradient_norm_p(row, spec, 1.5, mask)
+                                     for row in trunc]
+    field = field_from_values(spec, values)
+    view = tables.member(0)
+    source = field
+    if negated:
+        view, source = time_reverse(view), reference.reflect(field)
+    assert view.measure(win, lo, hi, closed, shift) == reference.measure(
+        source, win, lo, hi, closed, shift)
+
+
+def test_a_block_below_every_band_computes_no_count(monkeypatch):
+    """A field whose first block lies below every band of the improvement
+    from above (its dyadic middle layers, and the nonpositive set, which
+    then holds every cell) fills that block's counts from its range alone;
+    the later blocks, whose values cross the bands, count their cells."""
+    spec = GridSpec(dimension=2, half_width=1.5, cells_per_axis=16,
+                    t_start=-2.0, t_end=2.0, dt=4.0 / 40)
+    per_block = 10
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-0.5, 2.0, (spec.n_slices, 16, 16))
+    values[:per_block] -= 3.0
+    f = field_from_values(spec, values)
+    chain = SimpleNamespace(ladder_depth=6)
+    computed, block = [], []
+    take, fill = SliceTables.take, SliceTables._fill
+
+    def spy_take(self, lo, hi, slab):
+        block[:] = [lo]
+        return take(self, lo, hi, slab)
+
+    def spy_fill(self, blk, read, skip, out):
+        done = fill(self, blk, read, skip, out)
+        if done and read.kind == "count":
+            computed.append(block[0])
+        return done
+
+    monkeypatch.setattr(SliceTables, "take", spy_take)
+    monkeypatch.setattr(SliceTables, "_fill", spy_fill)
+    with mock.patch("hjreg.grid._BLOCK_CELLS", per_block * 16 * 16):
+        tables = tables_of(f, above_reads(chain))
+    assert computed and 0 not in computed
+    win = Window(spec, UNIT_CYLINDER)
+    for read, table in tables.tables.items():
+        if read.kind == "count":
+            shift, lo, hi, closed = read.arg
+            assert np.array_equal(table[0], _count_rows(values, win.mask, shift, lo, hi, closed))
+
+
+@pytest.mark.parametrize("with_ball", [False, True])
+def test_residual_rows_subtract_a_negative_zero_offset(with_ball):
+    """The rows skip ``res -= b`` only for ``b = +0.0``, which keeps every
+    bit: with a negative coefficient and a step from ``+0.0`` to ``-0.0``
+    every residual is ``-0.0``, and ``b = -0.0`` turns it into ``+0.0`` as
+    the whole-field formula does."""
+    spec = GridSpec(dimension=2, half_width=1.5, cells_per_axis=12,
+                    t_start=-2.0, t_end=2.0, dt=0.5)
+    values = np.zeros((spec.n_slices, 12, 12))
+    values[1::2] = -0.0
+    f = field_from_values(spec, values)
+    ball = (np.linalg.norm(spec.centers(), axis=-1) < 1.0) if with_ball else None
+    env = CoercivityEnvelope(lam=1.0, p=2.0)
+    for b in (0.0, -0.0):
+        report = residual_subsolution(f, env, a_coef=-1.0, b_const=b, ball=ball)
+        expected = reference.table(reference.residual(f, 2.0, -1.0, b), ball)
+        assert report.values.tobytes() == expected.tobytes()

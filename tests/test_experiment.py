@@ -921,9 +921,9 @@ class TestResidualPass:
         filled = []
         original = SliceTables._jumps
 
-        def spy(self, radius, lo, hi, slab, table):
-            filled.append((radius, lo, hi))
-            return original(self, radius, lo, hi, slab, table)
+        def spy(self, lo, hi, slab, tables):
+            filled.extend((radius, lo, hi) for radius, _ in tables)
+            return original(self, lo, hi, slab, tables)
 
         monkeypatch.setattr(SliceTables, "_jumps", spy)
         cfg = parse_config("oscillation-improvement")
