@@ -748,7 +748,7 @@ class ResidualRows:
             res.max(axis=-1, out=part[..., 1])
             if self._outside is None:
                 part[..., 2] = part[..., 1]
-            else:  # res is scratch: -inf outside the ball, then a plain max
+            else:  # res is a work array: -inf outside the ball, then a plain max
                 res[..., self._outside] = -np.inf
                 res.max(axis=-1, out=part[..., 2])
 
