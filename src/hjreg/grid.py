@@ -944,7 +944,8 @@ class SliceScan:
             # slices, so the block is half of one member's, shared evenly
             block //= 2 * members
         self._step = max(1, block)
-        self._lo = 0
+        # the block lo:hi is whole once slice end = min(hi, n - 1) is in
+        self._lo, self._end = 0, min(self._step, self._n - 1)
         self._ring = None
 
     def _take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
@@ -952,27 +953,24 @@ class SliceScan:
             reader.take(lo, hi, slab)
 
     def __call__(self, i: int, values: NDArray[np.float64]) -> None:
-        n = self._n
         if self._ring is None:
-            self._ring = np.empty((self._members, min(self._step + 1, n), self._cells))
+            self._ring = np.empty((self._members, min(self._step + 1, self._n),
+                                   self._cells))
             # each ring position as a view shaped like the slices fed
             self._slots = [self._ring[:, j].reshape(values.shape)
                            for j in range(self._ring.shape[1])]
         self._slots[i - self._lo][...] = values
-        # the block lo:hi is whole once slice hi, or the field's last, is in
-        while True:
-            lo = self._lo
+        # a block ending at n - 2 leaves slice n - 1 as a block of its own
+        while i == self._end:
+            lo, n = self._lo, self._n
             hi = min(lo + self._step, n)
-            last = min(hi, n - 1)
-            if i != last:
-                return
             # a shorter last block is a copy when there are several members
-            self._take(lo, hi, np.ascontiguousarray(self._ring[:, :last - lo + 1]))
+            self._take(lo, hi, np.ascontiguousarray(self._ring[:, :i - lo + 1]))
             if hi == n:
                 self._ring = self._slots = None
                 return
-            self._ring[:, 0] = self._ring[:, last - lo]
-            self._lo = hi
+            self._ring[:, 0] = self._ring[:, i - lo]
+            self._lo, self._end = hi, min(hi + self._step, n - 1)
 
     def read(self, f, start: int = 0, stop: int | None = None) -> SliceScan:
         """Feed the slices ``start:stop`` of ``f`` (every slice by default),

@@ -209,12 +209,17 @@ class HamiltonianSpec:
             out = np.empty(np.broadcast_shapes(np.shape(coefficient), grad.shape[:-1]))
         np.square(grad[..., 0], out=out)
         for axis in range(1, grad.shape[-1]):
-            out += np.square(grad[..., axis], out=grad[..., axis])
-        out **= 0.5 * self.p
-        out *= coefficient
+            np.add(out, np.square(grad[..., axis], out=grad[..., axis]), out=out)
+        # ``out **= exponent`` as numpy runs it: no call for 1, a square for 2
+        exponent = 0.5 * self.p
+        if exponent == 2.0:
+            np.square(out, out=out)
+        elif exponent != 1.0:
+            np.power(out, exponent, out=out)
+        np.multiply(out, coefficient, out=out)
         offset = self.offset
         if offset:  # a zero adds nothing; a NaN is added
-            out += offset
+            np.add(out, offset, out=out)
         return out
 
     @property

@@ -229,7 +229,11 @@ class _StepKernel:
     and ``D-`` its buffer read one stride earlier (see the module
     docstring); the views of both, of the entries the outflow zeroes and of
     the axis's centered sum ``D+ + D-`` are built here, once per solve, as
-    one plan tuple per axis.  ``h.eval``, the step's one call into the
+    one plan tuple per axis.  A block's plan adds its raveled view and each
+    axis's ``flat[s:]`` and ``flat[:-s]``: built once for the march's two
+    scratch blocks (:meth:`scratch`), on each step for a kept slice, and
+    carried from the step that wrote the block to the step that reads it.
+    ``h.eval``, the step's one call into the
     Hamiltonian, gets ``A (0.5/h)^p``, built here if ``A`` is static, else
     per step; when a bound on that product is not finite, it gets ``A``
     and the centered sums times ``0.5/h``.  The blocks the step reads and
@@ -302,9 +306,26 @@ class _StepKernel:
             if h.static_coefficient
             else None
         )
-        # the block the last call wrote, its raveled view and the bound on
-        # its |u|
-        self.last = self.flat_last = self.bound = None
+        # the block the last call wrote, its plan and the bound on its |u|
+        self.last = self.last_plan = self.bound = None
+        # the march's scratch blocks and their plans by id (see :meth:`scratch`)
+        self.blocks, self.plans = (), {}
+
+    def _plan(self, block: NDArray[np.float64]) -> tuple:
+        """``block`` raveled, and each axis's ``(flat[s:], flat[:-s])``
+        beside the axis's views of :attr:`axes`."""
+        flat = _flat_view(block)
+        return flat, [(flat[stride:], flat[:-stride], *views)
+                      for stride, *views in self.axes]
+
+    def scratch(self, shape: tuple[int, ...]) -> tuple[NDArray[np.float64], ...]:
+        """Two blocks of ``shape`` for the slices a march drops, their plans
+        built here, once; a kept slice's are built on each step that writes
+        it."""
+        # held here: an id names its block only while the block is alive
+        self.blocks = tuple(np.empty((2, *shape)))
+        self.plans = {id(block): self._plan(block) for block in self.blocks}
+        return self.blocks
 
     def __call__(
         self,
@@ -318,59 +339,61 @@ class _StepKernel:
         :attr:`margins` and :attr:`updates`."""
         jump, pnorm_sq, work = self.jump, self.pnorm_sq, self.work
         carried = u is self.last
-        flat_u = self.flat_last if carried else _flat_view(u)
-        flat_out = _flat_view(out)
-        for axis, (stride, head, edges, fwd, prev, central) in enumerate(self.axes):
+        flat_u, shifted = self.last_plan if carried else self._plan(u)
+        plan = self.plans.get(id(out)) or self._plan(out)
+        for axis, (ahead, behind, head, edges, fwd, prev, central) in enumerate(shifted):
             # raw D+ = u[j+1] - u[j] and D- = u[j] - u[j-1] = D+[j-1]
-            np.subtract(flat_u[stride:], flat_u[:-stride], out=head)
+            np.subtract(ahead, behind, out=head)
             if edges is not None:
                 edges.fill(0.0)
             np.add(fwd, prev, out=central)
+            # max(|D+|, |D-|)^2 as max(D+^2, D-^2): rounding is monotone
             if axis == 0:
                 np.subtract(fwd, prev, out=jump)
-            else:
-                jump += np.subtract(fwd, prev, out=work)
-            # max(|D+|, |D-|)^2 as max(D+^2, D-^2): rounding is monotone
-            np.square(fwd, out=fwd)
-            if axis == 0:
+                np.square(fwd, out=fwd)
                 np.maximum(fwd, prev, out=pnorm_sq)
             else:
-                pnorm_sq += np.maximum(fwd, prev, out=work)
+                np.add(jump, np.subtract(fwd, prev, out=work), out=jump)
+                np.square(fwd, out=fwd)
+                np.add(pnorm_sq, np.maximum(fwd, prev, out=work), out=pnorm_sq)
 
-        # one reduction over a lone member, row by row over a batch's
+        # one reduction over a lone member, row by row over a batch's; a
+        # lone member's is the entry at argmax, the full reduction's value:
+        # the sums hold no -0.0, and argmax stops at a NaN
         if self.batch:
             steps = [self._dissipation(peak, step_index)
                      for peak in np.maximum.reduce(self.pnorm_rows, axis=1).tolist()]
             self.margins.extend([margin for margin, _ in steps])
             self.factors[:, 0] = [factor for _, factor in steps]
         else:
-            margin, factor = self._dissipation(np.maximum.reduce(pnorm_sq), step_index)
+            margin, factor = self._dissipation(pnorm_sq.item(pnorm_sq.argmax()), step_index)
             self.margins.append(margin)
 
         if self.sum_scale is not None:
-            self.grad *= self.sum_scale
+            np.multiply(self.grad, self.sum_scale, out=self.grad)
         coefficient = self.coefficient
         if coefficient is None:
             coefficient = self.h.coefficient_field(t, self.centers)
-            coefficient *= self.lattice_scale
+            np.multiply(coefficient, self.lattice_scale, out=coefficient)
         # the gradient is scratch from here on: eval squares it in place
         self.h.eval(t, self.centers, self.grad, coefficient, out=self.hval)
         # update = (-dt) * (H - (0.5 sigma / h) * jump), built in the jump buffer
         if self.batch:
-            self.jump_rows *= self.factors
+            np.multiply(self.jump_rows, self.factors, out=self.jump_rows)
         else:
-            jump *= factor
+            np.multiply(jump, factor, out=jump)
         update = jump
         np.subtract(work, update, out=update)
-        update *= -self.dt
+        np.multiply(update, -self.dt, out=update)
+        flat_out = plan[0]
         np.add(flat_u, update, out=flat_out)
         np.abs(update, out=update)
         if self.batch:
             max_updates = np.maximum.reduce(self.jump_rows, axis=1).tolist()
             self.updates.extend(max_updates)
             max_update = max(max_updates)
-        else:
-            max_update = float(np.maximum.reduce(update))
+        else:  # as the peak above: |update| holds no -0.0
+            max_update = update.item(update.argmax())
             self.updates.append(max_update)
         bound = (self.bound if carried
                  else max(float(flat_u.max()), -float(flat_u.min()))) + max_update
@@ -380,7 +403,7 @@ class _StepKernel:
                     f"step {step_index}: non-finite values produced", step_index
                 )
             bound = max(float(flat_out.max()), -float(flat_out.min()))
-        self.last, self.flat_last, self.bound = out, flat_out, bound
+        self.last, self.last_plan, self.bound = out, plan, bound
 
     def _dissipation(self, peak: float, step_index: int) -> tuple[float, float]:
         """A member's CFL margin and update factor ``0.5 sigma / h`` from the
@@ -479,24 +502,20 @@ def solve(
     # every member's slice i is one contiguous block
     values = np.empty((int(slot[-1]) + 1, *init.shape))
     held = None if kept.all() else np.flatnonzero(kept)
-    # the scratch blocks' views, made once: a view costs more than a step's
-    # bookkeeping
-    scratch = () if held is None else tuple(np.empty((2, *init.shape)))
-
-    def at(i: int) -> NDArray[np.float64]:
-        return values[slot[i]] if kept[i] else scratch[i % 2]
-
-    u = at(0)
-    u[...] = init
+    # the blocks the kernel and the scans get: a lone member's slice alone
+    march = values if batch else values[:, 0]
+    scratch = () if held is None else kernel.scratch(march.shape[1:])
+    u = march[0] if kept[0] else scratch[0]
+    u[...] = init if batch else init[0]
     del init  # not alive through the march
     scans = tuple(scans)
     for scan in scans:
-        scan(0, u if batch else u[0])
-    for i in range(n_steps):
-        out = at(i + 1)
-        kernel(u, times.item(i), i, out)
+        scan(0, u)
+    for i in range(1, spec.n_slices):
+        out = march[slot[i]] if kept[i] else scratch[i % 2]
+        kernel(u, times.item(i - 1), i - 1, out)
         for scan in scans:
-            scan(i + 1, out if batch else out[0])
+            scan(i, out)
         u = out
     traj = Trajectory(
         field=ScalarField(spec, values, held),

@@ -12,6 +12,7 @@ nested evaluation that affine reparametrizations had before they composed.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -174,7 +175,7 @@ def base_hamiltonians(draw, dim):
     kind = draw(st.sampled_from(
         ["power-law", "scaled-power-law", "rough-coefficient", "tabulated"]
     ))
-    p = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0]))
+    p = draw(st.sampled_from([1.25, 1.5, 2.0, 3.0, 4.0]))
     if kind == "power-law":
         return HamiltonianSpec(kind=kind, p=p)
     if kind == "scaled-power-law":
@@ -269,6 +270,64 @@ def test_solve_matches_reference(problem):
 
     _assert_same_outcome(_outcome(kernel),
                          _outcome(lambda: _reference_solve(spec, h, init, cfg)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems(), st.integers(2, 3))
+def test_batch_members_match_reference(problem, members):
+    """Two or three members marched as one batch: each member's slices,
+    margins and updates have the bytes of its reference solve, and an
+    abort is the earliest aborting member's."""
+    spec, h, init, cfg = problem
+    inits = [init, -init, 0.5 * np.flip(init)][:members]
+    wants = [_outcome(lambda d=d: _reference_solve(spec, h, d, cfg)) for d in inits]
+
+    def batch():
+        traj = solve(spec, h, inits, cfg)
+        return [(m.field.values, m.cfl_margins, m.max_updates)
+                for m in map(traj.member, range(members))]
+
+    got = _outcome(batch)
+    aborts = [want[1:] for want in wants if want[0] == "abort"]
+    if aborts:
+        assert got[0] == "abort"
+        assert got[1:] in aborts and got[2] == min(step for _, step in aborts)
+        return
+    assert got[0] == "ok"
+    for member, want in zip(got[1], wants):
+        _assert_same_outcome(("ok", member), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems(), st.data())
+def test_kept_and_scanned_slices_match_reference(problem, data):
+    """A solve that keeps some slices marches the others through its two
+    scratch blocks: its kept slices, and every slice a scan records, have
+    the bytes of the reference trajectory's."""
+    spec, h, init, cfg = problem
+    n = spec.n_slices
+    bounds = st.tuples(st.integers(0, n), st.integers(0, n))
+    keep = data.draw(st.lists(bounds.map(lambda b: range(min(b), max(b))), max_size=3))
+    recorded = []
+
+    def record(i, values):
+        recorded.append((i, values.copy()))
+
+    got = _outcome(lambda: solve(spec, h, init, cfg, keep, [record]))
+    want = _outcome(lambda: _reference_solve(spec, h, init, cfg))
+    assert got[0] == want[0]
+    if want[0] == "abort":
+        assert got[1:] == want[1:]
+        return
+    traj, (values, margins, updates) = got[1], want[1]
+    kept = sorted({i for r in keep for i in r})
+    assert [i for i, _ in recorded] == list(range(n))
+    assert _same(np.array([v for _, v in recorded]), values)
+    assert (traj.field.kept is None) == (len(kept) == n)
+    if traj.field.kept is not None:
+        assert traj.field.kept.tolist() == kept
+    assert _same(traj.field.values, values[kept])
+    assert _same(traj.cfl_margins, margins) and _same(traj.max_updates, updates)
 
 
 @settings(max_examples=150, deadline=None)
@@ -469,17 +528,29 @@ def test_a_coefficient_past_the_lattice_scale_keeps_zero_data_at_zero():
 
 
 class _CountingNumpy:
-    """numpy with its ``isfinite`` calls counted."""
+    """numpy with every name fetched through it counted, and each method
+    fetched from a ufunc as ``name.method``: ``np.maximum.reduce`` counts
+    under ``maximum`` and ``maximum.reduce``."""
 
     def __init__(self):
-        self.isfinite_calls = 0
+        self.calls = Counter()
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        self.calls[name] += 1
+        value = getattr(np, name)
+        return _CountedUfunc(value, name, self.calls) if isinstance(value, np.ufunc) else value
 
-    def isfinite(self, *args, **kwargs):
-        self.isfinite_calls += 1
-        return np.isfinite(*args, **kwargs)
+
+class _CountedUfunc:
+    def __init__(self, ufunc, name, calls):
+        self.ufunc, self.name, self.calls = ufunc, name, calls
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, method):
+        self.calls[f"{self.name}.{method}"] += 1
+        return getattr(self.ufunc, method)
 
 
 @pytest.mark.parametrize("h,init,passes", [
@@ -496,11 +567,39 @@ def test_finiteness_pass_runs_only_when_an_overflow_is_possible(
     monkeypatch.setattr(solver, "np", counting)
     cfg = SolveConfig(cfl_safety=0.9)
     traj = solve(_LINE, h, init, cfg)
-    assert counting.isfinite_calls == passes
+    assert counting.calls["isfinite"] == passes
     want = _reference_solve(_LINE, h, init, cfg)
     for got, ref in zip((traj.field.values, traj.cfl_margins, traj.max_updates),
                         want):
         assert _same(got, ref)
+
+
+# numpy calls of one lone step: five on the first axis, seven on each
+# other, five to build the update; a later change that adds one fails here
+_STEP_CALLS = {1: 10, 2: 17}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_lone_step_makes_a_pinned_number_of_numpy_calls(monkeypatch, dim):
+    """A step on a fresh block and a step on the block the last one wrote
+    each make ``_STEP_CALLS[dim]`` calls through ``solver.np``, none of
+    them a full ``maximum.reduce``, and have the reference's bytes."""
+    spec = GridSpec(dimension=dim, half_width=1.0, cells_per_axis=16,
+                    t_start=0.0, t_end=0.01, dt=0.001)
+    cfg = SolveConfig()
+    kernel = _StepKernel(spec, _QUADRATIC, cfg)
+    blocks = [0.3 * np.sin(2.0 * spec.centers()[..., 0]),
+              np.empty(spec.spatial_shape), np.empty(spec.spatial_shape)]
+    counting = _CountingNumpy()
+    monkeypatch.setattr(solver, "np", counting)
+    for i in range(2):
+        counting.calls.clear()
+        kernel(blocks[i], 0.001 * i, i, blocks[i + 1])
+        assert sum(counting.calls.values()) == _STEP_CALLS[dim], counting.calls
+        assert "maximum.reduce" not in counting.calls
+        want = _reference_step(blocks[i], spec, _QUADRATIC, 0.001 * i, cfg,
+                               spec.centers(), i)[0]
+        assert _same(blocks[i + 1], want)
 
 
 def test_step_abort_carries_the_slice_index():
