@@ -233,11 +233,11 @@ class _StepKernel:
     axis's ``flat[s:]`` and ``flat[:-s]``: built once for the march's two
     scratch blocks (:meth:`scratch`), on each step for a kept slice, and
     carried from the step that wrote the block to the step that reads it.
-    ``h.eval``, the step's one call into the
-    Hamiltonian, gets ``A (0.5/h)^p``, built here if ``A`` is static, else
-    per step; when a bound on that product is not finite, it gets ``A``
-    and the centered sums times ``0.5/h``.  The blocks the step reads and
-    writes must be C-contiguous, as ``_flat_view`` checks.
+    ``h.eval``, the step's one call into the Hamiltonian, gets
+    ``A (0.5/h)^p``, built here if ``A`` is static, else per step; when a
+    bound on that product is not finite, it gets ``A`` and the centered
+    sums times ``0.5/h``.  The blocks the step reads and writes must be
+    C-contiguous, as ``_flat_view`` checks.
 
     Each member keeps its own ``max |P|``, dissipation, CFL margin, checks
     and ``max |update|``, taken row by row in member order with the scalar
@@ -290,7 +290,7 @@ class _StepKernel:
         for stride, central in zip(strides, components.reshape(spec.dimension, cells)):
             along = ShiftedDifference(stride, spec.cells_per_axis, diff, strides[0])
             edges = along.edges if spec.dimension > 1 or members > 1 else None
-            self.axes.append((stride, along.head, edges, along.fwd, along.prev, central))
+            self.axes.append((stride, (along.head, edges, along.fwd, along.prev, central)))
         self.lattice_scale = (0.5 / self.width) ** h.p
         # Where A (0.5/h)^p overflows, a zero gradient would give 0 * inf =
         # NaN: then the centered sums are scaled by 0.5/h instead, and
@@ -315,8 +315,8 @@ class _StepKernel:
         """``block`` raveled, and each axis's ``(flat[s:], flat[:-s])``
         beside the axis's views of :attr:`axes`."""
         flat = _flat_view(block)
-        return flat, [(flat[stride:], flat[:-stride], *views)
-                      for stride, *views in self.axes]
+        return flat, [(flat[stride:], flat[:-stride]) + views
+                      for stride, views in self.axes]
 
     def scratch(self, shape: tuple[int, ...]) -> tuple[NDArray[np.float64], ...]:
         """Two blocks of ``shape`` for the slices a march drops, their plans

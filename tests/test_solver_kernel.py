@@ -505,7 +505,7 @@ def test_step_buffers_start_on_page_boundaries():
     for filler in (1, 100, 1000):
         held = np.zeros(filler)
         kernel = _StepKernel(spec, _QUADRATIC, SolveConfig())
-        stride, head, edges, fwd, prev, central = kernel.axes[0]
+        stride, (head, edges, fwd, prev, central) = kernel.axes[0]
         for buf in (kernel.jump, kernel.pnorm_sq, kernel.work, prev, central):
             assert buf.ctypes.data % 4096 == 0
         assert not prev[:stride].any()
