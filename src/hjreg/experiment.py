@@ -55,13 +55,14 @@ from .oscillation import (
     oscillation_below_check,
 )
 from .rescale import (
-    GaugeScan,
+    GAUGE_READS,
     TheoremReport,
     _base_point_cascades,
     base_point_room,
     base_point_slices,
     base_times,
     cascade_status,
+    gauge_term,
     holder_estimate,
     records_to_csv,
     theorem_check,
@@ -102,7 +103,7 @@ class InitialDataSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _at_least("initial_data", self, seed=0)
+        _seed_range("initial_data", self.seed)
 
 
 @dataclass(frozen=True)
@@ -147,6 +148,13 @@ def _at_least(where: str, opts, **lows) -> None:
         value = getattr(opts, name)
         if value < low:
             raise ConfigError(f"{where} needs {name} >= {low}, got {value}")
+
+
+def _seed_range(where: str, seed: int) -> None:
+    """Reject a seed outside ``[0, 2**64)``, the range of the ensemble's
+    spawned ``uint64`` member seeds."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where} needs 0 <= seed < 2**64, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -564,7 +572,8 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, tables,
     t0 = _cascade_time(cfg)
     x0 = opts.base_point or (0.0,) * spec.dimension
     gauged, gamma, [(tau, rho, records, aborted)] = _base_point_cascades(
-        traj, chain, cfg.envelope, [(t0, x0)], hamiltonian, opts, cfg.solve)
+        traj.field, chain, cfg.envelope, [(t0, x0)], hamiltonian, opts, cfg.solve,
+        tables, residuals[gauge_term(spec, cfg.envelope)])
     outputs[f"cascades/base{label}.csv"] = records_to_csv(records)
     return {
         "status": cascade_status(records, aborted),
@@ -583,8 +592,9 @@ def _check_cascade(cfg, traj, chain, hamiltonian, outputs, label, tables,
 def _check_theorem(
     cfg, traj, chain, hamiltonian, outputs, label, tables, residuals
 ) -> TheoremReport:
-    return theorem_check(traj, _theorem_delta(cfg), chain, cfg.envelope,
-                         hamiltonian, cfg.theorem, cfg.solve)
+    return theorem_check(traj.field, _theorem_delta(cfg), chain, cfg.envelope,
+                         hamiltonian, cfg.theorem, cfg.solve, tables,
+                         residuals[gauge_term(cfg.grid, cfg.envelope)])
 
 
 def _cascade_time(cfg: ExperimentConfig) -> float:
@@ -605,12 +615,13 @@ class _Check(NamedTuple):
     ``to_json`` carries its ``"status"``; ``window`` is the cylinder its
     statement fixes, if any: the module constant its check covers first,
     which the config gate covers too.  ``base_times(cfg)`` lists the times
-    the check zooms at, so the solve keeps their ``base_point_slices`` and
-    feeds a :class:`GaugeScan`.  ``reads(cfg, chain)`` lists the per-slice
-    tables the check reads and ``terms(cfg, chain)`` the residual terms it
-    reads over the unit ball: the march takes both for every check of the
-    run in one :class:`SliceScan`, and ``run`` gets ``tables``, the
-    :class:`SliceTables`, and ``residuals``, each term's report."""
+    the check zooms at, so the solve keeps their ``base_point_slices``.
+    ``reads(cfg, chain)`` lists the per-slice tables the check reads and
+    ``terms(cfg, chain)`` the residual terms it reads over the unit ball
+    (a zooming check's, its gauge's): the march takes both for every
+    check of the run in one :class:`SliceScan`, and ``run`` gets
+    ``tables``, the :class:`SliceTables`, and ``residuals``, each term's
+    report."""
 
     run: Callable[..., object]
     window: Cylinder | None
@@ -624,9 +635,11 @@ class _Check(NamedTuple):
 
 # Every check a config may enable, in report order.  Runners name the check
 # functions in their bodies, so a wrapper rebound over a module global (as
-# ``perfbench/spans.py`` does) sees every call.  lemma1, lemma2, osc_above
-# and osc_below read the whole march, through the tables and residual rows
-# that one scan takes as it runs, osc_below's reflected reads included.
+# ``perfbench/spans.py`` does) sees every call.  What a check reads of the
+# whole march comes from the tables and residual rows that one scan takes as
+# it runs, osc_below's reflected reads and the zooming checks' gauge included.
+_GAUGE = dict(reads=lambda cfg, chain: GAUGE_READS,
+              terms=lambda cfg, chain: [gauge_term(cfg.grid, cfg.envelope)])
 _CHECKS = {
     "lemma1": _Check(_check_lemma1, UPPER_HALF, False,
                      reads=lambda cfg, chain: [
@@ -642,10 +655,10 @@ _CHECKS = {
                         True, reads=lambda cfg, chain: below_reads(chain),
                         terms=lambda cfg, chain: below_terms(chain)),
     "cascade": _Check(_check_cascade, None, True,
-                      lambda cfg: [_cascade_time(cfg)]),
+                      lambda cfg: [_cascade_time(cfg)], **_GAUGE),
     "theorem": _Check(_check_theorem, None, True,
                       lambda cfg: base_times(cfg.grid, _theorem_delta(cfg),
-                                             cfg.theorem.points_per_axis)),
+                                             cfg.theorem.points_per_axis), **_GAUGE),
 }
 CHECK_NAMES = tuple(_CHECKS)
 
@@ -893,11 +906,8 @@ def _compute_members(jobs: list[ExperimentConfig]) -> list[tuple[RunReport, dict
                 tables = SliceTables(cfg.grid, reads, count)
                 rows = ResidualRows(cfg.grid, cfg.envelope.p, terms,
                                     ball_mask(cfg.grid, UNIT_CYLINDER.radius), count)
-                scans = ([GaugeScan(cfg.grid, cfg.envelope, m) for m in range(count)]
-                         if zooms else [])
-                if reads or terms:
-                    scans.append(SliceScan(cfg.grid, [tables, rows], count))
-                batch = solve(cfg.grid, hamiltonian, fns, cfg.solve, keep, scans)
+                scan = SliceScan(cfg.grid, [tables, rows], count) if reads or terms else None
+                batch = solve(cfg.grid, hamiltonian, fns, cfg.solve, keep, scan)
             for m, job in enumerate(jobs):
                 traj = batch.member(m)
                 residuals = dict(zip(terms, rows.reports(m)))
@@ -1081,8 +1091,7 @@ def ensemble(
     """
     if count < 1:
         raise ConfigError(f"ensemble needs count >= 1, got {count}")
-    if seed < 0:
-        raise ConfigError(f"ensemble needs seed >= 0, got {seed}")
+    _seed_range("ensemble", seed)
     workers = min(_worker_count(workers), count)
     begin = time.perf_counter()
     children = np.random.SeedSequence(seed).spawn(count)

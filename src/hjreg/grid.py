@@ -234,8 +234,8 @@ class GridSpec:
         cells_per_axis: spatial cells per axis (>= 4).
         t_start: first slice time.
         t_end: last slice time (> t_start).
-        dt: time step; must divide ``t_end - t_start`` to within a 1e-6
-            relative tolerance.
+        dt: time step; must divide ``t_end - t_start`` into at least one
+            step, to within a 1e-6 relative tolerance.
 
     The lattice must hold fewer than ``2**60`` values in all.
     """
@@ -264,6 +264,8 @@ class GridSpec:
             raise ValueError(f"dt must be positive, got {self.dt}")
         span = self.t_end - self.t_start
         steps = span / self.dt
+        if round(steps) < 1:
+            raise ValueError(f"dt={self.dt} leaves no step in the time span {span}")
         if abs(steps - round(steps)) > _REL_TOL * max(1.0, steps):
             raise ValueError(
                 f"dt={self.dt} does not divide the time span {span} "

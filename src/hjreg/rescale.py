@@ -28,25 +28,28 @@ from .grid import (
     Cylinder,
     GridSpec,
     ScalarField,
+    SliceRead,
+    SliceScan,
+    SliceTables,
     Window,
     one_cell_oscillation,
-    slice_blocks,
     to_json,
 )
 from .hamiltonians import CoercivityEnvelope, GaugedField, TransformedHamiltonian
 from .oscillation import ConstantChain, growth_envelope
 from .solver import (
+    ResidualReport,
+    ResidualRows,
+    ResidualTerm,
     SolveConfig,
     SolverError,
-    Trajectory,
-    residual_supersolution,
     snap_dt,
     solve,
 )
 
 __all__ = [
+    "GAUGE_READS",
     "ZOOM_WINDOW",
-    "GaugeScan",
     "HolderEstimate",
     "OscillationRecord",
     "TheoremReport",
@@ -55,6 +58,7 @@ __all__ = [
     "base_point_window",
     "base_times",
     "cascade_status",
+    "gauge_term",
     "gauge_to_window",
     "holder_estimate",
     "records_to_csv",
@@ -387,95 +391,48 @@ def holder_estimate(
     )
 
 
-class GaugeScan:
-    """``gauge_to_window``'s reductions of a field: each slice's max and
-    min, and whether the lower-inequality residual (``residual_supersolution``
-    at ``env``) fails on some ``slice_blocks`` slab.
+# The per-slice extrema of the whole box that ``gauge_to_window`` reads.
+GAUGE_READS = (SliceRead("max", None), SliceRead("min", None))
 
-    Block ``(lo, hi)``'s rows ``lo..hi-1`` difference against row ``hi``,
-    so its slab ends there.  ``fails`` turns true at the first slab whose
-    minimum is below ``-residual_tol``, and no later slab is taken.  A scan
-    is fed either every slice in order, as ``scan(i, slice_i)``, which
-    ``solve`` does as it marches (the scan copies the current slab's
-    slices into a buffer of one slab), or a whole field at once through
-    :meth:`read`.  With a ``member``, the scan reads that member's row of
-    a batched march's slices.
-    """
 
-    def __init__(self, spec: GridSpec, env: CoercivityEnvelope,
-                 member: int | None = None) -> None:
-        self.spec, self.env, self.member = spec, env, member
-        self.slice_max = np.empty(spec.n_slices)
-        self.slice_min = np.empty(spec.n_slices)
-        self.fails = False
-        self._cells = math.prod(spec.spatial_shape)
-        self._blocks = slice_blocks(0, spec.n_slices - 1, self._cells)
-        self._block = next(self._blocks, None)
-        self._slab = None
-
-    def _residual(self, slab: np.ndarray) -> None:
-        """Take block ``(lo, hi)``'s residual on ``slab``, its rows ``lo..hi``."""
-        lo, hi = self._block
-        times = self.spec.times()
-        part = ScalarField(replace(self.spec, t_start=times[lo], t_end=times[hi]), slab)
-        self.fails = bool(residual_supersolution(part, self.env).min_value
-                          < -self.spec.residual_tol)
-        self._block = None if self.fails else next(self._blocks, None)
-
-    def __call__(self, i: int, values: np.ndarray) -> None:
-        if self.member is not None:
-            values = values[self.member]
-        self.slice_max[i], self.slice_min[i] = values.max(), values.min()
-        if self._block is None:
-            return
-        lo, hi = self._block
-        if self._slab is None:  # the first block is the largest
-            self._slab = np.empty((hi - lo + 1, *self.spec.spatial_shape))
-        self._slab[i - lo] = values
-        if i == hi:
-            self._residual(self._slab[:hi - lo + 1])
-            self._slab[0] = self._slab[hi - lo]
-
-    def read(self, field) -> GaugeScan:
-        """Feed every slice of ``field`` (read through its ``rows``), a
-        block at a time; returns the scan."""
-        for lo, hi in slice_blocks(0, self.spec.n_slices, self._cells):
-            flat = field.rows(lo, hi).reshape(hi - lo, -1)
-            flat.max(axis=1, out=self.slice_max[lo:hi])
-            flat.min(axis=1, out=self.slice_min[lo:hi])
-        while self._block is not None:
-            lo, hi = self._block
-            self._residual(field.rows(lo, hi + 1))
-        return self
+def gauge_term(spec: GridSpec, env: CoercivityEnvelope) -> ResidualTerm:
+    """The residual ``gauge_to_window`` reads: the lower inequality's
+    (``residual_supersolution`` at ``env``), taken up to the first block
+    of slices with a row whose min is below ``-residual_tol``."""
+    return ResidualTerm(env.lam, stop_below=-spec.residual_tol)
 
 
 def gauge_to_window(
-    field: ScalarField | Trajectory, env: CoercivityEnvelope
+    field: ScalarField, env: CoercivityEnvelope,
+    tables: SliceTables | None = None, residual: ResidualReport | None = None,
 ) -> tuple[GaugedField, bool, float]:
     """Prepare a solved field for base-point zooming.
 
     Gauges it by ``lam * t`` when the raw lower-inequality residual fails
     (any solution inside the envelope then satisfies both one-sided
     inequalities at the doubled constant) and reports the value factor
-    that caps the gauged field at 2.  The reductions are a
-    :class:`GaugeScan`'s: a trajectory's own scan at ``env`` when its solve
-    fed one (among its ``scans``), else a scan fed here with every slice of
-    the field, which then must hold them all.  Returns ``(gauged_field, gauged,
-    cap_factor)``: ``field`` with rate ``lam`` or 0, never a shifted copy.
+    that caps the gauged field at 2.  The cap reads the
+    :data:`GAUGE_READS` of ``tables``, and the verdict ``residual``, the
+    report of :func:`gauge_term`: a run passes those its march fed, and
+    without them one ``SliceScan`` of the field takes both, so the field
+    must hold every slice.  Returns ``(gauged_field, gauged, cap_factor)``:
+    ``field`` with rate ``lam`` or 0, never a shifted copy.
     """
-    scans = ()
-    if isinstance(field, Trajectory):
-        field, scans = field.field, field.scans
     spec = field.spec
-    scan = next((s for s in scans if isinstance(s, GaugeScan) and s.env == env),
-                None) or GaugeScan(spec, env).read(field)
-    out = GaugedField(field, env.lam if scan.fails else 0.0)
+    term = gauge_term(spec, env)
+    if tables is None:
+        tables = SliceTables(spec, GAUGE_READS)
+        rows = ResidualRows(spec, env.p, [term])
+        SliceScan(spec, [tables, rows]).read(field)
+        [residual] = rows.reports()
+    fails = residual.min_value < term.stop_below
+    out = GaugedField(field, env.lam if fails else 0.0)
     # rounding is monotone: a slice's gauged max (min) is its max (min) gauged
     gauge = spec.times() * out.rate
-    sup = float(max((scan.slice_max + gauge).max(),
-                    -(scan.slice_min + gauge).min()))
+    sup = float(max((tables.table("max", None) + gauge).max(),
+                    -(tables.table("min", None) + gauge).min()))
     gamma = 1.0 if sup <= 2.0 else 2.0 / sup
-    return out, scan.fails, gamma
+    return out, fails, gamma
 
 
 def base_times(spec: GridSpec, delta_time: float, points_per_axis: int) -> list[float]:
@@ -565,16 +522,18 @@ def base_point_window(
 
 
 def _base_point_cascades(
-    field: ScalarField | Trajectory,
+    field: ScalarField,
     chain: ConstantChain,
     env: CoercivityEnvelope,
     points,
     hamiltonian,
     opts,
     solve_config: SolveConfig | None,
+    tables: SliceTables | None = None,
+    residual: ResidualReport | None = None,
 ) -> tuple[bool, float, list[tuple]]:
-    """Gauge ``field`` once (see ``gauge_to_window``), then window and
-    cascade it at each ``(t0, x0)``.
+    """Gauge ``field`` once (``gauge_to_window`` of ``tables`` and
+    ``residual``), then window and cascade it at each ``(t0, x0)``.
 
     The chain must be built for the field's dimension at twice the
     envelope constant.  ``hamiltonian`` is the one ``field`` solves; the
@@ -594,7 +553,7 @@ def _base_point_cascades(
             f"chain was built at lam={chain.lam}; the gauge bookkeeping needs "
             f"exactly twice the envelope constant {env.lam}"
         )
-    u, gauged, gamma = gauge_to_window(field, env)
+    u, gauged, gamma = gauge_to_window(field, env, tables, residual)
     if gauged:
         hamiltonian = TransformedHamiltonian(base=hamiltonian, const=-env.lam)
     working = GridSpec(
@@ -642,21 +601,24 @@ class TheoremReport:
 
 
 def theorem_check(
-    field: ScalarField | Trajectory,
+    field: ScalarField,
     delta_time: float,
     chain: ConstantChain,
     env: CoercivityEnvelope,
     hamiltonian,
     opts,
     solve_config: SolveConfig | None = None,
+    tables: SliceTables | None = None,
+    residual: ResidualReport | None = None,
 ) -> TheoremReport:
     """Estimate interior Holder regularity of a solved field.
 
-    The field (typically a solver trajectory on ``[0, T] x box``, which
-    may keep only the slices ``base_point_slices`` names around each base
-    time when its solve fed a :class:`GaugeScan`) is shifted by
-    ``lam * t`` when its raw lower-inequality residual fails on some block
-    of slices (``gauge_to_window`` stops at the first),
+    The field (typically a solved field on ``[0, T] x box``, which may
+    keep only the slices ``base_point_slices`` names around each base time
+    when ``tables`` and ``residual`` come from its march, as for
+    ``gauge_to_window``) is shifted by ``lam * t`` when its raw
+    lower-inequality residual fails on some block of slices (the gauge's
+    residual stops at the first),
     which certifies the one-sided inequalities for any Hamiltonian inside
     the coercivity envelope at the doubled constant; the chain must be
     built at that doubled constant.  Around every base point ``(t0, x0)``
@@ -679,7 +641,7 @@ def theorem_check(
     points = [(t0, x0) for t0 in base_times(spec, delta_time, opts.points_per_axis)
               for x0 in x_points]
     gauged, gamma, runs = _base_point_cascades(
-        field, chain, env, points, hamiltonian, opts, solve_config)
+        field, chain, env, points, hamiltonian, opts, solve_config, tables, residual)
 
     entries: list[dict] = []
     all_pairs: list[tuple[float, float]] = []

@@ -129,27 +129,24 @@ class Trajectory:
 
     ``field`` holds every slice, or only the kept ones (its ``kept``): a
     run keeps the slices its zooms, snapshots and oracle read, and its
-    other checks take what they read from ``scans``, the observers the
-    march fed with every slice (a ``rescale.GaugeScan``, a
-    ``grid.SliceScan``).  A batch's field, ``cfl_margins`` and
-    ``max_updates`` have a member axis after their slice or step axis, and
-    :meth:`member` is one member's trajectory, equal to its own solve's.
+    checks take everything else they read from the run's one
+    ``grid.SliceScan``, which the march fed with every slice.  A batch's
+    field, ``cfl_margins`` and ``max_updates`` have a member axis after
+    their slice or step axis, and :meth:`member` is one member's
+    trajectory, equal to its own solve's.
     """
 
     field: ScalarField
     cfl_margins: NDArray[np.float64]
     max_updates: NDArray[np.float64]
-    scans: tuple[Callable[[int, NDArray[np.float64]], None], ...] = ()
 
     @property
     def spec(self) -> GridSpec:
         return self.field.spec
 
     def member(self, m: int) -> Trajectory:
-        """Member ``m`` of a batch, with the scans that read it: those of no
-        ``member`` and those whose ``member`` is ``m``."""
-        return Trajectory(self.field.member(m), self.cfl_margins[:, m], self.max_updates[:, m],
-                          tuple(s for s in self.scans if getattr(s, "member", None) in (None, m)))
+        """Member ``m`` of a batch."""
+        return Trajectory(self.field.member(m), self.cfl_margins[:, m], self.max_updates[:, m])
 
 
 def snap_dt(t_start: float, t_end: float, dt_max: float) -> float:
@@ -446,7 +443,7 @@ def solve(
     u0,
     cfg: SolveConfig | None = None,
     keep: list[range] | None = None,
-    scans: Sequence[Callable[[int, NDArray[np.float64]], None]] = (),
+    scan: Callable[[int, NDArray[np.float64]], None] | None = None,
 ) -> Trajectory:
     """March the initial data across the whole time lattice.
 
@@ -457,14 +454,14 @@ def solve(
     ``keep`` lists the ranges of slice indices to store (every slice by
     default); the other slices are marched through in two scratch blocks
     and dropped, and unless every slice is kept the field's ``kept`` lists
-    the slices it holds.  Each of ``scans`` is called as ``scan(i,
-    slice_i)`` on every slice in order as soon as it is computed (for a
-    batch, the ``(members, *spatial_shape)`` block of every member's slice
-    ``i``), a view that the march may overwrite once the call returns:
-    ``rescale.GaugeScan`` takes the gauge's reductions this way, and
-    ``grid.SliceScan`` the per-slice tables of the lemma and oscillation
-    checks.  The returned field wraps the one array of kept slices the
-    march fills; a batch's is every member's (see :class:`Trajectory`).
+    the slices it holds.  A ``scan`` is called as ``scan(i, slice_i)`` on
+    every slice in order as soon as it is computed (for a batch, the
+    ``(members, *spatial_shape)`` block of every member's slice ``i``), a
+    view that the march may overwrite once the call returns: a run's one
+    ``grid.SliceScan`` takes the per-slice tables and residual rows of
+    every check this way, the gauge's included.  The returned field wraps
+    the one array of kept slices the march fills; a batch's is every
+    member's (see :class:`Trajectory`).
     Any member's abort aborts the batch, with the first aborting member's
     error.
     """
@@ -502,26 +499,24 @@ def solve(
     # every member's slice i is one contiguous block
     values = np.empty((int(slot[-1]) + 1, *init.shape))
     held = None if kept.all() else np.flatnonzero(kept)
-    # the blocks the kernel and the scans get: a lone member's slice alone
+    # the blocks the kernel and the scan get: a lone member's slice alone
     march = values if batch else values[:, 0]
     scratch = () if held is None else kernel.scratch(march.shape[1:])
     u = march[0] if kept[0] else scratch[0]
     u[...] = init if batch else init[0]
     del init  # not alive through the march
-    scans = tuple(scans)
-    for scan in scans:
+    if scan is not None:
         scan(0, u)
     for i in range(1, spec.n_slices):
         out = march[slot[i]] if kept[i] else scratch[i % 2]
         kernel(u, times.item(i - 1), i - 1, out)
-        for scan in scans:
+        if scan is not None:
             scan(i, out)
         u = out
     traj = Trajectory(
         field=ScalarField(spec, values, held),
         cfl_margins=np.frombuffer(kernel.margins).reshape(n_steps, -1),
-        max_updates=np.frombuffer(kernel.updates).reshape(n_steps, -1),
-        scans=scans)
+        max_updates=np.frombuffer(kernel.updates).reshape(n_steps, -1))
     return traj if batch else traj.member(0)
 
 
@@ -684,11 +679,16 @@ def _lattice(
 class ResidualTerm(NamedTuple):
     """One inequality's residual ``du/dt + a |grad u|^p - b``: a
     subsolution's, or with ``b = 0`` a supersolution's, on the field, or
-    with ``reflected`` on its reflection ``v(t, x) = -f(-t, x)``."""
+    with ``reflected`` on its reflection ``v(t, x) = -f(-t, x)``.
+
+    A forward term with ``stop_below`` asks only whether some row's min
+    falls below it: :class:`ResidualRows` stops taking it after the first
+    block of slices by whose end every member has such a row."""
 
     a: float
     b: float = 0.0
     reflected: bool = False
+    stop_below: float | None = None
 
 
 @dataclass(frozen=True)
@@ -700,7 +700,8 @@ class ResidualReport:
     ``(n_slices - 1, 3)`` table: row ``i`` holds the min and the max of the
     residual at slice time ``t_i`` over all cells, and its max over the
     ball mask (the whole box without one).  One :class:`ResidualRows` pass
-    over a trajectory serves every check that reads it.
+    over a trajectory serves every check that reads it; the report of a
+    term with ``stop_below`` holds the rows up to where it stopped.
     """
 
     values: NDArray[np.float64]
@@ -722,23 +723,31 @@ class ResidualRows:
     ``j = n_slices - 2 - i``: negation, the time difference and the squares
     are sign-symmetric, so it has the bits of the residual of the
     reflection ``-f(-t, x)``.  ``ball`` masks the table's third
-    column (the whole box without one).
+    column (the whole box without one).  A term with ``stop_below`` is not
+    taken after the block in which each member has had a row whose min is
+    below it, so its rows end there (see :meth:`reports`).
     """
 
     def __init__(self, spec: GridSpec, p: float, terms: Sequence[ResidualTerm],
                  ball: NDArray[np.bool_] | None = None, members: int = 1) -> None:
-        if spec.n_slices < 2:
-            raise ValueError("need at least two slices for a time difference")
         self.spec, self.p, self.terms = spec, p, list(terms)
+        if any(term.reflected and term.stop_below is not None for term in self.terms):
+            raise ValueError("a reflected term cannot stop early")
         self.tables = [np.empty((members, spec.n_slices - 1, 3)) for _ in self.terms]
+        # each term's rows taken so far, and the members with a row below
+        # its stop_below
+        self.ends = [0] * len(self.terms)
+        self._below = np.zeros((len(self.terms), members), dtype=bool)
         self._outside = None if ball is None else np.flatnonzero(~np.asarray(ball).reshape(-1))
 
     def take(self, lo: int, hi: int, slab: NDArray[np.float64]) -> None:
         """The rows of the time differences inside ``slab``, each member's
-        slices ``lo..`` of a :class:`~hjreg.grid.SliceScan` block."""
+        slices ``lo..`` of a :class:`~hjreg.grid.SliceScan` block, for
+        every term still taken."""
         spec, rows = self.spec, self.spec.n_slices - 1
         members, k, cells = slab.shape
-        if k < 2 or not self.terms:
+        live = [j for j, below in enumerate(self._below) if not below.all()]
+        if k < 2 or not live:
             return
         size, pad = members * (k - 1) * cells, axis_strides(spec)[0]
         # three block-sized arrays, alive while the block is taken: the
@@ -754,7 +763,8 @@ class ResidualRows:
         np.subtract(slab[:, 1:], slab[:, :-1], out=dudt)
         dudt /= spec.dt
         res = diff[pad:pad + size].reshape(dudt.shape)
-        for (a_coef, b_const, reflected), table in zip(self.terms, self.tables):
+        for j in live:
+            (a_coef, b_const, reflected, stop_below), table = self.terms[j], self.tables[j]
             np.multiply(a_coef, grad_term[:, 1:] if reflected else grad_term[:, :-1],
                         out=res)
             np.add(dudt, res, out=res)
@@ -770,13 +780,18 @@ class ResidualRows:
             else:  # res is a work array: -inf outside the ball, then a plain max
                 res[..., self._outside] = -np.inf
                 res.max(axis=-1, out=part[..., 2])
+            self.ends[j] = end
+            if stop_below is not None:
+                self._below[j] |= part[..., 0].min(axis=-1) < stop_below
 
     def reports(self, member: int = 0) -> list[ResidualReport]:
-        """The report of each term, in order, once every row is taken: of
-        ``member``'s rows."""
+        """The report of each term, in order, once the march is read: of
+        ``member``'s rows, every row, or a stopped term's rows up to the
+        end of the block it stopped after."""
         return [ResidualReport(table, float(max(table[:, 1].max(), 0.0)),
                                float(table[:, 0].min()), float(table[:, 2].max()))
-                for table in (tables[member] for tables in self.tables)]
+                for table in (tables[member, :end]
+                              for tables, end in zip(self.tables, self.ends))]
 
 
 def _residual(f, p: float, terms: list[ResidualTerm], ball) -> list[ResidualReport]:

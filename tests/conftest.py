@@ -101,6 +101,18 @@ def tables_of(f, reads):
     return SliceTables.of(f, reads)
 
 
+def gauge_scan(spec, env, members=1):
+    """``(scan, tables, rows)``: the gauge's tables and residual rows on
+    ``spec`` at ``env``, which ``scan`` fills, as a run's march does."""
+    from hjreg.grid import SliceScan, SliceTables
+    from hjreg.rescale import GAUGE_READS, gauge_term
+    from hjreg.solver import ResidualRows
+
+    tables = SliceTables(spec, GAUGE_READS, members)
+    rows = ResidualRows(spec, env.p, [gauge_term(spec, env)], members=members)
+    return SliceScan(spec, [tables, rows], members), tables, rows
+
+
 def bundled_config(name):
     """The JSON object of the bundled scenario ``name``."""
     path = resources.files("hjreg") / "scenarios" / f"{name}.json"

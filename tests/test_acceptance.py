@@ -193,7 +193,7 @@ def test_criterion_05_small_mass_implies_capped_sup():
             )
             # the check reads the march as it runs, as a run's does
             tables = SliceTables(spec, lemma_one_reads())
-            solve(spec, hamiltonian, fn, keep=[], scans=[SliceScan(spec, [tables])])
+            solve(spec, hamiltonian, fn, keep=[], scan=SliceScan(spec, [tables]))
             verdict = lemma_one_check(tables, env, delta)
             mass = verdict.hypothesis_values["plus_mass"]
             if mass <= delta:
@@ -311,7 +311,7 @@ def test_criterion_08_zoom_cascade_on_kink_data():
     cascade_ok = len(records) == 7 and all(r.satisfied for r in records)
 
     # the base-point scan at the same depth
-    report = theorem_check(traj, 0.5, chain, env, hamiltonian,
+    report = theorem_check(traj.field, 0.5, chain, env, hamiltonian,
                            TheoremSettings(points_per_axis=2, levels=6))
     scan_ok = report.n_unsatisfied == 0 and all(
         e["n_unsatisfied"] == 0

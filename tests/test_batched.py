@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjreg import rescale
 from hjreg.degiorgi import (
     UNIT_CYLINDER,
     cutoff_time,
@@ -53,7 +52,7 @@ from hjreg.solver import (
 )
 
 import reference
-from conftest import residual_reports, tables_of
+from conftest import gauge_scan, residual_reports, tables_of
 from reference import gauge_shift
 
 # Cells per axis of the small and the multi-block draws; with half-width
@@ -313,15 +312,12 @@ def test_gauge_stops_at_the_first_failing_block_like_the_full_scan(data, lam, p)
         # row ``dip`` drops below -tol - 1 at the cell, whatever its gradient
         values[dip + 1].flat[cell] -= spec.dt * (clean.max_positive + tol + 1.0)
     f = field_from_values(spec, values)
-    read = []
-
-    def counted(*args, **kwargs):
-        report = residual_supersolution(*args, **kwargs)
-        read.append(report.values.shape[0])
-        return report
-
-    with mock.patch.object(rescale, "residual_supersolution", counted):
-        out, gauged, gamma = gauge_to_window(f, env)
+    scan, tables, gauge_rows = gauge_scan(spec, env)
+    scan.read(f)
+    [report] = gauge_rows.reports()
+    out, gauged, gamma = gauge_to_window(f, env, tables, report)
+    whole, whole_gauged, whole_gamma = gauge_to_window(f, env)
+    assert (whole.rate, whole_gauged, whole_gamma) == (out.rate, gauged, gamma)
     assert gauged == bool(residual_supersolution(f, env).min_value < -tol)
     assert gauged == (dip is not None)
     shifted = gauge_shift(f, env) if gauged else f
@@ -329,7 +325,7 @@ def test_gauge_stops_at_the_first_failing_block_like_the_full_scan(data, lam, p)
     assert gamma == (1.0 if sup <= 2.0 else 2.0 / sup)
     # every row up to the end of the dip's block, or all of a clean field
     end = rows if dip is None else min((dip // per_block + 1) * per_block, rows)
-    assert sum(read) == end
+    assert len(report.values) == end
 
 
 @settings(max_examples=40, deadline=None)
@@ -505,7 +501,7 @@ def test_one_cell_oscillation_sees_a_time_jump_between_blocks(whole_box):
 
 residual_terms = st.builds(ResidualTerm, st.floats(0.1, 4.0),
                            st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
-                           st.booleans())
+                           st.booleans(), stop_below=st.none())
 
 
 @settings(max_examples=60, deadline=None)

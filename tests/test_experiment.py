@@ -678,8 +678,7 @@ def test_every_check_returns_a_report_that_carries_its_status():
     rows = ResidualRows(cfg.grid, cfg.envelope.p, terms,
                         Window(cfg.grid, UNIT_CYLINDER).mask)
     traj = experiment.solve(cfg.grid, cfg.hamiltonian, fn, cfg.solve,
-                            scans=[rescale.GaugeScan(cfg.grid, cfg.envelope),
-                                   SliceScan(cfg.grid, [tables, rows])])
+                            scan=SliceScan(cfg.grid, [tables, rows]))
     residuals = dict(zip(terms, rows.reports()))
     statuses = {"pass", "vacuous", "refuted", "precondition-violated", "error"}
     assert set(experiment._CHECKS) == set(cfg.checks)
@@ -1484,6 +1483,36 @@ class TestCli:
         assert "config error: chain alpha 0.25" in err
         assert "zoom_ratio" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "dt", 1e300), ("initial_data", "seed", 1e300),
+        ("initial_data", "seed", 2**64),
+    ], ids=["one-slice-grid", "seed-1e300", "seed-2-to-the-64"])
+    def test_a_value_past_the_grid_or_seed_range_exits_two(
+            self, tmp_path, capsys, section, key, value):
+        # dt = 1e300 rounds the step count of a unit span to 0; a seed of
+        # 301 digits named a run directory the file system refuses
+        data = bundled_config("oscillation-improvement")
+        data[section][key] = value
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_an_ensemble_seed_past_64_bits_exits_two(self, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("HJREG_OUT_DIR", str(tmp_path / "out"))
+        code = main(["ensemble", "--config", "zero-initial-data", "--count", "2",
+                     "--seed", str(10**300)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: ensemble needs 0 <= seed < 2**64" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_a_lattice_too_large_to_allocate_exits_two(self, tmp_path):
         # 4e12 slices of 20^2 cells pass the 2**60-value rule, but their

@@ -26,8 +26,11 @@ from hjreg.grid import (
     SliceTables,
     ball_mask,
 )
-from hjreg.hamiltonians import HamiltonianSpec
+from hjreg.hamiltonians import CoercivityEnvelope, HamiltonianSpec
+from hjreg.rescale import gauge_to_window
 from hjreg.solver import ResidualRows, ResidualTerm, SolveConfig, SolverError, solve
+
+from conftest import gauge_scan
 
 HAMILTONIANS = [
     HamiltonianSpec(kind="power-law", p=1.5),
@@ -78,7 +81,7 @@ def _march(spec, h, u0, keep, members, block_slices):
     with mock.patch("hjreg.grid._BLOCK_CELLS", block):
         scan = SliceScan(spec, [tables, rows], members)
     cfg = SolveConfig(cfl_safety=0.9)
-    return solve(spec, h, u0, cfg, keep, [scan]), tables, rows
+    return solve(spec, h, u0, cfg, keep, scan), tables, rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,11 +113,42 @@ def test_a_batch_marches_each_member_as_its_own_solve(batch):
             assert table[m].tobytes() == solo_table[0].tobytes()
 
 
+def test_a_batch_gauges_each_member_as_its_own_solve():
+    """Member 0's steep data fails the gauge's residual in the first block
+    and member 1's constant data never does: the batch takes the gauge's
+    rows to the end of the march, and each member's verdict and cap are
+    those of its own solve, whose rows stop where its own gauge fails."""
+    spec = GridSpec(dimension=2, half_width=1.5, cells_per_axis=12,
+                    t_start=0.0, t_end=0.5, dt=0.005)
+    h = HamiltonianSpec(kind="scaled-power-law", p=1.5, coefficient=2.0)
+    env = CoercivityEnvelope(lam=1.0, p=1.5)
+    data = [2.0 * np.sin(2.0 * spec.centers()[..., 0]), np.zeros(spec.spatial_shape)]
+    cells = math.prod(spec.spatial_shape)
+    with mock.patch("hjreg.grid._BLOCK_CELLS", 2 * 2 * 10 * cells):
+        scan, tables, rows = gauge_scan(spec, env, members=2)
+    batch = solve(spec, h, data, scan=scan)
+    verdicts, solo_rows = [], []
+    for m, u0 in enumerate(data):
+        with mock.patch("hjreg.grid._BLOCK_CELLS", 10 * cells):
+            solo_scan, solo_tables, solo = gauge_scan(spec, env)
+        field = solve(spec, h, u0, scan=solo_scan).field
+        [solo_report], [report] = solo.reports(), rows.reports(m)
+        own, own_gauged, own_gamma = gauge_to_window(field, env, solo_tables, solo_report)
+        out, gauged, gamma = gauge_to_window(batch.member(m).field, env,
+                                             tables.member(m), report)
+        assert (out.rate, gauged, gamma) == (own.rate, own_gauged, own_gamma)
+        assert len(report.values) == spec.n_steps
+        verdicts.append(gauged)
+        solo_rows.append(len(solo_report.values))
+    assert verdicts == [True, False]
+    assert solo_rows == [10, spec.n_steps]
+
+
 def _config(dim: int, seed: int) -> ExperimentConfig:
     """A small run of each dimension: in 1-D the oracle over one
     refinement (no check reads a 1-D march), in 2-D and 3-D the lemma and
     oscillation checks, and in 2-D a one-level cascade, whose zoom reads
-    the member's own gauge scan and kept slices."""
+    the member's gauge tables and residual rows and its kept slices."""
     if dim == 1:
         return ExperimentConfig.from_json_dict({
             "scenario": "members-1d",

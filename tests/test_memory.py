@@ -188,7 +188,7 @@ def test_a_batch_peaks_at_one_block_beside_its_members_tables():
         tables = SliceTables(spec, reads, k)
         rows = ResidualRows(spec, env.p, terms, None, k)
         traj = solve(spec, h, u0, SolveConfig(), [range(0, 2)],
-                     [SliceScan(spec, [tables, rows], k)])
+                     SliceScan(spec, [tables, rows], k))
         return traj, tables, rows
 
     (traj, tables, rows), peak = _traced_peak(march)

@@ -27,7 +27,6 @@ from hjreg.hamiltonians import (
 from hjreg.oscillation import build_constant_chain
 from hjreg.rescale import (
     ZOOM_WINDOW,
-    GaugeScan,
     OscillationRecord,
     base_point_slices,
     base_point_window,
@@ -40,9 +39,9 @@ from hjreg.rescale import (
     theorem_check,
     zoom_cascade,
 )
-from hjreg.solver import SolveConfig, SolverError, residual_supersolution, solve
+from hjreg.solver import SolveConfig, SolverError, solve
 
-from conftest import bundled_config, const_field, coordinate_field, noise_field
+from conftest import bundled_config, const_field, coordinate_field, gauge_scan, noise_field
 from reference import gauge_shift, make_field, sample
 
 POWER_LAW = HamiltonianSpec(kind="power-law", p=1.5)
@@ -506,58 +505,57 @@ class TestGaugeToWindow:
         assert np.abs(gamma * values).max() <= 2.0 * (1.0 + 1e-12)
 
     @pytest.fixture()
-    def rows_read(self, monkeypatch):
-        """Rows of every supersolution residual ``gauge_to_window`` takes."""
-        read = []
-
-        def counted(*args, **kwargs):
-            report = residual_supersolution(*args, **kwargs)
-            read.append(report.values.shape[0])
-            return report
-
-        monkeypatch.setattr(rescale, "residual_supersolution", counted)
-        return read
-
-    @pytest.fixture()
     def blocks4(self):
         """100 steps of 64^2 cells: four residual blocks, the last of 4 rows."""
         return GridSpec(dimension=2, half_width=1.5, cells_per_axis=64,
                         t_start=-2.0, t_end=2.0, dt=0.04)
 
-    def test_failing_last_step_reads_every_row(self, blocks4, env_unit,
-                                               rows_read):
+    @staticmethod
+    def gauge_rows(f, env):
+        """``gauge_to_window`` of ``f`` and the rows of the gauge's residual
+        report that it read, from one scan of the whole field."""
+        scan, tables, rows = gauge_scan(f.spec, env)
+        scan.read(f)
+        [report] = rows.reports()
+        out, gauged, gamma = gauge_to_window(f, env, tables, report)
+        whole = gauge_to_window(f, env)
+        assert (whole[0].rate, whole[1], whole[2]) == (out.rate, gauged, gamma)
+        return gauged, len(report.values)
+
+    def test_failing_last_step_reads_every_row(self, blocks4, env_unit):
         last = blocks4.t_end - 0.5 * blocks4.dt
         f = make_field(blocks4, lambda t, x: 0.1 * np.cos(x[..., 0])
                        - 3.0 * (t > last))
-        _, gauged, _ = gauge_to_window(f, env_unit)
+        gauged, rows = self.gauge_rows(f, env_unit)
         assert gauged
-        assert sum(rows_read) == blocks4.n_slices - 1
-        assert len(rows_read) == 4
+        assert rows == blocks4.n_slices - 1
+        assert math.ceil(rows / (_BLOCK_CELLS // 64**2)) == 4
 
-    def test_failing_first_step_reads_one_block(self, blocks4, env_unit,
-                                                rows_read):
+    def test_failing_first_step_reads_one_block(self, blocks4, env_unit):
         first = blocks4.t_start + 0.5 * blocks4.dt
         f = make_field(blocks4, lambda t, x: 0.1 * np.cos(x[..., 0])
                        - 3.0 * (t > first))
-        _, gauged, _ = gauge_to_window(f, env_unit)
-        assert gauged
-        assert rows_read == [_BLOCK_CELLS // 64**2]
+        assert self.gauge_rows(f, env_unit) == (True, _BLOCK_CELLS // 64**2)
 
     @pytest.mark.parametrize("offset", [0.0, 3.0])
     def test_a_windowed_solve_scans_as_its_full_field(self, blocks4, env_unit,
-                                                      rows_read, offset):
-        """The scan the march feeds takes the same residuals, gauge and cap
-        as a scan of the whole field, which the kept slices cannot give."""
+                                                      offset):
+        """The scan the march feeds takes the same residual rows, gauge and
+        cap as a scan of the whole field, which the kept slices cannot give."""
         h = HamiltonianSpec(kind="scaled-power-law", p=1.5, offset=offset)
         u0 = lambda x: 0.01 * np.cos(2.0 * x[..., 0])
-        out, gauged, gamma = gauge_to_window(solve(blocks4, h, u0).field, env_unit)
-        field_rows = list(rows_read)
-        rows_read.clear()
-        traj = solve(blocks4, h, u0, keep=[range(3, 5)],
-                     scans=[GaugeScan(blocks4, env_unit)])
-        windowed, w_gauged, w_gamma = gauge_to_window(traj, env_unit)
-        assert rows_read == field_rows
-        assert len(field_rows) == (1 if offset else 4)
+        field = solve(blocks4, h, u0).field
+        out, gauged, gamma = gauge_to_window(field, env_unit)
+        full_scan, _, full_rows = gauge_scan(blocks4, env_unit)
+        full_scan.read(field)
+        scan, tables, rows = gauge_scan(blocks4, env_unit)
+        traj = solve(blocks4, h, u0, keep=[range(3, 5)], scan=scan)
+        [report], [full] = rows.reports(), full_rows.reports()
+        windowed, w_gauged, w_gamma = gauge_to_window(traj.field, env_unit,
+                                                      tables, report)
+        assert report.values.tobytes() == full.values.tobytes()
+        assert len(report.values) == (_BLOCK_CELLS // 64**2 if offset
+                                      else blocks4.n_slices - 1)
         assert (w_gauged, w_gamma, windowed.rate) == (gauged, gamma, out.rate)
         assert windowed.field is traj.field
         with pytest.raises(IndexError, match="not all kept"):
@@ -658,7 +656,7 @@ class TestTheoremCheck:
     def test_zero_solution_is_everywhere_degenerate(self, box2, chain_double,
                                                     env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
-        report = theorem_check(traj, 1.0, chain_double, env_unit, POWER_LAW,
+        report = theorem_check(traj.field, 1.0, chain_double, env_unit, POWER_LAW,
                                TheoremSettings(points_per_axis=2, levels=2,
                                                working_cells=16, working_slices=16))
         assert report.n_unsatisfied == 0
@@ -669,11 +667,11 @@ class TestTheoremCheck:
     def test_delta_time_bounds(self, box2, chain_double, env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
         with pytest.raises(ValueError, match="delta_time"):
-            theorem_check(traj, -3.0, chain_double, env_unit, POWER_LAW,
+            theorem_check(traj.field, -3.0, chain_double, env_unit, POWER_LAW,
                           TheoremSettings())
 
     def test_chain_envelope_coupling(self, box2, chain_unit, env_unit):
         traj = solve(box2, POWER_LAW, lambda x: np.zeros(x.shape[:-1]))
         with pytest.raises(ValueError, match="twice"):
-            theorem_check(traj, 1.0, chain_unit, env_unit, POWER_LAW,
+            theorem_check(traj.field, 1.0, chain_unit, env_unit, POWER_LAW,
                           TheoremSettings())

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hjreg.solver
-from hjreg.grid import GridSpec
+from hjreg.grid import GridSpec, SliceScan
 from hjreg.hamiltonians import (
     CoercivityEnvelope,
     HamiltonianSpec,
@@ -21,6 +21,7 @@ from hjreg.hamiltonians import (
 )
 from hjreg.initial_data import make_initial_function
 from hjreg.solver import (
+    ResidualRows,
     ResidualTerm,
     SolveConfig,
     SolverError,
@@ -198,7 +199,7 @@ class TestWindowedSolve:
     def test_scan_sees_every_slice_in_order(self, line, full):
         seen = []
         traj = solve(line, QUADRATIC, lambda x: np.abs(x[..., 0]) - 0.5,
-                     keep=[range(0, 2)], scans=[lambda i, u: seen.append((i, u.copy()))])
+                     keep=[range(0, 2)], scan=lambda i, u: seen.append((i, u.copy())))
         assert [i for i, _ in seen] == list(range(line.n_slices))
         assert np.array_equal(np.stack([u for _, u in seen]), full.field.values)
         assert traj.field.values.shape == (2, *line.spatial_shape)
@@ -453,6 +454,23 @@ class TestResiduals:
         assert np.array_equal(report.values, reference.table(full))
         assert np.abs(full).max() == 0.0
 
+    def test_a_stopping_term_ends_its_rows_after_its_block(self, box2):
+        """A term with ``stop_below`` is taken up to the end of the first
+        block with a row below it, beside terms taken whole; a reflected
+        term cannot stop."""
+        f = time_field(box2)  # every row's min is du/dt = 1
+        terms = [ResidualTerm(1.0, stop_below=1.5), ResidualTerm(1.0),
+                 ResidualTerm(1.0, stop_below=0.5)]
+        rows = ResidualRows(box2, 1.5, terms)
+        with mock.patch("hjreg.grid._BLOCK_CELLS", 10 * 20**2):
+            SliceScan(box2, [rows]).read(f)
+        stopped, whole, never = rows.reports()
+        assert stopped.values.tobytes() == whole.values[:10].tobytes()
+        assert never.values.tobytes() == whole.values.tobytes()
+        assert len(whole.values) == box2.n_steps
+        with pytest.raises(ValueError, match="reflected term cannot stop early"):
+            ResidualRows(box2, 1.5, [ResidualTerm(1.0, reflected=True, stop_below=0.0)])
+
     def test_custom_coefficients(self, line):
         env = CoercivityEnvelope(lam=1.0, p=2.0)
         f = coordinate_field(line)
@@ -492,7 +510,7 @@ def reflectable_fields(draw):
 
 residual_terms = st.builds(ResidualTerm, st.floats(0.1, 4.0),
                            st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
-                           st.booleans())
+                           st.booleans(), stop_below=st.none())
 
 
 @settings(max_examples=40, deadline=None)

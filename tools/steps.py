@@ -9,7 +9,7 @@ each solve, in call order, a line gives its grid, its members, its steps,
 the microseconds per step and the cell-steps per second (cells times
 members times steps over the time spent in the steps).  The last line sums
 every solve.  This is the solver-step layer alone: the benchmark's spans
-time ``solve`` with the streamed readers and scans it feeds.
+time ``solve`` with the streamed readers its scan feeds.
 
 The first run warms the caches and is not reported; then ``--repeat``
 runs follow, and each line gives the median over them beside the counts
