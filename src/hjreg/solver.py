@@ -724,8 +724,8 @@ class ResidualRows:
     are sign-symmetric, so it has the bits of the residual of the
     reflection ``-f(-t, x)``.  ``ball`` masks the table's third
     column (the whole box without one).  A term with ``stop_below`` is not
-    taken after the block in which each member has had a row whose min is
-    below it, so its rows end there (see :meth:`reports`).
+    taken after the first block by whose end each member has had a row
+    whose min is below it, so its rows end there (see :meth:`reports`).
     """
 
     def __init__(self, spec: GridSpec, p: float, terms: Sequence[ResidualTerm],
@@ -736,7 +736,7 @@ class ResidualRows:
         self.tables = [np.empty((members, spec.n_slices - 1, 3)) for _ in self.terms]
         # each term's rows taken so far, and the members with a row below
         # its stop_below
-        self.ends = [0] * len(self.terms)
+        self._ends = [0] * len(self.terms)
         self._below = np.zeros((len(self.terms), members), dtype=bool)
         self._outside = None if ball is None else np.flatnonzero(~np.asarray(ball).reshape(-1))
 
@@ -780,7 +780,7 @@ class ResidualRows:
             else:  # res is a work array: -inf outside the ball, then a plain max
                 res[..., self._outside] = -np.inf
                 res.max(axis=-1, out=part[..., 2])
-            self.ends[j] = end
+            self._ends[j] = end
             if stop_below is not None:
                 self._below[j] |= part[..., 0].min(axis=-1) < stop_below
 
@@ -791,7 +791,7 @@ class ResidualRows:
         return [ResidualReport(table, float(max(table[:, 1].max(), 0.0)),
                                float(table[:, 0].min()), float(table[:, 2].max()))
                 for table in (tables[member, :end]
-                              for tables, end in zip(self.tables, self.ends))]
+                              for tables, end in zip(self.tables, self._ends))]
 
 
 def _residual(f, p: float, terms: list[ResidualTerm], ball) -> list[ResidualReport]:
