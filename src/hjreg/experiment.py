@@ -338,6 +338,10 @@ def _check_gates(cfg: ExperimentConfig) -> None:
             f"hamiltonian table has dimension {table.dimension}, the grid "
             f"{grid.dimension}"
         )
+    with np.errstate(over="ignore", divide="ignore"):  # the solver's lattice scale
+        if not np.isfinite((0.5 / np.float64(grid.cell_width)) ** cfg.hamiltonian.p):
+            raise ConfigError(f"grid cell width {grid.cell_width} is too small: "
+                              "(0.5 / cell_width) ** p is not finite")
     if cfg.envelope.p != cfg.hamiltonian.p:
         raise ConfigError(
             f"envelope exponent {cfg.envelope.p} does not match the "

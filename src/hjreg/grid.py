@@ -438,7 +438,8 @@ class Window:
             :class:`SliceRead`.
 
     The three arrays are read-only: every window of one grid and cylinder
-    shares them (see ``_window_geometry``).
+    shares them (see ``_window_geometry``).  A window reads no field: its
+    extrema, measures, integrals and jumps are :class:`SliceTables`'.
 
     Raises:
         EmptyCylinderError: when the cylinder holds no slice or no cell;
@@ -496,22 +497,6 @@ class Window:
         """Indices of the slices with a positive time weight."""
         return np.nonzero(self.weights > 0.0)[0]
 
-    def tables(self, source, reads) -> SliceTables:
-        """The :class:`SliceTables` of ``reads`` of ``source``, a field read
-        through its ``rows(lo, hi)``, on the window's slices and its
-        :meth:`weighted_slices` (a slice outside ``[t_lo, t_hi]`` can own
-        part of it)."""
-        index = np.concatenate([self.slices, self.weighted_slices()])
-        return SliceTables.of(source, reads, int(index.min()), int(index.max()) + 1)
-
-    def max(self, source) -> float:
-        """Largest of ``source`` (see :meth:`tables`) in the window."""
-        return self.tables(source, [SliceRead("max", self.radius)]).max(self)
-
-    def min(self, source) -> float:
-        """Smallest of ``source`` (see :meth:`tables`) in the window."""
-        return self.tables(source, [SliceRead("min", self.radius)]).min(self)
-
     def measure(self, counts: NDArray) -> float:
         """Cell-counting measure from the cell counts of the
         :meth:`weighted_slices`, one per slice in their order."""
@@ -558,7 +543,10 @@ def level_set_measure(
     Returns 0.0 when no cell of the window satisfies the predicate.
     """
     read = SliceRead("count", win.radius, (0.0, lo, hi, closed_upper))
-    return win.tables(f, [read]).measure(win, lo, hi, closed_upper)
+    weighted = win.weighted_slices()
+    tables = SliceTables.of(f, [read], int(weighted.min(initial=0)),
+                            int(weighted.max(initial=-1)) + 1)
+    return tables.measure(win, lo, hi, closed_upper)
 
 
 def discrete_gradient_norm_p(
@@ -662,7 +650,8 @@ def one_cell_oscillation(f: ScalarField, win: Window | None = None) -> float:
     """
     if win is None:
         return SliceTables.of(f, [SliceRead("jumps", None)]).one_cell()
-    return win.tables(f, [SliceRead("jumps", win.radius)]).one_cell(win)
+    read = SliceRead("jumps", win.radius)
+    return SliceTables.of(f, [read], int(win.slices[0]), int(win.slices[-1]) + 1).one_cell(win)
 
 
 class SliceRead(NamedTuple):
@@ -873,12 +862,14 @@ class SliceTables:
                 out = table[:, lo:hi, column]
                 np.maximum(out, pairs.max(axis=-1, initial=0.0)[:, :hi - lo], out=out)
 
-    def table(self, kind: str, radius, arg: tuple = (),
-              first: int = 0) -> NDArray[np.float64]:
-        """The table of the read ``SliceRead(kind, radius, arg, first=first)``,
-        one entry per slice in the order of the field read (the reflection's
-        order, from its negated read, after :meth:`reflection`)."""
-        table = self.tables[SliceRead(kind, radius, arg, self.reflected, first)][self.row]
+    def table(self, kind: str, radius, arg: tuple = (), first: int = 0,
+              negated: bool = False) -> NDArray[np.float64]:
+        """The table of the read ``SliceRead(kind, radius, arg, negated,
+        first)``, one entry per slice in the order of the field read (the
+        reflection's order, from the read of the other sign, after
+        :meth:`reflection`)."""
+        read = SliceRead(kind, radius, arg, self.reflected != negated, first)
+        table = self.tables[read][self.row]
         return table[::-1] if self.reflected else table
 
     def max(self, win: Window) -> float:

@@ -32,7 +32,6 @@ from .grid import (
     SliceScan,
     SliceTables,
     Window,
-    one_cell_oscillation,
     to_json,
 )
 from .hamiltonians import CoercivityEnvelope, GaugedField, TransformedHamiltonian
@@ -198,66 +197,69 @@ def select_recenter(
     return d, achieved
 
 
-def _check_envelope(f: ScalarField, chain: ConstantChain, tolerance: float) -> None:
-    margin = growth_envelope(chain, f.spec) - np.abs(f.values)
-    worst = float(margin.min())
-    if worst < -tolerance:
-        where = np.unravel_index(int(np.argmin(margin)), margin.shape)
-        t = float(f.spec.times()[where[0]])
-        x = tuple(float(c) for c in f.spec.centers()[where[1:]])
-        raise ValueError(
-            f"field exceeds its growth envelope by {-worst} "
-            f"(tolerance {tolerance}) at t={t}, x={x}"
-        )
+def _level_reads(chain: ConstantChain) -> list[SliceRead]:
+    """The tables a cascade level reads of its field: the extrema and jumps
+    of the box and of :data:`ZOOM_WINDOW`, and ``growth_envelope - |f|`` as
+    the smaller of ``growth_envelope + f`` and ``+ (-f)``, each exact."""
+    env = (growth_envelope, chain)
+    return [*(SliceRead(kind, radius) for radius in (None, ZOOM_WINDOW.radius)
+              for kind in ("max", "min", "jumps")),
+            *(SliceRead("plus_min", None, env, negated) for negated in (False, True))]
 
 
 def _zoom_resolve(
     f: ScalarField,
+    tables: SliceTables,
     d: float,
     chain: ConstantChain,
     hamiltonian,
     cfg: SolveConfig,
-) -> tuple[ScalarField, TransformedHamiltonian]:
+) -> tuple[ScalarField, SliceTables, TransformedHamiltonian]:
     """One zoom by re-solving the transformed equation at full resolution.
 
     The next level's equation has Hamiltonian ``s a H(a t, b x, P/(s b))``
     with ``s = 4/(4 - shrink_below)``; only the initial slice
     ``s (f(-4 a, b x) - d)`` is sampled from the previous level.  Before
     mapping, ``f`` must sit under the growth envelope ``2 + barrier_slope
-    * (|x| - 1)_+``, up to its one-cell oscillation (else a
-    ``ValueError``).  The time step is chosen from the initial
-    slice's steepness with a factor-4 margin and halved on a solver abort,
-    up to 8 solves; a grid refused for needing more than ``max_steps``
-    steps is not retried, since halving the step doubles the steps it
-    needs.
+    * (|x| - 1)_+``, up to its one-cell oscillation, as ``tables`` (its
+    :func:`_level_reads`) show, else a ``ValueError``.  The time step is
+    chosen from the initial slice's steepness with a factor-4 margin and
+    halved on a solver abort, up to 8 solves; a grid refused for needing
+    more than ``max_steps`` steps is not retried, since halving the step
+    doubles the steps it needs.  The re-solve keeps only the slices that
+    the next level samples and feeds its march to one ``SliceScan`` of that
+    level's tables.  Returns ``(field, tables, transformed)``.
     """
-    spec = f.spec
-    _check_envelope(f, chain, max(one_cell_oscillation(f), _TOL_FLOOR))
+    spec, env = f.spec, (growth_envelope, chain)
+    margin = np.minimum(*(tables.table("plus_min", None, env, negated=negated)
+                          for negated in (False, True)))
+    tolerance = max(tables.one_cell(), _TOL_FLOOR)
+    if margin.min() < -tolerance:
+        t = float(spec.times()[np.argmin(margin)])
+        raise ValueError(f"field exceeds its growth envelope by {-float(margin.min())} "
+                         f"(tolerance {tolerance}) at t={t}")
     a = chain.zoom_ratio**chain.zoom_time_exponent
     b = chain.zoom_ratio
     scale = 4.0 / (4.0 - chain.shrink_below)
-    transformed = TransformedHamiltonian(
-        base=hamiltonian,
-        out_scale=scale * a,
-        t_scale=a,
-        x_scale=b,
-        grad_scale=1.0 / (scale * b),
-    )
+    transformed = TransformedHamiltonian(base=hamiltonian, out_scale=scale * a, t_scale=a,
+                                         x_scale=b, grad_scale=1.0 / (scale * b))
     axes = [np.array([-4.0 * a])] + [b * spec.axis_centers()] * spec.dimension
     init = scale * (_clamped_sample(f, axes)[0] - d)
 
+    # division is monotone: the largest |jump| / h is the largest |jump| over h
     h = spec.cell_width
-    steepness = 0.0
-    for axis in range(spec.dimension):
-        diffs = np.abs(np.diff(init, axis=axis)) / h
-        if diffs.size:
-            steepness = max(steepness, float(diffs.max()))
+    steepness = max(0.0, *(float(np.abs(np.diff(init, axis=axis)).max())
+                           for axis in range(spec.dimension))) / h
     sigma = max(transformed.dissipation_bound(max(steepness, 1e-9)), 1e-9)
     dt = snap_dt(-4.0, 0.0, min(cfg.cfl_safety * h / (spec.dimension * sigma * 4.0), 4.0))
     for attempt in range(8):
         out_spec = replace(spec, t_start=-4.0, t_end=0.0, dt=dt)
+        # the range _clamped_sample reads at -4a, inside the grid as a < 1/4
+        keep = [Window.slice_range(out_spec, -4.0 * a, -4.0 * a, pad=2)]
+        out = SliceTables(out_spec, _level_reads(chain))
         try:
-            return solve(out_spec, transformed, init, cfg).field, transformed
+            traj = solve(out_spec, transformed, init, cfg, keep, SliceScan(out_spec, [out]))
+            return traj.field, out, transformed
         except SolverError:
             refused = cfg.max_steps is not None and out_spec.n_steps > cfg.max_steps
             if refused or attempt == 7:
@@ -276,26 +278,26 @@ def zoom_cascade(
 
     Record ``m`` measures the oscillation of the original field over the
     window ``Q_m`` through the cascade bookkeeping: the window pulls back
-    to :data:`ZOOM_WINDOW` on level ``m``'s field (whose extrema there each
-    level takes once), and every zoom scales values by exactly
-    ``1/decay_ratio``, so the original oscillation is ``decay_ratio^m``
-    times the measured window oscillation at level ``m``.
+    to :data:`ZOOM_WINDOW` on level ``m``'s field, and every zoom scales
+    values by exactly ``1/decay_ratio``, so the original oscillation is
+    ``decay_ratio^m`` times the measured window oscillation at level ``m``.
     The certified bound is ``4 decay_ratio^(m+1)``.
 
-    Each level advances by re-solving the transformed equation of
-    ``hamiltonian``, the one the input field solves.  Returns ``(records,
-    aborted)``: ``aborted`` is ``None``, or the message ``"cascade aborted
-    at level m: ..."`` of the level that failed, and ``records`` then holds
-    every record taken before the failure.
+    Every level reads its field through one ``SliceTables`` of
+    :func:`_level_reads`: level 0 at once (``f`` holds every slice), each
+    later level from the march of its re-solve of the transformed equation
+    of ``hamiltonian``, the one the input field solves.  Returns
+    ``(records, aborted)``: ``aborted`` is ``None``, or the message
+    ``"cascade aborted at level m: ..."`` of the level that failed (a
+    solver abort, a broken hypothesis, or an overflow of a deep level's
+    scales), and ``records`` then holds every record taken before it.
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    sup = float(np.abs(f.values).max())
-    box_tol = max(one_cell_oscillation(f), _TOL_FLOOR)
-    if sup > 2.0 + box_tol:
-        raise ValueError(
-            f"cascade input must be bounded by 2 on its whole grid, found {sup}"
-        )
+    tables = SliceTables.of(f, _level_reads(chain))
+    sup = float(max(tables.table("max", None).max(), -tables.table("min", None).min()))
+    if sup > 2.0 + max(tables.one_cell(), _TOL_FLOOR):
+        raise ValueError(f"cascade input must be bounded by 2 on its whole grid, found {sup}")
     theta = chain.decay_ratio
     a = chain.zoom_ratio**chain.zoom_time_exponent
     cfg = solve_config or SolveConfig()
@@ -304,8 +306,8 @@ def zoom_cascade(
     for m in range(levels + 1):
         try:
             win = Window(u.spec, ZOOM_WINDOW)
-            lo, hi = win.min(u), win.max(u)
-            window_tol = one_cell_oscillation(u, win)
+            lo, hi = tables.min(win), tables.max(win)
+            window_tol = tables.one_cell(win)
             d, _ = select_recenter(lo, hi, chain, window_tol)
             factor = theta**m
             osc = factor * (hi - lo)
@@ -324,9 +326,11 @@ def zoom_cascade(
                 )
             )
             if m < levels:
-                u, hamiltonian = _zoom_resolve(u, d, chain, hamiltonian, cfg)
+                u, tables, hamiltonian = _zoom_resolve(u, tables, d, chain, hamiltonian, cfg)
         except (SolverError, ValueError) as err:
             return records, f"cascade aborted at level {m}: {err}"
+        except OverflowError as err:
+            return records, f"cascade aborted at level {m}: arithmetic overflow: {err}"
     return records, None
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from hjreg.grid import ScalarField, slice_blocks
+from hjreg.oscillation import growth_envelope
 
 
 def make_field(spec, initializer):
@@ -77,6 +78,17 @@ def window_max(f, win):
 def window_min(f, win):
     """The smallest value of ``f`` over the cells and slices of ``win``."""
     return float(f.values[win.slices][:, win.mask].min())
+
+
+def sup_abs(f):
+    """The largest of ``|f|`` over every cell of every slice."""
+    return float(np.abs(f.values).max())
+
+
+def envelope_margin(f, chain):
+    """The smallest of ``growth_envelope - |f|`` over every cell of every
+    slice, the margin a zoom's input keeps under its envelope."""
+    return float((growth_envelope(chain, f.spec) - np.abs(f.values)).min())
 
 
 def measure(f, win, lo, hi, closed_upper=False, shift=0.0):

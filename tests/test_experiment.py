@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -1502,6 +1503,38 @@ class TestCli:
         assert "config error" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_a_cell_too_small_for_the_lattice_scale_exits_two(self, tmp_path, capsys):
+        # (0.5 / h) ** p overflows a float for a cell width of 3e-302
+        data = bundled_config("solver-abort-fixture")
+        data["grid"]["half_width"] = 1e-300
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: grid cell width 3.125e-302 is too small" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", [400, 1e300])
+    def test_a_cascade_that_overflows_at_a_deep_level_aborts(
+            self, tmp_path, capsys, levels):
+        # the zoomed Hamiltonian's scales grow each level until a float **
+        # overflows; the cascade reports that level as its abort
+        data = bundled_config("zero-initial-data")
+        data["checks"] = ["cascade"]
+        data["cascade"]["levels"] = levels
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        [path] = out.rglob("report.json")
+        [check] = json.loads(path.read_text())["checks"]
+        assert check["status"] == "error"
+        assert re.fullmatch(r"cascade aborted at level \d+: arithmetic overflow: .*",
+                            check["aborted"])
 
     def test_an_ensemble_seed_past_64_bits_exits_two(self, tmp_path, capsys,
                                                      monkeypatch):

@@ -255,8 +255,9 @@ class TestWindow:
     def test_extrema_and_integral(self, box2):
         f = time_field(box2)
         win = Window(box2, Cylinder(t_lo=-1.0, t_hi=0.5, radius=1.0))
-        assert win.min(f) == -1.0
-        assert win.max(f) == pytest.approx(0.5, abs=1e-12)
+        extrema = tables_of(f, [SliceRead("max", 1.0), SliceRead("min", 1.0)])
+        assert extrema.min(win) == -1.0
+        assert extrema.max(win) == pytest.approx(0.5, abs=1e-12)
         area = np.count_nonzero(win.mask) * box2.cell_volume
         ones = tables_of(const_field(box2, 1.0), [SliceRead("excess", 1.0, (0.0,))])
         assert ones.integral(win, above=0.0) == pytest.approx(1.5 * area, rel=1e-12)
@@ -391,7 +392,8 @@ class TestGradient:
 
 def oscillation(f, cyl):
     win = Window(f.spec, cyl)
-    return win.max(f) - win.min(f)
+    extrema = tables_of(f, [SliceRead("max", cyl.radius), SliceRead("min", cyl.radius)])
+    return extrema.max(win) - extrema.min(win)
 
 
 class TestOscillation:

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hjreg import experiment
+from hjreg import experiment, rescale
 from hjreg.degiorgi import (
     lemma_one_check,
     lemma_one_reads,
@@ -196,6 +196,35 @@ def test_a_batch_peaks_at_one_block_beside_its_members_tables():
             + sum(t.nbytes for t in rows.tables))
     assert peak <= held + 8 * k * _CELL_BYTES + 5 * batch_block + _SLACK
     assert held + 8 * k * _CELL_BYTES + 5 * batch_block < k * ring
+
+
+def test_a_cascade_resolve_peaks_at_a_few_blocks_beside_its_kept_range(monkeypatch):
+    """A zoom level's re-solve keeps only the slices the next level samples
+    and feeds its tables from the march, so a cascade of one zoom peaks at
+    a few blocks beside that range, far below the re-solve's trajectory."""
+    spec = GridSpec(dimension=2, half_width=1.25, cells_per_axis=48,
+                    t_start=-4.0, t_end=0.0, dt=0.125)
+    f = make_field(spec, lambda t, x: 0.5 * np.sin(2.0 * x[..., 0]) * np.cos(x[..., 1]))
+    chain = build_constant_chain(2, 1.5, 1.0, 1.0)
+    resolves, original = [], rescale.solve
+
+    def solve(out_spec, *args, **kwargs):
+        traj = original(out_spec, *args, **kwargs)
+        resolves.append((out_spec, traj.field))
+        return traj
+
+    monkeypatch.setattr(rescale, "solve", solve)
+    (records, aborted), peak = _traced_peak(lambda: rescale.zoom_cascade(
+        f, chain, 1, HamiltonianSpec(kind="power-law", p=1.5)))
+    assert aborted is None and len(records) == 2
+    [(out_spec, field)] = resolves
+    slice_bytes = math.prod(out_spec.spatial_shape) * 8
+    assert out_spec.n_slices * slice_bytes >= 8 * _BLOCK_BYTES
+    # the range the next level samples at -4a, padded by two slices
+    t = -4.0 * chain.zoom_ratio**chain.zoom_time_exponent
+    sampled = Window.slice_range(out_spec, t, t, pad=2)
+    assert field.kept.tolist() == list(sampled)
+    assert peak <= 4 * _BLOCK_BYTES + len(sampled) * slice_bytes
 
 
 @pytest.mark.parametrize("cylinder", [None, Cylinder(-1.0, 1.0, 1.0)],

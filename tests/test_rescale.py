@@ -15,6 +15,7 @@ from hjreg.grid import (
     _BLOCK_CELLS,
     GridSpec,
     ScalarField,
+    SliceTables,
     Window,
     field_from_values,
     one_cell_oscillation,
@@ -24,7 +25,7 @@ from hjreg.hamiltonians import (
     HamiltonianSpec,
     TransformedHamiltonian,
 )
-from hjreg.oscillation import build_constant_chain
+from hjreg.oscillation import build_constant_chain, growth_envelope
 from hjreg.rescale import (
     ZOOM_WINDOW,
     OscillationRecord,
@@ -41,6 +42,7 @@ from hjreg.rescale import (
 )
 from hjreg.solver import SolveConfig, SolverError, solve
 
+import reference
 from conftest import bundled_config, const_field, coordinate_field, gauge_scan, noise_field
 from reference import gauge_shift, make_field, sample
 
@@ -165,11 +167,16 @@ class TestSampler:
         assert np.array_equal(out.values, f.values[np.ix_(rows, xs, ys)])
 
 
+def level_tables(f, chain):
+    """The tables a cascade level reads of ``f``, as level 0 takes them."""
+    return SliceTables.of(f, rescale._level_reads(chain))
+
+
 def recenter(f, chain):
     """``select_recenter`` of ``f``'s extrema over the zoom window, at its
     one-cell oscillation there, as the cascade calls it."""
-    win = Window(f.spec, ZOOM_WINDOW)
-    return select_recenter(win.min(f), win.max(f), chain, one_cell_oscillation(f, win))
+    win, tables = Window(f.spec, ZOOM_WINDOW), level_tables(f, chain)
+    return select_recenter(tables.min(win), tables.max(win), chain, tables.one_cell(win))
 
 
 class TestSelectRecenter:
@@ -193,9 +200,19 @@ class TestSelectRecenter:
 
 def zoom_start(f, d, chain):
     """The first slice of the next level, ``s (f(-4 a, b x) - d)``, as the
-    re-solve builds it."""
-    out, _ = rescale._zoom_resolve(f, d, chain, POWER_LAW, SolveConfig())
-    return out.values[0]
+    re-solve hands it to ``solve``."""
+    starts, real_solve = [], rescale.solve
+
+    def spy(spec, h, u0, *args):
+        starts.append(u0)
+        return real_solve(spec, h, u0, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rescale, "solve", spy)
+        rescale._zoom_resolve(f, level_tables(f, chain), d, chain, POWER_LAW,
+                              SolveConfig())
+    [start] = starts
+    return start
 
 
 class TestZoomStep:
@@ -224,15 +241,80 @@ class TestZoomStep:
             zoom_start(const_field(window, 3.0), 0.0, chain_unit)
 
         # a level-1 field that is 0 on the recentering window [-1, 0] but
-        # reaches 3 at t = -4, one eighth per slice
+        # reaches 3 at t = -4, one eighth per slice; the stub marches it
+        # into the scan it is given, on the step the stub forces
         escaped = make_field(window, lambda t, x: np.clip(-1.0 - t, 0.0, 3.0))
-        monkeypatch.setattr(rescale, "solve",
-                            lambda *args: SimpleNamespace(field=escaped))
+
+        def escaped_solve(spec, h, u0, cfg, keep, scan):
+            assert spec == window
+            for i, row in enumerate(escaped.values):
+                scan(i, row)
+            return SimpleNamespace(field=escaped)
+
+        monkeypatch.setattr(rescale, "snap_dt", lambda *args: window.dt)
+        monkeypatch.setattr(rescale, "solve", escaped_solve)
         records, aborted = zoom_cascade(
             const_field(window, 0.0), chain_unit, 2, POWER_LAW)
         assert aborted.startswith(
             "cascade aborted at level 1: field exceeds its growth envelope by 1.0 ")
         assert [r.level for r in records] == [0, 1]
+
+
+def smooth_field(spec):
+    return make_field(spec, lambda t, x: 0.5 * np.cos(np.pi * x[..., 0] / 2.5)
+                      * np.cos(np.pi * x[..., 1] / 2.5) + 0.05 * t)
+
+
+def whole_resolves(monkeypatch):
+    """Every re-solve's whole field, from a second solve that keeps every
+    slice, in call order."""
+    wholes, real_solve = [], rescale.solve
+
+    def spy(spec, h, u0, cfg, keep, scan):
+        wholes.append(real_solve(spec, h, u0, cfg).field)
+        return real_solve(spec, h, u0, cfg, keep, scan)
+
+    monkeypatch.setattr(rescale, "solve", spy)
+    return wholes
+
+
+class TestLevelReads:
+    def test_tables_equal_the_whole_field_reads(self, window, chain_unit, monkeypatch):
+        """Level 0's tables and a re-solved level's, which its march fed,
+        give the whole-field reads bit for bit; the re-solve keeps only the
+        slices the next level samples."""
+        wholes = whole_resolves(monkeypatch)
+        f = smooth_field(window)
+        tables = level_tables(f, chain_unit)
+        d, _ = recenter(f, chain_unit)
+        out, out_tables, _ = rescale._zoom_resolve(
+            f, tables, d, chain_unit, POWER_LAW, SolveConfig())
+        [whole] = wholes
+        assert out.kept is not None and len(out.kept) <= 6 < whole.spec.n_slices
+        assert np.array_equal(out.values, whole.values[out.kept])
+        env = (growth_envelope, chain_unit)
+        for field, t in ((f, tables), (whole, out_tables)):
+            win = Window(field.spec, ZOOM_WINDOW)
+            assert t.max(win) == reference.window_max(field, win)
+            assert t.min(win) == reference.window_min(field, win)
+            assert t.one_cell(win) == reference.one_cell_oscillation(field, win)
+            assert t.one_cell() == reference.one_cell_oscillation(field)
+            assert max(t.table("max", None).max(),
+                       -t.table("min", None).min()) == reference.sup_abs(field)
+            margin = np.minimum(t.table("plus_min", None, env),
+                                t.table("plus_min", None, env, negated=True))
+            assert margin.min() == reference.envelope_margin(field, chain_unit)
+
+    def test_records_equal_the_whole_field_path(self, window, chain_unit, monkeypatch):
+        wholes = whole_resolves(monkeypatch)
+        f = smooth_field(window)
+        records = complete_cascade(f, chain_unit, 2, POWER_LAW)
+        assert len(wholes) == 2
+        for m, (field, r) in enumerate(zip([f, *wholes], records)):
+            win, factor = Window(field.spec, ZOOM_WINDOW), chain_unit.decay_ratio**m
+            lo, hi = reference.window_min(field, win), reference.window_max(field, win)
+            assert r.osc_measured == factor * (hi - lo)
+            assert r.tolerance == factor * reference.one_cell_oscillation(field, win)
 
 
 class TestZoomCascade:
